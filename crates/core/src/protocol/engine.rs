@@ -36,6 +36,58 @@ pub(crate) enum Action {
     Msg,
 }
 
+/// What one event loop drives: the fibers and the processors it schedules —
+/// every processor for the serial engine, one physical node's for a shard
+/// of the parallel engine (`crate::protocol::pdes`).
+pub(crate) struct Exec {
+    pub(crate) pool: FiberPool<Req, Resp>,
+    procs: Vec<u32>,
+    /// Reused candidate buffer; the schedule policy chooses among the
+    /// minimal-time entries each iteration (the deterministic default picks
+    /// the first minimal `(time, proc)`, the historical behavior).
+    cands: Vec<(Time, u32, Action)>,
+}
+
+impl Exec {
+    pub(crate) fn new(pool: FiberPool<Req, Resp>, procs: Vec<u32>) -> Self {
+        let cands = Vec::with_capacity(2 * procs.len());
+        Exec { pool, procs, cands }
+    }
+}
+
+/// The slice of simulated time a shard may execute: events with key
+/// strictly below `end`. `h_key` names the globally minimal event (set only
+/// for the shard owning it), which is exempt from [`Machine::op_poll_safe`].
+#[derive(Clone, Copy)]
+pub(crate) struct Window {
+    pub(crate) end: Time,
+    pub(crate) h_key: Option<(Time, u32)>,
+}
+
+/// One executed scheduling event in a shard's window log. Everything the
+/// coordinator needs to replay the serial interleaving: the candidate key
+/// (merge order), the executing processor's clock after the event, the
+/// shard's live-fiber count after it (elapsed-time capture), and the
+/// journal high-water marks that delimit which recorded observability /
+/// trace events this scheduling event produced (cumulative within the
+/// window — the journals are drained at every window boundary).
+pub(crate) struct EventEntry {
+    pub(crate) time: Time,
+    pub(crate) proc: u32,
+    pub(crate) clock_after: Time,
+    pub(crate) live_after: u32,
+    pub(crate) obs_upto: u32,
+    pub(crate) trace_upto: u32,
+}
+
+/// Wraps an application body as processor `p`'s fiber.
+pub(crate) fn fiber_body(
+    p: u32,
+    body: Box<dyn FnOnce(Dsm) + Send>,
+) -> shasta_sim::FiberBody<Req, Resp> {
+    Box::new(move |api| body(Dsm::new(p, api)))
+}
+
 impl Machine {
     /// Runs one application body per processor to completion and returns the
     /// collected statistics. May be called once per machine.
@@ -49,108 +101,112 @@ impl Machine {
         let n = self.topo.procs();
         assert_eq!(bodies.len() as u32, n, "need exactly one program per processor");
         if let Some(lookahead) = self.pdes_eligible() {
-            return crate::protocol::pdes::run_sharded(self, bodies, lookahead);
+            crate::protocol::pdes::run_sharded(self, bodies, lookahead);
+        } else {
+            // The serial engine is the one-shard case: a single event loop
+            // over every processor, in an unbounded window.
+            let fibers = bodies.into_iter().enumerate().map(|(p, b)| fiber_body(p as u32, b));
+            let mut ex = Exec::new(FiberPool::spawn_each(fibers.collect()), (0..n).collect());
+            self.run_events(&mut ex, None);
+            if ex.pool.live_count() != 0 || self.net.in_flight() != 0 {
+                self.deadlock_panic(&ex.pool);
+            }
+            ex.pool.join();
+            self.stats.messages = *self.net.stats();
         }
-        let wrapped: Vec<shasta_sim::FiberBody<Req, Resp>> = bodies
-            .into_iter()
-            .enumerate()
-            .map(|(p, body)| {
-                Box::new(move |api: shasta_sim::FiberApi<Req, Resp>| body(Dsm::new(p as u32, api)))
-                    as shasta_sim::FiberBody<Req, Resp>
-            })
-            .collect();
-        let mut pool = FiberPool::spawn_each(wrapped);
-        let mut elapsed_recorded = false;
-        // Reused candidate buffer; the schedule policy chooses among the
-        // minimal-time entries each iteration (the deterministic default
-        // picks the first minimal `(time, proc)`, the historical behavior).
-        let mut cands: Vec<(Time, u32, Action)> = Vec::with_capacity(2 * n as usize);
-        // Run-ahead batching is legal only when nothing observes individual
-        // scheduling steps: the deterministic policy always picks the minimal
-        // `(time, proc)` key (so a locally-minimal run of one processor's ops
-        // is exactly what a full rescan would pick), and neither a step limit
-        // nor the oracle's periodic quiescent sweep is consulting the step
-        // counter that batched ops skip. An installed fault plan also
-        // disables it: held-message releases from the admit guard can
-        // introduce new candidates mid-batch.
-        let fast_mode = !self.sched.perturbs()
-            && self.oracle.is_none()
-            && self.step_limit.is_none()
-            && !self.net.fault_active();
+        // Release any real resources a non-simulated transport holds
+        // (sockets, reader threads); a no-op for the simulated network.
+        self.net.shutdown();
+        self.audit();
+        self.stats.clone()
+    }
+
+    /// The event loop — the only one. Executes `ex`'s scheduling events in
+    /// exactly serial order: minimal `(time, proc)` first, ties broken by
+    /// candidate-scan position via the schedule policy. Returns when no
+    /// candidate is left (termination, or deadlock: the caller tells which).
+    ///
+    /// `window` is `None` for the serial engine. A shard of the parallel
+    /// engine passes its lookahead window, which switches on the three
+    /// things sharding needs: the loop also stops at the first candidate at
+    /// or past `window.end`; any `Op` other than the globally minimal event
+    /// must pass [`Self::op_poll_safe`], and the first that fails ends the
+    /// window early (shard-local key order must be preserved, so skipping
+    /// just the unsafe event is not an option); and every executed event —
+    /// batched ops included, the barrier merge needs them individually — is
+    /// logged for the coordinator (the returned log is empty otherwise).
+    pub(crate) fn run_events(&mut self, ex: &mut Exec, window: Option<Window>) -> Vec<EventEntry> {
+        let mut log = Vec::new();
+        // Run-ahead batching needs what sharding needs (so shards always
+        // batch): see `unobserved_steps`.
+        let fast_mode = self.unobserved_steps();
+        // Elapsed time is the clock maximum at the first instant the last
+        // fiber has finished. Only the serial loop sees that instant; for
+        // shards the coordinator replays it from the merged logs.
+        let mut elapsed_pending = window.is_none();
 
         loop {
-            cands.clear();
-            for p in 0..n {
-                self.push_candidates(&pool, p, &mut cands);
-            }
-
-            if !elapsed_recorded && pool.live_count() == 0 {
+            self.scan(ex);
+            if elapsed_pending && ex.pool.live_count() == 0 {
                 self.stats.elapsed_cycles =
                     self.clocks.iter().map(|t| t.cycles()).max().unwrap_or(0);
-                elapsed_recorded = true;
+                elapsed_pending = false;
             }
-
-            if cands.is_empty() {
-                if pool.live_count() == 0 && self.net.in_flight() == 0 {
-                    break;
-                }
-                self.deadlock_panic(&pool);
+            if ex.cands.is_empty() {
+                break;
             }
-            let pick = self.sched.pick(&cands, |c| (c.0, c.1));
-            let (_, p, action) = cands[pick];
+            let pick = self.sched.pick(&ex.cands, |c| (c.0, c.1));
+            let (t, p, action) = ex.cands[pick];
             if let Some(limit) = self.step_limit {
                 if self.sched.steps() > limit {
-                    self.liveness_panic(limit, &pool);
+                    self.liveness_panic(limit, &ex.pool);
+                }
+            }
+            if let Some(w) = window {
+                if t >= w.end {
+                    break;
+                }
+                if action == Action::Op && w.h_key != Some((t, p)) {
+                    let pre = ex.pool.peek_request(p).expect("op without request").pre_cycles();
+                    if !self.op_poll_safe(t, p, pre, w.end) {
+                        break;
+                    }
                 }
             }
 
-            match action {
-                Action::Op => {
-                    if fast_mode {
-                        // Run-ahead: keep servicing `p`'s consecutive ops
-                        // without rescanning while (a) no action touched
-                        // another processor's candidate (`sched_dirty`), and
-                        // (b) `p`'s next op is still strictly earlier than
-                        // every other candidate from the scan. Staleness is
-                        // one-sided — candidates can only *disappear* while
-                        // `sched_dirty` stays false — so `next_best` is a
-                        // conservative bound and early exit is the worst case.
-                        self.sched_dirty = false;
-                        if self.service_op(&mut pool, p) {
-                            let mut next_best: Option<(Time, u32)> = None;
-                            for (j, c) in cands.iter().enumerate() {
-                                if j == pick {
-                                    continue;
-                                }
-                                let k = (c.0, c.1);
-                                if next_best.is_none_or(|nb| k < nb) {
-                                    next_best = Some(k);
-                                }
-                            }
-                            loop {
-                                if self.sched_dirty || pool.is_finished(p) {
-                                    break;
-                                }
-                                let Some(req) = pool.peek_request(p) else { break };
-                                let key = (self.clocks[p as usize] + req.pre_cycles(), p);
-                                if next_best.is_some_and(|nb| key >= nb) {
-                                    break;
-                                }
-                                if !self.service_op(&mut pool, p) {
-                                    break;
-                                }
-                            }
-                        }
-                    } else {
-                        self.service_op(&mut pool, p);
+            self.sched_dirty = false;
+            if self.step(ex, (t, p, action), window.is_some(), &mut log) && fast_mode {
+                // Run-ahead: keep servicing `p`'s consecutive ops without
+                // rescanning while (a) no action touched another processor's
+                // candidate (`sched_dirty`), and (b) `p`'s next op is still
+                // strictly earlier than every other candidate from the scan
+                // and inside the window. Staleness is one-sided — candidates
+                // can only *disappear* while `sched_dirty` stays false — so
+                // `bound` is conservative and early exit is the worst case.
+                let others = ex.cands.iter().enumerate().filter(|&(j, _)| j != pick);
+                let bound = others.map(|(_, c)| (c.0, c.1)).chain(window.map(|w| (w.end, 0))).min();
+                loop {
+                    if self.sched_dirty || ex.pool.is_finished(p) {
+                        break;
+                    }
+                    let Some(req) = ex.pool.peek_request(p) else { break };
+                    let key = (self.clocks[p as usize] + req.pre_cycles(), p);
+                    if bound.is_some_and(|b| key >= b) {
+                        break;
+                    }
+                    // Batched ops are never the global minimum (they follow
+                    // the first op of the batch), so the poll guard applies
+                    // to each; re-checked every iteration because the op
+                    // itself may have posted a local message arriving inside
+                    // the window.
+                    if window.is_some_and(|w| !self.op_poll_safe(key.0, p, req.pre_cycles(), w.end))
+                    {
+                        break;
+                    }
+                    if !self.step(ex, (key.0, p, Action::Op), window.is_some(), &mut log) {
+                        break;
                     }
                 }
-                Action::Resume => {
-                    if let Some(resp) = self.resume_stalled(p) {
-                        pool.resume(p, resp);
-                    }
-                }
-                Action::Msg => self.deliver_inbound(p),
             }
             // Checker-only: at quiescent moments the full invariant sweep is
             // sound (no transaction is mid-flight), so run it periodically.
@@ -161,17 +217,89 @@ impl Machine {
                 self.oracle_quiescent_sweep();
             }
         }
+        log
+    }
 
-        if !elapsed_recorded {
-            self.stats.elapsed_cycles = self.clocks.iter().map(|t| t.cycles()).max().unwrap_or(0);
+    /// Executes one scheduling event, logging it when `sharded`. Returns
+    /// `true` exactly when it was an `Op` whose fiber was resumed, i.e. when
+    /// the same processor's next operation is already pending.
+    fn step(
+        &mut self,
+        ex: &mut Exec,
+        (t, p, action): (Time, u32, Action),
+        sharded: bool,
+        log: &mut Vec<EventEntry>,
+    ) -> bool {
+        if sharded {
+            self.net.pdes_begin_event(log.len() as u32);
         }
-        pool.join();
-        self.stats.messages = *self.net.stats();
-        // Release any real resources a non-simulated transport holds
-        // (sockets, reader threads); a no-op for the simulated network.
-        self.net.shutdown();
-        self.audit();
-        self.stats.clone()
+        let next_op_pending = match action {
+            Action::Op => self.service_op(&mut ex.pool, p),
+            Action::Resume => {
+                if let Some(resp) = self.resume_stalled(p) {
+                    ex.pool.resume(p, resp);
+                }
+                false
+            }
+            Action::Msg => {
+                self.deliver_inbound(p);
+                false
+            }
+        };
+        if sharded {
+            log.push(EventEntry {
+                time: t,
+                proc: p,
+                clock_after: self.clocks[p as usize],
+                live_after: ex.pool.live_count() as u32,
+                obs_upto: self.obs.staged_len() as u32,
+                trace_upto: self.trace.len() as u32,
+            });
+        }
+        next_op_pending
+    }
+
+    /// Refills `ex.cands` with every schedulable action of `ex`'s
+    /// processors, in processor order.
+    pub(crate) fn scan(&self, ex: &mut Exec) {
+        ex.cands.clear();
+        for &p in &ex.procs {
+            self.push_candidates(&ex.pool, p, &mut ex.cands);
+        }
+    }
+
+    /// The smallest candidate key over `ex`'s processors, if any.
+    pub(crate) fn next_key(&self, ex: &mut Exec) -> Option<(Time, u32)> {
+        self.scan(ex);
+        ex.cands.iter().map(|c| (c.0, c.1)).min()
+    }
+
+    /// Whether an `Op` event at key `(t, p)` may execute inside a window
+    /// ending at `end` *without* the globally-minimal event's privileges.
+    ///
+    /// `service_op` polls the inbox (`drain_messages`) after charging the
+    /// op's compute and its inline-check surrogate — at which point `p`'s
+    /// clock is exactly `t + surrogate`. The drain pops every message with
+    /// arrival ≤ clock, and each handled message advances the clock further,
+    /// so a non-empty cascade can sweep past `end` and observe arrivals the
+    /// window barrier has not injected yet. The op is safe exactly when the
+    /// drain provably pops nothing:
+    ///
+    /// * `t + surrogate < end`, so messages this shard cannot see yet (all
+    ///   of which arrive at `≥ end` by the lookahead bound) would not have
+    ///   been popped serially either, and
+    /// * every *visible* arrival is later than `t + surrogate`.
+    ///
+    /// With zero pops the clock never grows past `t + surrogate`, the
+    /// serial drain at this event is empty too, and the op's execution
+    /// (which never re-polls) is bit-identical. An unsafe op is *deferred*:
+    /// the shard ends its window, and the event re-runs in a later window —
+    /// eventually as the globally minimal event, whose inbox is serially
+    /// complete (every earlier event has executed and its sends were
+    /// injected at a barrier), making an unbounded cascade exact.
+    fn op_poll_safe(&self, t: Time, p: u32, pre_cycles: u64, end: Time) -> bool {
+        let poll_at = t + self.cfg.check.compute_check_cycles(pre_cycles);
+        poll_at < end && self.earliest_inbound(p).is_none_or(|a| a > poll_at)
     }
 
     /// Whether this run may execute on the sharded conservative-PDES engine,
@@ -198,12 +326,23 @@ impl Machine {
             return None;
         }
         let lookahead = self.net.pdes_lookahead().filter(|&l| l > 0)?;
-        let clean = !self.sched.perturbs()
+        (self.unobserved_steps() && self.net.in_flight() == 0).then_some(lookahead)
+    }
+
+    /// Whether nothing observes individual scheduling steps, which is what
+    /// makes both run-ahead batching and sharding legal: the deterministic
+    /// policy always picks the minimal `(time, proc)` key (so a
+    /// locally-minimal run of one processor's ops is exactly what a full
+    /// rescan would pick), and neither a step limit nor the oracle's
+    /// periodic quiescent sweep is consulting the step counter that batched
+    /// ops skip. An installed fault plan also disqualifies: held-message
+    /// releases from the admit guard can introduce new candidates mid-batch,
+    /// and the fault RNG draws in global send order.
+    fn unobserved_steps(&self) -> bool {
+        !self.sched.perturbs()
             && self.oracle.is_none()
             && self.step_limit.is_none()
             && !self.net.fault_active()
-            && self.net.in_flight() == 0;
-        clean.then_some(lookahead)
     }
 
     /// Pushes `p`'s schedulable actions (with their `(time, proc)` keys)
@@ -240,38 +379,41 @@ impl Machine {
     }
 
     /// Delivers the earliest inbound message to `p` (the `Action::Msg`
-    /// step): pop, advance the clock to the arrival, run the delivery guard,
-    /// and dispatch the handler under the message's causal context.
+    /// step): pop, advance the clock to the arrival, and dispatch.
     pub(crate) fn deliver_inbound(&mut self, p: u32) {
         let env = self.pop_inbound(p).expect("scheduled message vanished");
         let t = self.clocks[p as usize].max(env.arrival);
         self.clocks[p as usize] = t;
-        match self.net.admit(env, t) {
-            Some(env) => {
-                self.obs_event(
-                    p,
-                    shasta_obs::EventKind::MsgRecv {
-                        msg: env.msg.label(),
-                        peer: env.src,
-                        block: env.msg.block_start(),
-                    },
-                );
-                self.pay(p, TimeCat::Message, self.cost.msg_dispatch_cycles);
-                // Handling runs under the delivered message's causal
-                // context: any message this handler sends (forward, reply,
-                // directory update) inherits the originating miss's id.
-                self.set_trace_context(env.trace());
-                self.handle_message(p, env.src, env.msg);
-                self.set_trace_context(0);
-            }
-            None => {
-                // The delivery guard discarded a duplicate or held an early
-                // message: the pop still cost a dispatch, and a release may
-                // have changed another processor's candidate.
-                self.pay(p, TimeCat::Message, self.cost.msg_dispatch_cycles);
-                self.sched_dirty = true;
-            }
+        if !self.dispatch(p, env, t) {
+            // A guard release may have changed another processor's candidate.
+            self.sched_dirty = true;
         }
+    }
+
+    /// Runs one popped message through the delivery guard and, if admitted,
+    /// its handler — under the message's causal context, so any message the
+    /// handler sends (forward, reply, directory update) inherits the
+    /// originating miss's id. The pop costs a dispatch either way. Returns
+    /// `false` when the protocol never saw the message: the guard discarded
+    /// a duplicate or held an early arrival.
+    fn dispatch(&mut self, p: u32, env: shasta_memchan::Envelope<ProtoMsg>, now: Time) -> bool {
+        let admitted = self.net.admit(env, now);
+        if let Some(env) = &admitted {
+            self.obs_event(
+                p,
+                shasta_obs::EventKind::MsgRecv {
+                    msg: env.msg.label(),
+                    peer: env.src,
+                    block: env.msg.block_start(),
+                },
+            );
+        }
+        self.pay(p, TimeCat::Message, self.cost.msg_dispatch_cycles);
+        let Some(env) = admitted else { return false };
+        self.set_trace_context(env.trace());
+        self.handle_message(p, env.src, env.msg);
+        self.set_trace_context(0);
+        true
     }
 
     /// Executes one pending operation of `p` end to end: compute charge,
@@ -310,41 +452,20 @@ impl Machine {
                 _ => break,
             }
             let Some(env) = self.net.pop_any_earliest(p, lb) else { break };
-            match self.net.admit(env, now) {
-                Some(env) => {
-                    handled += 1;
-                    self.obs_event(
-                        p,
-                        shasta_obs::EventKind::MsgRecv {
-                            msg: env.msg.label(),
-                            peer: env.src,
-                            block: env.msg.block_start(),
-                        },
-                    );
-                    self.pay(p, TimeCat::Message, self.cost.msg_dispatch_cycles);
-                    // Inherit the delivered message's causal context (see
-                    // the Action::Msg delivery site).
-                    self.set_trace_context(env.trace());
-                    self.handle_message(p, env.src, env.msg);
-                    self.set_trace_context(0);
-                }
-                None => {
-                    // Duplicate discarded or early message held: pay the
-                    // dispatch the pop cost, but the protocol never saw it.
-                    absorbed = true;
-                    self.pay(p, TimeCat::Message, self.cost.msg_dispatch_cycles);
-                }
+            if self.dispatch(p, env, now) {
+                handled += 1;
+            } else {
+                absorbed = true;
             }
         }
         if handled > 0 {
-            // Handling may have satisfied another processor's stall or queued
-            // replies; force the run-ahead fast path back to a full rescan.
-            self.sched_dirty = true;
             self.obs_event(p, shasta_obs::EventKind::PollDrain { handled });
         }
-        if absorbed {
-            // A guard drop/hold (or a release it triggered) also changes
-            // candidates.
+        if handled > 0 || absorbed {
+            // Handling may have satisfied another processor's stall or queued
+            // replies, and a guard drop/hold (or a release it triggered) also
+            // changes candidates: force the run-ahead fast path back to a
+            // full rescan.
             self.sched_dirty = true;
         }
     }
@@ -461,6 +582,13 @@ impl Machine {
     /// Sends a protocol message, or handles it inline when `src == dst`
     /// (a processor "messaging itself" is a function call in Shasta).
     pub(crate) fn post(&mut self, src: u32, dst: u32, msg: ProtoMsg) {
+        self.post_via(src, dst, msg, false);
+    }
+
+    /// [`Self::post`], optionally routed to the shared incoming queue of
+    /// `dst`'s node (`to_vnode`, the load-balancing extension) instead of
+    /// `dst`'s own inbox.
+    fn post_via(&mut self, src: u32, dst: u32, msg: ProtoMsg, to_vnode: bool) {
         // A send (or inline self-handling) can create or satisfy another
         // processor's candidate; the run-ahead fast path must rescan.
         self.sched_dirty = true;
@@ -468,25 +596,27 @@ impl Machine {
             // A processor "messaging itself" is a plain function call; no
             // send/receive events are recorded for it.
             self.handle_message(src, src, msg);
+            return;
+        }
+        self.obs_event(
+            src,
+            shasta_obs::EventKind::MsgSend {
+                msg: msg.label(),
+                peer: dst,
+                block: msg.block_start(),
+            },
+        );
+        self.pay(src, TimeCat::Message, self.cost.msg_send_cycles);
+        let payload = msg.payload_bytes();
+        // Seeded schedule policies stretch individual message latencies
+        // (within legal bounds — latency is unspecified) to reorder
+        // deliveries; the deterministic policy adds zero.
+        let t = self.clocks[src as usize] + self.sched.send_jitter();
+        if to_vnode {
+            self.net.send_to_vnode(src, dst, msg, payload, t);
         } else {
-            self.obs_event(
-                src,
-                shasta_obs::EventKind::MsgSend {
-                    msg: msg.label(),
-                    peer: dst,
-                    block: msg.block_start(),
-                },
-            );
-            self.pay(src, TimeCat::Message, self.cost.msg_send_cycles);
-            let payload = msg.payload_bytes();
-            let class = match msg {
-                ProtoMsg::Downgrade { .. } => Some(shasta_stats::MsgClass::Downgrade),
-                _ => None,
-            };
-            // Seeded schedule policies stretch individual message latencies
-            // (within legal bounds — latency is unspecified) to reorder
-            // deliveries; the deterministic policy adds zero.
-            let t = self.clocks[src as usize] + self.sched.send_jitter();
+            let class = matches!(msg, ProtoMsg::Downgrade { .. })
+                .then_some(shasta_stats::MsgClass::Downgrade);
             self.net.send(src, dst, msg, payload, t, class);
         }
     }
@@ -649,13 +779,7 @@ impl Machine {
             LineState::PendingDgShared | LineState::PendingDgInvalid => {
                 // §3.4.3: the block is mid-downgrade but the prior state was
                 // sufficient for a read; service it under the line lock.
-                self.obs_lock_acq(p, block);
-                self.pay(
-                    p,
-                    TimeCat::Other,
-                    self.cost.smp_lock_cycles + self.cost.priv_upgrade_cycles,
-                );
-                self.obs_lock_rel(p, block);
+                self.pay_locked_priv_update(p, block);
                 if state == LineState::PendingDgShared {
                     self.set_priv(p, block, PrivState::Shared);
                 }
@@ -689,6 +813,14 @@ impl Machine {
         };
         self.set_trace_context(0);
         resp
+    }
+
+    /// Charges a private-state-table update made under `block`'s line lock
+    /// (servicing an access the node-level state already permits, §3.4.3).
+    fn pay_locked_priv_update(&mut self, p: u32, block: Block) {
+        self.obs_lock_acq(p, block);
+        self.pay(p, TimeCat::Other, self.cost.smp_lock_cycles + self.cost.priv_upgrade_cycles);
+        self.obs_lock_rel(p, block);
     }
 
     fn smp_lock(&self) -> u64 {
@@ -749,13 +881,7 @@ impl Machine {
                 // state table (SMP only; unreachable in Base where the check
                 // reads the same table).
                 debug_assert_eq!(self.cfg.mode, Mode::Smp);
-                self.obs_lock_acq(p, block);
-                self.pay(
-                    p,
-                    TimeCat::Other,
-                    self.cost.smp_lock_cycles + self.cost.priv_upgrade_cycles,
-                );
-                self.obs_lock_rel(p, block);
+                self.pay_locked_priv_update(p, block);
                 self.set_priv(p, block, PrivState::Exclusive);
                 self.stats.misses.private_upgrades += 1;
                 self.obs_event(p, shasta_obs::EventKind::PrivateUpgrade { block: block.start });
@@ -766,13 +892,7 @@ impl Machine {
                 // Prior state was exclusive: this store may be serviced
                 // before the downgrade completes; it will be included in the
                 // data the last downgrader sends (§3.4.3).
-                self.obs_lock_acq(p, block);
-                self.pay(
-                    p,
-                    TimeCat::Other,
-                    self.cost.smp_lock_cycles + self.cost.priv_upgrade_cycles,
-                );
-                self.obs_lock_rel(p, block);
+                self.pay_locked_priv_update(p, block);
                 self.mems[v].write_scalar(addr, size, value);
                 self.set_priv(p, block, PrivState::Shared);
                 Some(Resp::Unit)
@@ -783,13 +903,7 @@ impl Machine {
                     .expect("pending-downgrade state without entry")
                     .prior;
                 if prior.writable() {
-                    self.obs_lock_acq(p, block);
-                    self.pay(
-                        p,
-                        TimeCat::Other,
-                        self.cost.smp_lock_cycles + self.cost.priv_upgrade_cycles,
-                    );
-                    self.obs_lock_rel(p, block);
+                    self.pay_locked_priv_update(p, block);
                     self.mems[v].write_scalar(addr, size, value);
                     self.set_priv(p, block, PrivState::Invalid);
                     Some(Resp::Unit)
@@ -937,23 +1051,13 @@ impl Machine {
             && self.vnode(p) == self.vnode(home)
         {
             self.stats.shared_dir_lookups += 1;
-            let req_kind = kind;
-            let _ = msg;
-            self.handle_home_request_at(p, home, p, req_kind, block);
-        } else if self.cfg.load_balance_incoming && p != home && self.vnode(p) != self.vnode(home) {
-            // Load-balancing extension: the request lands in the home
+            self.handle_home_request_at(p, home, p, kind, block);
+        } else {
+            // Load-balancing extension: a remote request lands in the home
             // node's shared queue; whichever node processor polls first
             // services it (directory state is shared).
-            self.obs_event(
-                p,
-                shasta_obs::EventKind::MsgSend { msg: msg.label(), peer: home, block: block.start },
-            );
-            self.pay(p, TimeCat::Message, self.cost.msg_send_cycles);
-            let payload = msg.payload_bytes();
-            let t = self.clocks[p as usize] + self.sched.send_jitter();
-            self.net.send_to_vnode(p, home, msg, payload, t);
-        } else {
-            self.post(p, home, msg);
+            let to_vnode = self.cfg.load_balance_incoming && self.vnode(p) != self.vnode(home);
+            self.post_via(p, home, msg, to_vnode);
         }
     }
 
@@ -1190,8 +1294,15 @@ impl Machine {
         let mut diag = format!(
             "liveness violation: run exceeded {limit} scheduling steps without completing\n"
         );
+        self.append_proc_diag(&mut diag, pool);
+        panic!("{diag}{}", self.trace.render_tail(40));
+    }
+
+    /// Appends the state every stuck-run diagnostic opens with: one line per
+    /// processor, the in-flight message count, and the fault tally.
+    fn append_proc_diag(&self, diag: &mut String, pool: &FiberPool<Req, Resp>) {
+        use std::fmt::Write as _;
         for p in 0..self.topo.procs() {
-            use std::fmt::Write as _;
             let _ = writeln!(
                 diag,
                 "  P{p}: clock={} finished={} stall={:?}",
@@ -1200,11 +1311,8 @@ impl Machine {
                 self.stalls[p as usize].as_ref().map(|s| &s.kind)
             );
         }
-        use std::fmt::Write as _;
         let _ = writeln!(diag, "  in-flight messages: {}", self.net.in_flight());
-        self.append_fault_diag(&mut diag);
-        let _ = write!(diag, "{}", self.trace.render_tail(40));
-        panic!("{diag}");
+        self.append_fault_diag(diag);
     }
 
     /// Appends the fault-injection tally (and, when messages were lost, the
@@ -1228,20 +1336,9 @@ impl Machine {
     }
 
     fn deadlock_panic(&self, pool: &FiberPool<Req, Resp>) -> ! {
-        let mut diag = String::from("protocol deadlock: no runnable processor\n");
-        for p in 0..self.topo.procs() {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                diag,
-                "  P{p}: clock={} finished={} stall={:?}",
-                self.clocks[p as usize],
-                pool.is_finished(p),
-                self.stalls[p as usize].as_ref().map(|s| &s.kind)
-            );
-        }
         use std::fmt::Write as _;
-        let _ = writeln!(diag, "  in-flight messages: {}", self.net.in_flight());
-        self.append_fault_diag(&mut diag);
+        let mut diag = String::from("protocol deadlock: no runnable processor\n");
+        self.append_proc_diag(&mut diag, pool);
         for (v, t) in self.miss.iter().enumerate() {
             for e in t.iter() {
                 let _ = writeln!(
@@ -1251,8 +1348,7 @@ impl Machine {
                 );
             }
         }
-        let _ = write!(diag, "{}", self.trace.render());
-        panic!("{diag}");
+        panic!("{diag}{}", self.trace.render());
     }
 }
 

@@ -190,11 +190,6 @@ pub struct Machine {
     /// [`Transport`] implementation (e.g. the real loopback transport in
     /// `shasta-transport`) before the run starts.
     pub(crate) net: Box<dyn Transport<ProtoMsg>>,
-    /// The heterogeneous link profile installed via
-    /// [`Machine::set_net_profile`], kept here as well as on the transport
-    /// because the sharded engine must construct one transport per shard
-    /// with the same profile.
-    pub(crate) net_profile: Option<shasta_cluster::NetProfile>,
     /// How many worker threads the conservative parallel discrete-event
     /// engine may use (1 = stay serial; see [`Machine::set_sim_threads`]).
     pub(crate) sim_threads: usize,
@@ -306,7 +301,6 @@ impl Machine {
             deferred_invals: (0..vnodes).map(|_| HashMap::new()).collect(),
             lingering: (0..vnodes).map(|_| Vec::new()).collect(),
             net: Box::new(Network::new(topo.clone(), cost.clone())),
-            net_profile: None,
             sim_threads: 1,
             metrics: shasta_obs::Registry::disabled(),
             clocks: vec![Time::ZERO; procs],
@@ -397,8 +391,7 @@ impl Machine {
     ///
     /// Panics if the profile's shape does not match the topology.
     pub fn set_net_profile(&mut self, profile: shasta_cluster::NetProfile) {
-        self.net.set_profile(profile.clone());
-        self.net_profile = Some(profile);
+        self.net.set_profile(profile);
     }
 
     /// Allows the run loop to execute on up to `n` worker threads using the

@@ -7,9 +7,14 @@
 //! [`Machine`] holding exactly the protocol state its processors can touch
 //! (virtual nodes nest inside physical nodes, so memories, miss tables,
 //! epoch trackers, and downgrade maps partition cleanly; every cross-node
-//! effect in the protocol travels as a message). Each shard owns a
-//! [`ShardNet`] transport that delivers intra-node messages locally and
-//! journals cross-node sends for the coordinator.
+//! effect in the protocol travels as a message). Each shard owns a network
+//! derived from the run's ([`Transport::pdes_shard`]) that delivers
+//! intra-node messages locally and journals cross-node sends for the
+//! coordinator, and runs the engine's one event loop
+//! (`Machine::run_events`) over its own processors — the serial engine is
+//! the same loop as a single shard over every processor with an unbounded
+//! window. What is left here is coordination: windows, the merge, and the
+//! state split.
 //!
 //! Execution proceeds in **windows**. Let `H` be the smallest candidate key
 //! `(time, proc)` over all shards and `L` the transport's lookahead — the
@@ -27,7 +32,7 @@
 //! which can make further messages eligible — so an event whose key is
 //! inside the window can observe arrivals far beyond `H + L`, where
 //! not-yet-injected sends from other shards may exist. Two rules restore
-//! exactness (see `ShardExec::op_poll_safe`):
+//! exactness (see `Machine::op_poll_safe`):
 //!
 //! * the **globally minimal event** `H` runs with an unbounded cascade —
 //!   serially it executes before everything else pending, so its inbox is
@@ -95,41 +100,23 @@
 //! operational description and `crates/check/tests/parallel_engine_equivalence.rs`
 //! for the property suite that pins serial/sharded equality.
 //!
-//! [`ShardNet`]: shasta_memchan::ShardNet
+//! [`Transport::pdes_shard`]: shasta_memchan::Transport::pdes_shard
+//! [`Transport::pdes_apply`]: shasta_memchan::Transport::pdes_apply
 //! [`NetProfile::lookahead`]: shasta_cluster::NetProfile::lookahead
 //! [`Network::lookahead`]: shasta_memchan::Network
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::mem::take;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use shasta_cluster::NodeId;
-use shasta_memchan::{Envelope, PdesSendRecord, ShardNet, Transport};
-use shasta_sim::{FiberPool, Scheduler, Time, Trace, TraceEvent};
-use shasta_stats::RunStats;
+use shasta_memchan::{Envelope, PdesSendRecord};
+use shasta_sim::{FiberPool, Time, Trace, TraceEvent};
 
-use crate::api::{Dsm, Req, Resp};
-use crate::directory::Directory;
-use crate::misstable::{EpochTracker, MissTable};
-use crate::protocol::engine::Action;
+use crate::api::Dsm;
+use crate::protocol::engine::{fiber_body, EventEntry, Exec, Window};
 use crate::protocol::machine::Machine;
 use crate::protocol::msg::ProtoMsg;
-use crate::state::{NodeMem, PrivTable};
-
-/// One executed scheduling event in a shard's window log. Everything the
-/// coordinator needs to replay the serial interleaving: the candidate key
-/// (merge order), the executing processor's clock after the event, the
-/// shard's live-fiber count after it (elapsed-time capture), and the
-/// journal high-water marks that delimit which recorded observability /
-/// trace events this scheduling event produced (cumulative within the
-/// window — the journals are drained at every window boundary).
-struct EventEntry {
-    time: Time,
-    proc: u32,
-    clock_after: Time,
-    live_after: u32,
-    obs_upto: u32,
-    trace_upto: u32,
-}
 
 /// An executed-but-unfinalized shard event buffered at the coordinator:
 /// the log entry plus everything the event produced — journaled sends and
@@ -152,14 +139,11 @@ struct ShardStatus {
 /// Coordinator → worker commands, tagged with the shard they address (a
 /// worker may multiplex several shards).
 enum Cmd {
-    /// Report the shard's current [`ShardStatus`].
-    Status { shard: usize },
-    /// Execute events with key strictly below `end` (subject to the
-    /// poll-safety guard; `h_key` marks the globally minimal event, which is
-    /// exempt), then report the window log and send journal.
-    Run { shard: usize, end: Time, h_key: Option<(Time, u32)> },
-    /// Apply the barrier (sequence rewrites + cross-shard injections), then
-    /// report a fresh [`ShardStatus`].
+    /// Execute the window's events, then report the window log and send
+    /// journal.
+    Run { shard: usize, window: Window },
+    /// Apply the barrier (sequence rewrites + cross-shard injections; both
+    /// empty for the initial probe), then report a fresh [`ShardStatus`].
     Apply { shard: usize, remap: Vec<(u64, u64)>, inject: Vec<(Envelope<ProtoMsg>, u64)> },
     /// Hand the shard back to the coordinator.
     Finish { shard: usize },
@@ -192,172 +176,21 @@ enum Reply {
     },
 }
 
-/// One shard: its machine slice, its fibers, and its processor set.
+/// One shard: its machine slice, and its fibers and processor set.
 struct ShardExec {
     m: Machine,
-    pool: FiberPool<Req, Resp>,
-    procs: Vec<u32>,
-    /// Reused candidate buffer (cleared every scan).
-    cands: Vec<(Time, u32, Action)>,
+    ex: Exec,
 }
 
 impl ShardExec {
     /// The shard's current status: minimal candidate key, live fibers,
     /// messages in flight.
     fn status(&mut self) -> ShardStatus {
-        self.cands.clear();
-        let mut sc = std::mem::take(&mut self.cands);
-        for &p in &self.procs {
-            self.m.push_candidates(&self.pool, p, &mut sc);
-        }
-        let next_key = sc.iter().map(|c| (c.0, c.1)).min();
-        self.cands = sc;
         ShardStatus {
-            next_key,
-            live: self.pool.live_count() as u32,
+            next_key: self.m.next_key(&mut self.ex),
+            live: self.ex.pool.live_count() as u32,
             in_flight: self.m.net.in_flight(),
         }
-    }
-
-    /// Whether an `Op` event at key `(t, p)` may execute inside a window
-    /// ending at `end` *without* the globally-minimal event's privileges.
-    ///
-    /// `service_op` polls the inbox (`drain_messages`) after charging the
-    /// op's compute and its inline-check surrogate — at which point `p`'s
-    /// clock is exactly `t + surrogate`. The drain pops every message with
-    /// arrival ≤ clock, and each handled message advances the clock further,
-    /// so a non-empty cascade can sweep past `end` and observe arrivals the
-    /// window barrier has not injected yet. The op is safe exactly when the
-    /// drain provably pops nothing:
-    ///
-    /// * `t + surrogate < end`, so messages this shard cannot see yet (all
-    ///   of which arrive at `≥ end` by the lookahead bound) would not have
-    ///   been popped serially either, and
-    /// * every *visible* arrival is later than `t + surrogate`.
-    ///
-    /// With zero pops the clock never grows past `t + surrogate`, the
-    /// serial drain at this event is empty too, and the op's execution
-    /// (which never re-polls) is bit-identical. An unsafe op is *deferred*:
-    /// the shard ends its window, and the event re-runs in a later window —
-    /// eventually as the globally minimal event, whose inbox is serially
-    /// complete (every earlier event has executed and its sends were
-    /// injected at a barrier), making an unbounded cascade exact.
-    fn op_poll_safe(&self, t: Time, p: u32, pre_cycles: u64, end: Time) -> bool {
-        let surrogate = self.m.cfg.check.compute_check_cycles(pre_cycles);
-        let poll_at = t + surrogate;
-        poll_at < end && self.m.earliest_inbound(p).is_none_or(|a| a > poll_at)
-    }
-
-    /// Executes this shard's events with key strictly below `end`, in
-    /// exactly the order the serial engine would execute them: minimal
-    /// `(time, proc)` first, ties broken by candidate-scan position via the
-    /// deterministic scheduler, with the serial loop's run-ahead batching
-    /// (bounded by the window end as well as the next-best candidate).
-    ///
-    /// `h_key` is the globally minimal candidate key (set only for the shard
-    /// owning it): that event is exempt from [`Self::op_poll_safe`], which
-    /// guarantees every window executes at least one event. Any other `Op`
-    /// that fails the guard ends the window early — shard-local key order
-    /// must be preserved, so skipping just the unsafe event is not an
-    /// option.
-    fn run_window(&mut self, end: Time, h_key: Option<(Time, u32)>) -> Vec<EventEntry> {
-        let mut log = Vec::new();
-        let mut cands = std::mem::take(&mut self.cands);
-        loop {
-            cands.clear();
-            for &p in &self.procs {
-                self.m.push_candidates(&self.pool, p, &mut cands);
-            }
-            if cands.is_empty() {
-                break;
-            }
-            let pick = self.m.sched.pick(&cands, |c| (c.0, c.1));
-            let (t, p, action) = cands[pick];
-            if t >= end {
-                break;
-            }
-            if action == Action::Op && h_key != Some((t, p)) {
-                let pre = self.pool.peek_request(p).expect("op without request").pre_cycles();
-                if !self.op_poll_safe(t, p, pre, end) {
-                    break;
-                }
-            }
-            self.m.net.pdes_begin_event(log.len() as u32);
-            match action {
-                Action::Op => {
-                    // Mirror the serial run-ahead fast path (its gating
-                    // conditions are implied by PDES eligibility), bounded
-                    // by the window end: batched ops are still individual
-                    // events in the log — the barrier merge needs them.
-                    self.m.sched_dirty = false;
-                    let resumed = self.m.service_op(&mut self.pool, p);
-                    self.push_log(&mut log, t, p);
-                    if resumed {
-                        let mut next_best: Option<(Time, u32)> = None;
-                        for (j, c) in cands.iter().enumerate() {
-                            if j == pick {
-                                continue;
-                            }
-                            let k = (c.0, c.1);
-                            if next_best.is_none_or(|nb| k < nb) {
-                                next_best = Some(k);
-                            }
-                        }
-                        let bound = match next_best {
-                            Some(nb) => nb.min((end, 0)),
-                            None => (end, 0),
-                        };
-                        loop {
-                            if self.m.sched_dirty || self.pool.is_finished(p) {
-                                break;
-                            }
-                            let Some(req) = self.pool.peek_request(p) else { break };
-                            let key = (self.m.clocks[p as usize] + req.pre_cycles(), p);
-                            if key >= bound {
-                                break;
-                            }
-                            // Batched ops are never the global minimum (they
-                            // follow the first op of the batch), so the poll
-                            // guard applies to each; re-checked every
-                            // iteration because the op itself may have posted
-                            // a local message arriving inside the window.
-                            if !self.op_poll_safe(key.0, p, req.pre_cycles(), end) {
-                                break;
-                            }
-                            self.m.net.pdes_begin_event(log.len() as u32);
-                            let again = self.m.service_op(&mut self.pool, p);
-                            self.push_log(&mut log, key.0, p);
-                            if !again {
-                                break;
-                            }
-                        }
-                    }
-                }
-                Action::Resume => {
-                    if let Some(resp) = self.m.resume_stalled(p) {
-                        self.pool.resume(p, resp);
-                    }
-                    self.push_log(&mut log, t, p);
-                }
-                Action::Msg => {
-                    self.m.deliver_inbound(p);
-                    self.push_log(&mut log, t, p);
-                }
-            }
-        }
-        self.cands = cands;
-        log
-    }
-
-    fn push_log(&self, log: &mut Vec<EventEntry>, t: Time, p: u32) {
-        log.push(EventEntry {
-            time: t,
-            proc: p,
-            clock_after: self.m.clocks[p as usize],
-            live_after: self.pool.live_count() as u32,
-            obs_upto: self.m.obs.staged_len() as u32,
-            trace_upto: self.m.trace.len() as u32,
-        });
     }
 }
 
@@ -366,13 +199,9 @@ impl ShardExec {
 fn worker(mut execs: HashMap<usize, ShardExec>, rx: Receiver<Cmd>, tx: Sender<Reply>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            Cmd::Status { shard } => {
-                let status = execs.get_mut(&shard).expect("status for foreign shard").status();
-                let _ = tx.send(Reply::Status { shard, status });
-            }
-            Cmd::Run { shard, end, h_key } => {
+            Cmd::Run { shard, window } => {
                 let exec = execs.get_mut(&shard).expect("run for foreign shard");
-                let events = exec.run_window(end, h_key);
+                let events = exec.m.run_events(&mut exec.ex, Some(window));
                 let journal = exec.m.net.pdes_take_window();
                 let obs_events =
                     if exec.m.obs.is_enabled() { exec.m.obs.take_journal() } else { Vec::new() };
@@ -406,29 +235,24 @@ fn worker(mut execs: HashMap<usize, ShardExec>, rx: Receiver<Cmd>, tx: Sender<Re
 }
 
 /// Runs `bodies` on the sharded engine. Only called from [`Machine::run`]
-/// after [`Machine::pdes_eligible`] approved; returns statistics
-/// bit-identical to what the serial loop would have produced.
+/// after [`Machine::pdes_eligible`] approved; leaves `m` — statistics
+/// included — bit-identical to what the serial loop would have produced.
 pub(crate) fn run_sharded(
     m: &mut Machine,
     bodies: Vec<Box<dyn FnOnce(Dsm) + Send>>,
     lookahead: u64,
-) -> RunStats {
+) {
     let n = m.topo.procs() as usize;
     let shards = m.topo.phys_nodes() as usize;
     let workers = m.sim_threads.min(shards);
 
-    // Wrap application bodies exactly as the serial loop does, then route
-    // each to its owning shard's fiber pool (foreign slots stay permanently
-    // finished placeholders, preserving global processor indexing).
-    let mut per_shard: Vec<Vec<Option<shasta_sim::FiberBody<Req, Resp>>>> =
-        (0..shards).map(|_| (0..n).map(|_| None).collect()).collect();
+    // Route each application body to its owning shard's fiber pool (foreign
+    // slots stay permanently finished placeholders, preserving global
+    // processor indexing).
+    let mut per_shard: Vec<Vec<_>> = (0..shards).map(|_| (0..n).map(|_| None).collect()).collect();
     for (p, body) in bodies.into_iter().enumerate() {
         let s = usize::from(m.topo.phys_node_of(p as u32));
-        per_shard[s][p] =
-            Some(
-                Box::new(move |api: shasta_sim::FiberApi<Req, Resp>| body(Dsm::new(p as u32, api)))
-                    as shasta_sim::FiberBody<Req, Resp>,
-            );
+        per_shard[s][p] = Some(fiber_body(p as u32, body));
     }
 
     let mut execs: Vec<Option<ShardExec>> = split_shards(m)
@@ -436,14 +260,9 @@ pub(crate) fn run_sharded(
         .zip(per_shard)
         .enumerate()
         .map(|(s, (sm, bodies))| {
-            let procs: Vec<u32> =
+            let procs =
                 (0..n as u32).filter(|&p| usize::from(m.topo.phys_node_of(p)) == s).collect();
-            Some(ShardExec {
-                m: sm,
-                pool: FiberPool::spawn_selected(bodies),
-                procs,
-                cands: Vec::new(),
-            })
+            Some(ShardExec { m: sm, ex: Exec::new(FiberPool::spawn_selected(bodies), procs) })
         })
         .collect();
 
@@ -471,7 +290,9 @@ pub(crate) fn run_sharded(
     let mut merged_next_miss_id: u32 = m.next_miss_id;
 
     let mut elapsed: Option<u64> = None;
-    let mut finished: Vec<ShardExec> = std::thread::scope(|scope| {
+    let mut live: Vec<u32> =
+        execs.iter().flatten().map(|e| e.ex.pool.live_count() as u32).collect();
+    let finished: Vec<ShardExec> = std::thread::scope(|scope| {
         let (reply_tx, reply_rx) = channel::<Reply>();
         let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -489,18 +310,9 @@ pub(crate) fn run_sharded(
             cmd_txs[shard % workers].send(cmd).expect("worker hung up");
         };
 
-        // Initial statuses.
-        let mut status: Vec<Option<ShardStatus>> = (0..shards).map(|_| None).collect();
-        for s in 0..shards {
-            send(s, Cmd::Status { shard: s });
-        }
-        collect_statuses(&reply_rx, &mut status, shards);
-
         // Replay state for elapsed-time capture: the executing clocks and
         // per-shard live counts as of the most recent merged event.
         let mut clocks = vec![Time::ZERO; n];
-        let mut live: Vec<u32> =
-            status.iter().map(|st| st.as_ref().expect("status collected").live).collect();
         if live.iter().all(|&l| l == 0) {
             elapsed = Some(0);
         }
@@ -511,22 +323,44 @@ pub(crate) fn run_sharded(
         // its minimal candidate). An event is *finalized* — its sends
         // numbered and injected, its clock/live effect replayed — only once
         // no shard can still execute an event with a smaller key. A shard
-        // that defers mid-window (see `run_window`) leaves events behind the
+        // that defers mid-window (see `run_events`) leaves events behind the
         // window end, so later windows can overlap this one's key range and
         // the logs cannot simply be merged barrier by barrier.
         let mut buffers: Vec<std::collections::VecDeque<Pending>> =
             (0..shards).map(|_| std::collections::VecDeque::new()).collect();
-        // Lower bound on each shard's next *execution* key (`None` = no
-        // candidate). Sound across the barrier: injections can only add
-        // candidates at or beyond the end of the window whose sends they
-        // carry, which is past every currently buffered key.
-        let mut exec_frontier: Vec<Option<(Time, u32)>> =
-            status.iter().map(|st| st.as_ref().expect("status collected").next_key).collect();
+        // Sequence rewrites and cross-shard injections each shard applies at
+        // the next barrier (drained there, refilled by finalization).
+        let mut remaps: Vec<Vec<(u64, u64)>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut injections: Vec<Vec<(Envelope<ProtoMsg>, u64)>> =
+            (0..shards).map(|_| Vec::new()).collect();
         loop {
+            // Barrier: every shard applies its share (injections can land
+            // anywhere; nothing yet on the first round) and reports its
+            // status for the next horizon.
+            for s in 0..shards {
+                let (remap, inject) = (take(&mut remaps[s]), take(&mut injections[s]));
+                send(s, Cmd::Apply { shard: s, remap, inject });
+            }
+            let mut status: Vec<Option<ShardStatus>> = (0..shards).map(|_| None).collect();
+            for _ in 0..shards {
+                match reply_rx.recv().expect("worker hung up") {
+                    Reply::Status { shard, status: st } => status[shard] = Some(st),
+                    _ => unreachable!("expected status reply"),
+                }
+            }
+            let status: Vec<ShardStatus> =
+                status.into_iter().map(|st| st.expect("every shard reported")).collect();
+            // Lower bound on each shard's next *execution* key (`None` = no
+            // candidate). Sound across the barrier: injections can only add
+            // candidates at or beyond the end of the window whose sends they
+            // carry, which is past every currently buffered key.
+            let mut exec_frontier: Vec<Option<(Time, u32)>> =
+                status.iter().map(|st| st.next_key).collect();
+
             let horizon = exec_frontier.iter().filter_map(|k| *k).min();
             if horizon.is_none() && buffers.iter().all(|b| b.is_empty()) {
-                let live_total: u32 = status.iter().map(|st| st.as_ref().unwrap().live).sum();
-                let in_flight: usize = status.iter().map(|st| st.as_ref().unwrap().in_flight).sum();
+                let live_total: u32 = status.iter().map(|st| st.live).sum();
+                let in_flight: usize = status.iter().map(|st| st.in_flight).sum();
                 if live_total == 0 && in_flight == 0 {
                     break;
                 }
@@ -534,13 +368,7 @@ pub(crate) fn run_sharded(
                     "parallel engine deadlock: no schedulable candidate on any shard \
                      with {live_total} live fibers and {in_flight} messages in flight \
                      (per-shard live/in-flight: {:?})",
-                    status
-                        .iter()
-                        .map(|st| {
-                            let st = st.as_ref().unwrap();
-                            (st.live, st.in_flight)
-                        })
-                        .collect::<Vec<_>>()
+                    status.iter().map(|st| (st.live, st.in_flight)).collect::<Vec<_>>()
                 );
             }
 
@@ -552,13 +380,13 @@ pub(crate) fn run_sharded(
                 // rest cannot act before `end` by construction. The shard
                 // owning the horizon event learns its key: that event
                 // executes with the global minimum's privileges (see
-                // `run_window`).
+                // `Machine::run_events`).
                 let active: Vec<usize> = (0..shards)
                     .filter(|&s| exec_frontier[s].is_some_and(|(t, _)| t < end))
                     .collect();
                 for &s in &active {
                     let h_key = (s == h_shard).then_some((h, h_proc));
-                    send(s, Cmd::Run { shard: s, end, h_key });
+                    send(s, Cmd::Run { shard: s, window: Window { end, h_key } });
                 }
                 let mut window_total = 0u64;
                 for _ in 0..active.len() {
@@ -588,7 +416,7 @@ pub(crate) fn run_sharded(
                             }
                             // Slice the window's recording journals per
                             // scheduling event by the high-water marks the
-                            // shard captured at each `push_log`.
+                            // shard logged with each event.
                             let mut obs_it = obs_events.into_iter();
                             let mut trace_it = trace_events.into_iter();
                             let (mut obs_at, mut trace_at) = (0u32, 0u32);
@@ -631,9 +459,6 @@ pub(crate) fn run_sharded(
             // sequence number orders *after* every final one, which is the
             // serial order, because the finalized sender always precedes the
             // provisional sender in the global event order.
-            let mut remaps: Vec<Vec<(u64, u64)>> = (0..shards).map(|_| Vec::new()).collect();
-            let mut injections: Vec<Vec<(Envelope<ProtoMsg>, u64)>> =
-                (0..shards).map(|_| Vec::new()).collect();
             loop {
                 let mut best: Option<((Time, u32), usize)> = None;
                 for (s, buf) in buffers.iter().enumerate() {
@@ -696,24 +521,6 @@ pub(crate) fn run_sharded(
                     elapsed = Some(clocks.iter().map(|t| t.cycles()).max().unwrap_or(0));
                 }
             }
-
-            // Every shard applies the barrier (injections can land anywhere)
-            // and reports its post-barrier status for the next horizon.
-            for s in 0..shards {
-                status[s] = None;
-                send(
-                    s,
-                    Cmd::Apply {
-                        shard: s,
-                        remap: std::mem::take(&mut remaps[s]),
-                        inject: std::mem::take(&mut injections[s]),
-                    },
-                );
-            }
-            collect_statuses(&reply_rx, &mut status, shards);
-            for s in 0..shards {
-                exec_frontier[s] = status[s].as_ref().unwrap().next_key;
-            }
         }
 
         // Collect the shards back.
@@ -733,33 +540,17 @@ pub(crate) fn run_sharded(
     // Join fibers (propagating any application panic), then merge the shard
     // state back into the caller's machine so post-run accessors (stats,
     // audits, memory inspection) see exactly the serial end state.
-    for exec in &mut finished {
-        let pool = std::mem::replace(&mut exec.pool, FiberPool::spawn_selected(Vec::new()));
-        pool.join();
-    }
-    merge_shards(m, finished);
+    let merged: Vec<Machine> = finished
+        .into_iter()
+        .map(|exec| {
+            exec.ex.pool.join();
+            exec.m
+        })
+        .collect();
+    merge_shards(m, merged);
     m.obs = obs_merge;
     m.trace = trace_merge;
     m.stats.elapsed_cycles = elapsed.expect("termination implies elapsed capture");
-    m.net.shutdown();
-    m.audit();
-    m.stats.clone()
-}
-
-/// Receives [`Reply::Status`] messages until every `None` slot is filled.
-fn collect_statuses(rx: &Receiver<Reply>, status: &mut [Option<ShardStatus>], shards: usize) {
-    let mut missing = status.iter().filter(|s| s.is_none()).count();
-    debug_assert!(missing <= shards);
-    while missing > 0 {
-        match rx.recv().expect("worker hung up") {
-            Reply::Status { shard, status: st } => {
-                debug_assert!(status[shard].is_none());
-                status[shard] = Some(st);
-                missing -= 1;
-            }
-            _ => unreachable!("expected status reply"),
-        }
-    }
 }
 
 /// Physical node owning virtual node `v` (virtual nodes nest inside
@@ -779,57 +570,32 @@ fn split_shards(m: &mut Machine) -> Vec<Machine> {
     let n = m.topo.procs() as usize;
     let vnodes = m.topo.virt_nodes() as usize;
     let shards = m.topo.phys_nodes() as usize;
-    let line_bytes = m.space.line_bytes();
 
-    let mut out: Vec<Machine> = (0..shards as u32)
-        .map(|s| {
-            let mut net: ShardNet<ProtoMsg> = ShardNet::new(m.topo.clone(), m.cost.clone(), s);
-            if let Some(profile) = &m.net_profile {
-                Transport::set_profile(&mut net, profile.clone());
+    let mut out: Vec<Machine> = (0..shards)
+        .map(|_| {
+            // A heapless machine is all placeholders: serial, unobserved,
+            // deterministic policy, no oracle or step limit.
+            let mut sm = Machine::with_line_size(
+                m.topo.clone(),
+                m.cost.clone(),
+                m.cfg,
+                0,
+                m.space.line_bytes(),
+            );
+            sm.space = m.space.clone();
+            sm.barrier_participants = m.barrier_participants;
+            sm.net = m.net.pdes_shard().expect("pdes_eligible approved an unshardable transport");
+            // Recording shards journal in-order and ship each window's
+            // events to the coordinator, which replays them through the
+            // parent's bounded trace / ring recorder in the merged (serial)
+            // event order.
+            if m.trace.is_enabled() {
+                sm.trace = Trace::journal();
             }
-            Machine {
-                topo: m.topo.clone(),
-                cost: m.cost.clone(),
-                cfg: m.cfg,
-                space: m.space.clone(),
-                mems: (0..vnodes).map(|_| NodeMem::new(0, line_bytes)).collect(),
-                privs: (0..n).map(|_| PrivTable::new(0)).collect(),
-                dirs: (0..n).map(|_| Directory::new()).collect(),
-                miss: (0..vnodes).map(|_| MissTable::new()).collect(),
-                epochs: (0..vnodes).map(|_| EpochTracker::default()).collect(),
-                downgrades: (0..vnodes).map(|_| HashMap::new()).collect(),
-                deferred_invals: (0..vnodes).map(|_| HashMap::new()).collect(),
-                lingering: (0..vnodes).map(|_| Vec::new()).collect(),
-                net: Box::new(net),
-                net_profile: m.net_profile.clone(),
-                sim_threads: 1,
-                metrics: shasta_obs::Registry::disabled(),
-                clocks: vec![Time::ZERO; n],
-                stalls: vec![None; n],
-                wake_floor: vec![Time::ZERO; n],
-                lock_grants: (0..n).map(|_| HashSet::new()).collect(),
-                barrier_done: (0..n).map(|_| HashSet::new()).collect(),
-                outstanding_stores: vec![0; n],
-                locks: HashMap::new(),
-                barriers: HashMap::new(),
-                stats: RunStats::new(n),
-                // Recording shards journal in-order and ship each window's
-                // events to the coordinator, which replays them through the
-                // parent's bounded trace / ring recorder in the merged
-                // (serial) event order.
-                trace: if m.trace.is_enabled() { Trace::journal() } else { Trace::disabled() },
-                obs: if m.obs.is_enabled() {
-                    shasta_obs::Recorder::journal()
-                } else {
-                    shasta_obs::Recorder::disabled()
-                },
-                sched: Scheduler::default(),
-                sched_dirty: false,
-                oracle: None,
-                step_limit: None,
-                barrier_participants: m.barrier_participants,
-                next_miss_id: 0,
+            if m.obs.is_enabled() {
+                sm.obs = shasta_obs::Recorder::journal();
             }
+            sm
         })
         .collect();
 
@@ -868,11 +634,10 @@ fn split_shards(m: &mut Machine) -> Vec<Machine> {
 /// Moves every shard's end-of-run state back into `m` and folds the
 /// per-shard statistics (disjoint by construction: a shard only ever
 /// touches its own processors' entries).
-fn merge_shards(m: &mut Machine, mut finished: Vec<ShardExec>) {
+fn merge_shards(m: &mut Machine, mut finished: Vec<Machine>) {
     let n = m.topo.procs() as usize;
     let vnodes = m.topo.virt_nodes() as usize;
-    for (s, exec) in finished.iter_mut().enumerate() {
-        let sm = &mut exec.m;
+    for (s, sm) in finished.iter_mut().enumerate() {
         for v in 0..vnodes {
             if shard_of_vnode(m, v) != s {
                 continue;

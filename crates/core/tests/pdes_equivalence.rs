@@ -1,7 +1,8 @@
 //! Serial vs sharded engine equivalence, at the machine level: the
 //! conservative parallel engine must produce statistics bit-identical to
-//! the serial loop, and must actually *run* (windows executed) when the
-//! machine is eligible. Breadth over scenarios, policies, and cluster
+//! the serial loop — and, with a registry attached, identical
+//! `cluster.link.*` metrics — and must actually *run* (windows executed)
+//! when the machine is eligible. Breadth over scenarios, policies, and cluster
 //! shapes lives in `crates/check/tests/parallel_engine_equivalence.rs`.
 
 use shasta_cluster::{CostModel, NetProfile, Topology};
@@ -10,7 +11,7 @@ use shasta_core::protocol::{Machine, Mode, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 use shasta_obs::Registry;
 use shasta_sim::SplitMix64;
-use shasta_stats::{MetricValue, RunStats};
+use shasta_stats::{MetricEntry, RunStats};
 
 type Body = Box<dyn FnOnce(Dsm) + Send>;
 
@@ -62,6 +63,9 @@ fn mixed_kernel(m: &mut Machine, n: u32, rounds: u32) -> Vec<Body> {
 struct Run {
     stats: RunStats,
     pdes_windows: u64,
+    /// Every `cluster.link.*` metric: per-node link bytes and occupancy
+    /// (counters the shard networks add to) plus the link-parameter gauges.
+    link: Vec<MetricEntry>,
 }
 
 fn run_mixed(
@@ -96,11 +100,10 @@ fn run_mixed(
     }
     let bodies = mixed_kernel(&mut m, procs, rounds);
     let stats = m.run(bodies);
-    let pdes_windows = match registry.snapshot().get("pdes.windows") {
-        Some(MetricValue::Counter(c)) => *c,
-        _ => 0,
-    };
-    Run { stats, pdes_windows }
+    let snap = registry.snapshot();
+    let link: Vec<MetricEntry> = snap.with_prefix("cluster.link.").cloned().collect();
+    assert!(nodes < 2 || snap.counter("cluster.link.bytes.n0") > 0, "no cross-node traffic");
+    Run { stats, pdes_windows: snap.counter("pdes.windows"), link }
 }
 
 /// The contract, on an SMP 2-node shape: identical counters (the derived
@@ -117,6 +120,7 @@ fn smp_sharded_runs_are_bit_identical_and_actually_parallel() {
             "eligible machine with {threads} sim threads must use the parallel engine"
         );
         assert_eq!(serial.stats, sharded.stats, "{threads} sim threads diverged from serial");
+        assert_eq!(serial.link, sharded.link, "{threads} sim threads: link metrics diverged");
         assert_eq!(
             format!("{:?}", serial.stats),
             format!("{:?}", sharded.stats),
@@ -133,6 +137,7 @@ fn base_mode_four_shards_bit_identical() {
     let sharded = run_mixed(Mode::Base, 8, 2, 1, 4, false, 48);
     assert!(sharded.pdes_windows > 0);
     assert_eq!(serial.stats, sharded.stats);
+    assert_eq!(serial.link, sharded.link);
 }
 
 /// An asymmetric `NetProfile` narrows the lookahead to the scaled minimum
@@ -143,6 +148,7 @@ fn asymmetric_profile_bit_identical() {
     let sharded = run_mixed(Mode::Smp, 8, 4, 4, 2, true, 48);
     assert!(sharded.pdes_windows > 0);
     assert_eq!(serial.stats, sharded.stats);
+    assert_eq!(serial.link, sharded.link);
 }
 
 /// Event recording and tracing no longer disqualify the parallel engine:
@@ -164,10 +170,7 @@ fn recorded_runs_shard_and_merge_byte_identically() {
         m.enable_obs(4_096);
         m.enable_trace(512);
         let stats = m.run(bodies);
-        let windows = match registry.snapshot().get("pdes.windows") {
-            Some(MetricValue::Counter(c)) => *c,
-            _ => 0,
-        };
+        let windows = registry.snapshot().counter("pdes.windows");
         (stats, m.take_obs(), m.render_trace(), windows)
     };
     let (st_serial, log_serial, tr_serial, w_serial) = run(1);

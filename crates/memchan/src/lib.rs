@@ -72,8 +72,9 @@
 //! let t_local = net.send(0, 1, "downgrade", 0, Time::ZERO, Some(MsgClass::Downgrade));
 //! assert!(t_remote > t_local);
 //!
-//! let env = net.recv_ready(5, t_remote).unwrap();
-//! assert_eq!(env.msg, "read-req");
+//! // Receivers poll: nothing is pushed, P5 pops its earliest message.
+//! let env = net.pop_any_earliest(5, false).unwrap();
+//! assert_eq!((env.msg, env.arrival), ("read-req", t_remote));
 //! assert_eq!(net.stats().count(MsgClass::Remote), 1);
 //! assert_eq!(net.stats().count(MsgClass::Downgrade), 1);
 //! ```
@@ -90,7 +91,7 @@ mod pdes;
 mod seqguard;
 mod transport;
 
-pub use pdes::{PdesSendRecord, ShardNet, PDES_PROVISIONAL_BASE};
+pub use pdes::{PdesSendRecord, PDES_PROVISIONAL_BASE};
 pub use seqguard::{PairSequencer, SeqVerdict};
 pub use transport::Transport;
 
@@ -109,7 +110,6 @@ pub struct Envelope<M> {
     pub payload_bytes: u64,
     /// The protocol message itself.
     pub msg: M,
-    seq: u64,
     /// Per-(src node, dst node) stream position, stamped only while a fault
     /// plan is installed (0 = unsequenced: local message or fault-free run).
     /// Drives the exactly-once in-order guard in [`Network::admit`].
@@ -305,8 +305,9 @@ impl FaultState {
 /// Installed metrics handles: admit-guard absorption counters and per-
 /// sending-node link occupancy. Purely additive bookkeeping — recording
 /// never feeds back into arrival arithmetic, so simulated cycles are
-/// bit-identical with metrics on or off.
-#[derive(Debug)]
+/// bit-identical with metrics on or off. Shard networks clone their parent's
+/// handles, so sharded totals equal the serial run's exactly.
+#[derive(Clone, Debug)]
 struct NetMetrics {
     registry: shasta_obs::Registry,
     dups_dropped: shasta_obs::Counter,
@@ -318,6 +319,7 @@ struct NetMetrics {
     link_bytes: Vec<shasta_obs::Counter>,
 }
 
+/// An inbox entry: heaps pop the earliest `(arrival, global send seq)`.
 #[derive(PartialEq, Eq, Debug)]
 struct Queued<M> {
     key: Reverse<(Time, u64)>,
@@ -367,6 +369,9 @@ pub struct Network<M> {
     trace_ctx: u32,
     /// Installed metrics handles; `None` = recording off (the default).
     metrics: Option<NetMetrics>,
+    /// Set on the per-physical-node networks of the sharded engine (built by
+    /// [`Network::for_shard`]); `None` on an ordinary whole-cluster network.
+    shard: Option<pdes::ShardState<M>>,
 }
 
 impl<M: Eq + Clone> Network<M> {
@@ -389,6 +394,7 @@ impl<M: Eq + Clone> Network<M> {
             seq: 0,
             trace_ctx: 0,
             metrics: None,
+            shard: None,
         }
     }
 
@@ -466,7 +472,18 @@ impl<M: Eq + Clone> Network<M> {
     /// Installs a fault plan. A plan with every category disabled
     /// ([`FaultPlan::is_none`]) leaves the fault path uninstalled, so runs
     /// under it are byte-identical to runs that never called this.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard network ([`Network::for_shard`]) given a non-inert
+    /// plan: the fault RNG draws in global send order, which a shard cannot
+    /// observe mid-window, so the sharded engine only runs fault-free.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        assert!(
+            self.shard.is_none() || plan.is_none(),
+            "fault plans cannot be installed on a PDES shard network; \
+             the sharded engine only engages on fault-free runs"
+        );
         if plan.is_none() {
             self.fault = None;
         } else {
@@ -511,24 +528,44 @@ impl<M: Eq + Clone> Network<M> {
         now: Time,
         class_override: Option<MsgClass>,
     ) -> Time {
-        let local = self.topo.same_phys_node(src, dst);
-        let class = match class_override {
-            Some(c) => {
-                debug_assert!(
-                    c != MsgClass::Downgrade || local,
-                    "downgrade messages are intra-node by construction"
-                );
-                c
-            }
-            None => {
-                if local {
-                    MsgClass::Local
-                } else {
-                    MsgClass::Remote
-                }
-            }
-        };
+        self.post(src, dst, msg, payload_bytes, now, class_override, false)
+    }
 
+    /// Sends `msg` to the *shared inbox* of `dst`'s virtual node: any
+    /// processor of the node may handle it (the load-balancing extension).
+    /// Wire costs and classification are those of a message to `dst`.
+    pub fn send_to_vnode(
+        &mut self,
+        src: u32,
+        dst: u32,
+        msg: M,
+        payload_bytes: u64,
+        now: Time,
+    ) -> Time {
+        self.post(src, dst, msg, payload_bytes, now, None, true)
+    }
+
+    /// The one send path: classify, cost, fault, build the envelope, and
+    /// either enqueue it or — for a shard network's cross-node send — hand
+    /// it to the window journal for the coordinator to inject.
+    #[allow(clippy::too_many_arguments)]
+    fn post(
+        &mut self,
+        src: u32,
+        dst: u32,
+        msg: M,
+        payload_bytes: u64,
+        now: Time,
+        class_override: Option<MsgClass>,
+        via_vnode: bool,
+    ) -> Time {
+        let local = self.topo.same_phys_node(src, dst);
+        let class =
+            class_override.unwrap_or(if local { MsgClass::Local } else { MsgClass::Remote });
+        debug_assert!(
+            class != MsgClass::Downgrade || local,
+            "downgrade messages are intra-node by construction"
+        );
         let arrival = self.arrival_time(src, dst, local, payload_bytes, now);
         self.stats.record(class, payload_bytes);
         let (pair_seq, arrival, dup) = if local {
@@ -541,31 +578,49 @@ impl<M: Eq + Clone> Network<M> {
                 None => return arrival,
             }
         };
-        self.seq += 1;
-        self.in_flight += 1;
-        let env = Envelope {
-            src,
-            dst,
-            arrival,
-            class,
-            payload_bytes,
-            msg,
-            seq: self.seq,
-            pair_seq,
-            via_vnode: false,
-            trace: self.trace_ctx,
-        };
+        let trace = self.trace_ctx;
+        let env =
+            Envelope { src, dst, arrival, class, payload_bytes, msg, pair_seq, via_vnode, trace };
+        if !local {
+            if let Some(shard) = &mut self.shard {
+                // Another shard owns `dst`: the coordinator injects this at
+                // the window barrier, so it must not enter any inbox here.
+                shard.journal(PdesSendRecord::Remote { env });
+                return arrival;
+            }
+        }
         if let Some(dup_arrival) = dup {
             let mut copy = env.clone();
-            self.seq += 1;
-            self.in_flight += 1;
             copy.arrival = dup_arrival;
-            copy.seq = self.seq;
-            self.inboxes[dst as usize]
-                .push(Queued { key: Reverse((dup_arrival, copy.seq)), env: copy });
+            self.enqueue(env);
+            self.enqueue(copy);
+        } else {
+            self.enqueue(env);
         }
-        self.inboxes[dst as usize].push(Queued { key: Reverse((arrival, env.seq)), env });
         arrival
+    }
+
+    /// Queues `env` under the next global sequence number. On a shard
+    /// network that number is provisional, so the send is journaled for the
+    /// coordinator to finalize.
+    fn enqueue(&mut self, env: Envelope<M>) {
+        self.seq += 1;
+        if let Some(shard) = &mut self.shard {
+            shard.journal(PdesSendRecord::Local { prov_seq: self.seq });
+        }
+        self.enqueue_at(env, self.seq);
+    }
+
+    /// The one place an envelope enters an inbox: queues `env` under `seq`
+    /// (the tie-breaker among equal arrivals) by its `via_vnode` routing.
+    fn enqueue_at(&mut self, env: Envelope<M>, seq: u64) {
+        self.in_flight += 1;
+        let inbox = if env.via_vnode {
+            &mut self.node_inboxes[usize::from(self.topo.virt_node_of(env.dst))]
+        } else {
+            &mut self.inboxes[env.dst as usize]
+        };
+        inbox.push(Queued { key: Reverse((env.arrival, seq)), env });
     }
 
     /// Arrival time of a message leaving `src` at `now`: shared-memory wire
@@ -603,6 +658,13 @@ impl<M: Eq + Clone> Network<M> {
         }
     }
 
+    /// Index of the `(src node, dst node)` stream a `src → dst` message
+    /// belongs to in the fault state's [`PairSequencer`].
+    fn pair_stream(&self, src: u32, dst: u32) -> usize {
+        let nodes = self.topo.phys_nodes() as usize;
+        usize::from(self.topo.phys_node_of(src)) * nodes + usize::from(self.topo.phys_node_of(dst))
+    }
+
     /// Applies the installed fault plan to one remote message: stamps its
     /// per-pair sequence number and draws loss, delay, reordering, and
     /// duplication in that fixed order. Returns `None` when the message is
@@ -614,13 +676,10 @@ impl<M: Eq + Clone> Network<M> {
         dst: u32,
         arrival: Time,
     ) -> Option<(u64, Time, Option<Time>)> {
-        let nodes = u64::from(self.topo.phys_nodes());
-        let src_node = u64::from(self.topo.phys_node_of(src).0);
-        let dst_node = u64::from(self.topo.phys_node_of(dst).0);
+        let idx = self.pair_stream(src, dst);
         let Some(fs) = self.fault.as_mut() else {
             return Some((0, arrival, None));
         };
-        let idx = (src_node * nodes + dst_node) as usize;
         let pair_seq = fs.seqr.stamp(idx);
         let plan = fs.plan;
         if plan.loss_permille > 0 && fs.rng.below(1000) < plan.loss_permille {
@@ -666,10 +725,7 @@ impl<M: Eq + Clone> Network<M> {
         if env.pair_seq == 0 {
             return Some(env);
         }
-        let nodes = u64::from(self.topo.phys_nodes());
-        let src_node = u64::from(self.topo.phys_node_of(env.src).0);
-        let dst_node = u64::from(self.topo.phys_node_of(env.dst).0);
-        let idx = (src_node * nodes + dst_node) as usize;
+        let idx = self.pair_stream(env.src, env.dst);
         let verdict = {
             let fs = self.fault.as_mut().expect("sequenced message without an installed plan");
             let v = fs.seqr.admit(idx, env.pair_seq);
@@ -705,19 +761,13 @@ impl<M: Eq + Clone> Network<M> {
     /// fresh global sequence number and an arrival no earlier than `now`,
     /// and return to the inbox they were originally routed to.
     fn release_held(&mut self, src: u32, dst: u32, now: Time) {
-        let nodes = u64::from(self.topo.phys_nodes());
-        let src_node = self.topo.phys_node_of(src);
-        let dst_node = self.topo.phys_node_of(dst);
-        let idx = (u64::from(src_node.0) * nodes + u64::from(dst_node.0)) as usize;
+        let idx = self.pair_stream(src, dst);
         let next =
             self.fault.as_ref().expect("held message without an installed plan").seqr.expected(idx);
         let mut i = 0;
         while i < self.stash.len() {
             let e = &self.stash[i];
-            if !(self.topo.phys_node_of(e.src) == src_node
-                && self.topo.phys_node_of(e.dst) == dst_node
-                && e.pair_seq <= next)
-            {
+            if !(self.pair_stream(e.src, e.dst) == idx && e.pair_seq <= next) {
                 i += 1;
                 continue;
             }
@@ -734,16 +784,7 @@ impl<M: Eq + Clone> Network<M> {
                     m.resequenced.inc();
                 }
                 e.arrival = e.arrival.max(now);
-                self.seq += 1;
-                e.seq = self.seq;
-                self.in_flight += 1;
-                let key = Reverse((e.arrival, e.seq));
-                if e.via_vnode {
-                    let v = usize::from(self.topo.virt_node_of(e.dst));
-                    self.node_inboxes[v].push(Queued { key, env: e });
-                } else {
-                    self.inboxes[e.dst as usize].push(Queued { key, env: e });
-                }
+                self.enqueue(e);
             }
         }
     }
@@ -751,15 +792,6 @@ impl<M: Eq + Clone> Network<M> {
     /// Earliest arrival time queued for `dst`, if any.
     pub fn peek_arrival(&self, dst: u32) -> Option<Time> {
         self.inboxes[dst as usize].peek().map(|q| q.env.arrival)
-    }
-
-    /// Pops the earliest message for `dst` if it has arrived by `now`.
-    pub fn recv_ready(&mut self, dst: u32, now: Time) -> Option<Envelope<M>> {
-        if self.peek_arrival(dst)? <= now {
-            self.pop_earliest(dst)
-        } else {
-            None
-        }
     }
 
     /// Pops the earliest message for `dst` regardless of `now` (used when a
@@ -770,82 +802,10 @@ impl<M: Eq + Clone> Network<M> {
         Some(q.env)
     }
 
-    /// The earliest `(dst, arrival)` over all per-processor inboxes (shared
-    /// node inboxes report through [`Network::peek_vnode_arrival`]), for the
-    /// engine's global scheduling and deadlock diagnostics.
-    pub fn earliest_any(&self) -> Option<(u32, Time)> {
-        self.inboxes
-            .iter()
-            .enumerate()
-            .filter_map(|(p, q)| q.peek().map(|m| (p as u32, m.env.arrival, m.env.seq)))
-            .min_by_key(|&(_, t, seq)| (t, seq))
-            .map(|(p, t, _)| (p, t))
-    }
-
-    /// Sends `msg` to the *shared inbox* of `dst`'s virtual node: any
-    /// processor of the node may handle it (the load-balancing extension).
-    /// Wire costs and classification are those of a message to `dst`.
-    pub fn send_to_vnode(
-        &mut self,
-        src: u32,
-        dst: u32,
-        msg: M,
-        payload_bytes: u64,
-        now: Time,
-    ) -> Time {
-        let local = self.topo.same_phys_node(src, dst);
-        let class = if local { MsgClass::Local } else { MsgClass::Remote };
-        let arrival = self.arrival_time(src, dst, local, payload_bytes, now);
-        self.stats.record(class, payload_bytes);
-        let (pair_seq, arrival, dup) = if local {
-            (0, arrival, None)
-        } else {
-            match self.apply_faults(src, dst, arrival) {
-                Some(outcome) => outcome,
-                None => return arrival,
-            }
-        };
-        self.seq += 1;
-        self.in_flight += 1;
-        let env = Envelope {
-            src,
-            dst,
-            arrival,
-            class,
-            payload_bytes,
-            msg,
-            seq: self.seq,
-            pair_seq,
-            via_vnode: true,
-            trace: self.trace_ctx,
-        };
-        let v = usize::from(self.topo.virt_node_of(dst));
-        if let Some(dup_arrival) = dup {
-            let mut copy = env.clone();
-            self.seq += 1;
-            self.in_flight += 1;
-            copy.arrival = dup_arrival;
-            copy.seq = self.seq;
-            self.node_inboxes[v].push(Queued { key: Reverse((dup_arrival, copy.seq)), env: copy });
-        }
-        self.node_inboxes[v].push(Queued { key: Reverse((arrival, env.seq)), env });
-        arrival
-    }
-
     /// Earliest arrival queued in `p`'s virtual-node shared inbox.
     pub fn peek_vnode_arrival(&self, p: u32) -> Option<Time> {
         let v = usize::from(self.topo.virt_node_of(p));
         self.node_inboxes[v].peek().map(|q| q.env.arrival)
-    }
-
-    /// Pops the earliest message from `p`'s virtual-node shared inbox if it
-    /// has arrived by `now`.
-    pub fn recv_vnode_ready(&mut self, p: u32, now: Time) -> Option<Envelope<M>> {
-        if self.peek_vnode_arrival(p)? <= now {
-            self.pop_vnode_earliest(p)
-        } else {
-            None
-        }
     }
 
     /// Pops the earliest message from `p`'s virtual-node shared inbox.
@@ -886,7 +846,7 @@ impl<M: Eq + Clone> Network<M> {
     /// messages (see [`Network::admit`]) count: they are logically still in
     /// the fabric, which keeps quiescence checks sound under fault plans.
     pub fn in_flight(&self) -> usize {
-        self.in_flight + self.stash.len()
+        self.in_flight + self.stash.len() + self.shard.as_ref().map_or(0, |s| s.outbox_pending)
     }
 
     /// Message statistics accumulated so far.
@@ -947,17 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_ready_respects_time() {
-        let mut n = net();
-        let arrival = n.send(0, 4, 7, 64, Time::ZERO, None);
-        assert!(n.recv_ready(4, Time::ZERO).is_none());
-        let env = n.recv_ready(4, arrival).unwrap();
-        assert_eq!(env.msg, 7);
-        assert_eq!(env.payload_bytes, 64);
-        assert_eq!(n.in_flight(), 0);
-    }
-
-    #[test]
     fn link_contention_serializes_remote_sends() {
         let mut n = net();
         // Both senders on node 0 share one MC link; large payloads occupy it.
@@ -993,19 +942,9 @@ mod tests {
     }
 
     #[test]
-    fn earliest_any_finds_global_minimum() {
-        let mut n = net();
-        n.send(0, 4, 1, 0, Time::ZERO, None); // remote, slow
-        n.send(2, 3, 2, 0, Time::ZERO, None); // local, fast
-        let (dst, _) = n.earliest_any().unwrap();
-        assert_eq!(dst, 3);
-    }
-
-    #[test]
     fn empty_network_has_no_messages() {
         let n = net();
-        assert_eq!(n.earliest_any(), None);
-        assert_eq!(n.peek_arrival(0), None);
+        assert_eq!(n.peek_any_arrival(0, true), None);
         assert_eq!(n.in_flight(), 0);
     }
 

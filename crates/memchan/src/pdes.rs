@@ -1,11 +1,14 @@
-//! Shard-local transport for the conservative parallel discrete-event
-//! engine.
+//! Shard state of the simulated [`Network`] for the conservative parallel
+//! discrete-event engine.
 //!
 //! The sharded engine (see `docs/PERFORMANCE.md`, "Parallel discrete-event
-//! execution") gives every *physical node* its own [`ShardNet`]: a wrapper
-//! around the simulated [`Network`] that keeps all intra-node traffic on the
-//! ordinary local path and intercepts cross-node sends, which cannot be
-//! delivered until the coordinator's next window barrier.
+//! execution") gives every *physical node* its own network, derived from the
+//! run's network by [`Network::for_shard`]. It is the same type on the same
+//! send path: intra-node traffic is enqueued as usual, and the one
+//! difference is that a cross-node send is journaled instead of enqueued,
+//! because it cannot be delivered until the coordinator's next window
+//! barrier. The whole-cluster network is simply the case of one shard that
+//! owns every node, with nothing to journal.
 //!
 //! Determinism is the whole game. The serial network stamps every envelope
 //! with a global sequence number in send order, and per-inbox delivery is
@@ -18,12 +21,12 @@
 //!   at [`PDES_PROVISIONAL_BASE`] (far above any final number, so they never
 //!   interleave with already-finalized messages in a heap), and
 //! * every send is journaled under the index of the window-local event that
-//!   produced it ([`Transport::pdes_begin_event`]); cross-node sends ride
+//!   produced it ([`Network::pdes_begin_event`]); cross-node sends ride
 //!   the journal as full envelopes instead of entering any inbox.
 //!
 //! At each window barrier the coordinator merges the shards' event logs
 //! into the serial execution order, numbers every *finalizable* journaled
-//! send in that order, and calls [`Transport::pdes_apply`] on each shard to
+//! send in that order, and calls [`Network::pdes_apply`] on each shard to
 //! (a) rewrite those provisional numbers to final ones and (b) inject the
 //! cross-node envelopes into their destination shards. An event may stay
 //! unfinalized across several barriers (the coordinator holds it back while
@@ -35,18 +38,14 @@
 //! bit-identical per-inbox delivery order — and even bit-identical sequence
 //! numbers — to the serial engine.
 //!
-//! A `ShardNet` refuses fault plans: the sharded engine only engages on
+//! A shard network refuses fault plans: the sharded engine only engages on
 //! fault-free deterministic runs (the gating lives in `shasta-core`), and
 //! the fault path's RNG draws are ordered by global send order, which a
 //! shard cannot observe mid-window.
 
 use std::cmp::Reverse;
 
-use shasta_cluster::{CostModel, NetProfile, Topology};
-use shasta_sim::Time;
-use shasta_stats::{MsgClass, MsgStats};
-
-use crate::{Envelope, FaultCounts, FaultPlan, Network, Queued, Transport};
+use crate::{Envelope, Network};
 
 /// First provisional sequence number. Far above any final sequence number a
 /// real run can reach (the serial counter increments once per send), so a
@@ -56,7 +55,7 @@ use crate::{Envelope, FaultCounts, FaultPlan, Network, Queued, Transport};
 /// numbers.
 pub const PDES_PROVISIONAL_BASE: u64 = 1 << 62;
 
-/// One send journaled by a [`ShardNet`] during a window, tagged with the
+/// One send journaled by a shard network during a window, tagged with the
 /// window-local index of the event that produced it.
 #[derive(Debug)]
 pub enum PdesSendRecord<M> {
@@ -76,231 +75,118 @@ pub enum PdesSendRecord<M> {
     },
 }
 
-/// The messaging backend of one physical-node shard of the parallel engine.
-///
-/// Wraps a private [`Network`] whose per-processor and per-virtual-node
-/// inboxes, link-occupancy state, and message statistics are only ever used
-/// for this shard's local processors; cross-shard sends are journaled for
-/// barrier-time injection instead of entering any inbox. See the module
-/// docs for the sequencing scheme.
+/// What a [`Network`] carries when it is one physical node's shard.
 #[derive(Debug)]
-pub struct ShardNet<M> {
-    inner: Network<M>,
-    /// The physical node this shard owns.
-    shard: u32,
-    /// Window-local index of the event currently executing (set by
-    /// [`Transport::pdes_begin_event`]).
+pub(crate) struct ShardState<M> {
+    /// Window-local index of the event currently executing.
     event: u32,
     /// Sends of the current window, in execution order.
     journal: Vec<(u32, PdesSendRecord<M>)>,
     /// Cross-shard envelopes currently buffered in `journal` (they count as
     /// in flight: they have been sent but not delivered).
-    outbox_pending: usize,
+    pub(crate) outbox_pending: usize,
 }
 
-impl<M: Eq + Clone> ShardNet<M> {
-    /// Creates the shard transport for physical node `shard` of `topo`.
+impl<M> ShardState<M> {
+    /// Journals one send under the currently executing event.
+    pub(crate) fn journal(&mut self, rec: PdesSendRecord<M>) {
+        self.outbox_pending += usize::from(matches!(rec, PdesSendRecord::Remote { .. }));
+        self.journal.push((self.event, rec));
+    }
+}
+
+impl<M: Eq + Clone> Network<M> {
+    /// Derives one physical node's shard network from the run's network:
+    /// same topology, cost model, link profile and metrics handles (counter
+    /// adds commute, so sharded totals equal the serial run's), empty
+    /// queues, and a sequence counter in the provisional range.
     ///
-    /// The wrapped network is full-size (global processor indexing), but
-    /// only this shard's inboxes and link entries ever hold state.
-    pub fn new(topo: Topology, cost: CostModel, shard: u32) -> Self {
-        let mut inner = Network::new(topo, cost);
-        inner.seq = PDES_PROVISIONAL_BASE;
-        ShardNet { inner, shard, event: 0, journal: Vec::new(), outbox_pending: 0 }
+    /// The shard network is full-size (global processor indexing), but only
+    /// its own node's inboxes and link entry ever hold state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault plan is installed: shards cannot reproduce the
+    /// fault RNG's global draw order.
+    pub fn for_shard(&self) -> Self {
+        assert!(self.fault.is_none(), "a faulted network cannot be sharded");
+        let mut net = Network::new(self.topo.clone(), self.cost.clone());
+        net.profile = self.profile.clone();
+        net.metrics = self.metrics.clone();
+        net.seq = PDES_PROVISIONAL_BASE;
+        net.shard = Some(ShardState { event: 0, journal: Vec::new(), outbox_pending: 0 });
+        net
     }
 
-    /// The physical node this shard owns.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// Journals one cross-shard envelope (arrival already computed).
-    fn buffer_remote(&mut self, env: Envelope<M>) {
-        self.outbox_pending += 1;
-        self.journal.push((self.event, PdesSendRecord::Remote { env }));
-    }
-}
-
-impl<M: Eq + Clone + Send + std::fmt::Debug> Transport<M> for ShardNet<M> {
-    fn send(
-        &mut self,
-        src: u32,
-        dst: u32,
-        msg: M,
-        payload_bytes: u64,
-        now: Time,
-        class_override: Option<MsgClass>,
-    ) -> Time {
-        debug_assert_eq!(
-            usize::from(self.inner.topology().phys_node_of(src)),
-            self.shard as usize,
-            "shard {} asked to send from foreign processor {src}",
-            self.shard
-        );
-        if self.inner.topology().same_phys_node(src, dst) {
-            let arrival = self.inner.send(src, dst, msg, payload_bytes, now, class_override);
-            let prov_seq = self.inner.seq;
-            self.journal.push((self.event, PdesSendRecord::Local { prov_seq }));
-            arrival
-        } else {
-            debug_assert!(
-                class_override != Some(MsgClass::Downgrade),
-                "downgrade messages are intra-node by construction"
-            );
-            let class = class_override.unwrap_or(MsgClass::Remote);
-            let arrival = self.inner.arrival_time(src, dst, false, payload_bytes, now);
-            self.inner.stats.record(class, payload_bytes);
-            self.buffer_remote(Envelope {
-                src,
-                dst,
-                arrival,
-                class,
-                payload_bytes,
-                msg,
-                seq: 0,
-                pair_seq: 0,
-                via_vnode: false,
-                trace: self.inner.trace_ctx,
-            });
-            arrival
+    /// Names the window-local event about to execute, so the sends it makes
+    /// are journaled under that index. No-op on a whole-cluster network.
+    pub fn pdes_begin_event(&mut self, event_index: u32) {
+        if let Some(shard) = &mut self.shard {
+            shard.event = event_index;
         }
     }
 
-    fn send_to_vnode(&mut self, src: u32, dst: u32, msg: M, payload_bytes: u64, now: Time) -> Time {
-        if self.inner.topology().same_phys_node(src, dst) {
-            let arrival = self.inner.send_to_vnode(src, dst, msg, payload_bytes, now);
-            let prov_seq = self.inner.seq;
-            self.journal.push((self.event, PdesSendRecord::Local { prov_seq }));
-            arrival
-        } else {
-            let arrival = self.inner.arrival_time(src, dst, false, payload_bytes, now);
-            self.inner.stats.record(MsgClass::Remote, payload_bytes);
-            self.buffer_remote(Envelope {
-                src,
-                dst,
-                arrival,
-                class: MsgClass::Remote,
-                payload_bytes,
-                msg,
-                seq: 0,
-                pair_seq: 0,
-                via_vnode: true,
-                trace: self.inner.trace_ctx,
-            });
-            arrival
-        }
+    /// Drains the per-window send journal, handing the cross-shard outbox
+    /// (the `Remote` records) to the coordinator. Empty on a whole-cluster
+    /// network.
+    pub fn pdes_take_window(&mut self) -> Vec<(u32, PdesSendRecord<M>)> {
+        self.shard.as_mut().map_or_else(Vec::new, |shard| {
+            shard.outbox_pending = 0;
+            std::mem::take(&mut shard.journal)
+        })
     }
 
-    fn peek_any_arrival(&self, p: u32, include_vnode: bool) -> Option<Time> {
-        self.inner.peek_any_arrival(p, include_vnode)
-    }
-
-    fn pop_any_earliest(&mut self, p: u32, include_vnode: bool) -> Option<Envelope<M>> {
-        self.inner.pop_any_earliest(p, include_vnode)
-    }
-
-    fn admit(&mut self, env: Envelope<M>, now: Time) -> Option<Envelope<M>> {
-        // No fault plan can be installed on a shard net, so every message is
-        // unsequenced and the guard is a pass-through.
-        self.inner.admit(env, now)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.inner.in_flight() + self.outbox_pending
-    }
-
-    fn stats(&self) -> &MsgStats {
-        self.inner.stats()
-    }
-
-    fn fault_active(&self) -> bool {
-        false
-    }
-
-    fn fault_counts(&self) -> FaultCounts {
-        FaultCounts::default()
-    }
-
-    fn held_messages(&self) -> usize {
-        0
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(
-            plan.is_none(),
-            "fault plans cannot be installed on a PDES shard transport; \
-             the sharded engine only engages on fault-free runs"
-        );
-    }
-
-    fn set_profile(&mut self, profile: NetProfile) {
-        self.inner.set_profile(profile);
-    }
-
-    fn set_trace_context(&mut self, ctx: u32) {
-        self.inner.set_trace_context(ctx);
-    }
-
-    fn pdes_begin_event(&mut self, event_index: u32) {
-        self.event = event_index;
-    }
-
-    fn pdes_take_window(&mut self) -> Vec<(u32, PdesSendRecord<M>)> {
-        self.outbox_pending = 0;
-        std::mem::take(&mut self.journal)
-    }
-
-    fn pdes_apply(&mut self, remap: &[(u64, u64)], injections: Vec<(Envelope<M>, u64)>) {
-        // Rewrite finalized provisionally numbered queued messages to their
-        // final serial-order sequence numbers. `remap` is sorted by
-        // provisional number (the coordinator assigns both monotonically);
-        // it is partial — a provisional whose producing event the
-        // coordinator is still holding back stays provisional, which orders
-        // identically (after every final, in send order among provisionals).
-        for heap in self.inner.inboxes.iter_mut().chain(self.inner.node_inboxes.iter_mut()) {
-            if heap.is_empty() {
+    /// Applies a window barrier: rewrites the provisional sequence numbers
+    /// of queued messages to their final (serial-order) values per `remap`,
+    /// and enqueues the cross-shard `injections` (each an envelope plus its
+    /// final sequence number).
+    ///
+    /// `remap` is sorted by provisional number (the coordinator assigns both
+    /// monotonically) and partial — a provisional whose producing event the
+    /// coordinator is still holding back stays provisional, which orders
+    /// identically (after every final, in send order among provisionals).
+    pub fn pdes_apply(&mut self, remap: &[(u64, u64)], injections: Vec<(Envelope<M>, u64)>) {
+        for heap in self.inboxes.iter_mut().chain(self.node_inboxes.iter_mut()) {
+            if remap.is_empty() || heap.is_empty() {
                 continue;
             }
             let mut entries = std::mem::take(heap).into_vec();
             for q in &mut entries {
-                if q.env.seq >= PDES_PROVISIONAL_BASE {
-                    if let Ok(i) = remap.binary_search_by_key(&q.env.seq, |&(prov, _)| prov) {
-                        q.env.seq = remap[i].1;
-                        q.key = Reverse((q.env.arrival, q.env.seq));
+                let Reverse((arrival, seq)) = q.key;
+                if seq >= PDES_PROVISIONAL_BASE {
+                    if let Ok(i) = remap.binary_search_by_key(&seq, |&(prov, _)| prov) {
+                        q.key = Reverse((arrival, remap[i].1));
                     }
                 }
             }
             *heap = entries.into();
         }
-        for (mut env, seq) in injections {
+        for (env, seq) in injections {
             debug_assert!(seq < PDES_PROVISIONAL_BASE);
-            env.seq = seq;
-            let key = Reverse((env.arrival, seq));
-            self.inner.in_flight += 1;
-            if env.via_vnode {
-                let v = usize::from(self.inner.topology().virt_node_of(env.dst));
-                self.inner.node_inboxes[v].push(Queued { key, env });
-            } else {
-                self.inner.inboxes[env.dst as usize].push(Queued { key, env });
-            }
+            self.enqueue_at(env, seq);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use shasta_cluster::{CostModel, Topology};
+    use shasta_sim::Time;
+    use shasta_stats::MsgClass;
 
-    fn topo() -> Topology {
-        Topology::new(8, 4, 4).unwrap()
+    use super::*;
+    use crate::FaultPlan;
+
+    fn parent() -> Network<u32> {
+        Network::new(Topology::new(8, 4, 4).unwrap(), CostModel::alpha_4100())
     }
 
-    /// Intra-shard sends delegate to the wrapped network (provisional
-    /// numbering aside) and cross-shard sends stay invisible until applied.
+    /// Intra-shard sends take the ordinary path (provisional numbering
+    /// aside) and cross-shard sends stay invisible until applied.
     #[test]
     fn local_delivery_remote_buffering() {
-        let mut s: ShardNet<u32> = ShardNet::new(topo(), CostModel::alpha_4100(), 0);
-        let mut reference: Network<u32> = Network::new(topo(), CostModel::alpha_4100());
+        let mut reference = parent();
+        let mut s = reference.for_shard();
 
         let a_local = s.send(0, 1, 10, 0, Time::ZERO, None);
         let a_remote = s.send(0, 4, 11, 64, Time::ZERO, None);
@@ -331,8 +217,9 @@ mod tests {
     /// like serially numbered ones, and injections land in the right inbox.
     #[test]
     fn barrier_apply_finalizes_order() {
-        let mut s: ShardNet<u32> = ShardNet::new(topo(), CostModel::alpha_4100(), 1);
-        // Two same-arrival local messages: provisional order 4, then 5.
+        let mut s = parent().for_shard();
+        // Two same-arrival local messages, provisionally numbered in send
+        // order.
         s.send(4, 5, 40, 0, Time::ZERO, None);
         s.send(4, 5, 41, 0, Time::ZERO, None);
         let window = s.pdes_take_window();
@@ -347,9 +234,10 @@ mod tests {
         let remap: Vec<(u64, u64)> =
             provs.iter().enumerate().map(|(i, &p)| (p, i as u64 + 1)).collect();
 
-        // An injected envelope from shard 0, final seq 3, same arrival as
-        // nothing else (remote latency), routed via the proc inbox.
-        let mut donor: ShardNet<u32> = ShardNet::new(topo(), CostModel::alpha_4100(), 0);
+        // An injected envelope from node 0's shard, final seq 3, same
+        // arrival as nothing else (remote latency), routed via the proc
+        // inbox.
+        let mut donor = parent().for_shard();
         donor.send(0, 5, 99, 0, Time::ZERO, None);
         let mut dw = donor.pdes_take_window();
         let PdesSendRecord::Remote { env } = dw.remove(0).1 else { panic!() };
@@ -364,8 +252,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "fault plans cannot be installed")]
-    fn shard_net_refuses_fault_plans() {
-        let mut s: ShardNet<u32> = ShardNet::new(topo(), CostModel::alpha_4100(), 0);
-        Transport::set_fault_plan(&mut s, FaultPlan::delay(1));
+    fn shard_network_refuses_fault_plans() {
+        parent().for_shard().set_fault_plan(FaultPlan::delay(1));
     }
 }

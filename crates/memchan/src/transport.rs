@@ -1,11 +1,11 @@
 //! The pluggable transport abstraction the protocol engine speaks.
 //!
-//! The engine in `shasta-core` used to call [`Network`](crate::Network)
-//! directly; everything it actually needs is this trait. [`Network`] — the
-//! deterministic simulated Memory Channel — is the canonical implementation
-//! and the timing oracle; `shasta-transport` adds a second backend that
-//! ships every remote message through real loopback TCP or Unix-domain
-//! sockets in the wire format specified by `docs/TRANSPORT.md`.
+//! Everything the engine in `shasta-core` needs of its messaging backend is
+//! this trait. [`Network`] — the deterministic simulated Memory Channel — is
+//! the canonical implementation and the timing oracle; `shasta-transport`
+//! adds a second backend that ships every remote message through real
+//! loopback TCP or Unix-domain sockets in the wire format specified by
+//! `docs/TRANSPORT.md`.
 //!
 //! The contract every implementation must honor, because the protocol's
 //! correctness argument leans on it:
@@ -130,8 +130,7 @@ pub trait Transport<M>: std::fmt::Debug + Send {
     // discrete-event execution") drives one transport per physical-node
     // shard through the methods below. They have inert defaults so that
     // ordinary backends ignore them; only the simulated [`Network`]
-    // (lookahead probe) and [`ShardNet`](crate::ShardNet) (everything
-    // else) override them.
+    // overrides them (see its inherent methods of the same names).
 
     /// The conservative lookahead this backend can justify, in cycles: a
     /// lower bound on the latency of every cross-physical-node message, or
@@ -142,28 +141,33 @@ pub trait Transport<M>: std::fmt::Debug + Send {
         None
     }
 
+    /// Derives the transport of one physical-node shard from this one
+    /// (same topology, costs, link profile and metrics handles, empty
+    /// queues); `None` exactly when [`Transport::pdes_lookahead`] is.
+    fn pdes_shard(&self) -> Option<Box<dyn Transport<M>>> {
+        None
+    }
+
     /// Tells a shard transport which window-local event the engine is
     /// about to execute, so subsequent sends are journaled under that
-    /// index. No-op everywhere except [`ShardNet`](crate::ShardNet).
+    /// index.
     fn pdes_begin_event(&mut self, _event_index: u32) {}
 
     /// Drains the shard transport's per-window send journal (and its
-    /// cross-shard outbox, referenced by the `Remote` records). Empty
-    /// everywhere except [`ShardNet`](crate::ShardNet).
+    /// cross-shard outbox, referenced by the `Remote` records).
     fn pdes_take_window(&mut self) -> Vec<(u32, crate::PdesSendRecord<M>)> {
         Vec::new()
     }
 
     /// Applies a window barrier to a shard transport: rewrites the
     /// provisional sequence numbers of locally queued messages to their
-    /// final (serial-order) values per `remap`, enqueues the cross-shard
-    /// `injections` (each an envelope plus its final sequence number), and
-    /// resets the provisional numbering for the next window. No-op
-    /// everywhere except [`ShardNet`](crate::ShardNet).
+    /// final (serial-order) values per `remap` and enqueues the cross-shard
+    /// `injections` (each an envelope plus its final sequence number). The
+    /// provisional numbering itself carries on: it is never reset.
     fn pdes_apply(&mut self, _remap: &[(u64, u64)], _injections: Vec<(Envelope<M>, u64)>) {}
 }
 
-impl<M: Eq + Clone + Send + std::fmt::Debug> Transport<M> for Network<M> {
+impl<M: Eq + Clone + Send + std::fmt::Debug + 'static> Transport<M> for Network<M> {
     fn send(
         &mut self,
         src: u32,
@@ -230,5 +234,21 @@ impl<M: Eq + Clone + Send + std::fmt::Debug> Transport<M> for Network<M> {
 
     fn pdes_lookahead(&self) -> Option<u64> {
         Some(Network::lookahead(self))
+    }
+
+    fn pdes_shard(&self) -> Option<Box<dyn Transport<M>>> {
+        Some(Box::new(Network::for_shard(self)))
+    }
+
+    fn pdes_begin_event(&mut self, event_index: u32) {
+        Network::pdes_begin_event(self, event_index)
+    }
+
+    fn pdes_take_window(&mut self) -> Vec<(u32, crate::PdesSendRecord<M>)> {
+        Network::pdes_take_window(self)
+    }
+
+    fn pdes_apply(&mut self, remap: &[(u64, u64)], injections: Vec<(Envelope<M>, u64)>) {
+        Network::pdes_apply(self, remap, injections)
     }
 }

@@ -55,16 +55,6 @@ fn vnode_delivery_is_arrival_ordered() {
 }
 
 #[test]
-fn recv_vnode_ready_respects_time() {
-    let mut n = net();
-    let arrival = n.send_to_vnode(4, 0, 9, 64, Time::ZERO);
-    assert!(n.recv_vnode_ready(3, Time::ZERO).is_none());
-    let env = n.recv_vnode_ready(3, arrival).unwrap();
-    assert_eq!(env.msg, 9);
-    assert_eq!(env.payload_bytes, 64);
-}
-
-#[test]
 fn vnode_sends_share_the_mc_link() {
     let mut n = net();
     let a = n.send_to_vnode(4, 0, 1, 2_048, Time::ZERO);

@@ -16,6 +16,11 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> every member crate's tests: cargo test --workspace --release -q"
+# Tier-1 runs only the root package; the ~400 member-crate tests (wire
+# spec, framing, fault injection, metrics properties, ...) run here.
+cargo test --workspace --release -q
+
 echo "==> rustdoc (deny warnings, shasta crates only: vendored stubs are not doc-clean)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p shasta -p shasta-sim -p shasta-cluster -p shasta-memchan -p shasta-core \

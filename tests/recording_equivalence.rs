@@ -1,0 +1,7 @@
+//! Tier-1 surface for `crates/check/tests/recording_equivalence.rs` (see
+//! `tests/pdes_equivalence.rs`). Its own test binary because the checker's
+//! `set_sim_threads` knob is process-global and each suite serialises on
+//! its own lock.
+
+#[path = "../crates/check/tests/recording_equivalence.rs"]
+mod suite;
