@@ -8,7 +8,10 @@
 //! time each. The sharded run must be **bit-identical** — `RunStats`
 //! equality and the rendered `Debug` form both — and must actually engage
 //! the parallel engine (`pdes.windows > 0` in the metrics registry), or the
-//! binary aborts. The speedup is reported honestly: on a single-CPU host the
+//! binary aborts. Beside the walls it prints the engine's deterministic
+//! coordination counts: `pdes.rounds` (batched phases) and
+//! `pdes.remote_rounds` (phases that woke a worker thread), the latter also
+//! per window — the thread handoffs a window costs. The speedup is reported honestly: on a single-CPU host the
 //! sharded wall reflects window-coordination overhead with no parallelism to
 //! pay for it, so values below 1.0 are expected there (the JSON entry
 //! records `host_cpus` so `scripts/perf_gate.sh` can tell the two regimes
@@ -28,7 +31,7 @@ use std::time::Instant;
 use shasta_apps::{registry, run_app_shaped, Preset, Proto, RunConfig};
 use shasta_bench::{preset_from_args, sim_threads_from_args, trajectory};
 use shasta_obs::Registry;
-use shasta_stats::{MetricValue, RunStats};
+use shasta_stats::RunStats;
 
 const PROCS: u32 = 16;
 const CLUSTERING: u32 = 4;
@@ -41,7 +44,9 @@ struct Row {
     name: &'static str,
     wall_serial_ms: f64,
     wall_sharded_ms: f64,
-    windows: u64,
+    /// `pdes.windows`, `pdes.rounds`, `pdes.remote_rounds` of the last
+    /// sharded rep (deterministic, so any rep would do).
+    pdes: [u64; 3],
     identical: bool,
 }
 
@@ -55,7 +60,7 @@ fn measure(
     spec: &shasta_apps::AppSpec,
     preset: Preset,
     sim_threads: usize,
-) -> (RunStats, f64, u64) {
+) -> (RunStats, f64, [u64; 3]) {
     let app = (spec.build)(preset, false);
     let cfg = RunConfig::new(Proto::Smp, PROCS, CLUSTERING);
     let reg = Registry::enabled();
@@ -67,11 +72,9 @@ fn measure(
         }
     });
     let wall = t.elapsed().as_secs_f64() * 1e3;
-    let windows = match reg.snapshot().get("pdes.windows") {
-        Some(MetricValue::Counter(c)) => *c,
-        _ => 0,
-    };
-    (stats, wall, windows)
+    let snapshot = reg.snapshot();
+    let pdes = ["pdes.windows", "pdes.rounds", "pdes.remote_rounds"].map(|n| snapshot.counter(n));
+    (stats, wall, pdes)
 }
 
 fn main() {
@@ -108,16 +111,16 @@ fn main() {
         let mut wall_sharded = f64::INFINITY;
         let mut serial_stats = None;
         let mut sharded_stats = None;
-        let mut windows = 0;
+        let mut pdes = [0; 3];
         for _ in 0..reps {
             let (stats, wall, w) = measure(&spec, preset, 1);
             wall_serial = wall_serial.min(wall);
             serial_stats = Some(stats);
-            assert_eq!(w, 0, "{name}: serial run must not touch the parallel engine");
+            assert_eq!(w, [0; 3], "{name}: serial run must not touch the parallel engine");
             let (stats, wall, w) = measure(&spec, preset, sim_threads);
             wall_sharded = wall_sharded.min(wall);
             sharded_stats = Some(stats);
-            windows = w;
+            pdes = w;
         }
         let (serial, sharded) = (serial_stats.unwrap(), sharded_stats.unwrap());
         let identical = serial == sharded && format!("{serial:?}") == format!("{sharded:?}");
@@ -125,16 +128,20 @@ fn main() {
             name: spec.name,
             wall_serial_ms: wall_serial,
             wall_sharded_ms: wall_sharded,
-            windows,
+            pdes,
             identical,
         };
+        // A round is one batched phase (apply or run); a remote round is
+        // one that woke a worker thread other than the coordinator's own.
+        let [windows, rounds, remote_rounds] = row.pdes;
         println!(
-            "{:<10} serial {:>8.1}ms  sharded {:>8.1}ms  ({:.2}x, {} windows, {})",
+            "{:<10} serial {:>8.1}ms  sharded {:>8.1}ms  ({:.2}x, {windows} windows, \
+             {rounds} rounds, {remote_rounds} remote = {:.2}/window, {})",
             row.name,
             row.wall_serial_ms,
             row.wall_sharded_ms,
             row.speedup(),
-            row.windows,
+            remote_rounds as f64 / windows.max(1) as f64,
             if row.identical { "identical" } else { "DIVERGED" },
         );
         rows.push(row);
@@ -143,7 +150,7 @@ fn main() {
     let geomean = rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / rows.len() as f64;
     let geomean = geomean.exp();
     let all_identical = rows.iter().all(|r| r.identical);
-    let all_windowed = rows.iter().all(|r| r.windows > 0);
+    let all_windowed = rows.iter().all(|r| r.pdes[0] > 0);
 
     let mut entry = String::from("    {\n");
     entry.push_str(&format!(
@@ -153,12 +160,14 @@ fn main() {
     entry.push_str("      \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         entry.push_str(&format!(
-            "        {{\"name\": \"{}\", \"wall_ms_serial\": {:.2}, \"wall_ms_sharded\": {:.2}, \"speedup\": {:.3}, \"windows\": {}, \"identical\": {}}}{}\n",
+            "        {{\"name\": \"{}\", \"wall_ms_serial\": {:.2}, \"wall_ms_sharded\": {:.2}, \"speedup\": {:.3}, \"windows\": {}, \"rounds\": {}, \"remote_rounds\": {}, \"identical\": {}}}{}\n",
             r.name,
             r.wall_serial_ms,
             r.wall_sharded_ms,
             r.speedup(),
-            r.windows,
+            r.pdes[0],
+            r.pdes[1],
+            r.pdes[2],
             r.identical,
             if i + 1 < rows.len() { "," } else { "" },
         ));

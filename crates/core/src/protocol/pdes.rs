@@ -68,6 +68,44 @@
 //! fiber count), so `elapsed_cycles` is captured at exactly the serial
 //! moment: the first instant the last fiber finished.
 //!
+//! # Coordination
+//!
+//! What a window costs on the host is thread handoffs, so the coordinator
+//! spends as few as the dependencies allow. Shard `s` lives on worker
+//! `s % workers`, and **worker 0 is the coordinator's own thread**: its
+//! shards are served inline by the same `serve` function the remote
+//! workers loop over, so `set_sim_threads(2)` means two threads. Each round
+//! has up to two *phases*, and a phase is one message per remote worker —
+//! a `Vec<Cmd>` out (remote batches first, the local shards served while
+//! they run), a `Vec<Reply>` back on that worker's own reply channel. A
+//! worker with nothing to do in a phase is not woken.
+//!
+//! * **Apply** goes only to shards with pending injections. The coordinator
+//!   caches every shard's latest `ShardStatus` (each reply carries one), and
+//!   nothing but an `Apply` or a `Run` changes a shard, so an untouched
+//!   shard's cached status is exactly what it would report.
+//! * **Run** goes to the shards with a candidate inside the window.
+//!
+//! A shard's finalized sequence rewrites ride whichever of the two it gets
+//! next. The one ordering rule: **whenever injections are applied to a
+//! shard, every remap finalized so far is applied in the same
+//! `pdes_apply`** — a finalized-but-unapplied local send still carries a
+//! provisional number, and would sort behind an injected envelope with a
+//! larger final sequence number at the same arrival. Between injections a
+//! delayed remap is order-equivalent: a still-provisional number orders
+//! after every final one, which is the serial order, because the finalized
+//! sender always precedes the provisional sender in the global event order
+//! (and a shard that is neither applied to nor run is not observed at all).
+//!
+//! **Panics.** An application panic re-raised by a fiber (or a protocol
+//! assertion) unwinds out of `serve`. On the coordinator's own shards that
+//! is already the caller's thread; a remote worker catches it around its
+//! batch and sends the payload back in place of the replies, and the
+//! coordinator resumes it. Either way the scope closure unwinds, the
+//! command channels drop, the remaining workers see the hang-up and return,
+//! and `Machine::run` surfaces the *original* panic — as the serial engine
+//! does.
+//!
 //! # Sharded recording
 //!
 //! Event recording (`shasta-obs`) and diagnostic tracing ride the same
@@ -105,8 +143,9 @@
 //! [`NetProfile::lookahead`]: shasta_cluster::NetProfile::lookahead
 //! [`Network::lookahead`]: shasta_memchan::Network
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::mem::take;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use shasta_cluster::NodeId;
@@ -128,8 +167,11 @@ struct Pending {
     trace: Vec<TraceEvent>,
 }
 
-/// A shard's schedulable state at a barrier: its next candidate key, live
-/// fibers, and messages in flight (including its journaled outbox).
+/// A shard's schedulable state between phases: its next candidate key, live
+/// fibers, and messages in flight (including its journaled outbox). The
+/// coordinator caches the latest one per shard; `next_key` is a sound lower
+/// bound on every future event of the shard until injections next land on it
+/// (a deferral leaves it below the window end).
 struct ShardStatus {
     next_key: Option<(Time, u32)>,
     live: u32,
@@ -137,16 +179,16 @@ struct ShardStatus {
 }
 
 /// Coordinator → worker commands, tagged with the shard they address (a
-/// worker may multiplex several shards).
+/// worker may multiplex several shards). Both carry the shard's finalized
+/// sequence rewrites so far; see "Coordination" in the module docs for when
+/// each is sent.
 enum Cmd {
-    /// Execute the window's events, then report the window log and send
-    /// journal.
-    Run { shard: usize, window: Window },
-    /// Apply the barrier (sequence rewrites + cross-shard injections; both
-    /// empty for the initial probe), then report a fresh [`ShardStatus`].
+    /// Apply `remap`, execute the window's events, then report the window
+    /// log, send journal and resulting status.
+    Run { shard: usize, remap: Vec<(u64, u64)>, window: Window },
+    /// Apply `remap` and the cross-shard injections in one `pdes_apply`,
+    /// then report the resulting status.
     Apply { shard: usize, remap: Vec<(u64, u64)>, inject: Vec<(Envelope<ProtoMsg>, u64)> },
-    /// Hand the shard back to the coordinator.
-    Finish { shard: usize },
 }
 
 /// Worker → coordinator replies.
@@ -165,14 +207,7 @@ enum Reply {
         /// Diagnostic trace events journaled during the window, in shard
         /// record order; sliced per scheduling event by `trace_upto`.
         trace_events: Vec<TraceEvent>,
-        /// The shard's next unexecuted candidate key after the window (a
-        /// deferral leaves it below the window end). Sound lower bound on
-        /// every future event of this shard until the next barrier.
-        next_key: Option<(Time, u32)>,
-    },
-    Done {
-        shard: usize,
-        exec: Box<ShardExec>,
+        status: ShardStatus,
     },
 }
 
@@ -194,44 +229,53 @@ impl ShardExec {
     }
 }
 
-/// The worker loop: serve commands for the shards this worker owns until
-/// every one has been handed back (or the coordinator hangs up).
-fn worker(mut execs: HashMap<usize, ShardExec>, rx: Receiver<Cmd>, tx: Sender<Reply>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Run { shard, window } => {
-                let exec = execs.get_mut(&shard).expect("run for foreign shard");
-                let events = exec.m.run_events(&mut exec.ex, Some(window));
-                let journal = exec.m.net.pdes_take_window();
-                let obs_events =
-                    if exec.m.obs.is_enabled() { exec.m.obs.take_journal() } else { Vec::new() };
-                let trace_events =
-                    if exec.m.trace.is_enabled() { exec.m.trace.take_events() } else { Vec::new() };
-                let next_key = exec.status().next_key;
-                let _ = tx.send(Reply::Window {
-                    shard,
-                    events,
-                    journal,
-                    obs_events,
-                    trace_events,
-                    next_key,
-                });
-            }
-            Cmd::Apply { shard, remap, inject } => {
-                let exec = execs.get_mut(&shard).expect("apply for foreign shard");
-                exec.m.net.pdes_apply(&remap, inject);
-                let status = exec.status();
-                let _ = tx.send(Reply::Status { shard, status });
-            }
-            Cmd::Finish { shard } => {
-                let exec = execs.remove(&shard).expect("finish for foreign shard");
-                let _ = tx.send(Reply::Done { shard, exec: Box::new(exec) });
-                if execs.is_empty() {
-                    break;
-                }
-            }
+/// The shards one worker owns, by shard index.
+type Shards = BTreeMap<usize, ShardExec>;
+
+/// Executes one command on the shard it addresses — the only interpreter of
+/// [`Cmd`], shared by the coordinator (for its own shards) and the remote
+/// workers.
+fn serve(execs: &mut Shards, cmd: Cmd) -> Reply {
+    match cmd {
+        Cmd::Run { shard, remap, window } => {
+            let exec = execs.get_mut(&shard).expect("run for foreign shard");
+            exec.m.net.pdes_apply(&remap, Vec::new());
+            let events = exec.m.run_events(&mut exec.ex, Some(window));
+            let journal = exec.m.net.pdes_take_window();
+            let obs_events =
+                if exec.m.obs.is_enabled() { exec.m.obs.take_journal() } else { Vec::new() };
+            let trace_events =
+                if exec.m.trace.is_enabled() { exec.m.trace.take_events() } else { Vec::new() };
+            let status = exec.status();
+            Reply::Window { shard, events, journal, obs_events, trace_events, status }
+        }
+        Cmd::Apply { shard, remap, inject } => {
+            let exec = execs.get_mut(&shard).expect("apply for foreign shard");
+            exec.m.net.pdes_apply(&remap, inject);
+            Reply::Status { shard, status: exec.status() }
         }
     }
+}
+
+/// A remote worker's answer to one batch: the replies in command order, or
+/// the payload of the panic (an application panic inside a fiber, a protocol
+/// assertion) that interrupted it.
+type Served = std::thread::Result<Vec<Reply>>;
+
+/// A remote worker's loop: serve one batch of commands per phase until the
+/// coordinator hangs up, then hand the shards back. A panic ends the loop
+/// early; its payload travels to the coordinator in place of the replies.
+fn worker(mut execs: Shards, rx: Receiver<Vec<Cmd>>, tx: Sender<Served>) -> Shards {
+    while let Ok(batch) = rx.recv() {
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            batch.into_iter().map(|cmd| serve(&mut execs, cmd)).collect()
+        }));
+        let panicked = served.is_err();
+        if tx.send(served).is_err() || panicked {
+            break;
+        }
+    }
+    execs
 }
 
 /// Runs `bodies` on the sharded engine. Only called from [`Machine::run`]
@@ -255,20 +299,22 @@ pub(crate) fn run_sharded(
         per_shard[s][p] = Some(fiber_body(p as u32, body));
     }
 
-    let mut execs: Vec<Option<ShardExec>> = split_shards(m)
+    let mut execs: Vec<ShardExec> = split_shards(m)
         .into_iter()
         .zip(per_shard)
         .enumerate()
         .map(|(s, (sm, bodies))| {
             let procs =
                 (0..n as u32).filter(|&p| usize::from(m.topo.phys_node_of(p)) == s).collect();
-            Some(ShardExec { m: sm, ex: Exec::new(FiberPool::spawn_selected(bodies), procs) })
+            ShardExec { m: sm, ex: Exec::new(FiberPool::spawn_selected(bodies), procs) }
         })
         .collect();
 
     // Deterministic telemetry (purely additive; disabled registry = no-op).
     let metrics = m.metrics.clone();
     let m_windows = metrics.counter("pdes.windows");
+    let m_rounds = metrics.counter("pdes.rounds");
+    let m_remote_rounds = metrics.counter("pdes.remote_rounds");
     let m_events = metrics.counter("pdes.events");
     let m_window_events = metrics.histogram("pdes.window_events");
     let m_shard_events: Vec<_> =
@@ -289,25 +335,64 @@ pub(crate) fn run_sharded(
     let mut trace_merge = std::mem::take(&mut m.trace);
     let mut merged_next_miss_id: u32 = m.next_miss_id;
 
+    // The latest status of every shard: refreshed by each reply, and exact
+    // in between (nothing but an `Apply` or a `Run` changes a shard).
+    let mut status: Vec<ShardStatus> = execs.iter_mut().map(ShardExec::status).collect();
     let mut elapsed: Option<u64> = None;
-    let mut live: Vec<u32> =
-        execs.iter().flatten().map(|e| e.ex.pool.live_count() as u32).collect();
-    let finished: Vec<ShardExec> = std::thread::scope(|scope| {
-        let (reply_tx, reply_rx) = channel::<Reply>();
-        let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = channel::<Cmd>();
-            cmd_txs.push(tx);
-            let owned: HashMap<usize, ShardExec> = (0..shards)
-                .filter(|s| s % workers == w)
-                .map(|s| (s, execs[s].take().expect("shard split once")))
-                .collect();
-            let reply = reply_tx.clone();
-            scope.spawn(move || worker(owned, rx, reply));
+    let mut live: Vec<u32> = status.iter().map(|st| st.live).collect();
+    let finished: Shards = std::thread::scope(|scope| {
+        // Shard `s` lives on worker `s % workers`; worker 0 is this thread.
+        let mut owned: Vec<Shards> = (0..workers).map(|_| Shards::new()).collect();
+        for (s, exec) in execs.into_iter().enumerate() {
+            owned[s % workers].insert(s, exec);
         }
-        drop(reply_tx);
-        let send = |shard: usize, cmd: Cmd| {
-            cmd_txs[shard % workers].send(cmd).expect("worker hung up");
+        let mut owned = owned.into_iter();
+        let mut local = owned.next().expect("at least two workers");
+        let remotes: Vec<_> = owned
+            .map(|shards| {
+                let (cmd_tx, cmd_rx) = channel::<Vec<Cmd>>();
+                let (reply_tx, reply_rx) = channel::<Served>();
+                (cmd_tx, reply_rx, scope.spawn(move || worker(shards, cmd_rx, reply_tx)))
+            })
+            .collect();
+        // One phase: hand every worker its batch (remote workers first, so
+        // they run while this thread serves its own shards) and collect the
+        // replies. A worker with an empty batch is not woken at all. A
+        // remote panic is re-raised here with its original payload, exactly
+        // as a panic in a local shard unwinds by itself; either way the
+        // command channels drop, the other workers drain out, and the scope
+        // joins them before `Machine::run` unwinds to the caller.
+        let mut phase = |cmds: Vec<Cmd>| -> Vec<Reply> {
+            if cmds.is_empty() {
+                return Vec::new();
+            }
+            let mut batches: Vec<Vec<Cmd>> = (0..workers).map(|_| Vec::new()).collect();
+            for cmd in cmds {
+                let (Cmd::Run { shard, .. } | Cmd::Apply { shard, .. }) = &cmd;
+                batches[shard % workers].push(cmd);
+            }
+            let mut batches = batches.into_iter();
+            let own = batches.next().expect("at least two workers");
+            let mut woken = Vec::new();
+            for ((cmd_tx, reply_rx, _), batch) in remotes.iter().zip(batches) {
+                if !batch.is_empty() {
+                    cmd_tx.send(batch).expect("worker hung up");
+                    woken.push(reply_rx);
+                }
+            }
+            m_rounds.inc();
+            if !woken.is_empty() {
+                m_remote_rounds.inc();
+            }
+            let mut replies: Vec<Reply> =
+                own.into_iter().map(|cmd| serve(&mut local, cmd)).collect();
+            for reply_rx in woken {
+                match reply_rx.recv().expect("worker hung up") {
+                    Ok(served) => replies.extend(served),
+                    Err(payload) => resume_unwind(payload),
+                }
+            }
+            replies
         };
 
         // Replay state for elapsed-time capture: the executing clocks and
@@ -328,36 +413,36 @@ pub(crate) fn run_sharded(
         // the logs cannot simply be merged barrier by barrier.
         let mut buffers: Vec<std::collections::VecDeque<Pending>> =
             (0..shards).map(|_| std::collections::VecDeque::new()).collect();
-        // Sequence rewrites and cross-shard injections each shard applies at
-        // the next barrier (drained there, refilled by finalization).
+        // Sequence rewrites and cross-shard injections finalized for each
+        // shard and not yet shipped to it (refilled by finalization).
         let mut remaps: Vec<Vec<(u64, u64)>> = (0..shards).map(|_| Vec::new()).collect();
         let mut injections: Vec<Vec<(Envelope<ProtoMsg>, u64)>> =
             (0..shards).map(|_| Vec::new()).collect();
         loop {
-            // Barrier: every shard applies its share (injections can land
-            // anywhere; nothing yet on the first round) and reports its
-            // status for the next horizon.
-            for s in 0..shards {
-                let (remap, inject) = (take(&mut remaps[s]), take(&mut injections[s]));
-                send(s, Cmd::Apply { shard: s, remap, inject });
+            // Apply phase: only a shard that received injections can have a
+            // new status (they may add candidates anywhere); every other
+            // shard's cached status still stands.
+            let mut applies = Vec::new();
+            for (s, inject) in injections.iter_mut().enumerate().filter(|(_, i)| !i.is_empty()) {
+                applies.push(Cmd::Apply {
+                    shard: s,
+                    remap: take(&mut remaps[s]),
+                    inject: take(inject),
+                });
             }
-            let mut status: Vec<Option<ShardStatus>> = (0..shards).map(|_| None).collect();
-            for _ in 0..shards {
-                match reply_rx.recv().expect("worker hung up") {
-                    Reply::Status { shard, status: st } => status[shard] = Some(st),
-                    _ => unreachable!("expected status reply"),
-                }
+            for reply in phase(applies) {
+                let Reply::Status { shard, status: st } = reply else {
+                    unreachable!("expected status reply")
+                };
+                status[shard] = st;
             }
-            let status: Vec<ShardStatus> =
-                status.into_iter().map(|st| st.expect("every shard reported")).collect();
-            // Lower bound on each shard's next *execution* key (`None` = no
-            // candidate). Sound across the barrier: injections can only add
-            // candidates at or beyond the end of the window whose sends they
-            // carry, which is past every currently buffered key.
-            let mut exec_frontier: Vec<Option<(Time, u32)>> =
-                status.iter().map(|st| st.next_key).collect();
 
-            let horizon = exec_frontier.iter().filter_map(|k| *k).min();
+            // `status[s].next_key` lower-bounds shard `s`'s next *execution*
+            // key (`None` = no candidate). Sound across the apply phase:
+            // injections can only add candidates at or beyond the end of the
+            // window whose sends they carry, which is past every currently
+            // buffered key.
+            let horizon = status.iter().filter_map(|st| st.next_key).min();
             if horizon.is_none() && buffers.iter().all(|b| b.is_empty()) {
                 let live_total: u32 = status.iter().map(|st| st.live).sum();
                 let in_flight: usize = status.iter().map(|st| st.in_flight).sum();
@@ -382,63 +467,63 @@ pub(crate) fn run_sharded(
                 // executes with the global minimum's privileges (see
                 // `Machine::run_events`).
                 let active: Vec<usize> = (0..shards)
-                    .filter(|&s| exec_frontier[s].is_some_and(|(t, _)| t < end))
+                    .filter(|&s| status[s].next_key.is_some_and(|(t, _)| t < end))
                     .collect();
-                for &s in &active {
+                let runs = active.iter().map(|&s| {
                     let h_key = (s == h_shard).then_some((h, h_proc));
-                    send(s, Cmd::Run { shard: s, window: Window { end, h_key } });
-                }
-                let mut window_total = 0u64;
-                for _ in 0..active.len() {
-                    match reply_rx.recv().expect("worker hung up") {
-                        Reply::Window {
-                            shard,
-                            events: ev,
-                            journal,
-                            obs_events,
-                            trace_events,
-                            next_key,
-                        } => {
-                            // Group journaled sends under their producing
-                            // event and append to the shard's pending buffer.
-                            let mut groups: Vec<Vec<PdesSendRecord<ProtoMsg>>> =
-                                (0..ev.len()).map(|_| Vec::new()).collect();
-                            for (ei, rec) in journal {
-                                groups[ei as usize].push(rec);
-                            }
-                            let cnt = ev.len() as u64;
-                            window_total += cnt;
-                            if cnt == 0 {
-                                m_shard_idle[shard].inc();
-                            } else {
-                                m_shard_events[shard].add(cnt);
-                                m_events.add(cnt);
-                            }
-                            // Slice the window's recording journals per
-                            // scheduling event by the high-water marks the
-                            // shard logged with each event.
-                            let mut obs_it = obs_events.into_iter();
-                            let mut trace_it = trace_events.into_iter();
-                            let (mut obs_at, mut trace_at) = (0u32, 0u32);
-                            for (e, sends) in ev.into_iter().zip(groups) {
-                                let obs =
-                                    obs_it.by_ref().take((e.obs_upto - obs_at) as usize).collect();
-                                let trace = trace_it
-                                    .by_ref()
-                                    .take((e.trace_upto - trace_at) as usize)
-                                    .collect();
-                                obs_at = e.obs_upto;
-                                trace_at = e.trace_upto;
-                                buffers[shard].push_back(Pending { e, sends, obs, trace });
-                            }
-                            debug_assert!(
-                                obs_it.next().is_none() && trace_it.next().is_none(),
-                                "recorded events outside any scheduling event"
-                            );
-                            exec_frontier[shard] = next_key;
-                        }
-                        _ => unreachable!("expected window reply"),
+                    Cmd::Run {
+                        shard: s,
+                        remap: take(&mut remaps[s]),
+                        window: Window { end, h_key },
                     }
+                });
+                let mut window_total = 0u64;
+                for reply in phase(runs.collect()) {
+                    let Reply::Window {
+                        shard,
+                        events: ev,
+                        journal,
+                        obs_events,
+                        trace_events,
+                        status: st,
+                    } = reply
+                    else {
+                        unreachable!("expected window reply")
+                    };
+                    // Group journaled sends under their producing event and
+                    // append to the shard's pending buffer.
+                    let mut groups: Vec<Vec<PdesSendRecord<ProtoMsg>>> =
+                        (0..ev.len()).map(|_| Vec::new()).collect();
+                    for (ei, rec) in journal {
+                        groups[ei as usize].push(rec);
+                    }
+                    let cnt = ev.len() as u64;
+                    window_total += cnt;
+                    if cnt == 0 {
+                        m_shard_idle[shard].inc();
+                    } else {
+                        m_shard_events[shard].add(cnt);
+                        m_events.add(cnt);
+                    }
+                    // Slice the window's recording journals per scheduling
+                    // event by the high-water marks the shard logged with
+                    // each event.
+                    let mut obs_it = obs_events.into_iter();
+                    let mut trace_it = trace_events.into_iter();
+                    let (mut obs_at, mut trace_at) = (0u32, 0u32);
+                    for (e, sends) in ev.into_iter().zip(groups) {
+                        let obs = obs_it.by_ref().take((e.obs_upto - obs_at) as usize).collect();
+                        let trace =
+                            trace_it.by_ref().take((e.trace_upto - trace_at) as usize).collect();
+                        obs_at = e.obs_upto;
+                        trace_at = e.trace_upto;
+                        buffers[shard].push_back(Pending { e, sends, obs, trace });
+                    }
+                    debug_assert!(
+                        obs_it.next().is_none() && trace_it.next().is_none(),
+                        "recorded events outside any scheduling event"
+                    );
+                    status[shard] = st;
                 }
                 for (s, idle) in m_shard_idle.iter().enumerate() {
                     if !active.contains(&s) {
@@ -454,11 +539,7 @@ pub(crate) fn run_sharded(
             // finalizable unless a shard with an *empty* buffer could still
             // execute something smaller (its frontier is at or below the
             // key); numbering journaled sends in finalization order then
-            // mirrors the serial sequence counter value for value. Delaying
-            // a remap past the barrier is harmless: a still-provisional
-            // sequence number orders *after* every final one, which is the
-            // serial order, because the finalized sender always precedes the
-            // provisional sender in the global event order.
+            // mirrors the serial sequence counter value for value.
             loop {
                 let mut best: Option<((Time, u32), usize)> = None;
                 for (s, buf) in buffers.iter().enumerate() {
@@ -471,7 +552,7 @@ pub(crate) fn run_sharded(
                 }
                 let Some((k, s)) = best else { break };
                 let blocked = (0..shards).any(|s2| {
-                    s2 != s && buffers[s2].is_empty() && exec_frontier[s2].is_some_and(|f| f <= k)
+                    s2 != s && buffers[s2].is_empty() && status[s2].next_key.is_some_and(|f| f <= k)
                 });
                 if blocked {
                     break;
@@ -523,25 +604,21 @@ pub(crate) fn run_sharded(
             }
         }
 
-        // Collect the shards back.
-        let mut out: Vec<Option<ShardExec>> = (0..shards).map(|_| None).collect();
-        for s in 0..shards {
-            send(s, Cmd::Finish { shard: s });
+        // Hang up; every remote worker answers by handing its shards back.
+        let mut out = local;
+        for (cmd_tx, _, handle) in remotes {
+            drop(cmd_tx);
+            out.extend(handle.join().expect("worker panicked outside a batch"));
         }
-        for _ in 0..shards {
-            match reply_rx.recv().expect("worker hung up") {
-                Reply::Done { shard, exec } => out[shard] = Some(*exec),
-                _ => unreachable!("expected done reply"),
-            }
-        }
-        out.into_iter().map(|e| e.expect("every shard returned")).collect()
+        out
     });
 
     // Join fibers (propagating any application panic), then merge the shard
-    // state back into the caller's machine so post-run accessors (stats,
-    // audits, memory inspection) see exactly the serial end state.
+    // state (in shard order, which is the map's) back into the caller's
+    // machine so post-run accessors (stats, audits, memory inspection) see
+    // exactly the serial end state.
     let merged: Vec<Machine> = finished
-        .into_iter()
+        .into_values()
         .map(|exec| {
             exec.ex.pool.join();
             exec.m

@@ -21,6 +21,17 @@ echo "==> every member crate's tests: cargo test --workspace --release -q"
 # spec, framing, fault injection, metrics properties, ...) run here.
 cargo test --workspace --release -q
 
+echo "==> benchmark harness: builds against the crates' public API, golden.json holds"
+# benchmark/ is its own pinned workspace, so neither run above compiles it.
+# Its tests run every workload --quick (Tiny inputs), end to end and traced,
+# against golden.json, so an API break or a moved cycle/message fingerprint
+# fails here instead of in the pipeline's benchmark run (the full-size
+# fingerprint that Tiny cannot see is pinned by shasta-apps' pdes_default
+# test in the --release workspace run above). Builds into the git-ignored
+# directory benchmark/run.sh uses.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml \
+  --target-dir "${CARGO_TARGET_DIR:-benchmark/target}" -q
+
 echo "==> rustdoc (deny warnings, shasta crates only: vendored stubs are not doc-clean)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p shasta -p shasta-sim -p shasta-cluster -p shasta-memchan -p shasta-core \

@@ -26,9 +26,11 @@
 #   BENCH_pdes_scaling.json  fail if the last run's kernels are not all
 #                            bit-identical to the serial engine
 #                            (summary.all_identical) — gated from the FIRST
-#                            entry on — or, when the last two entries share
-#                            a config (preset/sim_threads/reps), if the
-#                            summed serial kernel wall rose by more than 25%
+#                            entry on — or if the summed serial kernel
+#                            wall rose by more than 25% over the most
+#                            recent earlier entry with the same config
+#                            (preset/sim_threads/reps/host_cpus: a 1-CPU
+#                            and a 2-CPU wall are different quantities)
 #   BENCH_fault_sweep.json   fail if the last run's criterion booleans
 #                            (tolerated/hetero/loss/identity) are not all
 #                            true — gated from the FIRST entry on — or if
@@ -168,29 +170,27 @@ if runs:
     print(f"BENCH_pdes_scaling.json: all_identical={identical} {verdict}")
     if identical is not True:
         failures.append("pdes-scaling runs diverged from the serial engine")
-    if len(runs) >= 2:
-        keys = ("preset", "sim_threads", "reps")
-        cfgs = [{k: r["config"].get(k) for k in keys} for r in runs[-2:]]
-        if cfgs[0] == cfgs[1]:
-            walls = [
-                sum(k["wall_ms_serial"] for k in r["kernels"]) for r in runs[-2:]
-            ]
-            ratio = walls[1] / walls[0] if walls[0] > 0 else float("inf")
-            verdict = "OK" if ratio <= PDES_MAX_RATIO else "FAIL"
-            print(
-                f"BENCH_pdes_scaling.json: serial kernel wall "
-                f"{walls[0]:.1f} -> {walls[1]:.1f} "
-                f"({ratio:.3f}x, limit {PDES_MAX_RATIO}x) {verdict}"
-            )
-            if verdict == "FAIL":
-                failures.append("pdes-scaling serial wall regressed")
-        else:
-            print(
-                "BENCH_pdes_scaling.json: last two entries differ in "
-                "config; wall-time gate skipped"
-            )
+    keys = ("preset", "sim_threads", "reps", "host_cpus")
+    cfg = {k: runs[-1]["config"].get(k) for k in keys}
+    twins = [r for r in runs[:-1] if {k: r["config"].get(k) for k in keys} == cfg]
+    if twins:
+        walls = [
+            sum(k["wall_ms_serial"] for k in r["kernels"]) for r in (twins[-1], runs[-1])
+        ]
+        ratio = walls[1] / walls[0] if walls[0] > 0 else float("inf")
+        verdict = "OK" if ratio <= PDES_MAX_RATIO else "FAIL"
+        print(
+            f"BENCH_pdes_scaling.json: serial kernel wall "
+            f"{walls[0]:.1f} -> {walls[1]:.1f} "
+            f"({ratio:.3f}x, limit {PDES_MAX_RATIO}x) {verdict}"
+        )
+        if verdict == "FAIL":
+            failures.append("pdes-scaling serial wall regressed")
     else:
-        print("BENCH_pdes_scaling.json: 1 entry; wall-time gate needs 2 — skipping")
+        print(
+            "BENCH_pdes_scaling.json: no earlier entry with the last one's "
+            "config; wall-time gate skipped"
+        )
 
 runs = all_runs_of("BENCH_fault_sweep.json")
 if runs:
