@@ -13,8 +13,11 @@
 //!    message, miss, and downgrade counters and simulated cycles must equal
 //!    the pure-simulator oracle *exactly* (the acceptance criterion). A live
 //!    metrics registry rides every wire run: the per-node-pair ACK round-trip
-//!    histograms it reports (`wire.ack_rtt_ns.*` p50/p95/p99) land in the
-//!    trajectory, and every run must have sampled at least one pair.
+//!    histograms it reports (`wire.ack_rtt_ns.*` p50/p95/p99, send → ACK
+//!    collected at the sender's next poll of that stream) land in the
+//!    trajectory, and every run must have sampled at least one pair. So do
+//!    its socket syscall counts (`wire.io.reads`, `wire.io.writes`,
+//!    `wire.io.would_block`), printed per `DATA` frame.
 //! 4. **Retransmit** — LU with every 7th first transmission dropped; the
 //!    counters must still match, the drop/retransmit/hold machinery must
 //!    all have fired, and the registry's
@@ -199,6 +202,10 @@ struct DiffRow {
     /// Per-node-pair ACK round-trip summaries from the wire metrics
     /// registry: (pair suffix e.g. `n0.n1`, count, p50, p95, p99), in ns.
     ack_rtt_pairs: Vec<(String, u64, u64, u64, u64)>,
+    /// `DATA` frames offered, and the socket `read`s, `write`s and
+    /// not-ready returns (`wire.io.*`) it took to move them and their ACKs.
+    data_frames: u64,
+    io: [u64; 3],
 }
 
 /// Extracts the sampled per-pair ACK-RTT histograms from a registry
@@ -263,6 +270,7 @@ fn main() {
         ));
         for &backend in backends {
             let reg = Registry::enabled();
+            let mut probe = None;
             let t = Instant::now();
             let wire = run_app_with_transport(
                 (spec.build)(Preset::Tiny, true).as_ref(),
@@ -276,23 +284,34 @@ fn main() {
                     )
                     .expect("loopback fabric");
                     transport.set_metrics(&reg);
+                    probe = Some(transport.counts_probe());
                     Box::new(transport)
                 },
             );
+            let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+            let snap = reg.snapshot();
             let row = DiffRow {
                 app: spec.name,
                 backend,
                 pass: counters_equal(&sim, &wire),
-                wall_ms: t.elapsed().as_secs_f64() * 1e3,
-                ack_rtt_pairs: ack_rtt_pairs(&reg.snapshot()),
+                wall_ms,
+                ack_rtt_pairs: ack_rtt_pairs(&snap),
+                data_frames: probe.expect("factory ran").get().data_frames,
+                io: ["reads", "writes", "would_block"]
+                    .map(|what| snap.counter(&format!("wire.io.{what}"))),
             };
+            let [reads, writes, would_block] = row.io;
             println!(
-                "differential {:<9} {:<4} counters {} ({:.1}ms, {} ACK-RTT pair(s) sampled)",
+                "differential {:<9} {:<4} counters {} ({:.1}ms, {} ACK-RTT pair(s) sampled; \
+                 {} frames: {reads} reads + {writes} writes = {:.2}/frame, {would_block} \
+                 would-block)",
                 row.app,
                 backend.label(),
                 if row.pass { "equal" } else { "DIVERGED" },
                 row.wall_ms,
-                row.ack_rtt_pairs.len()
+                row.ack_rtt_pairs.len(),
+                row.data_frames,
+                (reads + writes) as f64 / row.data_frames.max(1) as f64,
             );
             rows.push(row);
         }
@@ -356,7 +375,8 @@ fn main() {
 
     let mut entry = String::from("    {\n");
     entry.push_str(&format!(
-        "      \"config\": {{\"quick\": {quick}, \"rtt_iters\": {rtt_iters}, \"unix_time\": {}}},\n",
+        "      \"config\": {{\"quick\": {quick}, \"rtt_iters\": {rtt_iters}, \"host_cpus\": {}, \"unix_time\": {}}},\n",
+        std::thread::available_parallelism().map_or(1, usize::from),
         trajectory::unix_stamp()
     ));
     entry.push_str("      \"handshake\": [\n");
@@ -388,12 +408,14 @@ fn main() {
                 )
             })
             .collect();
+        let [reads, writes, would_block] = r.io;
         entry.push_str(&format!(
-            "        {{\"app\": \"{}\", \"backend\": \"{}\", \"pass\": {}, \"wall_ms\": {:.2}, \"ack_rtt_pairs\": [{}]}}{}\n",
+            "        {{\"app\": \"{}\", \"backend\": \"{}\", \"pass\": {}, \"wall_ms\": {:.2}, \"data_frames\": {}, \"io\": {{\"reads\": {reads}, \"writes\": {writes}, \"would_block\": {would_block}}}, \"ack_rtt_pairs\": [{}]}}{}\n",
             r.app,
             r.backend.label(),
             r.pass,
             r.wall_ms,
+            r.data_frames,
             pairs.join(", "),
             if i + 1 < rows.len() { "," } else { "" }
         ));

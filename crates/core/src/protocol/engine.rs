@@ -115,7 +115,7 @@ impl Machine {
             self.stats.messages = *self.net.stats();
         }
         // Release any real resources a non-simulated transport holds
-        // (sockets, reader threads); a no-op for the simulated network.
+        // (its sockets); a no-op for the simulated network.
         self.net.shutdown();
         self.audit();
         self.stats.clone()

@@ -34,9 +34,9 @@ use crate::{Envelope, FaultCounts, FaultPlan, Network};
 /// Implemented by the simulated [`Network`] (the oracle) and by the real
 /// loopback transport in `shasta-transport`. The engine owns the transport
 /// as a `Box<dyn Transport<ProtoMsg>>` and drives it single-threadedly; an
-/// implementation may run worker threads internally (socket readers,
-/// retransmit timers) but everything it reports through this interface must
-/// be deterministic.
+/// implementation may do real I/O inside these calls (the loopback
+/// transport polls its sockets and runs its retransmit scan there) but
+/// everything it reports through this interface must be deterministic.
 pub trait Transport<M>: std::fmt::Debug + Send {
     /// Sends `msg` from processor `src` to processor `dst` at simulated
     /// time `now`, returning its arrival time. `payload_bytes` is the data
@@ -119,8 +119,7 @@ pub trait Transport<M>: std::fmt::Debug + Send {
     /// attached, which CI enforces with byte-diffs. Default: no-op.
     fn set_metrics(&mut self, _registry: &shasta_obs::Registry) {}
 
-    /// Releases any real resources (worker threads, sockets) the backend
-    /// holds. The engine calls this once after the run completes; the
+    /// Releases any real resources (sockets) the backend holds. The engine calls this once after the run completes; the
     /// default is a no-op, which is right for the simulated network.
     fn shutdown(&mut self) {}
 

@@ -229,7 +229,7 @@ impl Gauge {
     }
 }
 
-/// A histogram handle. Recording takes a short mutex (wire threads only);
+/// A histogram handle. Recording takes a short mutex (wire metrics only);
 /// no-op when obtained from a disabled registry.
 #[derive(Clone, Debug, Default)]
 pub struct HistogramHandle(Option<Arc<Mutex<Histogram>>>);

@@ -19,9 +19,18 @@
 //! * the socket fabric is the **delivery substrate under test** — every
 //!   remote message is also encoded into a versioned `DATA` frame, shipped
 //!   through a real socket with per-(src node, dst node) sequence numbers,
-//!   cumulative ACKs, and timeout retransmission, and the engine **blocks
-//!   on the wire copy** when it pops the simulated envelope, consuming the
-//!   wire-decoded message in its place.
+//!   cumulative ACKs, and timeout retransmission, and the engine **polls
+//!   the wire for its copy** when it pops the simulated envelope,
+//!   consuming the wire-decoded message in its place.
+//!
+//! The fabric has no thread of its own. As Shasta handles messages only at
+//! poll points, every socket is non-blocking and is read by the engine
+//! thread inside [`Transport::pop_any_earliest`]: one `read` of the socket
+//! end the wanted message arrives on usually yields it together with its
+//! neighbours and the peer's ACKs. Acknowledgements are coalesced (one
+//! cumulative `ACK` per several deliveries), and the retransmit scan runs
+//! only when that read comes back empty — see `loopback.rs` and
+//! `docs/TRANSPORT.md` §3.3.
 //!
 //! The substitution is what gives the differential harness teeth: a codec
 //! bug, a framing bug, a resequencing bug, or a lost frame either panics
@@ -174,7 +183,7 @@ impl Transport<ProtoMsg> for LoopbackTransport {
     fn pop_any_earliest(&mut self, p: u32, include_vnode: bool) -> Option<Envelope<ProtoMsg>> {
         let mut env = self.inner.pop_any_earliest(p, include_vnode)?;
         if !self.topo.same_phys_node(env.src, env.dst) {
-            // Block until the wire's copy arrives, then consume the
+            // Poll the wire until its copy arrives, then consume the
             // wire-decoded message in place of the simulated one. Per
             // (src, dst) processor pair both sides are FIFO in send order
             // — the sim via link serialization and sequence tie-breaks,

@@ -1,23 +1,31 @@
 //! Real-socket delivery fabric: one loopback TCP or Unix-domain stream per
-//! physical node pair, with reader threads, cumulative ACKs, and
-//! timeout-based retransmission.
+//! physical node pair, polled by the engine thread, with coalesced
+//! cumulative ACKs and timeout-based retransmission.
+//!
+//! Shasta handles messages only at poll points, on the processor that
+//! wants them (§1 of the paper), and the fabric treats the wire the same
+//! way. It spawns no thread: every socket end is non-blocking and owned by
+//! [`Fabric`]. [`Fabric::send_data`] writes the frame, [`Fabric::recv`]
+//! drains the one end its message arrives on, an end acknowledges once per
+//! [`ACK_EVERY`] deliveries rather than once per frame, and the
+//! [`RETRANSMIT_TIMEOUT`] scan runs from the receive's slow path, entered
+//! only when the wanted frame is not already on the wire.
 //!
 //! The fabric restores the ordered, exactly-once contract over a substrate
 //! that (deliberately) breaks it: the sender can be told to drop every Nth
-//! first transmission ([`DropPlan`]), forcing the retransmit timer to
-//! recover the stream, and a retransmitted frame that raced its own ACK
+//! first transmission ([`DropPlan`]), forcing the retransmit scan to
+//! recover the stream, and a frame resent while its ACK was still owed
 //! arrives twice. Both repairs — duplicate suppression and resequencing of
 //! early arrivals — run through the same
 //! [`PairSequencer`](shasta_memchan::PairSequencer) state machine the
 //! simulated network's fault-injection admit guard uses.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use shasta_core::protocol::ProtoMsg;
@@ -26,13 +34,26 @@ use shasta_obs::{Counter, Gauge, HistogramHandle, Registry};
 
 use crate::wire::{encode_frame, negotiate, DataFrame, Frame, FrameReader, VERSION, VERSION_MIN};
 
-/// How long an unacknowledged `DATA` frame waits before the retransmit
-/// timer resends it.
+/// How long an unacknowledged `DATA` frame waits, counted from its last
+/// transmission, before the slow path's scan resends it.
 pub const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(15);
 
-/// How long a blocked receive waits for the wire before declaring the
-/// fabric wedged (a generous multiple of the retransmit timeout).
+/// How long a receive (or a send at a full window) polls the wire before
+/// declaring the fabric wedged (a generous multiple of the retransmit timeout).
 const RECV_WATCHDOG: Duration = Duration::from_secs(10);
+
+/// Most `DATA` frames one stream may have sent and not yet seen
+/// acknowledged. A sender at the limit polls until the ACKs are in, which
+/// bounds the send buffer however long the receiver goes without polling.
+const SEND_WINDOW: usize = 256;
+
+/// An end acknowledges at the latest once it owes this many deliveries.
+const ACK_EVERY: u32 = 16;
+
+/// Longest single sleep of the slow path: a frame that was written but is
+/// not readable yet (loopback TCP delivers from a softirq) is picked up
+/// within one slice instead of a whole retransmit timeout.
+const POLL_SLICE: Duration = Duration::from_millis(1);
 
 /// Which kind of loopback socket carries the frames.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,7 +78,7 @@ impl Backend {
 /// Deterministic sender-side frame dropping, to exercise the retransmit
 /// path: every `drop_every`-th `DATA` frame (counted across all streams,
 /// in the engine's deterministic send order) is not written on its first
-/// transmission and must be recovered by the retransmit timer. `0`
+/// transmission and must be recovered by the retransmit scan. `0`
 /// disables dropping.
 ///
 /// Dropping is invisible to the simulator — the sim envelope is already
@@ -70,17 +91,18 @@ pub struct DropPlan {
 }
 
 /// Tally of everything the wire layer did, for bench reports and test
-/// assertions. Retransmission counters are timing-dependent (a retransmit
-/// can race its ACK); only `induced_drops` is deterministic.
+/// assertions. Retransmission counters are timing-dependent (a frame can
+/// fall due while its ACK is still owed); only `induced_drops` is
+/// deterministic.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WireCounts {
     /// `DATA` frames offered for transmission.
     pub data_frames: u64,
     /// First transmissions suppressed by the [`DropPlan`].
     pub induced_drops: u64,
-    /// `DATA` frames re-sent by the retransmit timer.
+    /// `DATA` frames re-sent by the retransmit scan.
     pub retransmits: u64,
-    /// `ACK` frames sent.
+    /// `ACK` frames sent (each cumulative over every delivery before it).
     pub acks_sent: u64,
     /// Received frames discarded as duplicates (already-delivered stream
     /// positions).
@@ -91,79 +113,70 @@ pub struct WireCounts {
     pub resequenced: u64,
 }
 
+/// The only state the fabric shares: what the two probes read after the
+/// transport has been consumed by a run.
+#[derive(Debug, Default)]
+struct Probed {
+    counts: WireCounts,
+    /// Wire-event log for `--trace` runs; `None` unless enabled.
+    events: Option<WireEventLog>,
+}
+
+impl Probed {
+    /// Appends one wire event when event recording is enabled.
+    fn event(&mut self, kind: &'static str, src: u32, dst: u32, seq: u64, trace: u32) {
+        if let Some(log) = &mut self.events {
+            let t_us = log.epoch.elapsed().as_micros() as u64;
+            log.events.push(WireEvent { t_us, kind, src_node: src, dst_node: dst, seq, trace });
+        }
+    }
+}
+
 /// A cheap, cloneable handle onto a fabric's [`WireCounts`] that stays
 /// valid after the transport itself has been boxed into a machine and
 /// consumed by a run — how the differential harness asserts that induced
 /// drops really exercised the retransmit path.
 #[derive(Clone, Debug)]
-pub struct WireCountsProbe(Arc<(Mutex<WireState>, Condvar)>);
+pub struct WireCountsProbe(Arc<Mutex<Probed>>);
 
 impl WireCountsProbe {
     /// Snapshot of the tally right now.
     pub fn get(&self) -> WireCounts {
-        self.0 .0.lock().unwrap().counts
+        self.0.lock().unwrap().counts
     }
 }
 
 /// Either flavor of connected stream socket.
-#[derive(Debug)]
-enum Sock {
-    Tcp(TcpStream),
-    Unix(UnixStream),
+trait Sock: Read + Write + std::fmt::Debug + Send {
+    fn set_nonblocking(&self) -> std::io::Result<()>;
 }
 
-impl Sock {
-    fn try_clone(&self) -> std::io::Result<Sock> {
-        Ok(match self {
-            Sock::Tcp(s) => Sock::Tcp(s.try_clone()?),
-            Sock::Unix(s) => Sock::Unix(s.try_clone()?),
-        })
-    }
-
-    fn shutdown_both(&self) {
-        let _ = match self {
-            Sock::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            Sock::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        };
+impl Sock for TcpStream {
+    fn set_nonblocking(&self) -> std::io::Result<()> {
+        TcpStream::set_nonblocking(self, true)
     }
 }
 
-impl Read for Sock {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            Sock::Unix(s) => s.read(buf),
-        }
+impl Sock for UnixStream {
+    fn set_nonblocking(&self) -> std::io::Result<()> {
+        UnixStream::set_nonblocking(self, true)
     }
 }
 
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            Sock::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.flush(),
-            Sock::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// A `DATA` frame awaiting acknowledgement (its encoded bytes, so a
-/// retransmission is byte-identical to the original).
+/// A `DATA` frame awaiting acknowledgement. `bytes` is the one stored copy
+/// of the encoding: it is what the first transmission writes and what a
+/// retransmission writes again, byte for byte.
 #[derive(Debug)]
 struct Unacked {
+    /// Stream position (`pair_seq`); a stream's queue is in `seq` order.
+    seq: u64,
     bytes: Vec<u8>,
     last_sent: Instant,
     /// When the frame was first offered, for Karn-rule RTT sampling: an
     /// ACK covering a frame that was ever retransmitted is ambiguous and
     /// contributes no RTT sample.
     first_sent: Instant,
-    /// Whether the retransmit timer has ever resent this frame.
+    /// Whether the retransmit scan has ever resent this frame.
     retransmitted: bool,
     /// Whether the [`DropPlan`] suppressed the first transmission — the
     /// retransmit that recovers it is classified `first_tx_dropped`, not
@@ -201,24 +214,22 @@ struct WireEventLog {
 /// Cloneable handle that drains recorded [`WireEvent`]s after the
 /// transport has been consumed by a run.
 #[derive(Clone, Debug)]
-pub struct WireEventsProbe(Arc<(Mutex<WireState>, Condvar)>);
+pub struct WireEventsProbe(Arc<Mutex<Probed>>);
 
 impl WireEventsProbe {
     /// Takes every event recorded so far (subsequent calls see only newer
     /// ones).
     pub fn take(&self) -> Vec<WireEvent> {
-        let mut st = self.0 .0.lock().unwrap();
-        match &mut st.events {
+        match &mut self.0.lock().unwrap().events {
             Some(log) => std::mem::take(&mut log.events),
             None => Vec::new(),
         }
     }
 }
 
-/// Registry handles for everything the wire layer measures. All handles
-/// are cheap no-ops when the registry is disabled; recording never feeds
-/// back into delivery, so simulated timing is identical with or without
-/// metrics attached.
+/// Registry handles for everything the wire layer measures: cheap no-ops
+/// from a disabled registry (what the fabric starts with). Recording never
+/// feeds back into delivery, so simulated timing is the same either way.
 #[derive(Debug)]
 struct WireMetrics {
     /// Per directed node-pair stream (`src * nodes + dst`): frame encode
@@ -226,12 +237,14 @@ struct WireMetrics {
     /// nanoseconds. Self-pair slots hold disabled handles.
     encode_ns: Vec<HistogramHandle>,
     decode_ns: Vec<HistogramHandle>,
+    /// Send → ACK *collected*: the sample includes the wait until the
+    /// engine next polls the end the ACK arrives on.
     ack_rtt_ns: Vec<HistogramHandle>,
     /// Retransmissions recovering a deliberately dropped first
     /// transmission (equals `induced_drops` once the run quiesces).
     retrans_first_tx_dropped: Counter,
     /// Retransmissions whose first transmission was written but whose ACK
-    /// had not arrived in time (timing-dependent; racy by nature).
+    /// had not been collected in time (timing-dependent by nature).
     retrans_ack_delayed: Counter,
     /// Current depth of the send-side unacked buffer / receive-side hold
     /// queue (high-water mark kept by the gauge).
@@ -246,12 +259,81 @@ struct WireMetrics {
     dups_dropped: Counter,
     holds: Counter,
     resequenced: Counter,
+    /// Socket `read`s, `write`s, and how many of either found the socket
+    /// not ready; reads plus writes over `data_frames` is syscalls per frame.
+    io_reads: Counter,
+    io_writes: Counter,
+    io_would_block: Counter,
 }
 
-/// Everything the reader threads, the retransmit timer, and the engine
-/// thread share, behind one mutex.
-#[derive(Debug, Default)]
-struct WireState {
+impl WireMetrics {
+    fn new(registry: &Registry, nodes: usize) -> WireMetrics {
+        let per_stream = |what: &str| -> Vec<HistogramHandle> {
+            (0..nodes * nodes)
+                .map(|stream| {
+                    let (s, d) = (stream / nodes, stream % nodes);
+                    if s == d {
+                        HistogramHandle::default()
+                    } else {
+                        registry.histogram(&format!("wire.{what}.n{s}.n{d}"))
+                    }
+                })
+                .collect()
+        };
+        WireMetrics {
+            encode_ns: per_stream("encode_ns"),
+            decode_ns: per_stream("decode_ns"),
+            ack_rtt_ns: per_stream("ack_rtt_ns"),
+            retrans_first_tx_dropped: registry.counter("wire.retransmits.first_tx_dropped"),
+            retrans_ack_delayed: registry.counter("wire.retransmits.ack_delayed"),
+            queue_unacked: registry.gauge("wire.queue.unacked"),
+            queue_held: registry.gauge("wire.queue.held"),
+            bytes_hello: registry.counter("wire.bytes.hello"),
+            bytes_data: registry.counter("wire.bytes.data"),
+            bytes_ack: registry.counter("wire.bytes.ack"),
+            bytes_bye: registry.counter("wire.bytes.bye"),
+            dups_dropped: registry.counter("wire.dups_dropped"),
+            holds: registry.counter("wire.holds"),
+            resequenced: registry.counter("wire.resequenced"),
+            io_reads: registry.counter("wire.io.reads"),
+            io_writes: registry.counter("wire.io.writes"),
+            io_would_block: registry.counter("wire.io.would_block"),
+        }
+    }
+}
+
+/// Node `own`'s end of its connection with node `peer`. `DATA` of stream
+/// `own -> peer` and ACKs for stream `peer -> own` are written on it;
+/// `DATA` of `peer -> own` and ACKs for `own -> peer` are read from it.
+#[derive(Debug)]
+struct End {
+    sock: Box<dyn Sock>,
+    reader: FrameReader,
+    own: u32,
+    peer: u32,
+    /// Sent-but-unacknowledged frames of stream `own -> peer`, oldest
+    /// first; never longer than [`SEND_WINDOW`].
+    unacked: VecDeque<Unacked>,
+    /// Deliveries on stream `peer -> own` since this end last wrote an ACK.
+    ack_debt: u32,
+    /// An ACK goes out at the end of the next drain whatever the debt: a
+    /// duplicate arrived (its sender has not seen our ACK), or an ACK that
+    /// was due met a full socket.
+    ack_owed: bool,
+    /// `BYE` or end-of-file seen: nothing further will be read.
+    closed: bool,
+}
+
+/// The socket fabric: one connected stream per unordered physical node
+/// pair, both of its ends, and the delivery state. Owned by
+/// [`LoopbackTransport`](crate::LoopbackTransport), whose thread calls
+/// [`Fabric::send_data`] and [`Fabric::recv`]; everything else happens
+/// inside those two calls.
+#[derive(Debug)]
+pub(crate) struct Fabric {
+    probed: Arc<Mutex<Probed>>,
+    /// Every socket end, sorted by `(own, peer)` (see [`Fabric::end_ix`]).
+    ends: Vec<End>,
     /// Decoded, in-order messages awaiting pickup, keyed by
     /// `(src processor, dst processor)` — the granularity the engine pops
     /// simulated envelopes at.
@@ -261,117 +343,26 @@ struct WireState {
     seqr: PairSequencer,
     /// Early frames parked until their stream predecessors arrive.
     held: BTreeMap<(usize, u64), DataFrame>,
-    /// Sent-but-unacknowledged frames per directed node-pair stream.
-    unacked: HashMap<usize, BTreeMap<u64, Unacked>>,
-    counts: WireCounts,
-    /// Registry handles, installed by [`Fabric::set_metrics`]; `None`
-    /// until then (and forever, when telemetry is off).
-    metrics: Option<WireMetrics>,
-    /// Wire-event log for `--trace` runs; `None` unless enabled.
-    events: Option<WireEventLog>,
-    /// First fatal error any worker thread hit (poisons all receives).
-    error: Option<String>,
-    shutting_down: bool,
-}
-
-impl WireState {
-    /// Runs the receiver state machine on one decoded `DATA` frame:
-    /// suppress duplicates, hold early arrivals, deliver in-order frames
-    /// plus any held successors they unblock. Returns the stream's new
-    /// cumulative-ACK value.
-    fn accept_data(&mut self, frame: DataFrame, node_of: &[u32], nodes: usize) -> u64 {
-        let (sn, dn) = (node_of[frame.src as usize], node_of[frame.dst as usize]);
-        let stream = sn as usize * nodes + dn as usize;
-        match self.seqr.admit(stream, frame.pair_seq) {
-            SeqVerdict::Duplicate => {
-                self.counts.dups_dropped += 1;
-                if let Some(m) = &self.metrics {
-                    m.dups_dropped.inc();
-                }
-            }
-            SeqVerdict::Hold => {
-                // A retransmission of an already-held frame is a duplicate
-                // in waiting, not a second hold.
-                if self.held.insert((stream, frame.pair_seq), frame).is_some() {
-                    self.counts.dups_dropped += 1;
-                    if let Some(m) = &self.metrics {
-                        m.dups_dropped.inc();
-                    }
-                } else {
-                    self.counts.holds += 1;
-                    if let Some(m) = &self.metrics {
-                        m.holds.inc();
-                    }
-                }
-            }
-            SeqVerdict::Deliver => {
-                self.wire_event("wire-recv", sn, dn, frame.pair_seq, frame.trace);
-                self.deliver(frame);
-                while let Some(next) = self.held.remove(&(stream, self.seqr.expected(stream))) {
-                    let v = self.seqr.admit(stream, next.pair_seq);
-                    debug_assert_eq!(v, SeqVerdict::Deliver);
-                    self.counts.resequenced += 1;
-                    if let Some(m) = &self.metrics {
-                        m.resequenced.inc();
-                    }
-                    self.wire_event("wire-recv", sn, dn, next.pair_seq, next.trace);
-                    self.deliver(next);
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.queue_held.set(self.held.len() as u64);
-        }
-        self.seqr.delivered(stream)
-    }
-
-    /// Appends one wire event when event recording is enabled.
-    fn wire_event(&mut self, kind: &'static str, src: u32, dst: u32, seq: u64, trace: u32) {
-        if let Some(log) = &mut self.events {
-            let t_us = log.epoch.elapsed().as_micros() as u64;
-            log.events.push(WireEvent { t_us, kind, src_node: src, dst_node: dst, seq, trace });
-        }
-    }
-
-    fn deliver(&mut self, frame: DataFrame) {
-        self.inboxes.entry((frame.src, frame.dst)).or_default().push_back(frame.msg);
-    }
-}
-
-type Writer = Arc<Mutex<Sock>>;
-
-/// The socket fabric: one connected stream per unordered physical node
-/// pair, two reader threads per stream, one retransmit timer, and the
-/// shared delivery state. Owned by
-/// [`LoopbackTransport`](crate::LoopbackTransport); the engine thread
-/// calls [`Fabric::send_data`] and [`Fabric::recv`], the worker threads do
-/// everything else.
-#[derive(Debug)]
-pub(crate) struct Fabric {
-    shared: Arc<(Mutex<WireState>, Condvar)>,
-    /// Write halves keyed by *directed* node pair `(src_node, dst_node)`.
-    writers: Arc<HashMap<(u32, u32), Writer>>,
+    /// Sender-side stream positions.
+    send_seqr: PairSequencer,
+    /// Running total of every end's `unacked` length (`wire.queue.unacked`).
+    unacked_depth: u64,
+    metrics: WireMetrics,
     /// Per-processor physical node, indexed by processor id.
-    node_of: Arc<Vec<u32>>,
+    node_of: Vec<u32>,
     nodes: usize,
     backend: Backend,
     drops: DropPlan,
     version: u8,
-    /// Sender-side stream positions (engine thread only, but kept beside
-    /// the receiver's guard for symmetry).
-    send_seqr: PairSequencer,
     /// `HELLO` bytes written during connection setup, credited to the
-    /// registry retroactively when metrics are attached (the handshake
-    /// runs before [`Fabric::set_metrics`] can possibly be called).
+    /// registry when [`Fabric::set_metrics`] attaches one afterwards.
     hello_bytes: u64,
-    threads: Vec<JoinHandle<()>>,
-    down: bool,
 }
 
 /// Monotonic disambiguator for Unix-socket paths within one process.
 static UDS_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-fn connect_pair(backend: Backend) -> std::io::Result<(Sock, Sock)> {
+fn connect_pair(backend: Backend) -> std::io::Result<[Box<dyn Sock>; 2]> {
     match backend {
         Backend::Tcp => {
             let listener = TcpListener::bind(("127.0.0.1", 0))?;
@@ -380,7 +371,7 @@ fn connect_pair(backend: Backend) -> std::io::Result<(Sock, Sock)> {
             let (b, _) = listener.accept()?;
             a.set_nodelay(true)?;
             b.set_nodelay(true)?;
-            Ok((Sock::Tcp(a), Sock::Tcp(b)))
+            Ok([Box::new(a), Box::new(b)])
         }
         Backend::Uds => {
             let nanos = std::time::SystemTime::now()
@@ -398,15 +389,15 @@ fn connect_pair(backend: Backend) -> std::io::Result<(Sock, Sock)> {
             let (b, _) = listener.accept()?;
             // The rendezvous name has served its purpose.
             let _ = std::fs::remove_file(&path);
-            Ok((Sock::Unix(a), Sock::Unix(b)))
+            Ok([Box::new(a), Box::new(b)])
         }
     }
 }
 
-/// Reads exactly one frame from a freshly connected socket (used for the
-/// synchronous `HELLO` exchange before reader threads exist). Returns the
-/// frame and the reassembler holding any over-read bytes.
-fn read_one_frame(sock: &mut Sock) -> Result<(Frame, FrameReader), String> {
+/// Reads exactly one frame from a freshly connected, still blocking socket
+/// (the synchronous `HELLO` exchange). Returns the frame and the
+/// reassembler holding any over-read bytes.
+fn read_one_frame(sock: &mut dyn Sock) -> Result<(Frame, FrameReader), String> {
     let mut reader = FrameReader::new();
     let mut buf = [0u8; 4096];
     loop {
@@ -421,36 +412,23 @@ fn read_one_frame(sock: &mut Sock) -> Result<(Frame, FrameReader), String> {
     }
 }
 
-fn write_frame(writer: &Writer, bytes: &[u8]) -> std::io::Result<()> {
-    let mut sock = writer.lock().unwrap();
-    sock.write_all(bytes)?;
-    sock.flush()
-}
-
 impl Fabric {
     /// Connects every node pair over `backend`, performs the `HELLO`
-    /// version negotiation on each connection, and starts the worker
-    /// threads. `node_of[p]` is processor `p`'s physical node.
+    /// version negotiation on each connection, and switches every end to
+    /// non-blocking. `node_of[p]` is processor `p`'s physical node.
     pub(crate) fn connect(
         node_of: Vec<u32>,
         nodes: usize,
         backend: Backend,
         drops: DropPlan,
     ) -> std::io::Result<Fabric> {
-        let shared = Arc::new((Mutex::new(WireState::default()), Condvar::new()));
-        {
-            let mut st = shared.0.lock().unwrap();
-            st.seqr = PairSequencer::new(nodes * nodes);
-        }
-        let node_of = Arc::new(node_of);
-        let mut writers = HashMap::new();
-        let mut threads = Vec::new();
+        let mut ends = Vec::new();
         let mut version = VERSION;
         let mut hello_bytes = 0u64;
 
         for a in 0..nodes as u32 {
             for b in (a + 1)..nodes as u32 {
-                let (mut end_a, mut end_b) = connect_pair(backend)?;
+                let [mut end_a, mut end_b] = connect_pair(backend)?;
                 // Both ends are in-process: write both HELLOs, then read
                 // both, so the exchange cannot deadlock.
                 for (end, node) in [(&mut end_a, a), (&mut end_b, b)] {
@@ -462,11 +440,10 @@ impl Fabric {
                     .expect("HELLO frames are tiny");
                     hello_bytes += hello.len() as u64;
                     end.write_all(&hello)?;
-                    end.flush()?;
                 }
                 let io_err = |e: String| std::io::Error::other(e);
-                let (hello_b, leftover_a) = read_one_frame(&mut end_a).map_err(io_err)?;
-                let (hello_a, leftover_b) = read_one_frame(&mut end_b).map_err(io_err)?;
+                let (hello_b, leftover_a) = read_one_frame(&mut *end_a).map_err(io_err)?;
+                let (hello_a, leftover_b) = read_one_frame(&mut *end_b).map_err(io_err)?;
                 for (hello, expect_node) in [(hello_b, b), (hello_a, a)] {
                     let Frame::Hello { ver_min, ver_max, node } = hello else {
                         return Err(io_err(format!("expected HELLO, got {hello:?}")));
@@ -475,95 +452,60 @@ impl Fabric {
                     version = negotiate((VERSION_MIN, VERSION), (ver_min, ver_max))
                         .map_err(|e| io_err(e.to_string()))?;
                 }
-
-                let writer_a: Writer = Arc::new(Mutex::new(end_a.try_clone()?));
-                let writer_b: Writer = Arc::new(Mutex::new(end_b.try_clone()?));
-                writers.insert((a, b), Arc::clone(&writer_a));
-                writers.insert((b, a), Arc::clone(&writer_b));
-
-                // One reader per end: end A hears node B's DATA (streams
-                // b->a) and ACKs for its own sends (stream a->b).
-                for (end, own_writer, reader, own, peer) in [
-                    (end_a, Arc::clone(&writer_a), leftover_a, a, b),
-                    (end_b, Arc::clone(&writer_b), leftover_b, b, a),
-                ] {
-                    let shared = Arc::clone(&shared);
-                    let node_of = Arc::clone(&node_of);
-                    threads.push(std::thread::spawn(move || {
-                        reader_loop(
-                            end, own_writer, reader, own, peer, nodes, version, shared, node_of,
-                        );
-                    }));
+                for (sock, reader, own, peer) in
+                    [(end_a, leftover_a, a, b), (end_b, leftover_b, b, a)]
+                {
+                    sock.set_nonblocking()?;
+                    ends.push(End {
+                        sock,
+                        reader,
+                        own,
+                        peer,
+                        unacked: VecDeque::new(),
+                        ack_debt: 0,
+                        ack_owed: false,
+                        closed: false,
+                    });
                 }
             }
         }
-
-        let writers = Arc::new(writers);
-        threads.push(spawn_retransmit_timer(Arc::clone(&shared), Arc::clone(&writers), nodes));
+        ends.sort_by_key(|e| (e.own, e.peer));
 
         Ok(Fabric {
-            shared,
-            writers,
+            probed: Arc::default(),
+            ends,
+            inboxes: HashMap::new(),
+            seqr: PairSequencer::new(nodes * nodes),
+            held: BTreeMap::new(),
+            send_seqr: PairSequencer::new(nodes * nodes),
+            unacked_depth: 0,
+            metrics: WireMetrics::new(&Registry::disabled(), nodes),
             node_of,
             nodes,
             backend,
             drops,
             version,
-            send_seqr: PairSequencer::new(nodes * nodes),
             hello_bytes,
-            threads,
-            down: false,
         })
     }
 
     /// Attaches a metrics registry: registers the wire-layer counters,
-    /// gauges, and per-stream histograms and installs the handles into the
-    /// shared state, where the engine thread, reader threads, and
-    /// retransmit timer all record through them. Recording is purely
-    /// additive — no delivery decision ever reads a metric.
+    /// gauges, and per-stream histograms, replacing the disabled handles
+    /// the fabric was connected with. Recording is purely additive — no
+    /// delivery decision ever reads a metric.
     pub(crate) fn set_metrics(&mut self, registry: &Registry) {
-        let nodes = self.nodes;
-        let per_stream = |what: &str| -> Vec<HistogramHandle> {
-            (0..nodes * nodes)
-                .map(|stream| {
-                    let (s, d) = (stream / nodes, stream % nodes);
-                    if s == d {
-                        HistogramHandle::default()
-                    } else {
-                        registry.histogram(&format!("wire.{what}.n{s}.n{d}"))
-                    }
-                })
-                .collect()
-        };
-        let m = WireMetrics {
-            encode_ns: per_stream("encode_ns"),
-            decode_ns: per_stream("decode_ns"),
-            ack_rtt_ns: per_stream("ack_rtt_ns"),
-            retrans_first_tx_dropped: registry.counter("wire.retransmits.first_tx_dropped"),
-            retrans_ack_delayed: registry.counter("wire.retransmits.ack_delayed"),
-            queue_unacked: registry.gauge("wire.queue.unacked"),
-            queue_held: registry.gauge("wire.queue.held"),
-            bytes_hello: registry.counter("wire.bytes.hello"),
-            bytes_data: registry.counter("wire.bytes.data"),
-            bytes_ack: registry.counter("wire.bytes.ack"),
-            bytes_bye: registry.counter("wire.bytes.bye"),
-            dups_dropped: registry.counter("wire.dups_dropped"),
-            holds: registry.counter("wire.holds"),
-            resequenced: registry.counter("wire.resequenced"),
-        };
+        self.metrics = WireMetrics::new(registry, self.nodes);
         // The handshake predates this call; credit its bytes now.
-        m.bytes_hello.add(self.hello_bytes);
-        self.shared.0.lock().unwrap().metrics = Some(m);
+        self.metrics.bytes_hello.add(self.hello_bytes);
     }
 
     /// Turns on wire-event recording (for `--trace` runs) and returns the
     /// probe that drains the log.
     pub(crate) fn enable_wire_events(&self) -> WireEventsProbe {
-        let mut st = self.shared.0.lock().unwrap();
-        if st.events.is_none() {
-            st.events = Some(WireEventLog { epoch: Instant::now(), events: Vec::new() });
-        }
-        WireEventsProbe(Arc::clone(&self.shared))
+        self.probed()
+            .events
+            .get_or_insert_with(|| WireEventLog { epoch: Instant::now(), events: Vec::new() });
+        WireEventsProbe(Arc::clone(&self.probed))
     }
 
     /// Which socket flavor this fabric runs over.
@@ -573,19 +515,31 @@ impl Fabric {
 
     /// Snapshot of the wire tally.
     pub(crate) fn counts(&self) -> WireCounts {
-        self.shared.0.lock().unwrap().counts
+        self.probed().counts
     }
 
     /// A counts handle that outlives this fabric's owner.
     pub(crate) fn counts_probe(&self) -> WireCountsProbe {
-        WireCountsProbe(Arc::clone(&self.shared))
+        WireCountsProbe(Arc::clone(&self.probed))
+    }
+
+    /// The probes' state; only a probe, copying it out, ever contends.
+    fn probed(&self) -> MutexGuard<'_, Probed> {
+        self.probed.lock().expect("no holder of the probe lock can panic")
+    }
+
+    /// Index into `ends` of node `own`'s end of its connection with `peer`.
+    fn end_ix(&self, own: u32, peer: u32) -> usize {
+        own as usize * (self.nodes - 1) + peer as usize - usize::from(peer > own)
     }
 
     /// Encodes and transmits one protocol message from processor `src` to
     /// processor `dst` (which must be on different nodes), stamping the
     /// next position on their node-pair stream and remembering the frame
     /// until it is acknowledged. Honors the [`DropPlan`] by suppressing
-    /// the first transmission of selected frames.
+    /// the first transmission of selected frames. Never blocks on the
+    /// socket: a stream at its [`SEND_WINDOW`] polls the fabric until the
+    /// window reopens.
     pub(crate) fn send_data(
         &mut self,
         src: u32,
@@ -597,6 +551,11 @@ impl Fabric {
         let (sn, dn) = (self.node_of[src as usize], self.node_of[dst as usize]);
         debug_assert_ne!(sn, dn, "intra-node messages never touch the wire");
         let stream = sn as usize * self.nodes + dn as usize;
+        let e = self.end_ix(sn, dn);
+        let mut watchdog = None;
+        while self.ends[e].unacked.len() >= SEND_WINDOW {
+            self.poll_slow(&mut watchdog, format_args!("room in the {sn}->{dn} send window"));
+        }
         let pair_seq = self.send_seqr.stamp(stream);
         let encode_start = Instant::now();
         let bytes = encode_frame(&Frame::Data(DataFrame {
@@ -609,113 +568,312 @@ impl Fabric {
             msg: msg.clone(),
         }))
         .expect("protocol messages fit in a frame");
-        let encode_ns = encode_start.elapsed().as_nanos() as u64;
+        self.metrics.encode_ns[stream].record(encode_start.elapsed().as_nanos() as u64);
 
-        let drop_this = {
-            let mut st = self.shared.0.lock().unwrap();
-            st.counts.data_frames += 1;
+        let dropped_first = {
+            let mut pr = self.probed();
+            pr.counts.data_frames += 1;
             let drop_this = self.drops.drop_every > 0
-                && st.counts.data_frames.is_multiple_of(self.drops.drop_every);
-            if drop_this {
-                st.counts.induced_drops += 1;
-            }
-            let now = Instant::now();
-            st.unacked.entry(stream).or_default().insert(
-                pair_seq,
-                Unacked {
-                    bytes: bytes.clone(),
-                    last_sent: now,
-                    first_sent: now,
-                    retransmitted: false,
-                    dropped_first: drop_this,
-                    trace,
-                },
-            );
-            let unacked_depth: u64 = st.unacked.values().map(|p| p.len() as u64).sum();
-            if let Some(m) = &st.metrics {
-                m.encode_ns[stream].record(encode_ns);
-                m.queue_unacked.set(unacked_depth);
-                if !drop_this {
-                    m.bytes_data.add(bytes.len() as u64);
-                }
-            }
-            st.wire_event("wire-send", sn, dn, pair_seq, trace);
+                && pr.counts.data_frames.is_multiple_of(self.drops.drop_every);
+            pr.counts.induced_drops += u64::from(drop_this);
+            pr.event("wire-send", sn, dn, pair_seq, trace);
             drop_this
         };
-        if !drop_this {
-            if let Err(e) = write_frame(&self.writers[&(sn, dn)], &bytes) {
-                self.poison(format!("send {sn}->{dn}: {e}"));
-            }
+        let now = Instant::now();
+        if !dropped_first {
+            self.metrics.bytes_data.add(bytes.len() as u64);
+            self.write_frame(e, &bytes, true);
         }
+        self.ends[e].unacked.push_back(Unacked {
+            seq: pair_seq,
+            bytes,
+            last_sent: now,
+            first_sent: now,
+            retransmitted: false,
+            dropped_first,
+            trace,
+        });
+        self.unacked_depth += 1;
+        self.metrics.queue_unacked.set(self.unacked_depth);
     }
 
-    /// Blocks until the wire delivers the next message on the
-    /// `(src processor, dst processor)` queue and returns it.
+    /// Returns the next message on the `(src processor, dst processor)`
+    /// queue, polling the wire for it: first the one socket end it arrives
+    /// on, then — only if it is not there — the slow path.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread died, or if nothing arrives within the
-    /// watchdog interval (a lost frame whose retransmissions also vanish —
-    /// impossible over healthy loopback).
-    pub(crate) fn recv(&self, src: u32, dst: u32) -> ProtoMsg {
-        let (lock, cv) = &*self.shared;
-        let mut st = lock.lock().unwrap();
-        let deadline = Instant::now() + RECV_WATCHDOG;
+    /// Panics if the connection closed or the stream is corrupt, or if
+    /// nothing arrives within the watchdog interval (a lost frame whose
+    /// retransmissions also vanish — impossible over healthy loopback).
+    pub(crate) fn recv(&mut self, src: u32, dst: u32) -> ProtoMsg {
+        let (sn, dn) = (self.node_of[src as usize], self.node_of[dst as usize]);
+        let e = self.end_ix(dn, sn);
+        let mut watchdog = None;
         loop {
-            if let Some(err) = &st.error {
-                panic!("wire fabric failed: {err}");
-            }
-            if let Some(msg) = st.inboxes.get_mut(&(src, dst)).and_then(VecDeque::pop_front) {
+            if let Some(msg) = self.inboxes.get_mut(&(src, dst)).and_then(VecDeque::pop_front) {
                 return msg;
             }
-            let (guard, timeout) = cv.wait_timeout(st, Duration::from_millis(50)).unwrap();
-            st = guard;
-            if timeout.timed_out() && Instant::now() >= deadline {
+            if self.drain(e, false) == 0 {
+                assert!(!self.ends[e].closed, "wire fabric failed: {sn}->{dn} closed early");
+                self.poll_slow(&mut watchdog, format_args!("{src}->{dst} message"));
+            }
+        }
+    }
+
+    /// One turn of the slow path: what the caller waits for was not on the
+    /// wire, so a frame was lost (or, over TCP, is not readable yet).
+    ///
+    /// Delayed ACKs leave delivered frames in `unacked`, so before the
+    /// retransmit scan every end is drained twice with its ACK forced: the
+    /// first pass delivers and acknowledges whatever sits on the wire, the
+    /// second collects those ACKs. What is still unacknowledged
+    /// [`RETRANSMIT_TIMEOUT`] after its last transmission is then resent —
+    /// never sooner, though an in-process sender knows what it dropped. A
+    /// turn that moved nothing sleeps until the next frame falls due, at
+    /// most [`POLL_SLICE`].
+    fn poll_slow(&mut self, watchdog: &mut Option<Instant>, what: std::fmt::Arguments<'_>) {
+        let mut moved = 0;
+        for _pass in 0..2 {
+            for e in 0..self.ends.len() {
+                moved += self.drain(e, true);
+            }
+        }
+        let now = Instant::now();
+        let mut next_due = now + POLL_SLICE;
+        for e in 0..self.ends.len() {
+            for i in 0..self.ends[e].unacked.len() {
+                let frame = &mut self.ends[e].unacked[i];
+                let due = frame.last_sent + RETRANSMIT_TIMEOUT;
+                if due > now {
+                    next_due = next_due.min(due);
+                    continue;
+                }
+                frame.last_sent = now;
+                // A resend that recovers a deliberately dropped first
+                // transmission vs. one whose ACK is merely late.
+                let recovers_drop = frame.dropped_first && !frame.retransmitted;
+                frame.retransmitted = true;
+                let (seq, trace) = (frame.seq, frame.trace);
+                let bytes = std::mem::take(&mut frame.bytes);
+                let cause = if recovers_drop {
+                    &self.metrics.retrans_first_tx_dropped
+                } else {
+                    &self.metrics.retrans_ack_delayed
+                };
+                cause.inc();
+                self.metrics.bytes_data.add(bytes.len() as u64);
+                let (own, peer) = (self.ends[e].own, self.ends[e].peer);
+                {
+                    let mut pr = self.probed();
+                    pr.counts.retransmits += 1;
+                    pr.event("wire-retransmit", own, peer, seq, trace);
+                }
+                self.write_frame(e, &bytes, true);
+                self.ends[e].unacked[i].bytes = bytes;
+                moved += 1;
+            }
+        }
+        if moved == 0 {
+            let deadline = *watchdog.get_or_insert(now + RECV_WATCHDOG);
+            if now >= deadline {
                 panic!(
-                    "wire watchdog: no {src}->{dst} message within {RECV_WATCHDOG:?} \
-                     (counts: {:?})",
-                    st.counts
+                    "wire watchdog: no {what} within {RECV_WATCHDOG:?} (counts: {:?})",
+                    self.counts()
                 );
             }
+            std::thread::sleep(next_due - now);
         }
     }
 
-    fn poison(&self, err: String) {
-        let (lock, cv) = &*self.shared;
-        let mut st = lock.lock().unwrap();
-        st.error.get_or_insert(err);
-        cv.notify_all();
-    }
-
-    /// Tears the fabric down: stops the workers, closes every socket, and
-    /// joins the threads. Idempotent.
-    pub(crate) fn shutdown(&mut self) {
-        if self.down {
-            return;
-        }
-        self.down = true;
-        {
-            let (lock, cv) = &*self.shared;
-            let mut st = lock.lock().unwrap();
-            st.shutting_down = true;
-            cv.notify_all();
-        }
-        let bye = encode_frame(&Frame::Bye).expect("BYE is tiny");
-        {
-            let st = self.shared.0.lock().unwrap();
-            if let Some(m) = &st.metrics {
-                m.bytes_bye.add(bye.len() as u64 * self.writers.len() as u64);
+    /// Polls end `e`: reads what its socket holds, runs every complete
+    /// frame through its handler — `DATA` through the delivery guard, `ACK`
+    /// against the send buffer — and then settles the end's ACK debt with
+    /// one cumulative `ACK` if `force_ack` asks, a duplicate arrived, or
+    /// [`ACK_EVERY`] deliveries are owed. Returns the frames handled.
+    fn drain(&mut self, e: usize, force_ack: bool) -> usize {
+        self.fill(e);
+        let (own, peer) = (self.ends[e].own, self.ends[e].peer);
+        let mut handled = 0;
+        loop {
+            let decode_start = Instant::now();
+            let frame = match self.ends[e].reader.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(err) => panic!("wire fabric failed: node {own} reading from {peer}: {err}"),
+            };
+            let decode_ns = decode_start.elapsed().as_nanos() as u64;
+            handled += 1;
+            match frame {
+                Frame::Data(data) => {
+                    // Frames on this socket end flow peer -> own.
+                    self.metrics.decode_ns[peer as usize * self.nodes + own as usize]
+                        .record(decode_ns);
+                    self.accept_data(data, e);
+                }
+                Frame::Ack { cum_seq, .. } => self.collect_ack(e, cum_seq),
+                Frame::Bye => self.ends[e].closed = true,
+                Frame::Hello { .. } => {
+                    panic!("wire fabric failed: node {own}: HELLO from {peer} after handshake")
+                }
             }
         }
-        for writer in self.writers.values() {
-            let _ = write_frame(writer, &bye);
+        let end = &self.ends[e];
+        if end.ack_owed || end.ack_debt >= ACK_EVERY || (force_ack && end.ack_debt > 0) {
+            self.write_ack(e);
         }
-        for writer in self.writers.values() {
-            writer.lock().unwrap().shutdown_both();
+        handled
+    }
+
+    /// Moves every byte end `e`'s socket holds into its reassembler,
+    /// handling nothing — which is what lets [`Fabric::write_frame`] call
+    /// it from anywhere. A short read means the socket is empty; end of
+    /// file (the peer end was shut down) closes the end like a `BYE`.
+    fn fill(&mut self, e: usize) {
+        let mut buf = [0u8; 4096];
+        let end = &mut self.ends[e];
+        while !end.closed {
+            self.metrics.io_reads.inc();
+            match end.sock.read(&mut buf) {
+                Ok(0) => end.closed = true,
+                Ok(n) => {
+                    end.reader.extend(&buf[..n]);
+                    if n < buf.len() {
+                        break;
+                    }
+                }
+                Err(err) if err.kind() == ErrorKind::WouldBlock => {
+                    self.metrics.io_would_block.inc();
+                    break;
+                }
+                Err(err) if err.kind() == ErrorKind::Interrupted => {}
+                Err(err) => panic!("wire fabric failed: read {}<-{}: {err}", end.own, end.peer),
+            }
         }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+    }
+
+    /// Writes one encoded frame on end `e`, never leaving part of one
+    /// behind. A socket that would block is full of bytes the peer end has
+    /// not read, and the thread that would read them is this one: the peer
+    /// end is [`fill`](Fabric::fill)ed and the write retried. With `must`
+    /// unset, a frame blocked before its first byte is given up (`false`).
+    fn write_frame(&mut self, e: usize, bytes: &[u8], must: bool) -> bool {
+        let peer_end = self.end_ix(self.ends[e].peer, self.ends[e].own);
+        let mut off = 0;
+        while off < bytes.len() {
+            self.metrics.io_writes.inc();
+            match self.ends[e].sock.write(&bytes[off..]) {
+                Ok(n) => off += n,
+                Err(err) if err.kind() == ErrorKind::WouldBlock => {
+                    self.metrics.io_would_block.inc();
+                    if off == 0 && !must {
+                        return false;
+                    }
+                    self.fill(peer_end);
+                }
+                Err(err) if err.kind() == ErrorKind::Interrupted => {}
+                Err(err) => {
+                    let end = &self.ends[e];
+                    panic!("wire fabric failed: write {}->{}: {err}", end.own, end.peer)
+                }
+            }
         }
+        true
+    }
+
+    /// Acknowledges everything delivered so far on the stream end `e`
+    /// reads. Never written in part: an ACK that would block at its first
+    /// byte stays owed and goes out with the end's next drain.
+    fn write_ack(&mut self, e: usize) {
+        let (own, peer) = (self.ends[e].own, self.ends[e].peer);
+        let cum_seq = self.seqr.delivered(peer as usize * self.nodes + own as usize);
+        let ack =
+            encode_frame(&Frame::Ack { version: self.version, cum_seq }).expect("ACK is tiny");
+        let written = self.write_frame(e, &ack, false);
+        let end = &mut self.ends[e];
+        end.ack_owed = !written;
+        if written {
+            end.ack_debt = 0;
+            self.metrics.bytes_ack.add(ack.len() as u64);
+            let mut pr = self.probed();
+            pr.counts.acks_sent += 1;
+            pr.event("wire-ack", peer, own, cum_seq, 0);
+        }
+    }
+
+    /// Clears the frames an `ACK` read from end `e` covers out of its send
+    /// buffer, sampling their round trips.
+    fn collect_ack(&mut self, e: usize, cum_seq: u64) {
+        let end = &mut self.ends[e];
+        let rtt = &self.metrics.ack_rtt_ns[end.own as usize * self.nodes + end.peer as usize];
+        let acked = end.unacked.partition_point(|u| u.seq <= cum_seq);
+        let now = Instant::now();
+        // Karn's rule: only first transmissions that were never resent
+        // give an unambiguous round-trip.
+        for u in end.unacked.drain(..acked).filter(|u| !u.retransmitted) {
+            rtt.record(now.duration_since(u.first_sent).as_nanos() as u64);
+        }
+        self.unacked_depth -= acked as u64;
+        self.metrics.queue_unacked.set(self.unacked_depth);
+    }
+
+    /// Runs the receiver state machine on one decoded `DATA` frame read
+    /// from end `e`: suppress duplicates (and owe their sender an ACK),
+    /// hold early arrivals, deliver in-order frames plus any held
+    /// successors they unblock.
+    fn accept_data(&mut self, frame: DataFrame, e: usize) {
+        let (sn, dn) = (self.node_of[frame.src as usize], self.node_of[frame.dst as usize]);
+        debug_assert_eq!((sn, dn), (self.ends[e].peer, self.ends[e].own), "frame on a wrong end");
+        let stream = sn as usize * self.nodes + dn as usize;
+        match self.seqr.admit(stream, frame.pair_seq) {
+            SeqVerdict::Duplicate => self.duplicate(e),
+            SeqVerdict::Hold => {
+                // A retransmission of an already-held frame is a duplicate
+                // in waiting, not a second hold.
+                if self.held.insert((stream, frame.pair_seq), frame).is_some() {
+                    self.duplicate(e);
+                } else {
+                    self.probed().counts.holds += 1;
+                    self.metrics.holds.inc();
+                }
+            }
+            SeqVerdict::Deliver => {
+                self.deliver(frame, e, sn, dn);
+                while let Some(next) = self.held.remove(&(stream, self.seqr.expected(stream))) {
+                    let v = self.seqr.admit(stream, next.pair_seq);
+                    debug_assert_eq!(v, SeqVerdict::Deliver);
+                    self.probed().counts.resequenced += 1;
+                    self.metrics.resequenced.inc();
+                    self.deliver(next, e, sn, dn);
+                }
+            }
+        }
+        self.metrics.queue_held.set(self.held.len() as u64);
+    }
+
+    /// A frame the guard has seen before: its sender resent it for want of
+    /// an ACK, so answer with the current cumulative one.
+    fn duplicate(&mut self, e: usize) {
+        self.probed().counts.dups_dropped += 1;
+        self.metrics.dups_dropped.inc();
+        self.ends[e].ack_owed = true;
+    }
+
+    fn deliver(&mut self, frame: DataFrame, e: usize, sn: u32, dn: u32) {
+        self.probed().event("wire-recv", sn, dn, frame.pair_seq, frame.trace);
+        self.ends[e].ack_debt += 1;
+        self.inboxes.entry((frame.src, frame.dst)).or_default().push_back(frame.msg);
+    }
+
+    /// Tears the fabric down: says `BYE` on every end (best effort), then
+    /// closes every socket by dropping it. Idempotent — the ends are gone.
+    pub(crate) fn shutdown(&mut self) {
+        let bye = encode_frame(&Frame::Bye).expect("BYE is tiny");
+        self.metrics.bytes_bye.add(bye.len() as u64 * self.ends.len() as u64);
+        for end in &mut self.ends {
+            let _ = end.sock.write(&bye);
+        }
+        self.ends.clear();
     }
 }
 
@@ -725,163 +883,5 @@ impl Drop for Fabric {
     }
 }
 
-/// One socket end's receive loop: reassemble frames, run `DATA` through
-/// the delivery guard (answering with a cumulative `ACK`), clear `ACK`ed
-/// frames from the local send buffer, exit on `BYE`, socket close, or
-/// fabric shutdown.
-#[allow(clippy::too_many_arguments)]
-fn reader_loop(
-    mut sock: Sock,
-    own_writer: Writer,
-    mut reader: FrameReader,
-    own: u32,
-    peer: u32,
-    nodes: usize,
-    version: u8,
-    shared: Arc<(Mutex<WireState>, Condvar)>,
-    node_of: Arc<Vec<u32>>,
-) {
-    let (lock, cv) = &*shared;
-    let mut buf = [0u8; 16 * 1024];
-    'outer: loop {
-        loop {
-            let decode_start = Instant::now();
-            let frame = match reader.next_frame() {
-                Ok(Some(f)) => f,
-                Ok(None) => break,
-                Err(e) => {
-                    let mut st = lock.lock().unwrap();
-                    st.error.get_or_insert(format!("node {own} reading from {peer}: {e}"));
-                    cv.notify_all();
-                    return;
-                }
-            };
-            let decode_ns = decode_start.elapsed().as_nanos() as u64;
-            match frame {
-                Frame::Data(data) => {
-                    // Frames on this socket end flow peer -> own.
-                    let in_stream = peer as usize * nodes + own as usize;
-                    let ack = {
-                        let mut st = lock.lock().unwrap();
-                        if let Some(m) = &st.metrics {
-                            m.decode_ns[in_stream].record(decode_ns);
-                        }
-                        let cum = st.accept_data(data, &node_of, nodes);
-                        st.counts.acks_sent += 1;
-                        let ack = encode_frame(&Frame::Ack { version, cum_seq: cum })
-                            .expect("ACK is tiny");
-                        if let Some(m) = &st.metrics {
-                            m.bytes_ack.add(ack.len() as u64);
-                        }
-                        st.wire_event("wire-ack", peer, own, cum, 0);
-                        cv.notify_all();
-                        ack
-                    };
-                    // Best-effort: a lost ACK only costs a retransmission.
-                    let _ = write_frame(&own_writer, &ack);
-                }
-                Frame::Ack { cum_seq, .. } => {
-                    // Acknowledges our own sends toward the peer.
-                    let stream = own as usize * nodes + peer as usize;
-                    let mut st = lock.lock().unwrap();
-                    let acked: Vec<Unacked> = match st.unacked.get_mut(&stream) {
-                        Some(pending) => {
-                            let rest = pending.split_off(&(cum_seq + 1));
-                            std::mem::replace(pending, rest).into_values().collect()
-                        }
-                        None => Vec::new(),
-                    };
-                    let unacked_depth: u64 = st.unacked.values().map(|p| p.len() as u64).sum();
-                    if let Some(m) = &st.metrics {
-                        m.queue_unacked.set(unacked_depth);
-                        // Karn's rule: only first transmissions that were
-                        // never resent give an unambiguous round-trip.
-                        let now = Instant::now();
-                        for u in &acked {
-                            if !u.retransmitted {
-                                m.ack_rtt_ns[stream]
-                                    .record(now.duration_since(u.first_sent).as_nanos() as u64);
-                            }
-                        }
-                    }
-                }
-                Frame::Bye => break 'outer,
-                Frame::Hello { .. } => {
-                    let mut st = lock.lock().unwrap();
-                    st.error.get_or_insert(format!(
-                        "node {own}: unexpected HELLO from {peer} after handshake"
-                    ));
-                    cv.notify_all();
-                    return;
-                }
-            }
-        }
-        match sock.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => reader.extend(&buf[..n]),
-            Err(_) => break, // shutdown or hard error; state poisoning is
-                             // the sender's job, ours is to exit.
-        }
-    }
-}
-
-/// The retransmit timer: periodically rescans every stream's unacked
-/// frames and resends those older than [`RETRANSMIT_TIMEOUT`].
-fn spawn_retransmit_timer(
-    shared: Arc<(Mutex<WireState>, Condvar)>,
-    writers: Arc<HashMap<(u32, u32), Writer>>,
-    nodes: usize,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let (lock, _cv) = &*shared;
-        loop {
-            std::thread::sleep(RETRANSMIT_TIMEOUT / 4);
-            // Collect due frames under the lock, write them outside it.
-            let mut due: Vec<((u32, u32), Vec<u8>)> = Vec::new();
-            {
-                let mut st = lock.lock().unwrap();
-                if st.shutting_down {
-                    return;
-                }
-                let now = Instant::now();
-                let mut resent = 0;
-                let mut first_tx_dropped = 0;
-                let mut ack_delayed = 0;
-                let mut bytes_resent = 0;
-                let mut events = Vec::new();
-                for (&stream, pending) in st.unacked.iter_mut() {
-                    let key = ((stream / nodes) as u32, (stream % nodes) as u32);
-                    for (&seq, frame) in pending.iter_mut() {
-                        if now.duration_since(frame.last_sent) >= RETRANSMIT_TIMEOUT {
-                            frame.last_sent = now;
-                            // A resend that recovers a deliberately dropped
-                            // first transmission vs. one racing a slow ACK.
-                            if frame.dropped_first && !frame.retransmitted {
-                                first_tx_dropped += 1;
-                            } else {
-                                ack_delayed += 1;
-                            }
-                            frame.retransmitted = true;
-                            resent += 1;
-                            bytes_resent += frame.bytes.len() as u64;
-                            events.push((key.0, key.1, seq, frame.trace));
-                            due.push((key, frame.bytes.clone()));
-                        }
-                    }
-                }
-                st.counts.retransmits += resent;
-                if let Some(m) = &st.metrics {
-                    m.retrans_first_tx_dropped.add(first_tx_dropped);
-                    m.retrans_ack_delayed.add(ack_delayed);
-                    m.bytes_data.add(bytes_resent);
-                }
-                for (s, d, seq, trace) in events {
-                    st.wire_event("wire-retransmit", s, d, seq, trace);
-                }
-            }
-            for (key, bytes) in due {
-                let _ = write_frame(&writers[&key], &bytes);
-            }
-        }
-    })
-}
+#[cfg(test)]
+mod tests;

@@ -71,6 +71,8 @@ fn expected() -> Vec<(&'static str, Frame)> {
             }),
         ),
         ("ack", Frame::Ack { version: VERSION, cum_seq: 41 }),
+        // One cumulative ACK covering the sixteen frames since the last.
+        ("ack-coalesced", Frame::Ack { version: VERSION, cum_seq: 41 + 16 }),
         ("bye", Frame::Bye),
     ]
 }
