@@ -20,10 +20,13 @@
 //!    `wire.io.would_block`), printed per `DATA` frame.
 //! 4. **Retransmit** — LU with every 7th first transmission dropped; the
 //!    counters must still match, the drop/retransmit/hold machinery must
-//!    all have fired, and the registry's
-//!    `wire.retransmits.first_tx_dropped` counter must equal the fabric's
-//!    induced-drop tally **exactly** — two independent accountings of the
-//!    same loss events.
+//!    all have fired, the registry's `wire.retransmits.first_tx_dropped`
+//!    counter must equal the fabric's induced-drop tally **exactly** — two
+//!    independent accountings of the same loss events — and at least nine
+//!    retransmissions in ten must each have recovered a drop. The row also
+//!    reports what triggered the retransmissions (`wire.retransmits.fast` /
+//!    `.timeout`), the timeouts the timers expired with (`wire.rto_ns.*`),
+//!    and the wall time over the pure-simulator twin per drop.
 //!
 //! The gate metric is `summary.total_wall_ms`; the criterion booleans
 //! (`differential_pass`, `retransmit_pass`, `metrics_pass`) are asserted at
@@ -325,6 +328,7 @@ fn main() {
     let t = Instant::now();
     let lu = registry().into_iter().find(|s| s.name == "LU").expect("LU");
     let sim = run_app((lu.build)(Preset::Tiny, true).as_ref(), &cfg);
+    let sim_wall_ms = t.elapsed().as_secs_f64() * 1e3;
     let mut probe = None;
     let retrans_reg = Registry::enabled();
     let wire = run_app_with_transport((lu.build)(Preset::Tiny, true).as_ref(), &cfg, |tp, cm| {
@@ -345,17 +349,41 @@ fn main() {
     // transmission was dropped is counted exactly once, so at quiescence
     // this counter is a second, independent accounting of the fabric's
     // induced-drop tally and the two must agree exactly.
-    let first_tx_dropped = retrans_reg.snapshot().counter("wire.retransmits.first_tx_dropped");
+    let snap = retrans_reg.snapshot();
+    let first_tx_dropped = snap.counter("wire.retransmits.first_tx_dropped");
     let metrics_match_drops = first_tx_dropped == counts.induced_drops;
+    // What resent each frame, and the timeouts the timers expired with.
+    let [fast, timeout] =
+        ["fast", "timeout"].map(|t| snap.counter(&format!("wire.retransmits.{t}")));
+    let (mut rto_sum_ns, mut rto_min_ns, mut rto_max_ns) = (0, u64::MAX, 0);
+    for e in snap.with_prefix("wire.rto_ns.") {
+        if let MetricValue::Hist { count: 1.., sum, min, max, .. } = e.value {
+            rto_sum_ns += sum;
+            rto_min_ns = rto_min_ns.min(min);
+            rto_max_ns = rto_max_ns.max(max);
+        }
+    }
+    // (All zero if no timer expired.)
+    let [rto_mean, rto_min, rto_max] =
+        [rto_sum_ns / timeout.max(1), rto_min_ns.min(rto_max_ns), rto_max_ns]
+            .map(|ns| ns as f64 / 1e6);
+    // Host time the drops cost over the pure-simulator twin, per drop.
+    let wire_wall_ms = retransmit_wall_ms - sim_wall_ms;
+    let ms_per_drop = (wire_wall_ms - sim_wall_ms) / counts.induced_drops.max(1) as f64;
     let retransmit_pass = counters_equal(&sim, &wire)
         && counts.induced_drops > 0
         && counts.retransmits >= counts.induced_drops
+        // Nine retransmissions in ten recover a drop: frames held behind a
+        // lost one, or whose ACK is merely late, are not resent.
+        && counts.induced_drops * 10 >= counts.retransmits * 9
         && counts.holds > 0
         && counts.resequenced > 0
         && metrics_match_drops;
     println!(
-        "retransmit LU uds drop_every=7: counters {} drops={} retransmits={} holds={} \
-         resequenced={} metric first_tx_dropped={} ({}) ({retransmit_wall_ms:.1}ms)",
+        "retransmit LU uds drop_every=7: counters {} drops={} retransmits={} (fast {fast} + \
+         timeout {timeout}, rto mean {rto_mean:.2} min {rto_min:.2} max {rto_max:.2} ms) holds={} \
+         resequenced={} metric \
+         first_tx_dropped={} ({}) ({retransmit_wall_ms:.1}ms, {ms_per_drop:.2} ms/drop)",
         if counters_equal(&sim, &wire) { "equal" } else { "DIVERGED" },
         counts.induced_drops,
         counts.retransmits,
@@ -422,7 +450,7 @@ fn main() {
     }
     entry.push_str("      ],\n");
     entry.push_str(&format!(
-        "      \"retransmit\": {{\"induced_drops\": {}, \"retransmits\": {}, \"holds\": {}, \"resequenced\": {}, \"first_tx_dropped_metric\": {first_tx_dropped}, \"metrics_match_drops\": {metrics_match_drops}, \"pass\": {retransmit_pass}, \"wall_ms\": {retransmit_wall_ms:.2}}},\n",
+        "      \"retransmit\": {{\"induced_drops\": {}, \"retransmits\": {}, \"fast\": {fast}, \"timeout\": {timeout}, \"rto_ms\": {{\"mean\": {rto_mean:.3}, \"min\": {rto_min:.3}, \"max\": {rto_max:.3}}}, \"holds\": {}, \"resequenced\": {}, \"first_tx_dropped_metric\": {first_tx_dropped}, \"metrics_match_drops\": {metrics_match_drops}, \"pass\": {retransmit_pass}, \"wall_ms\": {retransmit_wall_ms:.2}, \"ms_per_drop\": {ms_per_drop:.3}}},\n",
         counts.induced_drops, counts.retransmits, counts.holds, counts.resequenced
     ));
     entry.push_str(&format!(

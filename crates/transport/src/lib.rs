@@ -19,7 +19,8 @@
 //! * the socket fabric is the **delivery substrate under test** — every
 //!   remote message is also encoded into a versioned `DATA` frame, shipped
 //!   through a real socket with per-(src node, dst node) sequence numbers,
-//!   cumulative ACKs, and timeout retransmission, and the engine **polls
+//!   cumulative ACKs, and retransmission of a stream's oldest
+//!   unacknowledged frame, and the engine **polls
 //!   the wire for its copy** when it pops the simulated envelope,
 //!   consuming the wire-decoded message in its place.
 //!
@@ -28,8 +29,10 @@
 //! thread inside [`Transport::pop_any_earliest`]: one `read` of the socket
 //! end the wanted message arrives on usually yields it together with its
 //! neighbours and the peer's ACKs. Acknowledgements are coalesced (one
-//! cumulative `ACK` per several deliveries), and the retransmit scan runs
-//! only when that read comes back empty — see `loopback.rs` and
+//! cumulative `ACK` per several deliveries). Loss is recovered in round
+//! trips: a repeated `ACK` resends the stream's head at once, and
+//! otherwise a per-stream timer derived from measured round trips does,
+//! read only when that read comes back empty — see `loopback.rs` and
 //! `docs/TRANSPORT.md` §3.3.
 //!
 //! The substitution is what gives the differential harness teeth: a codec
@@ -70,9 +73,7 @@ use shasta_stats::{MsgClass, MsgStats};
 mod loopback;
 pub mod wire;
 
-pub use loopback::{
-    Backend, DropPlan, WireCounts, WireCountsProbe, WireEvent, WireEventsProbe, RETRANSMIT_TIMEOUT,
-};
+pub use loopback::{Backend, DropPlan, WireCounts, WireCountsProbe, WireEvent, WireEventsProbe};
 // Re-exported so transport consumers can call trait methods (`set_metrics`,
 // `set_trace_context`) on a [`LoopbackTransport`] without a direct
 // `shasta-memchan` dependency.

@@ -1,21 +1,30 @@
 //! Real-socket delivery fabric: one loopback TCP or Unix-domain stream per
 //! physical node pair, polled by the engine thread, with coalesced
-//! cumulative ACKs and timeout-based retransmission.
+//! cumulative ACKs and one retransmission timer per stream.
 //!
 //! Shasta handles messages only at poll points, on the processor that
 //! wants them (§1 of the paper), and the fabric treats the wire the same
 //! way. It spawns no thread: every socket end is non-blocking and owned by
 //! [`Fabric`]. [`Fabric::send_data`] writes the frame, [`Fabric::recv`]
 //! drains the one end its message arrives on, an end acknowledges once per
-//! [`ACK_EVERY`] deliveries rather than once per frame, and the
-//! [`RETRANSMIT_TIMEOUT`] scan runs from the receive's slow path, entered
-//! only when the wanted frame is not already on the wire.
+//! [`ACK_EVERY`] deliveries rather than once per frame, and loss recovery
+//! runs from the receive's slow path, entered only when the wanted frame is
+//! not already on the wire.
+//!
+//! Loss is priced in round trips. A stream resends only its oldest
+//! unacknowledged frame — whatever follows it is held at the receiver or
+//! will be reported missing by the next cumulative ACK — and does so on one
+//! of two signals: an ACK that acknowledges nothing (the receiver re-ACKs
+//! when it has to hold a frame, so the sender learns of a mid-stream loss
+//! one round trip later and resends at once), or the stream's timer, whose
+//! timeout ([`Rto`]) follows the round trips the stream has measured and
+//! counts only time somebody spent polling the wire.
 //!
 //! The fabric restores the ordered, exactly-once contract over a substrate
 //! that (deliberately) breaks it: the sender can be told to drop every Nth
-//! first transmission ([`DropPlan`]), forcing the retransmit scan to
-//! recover the stream, and a frame resent while its ACK was still owed
-//! arrives twice. Both repairs — duplicate suppression and resequencing of
+//! first transmission ([`DropPlan`]), forcing a retransmission to recover
+//! the stream, and a frame resent while its ACK was still owed arrives
+//! twice. Both repairs — duplicate suppression and resequencing of
 //! early arrivals — run through the same
 //! [`PairSequencer`](shasta_memchan::PairSequencer) state machine the
 //! simulated network's fault-injection admit guard uses.
@@ -34,12 +43,8 @@ use shasta_obs::{Counter, Gauge, HistogramHandle, Registry};
 
 use crate::wire::{encode_frame, negotiate, DataFrame, Frame, FrameReader, VERSION, VERSION_MIN};
 
-/// How long an unacknowledged `DATA` frame waits, counted from its last
-/// transmission, before the slow path's scan resends it.
-pub const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(15);
-
 /// How long a receive (or a send at a full window) polls the wire before
-/// declaring the fabric wedged (a generous multiple of the retransmit timeout).
+/// declaring the fabric wedged (a generous multiple of [`RTO_MAX`]).
 const RECV_WATCHDOG: Duration = Duration::from_secs(10);
 
 /// Most `DATA` frames one stream may have sent and not yet seen
@@ -50,10 +55,57 @@ const SEND_WINDOW: usize = 256;
 /// An end acknowledges at the latest once it owes this many deliveries.
 const ACK_EVERY: u32 = 16;
 
-/// Longest single sleep of the slow path: a frame that was written but is
-/// not readable yet (loopback TCP delivers from a softirq) is picked up
-/// within one slice instead of a whole retransmit timeout.
-const POLL_SLICE: Duration = Duration::from_millis(1);
+/// Shortest retransmission timeout. A loopback round trip is tens of
+/// microseconds, but the wait for a timer ends in a wake-up from sleep,
+/// which a virtualised host delivers anything up to a few milliseconds late;
+/// a floor well above that keeps the cost of a loss the timeout, not the
+/// host's mood (RFC 6298 §2.4 wants the floor conservative for the same
+/// reason: clock granularity).
+const RTO_MIN: Duration = Duration::from_millis(4);
+
+/// Longest retransmission timeout, and a stream's timeout before its first
+/// round-trip sample.
+const RTO_MAX: Duration = Duration::from_millis(15);
+
+/// One stream's retransmission timeout, by RFC 6298: `SRTT + 4·RTTVAR`
+/// over the round trips it is given, doubled per expiry until an ACK makes
+/// progress, within [`RTO_MIN`]..=[`RTO_MAX`]. Pure arithmetic — its
+/// [`End`] owns the clock.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct Rto {
+    /// `(SRTT, RTTVAR)`, `None` until the first sample.
+    smoothed: Option<(Duration, Duration)>,
+    /// Expiries since the stream's last ACK progress.
+    backoff: u32,
+}
+
+impl Rto {
+    /// Folds in one round-trip sample.
+    fn sample(&mut self, r: Duration) {
+        self.smoothed = Some(match self.smoothed {
+            None => (r, r / 2),
+            Some((srtt, rttvar)) => ((srtt * 7 + r) / 8, (rttvar * 3 + srtt.abs_diff(r)) / 4),
+        });
+    }
+
+    /// The timer expired: back off.
+    fn timeout(&mut self) {
+        self.backoff += 1;
+    }
+
+    /// An ACK cleared frames: the backoff has served its purpose.
+    fn progress(&mut self) {
+        self.backoff = 0;
+    }
+
+    /// How long the stream's head may stay unacknowledged.
+    fn current(&self) -> Duration {
+        let base = self.smoothed.map_or(RTO_MAX, |(srtt, rttvar)| srtt + rttvar * 4);
+        // Two doublings already span RTO_MIN..RTO_MAX; the cap on the shift
+        // only keeps it from overflowing.
+        (base.clamp(RTO_MIN, RTO_MAX) * (1 << self.backoff.min(4))).min(RTO_MAX)
+    }
+}
 
 /// Which kind of loopback socket carries the frames.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,8 +130,8 @@ impl Backend {
 /// Deterministic sender-side frame dropping, to exercise the retransmit
 /// path: every `drop_every`-th `DATA` frame (counted across all streams,
 /// in the engine's deterministic send order) is not written on its first
-/// transmission and must be recovered by the retransmit scan. `0`
-/// disables dropping.
+/// transmission and must be recovered by a retransmission. `0` disables
+/// dropping.
 ///
 /// Dropping is invisible to the simulator — the sim envelope is already
 /// queued — so a run under drops must converge to byte-identical counters,
@@ -91,8 +143,8 @@ pub struct DropPlan {
 }
 
 /// Tally of everything the wire layer did, for bench reports and test
-/// assertions. Retransmission counters are timing-dependent (a frame can
-/// fall due while its ACK is still owed); only `induced_drops` is
+/// assertions. Retransmission counters are timing-dependent (a timer can
+/// expire while the ACK is still owed); only `induced_drops` is
 /// deterministic.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WireCounts {
@@ -100,7 +152,7 @@ pub struct WireCounts {
     pub data_frames: u64,
     /// First transmissions suppressed by the [`DropPlan`].
     pub induced_drops: u64,
-    /// `DATA` frames re-sent by the retransmit scan.
+    /// `DATA` frames sent again, on a timer or on a repeated ACK.
     pub retransmits: u64,
     /// `ACK` frames sent (each cumulative over every delivery before it).
     pub acks_sent: u64,
@@ -176,7 +228,7 @@ struct Unacked {
     /// ACK covering a frame that was ever retransmitted is ambiguous and
     /// contributes no RTT sample.
     first_sent: Instant,
-    /// Whether the retransmit scan has ever resent this frame.
+    /// Whether the frame has ever been resent.
     retransmitted: bool,
     /// Whether the [`DropPlan`] suppressed the first transmission — the
     /// retransmit that recovers it is classified `first_tx_dropped`, not
@@ -240,6 +292,12 @@ struct WireMetrics {
     /// Send → ACK *collected*: the sample includes the wait until the
     /// engine next polls the end the ACK arrives on.
     ack_rtt_ns: Vec<HistogramHandle>,
+    /// The timeout a stream's retransmission timer had when it expired.
+    rto_ns: Vec<HistogramHandle>,
+    /// Retransmissions by trigger: an ACK that acknowledged nothing, or
+    /// the stream's timer. Every retransmission is one or the other.
+    retrans_fast: Counter,
+    retrans_timeout: Counter,
     /// Retransmissions recovering a deliberately dropped first
     /// transmission (equals `induced_drops` once the run quiesces).
     retrans_first_tx_dropped: Counter,
@@ -284,6 +342,9 @@ impl WireMetrics {
             encode_ns: per_stream("encode_ns"),
             decode_ns: per_stream("decode_ns"),
             ack_rtt_ns: per_stream("ack_rtt_ns"),
+            rto_ns: per_stream("rto_ns"),
+            retrans_fast: registry.counter("wire.retransmits.fast"),
+            retrans_timeout: registry.counter("wire.retransmits.timeout"),
             retrans_first_tx_dropped: registry.counter("wire.retransmits.first_tx_dropped"),
             retrans_ack_delayed: registry.counter("wire.retransmits.ack_delayed"),
             queue_unacked: registry.gauge("wire.queue.unacked"),
@@ -314,11 +375,17 @@ struct End {
     /// Sent-but-unacknowledged frames of stream `own -> peer`, oldest
     /// first; never longer than [`SEND_WINDOW`].
     unacked: VecDeque<Unacked>,
+    /// Retransmission timeout of stream `own -> peer`.
+    rto: Rto,
+    /// When an ACK last cleared frames out of `unacked` (before the first,
+    /// when the end was connected): the stream's timer restarts here.
+    progressed: Instant,
     /// Deliveries on stream `peer -> own` since this end last wrote an ACK.
     ack_debt: u32,
     /// An ACK goes out at the end of the next drain whatever the debt: a
-    /// duplicate arrived (its sender has not seen our ACK), or an ACK that
-    /// was due met a full socket.
+    /// duplicate arrived (its sender has not seen our ACK), a frame had to
+    /// be held (its sender should learn that a predecessor is missing), or
+    /// an ACK that was due met a full socket.
     ack_owed: bool,
     /// `BYE` or end-of-file seen: nothing further will be read.
     closed: bool,
@@ -462,6 +529,8 @@ impl Fabric {
                         own,
                         peer,
                         unacked: VecDeque::new(),
+                        rto: Rto::default(),
+                        progressed: Instant::now(),
                         ack_debt: 0,
                         ack_owed: false,
                         closed: false,
@@ -552,9 +621,9 @@ impl Fabric {
         debug_assert_ne!(sn, dn, "intra-node messages never touch the wire");
         let stream = sn as usize * self.nodes + dn as usize;
         let e = self.end_ix(sn, dn);
-        let mut watchdog = None;
+        let mut waiting_since = None;
         while self.ends[e].unacked.len() >= SEND_WINDOW {
-            self.poll_slow(&mut watchdog, format_args!("room in the {sn}->{dn} send window"));
+            self.poll_slow(&mut waiting_since, format_args!("room in the {sn}->{dn} send window"));
         }
         let pair_seq = self.send_seqr.stamp(stream);
         let encode_start = Instant::now();
@@ -609,30 +678,37 @@ impl Fabric {
     pub(crate) fn recv(&mut self, src: u32, dst: u32) -> ProtoMsg {
         let (sn, dn) = (self.node_of[src as usize], self.node_of[dst as usize]);
         let e = self.end_ix(dn, sn);
-        let mut watchdog = None;
+        let mut waiting_since = None;
         loop {
             if let Some(msg) = self.inboxes.get_mut(&(src, dst)).and_then(VecDeque::pop_front) {
                 return msg;
             }
             if self.drain(e, false) == 0 {
                 assert!(!self.ends[e].closed, "wire fabric failed: {sn}->{dn} closed early");
-                self.poll_slow(&mut watchdog, format_args!("{src}->{dst} message"));
+                self.poll_slow(&mut waiting_since, format_args!("{src}->{dst} message"));
             }
         }
     }
 
     /// One turn of the slow path: what the caller waits for was not on the
     /// wire, so a frame was lost (or, over TCP, is not readable yet).
+    /// `waiting_since` is the caller's, `None` until its first turn.
     ///
-    /// Delayed ACKs leave delivered frames in `unacked`, so before the
-    /// retransmit scan every end is drained twice with its ACK forced: the
+    /// Delayed ACKs leave delivered frames in `unacked`, so before any
+    /// timer is read every end is drained twice with its ACK forced: the
     /// first pass delivers and acknowledges whatever sits on the wire, the
-    /// second collects those ACKs. What is still unacknowledged
-    /// [`RETRANSMIT_TIMEOUT`] after its last transmission is then resent —
-    /// never sooner, though an in-process sender knows what it dropped. A
-    /// turn that moved nothing sleeps until the next frame falls due, at
-    /// most [`POLL_SLICE`].
-    fn poll_slow(&mut self, watchdog: &mut Option<Instant>, what: std::fmt::Arguments<'_>) {
+    /// second collects those ACKs (and fast-retransmits on one that
+    /// acknowledges nothing). Then each stream whose head has gone its
+    /// [`Rto`] unacknowledged resends it and backs off. The timeout runs
+    /// from the latest of the head's last transmission, the stream's last
+    /// ACK progress and the start of this wait: while nobody polled, an ACK
+    /// could not have been collected, so that time is no evidence of loss.
+    /// A turn that moved nothing sleeps until the next timer expires, in one
+    /// piece. Every wake-up costs its own lateness (0.1–1 ms on a virtualised
+    /// host, more in bursts), and one taken before any timer is due finds
+    /// nothing to do: the awaited frame is unacknowledged at its sender, so
+    /// whatever the wait is for, a timer covers it.
+    fn poll_slow(&mut self, waiting_since: &mut Option<Instant>, what: std::fmt::Arguments<'_>) {
         let mut moved = 0;
         for _pass in 0..2 {
             for e in 0..self.ends.len() {
@@ -640,57 +716,71 @@ impl Fabric {
             }
         }
         let now = Instant::now();
-        let mut next_due = now + POLL_SLICE;
+        let since = *waiting_since.get_or_insert(now);
+        let mut wake = since + RECV_WATCHDOG;
         for e in 0..self.ends.len() {
-            for i in 0..self.ends[e].unacked.len() {
-                let frame = &mut self.ends[e].unacked[i];
-                let due = frame.last_sent + RETRANSMIT_TIMEOUT;
-                if due > now {
-                    next_due = next_due.min(due);
-                    continue;
-                }
-                frame.last_sent = now;
-                // A resend that recovers a deliberately dropped first
-                // transmission vs. one whose ACK is merely late.
-                let recovers_drop = frame.dropped_first && !frame.retransmitted;
-                frame.retransmitted = true;
-                let (seq, trace) = (frame.seq, frame.trace);
-                let bytes = std::mem::take(&mut frame.bytes);
-                let cause = if recovers_drop {
-                    &self.metrics.retrans_first_tx_dropped
-                } else {
-                    &self.metrics.retrans_ack_delayed
-                };
-                cause.inc();
-                self.metrics.bytes_data.add(bytes.len() as u64);
-                let (own, peer) = (self.ends[e].own, self.ends[e].peer);
-                {
-                    let mut pr = self.probed();
-                    pr.counts.retransmits += 1;
-                    pr.event("wire-retransmit", own, peer, seq, trace);
-                }
-                self.write_frame(e, &bytes, true);
-                self.ends[e].unacked[i].bytes = bytes;
-                moved += 1;
+            let end = &mut self.ends[e];
+            let Some(head) = end.unacked.front() else { continue };
+            let rto = end.rto.current();
+            let due = head.last_sent.max(end.progressed).max(since) + rto;
+            if due > now {
+                wake = wake.min(due);
+                continue;
             }
+            end.rto.timeout();
+            self.metrics.rto_ns[end.own as usize * self.nodes + end.peer as usize]
+                .record(rto.as_nanos() as u64);
+            self.metrics.retrans_timeout.inc();
+            self.resend_head(e, now);
+            moved += 1;
         }
         if moved == 0 {
-            let deadline = *watchdog.get_or_insert(now + RECV_WATCHDOG);
-            if now >= deadline {
+            if now >= since + RECV_WATCHDOG {
                 panic!(
                     "wire watchdog: no {what} within {RECV_WATCHDOG:?} (counts: {:?})",
                     self.counts()
                 );
             }
-            std::thread::sleep(next_due - now);
+            std::thread::sleep(wake - now);
         }
+    }
+
+    /// Writes the oldest unacknowledged frame of the stream end `e` sends
+    /// once more, byte for byte. Only ever the head: what follows it is
+    /// held at the receiver, or the next cumulative ACK will say otherwise.
+    fn resend_head(&mut self, e: usize, now: Instant) {
+        let end = &mut self.ends[e];
+        let (own, peer) = (end.own, end.peer);
+        let head = end.unacked.front_mut().expect("a stream that resends has a head");
+        head.last_sent = now;
+        // A resend that recovers a deliberately dropped first transmission
+        // vs. one whose ACK is merely late.
+        let recovers_drop = head.dropped_first && !head.retransmitted;
+        head.retransmitted = true;
+        let (seq, trace) = (head.seq, head.trace);
+        let bytes = std::mem::take(&mut head.bytes);
+        let cause = if recovers_drop {
+            &self.metrics.retrans_first_tx_dropped
+        } else {
+            &self.metrics.retrans_ack_delayed
+        };
+        cause.inc();
+        self.metrics.bytes_data.add(bytes.len() as u64);
+        {
+            let mut pr = self.probed();
+            pr.counts.retransmits += 1;
+            pr.event("wire-retransmit", own, peer, seq, trace);
+        }
+        self.write_frame(e, &bytes, true);
+        self.ends[e].unacked[0].bytes = bytes;
     }
 
     /// Polls end `e`: reads what its socket holds, runs every complete
     /// frame through its handler — `DATA` through the delivery guard, `ACK`
     /// against the send buffer — and then settles the end's ACK debt with
-    /// one cumulative `ACK` if `force_ack` asks, a duplicate arrived, or
-    /// [`ACK_EVERY`] deliveries are owed. Returns the frames handled.
+    /// one cumulative `ACK` if `force_ack` asks, a duplicate or an early
+    /// frame arrived, or [`ACK_EVERY`] deliveries are owed. Returns the
+    /// frames handled.
     fn drain(&mut self, e: usize, force_ack: bool) -> usize {
         self.fill(e);
         let (own, peer) = (self.ends[e].own, self.ends[e].peer);
@@ -802,14 +892,35 @@ impl Fabric {
     }
 
     /// Clears the frames an `ACK` read from end `e` covers out of its send
-    /// buffer, sampling their round trips.
+    /// buffer, sampling their round trips. An `ACK` that covers none is the
+    /// receiver saying it holds a later frame or saw an old one twice: a
+    /// head that was never resent is resent now, a round trip after its
+    /// loss and ahead of its timer.
     fn collect_ack(&mut self, e: usize, cum_seq: u64) {
-        let end = &mut self.ends[e];
-        let rtt = &self.metrics.ack_rtt_ns[end.own as usize * self.nodes + end.peer as usize];
-        let acked = end.unacked.partition_point(|u| u.seq <= cum_seq);
         let now = Instant::now();
-        // Karn's rule: only first transmissions that were never resent
-        // give an unambiguous round-trip.
+        let end = &mut self.ends[e];
+        let acked = end.unacked.partition_point(|u| u.seq <= cum_seq);
+        if acked == 0 {
+            if end.unacked.front().is_some_and(|head| !head.retransmitted) {
+                self.metrics.retrans_fast.inc();
+                self.resend_head(e, now);
+            }
+            return;
+        }
+        // Karn's rule: only first transmissions that were never resent give
+        // an unambiguous round trip. The timer takes one sample per ACK,
+        // from the newest frame it covers — the older ones mostly measure
+        // how long the receiver sat on its ACK; the histogram keeps all —
+        // and none from an ACK that covers a resent frame, which only the
+        // oldest can be: the frames behind it were held for the repair, so
+        // their "round trip" is the timeout that just expired, and fed back
+        // it would lengthen the next.
+        if !end.unacked[0].retransmitted {
+            end.rto.sample(now.duration_since(end.unacked[acked - 1].first_sent));
+        }
+        end.rto.progress();
+        end.progressed = now;
+        let rtt = &self.metrics.ack_rtt_ns[end.own as usize * self.nodes + end.peer as usize];
         for u in end.unacked.drain(..acked).filter(|u| !u.retransmitted) {
             rtt.record(now.duration_since(u.first_sent).as_nanos() as u64);
         }
@@ -818,12 +929,27 @@ impl Fabric {
     }
 
     /// Runs the receiver state machine on one decoded `DATA` frame read
-    /// from end `e`: suppress duplicates (and owe their sender an ACK),
-    /// hold early arrivals, deliver in-order frames plus any held
-    /// successors they unblock.
+    /// from end `e`: suppress duplicates and hold early arrivals (either
+    /// way owing their sender an ACK), deliver in-order frames plus any
+    /// held successors they unblock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame does not belong on this end: it names a
+    /// processor the machine does not have, or a node pair other than the
+    /// one this connection carries (whose stream it would mis-sequence).
     fn accept_data(&mut self, frame: DataFrame, e: usize) {
-        let (sn, dn) = (self.node_of[frame.src as usize], self.node_of[frame.dst as usize]);
-        debug_assert_eq!((sn, dn), (self.ends[e].peer, self.ends[e].own), "frame on a wrong end");
+        // Frames on this socket end flow peer -> own.
+        let (dn, sn) = (self.ends[e].own, self.ends[e].peer);
+        let node = |p: u32| self.node_of.get(p as usize).copied();
+        assert!(
+            (node(frame.src), node(frame.dst)) == (Some(sn), Some(dn)),
+            "wire fabric failed: DATA src {} dst {} pair_seq {} does not belong on node {dn}'s \
+             end of its connection with node {sn}",
+            frame.src,
+            frame.dst,
+            frame.pair_seq
+        );
         let stream = sn as usize * self.nodes + dn as usize;
         match self.seqr.admit(stream, frame.pair_seq) {
             SeqVerdict::Duplicate => self.duplicate(e),
@@ -835,6 +961,9 @@ impl Fabric {
                 } else {
                     self.probed().counts.holds += 1;
                     self.metrics.holds.inc();
+                    // The ACK this earns covers nothing new, which is how
+                    // the sender learns its head went missing.
+                    self.ends[e].ack_owed = true;
                 }
             }
             SeqVerdict::Deliver => {

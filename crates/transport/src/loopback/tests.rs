@@ -1,8 +1,9 @@
-//! Deterministic coverage of the delivery guard and the ACK policy. With
-//! no reader thread or timer racing the engine, duplicates, reordering and
-//! split frames no longer happen by themselves, so these tests put them on
-//! the wire: `Fabric::write_frame` is the hook, writing raw bytes on an end
-//! past the sender's stamping and send buffer.
+//! Deterministic coverage of the delivery guard, the ACK policy and loss
+//! recovery. With no reader thread or timer racing the engine, duplicates,
+//! reordering and split frames no longer happen by themselves, so these
+//! tests put them on the wire: `Fabric::write_frame` is the hook, writing
+//! raw bytes on an end past the sender's stamping and send buffer. Losses
+//! come from a [`DropPlan`], which counts `send_data` calls.
 
 use shasta_core::space::Block;
 
@@ -10,9 +11,29 @@ use super::*;
 
 /// Two single-processor nodes; processor 0 sends to processor 1.
 fn two_nodes() -> (Fabric, usize, usize) {
-    let f = Fabric::connect(vec![0, 1], 2, Backend::Uds, DropPlan::default()).expect("fabric");
+    two_nodes_dropping(0)
+}
+
+/// [`two_nodes`] with the first transmission of every `drop_every`-th
+/// `send_data` suppressed.
+fn two_nodes_dropping(drop_every: u64) -> (Fabric, usize, usize) {
+    let f = Fabric::connect(vec![0, 1], 2, Backend::Uds, DropPlan { drop_every }).expect("fabric");
     let (tx, rx) = (f.end_ix(0, 1), f.end_ix(1, 0));
     (f, tx, rx)
+}
+
+/// Sends `seqs` from 0 to 1, receives them, and has the ACK written and
+/// collected, so the next ACK on the stream can only repeat this one.
+fn exchange(f: &mut Fabric, tx: usize, rx: usize, seqs: std::ops::RangeInclusive<u64>) {
+    for seq in seqs.clone() {
+        f.send_data(0, 1, false, &msg(seq), 0);
+    }
+    for seq in seqs {
+        assert_eq!(f.recv(0, 1), msg(seq));
+    }
+    f.drain(rx, true);
+    f.drain(tx, false);
+    assert!(f.ends[tx].unacked.is_empty());
 }
 
 fn msg(seq: u64) -> ProtoMsg {
@@ -101,7 +122,8 @@ fn an_ack_that_would_block_stays_owed_and_is_never_written_in_part() {
     f.send_data(0, 1, false, &msg(1), 0);
     assert_eq!(f.recv(0, 1), msg(1));
     // Fill the rx -> tx direction with ACKs that acknowledge nothing until
-    // the socket refuses the next one whole.
+    // the socket refuses the next one whole. (Collecting the first of them
+    // will also make the sender resend its head: one more duplicate.)
     let noop = encode_frame(&Frame::Ack { version: VERSION, cum_seq: 0 }).expect("encodes");
     let mut parked = 0;
     while f.write_frame(rx, &noop, false) {
@@ -120,4 +142,163 @@ fn an_ack_that_would_block_stays_owed_and_is_never_written_in_part() {
     assert_eq!(f.counts().acks_sent, 1);
     assert_eq!(f.drain(tx, false), 1);
     assert!(f.ends[tx].unacked.is_empty());
+}
+
+const fn us(n: u64) -> Duration {
+    Duration::from_micros(n)
+}
+
+#[test]
+fn the_rto_follows_rfc_6298() {
+    let mut rto = Rto::default();
+    assert_eq!(rto.current(), RTO_MAX, "no sample yet");
+
+    // First sample R: SRTT = R, RTTVAR = R/2, RTO = 3R.
+    rto.sample(us(2_000));
+    assert_eq!(rto.smoothed, Some((us(2_000), us(1_000))));
+    assert_eq!(rto.current(), us(6_000));
+
+    // Then RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R| and SRTT = 7/8 SRTT + 1/8 R,
+    // the deviation taken against the old SRTT.
+    for (r, srtt, rttvar) in [
+        (us(3_600), us(2_200), us(1_150)),
+        (us(600), us(2_000), us(1_262) + Duration::from_nanos(500)),
+        (us(2_000), us(2_000), us(946) + Duration::from_nanos(875)),
+    ] {
+        rto.sample(r);
+        assert_eq!(rto.smoothed, Some((srtt, rttvar)), "after a sample of {r:?}");
+        assert_eq!(rto.current(), srtt + rttvar * 4);
+    }
+}
+
+#[test]
+fn the_rto_is_clamped_doubles_per_timeout_and_resets_on_progress() {
+    for (r, want) in [(us(5), RTO_MIN), (us(666), RTO_MIN), (us(1_500), us(4_500))] {
+        let mut rto = Rto::default();
+        rto.sample(r);
+        assert_eq!(rto.current(), want, "one sample of {r:?}");
+    }
+    let mut rto = Rto::default();
+    rto.sample(Duration::from_millis(40));
+    assert_eq!(rto.current(), RTO_MAX);
+
+    let mut rto = Rto::default();
+    rto.sample(us(100));
+    let mut seen = Vec::new();
+    for _ in 0..6 {
+        seen.push(rto.current());
+        rto.timeout();
+    }
+    assert_eq!(seen, [RTO_MIN, RTO_MIN * 2, RTO_MAX, RTO_MAX, RTO_MAX, RTO_MAX]);
+    let smoothed = rto.smoothed;
+    rto.progress();
+    assert_eq!(rto.current(), RTO_MIN);
+    assert_eq!(rto.smoothed, smoothed, "progress resets the backoff, not the estimate");
+}
+
+#[test]
+fn a_tail_loss_is_recovered_by_one_timeout_after_rto_min_of_polling() {
+    let (mut f, tx, rx) = two_nodes_dropping(2);
+    let reg = Registry::enabled();
+    f.set_metrics(&reg);
+    exchange(&mut f, tx, rx, 1..=1);
+    assert_eq!(f.ends[tx].rto.current(), RTO_MIN, "a loopback round trip is far below the floor");
+    let (estimate, samples) =
+        (f.ends[tx].rto, reg.histogram("wire.ack_rtt_ns.n0.n1").load().count());
+
+    // Nothing follows the dropped frame, so no ACK can report it missing.
+    f.send_data(0, 1, false, &msg(2), 0);
+    assert_eq!(f.counts().induced_drops, 1);
+    // Time nobody spends polling is not evidence of loss.
+    std::thread::sleep(RTO_MIN);
+    let waiting_since = Instant::now();
+    assert_eq!(f.recv(0, 1), msg(2));
+    assert!(waiting_since.elapsed() >= RTO_MIN, "resent after {:?}", waiting_since.elapsed());
+    assert_eq!(f.counts().retransmits, 1);
+    let count = |name| reg.counter(name).get();
+    assert_eq!((count("wire.retransmits.timeout"), count("wire.retransmits.fast")), (1, 0));
+    assert_eq!(count("wire.retransmits.first_tx_dropped"), 1);
+    assert_eq!(reg.histogram("wire.rto_ns.n0.n1").load().count(), 1);
+    assert_eq!(f.ends[tx].rto.current(), RTO_MIN * 2, "backed off until an ACK makes progress");
+
+    // The ACK of a resent frame restarts the timer but is no RTT sample.
+    f.drain(rx, true);
+    f.drain(tx, false);
+    assert!(f.ends[tx].unacked.is_empty());
+    assert_eq!(f.ends[tx].rto, estimate);
+    assert_eq!(reg.histogram("wire.ack_rtt_ns.n0.n1").load().count(), samples);
+    assert_eq!(f.counts().dups_dropped, 0);
+}
+
+#[test]
+fn a_mid_stream_loss_is_reported_by_a_repeated_ack_and_resent_at_once() {
+    let (mut f, tx, rx) = two_nodes_dropping(3);
+    let reg = Registry::enabled();
+    f.set_metrics(&reg);
+    exchange(&mut f, tx, rx, 1..=2);
+    let (acks, estimate) = (f.counts().acks_sent, f.ends[tx].rto);
+    for seq in 3..=5 {
+        f.send_data(0, 1, false, &msg(seq), 0);
+    }
+    assert_eq!(f.counts().induced_drops, 1, "position 3 never reached the wire");
+
+    // Its two successors are held, and holding is answered with one ACK
+    // that repeats the last.
+    assert_eq!(f.drain(rx, false), 2);
+    let counts = f.counts();
+    assert_eq!((counts.holds, counts.acks_sent), (2, acks + 1), "{counts:?}");
+    // Collecting it resends the head, and only the head, with no timer.
+    assert_eq!(f.drain(tx, false), 1);
+    assert_eq!(f.counts().retransmits, 1);
+    assert!(f.ends[tx].unacked.iter().map(|u| u.retransmitted).eq([true, false, false]));
+    for seq in 3..=5 {
+        assert_eq!(f.recv(0, 1), msg(seq));
+    }
+
+    f.drain(rx, true);
+    f.drain(tx, false);
+    assert!(f.ends[tx].unacked.is_empty());
+    // The successors were held for the repair: the ACK that covers them
+    // with the resent head times the repair, not a round trip.
+    assert_eq!(f.ends[tx].rto, estimate);
+    let counts = f.counts();
+    assert_eq!(
+        (counts.retransmits, counts.resequenced, counts.dups_dropped),
+        (1, 2, 0),
+        "{counts:?}"
+    );
+    let count = |name| reg.counter(name).get();
+    assert_eq!((count("wire.retransmits.fast"), count("wire.retransmits.timeout")), (1, 0));
+}
+
+#[test]
+fn an_ack_gives_the_timer_one_sample_and_the_histogram_one_per_frame() {
+    let (mut f, tx, rx) = two_nodes();
+    let reg = Registry::enabled();
+    f.set_metrics(&reg);
+    exchange(&mut f, tx, rx, 1..=3);
+    assert_eq!(reg.histogram("wire.ack_rtt_ns.n0.n1").load().count(), 3);
+    // A second sample would have moved RTTVAR off SRTT / 2.
+    let (srtt, rttvar) = f.ends[tx].rto.smoothed.expect("the ACK covered a never-resent frame");
+    assert_eq!(rttvar, srtt / 2);
+}
+
+#[test]
+#[should_panic(expected = "wire fabric failed: DATA src 0 dst 7 pair_seq 1")]
+fn a_data_frame_for_a_processor_outside_the_machine_fails_the_fabric() {
+    let (mut f, tx, rx) = two_nodes();
+    let mut frame = data(1);
+    // `dst` follows the length, kind, version and `src`.
+    frame[10] = 7;
+    f.write_frame(tx, &frame, true);
+    f.drain(rx, false);
+}
+
+#[test]
+#[should_panic(expected = "does not belong on node 0's end of its connection with node 1")]
+fn a_data_frame_on_the_wrong_end_fails_the_fabric() {
+    let (mut f, _, rx) = two_nodes();
+    // A 0 -> 1 frame travelling 1 -> 0.
+    f.write_frame(rx, &data(1), true);
+    f.drain(f.end_ix(0, 1), false);
 }

@@ -63,11 +63,13 @@ fn water_over_uds_matches_the_simulator() {
     assert_counters_match("Water-Nsq", "uds", &sim, &wire);
 }
 
-#[test]
-fn induced_drops_converge_via_retransmission() {
+/// Drop every 7th first transmission: retransmission must recover every
+/// one of them, the counters must still match exactly, and nothing else may
+/// be resent — not the frames held behind a lost one, and not a frame whose
+/// ACK is merely late.
+fn induced_drops_converge(backend: Backend) {
+    let label = format!("{}+drop", backend.label());
     let sim = run_sim("LU");
-    // Drop every 7th first transmission: the retransmit timer must recover
-    // every one of them, and the counters must still match exactly.
     let spec = registry().into_iter().find(|s| s.name == "LU").expect("app");
     let app = (spec.build)(Preset::Tiny, true);
     let mut probe = None;
@@ -75,21 +77,34 @@ fn induced_drops_converge_via_retransmission() {
         let t = LoopbackTransport::connect(
             topo.clone(),
             cost.clone(),
-            Backend::Uds,
+            backend,
             DropPlan { drop_every: 7 },
         )
         .expect("loopback fabric");
         probe = Some(t.counts_probe());
         Box::new(t)
     });
-    assert_counters_match("LU", "uds+drop", &sim, &wire);
+    assert_counters_match("LU", &label, &sim, &wire);
     let counts = probe.expect("factory ran").get();
-    assert!(counts.induced_drops > 0, "the drop plan never fired: {counts:?}");
-    assert!(
-        counts.retransmits >= counts.induced_drops,
-        "every induced drop must be recovered by a retransmission: {counts:?}"
+    assert!(counts.induced_drops > 0, "{label}: the drop plan never fired: {counts:?}");
+    assert_eq!(
+        counts.retransmits, counts.induced_drops,
+        "{label}: one retransmission per induced drop, no more: {counts:?}"
     );
     // A recovered frame arrives after its successors, so drops exercise the
     // hold/resequence path too.
-    assert!(counts.holds > 0 && counts.resequenced > 0, "drops never forced a hold: {counts:?}");
+    assert!(
+        counts.holds > 0 && counts.resequenced > 0,
+        "{label}: drops never forced a hold: {counts:?}"
+    );
+}
+
+#[test]
+fn induced_drops_converge_via_retransmission() {
+    induced_drops_converge(Backend::Uds);
+}
+
+#[test]
+fn induced_drops_converge_via_retransmission_over_tcp() {
+    induced_drops_converge(Backend::Tcp);
 }

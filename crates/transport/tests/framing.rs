@@ -1,6 +1,7 @@
 //! Framing edge cases: truncation, unknown versions, the frame-length
-//! ceiling, interleaved per-source streams, and an encode→decode round-trip
-//! property over every protocol message kind.
+//! ceiling, interleaved per-source streams, an encode→decode round-trip
+//! property over every protocol message kind, and a reassembler fed
+//! arbitrary bytes in arbitrary chunks.
 
 use proptest::prelude::*;
 use shasta_cluster::{CostModel, Topology};
@@ -206,5 +207,94 @@ proptest! {
         let _ = r.next_frame();
         r.extend(&bytes[cut..]);
         prop_assert_eq!(r.next_frame().unwrap(), Some(frame));
+    }
+}
+
+/// What any reader must make of `stream`, however it is cut up: the frames
+/// before the first bad one, and that one's error with the number of stream
+/// bytes it takes to see it (the length prefix for an over-long frame, the
+/// whole frame otherwise).
+fn whole_stream(stream: &[u8]) -> (Vec<Frame>, Option<(usize, WireError)>) {
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while stream.len() - at >= 4 {
+        let len = u32::from_le_bytes(stream[at..at + 4].try_into().unwrap());
+        if len > MAX_FRAME_LEN {
+            return (frames, Some((at + 4, WireError::FrameTooLong(u64::from(len)))));
+        }
+        let end = at + 4 + len as usize;
+        if stream.len() < end {
+            break;
+        }
+        match decode_body(&stream[at + 4..end]) {
+            Ok(frame) => frames.push(frame),
+            Err(err) => return (frames, Some((end, err))),
+        }
+        at = end;
+    }
+    (frames, None)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+    /// A peer can put anything on a socket. Whatever arrives, in whatever
+    /// pieces, the reassembler never panics, yields exactly the frames
+    /// ahead of the first bad prefix, reports that prefix with a
+    /// `WireError` as soon as its last byte is in, and never buffers more
+    /// than one maximal frame plus the piece it was just handed.
+    #[test]
+    fn the_reassembler_survives_arbitrary_bytes_in_arbitrary_chunks(
+        parts in proptest::collection::vec(
+            (0u8..5, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..48)),
+            1..7,
+        ),
+        chunk_lens in proptest::collection::vec(1usize..72, 1..9),
+    ) {
+        let mut stream = Vec::new();
+        for (kind, n, raw) in &parts {
+            let reply = || encode_frame(&data_frame(ProtoMsg::ReadReply {
+                block: Block { start: *n, len: raw.len() as u64 },
+                data: raw.clone(),
+            }))
+            .unwrap();
+            match kind {
+                0 => stream.extend(encode_frame(&Frame::Ack { version: VERSION, cum_seq: *n }).unwrap()),
+                1 => stream.extend(reply()),
+                // A well-formed frame with one bit wrong somewhere.
+                2 => {
+                    let mut bytes = reply();
+                    let bit = *n as usize % (bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                    stream.extend(bytes);
+                }
+                3 => stream.extend(raw),
+                // A length prefix at, or one past, the ceiling.
+                _ => stream.extend((MAX_FRAME_LEN + (*n % 2) as u32).to_le_bytes()),
+            }
+        }
+        let (frames, bad) = whole_stream(&stream);
+
+        let mut reader = FrameReader::new();
+        let mut got = Vec::new();
+        let mut failed = None;
+        let (mut fed, mut lens) = (0, chunk_lens.iter().cycle());
+        while fed < stream.len() && failed.is_none() {
+            let chunk = &stream[fed..stream.len().min(fed + lens.next().unwrap())];
+            reader.extend(chunk);
+            fed += chunk.len();
+            failed = loop {
+                match reader.next_frame() {
+                    Ok(Some(frame)) => got.push(frame),
+                    Ok(None) => break None,
+                    Err(err) => break Some(err),
+                }
+            };
+            prop_assert!(reader.buffered() <= 4 + MAX_FRAME_LEN as usize + chunk.len());
+            // Reported with the chunk that completes the bad prefix: not
+            // before, not later.
+            prop_assert_eq!(failed.is_some(), bad.as_ref().is_some_and(|(at, _)| fed >= *at));
+        }
+        prop_assert_eq!(got, frames);
+        prop_assert_eq!(failed, bad.map(|(_, err)| err));
     }
 }
