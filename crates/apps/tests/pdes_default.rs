@@ -8,11 +8,9 @@
 use shasta_apps::{lu::Lu, run_app_shaped, Preset, Proto, RunConfig};
 use shasta_obs::Registry;
 
-#[test]
-#[cfg_attr(debug_assertions, ignore = "~1.5 s optimized; rides the --release workspace run")]
-fn lu_default_smp16c4_sharded_stats_equal_serial() {
-    let app = Lu::new(Preset::Default, false);
-    let cfg = RunConfig::new(Proto::Smp, 16, 4);
+fn lu_smp_sharded_stats_equal_serial(preset: Preset, procs: u32) {
+    let app = Lu::new(preset, false);
+    let cfg = RunConfig::new(Proto::Smp, procs, 4);
     let serial = run_app_shaped(&app, &cfg, |_| {});
     let reg = Registry::enabled();
     let sharded = run_app_shaped(&app, &cfg, |m| {
@@ -25,4 +23,18 @@ fn lu_default_smp16c4_sharded_stats_equal_serial() {
         reg.snapshot().counter("pdes.windows") > 0,
         "the sharded run never entered the parallel engine"
     );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "~1.5 s optimized; rides the --release workspace run")]
+fn lu_default_smp16c4_sharded_stats_equal_serial() {
+    lu_smp_sharded_stats_equal_serial(Preset::Default, 16);
+}
+
+/// The same on a kernel small enough for debug builds: splitting and
+/// merging shards swaps whole memory images, which are only as long as what
+/// `plan` allocated.
+#[test]
+fn lu_tiny_smp8c4_sharded_stats_equal_serial() {
+    lu_smp_sharded_stats_equal_serial(Preset::Tiny, 8);
 }

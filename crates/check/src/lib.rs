@@ -330,15 +330,14 @@ impl fmt::Display for Counterexample {
     }
 }
 
-/// Reusable per-worker state threaded through consecutive checker runs, so
-/// a sweep's inner loop stops re-allocating heap-sized oracle buffers from
-/// scratch on every `(scenario, seed)` pair. Purely a host-side allocation
-/// cache: a fresh [`RunCtx`] and a recycled one produce bit-identical runs.
+/// Per-worker state a sweep caller threads through consecutive
+/// [`run_checked_ctx`] calls. It holds nothing: a machine's memory images
+/// and the oracle's shadow are mapped at `malloc`, so a checker run
+/// allocates a few kilobytes and there is no buffer worth carrying from one
+/// run to the next. The type and [`run_checked_ctx`] stay for the callers
+/// compiled against them.
 #[derive(Debug, Default)]
-pub struct RunCtx {
-    /// Recycled shadow-memory backing store for the coherence oracle.
-    shadow: Option<Vec<u8>>,
-}
+pub struct RunCtx;
 
 /// The seed a schedule policy explores (0 for the deterministic policy) —
 /// mixed into the fault seed so one [`FaultPlan`] explores a different
@@ -352,13 +351,7 @@ fn policy_seed(policy: SchedulePolicy) -> u64 {
 }
 
 /// Builds the machine for a scenario (shared by checked and unchecked runs).
-fn build_machine(
-    s: &Scenario,
-    policy: SchedulePolicy,
-    bug: BugInjection,
-    oracle: bool,
-    ctx: &mut RunCtx,
-) -> Machine {
+fn build_machine(s: &Scenario, policy: SchedulePolicy, bug: BugInjection, oracle: bool) -> Machine {
     let topo = Topology::new(s.procs, s.per_node, s.clustering)
         .unwrap_or_else(|e| panic!("bad scenario topology {s}: {e}"));
     let nodes = topo.phys_nodes();
@@ -408,7 +401,7 @@ fn build_machine(
         m.set_metrics(&shasta_obs::Registry::enabled());
     }
     if oracle {
-        m.enable_oracle_with_buffer(ctx.shadow.take().unwrap_or_default());
+        m.enable_oracle();
         m.enable_trace(TRACE_CAPACITY);
         // Liveness budget, generously above any correct run of these sizes.
         m.set_step_limit(100_000 + 50_000 * u64::from(s.procs) * u64::from(s.iters));
@@ -425,7 +418,8 @@ pub fn run_scenario(
     bug: BugInjection,
     oracle: bool,
 ) -> RunStats {
-    run_scenario_inner(s, policy, bug, oracle, &mut RunCtx::default()).0
+    let (stats, _m) = run_scenario_inner(s, policy, bug, oracle);
+    stats
 }
 
 /// Like [`run_scenario`] with oracles on, but also returns the rendered
@@ -436,27 +430,22 @@ pub fn run_scenario_traced(
     policy: SchedulePolicy,
     bug: BugInjection,
 ) -> (RunStats, String) {
-    run_scenario_inner(s, policy, bug, true, &mut RunCtx::default())
+    let (stats, m) = run_scenario_inner(s, policy, bug, true);
+    (stats, m.render_trace())
 }
 
+/// Builds, plans and runs; the machine comes back for callers that want its
+/// trace rendered (a sweep run does not pay for the `String`).
 fn run_scenario_inner(
     s: &Scenario,
     policy: SchedulePolicy,
     bug: BugInjection,
     oracle: bool,
-    ctx: &mut RunCtx,
-) -> (RunStats, String) {
-    let mut m = build_machine(s, policy, bug, oracle, ctx);
+) -> (RunStats, Machine) {
+    let mut m = build_machine(s, policy, bug, oracle);
     let bodies = plan_kernel(&mut m, s);
     let stats = m.run(bodies);
-    let trace = m.render_trace();
-    // Reclaim the oracle's shadow buffer for the next run of this context
-    // (lost on the panic path — the machine unwinds with it — which is fine:
-    // the next run simply allocates afresh).
-    if let Some(buf) = m.take_oracle_buffer() {
-        ctx.shadow = Some(buf);
-    }
-    (stats, trace)
+    (stats, m)
 }
 
 /// Replays a `(scenario, policy, bug)` triple with oracles *and* structured
@@ -472,7 +461,7 @@ pub fn replay_observed(
     ring_capacity: usize,
 ) -> (Result<RunStats, String>, shasta_obs::EventLog) {
     silence_expected_panics();
-    let mut m = build_machine(s, policy, bug, true, &mut RunCtx::default());
+    let mut m = build_machine(s, policy, bug, true);
     m.enable_obs(ring_capacity);
     let bodies = plan_kernel(&mut m, s);
     let res = panic::catch_unwind(AssertUnwindSafe(|| m.run(bodies))).map_err(|payload| {
@@ -504,7 +493,7 @@ pub fn run_scenario_observed(
     bug: BugInjection,
     ring_capacity: usize,
 ) -> (RunStats, shasta_obs::EventLog, String) {
-    let mut m = build_machine(s, policy, bug, false, &mut RunCtx::default());
+    let mut m = build_machine(s, policy, bug, false);
     m.enable_obs(ring_capacity);
     m.enable_trace(TRACE_CAPACITY);
     let bodies = plan_kernel(&mut m, s);
@@ -652,20 +641,7 @@ pub fn run_checked(
     policy: SchedulePolicy,
     bug: BugInjection,
 ) -> Result<RunStats, Counterexample> {
-    run_checked_ctx(s, policy, bug, &mut RunCtx::default())
-}
-
-/// [`run_checked`] with a reusable [`RunCtx`], so sweeps recycle the oracle's
-/// shadow buffer across runs instead of re-allocating it each time.
-#[allow(clippy::result_large_err)]
-pub fn run_checked_ctx(
-    s: &Scenario,
-    policy: SchedulePolicy,
-    bug: BugInjection,
-    ctx: &mut RunCtx,
-) -> Result<RunStats, Counterexample> {
-    let res =
-        panic::catch_unwind(AssertUnwindSafe(|| run_scenario_inner(s, policy, bug, true, ctx).0));
+    let res = panic::catch_unwind(AssertUnwindSafe(|| run_scenario(s, policy, bug, true)));
     res.map_err(|payload| {
         let message = if let Some(s) = payload.downcast_ref::<String>() {
             s.clone()
@@ -678,6 +654,18 @@ pub fn run_checked_ctx(
     })
 }
 
+/// [`run_checked`] under the signature sweep callers thread a [`RunCtx`]
+/// through.
+#[allow(clippy::result_large_err)]
+pub fn run_checked_ctx(
+    s: &Scenario,
+    policy: SchedulePolicy,
+    bug: BugInjection,
+    _ctx: &mut RunCtx,
+) -> Result<RunStats, Counterexample> {
+    run_checked(s, policy, bug)
+}
+
 /// Greedily shrinks a counterexample: repeatedly halve the kernel's round
 /// count while the *same* `(scenario, policy)` pair still fails, keeping
 /// the smallest failing run (fewer rounds ⇒ a shorter schedule and a
@@ -686,30 +674,7 @@ pub fn run_checked_ctx(
 /// failure are dropped too, then the rounds re-shrunk — the surviving
 /// categories name the delivery assumption the failure depends on.
 pub fn shrink(cx: &Counterexample) -> Counterexample {
-    shrink_ctx(cx, &mut RunCtx::default())
-}
-
-/// One halving pass over the round count, starting from `best`.
-fn shrink_iters(best: Counterexample, ctx: &mut RunCtx) -> Counterexample {
-    let mut best = best;
-    let mut iters = best.scenario.iters;
-    while iters > 1 {
-        let half = iters / 2;
-        let candidate = Scenario { iters: half, ..best.scenario };
-        match run_checked_ctx(&candidate, best.policy, best.bug, ctx) {
-            Err(smaller) => {
-                best = smaller;
-                iters = half;
-            }
-            Ok(_) => break,
-        }
-    }
-    best
-}
-
-/// [`shrink`] with a reusable [`RunCtx`] for its re-runs.
-pub fn shrink_ctx(cx: &Counterexample, ctx: &mut RunCtx) -> Counterexample {
-    let mut best = shrink_iters(cx.clone(), ctx);
+    let mut best = shrink_iters(cx.clone());
     if best.scenario.fault.is_none() {
         return best;
     }
@@ -729,12 +694,30 @@ pub fn shrink_ctx(cx: &Counterexample, ctx: &mut RunCtx) -> Counterexample {
             continue;
         }
         let candidate = Scenario { fault, ..best.scenario };
-        if let Err(smaller) = run_checked_ctx(&candidate, best.policy, best.bug, ctx) {
+        if let Err(smaller) = run_checked(&candidate, best.policy, best.bug) {
             best = smaller;
         }
     }
     // Fewer categories may allow fewer rounds.
-    shrink_iters(best, ctx)
+    shrink_iters(best)
+}
+
+/// One halving pass over the round count, starting from `best`.
+fn shrink_iters(best: Counterexample) -> Counterexample {
+    let mut best = best;
+    let mut iters = best.scenario.iters;
+    while iters > 1 {
+        let half = iters / 2;
+        let candidate = Scenario { iters: half, ..best.scenario };
+        match run_checked(&candidate, best.policy, best.bug) {
+            Err(smaller) => {
+                best = smaller;
+                iters = half;
+            }
+            Ok(_) => break,
+        }
+    }
+    best
 }
 
 /// Result of a seed sweep.
@@ -831,12 +814,11 @@ pub fn sweep_jobs(
 
     if jobs <= 1 {
         let mut report = SweepReport::default();
-        let mut ctx = RunCtx::default();
         for idx in 0..total {
             let (s, policy) = sweep_run_at(scenarios, &seeds, idx);
             report.runs += 1;
-            if let Err(cx) = run_checked_ctx(&s, policy, bug, &mut ctx) {
-                report.failures.push(shrink_ctx(&cx, &mut ctx));
+            if let Err(cx) = run_checked(&s, policy, bug) {
+                report.failures.push(shrink(&cx));
                 if report.failures.len() >= k {
                     return report;
                 }
@@ -853,14 +835,13 @@ pub fn sweep_jobs(
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(total) {
             scope.spawn(|| {
-                let mut ctx = RunCtx::default();
                 loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
                     if idx >= total || idx >= cutoff.load(Ordering::Relaxed) {
                         break;
                     }
                     let (s, policy) = sweep_run_at(scenarios, &seeds, idx);
-                    if let Err(cx) = run_checked_ctx(&s, policy, bug, &mut ctx) {
+                    if let Err(cx) = run_checked(&s, policy, bug) {
                         let mut v = found.lock().expect("failure list poisoned");
                         v.push((idx, cx));
                         if v.len() >= k {
@@ -883,8 +864,7 @@ pub fn sweep_jobs(
     } else {
         total as u64
     };
-    let mut ctx = RunCtx::default();
-    let failures = failures.into_iter().map(|(_, cx)| shrink_ctx(&cx, &mut ctx)).collect();
+    let failures = failures.into_iter().map(|(_, cx)| shrink(&cx)).collect();
     SweepReport { runs, failures }
 }
 

@@ -39,32 +39,28 @@ use crate::state::{LineState, PrivState};
 /// Oracle state carried by a [`Machine`] during a checked run.
 #[derive(Debug)]
 pub struct Oracle {
-    /// Sequential shadow of the shared heap, updated in engine commit order.
+    /// Sequential shadow of the allocated part of the shared heap, updated
+    /// in engine commit order.
     shadow: Vec<u8>,
     /// Completed loads/stores observed (reported in violation dumps).
     pub observed_ops: u64,
 }
 
 impl Oracle {
-    /// Creates an oracle shadowing `heap_bytes` of shared heap (contents
-    /// start as zeros, matching `SetupCtx::malloc`).
-    pub fn new(heap_bytes: u64) -> Self {
-        Self::with_buffer(heap_bytes, Vec::new())
+    /// Creates an oracle whose shadow covers `[0, mapped_bytes)`, all zeros
+    /// (matching `SetupCtx::malloc`).
+    pub fn new(mapped_bytes: u64) -> Self {
+        Oracle { shadow: vec![0; mapped_bytes as usize], observed_ops: 0 }
     }
 
-    /// Like [`Oracle::new`] but reusing `buf` as the shadow's backing store
-    /// (cleared and re-zeroed). Sweeps that run thousands of schedules
-    /// recycle one buffer instead of allocating a fresh heap image per run;
-    /// reclaim it afterwards with [`Oracle::into_buffer`].
-    pub fn with_buffer(heap_bytes: u64, mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        buf.resize(heap_bytes as usize, 0);
-        Oracle { shadow: buf, observed_ops: 0 }
-    }
-
-    /// Consumes the oracle, returning the shadow's backing buffer for reuse.
-    pub fn into_buffer(self) -> Vec<u8> {
-        self.shadow
+    /// Extends the shadow with zeros to cover `[0, end)`: the machine maps it
+    /// together with the node images as shared memory is allocated, so the
+    /// shadow is allocation-sized whichever of `enable_oracle` and `malloc`
+    /// comes first. Never shrinks.
+    pub(crate) fn map_to(&mut self, end: Addr) {
+        if end as usize > self.shadow.len() {
+            self.shadow.resize(end as usize, 0);
+        }
     }
 
     /// Mirrors an initialization or committed application write.

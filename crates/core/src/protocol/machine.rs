@@ -241,7 +241,10 @@ pub struct Machine {
 
 impl Machine {
     /// Creates a machine with `heap_bytes` of shared heap and the paper's
-    /// default 64-byte lines.
+    /// default 64-byte lines. `heap_bytes` is a limit on what
+    /// [`SetupCtx::malloc`] may hand out, not a cost: memory images, state
+    /// tables and the oracle's shadow start empty and are mapped as shared
+    /// memory is allocated.
     ///
     /// # Panics
     ///
@@ -290,10 +293,9 @@ impl Machine {
         let procs = topo.procs() as usize;
         let vnodes = topo.virt_nodes() as usize;
         let space = SharedSpace::new(heap_bytes, line_bytes, topo.procs());
-        let lines = space.heap_lines();
         Machine {
-            mems: (0..vnodes).map(|_| NodeMem::new(heap_bytes, space.line_bytes())).collect(),
-            privs: (0..procs).map(|_| PrivTable::new(lines)).collect(),
+            mems: (0..vnodes).map(|_| NodeMem::new(0, line_bytes)).collect(),
+            privs: (0..procs).map(|_| PrivTable::new(0)).collect(),
             dirs: (0..procs).map(|_| Directory::new()).collect(),
             miss: (0..vnodes).map(|_| MissTable::new()).collect(),
             epochs: (0..vnodes).map(|_| EpochTracker::default()).collect(),
@@ -343,21 +345,8 @@ impl Machine {
     /// Violations panic with the event-trace tail; combine with
     /// [`Machine::enable_trace`] for usable counterexamples.
     pub fn enable_oracle(&mut self) {
-        self.oracle = Some(Box::new(Oracle::new(self.space.heap_bytes())));
-    }
-
-    /// Like [`Machine::enable_oracle`] but reusing `buf` as the shadow
-    /// memory's backing store (cleared and re-zeroed), so checker sweeps
-    /// recycle one heap-sized allocation across thousands of runs. Reclaim
-    /// it afterwards with [`Machine::take_oracle_buffer`].
-    pub fn enable_oracle_with_buffer(&mut self, buf: Vec<u8>) {
-        self.oracle = Some(Box::new(Oracle::with_buffer(self.space.heap_bytes(), buf)));
-    }
-
-    /// Disables the oracle and returns its shadow buffer for reuse (`None`
-    /// if no oracle was enabled).
-    pub fn take_oracle_buffer(&mut self) -> Option<Vec<u8>> {
-        self.oracle.take().map(|o| o.into_buffer())
+        // As far as `malloc` has mapped the images; it maps the rest.
+        self.oracle = Some(Box::new(Oracle::new(self.mems[0].mapped_bytes())));
     }
 
     /// Caps the run at `steps` scheduling steps; exceeding it panics with
@@ -687,6 +676,23 @@ impl Machine {
         }
     }
 
+    /// Maps every node image, every private state table and the oracle's
+    /// shadow (if enabled) up to `end`. Called by the only allocator,
+    /// [`SetupCtx::malloc_labeled`], so everything a run may index is mapped
+    /// before it starts.
+    fn map_to(&mut self, end: Addr) {
+        let lines = end.div_ceil(self.space.line_bytes());
+        for mem in &mut self.mems {
+            mem.map_to(end);
+        }
+        for t in &mut self.privs {
+            t.map_to(lines);
+        }
+        if let Some(o) = &mut self.oracle {
+            o.map_to(end);
+        }
+    }
+
     /// Initializes shared data before the parallel phase: allocations plus
     /// direct writes that land at each block's home with the home holding
     /// an exclusive copy (data is "initialized by its home" as SPLASH-2
@@ -734,21 +740,18 @@ impl SetupCtx<'_> {
             .malloc_labeled(size, block, home, label)
             .unwrap_or_else(|e| panic!("setup allocation failed: {e}"));
         let alloc = *self.m.space.allocation_of(addr).expect("just allocated");
-        let mut cur = alloc.start;
-        while cur < alloc.start + alloc.len {
-            let block = self.m.space.block_of(cur).expect("allocated");
-            let home = self.m.home_proc(block);
+        self.m.map_to(alloc.start + alloc.len);
+        // An allocation's blocks are uniform: walk them arithmetically.
+        for start in (alloc.start..alloc.start + alloc.len).step_by(alloc.block_bytes as usize) {
+            let block = Block { start, len: alloc.block_bytes };
+            let home = self.m.space.home_in(&alloc, start);
             let hv = self.m.vnode(home);
-            self.m.dirs[home as usize].register(block.start, home);
+            self.m.dirs[home as usize].register(start, home);
             self.m.set_block_state(hv, block, LineState::Exclusive);
-            self.m.set_priv(home, block, crate::state::PrivState::Exclusive);
-            // Initial contents: zeros (not flag values) at the home copy.
-            let zeros = vec![0u8; block.len as usize];
-            self.m.mems[hv].write(block.start, &zeros);
-            if let Some(o) = &mut self.m.oracle {
-                o.shadow_write(block.start, &zeros);
-            }
-            cur = block.start + block.len;
+            self.m.set_priv(home, block, PrivState::Exclusive);
+            // Initial contents: zeros (not flag values) at the home copy. The
+            // oracle's shadow was mapped as zeros.
+            self.m.mems[hv].write_zeros(start, block.len);
         }
         addr
     }
@@ -878,6 +881,33 @@ mod tests {
             assert_eq!(s.read(a, 16_384), data, "spans pages with different homes");
             assert_eq!(s.procs(), 8);
         });
+    }
+
+    /// The heap size is a limit, not a cost: were anything still sized to
+    /// it, this machine would need 16 images of 4 GiB.
+    #[test]
+    fn a_4gib_heap_limit_costs_only_what_is_allocated() {
+        let topo = Topology::new(16, 1, 1).unwrap();
+        let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::base(), 4 << 30);
+        m.enable_oracle();
+        let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
+        for mem in &m.mems {
+            assert_eq!(mem.mapped_bytes(), a + 64, "images end where the allocation ends");
+        }
+        let bodies = (0..16u32)
+            .map(|p| {
+                Box::new(move |mut dsm: crate::api::Dsm| {
+                    if p == 15 {
+                        dsm.store_u64(a, 7);
+                        assert_eq!(dsm.load_u64(a), 7);
+                    }
+                }) as Box<dyn FnOnce(crate::api::Dsm) + Send>
+            })
+            .collect();
+        let stats = m.run(bodies);
+        assert_eq!(stats.misses.total(), 1, "one remote write miss");
+        assert_eq!(m.mems[0].longword(a), INVALID_FLAG, "the home's copy was invalidated");
+        assert_eq!(m.mems[15].read_scalar(a, 8), 7);
     }
 
     #[test]

@@ -650,13 +650,14 @@ fn split_shards(m: &mut Machine) -> Vec<Machine> {
 
     let mut out: Vec<Machine> = (0..shards)
         .map(|_| {
-            // A heapless machine is all placeholders: serial, unobserved,
-            // deterministic policy, no oracle or step limit.
+            // A new machine has nothing mapped, so it is all placeholders:
+            // serial, unobserved, deterministic policy, no oracle or step
+            // limit.
             let mut sm = Machine::with_line_size(
                 m.topo.clone(),
                 m.cost.clone(),
                 m.cfg,
-                0,
+                m.space.heap_bytes(),
                 m.space.line_bytes(),
             );
             sm.space = m.space.clone();

@@ -365,6 +365,12 @@ impl SharedSpace {
         let a = self
             .allocation_of(addr)
             .unwrap_or_else(|| panic!("unallocated shared address {addr:#x}"));
+        self.home_in(a, addr)
+    }
+
+    /// [`home_of`](Self::home_of) for an `addr` already known to lie in
+    /// allocation `a` (skips the allocation lookup).
+    pub(crate) fn home_in(&self, a: &Allocation, addr: Addr) -> u32 {
         match a.home {
             HomeHint::Explicit(h) => h,
             HomeHint::RoundRobin => ((addr / PAGE_BYTES) % self.procs as u64) as u32,

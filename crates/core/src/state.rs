@@ -113,6 +113,12 @@ impl PrivState {
 }
 
 /// One virtual node's memory image plus shared state table.
+///
+/// An image covers the heap only up to its **mapped end**: the machine maps
+/// images as shared memory is allocated, so an image costs what was
+/// allocated, not the heap limit. An unmapped longword reads as the
+/// [`INVALID_FLAG`]; every other access past the mapped end is an access to
+/// unallocated memory and panics saying so.
 #[derive(Clone, Debug)]
 pub struct NodeMem {
     mem: Vec<u8>,
@@ -120,17 +126,47 @@ pub struct NodeMem {
     line_bytes: u64,
 }
 
+/// Stores the invalid flag into every longword of `bytes`.
+fn fill_flags(bytes: &mut [u8]) {
+    for w in bytes.chunks_exact_mut(4) {
+        w.copy_from_slice(&INVALID_FLAG.to_le_bytes());
+    }
+}
+
+#[cold]
+fn unmapped(addr: Addr) -> ! {
+    panic!("access to unallocated shared address {addr:#x} (past the mapped image)")
+}
+
 impl NodeMem {
-    /// Creates a node image of `heap_bytes`, all lines `Invalid`, with every
-    /// longword holding the invalid flag (the state a freshly mapped shared
-    /// page presents to the flag-technique load check).
-    pub fn new(heap_bytes: u64, line_bytes: u64) -> Self {
-        let mut mem = vec![0u8; heap_bytes as usize];
-        for w in mem.chunks_exact_mut(4) {
-            w.copy_from_slice(&INVALID_FLAG.to_le_bytes());
+    /// Creates a node image mapped to `mapped_bytes` (see
+    /// [`map_to`](Self::map_to)); `NodeMem::new(0, ..)` is the empty image a
+    /// machine starts from.
+    pub fn new(mapped_bytes: u64, line_bytes: u64) -> Self {
+        let mut m = NodeMem { mem: Vec::new(), state: Vec::new(), line_bytes };
+        m.map_to(mapped_bytes);
+        m
+    }
+
+    /// Extends the image to cover `[0, end)`, rounded up to a whole line:
+    /// new lines are `Invalid` with every longword holding the invalid flag
+    /// (the state a freshly mapped shared page presents to the
+    /// flag-technique load check). What is already mapped keeps its bytes
+    /// and states; an `end` inside the mapped image changes nothing.
+    pub fn map_to(&mut self, end: Addr) {
+        let lines = end.div_ceil(self.line_bytes) as usize;
+        if lines <= self.state.len() {
+            return;
         }
-        let lines = heap_bytes.div_ceil(line_bytes) as usize;
-        NodeMem { mem, state: vec![LineState::Invalid; lines], line_bytes }
+        let old = self.mem.len();
+        self.state.resize(lines, LineState::Invalid);
+        self.mem.resize(lines * self.line_bytes as usize, 0);
+        fill_flags(&mut self.mem[old..]);
+    }
+
+    /// Bytes mapped so far (a whole number of lines).
+    pub fn mapped_bytes(&self) -> u64 {
+        self.mem.len() as u64
     }
 
     /// Line size this image was built with.
@@ -159,25 +195,32 @@ impl NodeMem {
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the heap.
+    /// Panics if the range exceeds the mapped image.
     pub fn read(&self, addr: Addr, len: u64) -> &[u8] {
-        &self.mem[addr as usize..(addr + len) as usize]
+        let mapped = self.mem.get(addr as usize..).and_then(|m| m.get(..len as usize));
+        mapped.unwrap_or_else(|| unmapped(addr))
     }
 
     /// Writes `data` at `addr`.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the heap.
+    /// Panics if the range exceeds the mapped image.
     pub fn write(&mut self, addr: Addr, data: &[u8]) {
-        self.mem[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        let mapped = self.mem.get_mut(addr as usize..).and_then(|m| m.get_mut(..data.len()));
+        mapped.unwrap_or_else(|| unmapped(addr)).copy_from_slice(data);
     }
 
     /// Reads the longword (4 bytes, aligned down) containing `addr` — the
-    /// value the flag-technique load check compares.
+    /// value the flag-technique load check compares. An unmapped longword
+    /// reads as the invalid flag, so a load of it falls into the miss
+    /// handler, whose range check names the unallocated address.
     pub fn longword(&self, addr: Addr) -> u32 {
         let base = (addr & !3) as usize;
-        u32::from_le_bytes(self.mem[base..base + 4].try_into().expect("4 bytes"))
+        match self.mem.get(base..).and_then(|w| w.first_chunk()) {
+            Some(w) => u32::from_le_bytes(*w),
+            None => INVALID_FLAG,
+        }
     }
 
     /// Reads an unsigned little-endian value of `size` ∈ {1, 2, 4, 8} bytes.
@@ -194,13 +237,18 @@ impl NodeMem {
         self.write(addr, &bytes[..size as usize]);
     }
 
+    /// Zeroes the byte range `[start, start + len)` (the initial contents of
+    /// an allocation at its home).
+    pub fn write_zeros(&mut self, start: Addr, len: u64) {
+        let s = start as usize;
+        self.mem[s..s + len as usize].fill(0);
+    }
+
     /// Writes the invalid flag into every longword of the byte range
     /// `[start, start + len)` (called when a block is invalidated).
     pub fn write_flags(&mut self, start: Addr, len: u64) {
         let s = start as usize;
-        for w in self.mem[s..s + len as usize].chunks_exact_mut(4) {
-            w.copy_from_slice(&INVALID_FLAG.to_le_bytes());
-        }
+        fill_flags(&mut self.mem[s..s + len as usize]);
     }
 }
 
@@ -211,9 +259,19 @@ pub struct PrivTable {
 }
 
 impl PrivTable {
-    /// Creates an all-`Invalid` private table covering `lines` lines.
+    /// Creates an all-`Invalid` private table covering `lines` lines;
+    /// `PrivTable::new(0)` is the empty table a machine starts from.
     pub fn new(lines: u64) -> Self {
         PrivTable { state: vec![PrivState::Invalid; lines as usize] }
+    }
+
+    /// Extends the table to cover `lines` lines, the new ones `Invalid`
+    /// (mapped together with the node images, see [`NodeMem::map_to`]).
+    /// Never shrinks.
+    pub fn map_to(&mut self, lines: u64) {
+        if lines as usize > self.state.len() {
+            self.state.resize(lines as usize, PrivState::Invalid);
+        }
     }
 
     /// State of line `line`.
@@ -280,6 +338,61 @@ mod tests {
         assert_eq!(m.line_state(0), LineState::Invalid);
         assert_eq!(m.longword(0), INVALID_FLAG);
         assert_eq!(m.longword(4_092), INVALID_FLAG);
+    }
+
+    #[test]
+    fn map_to_extends_without_touching_what_is_mapped() {
+        let mut m = NodeMem::new(0, 64);
+        assert_eq!(m.mapped_bytes(), 0);
+        m.map_to(100); // rounds up to a whole line
+        assert_eq!(m.mapped_bytes(), 128);
+        m.write_scalar(64, 8, 0x0102_0304_0506_0708);
+        m.set_line_state(1, LineState::Exclusive);
+        let before = m.clone();
+        for end in [0, 1, 100, 128] {
+            m.map_to(end); // inside the mapped image: nothing changes
+            assert_eq!(m.mapped_bytes(), 128);
+            assert_eq!(m.read(0, 128), before.read(0, 128));
+        }
+        m.map_to(129);
+        assert_eq!(m.mapped_bytes(), 192);
+        assert_eq!(m.read(0, 128), before.read(0, 128), "mapped bytes survive");
+        assert_eq!(m.line_state(0), LineState::Invalid);
+        assert_eq!(m.line_state(1), LineState::Exclusive, "mapped states survive");
+        assert_eq!(m.line_state(2), LineState::Invalid);
+        for a in (128..192).step_by(4) {
+            assert_eq!(m.longword(a), INVALID_FLAG, "new range is flag-filled");
+        }
+        // Growing in steps and mapping at once give the same image.
+        let whole = NodeMem::new(192, 64);
+        let mut stepped = NodeMem::new(0, 64);
+        for end in [64, 128, 192] {
+            stepped.map_to(end);
+        }
+        assert_eq!(whole.read(0, 192), stepped.read(0, 192));
+    }
+
+    #[test]
+    fn unmapped_longword_reads_as_the_flag_and_other_accesses_name_the_address() {
+        let mut m = NodeMem::new(64, 64);
+        m.write_scalar(60, 4, 7);
+        assert_eq!(m.longword(60), 7);
+        assert_eq!(m.longword(64), INVALID_FLAG);
+        assert_eq!(m.longword(u64::MAX), INVALID_FLAG);
+        let past = std::panic::catch_unwind(|| m.read_scalar(60, 8));
+        let msg = *past.expect_err("read past the mapped end").downcast::<String>().unwrap();
+        assert!(msg.contains("unallocated shared address 0x3c"), "{msg}");
+    }
+
+    #[test]
+    fn priv_table_map_to_keeps_entries_and_never_shrinks() {
+        let mut t = PrivTable::new(0);
+        t.map_to(2);
+        t.set(1, PrivState::Exclusive);
+        t.map_to(1);
+        t.map_to(4);
+        assert_eq!(t.get(1), PrivState::Exclusive);
+        assert_eq!(t.get(3), PrivState::Invalid);
     }
 
     #[test]

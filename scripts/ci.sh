@@ -38,14 +38,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p shasta-stats -p shasta-obs -p shasta-apps -p shasta-fgdsm \
   -p shasta-bench -p shasta-check -p shasta-transport
 
-echo "==> shasta-core builds with event recording compiled out"
-cargo build -p shasta-core --no-default-features
+echo "==> shasta-core with event recording compiled out (misuse diagnostics, heap-limit invariance)"
+# The unmapped-read rule and map-at-malloc live in core proper: they must
+# hold with the recording hooks compiled out too.
+cargo test -q -p shasta-core --no-default-features --test misuse --test heap_limit
 
 echo "==> obs-block-state feature matrix (tier-1 on, fig4 byte-identical off vs on)"
 # Per-transition block-state events are compiled out by default; turning
 # them on must not change any aggregate-derived output (they feed only the
 # Chrome exporter), so Figure 4 must be byte-identical either way.
-cargo test -q -p shasta-core --features obs-block-state > /dev/null
+cargo test -q -p shasta-core --features obs-block-state
 fig4_off="$(mktemp /tmp/shasta-ci-fig4-off.XXXXXX.txt)"
 fig4_on="$(mktemp /tmp/shasta-ci-fig4-on.XXXXXX.txt)"
 cargo run --release -p shasta-bench --bin fig4_breakdown -- \
