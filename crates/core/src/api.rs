@@ -227,8 +227,7 @@ impl Dsm {
 
     /// Batched write of `data` at `addr`.
     pub fn write_range(&mut self, addr: Addr, data: &[u8]) {
-        let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::WriteRange { addr, data: data.to_vec(), pre_cycles });
+        self.write_owned(addr, data.to_vec());
     }
 
     /// Batched write of consecutive `f64`s at `addr`.
@@ -237,7 +236,12 @@ impl Dsm {
         for v in values {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        self.write_range(addr, &bytes);
+        self.write_owned(addr, bytes);
+    }
+
+    fn write_owned(&mut self, addr: Addr, data: Vec<u8>) {
+        let pre_cycles = self.take_cycles();
+        self.expect_unit(Req::WriteRange { addr, data, pre_cycles });
     }
 
     /// Acquires application lock `lock`.

@@ -1,58 +1,112 @@
 //! The fiber rendezvous: application threads that suspend at every
 //! protocol-visible operation.
 //!
-//! Each simulated processor is an OS thread running ordinary Rust code. When
-//! it performs a DSM operation it calls [`FiberApi::call`], which hands the
-//! request to the engine thread and blocks until the engine replies. The
-//! engine holds every live fiber's *pending request* (see
-//! [`FiberPool::peek_request`]), so it can always pick the globally earliest
-//! action; between a fiber's operations only that fiber's private data is
-//! touched, so the host-parallel execution of application code cannot
-//! introduce nondeterminism.
+//! Each simulated processor is an OS thread running ordinary Rust code. A DSM
+//! operation is a [`FiberApi::call`]: it hands the request to the engine
+//! thread and blocks until the engine replies. The engine holds every live
+//! fiber's *pending request* ([`FiberPool::peek_request`]), so it can always
+//! pick the globally earliest action; between a fiber's operations only its
+//! private data is touched, so host-parallel application code cannot
+//! introduce nondeterminism. It must never block on anything except `call`.
 //!
-//! Deadlock discipline: application code must never block on anything except
-//! `call` — all inter-processor communication goes through the simulated
-//! protocol.
+//! Engine and fiber meet in one mutex-guarded *exchange cell* per fiber,
+//! handed over with `thread::park`/`unpark`. Its five states:
+//! * `Idle` — the fiber is computing, or the engine owes it a reply;
+//! * `Request(req)` — stored by `call`; the engine moves it out (`Idle`);
+//! * `Reply(resp)` — stored by `resume`; `call` takes it (`Idle`);
+//! * `Finished` — stored by a drop guard around the fiber body, so a return
+//!   and an unwind look the same; joining the thread re-raises a panic;
+//! * `Closed` — the pool was dropped with the fiber live; never overwritten.
+//!   `call` on it, now or later, unwinds with a private payload that skips
+//!   the panic hook, and the pool's `Drop` joins the thread.
+//!
+//! Two rules. *The waiter is registered at wait time*: the engine stores
+//! `thread::current()` in the cell each time it is about to park, never at
+//! spawn, because the sharded engine spawns a pool on one thread and drives
+//! it from another. *Both sides re-check the cell in a loop around `park`*, so
+//! a stale unpark token or a spurious wake-up costs one turn and no more.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread::JoinHandle;
+use std::mem;
+use std::panic::resume_unwind;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle, Thread};
 
 /// A boxed fiber body, used by [`FiberPool::spawn_each`].
 pub type FiberBody<Req, Resp> = Box<dyn FnOnce(FiberApi<Req, Resp>) + Send>;
 
-/// Bounded spin budget before falling back to a blocking receive in
-/// [`FiberPool::spawn_each`]'s rendezvous (see `refill`).
-const SPIN_ITERS: u32 = 200;
+#[derive(Debug)]
+enum Cell<Req, Resp> {
+    Idle,
+    Request(Req),
+    Reply(Resp),
+    Finished,
+    Closed,
+}
 
-/// Whether a bounded spin-wait before blocking is worthwhile: only on hosts
-/// with more than one CPU, where the fiber thread can actually make progress
-/// while the engine spins.
-fn spin_before_block() -> bool {
-    use std::sync::OnceLock;
-    static MULTI_CPU: OnceLock<bool> = OnceLock::new();
-    *MULTI_CPU.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+#[derive(Debug)]
+struct Exchange<Req, Resp> {
+    cell: Cell<Req, Resp>,
+    /// The engine thread that is (about to be) parked on this cell.
+    waiter: Option<Thread>,
+}
+
+type Shared<Req, Resp> = Arc<Mutex<Exchange<Req, Resp>>>;
+
+/// Every update stores a whole [`Cell`], so a poisoned lock guards a valid one.
+fn lock<Req, Resp>(shared: &Mutex<Exchange<Req, Resp>>) -> MutexGuard<'_, Exchange<Req, Resp>> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Fiber side: stores `next` and wakes the engine if it is waiting. A closed
+/// cell stays closed; returns whether `next` was stored.
+fn post<Req, Resp>(shared: &Mutex<Exchange<Req, Resp>>, next: Cell<Req, Resp>) -> bool {
+    let mut ex = lock(shared);
+    if matches!(ex.cell, Cell::Closed) {
+        return false;
+    }
+    ex.cell = next;
+    let waiter = ex.waiter.take();
+    drop(ex);
+    if let Some(engine) = waiter {
+        engine.unpark();
+    }
+    true
+}
+
+/// What a fiber of a dropped pool unwinds with.
+struct Abandoned;
+
+/// Stores `Finished` when the fiber body returns or unwinds.
+struct Finish<Req, Resp>(Shared<Req, Resp>);
+
+impl<Req, Resp> Drop for Finish<Req, Resp> {
+    fn drop(&mut self) {
+        post(&self.0, Cell::Finished);
+    }
 }
 
 /// Handle given to application code for issuing simulated operations.
-///
-/// See the crate-level example for usage.
 #[derive(Debug)]
-pub struct FiberApi<Req, Resp> {
-    req_tx: SyncSender<Req>,
-    resp_rx: Receiver<Resp>,
-}
+pub struct FiberApi<Req, Resp>(Shared<Req, Resp>);
 
 impl<Req, Resp> FiberApi<Req, Resp> {
-    /// Submits `req` to the engine and blocks until the engine replies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine terminates without replying (which aborts this
-    /// fiber thread only; the engine surfaces the condition via
-    /// [`FiberPool::join`]).
+    /// Submits `req` to the engine and blocks until the engine replies. If
+    /// the pool is dropped first, unwinds the fiber without running the panic
+    /// hook — again each time it is reached, should the caller catch that.
     pub fn call(&mut self, req: Req) -> Resp {
-        self.req_tx.send(req).expect("simulation engine terminated while fiber was running");
-        self.resp_rx.recv().expect("simulation engine terminated while fiber awaited a reply")
+        let mut closed = !post(&self.0, Cell::Request(req));
+        while !closed {
+            thread::park();
+            let mut ex = lock(&self.0);
+            match mem::replace(&mut ex.cell, Cell::Idle) {
+                Cell::Reply(resp) => return resp,
+                other => {
+                    closed = matches!(other, Cell::Closed);
+                    ex.cell = other;
+                }
+            }
+        }
+        resume_unwind(Box::new(Abandoned))
     }
 }
 
@@ -66,138 +120,85 @@ pub enum Resumed {
 }
 
 #[derive(Debug)]
-enum SlotState<Req> {
-    /// The fiber's next request is buffered and not yet taken by the engine.
-    Pending(Req),
-    /// The engine took the request and has not yet replied (e.g. a stalled
-    /// miss being serviced by other processors).
-    AwaitingReply,
-    /// The fiber's closure returned (or its thread terminated).
-    Finished,
-}
-
-#[derive(Debug)]
 struct Slot<Req, Resp> {
-    resp_tx: SyncSender<Resp>,
-    req_rx: Receiver<Req>,
-    state: SlotState<Req>,
+    shared: Shared<Req, Resp>,
+    pending: Option<Req>,
+    /// The live fiber's thread: `None` once joined, and for a placeholder.
     handle: Option<JoinHandle<()>>,
 }
 
 /// A pool of suspended application fibers, one per simulated processor.
 ///
-/// Invariant maintained by the pool: every live fiber is either `Pending`
-/// (its next request is buffered here) or `AwaitingReply` (the engine owes it
-/// a response). The engine therefore never needs to block except inside
-/// [`FiberPool::resume`], where the resumed fiber is guaranteed to produce
-/// its next request or finish after a finite amount of application compute.
+/// Every live fiber has its next request pending here or is owed a reply, so
+/// the engine blocks only inside [`FiberPool::resume`], for a finite amount of
+/// application compute. Dropping the pool closes every live fiber's cell and
+/// joins its thread: a fiber parked in `call` unwinds at once, one that is
+/// computing at its next operation (or it returns first).
 #[derive(Debug)]
 pub struct FiberPool<Req, Resp> {
     slots: Vec<Slot<Req, Resp>>,
 }
 
 impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
-    /// Spawns `n` fibers all running `f(proc_id, api)`.
-    ///
-    /// Blocks until every fiber has either issued its first request or
-    /// finished.
-    pub fn spawn<F>(n: u32, f: F) -> Self
-    where
-        F: Fn(u32, FiberApi<Req, Resp>) + Send + Sync + 'static,
-    {
-        let f = std::sync::Arc::new(f);
-        Self::spawn_each(
-            (0..n)
-                .map(|p| {
-                    let f = std::sync::Arc::clone(&f);
-                    Box::new(move |api: FiberApi<Req, Resp>| f(p, api)) as FiberBody<Req, Resp>
-                })
-                .collect(),
-        )
+    /// Spawns `n` fibers all running `f(proc_id, api)`; see [`FiberPool::spawn_selected`].
+    pub fn spawn<F: Fn(u32, FiberApi<Req, Resp>) + Send + Sync + 'static>(n: u32, f: F) -> Self {
+        let f = Arc::new(f);
+        let body = |p| {
+            let f = Arc::clone(&f);
+            Box::new(move |api: FiberApi<Req, Resp>| f(p, api)) as FiberBody<Req, Resp>
+        };
+        Self::spawn_each((0..n).map(body).collect())
     }
 
-    /// Spawns one fiber per closure (closures may capture distinct state).
-    ///
-    /// Blocks until every fiber has either issued its first request or
-    /// finished.
+    /// Spawns one fiber per closure; see [`FiberPool::spawn_selected`].
     pub fn spawn_each(bodies: Vec<FiberBody<Req, Resp>>) -> Self {
         Self::spawn_selected(bodies.into_iter().map(Some).collect())
     }
 
-    /// Spawns a fiber per `Some` body; `None` slots become permanent
-    /// `Finished` placeholders that occupy a processor index without a
-    /// thread.
-    ///
-    /// This keeps processor ids global when a caller only drives a subset of
-    /// processors (the sharded engine spawns each physical node's fibers in
-    /// its own pool): `peek_request`/`take_request`/`resume` keep their
-    /// global-index signatures, placeholder slots simply report `Finished`
-    /// forever, and `live_count`/`join` see only the real fibers.
-    ///
-    /// Blocks until every spawned fiber has either issued its first request
-    /// or finished.
+    /// Spawns a fiber per `Some` body; a `None` slot is a permanently
+    /// finished placeholder with no thread, which keeps processor ids global
+    /// when a caller drives a subset of them (the sharded engine spawns each
+    /// physical node's fibers in its own pool). Blocks until every spawned
+    /// fiber has either issued its first request or finished.
     pub fn spawn_selected(bodies: Vec<Option<FiberBody<Req, Resp>>>) -> Self {
-        let mut slots = Vec::with_capacity(bodies.len());
-        let mut spawned = Vec::new();
+        // The pool owns each thread as soon as it exists, so unwinding out of
+        // here (a fiber panicked before its first request) joins the others.
+        let mut pool = FiberPool { slots: Vec::with_capacity(bodies.len()) };
         for (p, body) in bodies.into_iter().enumerate() {
-            // Request bound of 1: the fiber can park its next request without
-            // waiting for the engine to rendezvous, halving context switches.
-            let (req_tx, req_rx) = sync_channel::<Req>(1);
-            let (resp_tx, resp_rx) = sync_channel::<Resp>(1);
-            let (state, handle) = match body {
-                Some(body) => {
-                    let handle = std::thread::Builder::new()
-                        .name(format!("fiber-{p}"))
-                        .spawn(move || body(FiberApi { req_tx, resp_rx }))
-                        .expect("failed to spawn fiber thread");
-                    spawned.push(p as u32);
-                    // Placeholder until the first refill below.
-                    (SlotState::AwaitingReply, Some(handle))
-                }
-                // No thread: the request sender is dropped here, so any
-                // accidental refill sees a disconnect and stays Finished.
-                None => (SlotState::Finished, None),
-            };
-            slots.push(Slot { resp_tx, req_rx, state, handle });
+            let shared = Arc::new(Mutex::new(Exchange { cell: Cell::Idle, waiter: None }));
+            let handle = body.map(|body| {
+                let finish = Finish(Arc::clone(&shared));
+                thread::Builder::new()
+                    .name(format!("fiber-{p}"))
+                    .spawn(move || body(FiberApi(Arc::clone(&finish.0))))
+                    .expect("failed to spawn fiber thread")
+            });
+            pool.slots.push(Slot { shared, pending: None, handle });
         }
-        let mut pool = FiberPool { slots };
-        for p in spawned {
-            pool.refill(p);
+        for p in 0..pool.slots.len() as u32 {
+            pool.wait(p);
         }
         pool
     }
 
-    /// Blocks until fiber `p` produces its next request or finishes, then
-    /// records the outcome. Propagates the fiber's panic, if any.
-    ///
-    /// On multi-core hosts the fiber usually parks its next request within a
-    /// few hundred nanoseconds of being resumed, so a bounded spin on
-    /// `try_recv` avoids a futex sleep/wake round trip per simulated
-    /// operation. On a single CPU the fiber cannot run until this thread
-    /// yields, so spinning only burns the timeslice — skip straight to the
-    /// blocking receive.
-    fn refill(&mut self, p: u32) {
+    /// Parks until live fiber `p` has posted its next request, or finished and been joined.
+    fn wait(&mut self, p: u32) {
         let slot = &mut self.slots[p as usize];
-        if spin_before_block() {
-            for _ in 0..SPIN_ITERS {
-                match slot.req_rx.try_recv() {
-                    Ok(req) => {
-                        slot.state = SlotState::Pending(req);
-                        return;
+        while slot.handle.is_some() && slot.pending.is_none() {
+            let mut ex = lock(&slot.shared);
+            match mem::replace(&mut ex.cell, Cell::Idle) {
+                Cell::Request(req) => slot.pending = Some(req),
+                Cell::Finished => {
+                    drop(ex);
+                    if let Some(Err(panic)) = slot.handle.take().map(JoinHandle::join) {
+                        resume_unwind(panic);
                     }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
                 }
-            }
-        }
-        match slot.req_rx.recv() {
-            Ok(req) => slot.state = SlotState::Pending(req),
-            Err(_) => {
-                slot.state = SlotState::Finished;
-                if let Some(handle) = slot.handle.take() {
-                    if let Err(panic) = handle.join() {
-                        std::panic::resume_unwind(panic);
-                    }
+                other => {
+                    ex.cell = other;
+                    ex.waiter = Some(thread::current());
+                    drop(ex);
+                    thread::park();
                 }
             }
         }
@@ -215,52 +216,33 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
 
     /// Number of fibers that have not yet finished.
     pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| !matches!(s.state, SlotState::Finished)).count()
+        self.slots.iter().filter(|s| s.handle.is_some()).count()
     }
 
     /// Whether fiber `p` has finished.
     pub fn is_finished(&self, p: u32) -> bool {
-        matches!(self.slots[p as usize].state, SlotState::Finished)
+        self.slots[p as usize].handle.is_none()
     }
 
     /// The buffered pending request of fiber `p`, if it has one.
     pub fn peek_request(&self, p: u32) -> Option<&Req> {
-        match &self.slots[p as usize].state {
-            SlotState::Pending(req) => Some(req),
-            _ => None,
-        }
+        self.slots[p as usize].pending.as_ref()
     }
 
-    /// Takes fiber `p`'s pending request, moving it to `AwaitingReply`.
-    ///
-    /// Returns `None` if the fiber has finished or its request was already
-    /// taken.
+    /// Takes fiber `p`'s pending request, if it has one; the engine then owes it a reply.
     pub fn take_request(&mut self, p: u32) -> Option<Req> {
-        let slot = &mut self.slots[p as usize];
-        match std::mem::replace(&mut slot.state, SlotState::AwaitingReply) {
-            SlotState::Pending(req) => Some(req),
-            other => {
-                slot.state = other;
-                None
-            }
-        }
+        self.slots[p as usize].pending.take()
     }
 
-    /// Replies to fiber `p` (which must be `AwaitingReply`) and blocks until
-    /// it produces its next request or finishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` was not awaiting a reply, or propagates the fiber's own
-    /// panic.
+    /// Replies to fiber `p`, which must be awaiting one (panics otherwise), and blocks
+    /// until it posts its next request or finishes; propagates the fiber's own panic.
     pub fn resume(&mut self, p: u32, resp: Resp) -> Resumed {
-        let slot = &mut self.slots[p as usize];
-        assert!(
-            matches!(slot.state, SlotState::AwaitingReply),
-            "fiber {p} resumed without a taken request"
-        );
-        slot.resp_tx.send(resp).expect("fiber thread died while awaiting reply");
-        self.refill(p);
+        let slot = &self.slots[p as usize];
+        let fiber = slot.handle.as_ref().filter(|_| slot.pending.is_none());
+        let fiber = fiber.unwrap_or_else(|| panic!("fiber {p} resumed without a taken request"));
+        lock(&slot.shared).cell = Cell::Reply(resp);
+        fiber.thread().unpark();
+        self.wait(p);
         if self.is_finished(p) {
             Resumed::Finished
         } else {
@@ -268,38 +250,27 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
         }
     }
 
-    /// Joins all fiber threads, propagating the first panic encountered.
-    ///
-    /// All fibers must already be finished; call only after the simulation
-    /// has drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some fiber is still live, or re-raises a fiber panic.
-    pub fn join(mut self) {
-        for (p, slot) in self.slots.iter().enumerate() {
-            assert!(
-                matches!(slot.state, SlotState::Finished),
-                "join() called while fiber {p} is still live"
-            );
-        }
-        for slot in &mut self.slots {
-            if let Some(handle) = slot.handle.take() {
-                if let Err(panic) = handle.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
+    /// Consumes a drained pool, its threads all joined; panics if some fiber is still live.
+    pub fn join(self) {
+        for p in 0..self.slots.len() as u32 {
+            assert!(self.is_finished(p), "join() called while fiber {p} is still live");
         }
     }
 }
 
 impl<Req, Resp> Drop for FiberPool<Req, Resp> {
     fn drop(&mut self) {
-        // Dropping the response senders unblocks any fiber stuck in `call`
-        // (its recv fails and the fiber thread unwinds). Detach the threads;
-        // their panics are confined to themselves.
+        // Close every live cell first, so the fibers unwind side by side.
+        for slot in &self.slots {
+            if let Some(fiber) = &slot.handle {
+                lock(&slot.shared).cell = Cell::Closed;
+                fiber.thread().unpark();
+            }
+        }
         for slot in &mut self.slots {
-            drop(slot.handle.take());
+            // An `Err` is `Abandoned`, or a panic of the fiber's own that its
+            // thread already put through the hook; `Drop` must not panic.
+            let _ = slot.handle.take().map(JoinHandle::join);
         }
     }
 }
@@ -307,19 +278,17 @@ impl<Req, Resp> Drop for FiberPool<Req, Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
-    /// Engine that services all fibers round-robin until done.
+    /// Engine that services all fibers round-robin until done, each `resume`
+    /// with a stale unpark token pending: its first `park` returns at once.
     fn drain(mut pool: FiberPool<u64, u64>, f: impl Fn(u64) -> u64) {
-        loop {
-            let mut progressed = false;
+        while pool.live_count() > 0 {
             for p in 0..pool.len() as u32 {
                 if let Some(req) = pool.take_request(p) {
-                    progressed = true;
+                    thread::current().unpark();
                     pool.resume(p, f(req));
                 }
-            }
-            if !progressed {
-                break;
             }
         }
         pool.join();
@@ -329,8 +298,7 @@ mod tests {
     fn echo_engine_round_trips() {
         let pool = FiberPool::<u64, u64>::spawn(4, |pid, mut api| {
             for i in 0..10u64 {
-                let got = api.call(pid as u64 * 100 + i);
-                assert_eq!(got, (pid as u64 * 100 + i) + 1);
+                assert_eq!(api.call(pid as u64 * 100 + i), (pid as u64 * 100 + i) + 1);
             }
         });
         drain(pool, |x| x + 1);
@@ -339,10 +307,9 @@ mod tests {
     #[test]
     fn fibers_may_finish_without_calling() {
         let pool = FiberPool::<u64, u64>::spawn(3, |pid, mut api| {
-            if pid == 1 {
-                return; // finishes immediately
+            if pid != 1 {
+                api.call(0); // fiber 1 finishes immediately
             }
-            api.call(0);
         });
         assert!(pool.is_finished(1));
         assert_eq!(pool.live_count(), 2);
@@ -353,34 +320,26 @@ mod tests {
     fn deferred_reply_models_a_stall() {
         // Fiber 0 issues a request whose reply is withheld until fiber 1 has
         // advanced — the shape of a remote miss serviced by another proc.
-        let pool = FiberPool::<u64, u64>::spawn(2, |pid, mut api| {
+        let mut pool = FiberPool::<u64, u64>::spawn(2, |pid, mut api| {
             if pid == 0 {
                 assert_eq!(api.call(7), 99);
             } else {
                 assert_eq!(api.call(1), 2);
             }
         });
-        let mut pool = pool;
-        let stall_req = pool.take_request(0).unwrap();
-        assert_eq!(stall_req, 7);
-        // Service fiber 1 first.
-        let r1 = pool.take_request(1).unwrap();
+        assert_eq!(pool.take_request(0), Some(7));
+        let r1 = pool.take_request(1).unwrap(); // service fiber 1 first
         assert_eq!(pool.resume(1, r1 + 1), Resumed::Finished);
-        // Now release fiber 0.
-        assert_eq!(pool.resume(0, 99), Resumed::Finished);
+        assert_eq!(pool.resume(0, 99), Resumed::Finished); // now release fiber 0
         pool.join();
     }
 
     #[test]
     fn spawn_each_with_distinct_state() {
-        let bodies: Vec<FiberBody<u64, u64>> = (0..3u64)
-            .map(|seed| {
-                Box::new(move |mut api: FiberApi<u64, u64>| {
-                    assert_eq!(api.call(seed), seed * 2);
-                }) as FiberBody<u64, u64>
-            })
-            .collect();
-        let mut pool = FiberPool::spawn_each(bodies);
+        let bodies = (0..3u64).map(|seed| -> FiberBody<u64, u64> {
+            Box::new(move |mut api: FiberApi<u64, u64>| assert_eq!(api.call(seed), seed * 2))
+        });
+        let mut pool = FiberPool::spawn_each(bodies.collect());
         for p in 0..3 {
             let req = pool.take_request(p).unwrap();
             pool.resume(p, req * 2);
@@ -390,16 +349,11 @@ mod tests {
 
     #[test]
     fn spawn_selected_placeholders_stay_finished() {
-        let bodies: Vec<Option<FiberBody<u64, u64>>> = (0..4u64)
-            .map(|p| {
-                (p % 2 == 1).then(|| {
-                    Box::new(move |mut api: FiberApi<u64, u64>| {
-                        assert_eq!(api.call(p), p + 1);
-                    }) as FiberBody<u64, u64>
-                })
-            })
-            .collect();
-        let mut pool = FiberPool::spawn_selected(bodies);
+        let odd = |p: u64| -> FiberBody<u64, u64> {
+            Box::new(move |mut api: FiberApi<u64, u64>| assert_eq!(api.call(p), p + 1))
+        };
+        let bodies = (0..4u64).map(|p| (p % 2 == 1).then(|| odd(p)));
+        let mut pool = FiberPool::spawn_selected(bodies.collect());
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.live_count(), 2);
         assert!(pool.is_finished(0) && pool.is_finished(2));
@@ -414,13 +368,10 @@ mod tests {
 
     #[test]
     fn peek_does_not_consume() {
-        let mut pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| {
-            api.call(5);
-        });
+        let mut pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| assert_eq!(api.call(5), 0));
         assert_eq!(pool.peek_request(0), Some(&5));
         assert_eq!(pool.peek_request(0), Some(&5));
-        let req = pool.take_request(0).unwrap();
-        assert_eq!(req, 5);
+        assert_eq!(pool.take_request(0), Some(5));
         assert_eq!(pool.peek_request(0), None);
         pool.resume(0, 0);
         pool.join();
@@ -434,7 +385,7 @@ mod tests {
             panic!("boom");
         });
         let req = pool.take_request(0).unwrap();
-        pool.resume(0, req); // refill observes the panic and re-raises
+        pool.resume(0, req); // its wait joins the thread and re-raises
     }
 
     #[test]
@@ -450,9 +401,57 @@ mod tests {
     fn drop_unblocks_live_fibers_without_hanging() {
         let pool = FiberPool::<u64, u64>::spawn(2, |_, mut api| {
             api.call(1);
-            // Never replied-to; drop must unblock us.
-            api.call(2);
+            api.call(2); // never replied-to; drop must unblock us
         });
         drop(pool); // must not hang or abort
+    }
+
+    #[test]
+    fn pool_spawned_here_is_driven_and_joined_on_another_thread() {
+        // The sharded engine's shape: the waiter `spawn` registered is this thread.
+        let pool = FiberPool::<u64, u64>::spawn(4, |pid, mut api| {
+            for i in u64::from(pid)..50 {
+                assert_eq!(api.call(i), i + 1);
+            }
+        });
+        thread::spawn(move || drain(pool, |x| x + 1)).join().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "early")]
+    fn fiber_panic_before_its_first_request_leaves_spawn() {
+        // The unwinding out of `spawn` closes and joins fiber 0, parked in `call`.
+        FiberPool::<u64, u64>::spawn(2, |pid, mut api| {
+            assert!(pid == 0, "early");
+            api.call(0);
+        });
+    }
+
+    struct Counted(Arc<AtomicUsize>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, SeqCst);
+        }
+    }
+
+    #[test]
+    fn every_request_and_reply_is_dropped_exactly_once() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let (fiber_drops, new) = (Arc::clone(&drops), || Counted(Arc::clone(&drops)));
+        let mut pool = FiberPool::<Counted, Counted>::spawn(2, move |_, mut api| {
+            drop(api.call(Counted(Arc::clone(&fiber_drops)))); // answered
+            api.call(Counted(Arc::clone(&fiber_drops))); // never answered
+        });
+        for p in 0..2 {
+            drop(pool.take_request(p));
+            pool.resume(p, new());
+        }
+        assert_eq!(drops.load(SeqCst), 4, "two requests, two replies");
+        // Fiber 0: request taken, and a reply it never collects left in its
+        // cell. Fiber 1: request still pending in the pool.
+        drop(pool.take_request(0));
+        lock(&pool.slots[0].shared).cell = Cell::Reply(new());
+        drop(pool);
+        assert_eq!(drops.load(SeqCst), 7, "a request, the closed cell's reply, a pending request");
     }
 }

@@ -21,6 +21,17 @@ echo "==> every member crate's tests: cargo test --workspace --release -q"
 # spec, framing, fault injection, metrics properties, ...) run here.
 cargo test --workspace --release -q
 
+echo "==> fiber handoff under a deadline (shasta-sim tests, as is and on one CPU)"
+# A lost wake-up in the park/unpark protocol of crates/sim/src/fiber.rs is a
+# hang, not a failure, so these runs are bounded; the one-CPU schedule (no
+# thread runs until another blocks) is where it would hide.
+timeout 120 cargo test -p shasta-sim --release --offline -q
+if command -v taskset > /dev/null; then
+  timeout 120 taskset -c 0 cargo test -p shasta-sim --release --offline -q
+else
+  echo "note: taskset not found, skipping the one-CPU run of the shasta-sim tests"
+fi
+
 echo "==> benchmark harness: builds against the crates' public API, golden.json holds"
 # benchmark/ is its own pinned workspace, so neither run above compiles it.
 # Its tests run every workload --quick (Tiny inputs), end to end and traced,
