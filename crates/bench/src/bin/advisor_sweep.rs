@@ -14,10 +14,11 @@
 //!    hint file applied through `RunConfig::with_site_hints`, exactly the
 //!    path a user's persisted hint file takes), and hand-hinted (the
 //!    kernel's own Table 2 `variable_granularity` hints).
-//! 3. **Judge**: on a full sweep the binary asserts the acceptance criteria
-//!    — wherever the hand hints beat the unhinted run, the auto hints must
-//!    too, and on at least half the kernels the auto-hinted cycles must be
-//!    within 5% of (or beat) the hand-hinted cycles.
+//! 3. **Judge**: on a full sweep the entry carries the acceptance criteria,
+//!    asserted once it is written — wherever the hand hints beat the
+//!    unhinted run, the auto hints must too, and on at least half the
+//!    kernels the auto-hinted cycles must be within 5% of (or beat) the
+//!    hand-hinted cycles.
 //!
 //! ```text
 //! advisor_sweep [--preset tiny|default|large] [--quick] [--out PATH]
@@ -26,7 +27,7 @@
 //!
 //! `--preset` selects the evaluation inputs (profiling always uses tiny);
 //! `--quick` is the CI smoke mode: tiny evaluation inputs, first two
-//! kernels only, acceptance asserts skipped (tiny inputs are too small for
+//! kernels only, acceptance criteria left out (tiny inputs are too small for
 //! granularity hints to pay off — Table 2 is a large-input effect).
 //! `--hints-dir` writes each kernel's hint file to `DIR/<app>.hints` so CI
 //! can diff two sweeps for byte-identical hint replay. `-j`/`--jobs` fans
@@ -34,7 +35,8 @@
 //! count.
 
 use shasta_apps::{run_app, AppSpec, Preset, Proto, RunConfig};
-use shasta_bench::{apps_for, jobs_from_args, preset_from_args, run, run_observed, trajectory};
+use shasta_bench::trajectory::{Entry, Num};
+use shasta_bench::{apps_for, flag, jobs_from_args, preset_from_args, run, run_observed};
 use shasta_check::par_map;
 use shasta_stats::Table;
 
@@ -127,39 +129,33 @@ fn sweep_kernel(spec: &AppSpec, eval: Preset) -> KernelResult {
 
 fn kernel_json(r: &KernelResult) -> String {
     format!(
-        "    {{\"name\": \"{}\", \"hint_lines\": {}, \"cycles_unhinted\": {}, \"cycles_auto\": {}, \"cycles_hand\": {}, \"auto_delta_pct\": {:.2}, \"hand_delta_pct\": {:.2}, \"auto_vs_hand_pct\": {:.2}}}",
+        "{{\"name\": \"{}\", \"hint_lines\": {}, \"cycles_unhinted\": {}, \"cycles_auto\": {}, \"cycles_hand\": {}, \"auto_delta_pct\": {:.2}, \"hand_delta_pct\": {:.2}, \"auto_vs_hand_pct\": {:.2}}}",
         r.name,
         r.hint_lines,
         r.unhinted,
         r.auto,
         r.hand,
-        r.auto_delta_pct(),
-        r.hand_delta_pct(),
-        r.auto_vs_hand_pct(),
+        Num(r.auto_delta_pct()),
+        Num(r.hand_delta_pct()),
+        Num(r.auto_vs_hand_pct()),
     )
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let eval = if quick && !args.iter().any(|a| a == "--preset") {
-        Preset::Tiny
-    } else if args.iter().any(|a| a == "--preset") {
+    let eval = if args.iter().any(|a| a == "--preset") {
         preset_from_args()
+    } else if quick {
+        Preset::Tiny
     } else {
         Preset::Large
     };
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_advisor_sweep.json".to_string());
-    let hints_dir = args.iter().position(|a| a == "--hints-dir").and_then(|i| args.get(i + 1));
+    let hints_dir = flag(&["--hints-dir"]);
     let jobs = jobs_from_args();
 
     let mut kernels = apps_for(true, false);
-    if let Some(filter) = args.iter().position(|a| a == "--apps").and_then(|i| args.get(i + 1)) {
+    if let Some(filter) = flag(&["--apps"]) {
         let names: Vec<&str> = filter.split(',').collect();
         kernels.retain(|s| names.contains(&s.name));
     }
@@ -175,7 +171,7 @@ fn main() {
     let results = par_map(kernels.len(), jobs, |i| sweep_kernel(&kernels[i], eval));
 
     if let Some(dir) = hints_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
+        std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
         for r in &results {
             let path = format!("{dir}/{}.hints", r.name);
             std::fs::write(&path, &r.hint_text)
@@ -219,33 +215,27 @@ fn main() {
         results.len()
     );
 
+    let mut entry = Entry::new(
+        "advisor_sweep",
+        &format!(
+            "\"eval_preset\": \"{eval:?}\", \"profile_preset\": \"Tiny\", \"procs\": {PROCS}, \"quick\": {quick}"
+        ),
+    );
     if !quick {
-        for r in &hand_improves {
-            assert!(
-                r.auto_improves(),
+        for r in hand_improves.iter().filter(|r| !r.auto_improves()) {
+            eprintln!(
                 "{}: hand hints beat unhinted ({} -> {}) but auto hints did not ({} -> {})",
-                r.name,
-                r.unhinted,
-                r.hand,
-                r.unhinted,
-                r.auto
+                r.name, r.unhinted, r.hand, r.unhinted, r.auto
             );
         }
-        assert!(
-            within * 2 >= results.len(),
-            "auto hints within 5% of hand hints on only {within}/{} kernels",
-            results.len()
-        );
-        println!("acceptance criteria met");
+        entry.criterion("auto_improves_where_hand_does", auto_matches == hand_improves.len());
+        entry.criterion("auto_within_5pct_on_half", within * 2 >= results.len());
     }
-
     let rows: Vec<String> = results.iter().map(kernel_json).collect();
-    let entry = format!(
-        "    {{\"stamp\": {}, \"eval_preset\": \"{eval:?}\", \"profile_preset\": \"Tiny\", \"procs\": {PROCS}, \"quick\": {quick}, \"hand_improves\": {}, \"auto_matches_hand_improvement\": {auto_matches}, \"auto_within_5pct_of_hand\": {within}, \"kernels\": [\n{}\n    ]}}",
-        trajectory::unix_stamp(),
+    entry.members(&format!(
+        "\"hand_improves\": {}, \"auto_matches_hand_improvement\": {auto_matches}, \"auto_within_5pct_of_hand\": {within}, \"kernels\": [{}]",
         hand_improves.len(),
-        rows.join(",\n"),
-    );
-    let n = trajectory::append(&out, "kernels", entry);
-    println!("appended run {n} to {out}");
+        rows.join(", "),
+    ));
+    entry.append();
 }

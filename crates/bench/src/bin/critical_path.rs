@@ -15,8 +15,8 @@
 //! byte-identical for any `--sim-threads` value — `scripts/ci.sh` diffs a
 //! serial against a sharded invocation to prove the merged shard journals
 //! feed the analyzer the exact serial stream. Host wall time goes only to
-//! the `BENCH_critical_path.json` trajectory (one run object appended per
-//! invocation, like the other `BENCH_*` files).
+//! the `BENCH_critical_path.json` trajectory (one
+//! [`Entry`] appended per invocation).
 //!
 //! ```text
 //! critical_path [--preset tiny|default|large] [--sim-threads N] [--quick]
@@ -29,7 +29,8 @@
 use std::time::Instant;
 
 use shasta_apps::{run_app_observed_shaped, Preset, Proto, RunConfig};
-use shasta_bench::{apps_for, preset_from_args, sim_threads_from_args, trajectory};
+use shasta_bench::trajectory::{Entry, Num};
+use shasta_bench::{apps_for, preset_from_args, sim_threads_from_args};
 use shasta_obs::{critpath, CritPath};
 use shasta_stats::{critical_path_report, RunStats};
 
@@ -37,19 +38,6 @@ const PROCS: u32 = 8;
 const CLUSTERING: u32 = 4;
 /// Ring-capacity ladder: start at the shared default, deepen on eviction.
 const RINGS: [usize; 3] = [65_536, 262_144, 1 << 20];
-
-struct Row {
-    name: &'static str,
-    elapsed: u64,
-    segments: usize,
-    wire_hops: usize,
-    fallback_segments: usize,
-    fallback_cycles: u64,
-    top_cat: &'static str,
-    top_cat_pct: f64,
-    tiling_exact: bool,
-    wall_ms: f64,
-}
 
 /// Runs one kernel with recording at the given ring depth.
 fn run_once(
@@ -93,80 +81,50 @@ fn analyze_kernel(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
     let quick = args.iter().any(|a| a == "--quick");
     let mut preset = preset_from_args();
     if quick && !args.iter().any(|a| a == "--preset") && std::env::var("SHASTA_PRESET").is_err() {
         preset = Preset::Tiny;
     }
     let sim_threads = sim_threads_from_args();
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let out = flag("--out").unwrap_or_else(|| "BENCH_critical_path.json".to_string());
 
     println!(
         "critical_path: causal run reports, SMP-Shasta {PROCS}p/{CLUSTERING}, {preset:?} inputs\n"
     );
-    let mut rows = Vec::new();
+    let mut kernels = Vec::new();
+    let mut tiling = 0;
     let mut total_wall = 0.0;
     for spec in apps_for(true, false) {
         let (stats, path, wall) = analyze_kernel(&spec, preset, sim_threads);
         total_wall += wall;
-        let report = path.report();
         println!("=== {} ===", spec.name);
-        println!("{}", critical_path_report(&report));
+        println!("{}", critical_path_report(&path.report()));
         let tiling_exact = path.crosscheck().is_ok();
-        assert!(tiling_exact, "{}: critical path must tile elapsed exactly", spec.name);
+        tiling += usize::from(tiling_exact);
         let (top, top_cycles) = path.top_cat();
-        rows.push(Row {
-            name: spec.name,
-            elapsed: stats.elapsed_cycles,
-            segments: path.segments.len(),
-            wire_hops: path.wire_hops(),
-            fallback_segments: path.fallback_segments(),
-            fallback_cycles: path.fallback_cycles(),
-            top_cat: top.label(),
-            top_cat_pct: top_cycles as f64 / stats.elapsed_cycles.max(1) as f64 * 100.0,
-            tiling_exact,
-            wall_ms: wall,
-        });
-    }
-
-    let tiling_pass = rows.iter().all(|r| r.tiling_exact);
-    let mut entry = String::from("    {\n");
-    entry.push_str(&format!(
-        "      \"config\": {{\"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}, \"sim_threads\": {sim_threads}, \"host_cpus\": {host_cpus}, \"unix_time\": {}}},\n",
-        trajectory::unix_stamp()
-    ));
-    entry.push_str("      \"kernels\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        entry.push_str(&format!(
-            "        {{\"name\": \"{}\", \"elapsed_cycles\": {}, \"segments\": {}, \"wire_hops\": {}, \"fallback_segments\": {}, \"fallback_cycles\": {}, \"top_cat\": \"{}\", \"top_cat_pct\": {:.2}, \"tiling_exact\": {}, \"wall_ms\": {:.2}}}{}\n",
-            r.name,
-            r.elapsed,
-            r.segments,
-            r.wire_hops,
-            r.fallback_segments,
-            r.fallback_cycles,
-            r.top_cat,
-            r.top_cat_pct,
-            r.tiling_exact,
-            r.wall_ms,
-            if i + 1 < rows.len() { "," } else { "" },
+        kernels.push(format!(
+            "{{\"name\": \"{}\", \"elapsed_cycles\": {}, \"segments\": {}, \"wire_hops\": {}, \"fallback_segments\": {}, \"fallback_cycles\": {}, \"top_cat\": \"{}\", \"top_cat_pct\": {:.2}, \"tiling_exact\": {tiling_exact}, \"wall_ms\": {:.2}}}",
+            spec.name,
+            stats.elapsed_cycles,
+            path.segments.len(),
+            path.wire_hops(),
+            path.fallback_segments(),
+            path.fallback_cycles(),
+            top.label(),
+            Num(top_cycles as f64 / stats.elapsed_cycles.max(1) as f64 * 100.0),
+            Num(wall),
         ));
     }
-    entry.push_str("      ],\n");
-    entry.push_str(&format!(
-        "      \"summary\": {{\"tiling_pass\": {tiling_pass}, \"total_wall_ms\": {total_wall:.2}}}\n"
-    ));
-    entry.push_str("    }");
 
-    let appended = trajectory::append(&out, "kernels", entry);
-    println!(
-        "tiling exact on {}/{} kernels",
-        rows.iter().filter(|r| r.tiling_exact).count(),
-        rows.len()
+    let mut entry = Entry::new(
+        "critical_path",
+        &format!(
+            "\"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}, \"sim_threads\": {sim_threads}"
+        ),
     );
-    println!("wrote {out} (trajectory run #{appended})");
-    assert!(tiling_pass, "every kernel's critical path must tile elapsed exactly");
+    entry.criterion("tiling_pass", tiling == kernels.len());
+    entry.wall("total_wall_ms", total_wall);
+    entry.members(&format!("\"kernels\": [{}]", kernels.join(", ")));
+    println!("tiling exact on {tiling}/{} kernels", kernels.len());
+    entry.append();
 }

@@ -1,8 +1,7 @@
 //! Fault-injecting checker sweep over heterogeneous topologies: drives the
 //! seeded [`shasta_check::FaultPlan`] fabric through every default scenario
 //! and cluster shape, and appends a run to the `BENCH_fault_sweep.json`
-//! trajectory so `scripts/perf_gate.sh` can fail CI when a criterion or the
-//! sweep wall time regresses.
+//! trajectory, whose criteria `crates/bench/tests/trajectories.rs` gates.
 //!
 //! Four measurement sections, mirroring the issue's acceptance criteria:
 //!
@@ -18,9 +17,9 @@
 //!    profile leave stats *and* event traces byte-identical to the
 //!    historical checker, for every scenario.
 //!
-//! The gate metric is `summary.total_wall_ms` (sum of all section walls);
-//! the criterion booleans are asserted at exit so a regression aborts the
-//! binary (and the CI smoke stage) rather than silently logging `false`.
+//! The four criteria are asserted at exit (after the entry is written) so a
+//! regression aborts the binary, and the CI smoke stage, rather than
+//! silently logging `false`; `walls.total_wall_ms` sums the section walls.
 //!
 //! ```text
 //! fault_sweep [--seeds N] [--loss-seeds N] [-j N] [--quick] [--out PATH]
@@ -34,7 +33,8 @@
 
 use std::time::Instant;
 
-use shasta_bench::trajectory;
+use shasta_bench::trajectory::{Entry, Num};
+use shasta_bench::{flag, num_flag};
 use shasta_check::{
     default_scenarios, loss_fault_plan, resolve_jobs, run_checked, run_scenario_traced, shrink,
     silence_expected_panics, sweep_jobs, ClusterKind, FaultPlan, Scenario,
@@ -61,23 +61,13 @@ fn sweep_section(label: String, scenarios: &[Scenario], seeds: u64, jobs: usize)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut seeds: u64 = flag("--seeds").and_then(|v| v.parse().ok()).unwrap_or(4);
-    if quick {
-        seeds = flag("--seeds").and_then(|v| v.parse().ok()).unwrap_or(2);
-    }
+    let quick = std::env::args().any(|a| a == "--quick");
+    let seeds: u64 = num_flag(&["--seeds"]).unwrap_or(if quick { 2 } else { 4 });
     // Loss is probabilistic per (seed, schedule): 8 seeds is the same budget
     // the integration test proves sufficient for the 10% plan, and the sweep
     // short-circuits on the first counterexample anyway.
-    let loss_seeds: u64 = flag("--loss-seeds").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let jobs = resolve_jobs(Some(
-        flag("-j").or_else(|| flag("--jobs")).and_then(|v| v.parse().ok()).unwrap_or(0),
-    ))
-    .max(2);
-    let out = flag("--out").unwrap_or_else(|| "BENCH_fault_sweep.json".to_string());
+    let loss_seeds: u64 = num_flag(&["--loss-seeds"]).unwrap_or(8);
+    let jobs = resolve_jobs(Some(num_flag(&["-j", "--jobs"]).unwrap_or(0))).max(2);
 
     silence_expected_panics();
     let base = default_scenarios();
@@ -127,7 +117,7 @@ fn main() {
                 let still_fails = run_checked(&small.scenario, small.policy, small.bug)
                     .err()
                     .is_some_and(|r| r.message == small.message);
-                if let Some(path) = flag("--loss-cx") {
+                if let Some(path) = flag(&["--loss-cx"]) {
                     std::fs::write(&path, format!("{small}"))
                         .unwrap_or_else(|e| panic!("writing {path}: {e}"));
                 }
@@ -177,54 +167,37 @@ fn main() {
         + loss_wall_ms
         + identity_wall_ms;
 
-    let mut entry = String::from("    {\n");
-    entry.push_str(&format!(
-        "      \"config\": {{\"seeds\": {seeds}, \"loss_seeds\": {loss_seeds}, \"jobs\": {jobs}, \"unix_time\": {}}},\n",
-        trajectory::unix_stamp()
-    ));
-    entry.push_str("      \"tolerated\": [\n");
-    for (i, r) in tolerated.iter().enumerate() {
-        entry.push_str(&format!(
-            "        {{\"kind\": \"{}\", \"runs\": {}, \"failures\": {}, \"wall_ms\": {:.2}}}{}\n",
-            r.label,
-            r.runs,
-            r.failures,
-            r.wall_ms,
-            if i + 1 < tolerated.len() { "," } else { "" },
-        ));
-    }
-    entry.push_str("      ],\n");
-    entry.push_str("      \"heterogeneous\": [\n");
-    for (i, r) in hetero.iter().enumerate() {
-        entry.push_str(&format!(
-            "        {{\"shape\": \"{}\", \"runs\": {}, \"failures\": {}, \"wall_ms\": {:.2}}}{}\n",
-            r.label,
-            r.runs,
-            r.failures,
-            r.wall_ms,
-            if i + 1 < hetero.len() { "," } else { "" },
-        ));
-    }
-    entry.push_str("      ],\n");
-    entry.push_str(&format!(
-        "      \"loss\": {{\"seeds\": {loss_seeds}, \"caught\": {loss_caught}, \"replay_identical\": {replay_identical}, \"shrink_keeps_loss\": {shrink_keeps_loss}, \"shrunk_fails\": {shrunk_fails}, \"shrunk_iters\": {shrunk_iters}, \"wall_ms\": {loss_wall_ms:.2}}},\n"
-    ));
-    entry.push_str(&format!(
-        "      \"identity\": {{\"disabled_inert\": {disabled_inert}, \"uniform_bit_identical\": {uniform_identical}, \"wall_ms\": {identity_wall_ms:.2}}},\n"
-    ));
-    entry.push_str(&format!(
-        "      \"summary\": {{\"tolerated_pass\": {tolerated_pass}, \"hetero_pass\": {hetero_pass}, \"loss_pass\": {loss_pass}, \"identity_pass\": {identity_pass}, \"total_wall_ms\": {total_wall_ms:.2}}}\n"
-    ));
-    entry.push_str("    }");
-
-    let appended = trajectory::append(&out, "tolerated", entry);
-    println!(
-        "\ntolerated_pass={tolerated_pass} hetero_pass={hetero_pass} loss_pass={loss_pass} \
-         identity_pass={identity_pass}; gate metric total_wall_ms {total_wall_ms:.1}\nwrote {out} \
-         (trajectory run #{appended})"
+    let mut entry = Entry::new(
+        "fault_sweep",
+        &format!("\"seeds\": {seeds}, \"loss_seeds\": {loss_seeds}, \"jobs\": {jobs}"),
     );
-    assert!(tolerated_pass, "a tolerated fault plan violated an oracle");
-    assert!(hetero_pass, "a heterogeneous topology violated an oracle");
-    assert!(loss_pass, "loss was not caught / replayed / shrunk as required");
-    assert!(identity_pass, "disabled faults or the uniform profile perturbed a run");
+    entry.criterion("tolerated_pass", tolerated_pass);
+    entry.criterion("hetero_pass", hetero_pass);
+    entry.criterion("loss_pass", loss_pass);
+    entry.criterion("identity_pass", identity_pass);
+    entry.wall("total_wall_ms", total_wall_ms);
+    let section = |key: &str, rows: &[SectionRow]| {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"{key}\": \"{}\", \"runs\": {}, \"failures\": {}, \"wall_ms\": {:.2}}}",
+                    r.label,
+                    r.runs,
+                    r.failures,
+                    Num(r.wall_ms)
+                )
+            })
+            .collect();
+        rows.join(", ")
+    };
+    entry.members(&format!(
+        "\"tolerated\": [{}], \"heterogeneous\": [{}], \"loss\": {{\"seeds\": {loss_seeds}, \"caught\": {loss_caught}, \"replay_identical\": {replay_identical}, \"shrink_keeps_loss\": {shrink_keeps_loss}, \"shrunk_fails\": {shrunk_fails}, \"shrunk_iters\": {shrunk_iters}, \"wall_ms\": {:.2}}}, \"identity\": {{\"disabled_inert\": {disabled_inert}, \"uniform_bit_identical\": {uniform_identical}, \"wall_ms\": {:.2}}}",
+        section("kind", &tolerated),
+        section("shape", &hetero),
+        Num(loss_wall_ms),
+        Num(identity_wall_ms),
+    ));
+    println!();
+    entry.append();
 }

@@ -4,9 +4,9 @@
 //!
 //! The breakdowns are **derived from the structured event stream** (the
 //! `Slice` events recorded by `shasta-obs`), not read off the ad-hoc
-//! counters: every run is cross-checked against the `shasta-stats` breakdown
-//! and the binary panics on any divergence, so the two accountings can never
-//! drift apart silently. Pass `--trace <path>` to also export the first
+//! counters: `run_observed` cross-checks every run against the
+//! `shasta-stats` counters and panics on any divergence, so the two
+//! accountings can never drift apart silently. Pass `--trace <path>` to also export the first
 //! run's timeline as Chrome `trace_event` JSON.
 //!
 //! `--metrics` attaches a live metrics registry to every run. The registry
@@ -22,20 +22,15 @@
 
 use shasta_apps::{registry, Proto};
 use shasta_bench::{
-    breakdown_bar_from, preset_from_args, run_observed, run_observed_metrics, trace_path_from_args,
+    breakdown_bar_from, flag, preset_from_args, run_observed, run_observed_metrics,
     write_chrome_trace,
 };
 use shasta_obs::EventLog;
 use shasta_stats::RunStats;
 
-/// Cross-checks the event-derived breakdown against the counter-based one,
-/// then renders the bar from the event-derived numbers.
+/// Renders the bar from the event-derived numbers.
 fn derived_bar(label: &str, stats: &RunStats, log: &EventLog, norm: u64) -> String {
-    let agg = log.fig4();
-    if let Err(e) = agg.crosscheck(stats) {
-        panic!("event/counter breakdown divergence: {e}");
-    }
-    breakdown_bar_from(label, &agg.total_breakdown(), stats.elapsed_cycles, norm)
+    breakdown_bar_from(label, &log.fig4().total_breakdown(), stats.elapsed_cycles, norm)
 }
 
 /// One causal summary line for `--critical-path`: top category share, hop
@@ -59,7 +54,8 @@ fn critical_path_line(stats: &RunStats, log: &EventLog) -> String {
 
 fn main() {
     let preset = preset_from_args();
-    let mut trace = trace_path_from_args();
+    // `--trace PATH`: export the first run's timeline as Chrome `trace_event` JSON.
+    let mut trace = flag(&["--trace"]);
     let metrics = std::env::args().any(|a| a == "--metrics");
     let critical = std::env::args().any(|a| a == "--critical-path");
     let observe = if metrics { run_observed_metrics } else { run_observed };

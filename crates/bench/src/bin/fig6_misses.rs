@@ -5,9 +5,9 @@
 //!
 //! Every bar is derived twice: from the engine's `MissStats` counters and
 //! from the event stream (`shasta_obs::MissAgg`). The two must agree
-//! **exactly** in every cell — any divergence aborts the binary, the same
-//! zero-tolerance crosscheck `fig4_breakdown` applies to the time
-//! breakdown.
+//! **exactly** in every cell — `run_observed` aborts the binary on any
+//! divergence (`EventLog::crosscheck`), the same zero tolerance as for
+//! `fig4_breakdown`'s time breakdown.
 //!
 //! `-j`/`--jobs` fans the independent (procs, app) blocks across worker
 //! threads (0 = one per CPU; default honors `SHASTA_CHECK_JOBS`, else
@@ -37,20 +37,14 @@ fn bar(label: &str, st: &RunStats, norm: u64) -> String {
 }
 
 /// One application's block at one processor count: the Base bar plus the
-/// clustering-2 and clustering-4 SMP bars, crosschecked and rendered.
+/// clustering-2 and clustering-4 SMP bars.
 fn block(spec: &AppSpec, preset: Preset, procs: u32) -> String {
     let mut out = format!("{}:\n", spec.name);
-    let (base, log) = run_observed(spec, preset, Proto::Base, procs, 1, false);
-    log.misses()
-        .crosscheck(&base.misses)
-        .unwrap_or_else(|e| panic!("{} B: event/counter divergence: {e}", spec.name));
+    let (base, _) = run_observed(spec, preset, Proto::Base, procs, 1, false);
     let norm = base.misses.total().max(1);
     out.push_str(&format!("  {}\n", bar("B", &base, norm)));
     for clustering in [2u32, 4] {
-        let (st, log) = run_observed(spec, preset, Proto::Smp, procs, clustering, false);
-        log.misses().crosscheck(&st.misses).unwrap_or_else(|e| {
-            panic!("{} C{clustering}: event/counter divergence: {e}", spec.name)
-        });
+        let (st, _) = run_observed(spec, preset, Proto::Smp, procs, clustering, false);
         out.push_str(&format!("  {}\n", bar(&format!("C{clustering}"), &st, norm)));
     }
     out

@@ -14,8 +14,8 @@
 //! per window — the thread handoffs a window costs. The speedup is reported honestly: on a single-CPU host the
 //! sharded wall reflects window-coordination overhead with no parallelism to
 //! pay for it, so values below 1.0 are expected there (the JSON entry
-//! records `host_cpus` so `scripts/perf_gate.sh` can tell the two regimes
-//! apart). See `docs/PERFORMANCE.md` §"Parallel discrete-event execution".
+//! records `host_cpus` so a reader can tell the two regimes apart). See
+//! `docs/PERFORMANCE.md` §"Parallel discrete-event execution".
 //!
 //! ```text
 //! pdes_scaling [--preset tiny|default|large] [--sim-threads N] [--reps N]
@@ -29,7 +29,8 @@
 use std::time::Instant;
 
 use shasta_apps::{registry, run_app_shaped, Preset, Proto, RunConfig};
-use shasta_bench::{preset_from_args, sim_threads_from_args, trajectory};
+use shasta_bench::trajectory::{Entry, Num};
+use shasta_bench::{num_flag, preset_from_args, sim_threads_from_args};
 use shasta_obs::Registry;
 use shasta_stats::RunStats;
 
@@ -79,22 +80,16 @@ fn measure(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
     let quick = args.iter().any(|a| a == "--quick");
     let mut preset = preset_from_args();
     if quick && !args.iter().any(|a| a == "--preset") && std::env::var("SHASTA_PRESET").is_err() {
         preset = Preset::Tiny;
     }
-    let mut reps: u32 = flag("--reps").and_then(|v| v.parse().ok()).unwrap_or(3);
-    if quick {
-        reps = flag("--reps").and_then(|v| v.parse().ok()).unwrap_or(1);
-    }
+    let reps: u32 = num_flag(&["--reps"]).unwrap_or(if quick { 1 } else { 3 });
     // Absent flag defaults to auto (one worker per CPU), floored at 2 so the
     // sharded engine always engages — this binary exists to measure it.
     let sim_threads = sim_threads_from_args().max(2);
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let out = flag("--out").unwrap_or_else(|| "BENCH_pdes_scaling.json".to_string());
 
     println!(
         "pdes_scaling: SMP-Shasta {PROCS}p/{CLUSTERING} ({} shards), {preset:?} inputs, \
@@ -149,36 +144,39 @@ fn main() {
 
     let geomean = rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / rows.len() as f64;
     let geomean = geomean.exp();
-    let all_identical = rows.iter().all(|r| r.identical);
-    let all_windowed = rows.iter().all(|r| r.pdes[0] > 0);
 
-    let mut entry = String::from("    {\n");
-    entry.push_str(&format!(
-        "      \"config\": {{\"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}, \"sim_threads\": {sim_threads}, \"reps\": {reps}, \"host_cpus\": {host_cpus}, \"unix_time\": {}}},\n",
-        trajectory::unix_stamp()
+    let mut entry = Entry::new(
+        "pdes_scaling",
+        &format!(
+            "\"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}, \"sim_threads\": {sim_threads}, \"reps\": {reps}"
+        ),
+    );
+    entry.criterion("all_identical", rows.iter().all(|r| r.identical));
+    entry.criterion("all_windowed", rows.iter().all(|r| r.pdes[0] > 0));
+    entry.wall("serial_wall_ms", rows.iter().map(|r| r.wall_serial_ms).sum());
+    entry.wall("sharded_wall_ms", rows.iter().map(|r| r.wall_sharded_ms).sum());
+    let kernels: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"name\": \"{}\", \"wall_ms_serial\": {:.2}, \"wall_ms_sharded\": {:.2}, \"speedup\": {:.3}, \"windows\": {}, \"rounds\": {}, \"remote_rounds\": {}, \"identical\": {}}}",
+                r.name,
+                Num(r.wall_serial_ms),
+                Num(r.wall_sharded_ms),
+                Num(r.speedup()),
+                r.pdes[0],
+                r.pdes[1],
+                r.pdes[2],
+                r.identical,
+            )
+        })
+        .collect();
+    entry.members(&format!(
+        "\"geomean_speedup\": {:.3}, \"kernels\": [{}]",
+        Num(geomean),
+        kernels.join(", ")
     ));
-    entry.push_str("      \"kernels\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        entry.push_str(&format!(
-            "        {{\"name\": \"{}\", \"wall_ms_serial\": {:.2}, \"wall_ms_sharded\": {:.2}, \"speedup\": {:.3}, \"windows\": {}, \"rounds\": {}, \"remote_rounds\": {}, \"identical\": {}}}{}\n",
-            r.name,
-            r.wall_serial_ms,
-            r.wall_sharded_ms,
-            r.speedup(),
-            r.pdes[0],
-            r.pdes[1],
-            r.pdes[2],
-            r.identical,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    entry.push_str("      ],\n");
-    entry.push_str(&format!(
-        "      \"summary\": {{\"geomean_speedup\": {geomean:.3}, \"all_identical\": {all_identical}}}\n"
-    ));
-    entry.push_str("    }");
 
-    let appended = trajectory::append(&out, "kernels", entry);
     println!("\ngeomean speedup {geomean:.2}x at --sim-threads {sim_threads}");
     if host_cpus == 1 {
         println!(
@@ -187,7 +185,5 @@ fn main() {
              below 1.0 are expected here (see docs/PERFORMANCE.md)."
         );
     }
-    println!("wrote {out} (trajectory run #{appended})");
-    assert!(all_identical, "sharded runs must be bit-identical to serial");
-    assert!(all_windowed, "sharded runs must actually engage the parallel engine");
+    entry.append();
 }

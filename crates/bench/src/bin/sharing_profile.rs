@@ -1,5 +1,5 @@
 //! Sharing-pattern profiler demo and granularity-advisor closed loop;
-//! writes `BENCH_sharing_advisor.json`.
+//! appends to the `BENCH_sharing_advisor.json` trajectory.
 //!
 //! Three steps:
 //!
@@ -13,15 +13,17 @@
 //!    profiler classifies the blocks false-shared and the advisor
 //!    recommends a smaller granularity.
 //! 3. Re-run the synthetic workload with the advisor's recommended hint and
-//!    report the simulated-cycle reduction. The binary aborts if the
-//!    profiler misses the false sharing or the recommended hint does not
-//!    reduce simulated cycles — this is the closed-loop acceptance check.
+//!    report the simulated-cycle reduction. The entry's criteria — the
+//!    profiler sees the false sharing, the advisor shrinks the block, the
+//!    hint reduces simulated cycles — are the closed-loop acceptance check,
+//!    asserted once the entry is written.
 //!
 //! ```text
 //! sharing_profile [--preset tiny|default|large] [--out PATH]
 //! ```
 
 use shasta_apps::{registry, run_app_observed, Body, DsmApp, PlanOpts, Proto, RunConfig};
+use shasta_bench::trajectory::{Entry, Num};
 use shasta_bench::{preset_from_args, run, run_observed, TRACE_RING_CAPACITY};
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
@@ -105,26 +107,26 @@ fn rows_of(reports: &[SiteReport]) -> Vec<AdvisorRow> {
 }
 
 fn sites_json(reports: &[SiteReport]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"label\": \"{}\", \"block_bytes\": {}, \"blocks_touched\": {}, \"pattern\": \"{}\", \"read_misses\": {}, \"write_misses\": {}, \"downgrades\": {}, \"downgrade_fanout\": {:.2}, \"bytes_per_useful\": {:.2}, \"recommendation\": \"{}\", \"evidence\": \"{}\"}}{}\n",
-            r.label,
-            r.block_bytes,
-            r.blocks_touched,
-            r.dominant().label(),
-            r.read_misses,
-            r.write_misses,
-            r.downgrades,
-            r.downgrade_fanout(),
-            r.bytes_per_useful_byte(),
-            r.recommendation.describe(),
-            r.evidence,
-            if i + 1 < reports.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("    ]");
-    out
+    let rows: Vec<String> = reports
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"label\": \"{}\", \"block_bytes\": {}, \"blocks_touched\": {}, \"pattern\": \"{}\", \"read_misses\": {}, \"write_misses\": {}, \"downgrades\": {}, \"downgrade_fanout\": {:.2}, \"bytes_per_useful\": {:.2}, \"recommendation\": \"{}\", \"evidence\": \"{}\"}}",
+                r.label,
+                r.block_bytes,
+                r.blocks_touched,
+                r.dominant().label(),
+                r.read_misses,
+                r.write_misses,
+                r.downgrades,
+                Num(r.downgrade_fanout()),
+                Num(r.bytes_per_useful_byte()),
+                r.recommendation.describe(),
+                r.evidence,
+            )
+        })
+        .collect();
+    format!("[{}]", rows.join(", "))
 }
 
 fn delta_pct(base: u64, new: u64) -> f64 {
@@ -133,13 +135,6 @@ fn delta_pct(base: u64, new: u64) -> f64 {
 
 fn main() {
     let preset = preset_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sharing_advisor.json".to_string());
 
     // --- 1. Profile a Table 2 kernel and re-run with its hints. ------------
     let spec = registry().into_iter().find(|s| s.name == "LU").expect("LU in registry");
@@ -169,12 +164,11 @@ fn main() {
         .iter()
         .position(|&p| p == SharingPattern::FalseShared)
         .expect("pattern in ALL")];
-    assert!(fs_blocks > 0, "profiler failed to classify any synthetic block as false-shared");
+    // Step 3 has nothing to re-run with unless the advisor names a size.
     let rec = match synth.recommendation {
         Recommendation::Shrink(n) => n,
         other => panic!("advisor should recommend a smaller granularity, got {other:?}"),
     };
-    assert!(rec < region_bytes, "recommendation must shrink the block");
     println!("evidence: {}\n", synth.evidence);
 
     // --- 3. Closed loop: re-run with the recommended hint. -----------------
@@ -183,21 +177,23 @@ fn main() {
         "re-run with advisor hint ({rec} B blocks): {synth_base} -> {synth_hint} simulated cycles ({:+.1}%)",
         delta_pct(synth_base, synth_hint),
     );
-    assert!(
-        synth_hint < synth_base,
-        "advisor hint must reduce simulated cycles ({synth_base} -> {synth_hint})"
-    );
 
-    let json = format!(
-        "{{\n  \"config\": {{\"preset\": \"{preset:?}\", \"proto\": \"Base\", \"procs\": {PROCS}}},\n  \"kernel\": {{\n    \"name\": \"{}\",\n    \"cycles_base\": {},\n    \"cycles_table2_hints\": {},\n    \"cycle_delta_pct\": {:.2},\n    \"sites\": {}\n  }},\n  \"synthetic\": {{\n    \"block_bytes\": {region_bytes},\n    \"blocks_false_shared\": {fs_blocks},\n    \"recommended_bytes\": {rec},\n    \"cycles_base\": {synth_base},\n    \"cycles_with_hint\": {synth_hint},\n    \"cycle_delta_pct\": {:.2},\n    \"sites\": {}\n  }}\n}}\n",
+    let mut entry = Entry::new(
+        "sharing_advisor",
+        &format!("\"preset\": \"{preset:?}\", \"proto\": \"Base\", \"procs\": {PROCS}"),
+    );
+    entry.criterion("false_sharing_classified", fs_blocks > 0);
+    entry.criterion("recommendation_shrinks_block", rec < region_bytes);
+    entry.criterion("hint_reduces_cycles", synth_hint < synth_base);
+    entry.members(&format!(
+        "\"kernel\": {{\"name\": \"{}\", \"cycles_base\": {}, \"cycles_table2_hints\": {}, \"cycle_delta_pct\": {:.2}, \"sites\": {}}}, \"synthetic\": {{\"block_bytes\": {region_bytes}, \"blocks_false_shared\": {fs_blocks}, \"recommended_bytes\": {rec}, \"cycles_base\": {synth_base}, \"cycles_with_hint\": {synth_hint}, \"cycle_delta_pct\": {:.2}, \"sites\": {}}}",
         spec.name,
         kernel_base.elapsed_cycles,
         kernel_vg.elapsed_cycles,
-        delta_pct(kernel_base.elapsed_cycles, kernel_vg.elapsed_cycles),
+        Num(delta_pct(kernel_base.elapsed_cycles, kernel_vg.elapsed_cycles)),
         sites_json(&kernel_reports),
-        delta_pct(synth_base, synth_hint),
+        Num(delta_pct(synth_base, synth_hint)),
         sites_json(&reports),
-    );
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    println!("wrote {out}");
+    ));
+    entry.append();
 }

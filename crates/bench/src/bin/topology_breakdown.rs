@@ -26,9 +26,8 @@ use std::time::Instant;
 use shasta_apps::{
     run_app_observed_memory_home, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig,
 };
-use shasta_bench::{
-    apps_for, breakdown_bar_from, preset_from_args, trajectory, TRACE_RING_CAPACITY,
-};
+use shasta_bench::trajectory::{Entry, Num};
+use shasta_bench::{apps_for, breakdown_bar_from, preset_from_args, TRACE_RING_CAPACITY};
 use shasta_check::{cluster_kinds, ClusterKind};
 use shasta_core::{Machine, NetProfile};
 use shasta_obs::{EventLog, Registry};
@@ -133,59 +132,35 @@ fn measure(kind: ClusterKind, spec: &AppSpec, preset: Preset) -> Cell {
     Cell { kind, app: spec.name, stats, log, stats_metrics, link_occupancy_cycles, wall_ms }
 }
 
-/// Renders one run object (the trajectory entry this invocation adds).
-fn run_json(quick: bool, preset: &str, cells: &[Cell], total_wall_ms: f64) -> String {
-    let stamp = trajectory::unix_stamp();
-    let mut json = String::from("    {\n");
-    json.push_str(&format!(
-        "      \"config\": {{\"quick\": {quick}, \"preset\": \"{preset}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}, \"unix_time\": {stamp}}},\n"
-    ));
-    json.push_str("      \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let agg = c.log.fig4();
-        let total = agg.total_breakdown();
-        let (mut idle, mut span) = (0u64, 0u64);
-        for p in 0..agg.procs() as u32 {
-            idle += agg.idle(p);
-            span += agg.span(p);
-        }
-        let comps: Vec<String> = TimeCat::ALL
-            .into_iter()
-            .map(|cat| format!("\"{}\": {}", cat.label(), total.get(cat)))
-            .collect();
-        json.push_str(&format!(
-            "        {{\"kind\": \"{:?}\", \"app\": \"{}\", \"elapsed_cycles\": {}, \"components\": {{{}}}, \"idle_cycles\": {idle}, \"span_cycles\": {span}, \"link_occupancy_cycles\": {}, \"crosscheck_pass\": {}, \"metrics_identity\": {}, \"wall_ms\": {:.2}}}{}\n",
-            c.kind,
-            c.app,
-            c.stats.elapsed_cycles,
-            comps.join(", "),
-            c.link_occupancy_cycles,
-            c.crosscheck_pass(),
-            c.metrics_identity(),
-            c.wall_ms,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
+/// One cell's detail row of the trajectory entry.
+fn cell_json(c: &Cell) -> String {
+    let agg = c.log.fig4();
+    let total = agg.total_breakdown();
+    let (mut idle, mut span) = (0u64, 0u64);
+    for p in 0..agg.procs() as u32 {
+        idle += agg.idle(p);
+        span += agg.span(p);
     }
-    json.push_str("      ],\n");
-    json.push_str(&format!(
-        "      \"summary\": {{\"crosscheck_pass\": {}, \"metrics_identity\": {}, \"total_wall_ms\": {total_wall_ms:.2}}}\n",
-        cells.iter().all(Cell::crosscheck_pass),
-        cells.iter().all(Cell::metrics_identity),
-    ));
-    json.push_str("    }");
-    json
+    let comps: Vec<String> = TimeCat::ALL
+        .into_iter()
+        .map(|cat| format!("\"{}\": {}", cat.label(), total.get(cat)))
+        .collect();
+    format!(
+        "{{\"kind\": \"{:?}\", \"app\": \"{}\", \"elapsed_cycles\": {}, \"components\": {{{}}}, \"idle_cycles\": {idle}, \"span_cycles\": {span}, \"link_occupancy_cycles\": {}, \"crosscheck_pass\": {}, \"metrics_identity\": {}, \"wall_ms\": {:.2}}}",
+        c.kind,
+        c.app,
+        c.stats.elapsed_cycles,
+        comps.join(", "),
+        c.link_occupancy_cycles,
+        c.crosscheck_pass(),
+        c.metrics_identity(),
+        Num(c.wall_ms),
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = std::env::args().any(|a| a == "--quick");
     let preset = if quick { Preset::Tiny } else { preset_from_args() };
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_topology_breakdown.json".to_string());
 
     let kernels: Vec<AppSpec> = apps_for(true, false)
         .into_iter()
@@ -231,13 +206,16 @@ fn main() {
     }
     let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let crosscheck = cells.iter().all(Cell::crosscheck_pass);
-    let identity = cells.iter().all(Cell::metrics_identity);
-    let entry = run_json(quick, &format!("{preset:?}"), &cells, total_wall_ms);
-    let appended = trajectory::append(&out, "cells", entry);
-    println!(
-        "breakdowns account for every cycle: {crosscheck}; metrics runs identical: {identity}\nwrote {out} (trajectory run #{appended})"
+    let mut entry = Entry::new(
+        "topology_breakdown",
+        &format!(
+            "\"quick\": {quick}, \"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}"
+        ),
     );
-    assert!(crosscheck, "event-derived breakdown must account for every cycle");
-    assert!(identity, "metrics recording must not perturb simulated time");
+    entry.criterion("crosscheck_pass", cells.iter().all(Cell::crosscheck_pass));
+    entry.criterion("metrics_identity", cells.iter().all(Cell::metrics_identity));
+    entry.wall("total_wall_ms", total_wall_ms);
+    let rows: Vec<String> = cells.iter().map(cell_json).collect();
+    entry.members(&format!("\"cells\": [{}]", rows.join(", ")));
+    entry.append();
 }

@@ -1,6 +1,7 @@
 //! Loopback-transport benchmark: measures the real-socket fabric and proves
 //! the differential acceptance criterion, appending one run to the
-//! `BENCH_transport.json` trajectory for `scripts/perf_gate.sh`.
+//! `BENCH_transport.json` trajectory, whose criteria
+//! `crates/bench/tests/trajectories.rs` gates.
 //!
 //! Four measurement sections:
 //!
@@ -28,10 +29,9 @@
 //!    `.timeout`), the timeouts the timers expired with (`wire.rto_ns.*`),
 //!    and the wall time over the pure-simulator twin per drop.
 //!
-//! The gate metric is `summary.total_wall_ms`; the criterion booleans
-//! (`differential_pass`, `retransmit_pass`, `metrics_pass`) are asserted at
-//! exit so a regression aborts the binary rather than silently logging
-//! `false`.
+//! The criteria (`differential_pass`, `retransmit_pass`, `metrics_pass`) are
+//! asserted at exit so a regression aborts the binary rather than silently
+//! logging `false`; `walls.total_wall_ms` sums sections 3 and 4.
 //!
 //! ```text
 //! transport_bench [--quick] [--out PATH] [--counters PATH] [--trace PATH]
@@ -54,7 +54,8 @@ use shasta_apps::driver::{
     registry, run_app, run_app_observed_with_transport, run_app_with_transport, Preset, Proto,
     RunConfig,
 };
-use shasta_bench::{merge_wire_trace, trajectory, TRACE_RING_CAPACITY};
+use shasta_bench::trajectory::{Entry, Num};
+use shasta_bench::{flag, merge_wire_trace, TRACE_RING_CAPACITY};
 use shasta_core::protocol::ProtoMsg;
 use shasta_core::space::Block;
 use shasta_obs::Registry;
@@ -229,11 +230,7 @@ fn ack_rtt_pairs(snap: &shasta_stats::Snapshot) -> Vec<(String, u64, u64, u64, u
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = flag("--out").unwrap_or_else(|| "BENCH_transport.json".to_string());
+    let quick = std::env::args().any(|a| a == "--quick");
 
     // --- Section 1: fabric handshake. ---
     let iters = if quick { 3 } else { 9 };
@@ -393,7 +390,7 @@ fn main() {
         if metrics_match_drops { "matches drops" } else { "MISMATCH" },
     );
 
-    if let Some(path) = flag("--counters") {
+    if let Some(path) = flag(&["--counters"]) {
         std::fs::write(&path, &counters_report)
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote sim-oracle counters report to {path}");
@@ -401,75 +398,11 @@ fn main() {
 
     let total_wall_ms = rows.iter().map(|r| r.wall_ms).sum::<f64>() + retransmit_wall_ms;
 
-    let mut entry = String::from("    {\n");
-    entry.push_str(&format!(
-        "      \"config\": {{\"quick\": {quick}, \"rtt_iters\": {rtt_iters}, \"host_cpus\": {}, \"unix_time\": {}}},\n",
-        std::thread::available_parallelism().map_or(1, usize::from),
-        trajectory::unix_stamp()
-    ));
-    entry.push_str("      \"handshake\": [\n");
-    for (i, (b, ms)) in handshakes.iter().enumerate() {
-        entry.push_str(&format!(
-            "        {{\"backend\": \"{}\", \"connect_ms\": {ms:.3}}}{}\n",
-            b.label(),
-            if i + 1 < handshakes.len() { "," } else { "" }
-        ));
-    }
-    entry.push_str("      ],\n");
-    entry.push_str("      \"round_trip\": [\n");
-    for (i, (b, us)) in rtts.iter().enumerate() {
-        entry.push_str(&format!(
-            "        {{\"backend\": \"{}\", \"rtt_us\": {us:.2}}}{}\n",
-            b.label(),
-            if i + 1 < rtts.len() { "," } else { "" }
-        ));
-    }
-    entry.push_str("      ],\n");
-    entry.push_str("      \"differential\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let pairs: Vec<String> = r
-            .ack_rtt_pairs
-            .iter()
-            .map(|(pair, count, p50, p95, p99)| {
-                format!(
-                    "{{\"pair\": \"{pair}\", \"count\": {count}, \"p50_ns\": {p50}, \"p95_ns\": {p95}, \"p99_ns\": {p99}}}"
-                )
-            })
-            .collect();
-        let [reads, writes, would_block] = r.io;
-        entry.push_str(&format!(
-            "        {{\"app\": \"{}\", \"backend\": \"{}\", \"pass\": {}, \"wall_ms\": {:.2}, \"data_frames\": {}, \"io\": {{\"reads\": {reads}, \"writes\": {writes}, \"would_block\": {would_block}}}, \"ack_rtt_pairs\": [{}]}}{}\n",
-            r.app,
-            r.backend.label(),
-            r.pass,
-            r.wall_ms,
-            r.data_frames,
-            pairs.join(", "),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    entry.push_str("      ],\n");
-    entry.push_str(&format!(
-        "      \"retransmit\": {{\"induced_drops\": {}, \"retransmits\": {}, \"fast\": {fast}, \"timeout\": {timeout}, \"rto_ms\": {{\"mean\": {rto_mean:.3}, \"min\": {rto_min:.3}, \"max\": {rto_max:.3}}}, \"holds\": {}, \"resequenced\": {}, \"first_tx_dropped_metric\": {first_tx_dropped}, \"metrics_match_drops\": {metrics_match_drops}, \"pass\": {retransmit_pass}, \"wall_ms\": {retransmit_wall_ms:.2}, \"ms_per_drop\": {ms_per_drop:.3}}},\n",
-        counts.induced_drops, counts.retransmits, counts.holds, counts.resequenced
-    ));
-    entry.push_str(&format!(
-        "      \"summary\": {{\"differential_pass\": {differential_pass}, \"retransmit_pass\": {retransmit_pass}, \"metrics_pass\": {metrics_pass}, \"total_wall_ms\": {total_wall_ms:.2}}}\n"
-    ));
-    entry.push_str("    }");
-
-    let appended = trajectory::append(&out, "differential", entry);
-    println!(
-        "\ndifferential_pass={differential_pass} retransmit_pass={retransmit_pass} \
-         metrics_pass={metrics_pass}; gate metric total_wall_ms {total_wall_ms:.1}\nwrote {out} \
-         (trajectory run #{appended})"
-    );
-
-    if let Some(path) = flag("--trace") {
+    if let Some(path) = flag(&["--trace"]) {
         // One more LU run over UDS with induced drops, capturing both the
         // engine's simulated event log and the wire fabric's wall-clock
-        // event log, merged into a single Chrome trace (not part of the
-        // gate; timing here includes trace capture).
+        // event log, merged into a single Chrome trace (outside
+        // `total_wall_ms`; timing here includes trace capture).
         let mut events_probe = None;
         let (_, log) = run_app_observed_with_transport(
             (lu.build)(Preset::Tiny, true).as_ref(),
@@ -497,7 +430,61 @@ fn main() {
         );
     }
 
-    assert!(differential_pass, "a wire-backed run diverged from the simulator oracle");
-    assert!(retransmit_pass, "induced drops did not converge via retransmission");
-    assert!(metrics_pass, "a wire run's metrics registry sampled no ACK round trips");
+    let mut entry =
+        Entry::new("transport", &format!("\"quick\": {quick}, \"rtt_iters\": {rtt_iters}"));
+    entry.criterion("differential_pass", differential_pass);
+    entry.criterion("retransmit_pass", retransmit_pass);
+    entry.criterion("metrics_pass", metrics_pass);
+    entry.wall("total_wall_ms", total_wall_ms);
+    let handshake: Vec<String> = handshakes
+        .iter()
+        .map(|(b, ms)| {
+            format!("{{\"backend\": \"{}\", \"connect_ms\": {:.3}}}", b.label(), Num(*ms))
+        })
+        .collect();
+    let round_trip: Vec<String> = rtts
+        .iter()
+        .map(|(b, us)| format!("{{\"backend\": \"{}\", \"rtt_us\": {:.2}}}", b.label(), Num(*us)))
+        .collect();
+    let differential: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let pairs: Vec<String> = r
+                .ack_rtt_pairs
+                .iter()
+                .map(|(pair, count, p50, p95, p99)| {
+                    format!(
+                        "{{\"pair\": \"{pair}\", \"count\": {count}, \"p50_ns\": {p50}, \"p95_ns\": {p95}, \"p99_ns\": {p99}}}"
+                    )
+                })
+                .collect();
+            let [reads, writes, would_block] = r.io;
+            format!(
+                "{{\"app\": \"{}\", \"backend\": \"{}\", \"pass\": {}, \"wall_ms\": {:.2}, \"data_frames\": {}, \"io\": {{\"reads\": {reads}, \"writes\": {writes}, \"would_block\": {would_block}}}, \"ack_rtt_pairs\": [{}]}}",
+                r.app,
+                r.backend.label(),
+                r.pass,
+                Num(r.wall_ms),
+                r.data_frames,
+                pairs.join(", "),
+            )
+        })
+        .collect();
+    entry.members(&format!(
+        "\"handshake\": [{}], \"round_trip\": [{}], \"differential\": [{}], \"retransmit\": {{\"induced_drops\": {}, \"retransmits\": {}, \"fast\": {fast}, \"timeout\": {timeout}, \"rto_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}}, \"holds\": {}, \"resequenced\": {}, \"first_tx_dropped_metric\": {first_tx_dropped}, \"metrics_match_drops\": {metrics_match_drops}, \"pass\": {retransmit_pass}, \"wall_ms\": {:.2}, \"ms_per_drop\": {:.3}}}",
+        handshake.join(", "),
+        round_trip.join(", "),
+        differential.join(", "),
+        counts.induced_drops,
+        counts.retransmits,
+        Num(rto_mean),
+        Num(rto_min),
+        Num(rto_max),
+        counts.holds,
+        counts.resequenced,
+        Num(retransmit_wall_ms),
+        Num(ms_per_drop),
+    ));
+    println!();
+    entry.append();
 }

@@ -12,10 +12,7 @@
 //!
 //! Run them all with `cargo run --release -p shasta-bench --bin all_experiments`.
 
-use shasta_apps::{
-    registry, run_app, run_app_observed, run_app_observed_shaped, run_app_shaped, AppSpec, Preset,
-    Proto, RunConfig,
-};
+use shasta_apps::{registry, run_app, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig};
 use shasta_obs::EventLog;
 use shasta_stats::{Breakdown, RunStats, TimeCat};
 
@@ -29,6 +26,10 @@ pub const TRACE_RING_CAPACITY: usize = 65_536;
 /// and SMP-Shasta uses clustering 2 at 2 processors, 4 elsewhere.
 pub const PAPER_POINTS: [(u32, u32); 4] = [(2, 2), (4, 4), (8, 4), (16, 4)];
 
+fn config(proto: Proto, procs: u32, clustering: u32, vg: bool) -> RunConfig {
+    RunConfig { variable_granularity: vg, ..RunConfig::new(proto, procs, clustering) }
+}
+
 /// Runs `spec` at one configuration.
 pub fn run(
     spec: &AppSpec,
@@ -38,17 +39,17 @@ pub fn run(
     clustering: u32,
     vg: bool,
 ) -> RunStats {
-    let app = (spec.build)(preset, false);
-    let mut cfg = RunConfig::new(proto, procs, clustering);
-    if vg {
-        cfg = cfg.variable_granularity();
-    }
-    run_app(app.as_ref(), &cfg)
+    run_app((spec.build)(preset, false).as_ref(), &config(proto, procs, clustering, vg))
 }
 
 /// Runs `spec` at one configuration with event recording enabled, returning
 /// the statistics plus the captured event log (ring capacity
 /// [`TRACE_RING_CAPACITY`] per processor).
+///
+/// # Panics
+///
+/// Panics, naming the application and configuration, if any event-derived
+/// aggregate diverges from the engine's counters ([`EventLog::crosscheck`]).
 pub fn run_observed(
     spec: &AppSpec,
     preset: Preset,
@@ -57,12 +58,7 @@ pub fn run_observed(
     clustering: u32,
     vg: bool,
 ) -> (RunStats, EventLog) {
-    let app = (spec.build)(preset, false);
-    let mut cfg = RunConfig::new(proto, procs, clustering);
-    if vg {
-        cfg = cfg.variable_granularity();
-    }
-    run_app_observed(app.as_ref(), &cfg, TRACE_RING_CAPACITY)
+    observe(spec, preset, config(proto, procs, clustering, vg), |_| {})
 }
 
 /// [`run_observed`] with a live metrics registry attached to the machine's
@@ -78,34 +74,26 @@ pub fn run_observed_metrics(
     clustering: u32,
     vg: bool,
 ) -> (RunStats, EventLog) {
-    let app = (spec.build)(preset, false);
-    let mut cfg = RunConfig::new(proto, procs, clustering);
-    if vg {
-        cfg = cfg.variable_granularity();
-    }
-    run_app_observed_shaped(app.as_ref(), &cfg, TRACE_RING_CAPACITY, |m| {
+    observe(spec, preset, config(proto, procs, clustering, vg), |m| {
         m.set_metrics(&shasta_obs::Registry::enabled());
     })
 }
 
-/// Runs `spec` with a live metrics registry but **no** event recording —
-/// the standalone cost of the metrics layer, measured by `obs_overhead`.
-pub fn run_with_metrics(
+fn observe(
     spec: &AppSpec,
     preset: Preset,
-    proto: Proto,
-    procs: u32,
-    clustering: u32,
-    vg: bool,
-) -> RunStats {
+    cfg: RunConfig,
+    shape: impl FnOnce(&mut shasta_core::Machine),
+) -> (RunStats, EventLog) {
     let app = (spec.build)(preset, false);
-    let mut cfg = RunConfig::new(proto, procs, clustering);
-    if vg {
-        cfg = cfg.variable_granularity();
+    let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, TRACE_RING_CAPACITY, shape);
+    if let Err(e) = log.crosscheck(&stats) {
+        panic!(
+            "{} {:?} {}p c{}: event/counter divergence: {e}",
+            spec.name, cfg.proto, cfg.procs, cfg.clustering
+        );
     }
-    run_app_shaped(app.as_ref(), &cfg, |m| {
-        m.set_metrics(&shasta_obs::Registry::enabled());
-    })
+    (stats, log)
 }
 
 /// Sequential baseline cycles for `spec` at `preset`.
@@ -147,13 +135,31 @@ pub fn breakdown_bar_from(label: &str, total: &Breakdown, elapsed: u64, norm: u6
     out
 }
 
-/// Parses the common `--trace <path>` CLI flag: when present, the binary
-/// exports a Chrome `trace_event` JSON timeline of its first observed run to
-/// `<path>` (load it in `chrome://tracing` or Perfetto).
-pub fn trace_path_from_args() -> Option<String> {
+/// Prints a one-line usage error and exits non-zero: a mistyped flag value
+/// must never fall back to a default (and a multi-minute full-size run).
+fn usage_error(msg: &str) -> ! {
+    eprintln!("usage error: {msg}");
+    std::process::exit(2)
+}
+
+/// The value following the first of the CLI flags `names`, if one is present.
+pub fn flag(names: &[&str]) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--trace")?;
-    args.get(i + 1).cloned()
+    let i = args.iter().position(|a| names.contains(&a.as_str()))?;
+    Some(
+        args.get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| usage_error(&format!("{} takes a value", args[i]))),
+    )
+}
+
+/// Parses the numeric CLI flag `names` (`None` when absent). A value that
+/// does not parse is a usage error: one line on stderr and exit status 2.
+pub fn num_flag<T: std::str::FromStr>(names: &[&str]) -> Option<T> {
+    flag(names).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{} takes a number, got {v:?}", names[0])))
+    })
 }
 
 /// Writes `log` as Chrome `trace_event` JSON to `path`.
@@ -236,20 +242,17 @@ pub fn apps_for(table2_only: bool, table3_only: bool) -> Vec<AppSpec> {
 }
 
 /// Parses the common `--preset tiny|default|large` CLI flag (the
-/// `SHASTA_PRESET` env var is also honoured) so experiments can be
-/// smoke-tested quickly; defaults to `default`.
+/// `SHASTA_PRESET` env var is honoured when the flag is absent) so
+/// experiments can be smoke-tested quickly; empty or absent means `default`,
+/// anything else is a usage error (exit status 2).
 pub fn preset_from_args() -> Preset {
-    let mut preset = std::env::var("SHASTA_PRESET").unwrap_or_default();
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--preset") {
-        if let Some(v) = args.get(i + 1) {
-            preset = v.clone();
-        }
-    }
+    let preset =
+        flag(&["--preset"]).unwrap_or_else(|| std::env::var("SHASTA_PRESET").unwrap_or_default());
     match preset.as_str() {
         "tiny" => Preset::Tiny,
+        "" | "default" => Preset::Default,
         "large" => Preset::Large,
-        _ => Preset::Default,
+        other => usage_error(&format!("--preset takes tiny|default|large, got {other:?}")),
     }
 }
 
@@ -259,8 +262,7 @@ pub fn preset_from_args() -> Preset {
 /// output is derived purely from simulated counters — the simulation is
 /// deterministic, so worker count never changes the bytes printed.
 pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    shasta_check::resolve_jobs(shasta_check::flag_value(&args, &["-j", "--jobs"]))
+    shasta_check::resolve_jobs(num_flag(&["-j", "--jobs"]))
 }
 
 /// Parses the common `--sim-threads` CLI flag (0 = one worker per CPU;
@@ -269,79 +271,250 @@ pub fn jobs_from_args() -> usize {
 /// engine *inside* each simulated run — bit-identical for every value, so
 /// like `--jobs` it can never change the bytes a benchmark prints.
 pub fn sim_threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    shasta_check::resolve_sim_threads(shasta_check::flag_value(&args, &["--sim-threads"]))
+    shasta_check::resolve_sim_threads(num_flag(&["--sim-threads"]))
 }
 
-/// Shared plumbing for the append-only `BENCH_*.json` *trajectory* files:
-/// every benchmark invocation appends one run object to the file's `"runs"`
-/// array, so host-performance regressions stay visible across commits (and
-/// `scripts/perf_gate.sh` can gate CI on the last two entries).
+/// The one schema of the append-only `BENCH_*.json` *trajectory* files: every
+/// invocation of a trajectory bin appends one [`Entry`](trajectory::Entry) to
+/// the file's `"runs"` array. `crates/bench/tests/trajectories.rs` gates the
+/// tracked files on their last entry's criteria; no wall is compared (host
+/// time is measured, pinned, by `benchmark/`).
 pub mod trajectory {
-    use shasta_obs::chrome::{parse, Json};
+    use shasta_obs::chrome::{parse, quote, Json};
 
-    /// Seconds since the Unix epoch, for stamping trajectory entries.
-    pub fn unix_stamp() -> u64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or_default()
+    /// A float for a detail row's format string: honours the precision of
+    /// its `{:.N}` placeholder, and prints `null` when non-finite (a ratio
+    /// over a zero wall) so the row stays JSON.
+    pub struct Num(pub f64);
+
+    impl std::fmt::Display for Num {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            if self.0.is_finite() {
+                self.0.fmt(f)
+            } else {
+                f.write_str("null")
+            }
+        }
     }
 
-    /// Compact re-serialization of a parsed prior run (used when appending
-    /// to an existing trajectory; also wraps legacy single-run files).
-    pub fn render(v: &Json) -> String {
+    /// Compact serialization of a JSON value; a non-finite number is `null`.
+    fn render(v: &Json) -> String {
         match v {
             Json::Null => "null".to_string(),
             Json::Bool(b) => b.to_string(),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    format!("{}", *n as i64)
-                } else {
-                    format!("{n}")
-                }
-            }
-            Json::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
+            Json::Num(n) if !n.is_finite() => "null".to_string(),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => format!("{}", *n as i64),
+            Json::Num(n) => format!("{n}"),
+            Json::Str(s) => quote(s),
             Json::Arr(items) => {
                 let inner: Vec<String> = items.iter().map(render).collect();
                 format!("[{}]", inner.join(", "))
             }
             Json::Obj(members) => {
                 let inner: Vec<String> =
-                    members.iter().map(|(k, v)| format!("\"{k}\": {}", render(v))).collect();
+                    members.iter().map(|(k, v)| format!("{}: {}", quote(k), render(v))).collect();
                 format!("{{{}}}", inner.join(", "))
             }
         }
     }
 
-    /// Prior trajectory entries from `path`: the `"runs"` array if present,
-    /// a legacy single-run object (recognized by `legacy_key`) wrapped as
-    /// one entry, or empty.
-    pub fn prior_runs(path: &str, legacy_key: &str) -> Vec<String> {
-        let Ok(text) = std::fs::read_to_string(path) else { return Vec::new() };
-        let Ok(doc) = parse(&text) else {
-            eprintln!("warning: {path} is not valid JSON; starting a fresh trajectory");
-            return Vec::new();
-        };
-        match doc.get("runs").and_then(Json::as_arr) {
-            Some(runs) => runs.iter().map(|r| format!("    {}", render(r))).collect(),
-            None if doc.get(legacy_key).is_some() => vec![format!("    {}", render(&doc))],
-            None => Vec::new(),
-        }
-    }
-
-    /// Appends `entry` to the trajectory at `path` (creating it when absent)
-    /// and returns this run's 1-based position in the trajectory.
+    /// The rendered prior entries of the trajectory at `path`; none when the
+    /// file is absent or empty (`mktemp` makes it so).
     ///
     /// # Panics
     ///
-    /// Panics if the file cannot be written.
-    pub fn append(path: &str, legacy_key: &str, entry: String) -> usize {
-        let mut runs = prior_runs(path, legacy_key);
-        runs.push(entry);
-        let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", runs.join(",\n"));
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        runs.len()
+    /// Panics, naming the file, if it holds anything but a `"runs"` array:
+    /// appending would overwrite, and so destroy, whatever it is.
+    fn prior_runs(path: &str) -> Vec<String> {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        if text.trim().is_empty() {
+            return Vec::new();
+        }
+        let doc = parse(&text)
+            .unwrap_or_else(|e| panic!("{path} is not valid JSON ({e}); left untouched"));
+        let runs = doc
+            .get("runs")
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("{path} has no \"runs\" array; left untouched"));
+        runs.iter().map(render).collect()
+    }
+
+    /// One trajectory entry: `config` (stamped with `host_cpus` and
+    /// `unix_time`), `criteria` (name → bool), `walls` (name → ms), then the
+    /// bin's own members (scalars and detail rows).
+    pub struct Entry {
+        out: String,
+        config: Vec<(String, Json)>,
+        criteria: Vec<(String, bool)>,
+        walls: Vec<(String, Json)>,
+        members: Vec<(String, Json)>,
+    }
+
+    fn members_of(what: &str, json: &str) -> Vec<(String, Json)> {
+        match parse(&format!("{{{json}}}")) {
+            Ok(Json::Obj(members)) => members,
+            other => panic!("{what} is not a list of JSON members ({other:?}): {json}"),
+        }
+    }
+
+    impl Entry {
+        /// An entry bound for `--out PATH`, by default `BENCH_<name>.json` in
+        /// the working directory, whose `config` is the JSON members
+        /// `config` (`"key": value, …`).
+        pub fn new(name: &str, config: &str) -> Entry {
+            let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
+            let unix_time = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or_default();
+            let mut config = members_of("config", config);
+            config.push(("host_cpus".into(), Json::Num(host_cpus as f64)));
+            config.push(("unix_time".into(), Json::Num(unix_time as f64)));
+            Entry {
+                out: crate::flag(&["--out"]).unwrap_or_else(|| format!("BENCH_{name}.json")),
+                config,
+                criteria: Vec::new(),
+                walls: Vec::new(),
+                members: Vec::new(),
+            }
+        }
+
+        /// Records one of the conditions the bin asserts; [`append`](Self::append)
+        /// panics after the write if any is false.
+        pub fn criterion(&mut self, name: &str, pass: bool) {
+            self.criteria.push((name.into(), pass));
+        }
+
+        /// Records a host wall time in milliseconds (kept to 0.01 ms).
+        pub fn wall(&mut self, name: &str, ms: f64) {
+            self.walls.push((name.into(), Json::Num((ms * 100.0).round() / 100.0)));
+        }
+
+        /// Adds the bin's own JSON members (`"key": value, …`): summary
+        /// scalars and detail rows, typically straight from a format string.
+        pub fn members(&mut self, json: &str) {
+            self.members.extend(members_of("entry detail", json));
+        }
+
+        /// Appends the entry to its trajectory (creating the file when
+        /// absent) and prints the criteria and the `wrote …` line.
+        ///
+        /// # Panics
+        ///
+        /// Panics before writing if the existing file is not a trajectory or
+        /// cannot be written; panics after writing, naming every false
+        /// criterion, if any criterion is false.
+        pub fn append(self) {
+            let Entry { out, config, criteria, walls, members } = self;
+            let summary: Vec<String> =
+                criteria.iter().map(|(k, pass)| format!("{k}={pass}")).collect();
+            let failed: Vec<&str> =
+                criteria.iter().filter(|(_, pass)| !pass).map(|(k, _)| k.as_str()).collect();
+            let verdicts =
+                criteria.iter().map(|(k, pass)| (k.clone(), Json::Bool(*pass))).collect();
+            let mut entry = vec![
+                ("config".to_string(), Json::Obj(config)),
+                ("criteria".to_string(), Json::Obj(verdicts)),
+                ("walls".to_string(), Json::Obj(walls)),
+            ];
+            entry.extend(members);
+            let mut runs = prior_runs(&out);
+            runs.push(render(&Json::Obj(entry)));
+            let json = format!("{{\n  \"runs\": [\n    {}\n  ]\n}}\n", runs.join(",\n    "));
+            std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+            if !summary.is_empty() {
+                println!("{}", summary.join(" "));
+            }
+            println!("wrote {out} (trajectory run #{})", runs.len());
+            assert!(failed.is_empty(), "criteria failed: {}", failed.join(", "));
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// An entry bound for a fresh file under the temp dir.
+        fn entry_at(tag: &str) -> Entry {
+            let path =
+                std::env::temp_dir().join(format!("shasta-{}-{tag}.json", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let mut entry = Entry::new("unit", "\"preset\": \"Tiny\", \"procs\": 8");
+            entry.out = path.to_str().expect("utf-8 temp dir").to_string();
+            entry
+        }
+
+        #[test]
+        fn entries_round_trip_through_the_parser_and_accumulate() {
+            let mut first = entry_at("roundtrip");
+            let out = first.out.clone();
+            first.criterion("tiles", true);
+            first.wall("total_wall_ms", 12.3456);
+            first.members(&format!("\"ratio\": {:.2}, \"rows\": [{{\"k\": 1}}]", Num(1.0 / 0.0)));
+            first.append();
+            let mut second = entry_at("unused");
+            second.out = out.clone();
+            second.wall("bad", f64::NAN);
+            second.append();
+            let doc = parse(&std::fs::read_to_string(&out).unwrap()).expect("valid JSON");
+            let runs = doc.get("runs").and_then(Json::as_arr).expect("runs array");
+            assert_eq!(runs.len(), 2, "the second append keeps the first entry");
+            let config = runs[0].get("config").expect("config");
+            assert_eq!(config.get("preset").and_then(Json::as_str), Some("Tiny"));
+            assert!(config.get("unix_time").and_then(Json::as_u64).is_some_and(|t| t > 0));
+            assert!(config.get("host_cpus").and_then(Json::as_u64).is_some_and(|n| n > 0));
+            assert_eq!(
+                runs[0].get("criteria"),
+                Some(&Json::Obj(vec![("tiles".into(), Json::Bool(true))]))
+            );
+            let walls = runs[0].get("walls").expect("walls");
+            assert_eq!(walls.get("total_wall_ms"), Some(&Json::Num(12.35)));
+            assert_eq!(
+                runs[0].get("ratio"),
+                Some(&Json::Null),
+                "Num renders a non-finite float null"
+            );
+            assert_eq!(runs[1].get("walls").and_then(|w| w.get("bad")), Some(&Json::Null));
+            let _ = std::fs::remove_file(&out);
+        }
+
+        #[test]
+        fn a_false_criterion_is_written_then_panics_by_name() {
+            let mut entry = entry_at("criterion");
+            let out = entry.out.clone();
+            entry.criterion("holds", true);
+            entry.criterion("tiling_pass", false);
+            let err = std::panic::catch_unwind(|| entry.append()).expect_err("must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("tiling_pass") && !msg.contains("holds"), "{msg}");
+            let text = std::fs::read_to_string(&out).expect("entry written before the panic");
+            assert!(text.contains("\"tiling_pass\": false"), "{text}");
+            let _ = std::fs::remove_file(&out);
+        }
+
+        #[test]
+        fn a_file_that_is_not_a_trajectory_is_left_untouched() {
+            for (tag, junk) in
+                [("junk", "{\"runs\": [ {\"speedup\": inf} ]}"), ("noruns", "{\"a\": 1}")]
+            {
+                let entry = entry_at(tag);
+                let out = entry.out.clone();
+                std::fs::write(&out, junk).unwrap();
+                let err = std::panic::catch_unwind(|| entry.append()).expect_err("must panic");
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert!(msg.contains(&out), "the panic names the file: {msg}");
+                assert_eq!(std::fs::read_to_string(&out).unwrap(), junk, "byte-for-byte unchanged");
+                let _ = std::fs::remove_file(&out);
+            }
+        }
+
+        #[test]
+        fn render_escapes_control_characters_in_strings_and_keys() {
+            let v = Json::Obj(vec![("a\nb".into(), Json::Str("tab\there \"q\" \u{1}".into()))]);
+            let text = render(&v);
+            assert_eq!(text, r#"{"a\nb": "tab\there \"q\" \u0001"}"#);
+            assert_eq!(parse(&text), Ok(v));
+        }
     }
 }
 

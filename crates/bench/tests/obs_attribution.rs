@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use shasta_apps::{registry, run_app_observed, AppSpec, Preset, Proto, RunConfig};
-use shasta_bench::{apps_for, run_observed};
+use shasta_bench::{apps_for, run, run_observed, run_observed_metrics};
 use shasta_obs::{chrome, EventKind, EventLog};
 use shasta_stats::RunStats;
 
@@ -56,32 +56,33 @@ fn derived_breakdown_matches_stats_on_table2_kernels() {
     }
 }
 
+/// Observation never advances the simulated clock: a run with recording
+/// off, one with full event recording, and one with recording plus a live
+/// metrics registry return equal `RunStats` — every cycle and counter — on
+/// every Table 2 kernel under Base-Shasta and clustered SMP-Shasta.
+#[test]
+fn recording_and_metrics_leave_run_stats_identical_on_table2_kernels() {
+    for (spec, proto, clustering) in table2_points() {
+        let name = format!("{} {proto:?} c{clustering}", spec.name);
+        let plain = run(&spec, Preset::Tiny, proto, 8, clustering, false);
+        let (recorded, _) = run_observed(&spec, Preset::Tiny, proto, 8, clustering, false);
+        assert_eq!(plain, recorded, "{name}: event recording perturbed the run");
+        let (metered, _) = run_observed_metrics(&spec, Preset::Tiny, proto, 8, clustering, false);
+        assert_eq!(plain, metered, "{name}: the metrics registry perturbed the run");
+    }
+}
+
 /// Event-derived downgrade histograms match the engine's `DowngradeHist`
 /// exactly (every bucket and the total), and the per-message-kind table
 /// re-sums to the network layer's class totals in both counts and payload
 /// bytes, on every Table 2 kernel under Base-Shasta and clustered
-/// SMP-Shasta.
+/// SMP-Shasta (`EventLog::crosscheck`, which `run_observed` also enforces).
 #[test]
 fn derived_downgrades_and_message_kinds_match_engine_on_table2_kernels() {
     for (spec, proto, clustering) in table2_points() {
         let (stats, log) = run_observed(&spec, Preset::Tiny, proto, 8, clustering, false);
         let name = format!("{} {proto:?} c{clustering}", spec.name);
-        log.downgrades()
-            .crosscheck(&stats.downgrades)
-            .unwrap_or_else(|e| panic!("{name}: downgrade divergence: {e}"));
-        let msgs = log.msgs().expect("observed runs attach the space map");
-        msgs.crosscheck(&stats.messages).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let (kind_count, kind_bytes) =
-            msgs.by_kind().fold((0u64, 0u64), |(c, b), (_, n, bytes)| (c + n, b + bytes));
-        let class_count: u64 =
-            shasta_stats::MsgClass::ALL.iter().map(|&c| stats.messages.count(c)).sum();
-        let class_bytes: u64 =
-            shasta_stats::MsgClass::ALL.iter().map(|&c| stats.messages.payload_bytes(c)).sum();
-        assert_eq!(
-            (kind_count, kind_bytes),
-            (class_count, class_bytes),
-            "{name}: per-kind table diverges from class totals"
-        );
+        log.crosscheck(&stats).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 

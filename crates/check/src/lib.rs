@@ -44,7 +44,7 @@ use shasta_stats::RunStats;
 
 pub mod pool;
 
-pub use pool::{flag_value, par_map, resolve_jobs, resolve_sim_threads, resolve_threads};
+pub use pool::{par_map, resolve_jobs, resolve_sim_threads, resolve_threads};
 // The fault-injection and heterogeneous-topology vocabulary, re-exported so
 // checker callers (the bench bins, CI) need only this crate.
 pub use shasta_core::{FaultCounts, FaultPlan, NetProfile};

@@ -45,17 +45,6 @@ pub fn resolve_sim_threads(requested: Option<usize>) -> usize {
     resolve_threads(requested, "SHASTA_SIM_THREADS")
 }
 
-/// Extracts the value of the first present flag in `flags` from an argv
-/// slice (`--flag N` form). `Some(..)` only when the value parses; a flag
-/// with a missing or malformed value reads as absent, matching the historic
-/// lenient parsing of the bench bins.
-pub fn flag_value(args: &[String], flags: &[&str]) -> Option<usize> {
-    args.iter()
-        .position(|a| flags.contains(&a.as_str()))
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 /// Runs `f(0), f(1), …, f(n-1)` on up to `workers` threads and returns the
 /// results in index order. Falls back to a plain serial loop when `workers`
 /// or `n` is at most one. Panics in `f` propagate to the caller.
@@ -108,16 +97,5 @@ mod tests {
         assert_eq!(resolve_jobs(Some(3)), 3);
         assert!(resolve_jobs(Some(0)) >= 1, "auto resolves to at least one worker");
         assert_eq!(resolve_sim_threads(Some(4)), 4);
-    }
-
-    #[test]
-    fn flag_value_parses_first_matching_flag() {
-        let args: Vec<String> =
-            ["check", "--jobs", "3", "--sim-threads", "2"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(flag_value(&args, &["-j", "--jobs"]), Some(3));
-        assert_eq!(flag_value(&args, &["--sim-threads"]), Some(2));
-        assert_eq!(flag_value(&args, &["--absent"]), None);
-        let trailing: Vec<String> = ["check", "--jobs"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(flag_value(&trailing, &["--jobs"]), None, "missing value reads as absent");
     }
 }

@@ -148,7 +148,7 @@ fn write_args(s: &mut String, kind: &EventKind) {
 
 /// JSON-quotes a string (the labels we emit never need escapes, but the
 /// writer stays correct for arbitrary input).
-fn quote(s: &str) -> String {
+pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -25,8 +25,8 @@
 //!   into simulated time; CI byte-diffs runs with recording off vs on.
 //!
 //! [`Registry::snapshot`] exports everything as a sorted
-//! [`shasta_stats::Snapshot`], whose `render()` is the deterministic text
-//! exposition format consumed by `bench_summary.sh` and the bench bins.
+//! [`shasta_stats::Snapshot`]: the bench bins and the benchmark harness read
+//! its entries, and its `render()` is the deterministic text exposition.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

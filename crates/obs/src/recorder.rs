@@ -7,6 +7,7 @@ use crate::event::{Event, EventKind};
 use crate::fig4::Fig4Agg;
 use crate::profile::{ProfileAgg, SpaceMap};
 use crate::rederive::{DowngradeAgg, MissAgg, MsgAgg};
+use shasta_stats::{MsgClass, RunStats};
 
 /// Bounded ring of recent events for one processor. When full, the oldest
 /// event is overwritten and counted as dropped — the exported timeline is a
@@ -282,6 +283,31 @@ impl EventLog {
         self.profile.as_ref()
     }
 
+    /// Cross-checks every event-derived aggregate against the engine's own
+    /// counters in `stats`: the Figure 4 breakdown, the Figure 6 misses, the
+    /// Figure 8 downgrades and, when a [`SpaceMap`] was attached, the
+    /// Figure 7 messages, whose per-kind table must also re-sum to the class
+    /// totals. Both sides are produced at the same call sites, so equality
+    /// is exact; the first divergence is returned.
+    pub fn crosscheck(&self, stats: &RunStats) -> Result<(), String> {
+        self.agg.crosscheck(stats)?;
+        self.miss.crosscheck(&stats.misses)?;
+        self.dg.crosscheck(&stats.downgrades)?;
+        if let Some(msgs) = &self.msg {
+            msgs.crosscheck(&stats.messages)?;
+            let kinds = msgs.by_kind().fold((0, 0), |(c, b), (_, n, bytes)| (c + n, b + bytes));
+            let classes = MsgClass::ALL.iter().fold((0, 0), |(c, b), &class| {
+                (c + stats.messages.count(class), b + stats.messages.payload_bytes(class))
+            });
+            if kinds != classes {
+                return Err(format!(
+                    "per-kind message (count, bytes) {kinds:?} != class totals {classes:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Iterates every retained event, processor by processor.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
         self.procs.iter().flat_map(|pe| pe.events.iter())
@@ -328,6 +354,20 @@ mod tests {
         assert_eq!(log.proc(0).events.len(), 2, "timeline is a suffix");
         assert_eq!(log.fig4().breakdown(0).get(TimeCat::Task), 100, "aggregation sees all");
         assert_eq!(log.fig4().span(0), 100);
+    }
+
+    #[test]
+    fn crosscheck_names_the_aggregate_that_diverges() {
+        let mut r = Recorder::enabled(1, 8);
+        r.record(0, 0, EventKind::Slice { cat: TimeCat::Task, cycles: 10 });
+        r.record(10, 0, EventKind::DowngradeStart { block: 0x40, to_invalid: true, targets: 1 });
+        let log = r.into_log();
+        let mut stats = RunStats::new(1);
+        stats.breakdowns[0].add(TimeCat::Task, 10);
+        let err = log.crosscheck(&stats).unwrap_err();
+        assert!(err.contains("downgrade"), "the histogram diverges, not the breakdown: {err}");
+        stats.downgrades.record(1);
+        assert_eq!(log.crosscheck(&stats), Ok(()));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! format it is rendered in. Keeping the data model in `shasta-stats`
 //! mirrors the crate's role for every other counter family: producers live
 //! upstream, the portable representation and its rendering live here, and
-//! downstream consumers (bench bins, `bench_summary.sh`) never need the
-//! producer crate.
+//! downstream consumers (the bench bins and the benchmark harness, which
+//! read a snapshot's entries, not its text) never need the producer crate.
 //!
 //! The exposition format is one metric per line, sorted by name, so two
 //! snapshots of equal state render byte-identically:
