@@ -462,8 +462,9 @@ pub fn replay_observed(
 ) -> (Result<RunStats, String>, shasta_obs::EventLog) {
     silence_expected_panics();
     let mut m = build_machine(s, policy, bug, true);
-    m.enable_obs(ring_capacity);
     let bodies = plan_kernel(&mut m, s);
+    // After the kernel's allocations: the recorder classifies against them.
+    m.enable_obs(ring_capacity);
     let res = panic::catch_unwind(AssertUnwindSafe(|| m.run(bodies))).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<String>() {
             s.clone()
@@ -494,9 +495,10 @@ pub fn run_scenario_observed(
     ring_capacity: usize,
 ) -> (RunStats, shasta_obs::EventLog, String) {
     let mut m = build_machine(s, policy, bug, false);
-    m.enable_obs(ring_capacity);
     m.enable_trace(TRACE_CAPACITY);
     let bodies = plan_kernel(&mut m, s);
+    // After the kernel's allocations: the recorder classifies against them.
+    m.enable_obs(ring_capacity);
     let stats = m.run(bodies);
     let trace = m.render_trace();
     (stats, m.take_obs(), trace)
@@ -925,7 +927,7 @@ mod tests {
         // A clean replay of the same scenario succeeds and also records.
         let (ok, clean) = replay_observed(&cx.scenario, cx.policy, BugInjection::None, 16_384);
         let stats = ok.expect("correct protocol passes");
-        clean.fig4().crosscheck(&stats).expect("derived breakdown matches counters");
+        clean.crosscheck(&stats).expect("every derived aggregate matches the counters");
     }
 
     #[test]

@@ -75,6 +75,9 @@ proptest! {
             run_scenario_observed(&s, SchedulePolicy::Deterministic, BugInjection::None, ring)
         };
         prop_assert_eq!(&st_serial, &st_sharded, "{} x{} ring {}: stats diverged", s, threads, ring);
+        // Recorded against the kernel's allocations: the message rederivation
+        // has payload bytes to count, so the whole crosscheck applies.
+        prop_assert_eq!(log_serial.crosscheck(&st_serial), Ok(()), "{} ring {}", s, ring);
         prop_assert_eq!(
             tr_serial, tr_sharded,
             "{} x{} ring {}: rendered trace diverged", s, threads, ring
@@ -115,4 +118,5 @@ fn recording_runs_actually_shard() {
         run_scenario_observed(&s, SchedulePolicy::Deterministic, BugInjection::None, 4_096);
     assert!(stats.elapsed_cycles > 0);
     assert!(!log.is_empty(), "a recorded run must retain events");
+    log.crosscheck(&stats).expect("the merged log's aggregates match the merged counters");
 }

@@ -7,7 +7,9 @@
 //! barriers, and `compute` to account for the work between accesses.
 //!
 //! Pure compute is accumulated locally and piggybacked on the next
-//! operation, so it costs no engine rendezvous.
+//! operation, so it costs no engine rendezvous. Neither does an operation
+//! that returns nothing: like Shasta's non-blocking stores it is *posted*,
+//! and reaches the engine, in program order, with the next load or range read.
 
 use shasta_sim::FiberApi;
 
@@ -125,7 +127,12 @@ pub enum Resp {
 ///
 /// All methods may suspend the calling fiber while the protocol services a
 /// miss; from the application's perspective they are simple blocking
-/// operations on a shared address space.
+/// operations on a shared address space. A method that returns nothing may
+/// return before the engine has simulated it — a barrier or an acquire too —
+/// so the processors' bodies may communicate through `Dsm` and nothing else:
+/// simulated synchronisation does not order host state they share. (What a
+/// body *loaded* is as good as ever, e.g. collected and read after
+/// `Machine::run`.)
 #[derive(Debug)]
 pub struct Dsm {
     api: FiberApi<Req, Resp>,
@@ -160,13 +167,6 @@ impl Dsm {
         }
     }
 
-    fn expect_unit(&mut self, req: Req) {
-        match self.api.call(req) {
-            Resp::Unit => {}
-            other => panic!("engine returned {other:?} where unit was expected"),
-        }
-    }
-
     /// Loads a `u32` from shared memory.
     pub fn load_u32(&mut self, addr: Addr) -> u32 {
         let pre_cycles = self.take_cycles();
@@ -188,25 +188,19 @@ impl Dsm {
     /// Stores a `u32` to shared memory.
     pub fn store_u32(&mut self, addr: Addr, value: u32) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Store { addr, size: 4, value: value as u64, fp: false, pre_cycles });
+        self.api.post(Req::Store { addr, size: 4, value: value as u64, fp: false, pre_cycles });
     }
 
     /// Stores a `u64` to shared memory.
     pub fn store_u64(&mut self, addr: Addr, value: u64) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Store { addr, size: 8, value, fp: false, pre_cycles });
+        self.api.post(Req::Store { addr, size: 8, value, fp: false, pre_cycles });
     }
 
     /// Stores an `f64` to shared memory.
     pub fn store_f64(&mut self, addr: Addr, value: f64) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Store {
-            addr,
-            size: 8,
-            value: value.to_bits(),
-            fp: true,
-            pre_cycles,
-        });
+        self.api.post(Req::Store { addr, size: 8, value: value.to_bits(), fp: true, pre_cycles });
     }
 
     /// Batched read of `len` bytes at `addr` (a Shasta batch: one check
@@ -241,40 +235,40 @@ impl Dsm {
 
     fn write_owned(&mut self, addr: Addr, data: Vec<u8>) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::WriteRange { addr, data, pre_cycles });
+        self.api.post(Req::WriteRange { addr, data, pre_cycles });
     }
 
     /// Acquires application lock `lock`.
     pub fn acquire(&mut self, lock: u32) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Acquire { lock, pre_cycles });
+        self.api.post(Req::Acquire { lock, pre_cycles });
     }
 
     /// Releases application lock `lock` (release consistency: waits for this
     /// node's outstanding stores from previous epochs first).
     pub fn release(&mut self, lock: u32) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Release { lock, pre_cycles });
+        self.api.post(Req::Release { lock, pre_cycles });
     }
 
     /// Store fence: waits until all of this node's outstanding stores from
     /// previous epochs have completed (release semantics without a lock).
     pub fn fence(&mut self) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Fence { pre_cycles });
+        self.api.post(Req::Fence { pre_cycles });
     }
 
     /// Waits at global barrier `id` until every processor arrives.
     pub fn barrier(&mut self, id: u32) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Barrier { id, pre_cycles });
+        self.api.post(Req::Barrier { id, pre_cycles });
     }
 
     /// An explicit poll point: handles any pending incoming messages (a
     /// loop back-edge in the instrumented binary).
     pub fn poll(&mut self) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Poll { pre_cycles });
+        self.api.post(Req::Poll { pre_cycles });
     }
 }
 
@@ -355,6 +349,24 @@ mod tests {
         let second = pool.take_request(0).unwrap();
         assert_eq!(second.pre_cycles(), 0);
         pool.resume(0, Resp::Unit);
+        pool.join();
+    }
+
+    #[test]
+    fn posted_store_arrives_ahead_of_the_load_with_its_own_compute() {
+        let mut pool = FiberPool::spawn(1, |pid, api| {
+            let mut dsm = Dsm::new(pid, api);
+            dsm.compute(7);
+            dsm.store_u32(0, 1); // posted: carries 7 pre-cycles
+            dsm.compute(5);
+            assert_eq!(dsm.load_u32(0), 9); // carries 5, and the store with it
+        });
+        let store = pool.take_request(0).unwrap();
+        assert!(matches!(store, Req::Store { value: 1, pre_cycles: 7, .. }));
+        assert_eq!(pool.resume(0, Resp::Unit), shasta_sim::Resumed::HasRequest);
+        let load = pool.take_request(0).unwrap();
+        assert!(matches!(load, Req::Load { addr: 0, pre_cycles: 5, .. }));
+        pool.resume(0, Resp::Value(9));
         pool.join();
     }
 

@@ -636,10 +636,13 @@ impl Machine {
     /// stall.
     fn exec_op(&mut self, p: u32, op: &Req, retry: bool) -> Option<Resp> {
         let resp = self.exec_op_inner(p, op, retry);
-        // Oracle observation happens at commit: the operation completed (a
-        // stalled op is observed when its retry finally returns a response).
-        if self.oracle.is_some() {
-            if let Some(r) = &resp {
+        if let Some(r) = &resp {
+            // A fiber posts these and never reads the reply, so it is checked here.
+            let reads = matches!(op, Req::Load { .. } | Req::ReadRange { .. });
+            assert!(reads || *r == Resp::Unit, "engine returned {r:?} where unit was expected");
+            // Oracle observation happens at commit: the operation completed (a
+            // stalled op is observed when its retry finally returns a response).
+            if self.oracle.is_some() {
                 self.oracle_observe(p, op, r);
             }
         }
@@ -657,8 +660,7 @@ impl Machine {
             }
             Req::ReadRange { addr, len, .. } => self.exec_read_range(p, addr, len, retry, op),
             Req::WriteRange { addr, ref data, .. } => {
-                let data = data.clone();
-                self.exec_write_range(p, addr, &data, retry, op)
+                self.exec_write_range(p, addr, data, retry, op)
             }
             Req::Acquire { lock, .. } => {
                 self.charge(p, TimeCat::Task, self.cost.sync_issue_cycles);
@@ -1235,8 +1237,7 @@ impl Machine {
                 Some(Resp::Data(self.mems[0].read(addr, len).to_vec()))
             }
             Req::WriteRange { addr, ref data, .. } => {
-                let data = data.clone();
-                self.mems[0].write(addr, &data);
+                self.mems[0].write(addr, data);
                 Some(Resp::Unit)
             }
             Req::Acquire { lock, .. } => {

@@ -8,6 +8,24 @@ use shasta_core::space::{BlockHint, HomeHint};
 
 type Body = Box<dyn FnOnce(Dsm) + Send>;
 
+/// Each protocol mode on four processors, with the clustering it needs.
+fn modes() -> [(&'static str, ProtocolConfig, u32); 3] {
+    [
+        ("smp", ProtocolConfig::smp(), 4),
+        ("base", ProtocolConfig::base(), 1),
+        ("hardware", ProtocolConfig::hardware(), 4),
+    ]
+}
+
+/// The message `r` panicked with; `what` names the step that had to panic.
+fn message<T>(r: std::thread::Result<T>, what: &str) -> String {
+    let Err(payload) = r else { panic!("{what} did not panic") };
+    match payload.downcast::<String>() {
+        Ok(formatted) => *formatted,
+        Err(payload) => payload.downcast::<&str>().expect("a panic message").to_string(),
+    }
+}
+
 fn machine() -> Machine {
     let topo = Topology::new(4, 4, 4).unwrap();
     Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20)
@@ -50,16 +68,7 @@ fn every_access_past_the_last_allocation_names_it_unallocated() {
         // Starts inside the allocation, runs off its end.
         ("read_range across the end", |d| drop(d.read_range(0x1020, 128))),
     ];
-    let modes = [
-        ("smp", ProtocolConfig::smp(), 4),
-        ("base", ProtocolConfig::base(), 1),
-        ("hardware", ProtocolConfig::hardware(), 4),
-    ];
-    // Every panic involved is a formatted one, so its payload is a `String`.
-    let message = |r: std::thread::Result<()>, what: &str| -> String {
-        *r.expect_err(what).downcast::<String>().expect("formatted panic message")
-    };
-    for (mode, cfg, clustering) in modes {
+    for (mode, cfg, clustering) in modes() {
         let build = || {
             let topo = Topology::new(4, 4, clustering).unwrap();
             let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 20);
@@ -93,6 +102,54 @@ fn every_access_past_the_last_allocation_names_it_unallocated() {
         }));
         let msg = message(r, "setup read");
         assert!(msg.contains("setup read of unallocated address"), "{mode}: {msg}");
+    }
+}
+
+/// The fiber does not wait for a store, a range write or a release, so the
+/// engine reaches the bad one after the body has moved on: into a load (it
+/// arrives with the load's batch), out of its closure (it arrives as the
+/// tail), or into a panic of its own (the tail is serviced before the fiber's
+/// panic is re-raised). `Machine::run` raises the engine's diagnosis each time.
+#[test]
+fn posted_misuse_is_diagnosed_however_the_body_goes_on() {
+    type Step = (&'static str, fn(&mut Dsm));
+    let posts: [(Step, &str); 3] = [
+        (("store_u64", |d| d.store_u64(0x9000, 1)), "access to unallocated shared address"),
+        (("write_range", |d| d.write_range(0x9000, &[1; 128])), "unallocated shared address"),
+        (("release", |d| d.release(3)), "release of unknown lock"),
+    ];
+    let endings: [Step; 3] = [
+        ("returns", |_| {}),
+        ("loads", |d| assert_eq!(d.load_u64(0x1000), 0)),
+        ("panics", |_| panic!("the body's own panic")),
+    ];
+    for (mode, cfg, clustering) in modes() {
+        for ((name, post), diagnosis) in posts {
+            for (ending, go_on) in endings {
+                // A bad release is the lock manager's to diagnose, one message
+                // after the operation completes: the fiber's panic comes first.
+                if (name, ending) == ("release", "panics") {
+                    continue;
+                }
+                let topo = Topology::new(4, 4, clustering).unwrap();
+                let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 20);
+                m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
+                let bodies: Vec<Body> = (0..4u32)
+                    .map(|p| {
+                        Box::new(move |mut dsm: Dsm| {
+                            dsm.compute(10);
+                            if p == 1 {
+                                post(&mut dsm);
+                                go_on(&mut dsm);
+                            }
+                        }) as Body
+                    })
+                    .collect();
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(bodies)));
+                let msg = message(r, name);
+                assert!(msg.contains(diagnosis), "{mode} {name}, body {ending}: {msg}");
+            }
+        }
     }
 }
 

@@ -1,30 +1,41 @@
 //! The fiber rendezvous: application threads that suspend at every
-//! protocol-visible operation.
+//! operation whose reply they read.
 //!
 //! Each simulated processor is an OS thread running ordinary Rust code. A DSM
-//! operation is a [`FiberApi::call`]: it hands the request to the engine
-//! thread and blocks until the engine replies. The engine holds every live
-//! fiber's *pending request* ([`FiberPool::peek_request`]), so it can always
-//! pick the globally earliest action; between a fiber's operations only its
-//! private data is touched, so host-parallel application code cannot
+//! operation is a [`FiberApi::post`] or a [`FiberApi::call`]. `post` appends
+//! the request to a fiber-local batch and returns; `call` appends, hands the
+//! whole batch to the engine thread and blocks until the engine replies to the
+//! last request in it. The engine holds every live fiber's *pending requests*
+//! in program order ([`FiberPool::peek_request`] is the next one), so it can
+//! always pick the globally earliest action; between a fiber's operations only
+//! its private data is touched, so host-parallel application code cannot
 //! introduce nondeterminism. It must never block on anything except `call`.
 //!
 //! Engine and fiber meet in one mutex-guarded *exchange cell* per fiber,
 //! handed over with `thread::park`/`unpark`. Its five states:
 //! * `Idle` — the fiber is computing, or the engine owes it a reply;
-//! * `Request(req)` — stored by `call`; the engine moves it out (`Idle`);
-//! * `Reply(resp)` — stored by `resume`; `call` takes it (`Idle`);
-//! * `Finished` — stored by a drop guard around the fiber body, so a return
-//!   and an unwind look the same; joining the thread re-raises a panic;
+//! * `Request(batch)` — stored by `call`: the posted requests, then the
+//!   called one; the engine takes the buffer as its queue (`Idle`);
+//! * `Reply(resp, buffer)` — stored by the `resume` that answers the batch's
+//!   last request, with the same buffer, now empty; `call` takes both (`Idle`),
+//!   so a steady-state exchange allocates nothing on either side;
+//! * `Finished(tail)` — stored when the fiber's `FiberApi` drops, so a return
+//!   and an unwind look the same. `tail` is what was posted and never
+//!   exchanged: the engine queues it, and joins the thread (re-raising a
+//!   panic) in the `resume` of its last request;
 //! * `Closed` — the pool was dropped with the fiber live; never overwritten.
 //!   `call` on it, now or later, unwinds with a private payload that skips
 //!   the panic hook, and the pool's `Drop` joins the thread.
 //!
-//! Two rules. *The waiter is registered at wait time*: the engine stores
+//! Three rules. *The waiter is registered at wait time*: the engine stores
 //! `thread::current()` in the cell each time it is about to park, never at
 //! spawn, because the sharded engine spawns a pool on one thread and drives
 //! it from another. *Both sides re-check the cell in a loop around `park`*, so
 //! a stale unpark token or a spurious wake-up costs one turn and no more.
+//! *A posted operation is one whose reply the fiber does not read*: the fiber
+//! runs on past it in host time, through simulated barriers and lock acquires
+//! too, so application code may communicate through the simulated operations
+//! and nothing else.
 
 use std::mem;
 use std::panic::resume_unwind;
@@ -34,12 +45,16 @@ use std::thread::{self, JoinHandle, Thread};
 /// A boxed fiber body, used by [`FiberPool::spawn_each`].
 pub type FiberBody<Req, Resp> = Box<dyn FnOnce(FiberApi<Req, Resp>) + Send>;
 
+/// Posted operations a fiber may hold before `post` exchanges them itself, so
+/// that a phase of nothing but posts buffers a bounded amount.
+const MAX_DEFERRED: usize = 64;
+
 #[derive(Debug)]
 enum Cell<Req, Resp> {
     Idle,
-    Request(Req),
-    Reply(Resp),
-    Finished,
+    Request(Vec<Req>),
+    Reply(Resp, Vec<Req>),
+    Finished(Vec<Req>),
     Closed,
 }
 
@@ -59,7 +74,7 @@ fn lock<Req, Resp>(shared: &Mutex<Exchange<Req, Resp>>) -> MutexGuard<'_, Exchan
 
 /// Fiber side: stores `next` and wakes the engine if it is waiting. A closed
 /// cell stays closed; returns whether `next` was stored.
-fn post<Req, Resp>(shared: &Mutex<Exchange<Req, Resp>>, next: Cell<Req, Resp>) -> bool {
+fn hand_over<Req, Resp>(shared: &Mutex<Exchange<Req, Resp>>, next: Cell<Req, Resp>) -> bool {
     let mut ex = lock(shared);
     if matches!(ex.cell, Cell::Closed) {
         return false;
@@ -76,30 +91,45 @@ fn post<Req, Resp>(shared: &Mutex<Exchange<Req, Resp>>, next: Cell<Req, Resp>) -
 /// What a fiber of a dropped pool unwinds with.
 struct Abandoned;
 
-/// Stores `Finished` when the fiber body returns or unwinds.
-struct Finish<Req, Resp>(Shared<Req, Resp>);
-
-impl<Req, Resp> Drop for Finish<Req, Resp> {
-    fn drop(&mut self) {
-        post(&self.0, Cell::Finished);
-    }
-}
-
 /// Handle given to application code for issuing simulated operations.
 #[derive(Debug)]
-pub struct FiberApi<Req, Resp>(Shared<Req, Resp>);
+pub struct FiberApi<Req, Resp> {
+    shared: Shared<Req, Resp>,
+    /// Posted and not yet exchanged, in program order.
+    batch: Vec<Req>,
+}
 
 impl<Req, Resp> FiberApi<Req, Resp> {
-    /// Submits `req` to the engine and blocks until the engine replies. If
-    /// the pool is dropped first, unwinds the fiber without running the panic
-    /// hook — again each time it is reached, should the caller catch that.
+    /// Submits `req` without waiting: the engine sees it, in program order,
+    /// at this fiber's next [`FiberApi::call`] or when its body ends,
+    /// whichever is first, and the reply is discarded.
+    pub fn post(&mut self, req: Req) {
+        self.batch.push(req);
+        if self.batch.len() >= MAX_DEFERRED {
+            self.exchange();
+        }
+    }
+
+    /// Submits `req`, after everything posted before it, and blocks until the
+    /// engine replies to it. If the pool is dropped first, unwinds the fiber
+    /// without running the panic hook — again each time it is reached, should
+    /// the caller catch that.
     pub fn call(&mut self, req: Req) -> Resp {
-        let mut closed = !post(&self.0, Cell::Request(req));
+        self.batch.push(req);
+        self.exchange()
+    }
+
+    /// Hands the batch over and parks for the reply to its last request.
+    fn exchange(&mut self) -> Resp {
+        let mut closed = !hand_over(&self.shared, Cell::Request(mem::take(&mut self.batch)));
         while !closed {
             thread::park();
-            let mut ex = lock(&self.0);
+            let mut ex = lock(&self.shared);
             match mem::replace(&mut ex.cell, Cell::Idle) {
-                Cell::Reply(resp) => return resp,
+                Cell::Reply(resp, buffer) => {
+                    self.batch = buffer;
+                    return resp;
+                }
                 other => {
                     closed = matches!(other, Cell::Closed);
                     ex.cell = other;
@@ -107,6 +137,13 @@ impl<Req, Resp> FiberApi<Req, Resp> {
             }
         }
         resume_unwind(Box::new(Abandoned))
+    }
+}
+
+/// The fiber body owns its `FiberApi`, so this runs when it returns or unwinds.
+impl<Req, Resp> Drop for FiberApi<Req, Resp> {
+    fn drop(&mut self) {
+        hand_over(&self.shared, Cell::Finished(mem::take(&mut self.batch)));
     }
 }
 
@@ -122,7 +159,11 @@ pub enum Resumed {
 #[derive(Debug)]
 struct Slot<Req, Resp> {
     shared: Shared<Req, Resp>,
-    pending: Option<Req>,
+    /// Requests handed over and not yet taken, the next one last: the
+    /// fiber's own batch buffer reversed, and handed back once it is empty.
+    pending: Vec<Req>,
+    /// Whether a request was taken and its `resume` is still to come.
+    owed: bool,
     /// The live fiber's thread: `None` once joined, and for a placeholder.
     handle: Option<JoinHandle<()>>,
 }
@@ -133,7 +174,7 @@ struct Slot<Req, Resp> {
 /// the engine blocks only inside [`FiberPool::resume`], for a finite amount of
 /// application compute. Dropping the pool closes every live fiber's cell and
 /// joins its thread: a fiber parked in `call` unwinds at once, one that is
-/// computing at its next operation (or it returns first).
+/// computing at its next exchange (or it returns first).
 #[derive(Debug)]
 pub struct FiberPool<Req, Resp> {
     slots: Vec<Slot<Req, Resp>>,
@@ -159,7 +200,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
     /// finished placeholder with no thread, which keeps processor ids global
     /// when a caller drives a subset of them (the sharded engine spawns each
     /// physical node's fibers in its own pool). Blocks until every spawned
-    /// fiber has either issued its first request or finished.
+    /// fiber has either handed over its first request or finished.
     pub fn spawn_selected(bodies: Vec<Option<FiberBody<Req, Resp>>>) -> Self {
         // The pool owns each thread as soon as it exists, so unwinding out of
         // here (a fiber panicked before its first request) joins the others.
@@ -167,13 +208,13 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
         for (p, body) in bodies.into_iter().enumerate() {
             let shared = Arc::new(Mutex::new(Exchange { cell: Cell::Idle, waiter: None }));
             let handle = body.map(|body| {
-                let finish = Finish(Arc::clone(&shared));
+                let api = FiberApi { shared: Arc::clone(&shared), batch: Vec::new() };
                 thread::Builder::new()
                     .name(format!("fiber-{p}"))
-                    .spawn(move || body(FiberApi(Arc::clone(&finish.0))))
+                    .spawn(move || body(api))
                     .expect("failed to spawn fiber thread")
             });
-            pool.slots.push(Slot { shared, pending: None, handle });
+            pool.slots.push(Slot { shared, pending: Vec::new(), owed: false, handle });
         }
         for p in 0..pool.slots.len() as u32 {
             pool.wait(p);
@@ -181,14 +222,24 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
         pool
     }
 
-    /// Parks until live fiber `p` has posted its next request, or finished and been joined.
+    /// Parks until live fiber `p` has a request pending, or has finished with
+    /// none left and been joined.
     fn wait(&mut self, p: u32) {
         let slot = &mut self.slots[p as usize];
-        while slot.handle.is_some() && slot.pending.is_none() {
+        while slot.handle.is_some() && slot.pending.is_empty() {
             let mut ex = lock(&slot.shared);
             match mem::replace(&mut ex.cell, Cell::Idle) {
-                Cell::Request(req) => slot.pending = Some(req),
-                Cell::Finished => {
+                Cell::Request(mut batch) => {
+                    batch.reverse();
+                    slot.pending = batch;
+                }
+                // The fiber stays live until its tail has been answered.
+                Cell::Finished(mut tail) if !tail.is_empty() => {
+                    tail.reverse();
+                    slot.pending = tail;
+                    ex.cell = Cell::Finished(Vec::new());
+                }
+                Cell::Finished(_) => {
                     drop(ex);
                     if let Some(Err(panic)) = slot.handle.take().map(JoinHandle::join) {
                         resume_unwind(panic);
@@ -224,25 +275,37 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
         self.slots[p as usize].handle.is_none()
     }
 
-    /// The buffered pending request of fiber `p`, if it has one.
+    /// Fiber `p`'s next pending request, if it has one.
     pub fn peek_request(&self, p: u32) -> Option<&Req> {
-        self.slots[p as usize].pending.as_ref()
+        self.slots[p as usize].pending.last()
     }
 
-    /// Takes fiber `p`'s pending request, if it has one; the engine then owes it a reply.
+    /// Takes fiber `p`'s next pending request, if it has one; the engine then owes it a reply.
     pub fn take_request(&mut self, p: u32) -> Option<Req> {
-        self.slots[p as usize].pending.take()
+        let slot = &mut self.slots[p as usize];
+        let req = slot.pending.pop();
+        slot.owed |= req.is_some();
+        req
     }
 
-    /// Replies to fiber `p`, which must be awaiting one (panics otherwise), and blocks
-    /// until it posts its next request or finishes; propagates the fiber's own panic.
+    /// Replies to fiber `p`'s taken request (panics if there is none). If that was the
+    /// last one pending, blocks until the fiber hands over its next request or finishes,
+    /// and propagates the fiber's own panic; `resp` reaches the fiber only if it `call`ed.
     pub fn resume(&mut self, p: u32, resp: Resp) -> Resumed {
-        let slot = &self.slots[p as usize];
-        let fiber = slot.handle.as_ref().filter(|_| slot.pending.is_none());
+        let slot = &mut self.slots[p as usize];
+        let owed = mem::take(&mut slot.owed);
+        let fiber = slot.handle.as_ref().filter(|_| owed);
         let fiber = fiber.unwrap_or_else(|| panic!("fiber {p} resumed without a taken request"));
-        lock(&slot.shared).cell = Cell::Reply(resp);
-        fiber.thread().unpark();
-        self.wait(p);
+        if slot.pending.is_empty() {
+            let mut ex = lock(&slot.shared);
+            // A fiber whose tail this answers has finished: `wait` joins it.
+            if !matches!(ex.cell, Cell::Finished(_)) {
+                ex.cell = Cell::Reply(resp, mem::take(&mut slot.pending));
+            }
+            drop(ex);
+            fiber.thread().unpark();
+            self.wait(p);
+        }
         if self.is_finished(p) {
             Resumed::Finished
         } else {
@@ -278,7 +341,8 @@ impl<Req, Resp> Drop for FiberPool<Req, Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 
     /// Engine that services all fibers round-robin until done, each `resume`
     /// with a stale unpark token pending: its first `park` returns at once.
@@ -427,6 +491,117 @@ mod tests {
         });
     }
 
+    /// Engine side of one operation: takes `want`, then answers it with `resp`.
+    fn serve(pool: &mut FiberPool<u64, u64>, want: u64, resp: u64) -> Resumed {
+        assert_eq!(pool.peek_request(0), Some(&want));
+        assert_eq!(pool.take_request(0), Some(want));
+        pool.resume(0, resp)
+    }
+
+    #[test]
+    fn posts_arrive_in_program_order_ahead_of_the_call_that_carried_them() {
+        let posted = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&posted);
+        let mut pool = FiberPool::<u64, u64>::spawn(1, move |_, mut api| {
+            (1..=3).for_each(|i| api.post(i));
+            flag.store(true, SeqCst);
+            assert_eq!(api.call(4), 40);
+        });
+        assert!(posted.load(SeqCst), "`post` returned to the fiber before any hand-over");
+        // The fiber is parked for the reply to 4, so a `resume` that parked
+        // for its next request instead would never return.
+        for i in 1..=3 {
+            assert_eq!(serve(&mut pool, i, 0), Resumed::HasRequest);
+        }
+        assert_eq!(serve(&mut pool, 4, 40), Resumed::Finished);
+        pool.join();
+    }
+
+    #[test]
+    fn a_body_that_posts_and_returns_is_live_until_its_tail_is_answered() {
+        let mut pool = FiberPool::<u64, u64>::spawn(2, |pid, mut api| {
+            if pid == 0 {
+                assert_eq!(api.call(1), 10);
+            }
+            api.post(2);
+            api.post(3);
+        });
+        assert_eq!(
+            pool.take_request(1),
+            Some(2),
+            "a tail and nothing else, handed over by `spawn`"
+        );
+        assert_eq!(pool.resume(1, 0), Resumed::HasRequest);
+        assert_eq!(serve(&mut pool, 1, 10), Resumed::HasRequest);
+        assert_eq!(serve(&mut pool, 2, 0), Resumed::HasRequest);
+        assert!(!pool.is_finished(0) && pool.live_count() == 2);
+        assert_eq!(serve(&mut pool, 3, 0), Resumed::Finished);
+        assert_eq!(pool.take_request(1), Some(3));
+        assert_eq!(pool.resume(1, 0), Resumed::Finished);
+        pool.join();
+    }
+
+    #[test]
+    fn a_panic_after_posts_is_raised_by_the_resume_of_the_last_one() {
+        let mut pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| {
+            api.post(1);
+            api.post(2);
+            panic!("after two posts");
+        });
+        assert_eq!(serve(&mut pool, 1, 0), Resumed::HasRequest);
+        assert_eq!(pool.take_request(0), Some(2));
+        let raised = catch_unwind(AssertUnwindSafe(|| pool.resume(0, 0))).unwrap_err();
+        assert_eq!(raised.downcast_ref::<&str>(), Some(&"after two posts"));
+        assert!(pool.is_finished(0));
+    }
+
+    #[test]
+    fn the_deferred_bound_forces_an_exchange() {
+        let bound = MAX_DEFERRED as u64;
+        let past_it = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&past_it);
+        let mut pool = FiberPool::<u64, u64>::spawn(1, move |_, mut api| {
+            (1..=bound + 5).for_each(|i| api.post(i));
+            flag.store(true, SeqCst);
+        });
+        // Parked in the post that filled the batch, until that one is answered.
+        assert!(!past_it.load(SeqCst));
+        for i in 1..bound {
+            assert_eq!(serve(&mut pool, i, 0), Resumed::HasRequest);
+            assert!(!past_it.load(SeqCst));
+        }
+        assert_eq!(serve(&mut pool, bound, 0), Resumed::HasRequest);
+        assert!(past_it.load(SeqCst), "the other five came as the tail");
+        for i in bound + 1..bound + 5 {
+            assert_eq!(serve(&mut pool, i, 0), Resumed::HasRequest);
+        }
+        assert_eq!(serve(&mut pool, bound + 5, 0), Resumed::Finished);
+        pool.join();
+    }
+
+    /// Needs no clock: the engine thread gives up the CPU about once per
+    /// exchange, so posting shows as a count. An upper bound, so it holds
+    /// whether or not fiber and engine share a CPU.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn posted_operations_cost_the_engine_no_context_switch() {
+        fn voluntary_switches() -> u64 {
+            let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
+            let line = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+            line.expect("a voluntary_ctxt_switches line").trim().parse().expect("a count")
+        }
+        let pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| {
+            for round in 0..200 {
+                (0..9).for_each(|i| api.post(i));
+                assert_eq!(api.call(round), round + 1);
+            }
+        });
+        let before = voluntary_switches();
+        drain(pool, |x| x + 1);
+        let switches = voluntary_switches() - before;
+        assert!(switches <= 450, "2 000 operations in 200 exchanges cost {switches} switches");
+    }
+
     struct Counted(Arc<AtomicUsize>);
     impl Drop for Counted {
         fn drop(&mut self) {
@@ -450,7 +625,7 @@ mod tests {
         // Fiber 0: request taken, and a reply it never collects left in its
         // cell. Fiber 1: request still pending in the pool.
         drop(pool.take_request(0));
-        lock(&pool.slots[0].shared).cell = Cell::Reply(new());
+        lock(&pool.slots[0].shared).cell = Cell::Reply(new(), Vec::new());
         drop(pool);
         assert_eq!(drops.load(SeqCst), 7, "a request, the closed cell's reply, a pending request");
     }

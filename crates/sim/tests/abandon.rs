@@ -48,17 +48,20 @@ fn dropping_a_pool_joins_its_fibers_and_runs_no_panic_hook() {
     // first request, which takes `spawn` (waiting on the fibers in order)
     // down with it: the pool is dropped while fibers 9..16 are still
     // computing — they wait to see all eight parked fibers unwind — and only
-    // then reach their own first operation (odd ones) or return (even ones).
+    // then reach their own first `call` (odd ones) or return (even ones).
+    // Every one of the fifteen holds posted operations nobody will take.
     let fibers = Arc::clone(&unwound);
     let spawned = panic::catch_unwind(AssertUnwindSafe(|| {
         FiberPool::<u32, u32>::spawn(16, move |pid, mut api| match pid {
             0..=7 => {
                 let _witness = Witness(Arc::clone(&fibers));
+                api.post(pid);
                 api.call(pid);
             }
             8 => panic::resume_unwind(Box::new(Stop)),
             _ => {
                 let Unwound { count, changed } = &*fibers;
+                (0..pid).for_each(|i| api.post(i));
                 drop(changed.wait_while(count.lock().unwrap(), |n| *n < 8).unwrap());
                 if pid % 2 == 1 {
                     api.call(pid);

@@ -24,15 +24,23 @@ echo "==> every member crate's tests: cargo test --workspace --release -q"
 # criteria. No wall is gated; host time is the benchmark's (BENCHMARK.json).
 cargo test --workspace --release -q
 
-echo "==> fiber handoff under a deadline (shasta-sim tests, as is and on one CPU)"
+echo "==> fiber handoff under a deadline (shasta-sim, Dsm and misuse tests, as is and on one CPU)"
 # A lost wake-up in the park/unpark protocol of crates/sim/src/fiber.rs is a
 # hang, not a failure, so these runs are bounded; the one-CPU schedule (no
-# thread runs until another blocks) is where it would hide.
-timeout 120 cargo test -p shasta-sim --release --offline -q
+# thread runs until another blocks) is where it would hide. shasta-core's
+# `api` unit tests and `misuse` suite ride along: a posted operation's tail
+# and an engine panic over a fiber that has run on are the hand-overs the
+# shasta-sim tests reach least.
+handoff_tests() {
+  timeout 120 "$@" cargo test -p shasta-sim --release --offline -q
+  timeout 120 "$@" cargo test -p shasta-core --release --offline -q --lib api
+  timeout 120 "$@" cargo test -p shasta-core --release --offline -q --test misuse
+}
+handoff_tests
 if command -v taskset > /dev/null; then
-  timeout 120 taskset -c 0 cargo test -p shasta-sim --release --offline -q
+  handoff_tests taskset -c 0
 else
-  echo "note: taskset not found, skipping the one-CPU run of the shasta-sim tests"
+  echo "note: taskset not found, skipping the one-CPU run of the handoff tests"
 fi
 
 echo "==> benchmark harness: builds against the crates' public API, golden.json holds"
