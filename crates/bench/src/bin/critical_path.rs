@@ -83,7 +83,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let mut preset = preset_from_args();
-    if quick && !args.iter().any(|a| a == "--preset") && std::env::var("SHASTA_PRESET").is_err() {
+    if quick && !args.iter().any(|a| a == "--preset") {
         preset = Preset::Tiny;
     }
     let sim_threads = sim_threads_from_args();

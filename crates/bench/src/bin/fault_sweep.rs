@@ -36,7 +36,7 @@ use std::time::Instant;
 use shasta_bench::trajectory::{Entry, Num};
 use shasta_bench::{flag, num_flag};
 use shasta_check::{
-    default_scenarios, loss_fault_plan, resolve_jobs, run_checked, run_scenario_traced, shrink,
+    default_scenarios, loss_fault_plan, resolve_threads, run_checked, run_scenario_traced, shrink,
     silence_expected_panics, sweep_jobs, ClusterKind, FaultPlan, Scenario,
 };
 use shasta_core::BugInjection;
@@ -67,7 +67,7 @@ fn main() {
     // the integration test proves sufficient for the 10% plan, and the sweep
     // short-circuits on the first counterexample anyway.
     let loss_seeds: u64 = num_flag(&["--loss-seeds"]).unwrap_or(8);
-    let jobs = resolve_jobs(Some(num_flag(&["-j", "--jobs"]).unwrap_or(0))).max(2);
+    let jobs = resolve_threads(Some(num_flag(&["-j", "--jobs"]).unwrap_or(0))).max(2);
 
     silence_expected_panics();
     let base = default_scenarios();

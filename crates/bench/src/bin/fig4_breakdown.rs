@@ -2,12 +2,12 @@
 //! Base-Shasta ("B") and SMP-Shasta with clustering 1, 2 and 4 ("C1", "C2",
 //! "C4"), normalized to the Base-Shasta run of each application.
 //!
-//! The breakdowns are **derived from the structured event stream** (the
-//! `Slice` events recorded by `shasta-obs`), not read off the ad-hoc
-//! counters: `run_observed` cross-checks every run against the
-//! `shasta-stats` counters and panics on any divergence, so the two
-//! accountings can never drift apart silently. Pass `--trace <path>` to also export the first
-//! run's timeline as Chrome `trace_event` JSON.
+//! The bars are the engine's `RunStats` breakdowns. Every run is also
+//! *recorded* (`run_observed`), which is what makes this binary CI's probe
+//! that observation perturbs nothing: its stdout is byte-diffed with and
+//! without `--metrics` and with and without the `obs-block-state` feature.
+//! Pass `--trace <path>` to also export the first run's timeline as Chrome
+//! `trace_event` JSON.
 //!
 //! `--metrics` attaches a live metrics registry to every run. The registry
 //! is never printed — the flag exists so `scripts/ci.sh` can byte-diff the
@@ -22,16 +22,10 @@
 
 use shasta_apps::{registry, Proto};
 use shasta_bench::{
-    breakdown_bar_from, flag, preset_from_args, run_observed, run_observed_metrics,
-    write_chrome_trace,
+    breakdown_bar, flag, preset_from_args, run_observed, run_observed_metrics, write_chrome_trace,
 };
 use shasta_obs::EventLog;
 use shasta_stats::RunStats;
-
-/// Renders the bar from the event-derived numbers.
-fn derived_bar(label: &str, stats: &RunStats, log: &EventLog, norm: u64) -> String {
-    breakdown_bar_from(label, &log.fig4().total_breakdown(), stats.elapsed_cycles, norm)
-}
 
 /// One causal summary line for `--critical-path`: top category share, hop
 /// and fallback counts, with the tiling crosscheck enforced.
@@ -68,7 +62,7 @@ fn main() {
             println!("{}:", spec.name);
             let (base, log) = observe(&spec, preset, Proto::Base, procs, 1, false);
             let norm = base.elapsed_cycles;
-            println!("  {}", derived_bar("B", &base, &log, norm));
+            println!("  {}", breakdown_bar("B", &base, norm));
             if critical {
                 println!("     {}", critical_path_line(&base, &log));
             }
@@ -77,7 +71,7 @@ fn main() {
             }
             for clustering in [1u32, 2, 4] {
                 let (st, log) = observe(&spec, preset, Proto::Smp, procs, clustering, false);
-                println!("  {}", derived_bar(&format!("C{clustering}"), &st, &log, norm));
+                println!("  {}", breakdown_bar(&format!("C{clustering}"), &st, norm));
                 if critical {
                     println!("     {}", critical_path_line(&st, &log));
                 }

@@ -3,20 +3,13 @@
 //! and SMP-Shasta with clustering 2 and 4, normalized to the Base-Shasta
 //! total of each application.
 //!
-//! Every bar is derived twice: from the engine's `MissStats` counters and
-//! from the event stream (`shasta_obs::MissAgg`). The two must agree
-//! **exactly** in every cell — `run_observed` aborts the binary on any
-//! divergence (`EventLog::crosscheck`), the same zero tolerance as for
-//! `fig4_breakdown`'s time breakdown.
-//!
 //! `-j`/`--jobs` fans the independent (procs, app) blocks across worker
-//! threads (0 = one per CPU; default honors `SHASTA_CHECK_JOBS`, else
-//! serial). Each block's bars come from deterministic simulated counters,
-//! and blocks are printed in sweep order, so the output is byte-identical
-//! for any worker count.
+//! threads (0 = one per CPU; default serial). Each block's bars come from
+//! deterministic simulated counters, and blocks are printed in sweep order,
+//! so the output is byte-identical for any worker count.
 
 use shasta_apps::{registry, AppSpec, Preset, Proto};
-use shasta_bench::{jobs_from_args, preset_from_args, run_observed};
+use shasta_bench::{jobs_from_args, preset_from_args, run};
 use shasta_check::par_map;
 use shasta_stats::{Hops, MissKind, RunStats};
 
@@ -40,11 +33,11 @@ fn bar(label: &str, st: &RunStats, norm: u64) -> String {
 /// clustering-2 and clustering-4 SMP bars.
 fn block(spec: &AppSpec, preset: Preset, procs: u32) -> String {
     let mut out = format!("{}:\n", spec.name);
-    let (base, _) = run_observed(spec, preset, Proto::Base, procs, 1, false);
+    let base = run(spec, preset, Proto::Base, procs, 1, false);
     let norm = base.misses.total().max(1);
     out.push_str(&format!("  {}\n", bar("B", &base, norm)));
     for clustering in [2u32, 4] {
-        let (st, _) = run_observed(spec, preset, Proto::Smp, procs, clustering, false);
+        let st = run(spec, preset, Proto::Smp, procs, clustering, false);
         out.push_str(&format!("  {}\n", bar(&format!("C{clustering}"), &st, norm)));
     }
     out
@@ -63,5 +56,4 @@ fn main() {
         }
         println!();
     }
-    println!("event-derived miss counters matched the engine's exactly in every run");
 }

@@ -2,18 +2,18 @@
 //! remote / local / downgrade, for Base-Shasta and SMP-Shasta with
 //! clustering 2 and 4, normalized to the Base-Shasta total.
 //!
-//! Every bar is derived twice: from the network layer's `MsgStats` counters
-//! and from the `msg-send` event stream (`shasta_obs::MsgAgg`, classifying
-//! by physical placement from the space snapshot). Counts *and* payload
-//! bytes must agree **exactly**, or `run_observed` aborts the binary
-//! (`EventLog::crosscheck`). The event side also keeps a per-message-kind
-//! count/byte table; its sums must likewise equal the class totals exactly.
+//! Messages are counted in two layers: by the network layer (`MsgStats`,
+//! what the bars show) and by the engine, whose `msg-send` events
+//! `shasta_obs::MsgAgg` classifies by physical placement from the space
+//! snapshot. Counts *and* payload bytes must agree **exactly**, or
+//! `run_observed` aborts the binary (`EventLog::crosscheck`). The event
+//! side also keeps a per-message-kind count/byte table; its sums must
+//! likewise equal the class totals exactly.
 //!
 //! `-j`/`--jobs` fans the independent (procs, app) blocks across worker
-//! threads (0 = one per CPU; default honors `SHASTA_CHECK_JOBS`, else
-//! serial). Each block's bars come from deterministic simulated counters,
-//! and blocks are printed in sweep order, so the output is byte-identical
-//! for any worker count.
+//! threads (0 = one per CPU; default serial). Each block's bars come from
+//! deterministic simulated counters, and blocks are printed in sweep order,
+//! so the output is byte-identical for any worker count.
 
 use shasta_apps::{registry, AppSpec, Preset, Proto};
 use shasta_bench::{jobs_from_args, preset_from_args, run_observed};

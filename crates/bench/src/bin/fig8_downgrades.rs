@@ -1,19 +1,14 @@
 //! Figure 8: the distribution of downgrade messages sent per block downgrade
 //! in 8- and 16-processor SMP-Shasta runs (clustering 4).
 //!
-//! Every histogram is derived twice: from the engine's `DowngradeHist`
-//! counters and from the event stream (`shasta_obs::DowngradeAgg` over
-//! `downgrade-start` events). The two must agree **exactly** in every
-//! bucket — `run_observed` aborts the binary on any divergence
-//! (`EventLog::crosscheck`), as for Figures 6 and 7. The
-//! event-derived side additionally splits downgrade direction
-//! (exclusive→shared vs exclusive→invalid), which the engine histogram does
-//! not keep.
+//! The histogram is the engine's `DowngradeHist`; the last three columns
+//! come from the recorded event stream (`shasta_obs::DowngradeAgg`), which
+//! splits downgrade direction (exclusive→shared vs exclusive→invalid) and
+//! counts resolved pending downgrades — facts the histogram does not keep.
 //!
 //! `-j`/`--jobs` fans the independent (procs, app) runs across worker
-//! threads (0 = one per CPU; default honors `SHASTA_CHECK_JOBS`, else
-//! serial); rows are printed in sweep order, so the output is
-//! byte-identical for any worker count.
+//! threads (0 = one per CPU; default serial); rows are printed in sweep
+//! order, so the output is byte-identical for any worker count.
 
 use shasta_apps::{registry, AppSpec, Preset, Proto};
 use shasta_bench::{jobs_from_args, preset_from_args, run_observed};
@@ -66,5 +61,4 @@ fn main() {
         }
         println!("{t}");
     }
-    println!("event-derived downgrade histograms matched the engine's exactly in every run");
 }

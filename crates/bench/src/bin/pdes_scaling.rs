@@ -82,12 +82,12 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let mut preset = preset_from_args();
-    if quick && !args.iter().any(|a| a == "--preset") && std::env::var("SHASTA_PRESET").is_err() {
+    if quick && !args.iter().any(|a| a == "--preset") {
         preset = Preset::Tiny;
     }
     let reps: u32 = num_flag(&["--reps"]).unwrap_or(if quick { 1 } else { 3 });
-    // Absent flag defaults to auto (one worker per CPU), floored at 2 so the
-    // sharded engine always engages — this binary exists to measure it.
+    // Floored at 2 (an absent flag means serial) so the sharded engine
+    // always engages — this binary exists to measure it.
     let sim_threads = sim_threads_from_args().max(2);
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
 

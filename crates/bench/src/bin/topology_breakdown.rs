@@ -6,9 +6,10 @@
 //! Every cell runs **twice** — once bare and once with a live metrics
 //! registry attached — and the binary asserts three invariants:
 //!
-//! * the event-derived breakdown cross-checks exactly (zero tolerance)
-//!   against the `shasta-stats` counters, and the categories plus idle sum
-//!   to the processors' spans, so the printed bars account for every cycle;
+//! * on every processor the `shasta-stats` category totals plus the idle
+//!   gaps between the recorded slices equal the processor's span exactly
+//!   (zero tolerance, no overlap), so the printed bars account for every
+//!   cycle;
 //! * the two runs' simulated statistics are bit-identical — metrics
 //!   recording never perturbs simulated time;
 //! * the per-link occupancy counters reported by the metrics registry are
@@ -27,7 +28,7 @@ use shasta_apps::{
     run_app_observed_memory_home, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig,
 };
 use shasta_bench::trajectory::{Entry, Num};
-use shasta_bench::{apps_for, breakdown_bar_from, preset_from_args, TRACE_RING_CAPACITY};
+use shasta_bench::{apps_for, breakdown_bar, preset_from_args, TRACE_RING_CAPACITY};
 use shasta_check::{cluster_kinds, ClusterKind};
 use shasta_core::{Machine, NetProfile};
 use shasta_obs::{EventLog, Registry};
@@ -52,21 +53,15 @@ struct Cell {
 }
 
 impl Cell {
-    /// Zero-tolerance accounting check: the event-derived per-category
-    /// breakdown must match the counter-based one exactly, and categories
-    /// plus idle must sum to the processors' spans.
+    /// Zero-tolerance accounting check: on every processor the slices tile
+    /// its clock — category totals plus idle equal its span, no overlap.
     fn crosscheck_pass(&self) -> bool {
-        if self.log.fig4().crosscheck(&self.stats).is_err() {
-            return false;
-        }
         let agg = self.log.fig4();
-        let (mut idle, mut overlap, mut span) = (0u64, 0u64, 0u64);
-        for p in 0..agg.procs() as u32 {
-            idle += agg.idle(p);
-            overlap += agg.overlap(p);
-            span += agg.span(p);
-        }
-        agg.total_breakdown().total() + idle - overlap == span
+        self.stats
+            .breakdowns
+            .iter()
+            .zip(0u32..)
+            .all(|(b, p)| agg.overlap(p) == 0 && b.total() + agg.idle(p) == agg.span(p))
     }
 
     fn metrics_identity(&self) -> bool {
@@ -135,7 +130,7 @@ fn measure(kind: ClusterKind, spec: &AppSpec, preset: Preset) -> Cell {
 /// One cell's detail row of the trajectory entry.
 fn cell_json(c: &Cell) -> String {
     let agg = c.log.fig4();
-    let total = agg.total_breakdown();
+    let total = c.stats.total_breakdown();
     let (mut idle, mut span) = (0u64, 0u64);
     for p in 0..agg.procs() as u32 {
         idle += agg.idle(p);
@@ -185,15 +180,14 @@ fn main() {
             }
             println!(
                 "  {} [occupancy {} cycles, crosscheck {}, metrics {}]",
-                breakdown_bar_from(
+                breakdown_bar(
                     match cell.kind {
                         ClusterKind::Uniform => "UNI",
                         ClusterKind::UniformExplicit => "UNIE",
                         ClusterKind::AsymLinks => "ASYM",
                         ClusterKind::MemoryHome => "MEMH",
                     },
-                    &cell.log.fig4().total_breakdown(),
-                    cell.stats.elapsed_cycles,
+                    &cell.stats,
                     norm,
                 ),
                 cell.link_occupancy_cycles,

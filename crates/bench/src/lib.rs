@@ -14,11 +14,11 @@
 
 use shasta_apps::{registry, run_app, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig};
 use shasta_obs::EventLog;
-use shasta_stats::{Breakdown, RunStats, TimeCat};
+use shasta_stats::{RunStats, TimeCat};
 
 /// Default per-processor event-ring capacity for observed runs: deep enough
 /// to keep the interesting tail of a Table 2 kernel while bounding memory.
-/// Figure-4 aggregation stays exact even when the ring overflows.
+/// The streamed aggregates stay exact even when the ring overflows.
 pub const TRACE_RING_CAPACITY: usize = 65_536;
 
 /// The processor/clustering points of the paper's parallel runs: 2- and
@@ -48,8 +48,9 @@ pub fn run(
 ///
 /// # Panics
 ///
-/// Panics, naming the application and configuration, if any event-derived
-/// aggregate diverges from the engine's counters ([`EventLog::crosscheck`]).
+/// Panics, naming the application and configuration, if the engine's
+/// recorded sends diverge from the network layer's message counters
+/// ([`EventLog::crosscheck`]).
 pub fn run_observed(
     spec: &AppSpec,
     preset: Preset,
@@ -87,9 +88,9 @@ fn observe(
 ) -> (RunStats, EventLog) {
     let app = (spec.build)(preset, false);
     let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, TRACE_RING_CAPACITY, shape);
-    if let Err(e) = log.crosscheck(&stats) {
+    if let Err(e) = log.crosscheck(&stats.messages) {
         panic!(
-            "{} {:?} {}p c{}: event/counter divergence: {e}",
+            "{} {:?} {}p c{}: engine/network message divergence: {e}",
             spec.name, cfg.proto, cfg.procs, cfg.clustering
         );
     }
@@ -120,14 +121,8 @@ pub fn speedup(seq: u64, par: u64) -> String {
 /// percent plus the six category percentages — the textual analogue of one
 /// bar in Figures 4 and 5.
 pub fn breakdown_bar(label: &str, stats: &RunStats, norm: u64) -> String {
-    breakdown_bar_from(label, &stats.total_breakdown(), stats.elapsed_cycles, norm)
-}
-
-/// Renders one execution-time bar from an explicit category breakdown and
-/// elapsed-cycle count — the shared backend of [`breakdown_bar`] and of the
-/// event-derived bars in `fig4_breakdown`.
-pub fn breakdown_bar_from(label: &str, total: &Breakdown, elapsed: u64, norm: u64) -> String {
-    let scale = elapsed as f64 / norm as f64 * 100.0;
+    let total = stats.total_breakdown();
+    let scale = stats.elapsed_cycles as f64 / norm as f64 * 100.0;
     let mut out = format!("{label:<4} {scale:>6.1}% |");
     for cat in TimeCat::ALL {
         out.push_str(&format!(" {}={:>4.1}%", cat.label(), total.fraction(cat) * scale));
@@ -241,14 +236,11 @@ pub fn apps_for(table2_only: bool, table3_only: bool) -> Vec<AppSpec> {
         .collect()
 }
 
-/// Parses the common `--preset tiny|default|large` CLI flag (the
-/// `SHASTA_PRESET` env var is honoured when the flag is absent) so
-/// experiments can be smoke-tested quickly; empty or absent means `default`,
-/// anything else is a usage error (exit status 2).
+/// Parses the common `--preset tiny|default|large` CLI flag so experiments
+/// can be smoke-tested quickly; empty or absent means `default`, anything
+/// else is a usage error (exit status 2).
 pub fn preset_from_args() -> Preset {
-    let preset =
-        flag(&["--preset"]).unwrap_or_else(|| std::env::var("SHASTA_PRESET").unwrap_or_default());
-    match preset.as_str() {
+    match flag(&["--preset"]).unwrap_or_default().as_str() {
         "tiny" => Preset::Tiny,
         "" | "default" => Preset::Default,
         "large" => Preset::Large,
@@ -257,21 +249,21 @@ pub fn preset_from_args() -> Preset {
 }
 
 /// Parses the common `-j`/`--jobs` CLI flag (0 = one worker per CPU) and
-/// resolves it the same way `shasta-check` does: an absent flag falls back
-/// to `SHASTA_CHECK_JOBS`, else serial. Safe for any binary whose printed
-/// output is derived purely from simulated counters — the simulation is
-/// deterministic, so worker count never changes the bytes printed.
+/// resolves it the same way `shasta-check` does: an absent flag means
+/// serial. Safe for any binary whose printed output is derived purely from
+/// simulated counters — the simulation is deterministic, so worker count
+/// never changes the bytes printed.
 pub fn jobs_from_args() -> usize {
-    shasta_check::resolve_jobs(num_flag(&["-j", "--jobs"]))
+    shasta_check::resolve_threads(num_flag(&["-j", "--jobs"]))
 }
 
 /// Parses the common `--sim-threads` CLI flag (0 = one worker per CPU;
-/// `SHASTA_SIM_THREADS` honoured when absent) and resolves it the same way
-/// `shasta-check` does. Controls the conservative parallel discrete-event
+/// absent = serial) and resolves it the same way `shasta-check` does.
+/// Controls the conservative parallel discrete-event
 /// engine *inside* each simulated run — bit-identical for every value, so
 /// like `--jobs` it can never change the bytes a benchmark prints.
 pub fn sim_threads_from_args() -> usize {
-    shasta_check::resolve_sim_threads(num_flag(&["--sim-threads"]))
+    shasta_check::resolve_threads(num_flag(&["--sim-threads"]))
 }
 
 /// The one schema of the append-only `BENCH_*.json` *trajectory* files: every

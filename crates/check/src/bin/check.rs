@@ -7,14 +7,14 @@
 //! ```
 //!
 //! `-j`/`--jobs` fans the independent `(scenario, seed)` runs across worker
-//! threads (0 = one per CPU; default honors `SHASTA_CHECK_JOBS`, else
-//! serial). The report is byte-identical for any worker count.
+//! threads (0 = one per CPU; default serial). The report is byte-identical
+//! for any worker count.
 //!
 //! `--sim-threads` shards the event loop *inside* each run across engine
-//! workers (0 = one per CPU; default honors `SHASTA_SIM_THREADS`, else
-//! serial). Orthogonal to `--jobs` and likewise byte-identical: runs the
-//! parallel engine cannot shard losslessly (oracle sweeps, fault plans,
-//! perturbing schedules, single-node topologies) silently stay serial.
+//! workers (0 = one per CPU; default serial). Orthogonal to `--jobs` and
+//! likewise byte-identical: runs the parallel engine cannot shard
+//! losslessly (oracle sweeps, fault plans, perturbing schedules,
+//! single-node topologies) silently stay serial.
 //!
 //! `--trace PATH` exports a Chrome `trace_event` JSON timeline (open it in
 //! `chrome://tracing` or Perfetto): of the first counterexample's replay
@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use shasta_check::{
-    default_scenarios, replay_observed, resolve_jobs, run_scenario_observed, sweep_jobs,
+    default_scenarios, replay_observed, resolve_threads, run_scenario_observed, sweep_jobs,
     validate_oracles_jobs,
 };
 use shasta_core::BugInjection;
@@ -80,7 +80,7 @@ fn main() -> ExitCode {
                     eprintln!("{a} expects a number (0 = one worker per CPU), got {v:?}");
                     std::process::exit(2);
                 });
-                shasta_check::set_sim_threads(shasta_check::resolve_sim_threads(Some(n)));
+                shasta_check::set_sim_threads(resolve_threads(Some(n)));
             }
             "--skip-validation" => validate = false,
             "--quiet" => quiet = true,
@@ -109,7 +109,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let workers = resolve_jobs(jobs);
+    let workers = resolve_threads(jobs);
     let start = Instant::now();
     let report = sweep_jobs(&scenarios, 0..seeds, BugInjection::None, 8, workers);
     let elapsed = start.elapsed();

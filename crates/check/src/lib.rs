@@ -44,7 +44,7 @@ use shasta_stats::RunStats;
 
 pub mod pool;
 
-pub use pool::{par_map, resolve_jobs, resolve_sim_threads, resolve_threads};
+pub use pool::{par_map, resolve_threads};
 // The fault-injection and heterogeneous-topology vocabulary, re-exported so
 // checker callers (the bench bins, CI) need only this crate.
 pub use shasta_core::{FaultCounts, FaultPlan, NetProfile};
@@ -463,7 +463,6 @@ pub fn replay_observed(
     silence_expected_panics();
     let mut m = build_machine(s, policy, bug, true);
     let bodies = plan_kernel(&mut m, s);
-    // After the kernel's allocations: the recorder classifies against them.
     m.enable_obs(ring_capacity);
     let res = panic::catch_unwind(AssertUnwindSafe(|| m.run(bodies))).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<String>() {
@@ -497,7 +496,6 @@ pub fn run_scenario_observed(
     let mut m = build_machine(s, policy, bug, false);
     m.enable_trace(TRACE_CAPACITY);
     let bodies = plan_kernel(&mut m, s);
-    // After the kernel's allocations: the recorder classifies against them.
     m.enable_obs(ring_capacity);
     let stats = m.run(bodies);
     let trace = m.render_trace();
@@ -756,15 +754,14 @@ pub fn policies_for_seed(seed: u64) -> [SchedulePolicy; 2] {
 /// any failure. `max_failures` bounds how many counterexamples are chased
 /// (shrinking re-runs the kernel; one is usually what you want).
 ///
-/// Worker count comes from `SHASTA_CHECK_JOBS` (see [`resolve_jobs`]);
-/// unset means serial. Use [`sweep_jobs`] to pass it explicitly.
+/// Serial; use [`sweep_jobs`] to fan the runs across worker threads.
 pub fn sweep(
     scenarios: &[Scenario],
     seeds: std::ops::Range<u64>,
     bug: BugInjection,
     max_failures: usize,
 ) -> SweepReport {
-    sweep_jobs(scenarios, seeds, bug, max_failures, resolve_jobs(None))
+    sweep_jobs(scenarios, seeds, bug, max_failures, 1)
 }
 
 /// The canonical serial enumeration order of a sweep: seed-major, then
@@ -877,7 +874,7 @@ pub fn validate_oracles(
     scenarios: &[Scenario],
     seeds_per_bug: u64,
 ) -> Result<Vec<Counterexample>, String> {
-    validate_oracles_jobs(scenarios, seeds_per_bug, resolve_jobs(None))
+    validate_oracles_jobs(scenarios, seeds_per_bug, 1)
 }
 
 /// [`validate_oracles`] with an explicit worker count for its sweeps.
@@ -927,7 +924,7 @@ mod tests {
         // A clean replay of the same scenario succeeds and also records.
         let (ok, clean) = replay_observed(&cx.scenario, cx.policy, BugInjection::None, 16_384);
         let stats = ok.expect("correct protocol passes");
-        clean.crosscheck(&stats).expect("every derived aggregate matches the counters");
+        clean.crosscheck(&stats.messages).expect("recorded sends match the network's counters");
     }
 
     #[test]

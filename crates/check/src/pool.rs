@@ -10,39 +10,20 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Resolves a thread count from an explicit request, an environment
-/// variable, or the serial default — the one convention shared by every
+/// Resolves a thread-count flag — the one convention shared by every
 /// thread-count knob in the workspace (`--jobs` here and in the bench bins,
-/// `--sim-threads` for the parallel engine):
+/// fanning independent runs across cores; `--sim-threads`, sharding the
+/// event loop *inside* one run — bit-identical either way):
 ///
 /// * `Some(0)` — auto: one thread per available CPU;
 /// * `Some(n)` — exactly `n` threads;
-/// * `None` — consult `env_var` (same `0` = auto convention), falling back
-///   to `1` (serial) when unset or unparsable.
-pub fn resolve_threads(requested: Option<usize>, env_var: &str) -> usize {
-    let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
+/// * `None` (flag absent) — `1`, serial.
+pub fn resolve_threads(requested: Option<usize>) -> usize {
     match requested {
-        Some(0) => auto(),
+        Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
         Some(n) => n,
-        None => match std::env::var(env_var).ok().and_then(|v| v.parse().ok()) {
-            Some(0) => auto(),
-            Some(n) => n,
-            None => 1,
-        },
+        None => 1,
     }
-}
-
-/// Resolves the *host sweep* worker count (`--jobs` / `SHASTA_CHECK_JOBS`).
-pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    resolve_threads(requested, "SHASTA_CHECK_JOBS")
-}
-
-/// Resolves the *simulation engine* worker count (`--sim-threads` /
-/// `SHASTA_SIM_THREADS`). Orthogonal to [`resolve_jobs`]: jobs fan
-/// independent runs across cores, sim threads shard the event loop *inside*
-/// one run (bit-identical either way).
-pub fn resolve_sim_threads(requested: Option<usize>) -> usize {
-    resolve_threads(requested, "SHASTA_SIM_THREADS")
 }
 
 /// Runs `f(0), f(1), …, f(n-1)` on up to `workers` threads and returns the
@@ -93,9 +74,9 @@ mod tests {
     }
 
     #[test]
-    fn resolve_jobs_explicit_wins() {
-        assert_eq!(resolve_jobs(Some(3)), 3);
-        assert!(resolve_jobs(Some(0)) >= 1, "auto resolves to at least one worker");
-        assert_eq!(resolve_sim_threads(Some(4)), 4);
+    fn resolve_threads_follows_the_flag() {
+        assert_eq!(resolve_threads(Some(3)), 3);
+        assert!(resolve_threads(Some(0)) >= 1, "auto resolves to at least one worker");
+        assert_eq!(resolve_threads(None), 1, "an absent flag means serial");
     }
 }

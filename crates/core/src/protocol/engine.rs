@@ -100,6 +100,11 @@ impl Machine {
     pub fn run(&mut self, bodies: Vec<Box<dyn FnOnce(Dsm) + Send>>) -> RunStats {
         let n = self.topo.procs();
         assert_eq!(bodies.len() as u32, n, "need exactly one program per processor");
+        if self.obs.is_enabled() {
+            // Everything is allocated by now, whichever of `setup` and
+            // `enable_obs` came first.
+            self.obs.attach_map(self.space_map());
+        }
         if let Some(lookahead) = self.pdes_eligible() {
             crate::protocol::pdes::run_sharded(self, bodies, lookahead);
         } else {
@@ -489,7 +494,6 @@ impl Machine {
         let start = self.clocks[p as usize];
         self.clocks[p as usize] += cycles;
         if self.stalls[p as usize].is_none() {
-            self.stats.breakdowns[p as usize].add(cat, cycles);
             self.obs_slice(p, start, cat, cycles);
         }
     }
@@ -499,7 +503,6 @@ impl Machine {
     pub(crate) fn charge(&mut self, p: u32, cat: TimeCat, cycles: u64) {
         let start = self.clocks[p as usize];
         self.clocks[p as usize] += cycles;
-        self.stats.breakdowns[p as usize].add(cat, cycles);
         self.obs_slice(p, start, cat, cycles);
     }
 
@@ -539,7 +542,6 @@ impl Machine {
         self.clocks[p as usize] = now;
         let stall = self.stalls[p as usize].take().expect("resume without stall");
         let window = now - stall.since;
-        self.stats.breakdowns[p as usize].add(stall.cat, window);
         // The whole stall window becomes one slice (message handling during
         // the stall advanced the clock without attributing — the paper hides
         // it under the stall category).
@@ -762,7 +764,6 @@ impl Machine {
             // Application data happened to equal the flag value.
             self.obs_event(p, shasta_obs::EventKind::FalseMiss { block: block.start });
             self.charge(p, TimeCat::Task, self.cfg.check.false_miss_cycles);
-            self.stats.misses.false_misses += 1;
             return Some(Resp::Value(self.mems[v].read_scalar(addr, size)));
         }
         let miss_id = self.begin_miss_context();
@@ -790,7 +791,6 @@ impl Machine {
             LineState::PendingRead | LineState::PendingWrite => {
                 // Another processor on the node already requested the block.
                 if self.cfg.mode == Mode::Smp {
-                    self.stats.misses.merged += 1;
                     self.obs_event(p, shasta_obs::EventKind::MissMerged { block: block.start });
                 }
                 self.begin_stall(
@@ -885,7 +885,6 @@ impl Machine {
                 debug_assert_eq!(self.cfg.mode, Mode::Smp);
                 self.pay_locked_priv_update(p, block);
                 self.set_priv(p, block, PrivState::Exclusive);
-                self.stats.misses.private_upgrades += 1;
                 self.obs_event(p, shasta_obs::EventKind::PrivateUpgrade { block: block.start });
                 self.mems[v].write_scalar(addr, size, value);
                 Some(Resp::Unit)
@@ -925,7 +924,6 @@ impl Machine {
             LineState::PendingWrite => {
                 if self.cfg.nonblocking_stores {
                     if self.cfg.mode == Mode::Smp {
-                        self.stats.misses.merged += 1;
                         self.obs_event(p, shasta_obs::EventKind::MissMerged { block: block.start });
                     }
                     self.pay(p, TimeCat::Other, self.smp_lock() + self.cost.miss_entry_cycles);
@@ -948,7 +946,6 @@ impl Machine {
             LineState::PendingRead => {
                 if self.cfg.nonblocking_stores {
                     if self.cfg.mode == Mode::Smp {
-                        self.stats.misses.merged += 1;
                         self.obs_event(p, shasta_obs::EventKind::MissMerged { block: block.start });
                     }
                     self.pay(p, TimeCat::Other, self.smp_lock() + self.cost.miss_entry_cycles);
@@ -1098,7 +1095,6 @@ impl Machine {
                     if self.priv_state(p, block) < want {
                         self.pay(p, TimeCat::Other, self.cost.priv_upgrade_cycles);
                         self.set_priv(p, block, want);
-                        self.stats.misses.private_upgrades += 1;
                         self.obs_event(
                             p,
                             shasta_obs::EventKind::PrivateUpgrade { block: block.start },
@@ -1125,7 +1121,6 @@ impl Machine {
             match state {
                 LineState::PendingRead | LineState::PendingWrite => {
                     if self.cfg.mode == Mode::Smp {
-                        self.stats.misses.merged += 1;
                         self.obs_event(p, shasta_obs::EventKind::MissMerged { block: block.start });
                     }
                     // A write needs exclusivity; a pending read will not

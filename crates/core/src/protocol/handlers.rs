@@ -489,7 +489,6 @@ impl Machine {
         // The initiator downgrades its own private entry immediately.
         let lines = block.line_range(self.space.line_bytes());
         self.privs[x as usize].downgrade_range(lines, priv_ceiling(to));
-        self.stats.downgrades.record(targets.len());
         self.trace_dg(x, block, to, targets.len());
         self.obs_event(
             x,
@@ -766,7 +765,6 @@ impl Machine {
         assert_eq!(entry.kind, ReqKind::Read, "read reply for a non-read entry");
         assert_eq!(entry.requester, p, "reply delivered to a non-requester");
         let hops = self.classify_hops(p, src, block);
-        self.stats.misses.record(miss_kind_of(ReqKind::Read), hops);
         self.obs_event(
             p,
             shasta_obs::EventKind::MissResolved {
@@ -849,7 +847,6 @@ impl Machine {
             "write reply for a read entry"
         );
         let hops = self.classify_hops(p, src, block);
-        self.stats.misses.record(miss_kind_of(entry.kind), hops);
         self.obs_event(
             p,
             shasta_obs::EventKind::MissResolved {
@@ -898,7 +895,6 @@ impl Machine {
             self.miss[v].remove(block.start).expect("upgrade reply without a miss entry");
         assert_eq!(entry.kind, ReqKind::Upgrade, "upgrade reply for a non-upgrade entry");
         let hops = self.classify_hops(p, src, block);
-        self.stats.misses.record(miss_kind_of(ReqKind::Upgrade), hops);
         self.obs_event(
             p,
             shasta_obs::EventKind::MissResolved {

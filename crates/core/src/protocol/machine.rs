@@ -210,8 +210,7 @@ pub struct Machine {
     // ---- output ----
     pub(crate) stats: RunStats,
     pub(crate) trace: Trace,
-    /// Structured protocol-event recorder (disabled by default; the record
-    /// calls themselves are compiled out without the `obs` feature).
+    /// Structured protocol-event recorder (disabled by default).
     pub(crate) obs: shasta_obs::Recorder,
     // ---- checker hooks ----
     /// Schedule policy state (deterministic by default).
@@ -477,21 +476,16 @@ impl Machine {
 
     /// Enables structured protocol-event recording (the `shasta-obs` layer):
     /// per-processor rings of up to `ring_capacity` events each, plus the
-    /// streaming aggregations (Figure 4 slices, Figure 6/7 rederivation,
-    /// and the sharing profiler). Retrieve the result with
+    /// streaming aggregations (slice tiling, Figure 7 messages, Figure 8
+    /// directions, and the sharing profiler). Retrieve the result with
     /// [`Machine::take_obs`] after [`Machine::run`].
     ///
-    /// Call **after** [`Machine::setup`]: the recorder snapshots the shared
-    /// space (allocation extents, block sizes, site labels) and the
-    /// processor placement at this point, which is what the profiler and
-    /// the message-class rederivation classify against.
-    ///
-    /// When `shasta-core` is built without its `obs` feature the recording
-    /// hooks are compiled out and the resulting log is empty.
+    /// Before or after [`Machine::setup`], either order: the shared space
+    /// (allocation extents, block sizes, site labels) and the processor
+    /// placement the profiler and the message aggregate classify against
+    /// are snapshotted when the run starts.
     pub fn enable_obs(&mut self, ring_capacity: usize) {
-        let mut rec = shasta_obs::Recorder::enabled(self.topo.procs() as usize, ring_capacity);
-        rec.attach_map(self.space_map());
-        self.obs = rec;
+        self.obs = shasta_obs::Recorder::enabled(self.topo.procs() as usize, ring_capacity);
     }
 
     /// Installs profile-guided label → block-size overrides on the shared
@@ -505,7 +499,7 @@ impl Machine {
 
     /// Snapshots the shared space and topology as the plain-data
     /// [`SpaceMap`](shasta_obs::SpaceMap) the observability layer consumes.
-    fn space_map(&self) -> shasta_obs::SpaceMap {
+    pub(crate) fn space_map(&self) -> shasta_obs::SpaceMap {
         shasta_obs::SpaceMap {
             line_bytes: self.space.line_bytes(),
             proc_phys_node: (0..self.topo.procs()).map(|p| self.topo.phys_node_of(p).0).collect(),
@@ -529,27 +523,43 @@ impl Machine {
         std::mem::take(&mut self.obs).into_log()
     }
 
-    /// Records a protocol event at `p`'s current clock. Compiled out
-    /// entirely without the `obs` feature.
+    /// Books a protocol fact at `p`'s current clock.
     #[inline]
     pub(crate) fn obs_event(&mut self, p: u32, kind: shasta_obs::EventKind) {
-        #[cfg(feature = "obs")]
-        self.obs.record(self.clocks[p as usize].cycles(), p, kind);
-        #[cfg(not(feature = "obs"))]
-        let _ = (p, kind);
+        self.emit(self.clocks[p as usize].cycles(), p, kind);
     }
 
-    /// Records one attributed execution-time slice: `cycles` of `cat`
-    /// starting at `start` on `p`. Mirrors the engine's `shasta-stats`
-    /// attribution exactly; compiled out without the `obs` feature.
+    /// Books one attributed execution-time slice: `cycles` of `cat`
+    /// starting at `start` on `p`.
     #[inline]
     pub(crate) fn obs_slice(&mut self, p: u32, start: Time, cat: TimeCat, cycles: u64) {
-        #[cfg(feature = "obs")]
         if cycles > 0 {
-            self.obs.record(start.cycles(), p, shasta_obs::EventKind::Slice { cat, cycles });
+            self.emit(start.cycles(), p, shasta_obs::EventKind::Slice { cat, cycles });
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (p, start, cat, cycles);
+    }
+
+    /// The one place a protocol fact is booked: folded into the statistics
+    /// it is the source of — the Figure 4 breakdown (slices, per processor),
+    /// the Figure 6 miss counters, the Figure 8 downgrade histogram — then
+    /// handed to the recorder (one branch when recording is off). Every
+    /// other kind moves no counter: messages are counted by the transport,
+    /// checks and read latencies at their single call sites. Every caller
+    /// passes a literal variant, so inlined the `match` is the single
+    /// increment that belongs at that call site.
+    #[inline(always)]
+    fn emit(&mut self, t: u64, p: u32, kind: shasta_obs::EventKind) {
+        use shasta_obs::EventKind as K;
+        let stats = &mut self.stats;
+        match kind {
+            K::Slice { cat, cycles } => stats.breakdowns[p as usize].add(cat, cycles),
+            K::MissResolved { kind, hops, .. } => stats.misses.record(kind, hops),
+            K::FalseMiss { .. } => stats.misses.false_misses += 1,
+            K::PrivateUpgrade { .. } => stats.misses.private_upgrades += 1,
+            K::MissMerged { .. } => stats.misses.merged += 1,
+            K::DowngradeStart { targets, .. } => stats.downgrades.record(targets as usize),
+            _ => {}
+        }
+        self.obs.record(t, p, kind);
     }
 
     /// Records a line-state transition of `block` as observed by `p`.
@@ -845,6 +855,50 @@ mod tests {
     fn machine() -> Machine {
         let topo = Topology::new(8, 4, 4).unwrap();
         Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20)
+    }
+
+    /// One emit per protocol fact: each folded kind moves exactly its
+    /// `RunStats` cell, every other kind moves nothing.
+    #[test]
+    fn each_emitted_fact_moves_exactly_its_counter() {
+        use shasta_obs::EventKind as K;
+        use shasta_stats::{DowngradeHist, Hops, MissKind};
+        type Expect = fn(&mut RunStats);
+        const LAST: usize = DowngradeHist::BUCKETS - 1;
+        let dg = |targets| K::DowngradeStart { block: 0x40, to_invalid: true, targets };
+        let nothing: Expect = |_| {};
+        let table: Vec<(K, Expect)> = vec![
+            (K::Slice { cat: TimeCat::Read, cycles: 40 }, |s| {
+                s.breakdowns[2].add(TimeCat::Read, 40)
+            }),
+            (K::MissResolved { block: 0x40, kind: MissKind::Upgrade, hops: Hops::Three }, |s| {
+                s.misses.record(MissKind::Upgrade, Hops::Three)
+            }),
+            (K::FalseMiss { block: 0x40 }, |s| s.misses.false_misses += 1),
+            (K::PrivateUpgrade { block: 0x40 }, |s| s.misses.private_upgrades += 1),
+            (K::MissMerged { block: 0x40 }, |s| s.misses.merged += 1),
+            (dg(0), |s| s.downgrades.record(0)),
+            (dg(3), |s| s.downgrades.record(3)),
+            (dg(LAST as u32), |s| s.downgrades.record(LAST)),
+            (dg(LAST as u32 + 2), |s| s.downgrades.record(LAST)),
+            (K::CheckMiss { id: 1, block: 0x40, addr: 0x48, len: 8, write: true }, nothing),
+            (K::MsgSend { msg: "read-req", peer: 1, block: 0x40 }, nothing),
+            (K::MsgRecv { msg: "read-reply", peer: 1, block: 0x40 }, nothing),
+            (K::DowngradeAck { block: 0x40, remaining: 0 }, nothing),
+            (K::DowngradeDone { block: 0x40 }, nothing),
+            (K::PollDrain { handled: 3 }, nothing),
+            (K::LineLockAcquire { block: 0x40 }, nothing),
+            (K::LineLockRelease { block: 0x40 }, nothing),
+            (K::BlockState { block: 0x40, state: "invalid" }, nothing),
+            (K::StallBegin { cat: TimeCat::Sync }, nothing),
+        ];
+        for (kind, expect) in table {
+            let mut m = machine();
+            m.obs_event(2, kind);
+            let mut want = RunStats::new(8);
+            expect(&mut want);
+            assert_eq!(m.stats, want, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The bounded event trace: protocol-visible events are recorded when
-//! enabled and the tail renders usefully for diagnostics.
+//! enabled and the tail renders usefully for diagnostics. Also the
+//! structured recorder's set-up contract.
 
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
@@ -8,14 +9,15 @@ use shasta_core::space::{BlockHint, HomeHint};
 
 type Body = Box<dyn FnOnce(Dsm) + Send>;
 
-fn run(trace_cap: Option<usize>) -> shasta_stats::RunStats {
+fn machine() -> Machine {
     let topo = Topology::new(8, 4, 4).unwrap();
-    let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20);
-    if let Some(cap) = trace_cap {
-        m.enable_trace(cap);
-    }
+    Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20)
+}
+
+/// Allocates one line homed on node 0 and has node 1 read what node 0 wrote.
+fn program(m: &mut Machine) -> Vec<Body> {
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let bodies: Vec<Body> = (0..8u32)
+    (0..8u32)
         .map(|p| {
             Box::new(move |mut dsm: Dsm| {
                 if p == 0 {
@@ -28,7 +30,15 @@ fn run(trace_cap: Option<usize>) -> shasta_stats::RunStats {
                 dsm.barrier(1);
             }) as Body
         })
-        .collect();
+        .collect()
+}
+
+fn run(trace_cap: Option<usize>) -> shasta_stats::RunStats {
+    let mut m = machine();
+    if let Some(cap) = trace_cap {
+        m.enable_trace(cap);
+    }
+    let bodies = program(&mut m);
     m.run(bodies)
 }
 
@@ -47,4 +57,34 @@ fn tiny_trace_capacity_is_safe() {
     let tiny = run(Some(2));
     let without = run(None);
     assert_eq!(tiny, without);
+}
+
+/// `enable_obs` before `setup` or after it, either order: the recorder
+/// classifies against the allocations as they stand when the run starts, so
+/// the message aggregate counts the reply's payload and the profiler knows
+/// the allocation site both ways.
+#[test]
+fn recording_may_be_enabled_before_or_after_setup() {
+    let observed = |before_setup: bool| {
+        let mut m = machine();
+        if before_setup {
+            m.enable_obs(1_024);
+        }
+        let bodies = program(&mut m);
+        if !before_setup {
+            m.enable_obs(1_024);
+        }
+        let stats = m.run(bodies);
+        (stats, m.take_obs())
+    };
+    let (stats, before) = observed(true);
+    let (stats_after, after) = observed(false);
+    assert_eq!(stats, stats_after);
+    before.crosscheck(&stats.messages).expect("enabled before setup");
+    after.crosscheck(&stats.messages).expect("enabled after setup");
+    let msgs = before.msgs().expect("the run attached the space map");
+    assert_eq!(msgs.stats(), &stats.messages);
+    assert!(msgs.stats().payload_bytes(shasta_stats::MsgClass::Remote) >= 64, "the read reply");
+    assert_eq!(format!("{:?}", before.msgs()), format!("{:?}", after.msgs()));
+    assert_eq!(format!("{:?}", before.profile()), format!("{:?}", after.profile()));
 }

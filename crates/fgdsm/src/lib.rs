@@ -57,10 +57,15 @@
 //! ```
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, MutexGuard};
+/// Locks `m`, ignoring poisoning: a panicking runtime thread is re-raised by
+/// [`FgDsm::run`] itself and must not turn every later lock into a second
+/// panic. Every update under these locks leaves the data valid at each step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The value stored in every word of an invalidated line (§2.3).
 pub const INVALID_FLAG: u32 = 0xDEAD_BEEF;
@@ -243,7 +248,7 @@ impl FgDsm {
             let mut txs = Vec::new();
             let mut rxs = Vec::new();
             for _ in 0..cfg.threads_per_node {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 txs.push(tx);
                 rxs.push(Some(rx));
             }
@@ -282,7 +287,7 @@ impl FgDsm {
     {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            let mut rxs = self.receivers.lock();
+            let mut rxs = lock(&self.receivers);
             for n in 0..self.inner.cfg.nodes {
                 for t in 0..self.inner.cfg.threads_per_node {
                     let rx = rxs[n as usize][t as usize].take().expect("run() called twice");
@@ -299,7 +304,7 @@ impl FgDsm {
                 }
             }
             drop(rxs);
-            let mut back = self.receivers.lock();
+            let mut back = lock(&self.receivers);
             let mut iter = handles.into_iter();
             for n in 0..self.inner.cfg.nodes {
                 for t in 0..self.inner.cfg.threads_per_node {
@@ -434,8 +439,10 @@ impl<'a> Handle<'a> {
     fn lock_line(&mut self, line: usize) -> MutexGuard<'a, DirEntry> {
         let inner: &'a Inner = self.inner;
         loop {
-            if let Some(g) = inner.dir[line].try_lock() {
-                return g;
+            match inner.dir[line].try_lock() {
+                Ok(g) => return g,
+                Err(TryLockError::Poisoned(p)) => return p.into_inner(),
+                Err(TryLockError::WouldBlock) => {}
             }
             self.poll();
             // Yield rather than pure spin: on a single-CPU host the lock

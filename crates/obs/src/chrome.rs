@@ -426,7 +426,6 @@ mod tests {
         let total_dur: u64 =
             slices.iter().map(|e| e.get("dur").and_then(Json::as_u64).unwrap()).sum();
         assert_eq!(total_dur, 100 + 70 + 55);
-        assert_eq!(total_dur, log.fig4().total_breakdown().total());
 
         let instants: Vec<&Json> =
             events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("i")).collect();

@@ -56,8 +56,8 @@ pub enum EventKind {
         block: u64,
     },
     /// A miss finished: the reply handler classified it for the Figure 6
-    /// matrix. Emitted at exactly the engine sites that increment
-    /// `MissStats`, so the event stream rederives Figure 6 exactly.
+    /// matrix. Emitting it is what increments the engine's `MissStats`: the
+    /// event and the counter are one fact, booked once.
     MissResolved {
         /// Starting address of the block whose miss completed.
         block: u64,
@@ -149,9 +149,9 @@ pub enum EventKind {
         cat: TimeCat,
     },
     /// A span of attributed execution time: `cycles` starting at the
-    /// event's timestamp, attributed to `cat`. The slice stream is exactly
-    /// the engine's Figure 4 attribution — summing slices per category
-    /// reproduces `shasta-stats` breakdowns.
+    /// event's timestamp, attributed to `cat`. The slice stream is the
+    /// engine's Figure 4 attribution: each slice is folded into the
+    /// `shasta-stats` breakdown as it is emitted.
     Slice {
         /// The Figure 4 category the cycles belong to.
         cat: TimeCat,

@@ -1,25 +1,26 @@
-//! Streaming Figure 4 aggregation: derive the execution-time breakdown
-//! from the slice stream alone.
+//! Streaming audit of the slice stream: does it tile each processor's
+//! simulated time?
 
-use shasta_stats::{Breakdown, RunStats, TimeCat};
-
-/// Per-processor streaming aggregation of [`Slice`](crate::EventKind::Slice)
-/// events into the Figure 4 execution-time breakdown.
+/// Per-processor streaming audit of [`Slice`](crate::EventKind::Slice)
+/// events: the gaps between them, any overlap among them, and where the
+/// last one ended. The cycles *in* the slices are the engine's own Figure 4
+/// breakdown (`RunStats::breakdowns`, folded from the same events where they
+/// are emitted); this is the other half of the accounting identity.
 ///
 /// The aggregator is fed at record time (before any ring-buffer eviction),
-/// so its totals cover the *entire* run even when the timeline rings only
-/// retain a suffix of it.
+/// so it covers the *entire* run even when the timeline rings only retain a
+/// suffix of it.
 ///
 /// Invariant (checked by the bench-level property tests): the engine's
 /// per-processor slices are non-overlapping and start-ordered, so for every
 /// processor
 ///
 /// ```text
-/// buckets_sum(p) + idle(p) - overlap(p) == span(p)
+/// stats.breakdowns[p].total() + idle(p) - overlap(p) == span(p)
 /// ```
 ///
-/// holds by construction with `overlap(p) == 0`, and `span(p)` equals the
-/// processor's final simulated clock.
+/// holds with `overlap(p) == 0`, and `span(p)` equals the processor's final
+/// simulated clock.
 #[derive(Clone, Debug, Default)]
 pub struct Fig4Agg {
     procs: Vec<ProcAgg>,
@@ -27,7 +28,6 @@ pub struct Fig4Agg {
 
 #[derive(Clone, Debug, Default)]
 struct ProcAgg {
-    buckets: Breakdown,
     idle: u64,
     overlap: u64,
     cursor: u64,
@@ -44,11 +44,11 @@ impl Fig4Agg {
         self.procs.len()
     }
 
-    /// Feeds one time slice: `cycles` of category `cat` starting at cycle
-    /// `t` on processor `p`. Gaps before `t` count as idle; any portion of
-    /// the slice before the current cursor counts as overlap (never produced
-    /// by the engine, but tracked so the accounting identity always holds).
-    pub fn observe_slice(&mut self, p: u32, t: u64, cat: TimeCat, cycles: u64) {
+    /// Feeds one time slice: `cycles` starting at cycle `t` on processor
+    /// `p`. Gaps before `t` count as idle; any portion of the slice before
+    /// the current cursor counts as overlap (never produced by the engine,
+    /// but tracked so the accounting identity always holds).
+    pub fn observe_slice(&mut self, p: u32, t: u64, cycles: u64) {
         let a = &mut self.procs[p as usize];
         let end = t + cycles;
         if t >= a.cursor {
@@ -56,18 +56,7 @@ impl Fig4Agg {
         } else {
             a.overlap += a.cursor.min(end) - t;
         }
-        a.buckets.add(cat, cycles);
         a.cursor = a.cursor.max(end);
-    }
-
-    /// The derived Figure 4 breakdown for processor `p`.
-    pub fn breakdown(&self, p: u32) -> Breakdown {
-        self.procs[p as usize].buckets
-    }
-
-    /// The aggregate derived breakdown over all processors.
-    pub fn total_breakdown(&self) -> Breakdown {
-        self.procs.iter().fold(Breakdown::default(), |acc, a| acc.merged(&a.buckets))
     }
 
     /// Unattributed cycles on `p`: gaps between slices (e.g. a finished
@@ -94,36 +83,6 @@ impl Fig4Agg {
     pub fn max_span(&self) -> u64 {
         self.procs.iter().map(|a| a.cursor).max().unwrap_or(0)
     }
-
-    /// Cross-checks the event-derived breakdowns against the engine's own
-    /// `shasta-stats` counters. The two are produced at the same call sites,
-    /// so they must agree *exactly*; any divergence is a bug in one of the
-    /// two accounting paths and is reported per processor and category.
-    pub fn crosscheck(&self, stats: &RunStats) -> Result<(), String> {
-        if self.procs.len() != stats.breakdowns.len() {
-            return Err(format!(
-                "processor count mismatch: events saw {}, stats saw {}",
-                self.procs.len(),
-                stats.breakdowns.len()
-            ));
-        }
-        for (p, a) in self.procs.iter().enumerate() {
-            for cat in TimeCat::ALL {
-                let derived = a.buckets.get(cat);
-                let counted = stats.breakdowns[p].get(cat);
-                if derived != counted {
-                    return Err(format!(
-                        "P{p} {}: event-derived {derived} cycles != stats {counted} cycles",
-                        cat.label()
-                    ));
-                }
-            }
-            if a.overlap != 0 {
-                return Err(format!("P{p}: {} cycles of overlapping slices", a.overlap));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -133,60 +92,34 @@ mod tests {
     #[test]
     fn contiguous_slices_sum_to_span() {
         let mut agg = Fig4Agg::new(1);
-        agg.observe_slice(0, 0, TimeCat::Task, 100);
-        agg.observe_slice(0, 100, TimeCat::Read, 50);
-        agg.observe_slice(0, 150, TimeCat::Task, 25);
+        agg.observe_slice(0, 0, 100);
+        agg.observe_slice(0, 100, 50);
+        agg.observe_slice(0, 150, 25);
         assert_eq!(agg.span(0), 175);
         assert_eq!(agg.idle(0), 0);
         assert_eq!(agg.overlap(0), 0);
-        let b = agg.breakdown(0);
-        assert_eq!(b.get(TimeCat::Task), 125);
-        assert_eq!(b.get(TimeCat::Read), 50);
-        assert_eq!(b.total(), 175);
     }
 
     #[test]
     fn gaps_count_as_idle() {
         let mut agg = Fig4Agg::new(2);
-        agg.observe_slice(1, 10, TimeCat::Task, 5);
-        agg.observe_slice(1, 40, TimeCat::Message, 10);
+        agg.observe_slice(1, 10, 5);
+        agg.observe_slice(1, 40, 10);
         assert_eq!(agg.idle(1), 10 + 25);
         assert_eq!(agg.span(1), 50);
-        assert_eq!(agg.breakdown(1).total() + agg.idle(1), agg.span(1));
+        assert_eq!(5 + 10 + agg.idle(1), agg.span(1));
         assert_eq!(agg.max_span(), 50);
-        assert_eq!(agg.breakdown(0).total(), 0);
+        assert_eq!((agg.idle(0), agg.span(0)), (0, 0));
     }
 
     #[test]
     fn overlap_is_tracked_and_identity_holds() {
         let mut agg = Fig4Agg::new(1);
-        agg.observe_slice(0, 0, TimeCat::Task, 100);
+        agg.observe_slice(0, 0, 100);
         // A pathological overlapping slice (the engine never emits one).
-        agg.observe_slice(0, 60, TimeCat::Other, 80);
+        agg.observe_slice(0, 60, 80);
         assert_eq!(agg.overlap(0), 40);
         assert_eq!(agg.span(0), 140);
-        let b = agg.breakdown(0);
-        assert_eq!(b.total() + agg.idle(0) - agg.overlap(0), agg.span(0));
-    }
-
-    #[test]
-    fn crosscheck_matches_and_reports_divergence() {
-        let mut agg = Fig4Agg::new(2);
-        agg.observe_slice(0, 0, TimeCat::Task, 30);
-        agg.observe_slice(1, 0, TimeCat::Sync, 7);
-        let mut stats = RunStats::new(2);
-        stats.breakdowns[0].add(TimeCat::Task, 30);
-        stats.breakdowns[1].add(TimeCat::Sync, 7);
-        assert!(agg.crosscheck(&stats).is_ok());
-        stats.breakdowns[1].add(TimeCat::Sync, 1);
-        let err = agg.crosscheck(&stats).unwrap_err();
-        assert!(err.contains("P1"), "divergence names the processor: {err}");
-        assert!(err.contains("sync"), "divergence names the category: {err}");
-    }
-
-    #[test]
-    fn crosscheck_rejects_proc_count_mismatch() {
-        let agg = Fig4Agg::new(2);
-        assert!(agg.crosscheck(&RunStats::new(3)).is_err());
+        assert_eq!(100 + 80 + agg.idle(0) - agg.overlap(0), agg.span(0));
     }
 }

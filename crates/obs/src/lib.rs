@@ -9,12 +9,16 @@
 //! message sends and receives, downgrade progress, poll-point drains, line
 //! locks, pending-state transitions, and execution-time slices — into a
 //! [`Recorder`]. The recorder keeps a bounded per-processor ring of recent
-//! events for timeline export and *streams* every time slice into a
-//! [`Fig4Agg`], so the Figure 4 execution-time breakdown can be derived from
-//! the event stream itself and cross-checked against the `shasta-stats`
-//! counters (any divergence is a bug in one of the two paths). The same
-//! zero-tolerance idea extends to Figures 6 and 7: [`MissAgg`] and
-//! [`MsgAgg`] rederive the miss and message counters from the stream.
+//! events for timeline export and *streams* every event through a few
+//! aggregators that hold what `shasta-stats`' `RunStats` does not: whether
+//! the time slices tile each processor's clock ([`Fig4Agg`]: idle, overlap,
+//! span), Figure 8's direction split ([`DowngradeAgg`]), and the engine's
+//! sends classified by placement ([`MsgAgg`]). The figure counters
+//! themselves have one producer: the engine folds each miss, downgrade and
+//! slice into `RunStats` at the line that emits the event, recording or
+//! not. Messages alone are counted in two *layers* — the engine's sends
+//! here, the transport's own `MsgStats` — and [`EventLog::crosscheck`]
+//! demands the two agree exactly.
 //!
 //! On top of the raw stream sits the **sharing profiler**
 //! ([`profile::ProfileAgg`]): per-block sharing histories classified into
@@ -28,8 +32,6 @@
 //! * [`chrome::to_chrome_json`] renders an [`EventLog`] in the Chrome
 //!   `trace_event` JSON format, which opens in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev) as a per-processor timeline.
-//! * [`Fig4Agg::breakdown`] reproduces the per-processor Figure 4 breakdown
-//!   from the slice stream alone.
 //! * [`profile::ProfileAgg::advise`] emits one granularity recommendation
 //!   per allocation site, with evidence.
 //! * [`critpath::analyze`] reconstructs the run's causal DAG from the
@@ -38,11 +40,10 @@
 //!   `[0, elapsed_cycles)` exactly (zero-tolerance accounting), rendered
 //!   by `shasta_stats::critical_path_report`.
 //!
-//! Recording is compiled out entirely when the `obs` feature of
-//! `shasta-core` is disabled; this crate itself is dependency-light (only
-//! `shasta-stats`, for [`TimeCat`](shasta_stats::TimeCat) and
-//! [`Breakdown`](shasta_stats::Breakdown)) and never allocates on the
-//! record path once the rings are at capacity.
+//! A disabled recorder costs the engine one branch per event. This crate
+//! is dependency-light (only `shasta-stats`, for the counter and category
+//! types the events carry) and never allocates on the record path once the
+//! rings are at capacity.
 //!
 //! See `docs/OBSERVABILITY.md` for the event schema, the ring-buffer
 //! design, and a worked example that captures the Figure 2(b) downgrade
@@ -65,4 +66,4 @@ pub use hints::{hints_from_reports, HintFile, SiteHint};
 pub use metrics::{Counter, Gauge, Histogram, HistogramHandle, Registry};
 pub use profile::{ProfileAgg, Recommendation, SharingPattern, SiteReport, SpaceMap};
 pub use recorder::{EventLog, ProcEvents, Recorder};
-pub use rederive::{DowngradeAgg, MissAgg, MsgAgg};
+pub use rederive::{DowngradeAgg, MsgAgg};

@@ -540,7 +540,7 @@ impl SiteReport {
 }
 
 /// Streaming sharing-pattern aggregator. Fed every recorded event (before
-/// ring eviction, like the Figure 4 aggregator), so its histories cover the
+/// ring eviction, like every streamed aggregator), so its histories cover the
 /// whole run regardless of ring capacity.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileAgg {

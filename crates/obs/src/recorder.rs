@@ -1,13 +1,13 @@
 //! The recorder: per-processor bounded event rings plus the streaming
-//! aggregators (Figure 4 slices, Figure 6/7 rederivation, the sharing
-//! profiler), and the immutable [`EventLog`] a finished run hands to the
-//! exporters.
+//! aggregators (slice tiling, Figure 7 messages, Figure 8 directions, the
+//! sharing profiler), and the immutable [`EventLog`] a finished run hands to
+//! the exporters.
 
 use crate::event::{Event, EventKind};
 use crate::fig4::Fig4Agg;
 use crate::profile::{ProfileAgg, SpaceMap};
-use crate::rederive::{DowngradeAgg, MissAgg, MsgAgg};
-use shasta_stats::{MsgClass, RunStats};
+use crate::rederive::{DowngradeAgg, MsgAgg};
+use shasta_stats::{MsgClass, MsgStats};
 
 /// Bounded ring of recent events for one processor. When full, the oldest
 /// event is overwritten and counted as dropped — the exported timeline is a
@@ -53,12 +53,11 @@ impl ProcRing {
 ///
 /// A disabled recorder (the default) reduces every [`record`](Self::record)
 /// call to a single branch; an enabled one appends to the acting
-/// processor's ring and streams time slices into the [`Fig4Agg`].
+/// processor's ring and streams the events into the aggregators.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     rings: Vec<ProcRing>,
     agg: Fig4Agg,
-    miss: MissAgg,
     dg: DowngradeAgg,
     msg: Option<MsgAgg>,
     profile: Option<ProfileAgg>,
@@ -92,7 +91,6 @@ impl Recorder {
         Recorder {
             rings: (0..procs).map(|_| ProcRing::new(ring_capacity)).collect(),
             agg: Fig4Agg::new(procs),
-            miss: MissAgg::default(),
             dg: DowngradeAgg::default(),
             msg: None,
             profile: None,
@@ -134,8 +132,8 @@ impl Recorder {
 
     /// Attaches a shared-space snapshot, enabling the message-class
     /// rederivation and the sharing profiler (both need the allocation table
-    /// and processor placement). Call after application setup so every
-    /// allocation — and its site label — is known.
+    /// and processor placement). `Machine::run` does this as it starts, when
+    /// every allocation — and its site label — is known.
     pub fn attach_map(&mut self, map: SpaceMap) {
         self.msg = Some(MsgAgg::new(map.clone()));
         self.profile = Some(ProfileAgg::new(map));
@@ -169,10 +167,9 @@ impl Recorder {
         }
         let staged = std::mem::take(&mut self.staged);
         for e in &staged {
-            if let EventKind::Slice { cat, cycles } = e.kind {
-                self.agg.observe_slice(e.proc, e.t, cat, cycles);
+            if let EventKind::Slice { cycles, .. } = e.kind {
+                self.agg.observe_slice(e.proc, e.t, cycles);
             }
-            self.miss.observe(&e.kind);
             self.dg.observe(&e.kind);
             if let Some(msg) = &mut self.msg {
                 msg.observe(e.proc, &e.kind);
@@ -200,7 +197,6 @@ impl Recorder {
                 })
                 .collect(),
             agg: self.agg,
-            miss: self.miss,
             dg: self.dg,
             msg: self.msg,
             profile: self.profile,
@@ -218,12 +214,11 @@ pub struct ProcEvents {
 }
 
 /// Everything recorded during one run: per-processor timelines plus the
-/// streamed Figure 4 aggregation.
+/// streamed aggregates.
 #[derive(Clone, Debug)]
 pub struct EventLog {
     procs: Vec<ProcEvents>,
     agg: Fig4Agg,
-    miss: MissAgg,
     dg: DowngradeAgg,
     msg: Option<MsgAgg>,
     profile: Option<ProfileAgg>,
@@ -255,18 +250,14 @@ impl EventLog {
         self.procs.iter().map(|pe| pe.dropped).sum()
     }
 
-    /// The Figure 4 aggregation streamed during the run (covers the whole
-    /// run regardless of ring eviction).
+    /// The slice-tiling audit streamed during the run (covers the whole run
+    /// regardless of ring eviction).
     pub fn fig4(&self) -> &Fig4Agg {
         &self.agg
     }
 
-    /// The event-derived Figure 6 miss counters (streamed, run-wide).
-    pub fn misses(&self) -> &MissAgg {
-        &self.miss
-    }
-
-    /// The event-derived Figure 8 downgrade counters (streamed, run-wide).
+    /// Figure 8's direction split, acknowledgements and resolutions
+    /// (streamed, run-wide).
     pub fn downgrades(&self) -> &DowngradeAgg {
         &self.dg
     }
@@ -283,27 +274,23 @@ impl EventLog {
         self.profile.as_ref()
     }
 
-    /// Cross-checks every event-derived aggregate against the engine's own
-    /// counters in `stats`: the Figure 4 breakdown, the Figure 6 misses, the
-    /// Figure 8 downgrades and, when a [`SpaceMap`] was attached, the
-    /// Figure 7 messages, whose per-kind table must also re-sum to the class
-    /// totals. Both sides are produced at the same call sites, so equality
-    /// is exact; the first divergence is returned.
-    pub fn crosscheck(&self, stats: &RunStats) -> Result<(), String> {
-        self.agg.crosscheck(stats)?;
-        self.miss.crosscheck(&stats.misses)?;
-        self.dg.crosscheck(&stats.downgrades)?;
-        if let Some(msgs) = &self.msg {
-            msgs.crosscheck(&stats.messages)?;
-            let kinds = msgs.by_kind().fold((0, 0), |(c, b), (_, n, bytes)| (c + n, b + bytes));
-            let classes = MsgClass::ALL.iter().fold((0, 0), |(c, b), &class| {
-                (c + stats.messages.count(class), b + stats.messages.payload_bytes(class))
-            });
-            if kinds != classes {
-                return Err(format!(
-                    "per-kind message (count, bytes) {kinds:?} != class totals {classes:?}"
-                ));
-            }
+    /// Cross-checks the one statistic two layers produce: the messages the
+    /// engine reported sending (`msg-send` events, classified against the
+    /// attached [`SpaceMap`]) against the transport's own count, `messages`
+    /// (`RunStats::messages`). Equality is exact in every class count and
+    /// payload-byte total, and the per-kind table must re-sum to the class
+    /// totals; the first divergence is returned. Vacuous without a map.
+    pub fn crosscheck(&self, messages: &MsgStats) -> Result<(), String> {
+        let Some(msgs) = &self.msg else { return Ok(()) };
+        msgs.crosscheck(messages)?;
+        let kinds = msgs.by_kind().fold((0, 0), |(c, b), (_, n, bytes)| (c + n, b + bytes));
+        let classes = MsgClass::ALL.iter().fold((0, 0), |(c, b), &class| {
+            (c + messages.count(class), b + messages.payload_bytes(class))
+        });
+        if kinds != classes {
+            return Err(format!(
+                "per-kind message (count, bytes) {kinds:?} != class totals {classes:?}"
+            ));
         }
         Ok(())
     }
@@ -317,6 +304,7 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::AllocSite;
     use shasta_stats::TimeCat;
 
     #[test]
@@ -352,22 +340,39 @@ mod tests {
         }
         let log = r.into_log();
         assert_eq!(log.proc(0).events.len(), 2, "timeline is a suffix");
-        assert_eq!(log.fig4().breakdown(0).get(TimeCat::Task), 100, "aggregation sees all");
-        assert_eq!(log.fig4().span(0), 100);
+        assert_eq!(log.fig4().span(0), 100, "aggregation sees all");
+        assert_eq!(log.fig4().idle(0), 0);
     }
 
     #[test]
-    fn crosscheck_names_the_aggregate_that_diverges() {
-        let mut r = Recorder::enabled(1, 8);
-        r.record(0, 0, EventKind::Slice { cat: TimeCat::Task, cycles: 10 });
-        r.record(10, 0, EventKind::DowngradeStart { block: 0x40, to_invalid: true, targets: 1 });
+    fn crosscheck_names_the_message_class_that_diverges() {
+        let mut r = Recorder::enabled(2, 8);
+        r.attach_map(SpaceMap {
+            line_bytes: 64,
+            proc_phys_node: vec![0, 1],
+            proc_coh_node: vec![0, 1],
+            allocs: vec![AllocSite { start: 0x1000, len: 256, block_bytes: 128, label: "a" }],
+        });
+        r.record(0, 0, EventKind::MsgSend { msg: "read-req", peer: 1, block: 0x1000 });
+        r.record(9, 1, EventKind::MsgSend { msg: "read-reply", peer: 0, block: 0x1000 });
+        // Facts of other layers are no part of the comparison.
+        r.record(9, 0, EventKind::DowngradeStart { block: 0x40, to_invalid: true, targets: 1 });
         let log = r.into_log();
-        let mut stats = RunStats::new(1);
-        stats.breakdowns[0].add(TimeCat::Task, 10);
-        let err = log.crosscheck(&stats).unwrap_err();
-        assert!(err.contains("downgrade"), "the histogram diverges, not the breakdown: {err}");
-        stats.downgrades.record(1);
-        assert_eq!(log.crosscheck(&stats), Ok(()));
+
+        let mut net = MsgStats::default();
+        net.record(MsgClass::Remote, 0);
+        let err = log.crosscheck(&net).unwrap_err();
+        assert!(err.contains("remote messages: network 1, events 2"), "{err}");
+        net.record(MsgClass::Remote, 64);
+        let err = log.crosscheck(&net).unwrap_err();
+        assert!(err.contains("remote payload bytes: network 64, events 128"), "{err}");
+
+        let mut net = MsgStats::default();
+        net.record(MsgClass::Remote, 0);
+        net.record(MsgClass::Remote, 128);
+        assert_eq!(log.crosscheck(&net), Ok(()));
+        // Without a map there is nothing to classify against.
+        assert_eq!(Recorder::enabled(1, 8).into_log().crosscheck(&net), Ok(()));
     }
 
     #[test]

@@ -1,73 +1,24 @@
-//! Event-derived reconstructions of the engine's Figure 6 / Figure 7
-//! counters, extending the zero-tolerance crosscheck beyond Figure 4.
+//! Event-derived aggregates the engine's own counters do not hold.
 //!
-//! [`MissAgg`] rebuilds [`MissStats`] from `miss-resolved`, `false-miss`,
-//! `private-upgrade` and `miss-merged` events; [`MsgAgg`] rebuilds
-//! [`MsgStats`] from `msg-send` events plus the [`SpaceMap`] (message class
-//! follows physical placement exactly as in the network layer, and reply
-//! payloads are whole blocks), keeping a per-message-kind count/byte table
-//! on the side; [`DowngradeAgg`] rebuilds the Figure 8 [`DowngradeHist`]
-//! from `downgrade-start` events. All are streamed at record time, so ring
-//! eviction cannot lose counts, and all offer a `crosscheck` that demands
-//! **exact** equality against the engine's own counters.
+//! [`MsgAgg`] rebuilds [`MsgStats`] from `msg-send` events plus the
+//! [`SpaceMap`] (message class follows physical placement exactly as in the
+//! network layer, and reply payloads are whole blocks), keeping a
+//! per-message-kind count/byte table on the side. Messages are the one
+//! statistic with two producers in two *layers* — the engine's sends here,
+//! the transport's own count in `RunStats::messages` — so [`MsgAgg`] keeps a
+//! `crosscheck` demanding **exact** equality between them. [`DowngradeAgg`]
+//! adds Figure 8's direction split, acknowledgements and resolutions to the
+//! histogram `RunStats` carries. Both are streamed at record time, so ring
+//! eviction cannot lose counts. (Misses, downgrade histograms and the
+//! Figure 4 breakdown have one producer: the engine folds them into
+//! `RunStats` where it emits the event.)
 
 use std::collections::BTreeMap;
 
-use shasta_stats::{DowngradeHist, Hops, MissKind, MissStats, MsgClass, MsgStats};
+use shasta_stats::{MsgClass, MsgStats};
 
 use crate::event::EventKind;
 use crate::profile::SpaceMap;
-
-/// Streaming reconstruction of [`MissStats`] from the event stream.
-#[derive(Clone, Debug, Default)]
-pub struct MissAgg {
-    stats: MissStats,
-}
-
-impl MissAgg {
-    /// Feeds one event.
-    pub fn observe(&mut self, kind: &EventKind) {
-        match *kind {
-            EventKind::MissResolved { kind, hops, .. } => self.stats.record(kind, hops),
-            EventKind::FalseMiss { .. } => self.stats.false_misses += 1,
-            EventKind::PrivateUpgrade { .. } => self.stats.private_upgrades += 1,
-            EventKind::MissMerged { .. } => self.stats.merged += 1,
-            _ => {}
-        }
-    }
-
-    /// The rederived counters.
-    pub fn stats(&self) -> &MissStats {
-        &self.stats
-    }
-
-    /// Compares the event-derived counters against the engine's, demanding
-    /// exact equality in every Figure 6 cell and every auxiliary counter.
-    pub fn crosscheck(&self, engine: &MissStats) -> Result<(), String> {
-        for kind in MissKind::ALL {
-            for hops in Hops::ALL {
-                let (e, d) = (engine.get(kind, hops), self.stats.get(kind, hops));
-                if e != d {
-                    return Err(format!(
-                        "{} {} misses: engine {e}, events {d}",
-                        kind.label(),
-                        hops.label()
-                    ));
-                }
-            }
-        }
-        for (name, e, d) in [
-            ("false misses", engine.false_misses, self.stats.false_misses),
-            ("private upgrades", engine.private_upgrades, self.stats.private_upgrades),
-            ("merged misses", engine.merged, self.stats.merged),
-        ] {
-            if e != d {
-                return Err(format!("{name}: engine {e}, events {d}"));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Streaming reconstruction of [`MsgStats`] from `msg-send` events.
 ///
@@ -126,34 +77,30 @@ impl MsgAgg {
         self.kinds.iter().map(|(&k, &(n, b))| (k, n, b))
     }
 
-    /// Compares the event-derived counters against the engine's, demanding
-    /// exact equality in every Figure 7 count and payload-byte total.
-    pub fn crosscheck(&self, engine: &MsgStats) -> Result<(), String> {
+    /// Compares the event-derived counters against the transport's own,
+    /// demanding exact equality in every Figure 7 count and payload-byte
+    /// total.
+    pub fn crosscheck(&self, network: &MsgStats) -> Result<(), String> {
         for class in MsgClass::ALL {
-            let (e, d) = (engine.count(class), self.stats.count(class));
-            if e != d {
-                return Err(format!("{} messages: engine {e}, events {d}", class.label()));
+            let (n, d) = (network.count(class), self.stats.count(class));
+            if n != d {
+                return Err(format!("{} messages: network {n}, events {d}", class.label()));
             }
-            let (e, d) = (engine.payload_bytes(class), self.stats.payload_bytes(class));
-            if e != d {
-                return Err(format!("{} payload bytes: engine {e}, events {d}", class.label()));
+            let (n, d) = (network.payload_bytes(class), self.stats.payload_bytes(class));
+            if n != d {
+                return Err(format!("{} payload bytes: network {n}, events {d}", class.label()));
             }
         }
         Ok(())
     }
 }
 
-/// Streaming reconstruction of the Figure 8 [`DowngradeHist`] from
-/// `downgrade-start` events, plus the direction split (exclusive→shared vs
-/// exclusive→invalid) and pending-downgrade resolutions the engine's
-/// histogram does not keep.
-///
-/// The engine records `downgrades.record(targets)` at the same point it
-/// emits `downgrade-start`, so parity is 1:1 — including zero-target
-/// downgrades (nothing to flush, bucket 0).
+/// What `downgrade-start` / `-ack` / `-done` events say beyond the Figure 8
+/// histogram in `RunStats::downgrades`: the direction split
+/// (exclusive→shared vs exclusive→invalid), acknowledgements, and
+/// pending-downgrade resolutions.
 #[derive(Clone, Debug, Default)]
 pub struct DowngradeAgg {
-    hist: DowngradeHist,
     to_shared: u64,
     to_invalid: u64,
     resolutions: u64,
@@ -164,23 +111,12 @@ impl DowngradeAgg {
     /// Feeds one event.
     pub fn observe(&mut self, kind: &EventKind) {
         match *kind {
-            EventKind::DowngradeStart { to_invalid, targets, .. } => {
-                self.hist.record(targets as usize);
-                if to_invalid {
-                    self.to_invalid += 1;
-                } else {
-                    self.to_shared += 1;
-                }
-            }
+            EventKind::DowngradeStart { to_invalid: true, .. } => self.to_invalid += 1,
+            EventKind::DowngradeStart { to_invalid: false, .. } => self.to_shared += 1,
             EventKind::DowngradeAck { .. } => self.acks += 1,
             EventKind::DowngradeDone { .. } => self.resolutions += 1,
             _ => {}
         }
-    }
-
-    /// The rederived Figure 8 histogram.
-    pub fn hist(&self) -> &DowngradeHist {
-        &self.hist
     }
 
     /// Downgrades that left the block shared (exclusive→shared).
@@ -202,62 +138,12 @@ impl DowngradeAgg {
     pub fn acks(&self) -> u64 {
         self.acks
     }
-
-    /// Compares the event-derived histogram against the engine's, demanding
-    /// exact equality in every bucket.
-    pub fn crosscheck(&self, engine: &DowngradeHist) -> Result<(), String> {
-        for i in 0..DowngradeHist::BUCKETS {
-            let (e, d) = (engine.count(i), self.hist.count(i));
-            if e != d {
-                return Err(format!("downgrades with {i} msgs: engine {e}, events {d}"));
-            }
-        }
-        if engine.total() != self.hist.total() {
-            return Err(format!(
-                "downgrade total: engine {}, events {}",
-                engine.total(),
-                self.hist.total()
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::AllocSite;
-
-    #[test]
-    fn miss_agg_rebuilds_every_counter() {
-        let mut agg = MissAgg::default();
-        agg.observe(&EventKind::MissResolved {
-            block: 0x1000,
-            kind: MissKind::Read,
-            hops: Hops::Two,
-        });
-        agg.observe(&EventKind::MissResolved {
-            block: 0x1000,
-            kind: MissKind::Upgrade,
-            hops: Hops::Three,
-        });
-        agg.observe(&EventKind::FalseMiss { block: 0x1000 });
-        agg.observe(&EventKind::PrivateUpgrade { block: 0x1000 });
-        agg.observe(&EventKind::MissMerged { block: 0x1000 });
-        agg.observe(&EventKind::PollDrain { handled: 1 }); // ignored
-
-        let mut want = MissStats::default();
-        want.record(MissKind::Read, Hops::Two);
-        want.record(MissKind::Upgrade, Hops::Three);
-        want.false_misses = 1;
-        want.private_upgrades = 1;
-        want.merged = 1;
-        assert!(agg.crosscheck(&want).is_ok());
-
-        want.record(MissKind::Write, Hops::Two);
-        let err = agg.crosscheck(&want).unwrap_err();
-        assert!(err.contains("write 2-hop"), "{err}");
-    }
 
     #[test]
     fn msg_agg_classifies_by_placement_and_block_payload() {
@@ -306,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn downgrade_agg_rebuilds_fig8_and_splits_direction() {
+    fn downgrade_agg_splits_direction_and_counts_acks() {
         let mut agg = DowngradeAgg::default();
         agg.observe(&EventKind::DowngradeStart { block: 0x1000, to_invalid: false, targets: 2 });
         agg.observe(&EventKind::DowngradeAck { block: 0x1000, remaining: 1 });
@@ -315,16 +201,8 @@ mod tests {
         agg.observe(&EventKind::DowngradeStart { block: 0x1100, to_invalid: true, targets: 0 });
         agg.observe(&EventKind::PollDrain { handled: 1 }); // ignored
 
-        let mut want = DowngradeHist::default();
-        want.record(2);
-        want.record(0);
-        assert!(agg.crosscheck(&want).is_ok());
         assert_eq!((agg.to_shared(), agg.to_invalid()), (1, 1));
         assert_eq!((agg.resolutions(), agg.acks()), (1, 2));
-
-        want.record(3);
-        let err = agg.crosscheck(&want).unwrap_err();
-        assert!(err.contains("3 msgs"), "{err}");
     }
 
     #[test]

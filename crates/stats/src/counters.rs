@@ -66,7 +66,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     fn idx(cat: TimeCat) -> usize {
-        TimeCat::ALL.iter().position(|&c| c == cat).expect("category in ALL")
+        cat as usize
     }
 
     /// Adds `cycles` to `cat`.
@@ -172,11 +172,11 @@ pub struct MissStats {
 
 impl MissStats {
     fn k(kind: MissKind) -> usize {
-        MissKind::ALL.iter().position(|&x| x == kind).expect("kind in ALL")
+        kind as usize
     }
 
     fn h(hops: Hops) -> usize {
-        Hops::ALL.iter().position(|&x| x == hops).expect("hops in ALL")
+        hops as usize
     }
 
     /// Records one software miss that required a remote request.
@@ -244,7 +244,7 @@ pub struct MsgStats {
 
 impl MsgStats {
     fn c(class: MsgClass) -> usize {
-        MsgClass::ALL.iter().position(|&x| x == class).expect("class in ALL")
+        class as usize
     }
 
     /// Records one message of `class` carrying `payload_bytes` of data.
@@ -494,6 +494,16 @@ mod tests {
         r.read_latency_cycles = 600;
         r.read_latency_count = 3;
         assert!((r.mean_read_latency() - 200.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn all_lists_each_enum_in_discriminant_order() {
+        // The counter arrays are indexed by `variant as usize` and reported
+        // by walking `ALL`: the two orders must be the same one.
+        assert!(TimeCat::ALL.iter().enumerate().all(|(i, &c)| c as usize == i));
+        assert!(MissKind::ALL.iter().enumerate().all(|(i, &k)| k as usize == i));
+        assert!(Hops::ALL.iter().enumerate().all(|(i, &h)| h as usize == i));
+        assert!(MsgClass::ALL.iter().enumerate().all(|(i, &c)| c as usize == i));
     }
 
     #[test]

@@ -60,11 +60,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p shasta-stats -p shasta-obs -p shasta-apps -p shasta-fgdsm \
   -p shasta-bench -p shasta-check -p shasta-transport
 
-echo "==> shasta-core with event recording compiled out (misuse diagnostics, heap-limit invariance)"
-# The unmapped-read rule and map-at-malloc live in core proper: they must
-# hold with the recording hooks compiled out too.
-cargo test -q -p shasta-core --no-default-features --test misuse --test heap_limit
-
 echo "==> obs-block-state feature matrix (tier-1 on, fig4 byte-identical off vs on)"
 # Per-transition block-state events are compiled out by default; turning
 # them on must not change any aggregate-derived output (they feed only the
@@ -79,7 +74,7 @@ cargo run --release -p shasta-bench --features shasta-core/obs-block-state \
 diff -u "$fig4_off" "$fig4_on" || { echo "fig4 diverged with obs-block-state"; exit 1; }
 rm -f "$fig4_off" "$fig4_on"
 
-echo "==> trace-capture smoke (tiny preset, event/counter cross-check + Chrome export)"
+echo "==> trace-capture smoke (tiny preset, engine/network message cross-check + Chrome export)"
 trace_tmp="$(mktemp /tmp/shasta-ci-trace.XXXXXX.json)"
 cargo run --release -p shasta-bench --bin fig4_breakdown -- \
   --preset tiny --trace "$trace_tmp" > /dev/null
@@ -107,9 +102,10 @@ diff -u "$ck_off" "$ck_on" || { echo "checker trace diverged with metrics enable
 rm -f "$m_off" "$m_on" "$ck_off" "$ck_on"
 
 echo "==> topology-breakdown smoke (--quick: every ClusterKind, exact cycle accounting)"
-# The binary itself asserts the event-derived breakdown accounts for every
-# cycle (zero tolerance vs the shasta-stats counters) and that the
-# metrics-on twin of each cell is simulated-cycle-identical.
+# The binary itself asserts that the shasta-stats breakdown plus the idle
+# gaps between recorded slices account for every cycle of every processor
+# (zero tolerance) and that the metrics-on twin of each cell is
+# simulated-cycle-identical.
 topo_tmp="$(mktemp /tmp/shasta-ci-topo.XXXXXX.json)"
 cargo run --release -p shasta-bench --bin topology_breakdown -- \
   --quick --out "$topo_tmp" > /dev/null
@@ -247,6 +243,17 @@ test -s "$wt_tmp" || { echo "merged engine+wire trace is empty"; exit 1; }
 grep -q '"cat":"wire"' "$wt_tmp" || { echo "merged trace carries no wire events"; exit 1; }
 diff -u "$tc_a" "$tc_b" || { echo "sim-backend counters are not deterministic"; exit 1; }
 rm -f "$tb_a" "$tb_b" "$tc_a" "$tc_b" "$wt_tmp"
+
+echo "==> paper figures byte-identical to the archive (Figures 4, 6, 7, 8 at Default vs results/)"
+# Every statistic has one producer, so what guards a refactor of it is the
+# archived output itself (~30 s together on two CPUs).
+for fig in fig4_breakdown fig6_misses fig7_messages fig8_downgrades; do
+  cargo run --release -p shasta-bench --bin "$fig" | diff -u "results/$fig.txt" - \
+    || { echo "$fig diverged from results/$fig.txt"; exit 1; }
+done
+
+echo "==> vendor/ holds no stand-in beyond proptest and the serde pair"
+test "$(ls vendor | tr '\n' ' ')" = "proptest serde serde_derive "
 
 echo "==> trajectory summary (the generic printer reads every tracked BENCH_*.json)"
 scripts/bench_summary.sh > /dev/null
