@@ -13,7 +13,9 @@
 //!   which is exactly the paper's "poll at loop back-edges" rule: a message
 //!   is never handled between an inline check and its load or store).
 
-use shasta_sim::{FiberPool, Time};
+use std::panic::resume_unwind;
+
+use shasta_sim::{Engine, FiberPool, Stop, Time};
 use shasta_stats::{MissKind, RunStats, TimeCat};
 
 use crate::api::{Dsm, Req, Resp};
@@ -46,12 +48,48 @@ pub(crate) struct Exec {
     /// minimal-time entries each iteration (the deterministic default picks
     /// the first minimal `(time, proc)`, the historical behavior).
     cands: Vec<(Time, u32, Action)>,
+    /// A shard's executed events since the coordinator last took them (see
+    /// [`Machine::run_events`]); empty for the serial engine.
+    pub(crate) log: Vec<EventEntry>,
+    /// Whether the loop stopped inside an iteration, at an answer: re-entry
+    /// finishes that iteration (the rest of `ahead`, the oracle sweep) first.
+    open: bool,
+    /// The run-ahead in progress: the processor and the key its ops must
+    /// stay below.
+    ahead: Option<(u32, Option<(Time, u32)>)>,
+    /// Whether the serial loop has yet to capture elapsed time.
+    elapsed_pending: bool,
 }
 
 impl Exec {
     pub(crate) fn new(pool: FiberPool<Req, Resp>, procs: Vec<u32>) -> Self {
         let cands = Vec::with_capacity(2 * procs.len());
-        Exec { pool, procs, cands }
+        Exec {
+            pool,
+            procs,
+            cands,
+            log: Vec::new(),
+            open: false,
+            ahead: None,
+            elapsed_pending: true,
+        }
+    }
+}
+
+/// The serial engine as the fibers run it: the whole machine, and one event
+/// loop over every processor in an unbounded window.
+struct Serial {
+    m: Machine,
+    ex: Exec,
+}
+
+impl Engine<Req, Resp> for Serial {
+    fn pool(&mut self) -> &mut FiberPool<Req, Resp> {
+        &mut self.ex.pool
+    }
+
+    fn run(&mut self) -> Stop<Resp> {
+        self.m.run_events(&mut self.ex, None)
     }
 }
 
@@ -109,10 +147,23 @@ impl Machine {
             crate::protocol::pdes::run_sharded(self, bodies, lookahead);
         } else {
             // The serial engine is the one-shard case: a single event loop
-            // over every processor, in an unbounded window.
+            // over every processor, in an unbounded window. The fibers run
+            // it themselves, so the machine moves into the engine they share
+            // for the run and `self` holds a placeholder meanwhile; it is
+            // back before anything else happens, panics included.
             let fibers = bodies.into_iter().enumerate().map(|(p, b)| fiber_body(p as u32, b));
-            let mut ex = Exec::new(FiberPool::spawn_each(fibers.collect()), (0..n).collect());
-            self.run_events(&mut ex, None);
+            let ex = Exec::new(FiberPool::spawn_each(fibers.collect()), (0..n).collect());
+            let line = self.space.line_bytes();
+            let placeholder =
+                Machine::with_line_size(self.topo.clone(), self.cost.clone(), self.cfg, 0, line);
+            let m = std::mem::replace(self, placeholder);
+            let (Serial { m, ex }, ended) = Serial { m, ex }.drive();
+            *self = m;
+            if let Err(panic) = ended {
+                // Dropping the pool unwinds the fibers before the panic leaves.
+                drop(ex);
+                resume_unwind(panic);
+            }
             if ex.pool.live_count() != 0 || self.net.in_flight() != 0 {
                 self.deadlock_panic(&ex.pool);
             }
@@ -128,8 +179,13 @@ impl Machine {
 
     /// The event loop — the only one. Executes `ex`'s scheduling events in
     /// exactly serial order: minimal `(time, proc)` first, ties broken by
-    /// candidate-scan position via the schedule policy. Returns when no
-    /// candidate is left (termination, or deadlock: the caller tells which).
+    /// candidate-scan position via the schedule policy. Returns
+    /// [`Stop::Resume`] where it answers the request a parked fiber waits on
+    /// (posted requests and a finished fiber's tail never stop it), and
+    /// [`Stop::Idle`] when no candidate is left (termination, or deadlock:
+    /// the caller tells which). Whoever delivers the answer re-enters it,
+    /// once the fiber has handed over its next batch, and it carries on
+    /// where it stopped.
     ///
     /// `window` is `None` for the serial engine. A shard of the parallel
     /// engine passes its lookahead window, which switches on the three
@@ -139,26 +195,35 @@ impl Machine {
     /// window early (shard-local key order must be preserved, so skipping
     /// just the unsafe event is not an option); and every executed event —
     /// batched ops included, the barrier merge needs them individually — is
-    /// logged for the coordinator (the returned log is empty otherwise).
-    pub(crate) fn run_events(&mut self, ex: &mut Exec, window: Option<Window>) -> Vec<EventEntry> {
-        let mut log = Vec::new();
-        // Run-ahead batching needs what sharding needs (so shards always
-        // batch): see `unobserved_steps`.
-        let fast_mode = self.unobserved_steps();
-        // Elapsed time is the clock maximum at the first instant the last
-        // fiber has finished. Only the serial loop sees that instant; for
-        // shards the coordinator replays it from the merged logs.
-        let mut elapsed_pending = window.is_none();
-
+    /// logged in `ex.log` for the coordinator.
+    pub(crate) fn run_events(&mut self, ex: &mut Exec, window: Option<Window>) -> Stop<Resp> {
         loop {
+            if ex.open {
+                if let Some(stop) = self.run_ahead(ex, window) {
+                    return stop;
+                }
+                ex.open = false;
+                // Checker-only: at quiescent moments the full invariant sweep
+                // is sound (no transaction is mid-flight), so run it
+                // periodically.
+                if self.oracle.is_some()
+                    && self.sched.steps().is_multiple_of(512)
+                    && self.oracle_quiescent()
+                {
+                    self.oracle_quiescent_sweep();
+                }
+            }
             self.scan(ex);
-            if elapsed_pending && ex.pool.live_count() == 0 {
+            // Elapsed time is the clock maximum at the first instant the last
+            // fiber has finished. Only the serial loop sees that instant; for
+            // shards the coordinator replays it from the merged logs.
+            if window.is_none() && ex.elapsed_pending && ex.pool.live_count() == 0 {
                 self.stats.elapsed_cycles =
                     self.clocks.iter().map(|t| t.cycles()).max().unwrap_or(0);
-                elapsed_pending = false;
+                ex.elapsed_pending = false;
             }
             if ex.cands.is_empty() {
-                break;
+                return Stop::Idle;
             }
             let pick = self.sched.pick(&ex.cands, |c| (c.0, c.1));
             let (t, p, action) = ex.cands[pick];
@@ -169,90 +234,91 @@ impl Machine {
             }
             if let Some(w) = window {
                 if t >= w.end {
-                    break;
+                    return Stop::Idle;
                 }
                 if action == Action::Op && w.h_key != Some((t, p)) {
                     let pre = ex.pool.peek_request(p).expect("op without request").pre_cycles();
                     if !self.op_poll_safe(t, p, pre, w.end) {
-                        break;
+                        return Stop::Idle;
                     }
                 }
             }
 
             self.sched_dirty = false;
-            if self.step(ex, (t, p, action), window.is_some(), &mut log) && fast_mode {
-                // Run-ahead: keep servicing `p`'s consecutive ops without
-                // rescanning while (a) no action touched another processor's
-                // candidate (`sched_dirty`), and (b) `p`'s next op is still
-                // strictly earlier than every other candidate from the scan
-                // and inside the window. Staleness is one-sided — candidates
-                // can only *disappear* while `sched_dirty` stays false — so
-                // `bound` is conservative and early exit is the worst case.
+            ex.open = true;
+            let answer = self.step(ex, (t, p, action), window.is_some());
+            // Run-ahead (needs what sharding needs, so shards always batch:
+            // see `unobserved_steps`): an answered `Op` lets `p`'s consecutive
+            // ops run without rescanning while `p`'s next op stays strictly
+            // earlier than every other candidate from the scan and inside the
+            // window. Staleness is one-sided — candidates can only
+            // *disappear* while `sched_dirty` stays false — so the bound is
+            // conservative and early exit is the worst case.
+            if action == Action::Op && self.stalls[p as usize].is_none() && self.unobserved_steps()
+            {
                 let others = ex.cands.iter().enumerate().filter(|&(j, _)| j != pick);
                 let bound = others.map(|(_, c)| (c.0, c.1)).chain(window.map(|w| (w.end, 0))).min();
-                loop {
-                    if self.sched_dirty || ex.pool.is_finished(p) {
-                        break;
-                    }
-                    let Some(req) = ex.pool.peek_request(p) else { break };
-                    let key = (self.clocks[p as usize] + req.pre_cycles(), p);
-                    if bound.is_some_and(|b| key >= b) {
-                        break;
-                    }
-                    // Batched ops are never the global minimum (they follow
-                    // the first op of the batch), so the poll guard applies
-                    // to each; re-checked every iteration because the op
-                    // itself may have posted a local message arriving inside
-                    // the window.
-                    if window.is_some_and(|w| !self.op_poll_safe(key.0, p, req.pre_cycles(), w.end))
-                    {
-                        break;
-                    }
-                    if !self.step(ex, (key.0, p, Action::Op), window.is_some(), &mut log) {
-                        break;
-                    }
-                }
+                ex.ahead = Some((p, bound));
             }
-            // Checker-only: at quiescent moments the full invariant sweep is
-            // sound (no transaction is mid-flight), so run it periodically.
-            if self.oracle.is_some()
-                && self.sched.steps().is_multiple_of(512)
-                && self.oracle_quiescent()
-            {
-                self.oracle_quiescent_sweep();
+            if let Some(resp) = answer {
+                return Stop::Resume(p, resp);
             }
         }
-        log
     }
 
-    /// Executes one scheduling event, logging it when `sharded`. Returns
-    /// `true` exactly when it was an `Op` whose fiber was resumed, i.e. when
-    /// the same processor's next operation is already pending.
+    /// Services `ex.ahead`'s processor's consecutive ops while (a) no action
+    /// touched another processor's candidate (`sched_dirty`), and (b) the
+    /// next op is still under the bound. Returns the stop at an op that
+    /// answers its parked fiber, `ex.ahead` kept for the re-entry.
+    fn run_ahead(&mut self, ex: &mut Exec, window: Option<Window>) -> Option<Stop<Resp>> {
+        while let Some((p, bound)) = ex.ahead {
+            if self.sched_dirty || ex.pool.is_finished(p) {
+                break;
+            }
+            let Some(req) = ex.pool.peek_request(p) else { break };
+            let key = (self.clocks[p as usize] + req.pre_cycles(), p);
+            if bound.is_some_and(|b| key >= b) {
+                break;
+            }
+            // Batched ops are never the global minimum (they follow the
+            // first op of the batch), so the poll guard applies to each;
+            // re-checked every iteration because the op itself may have
+            // posted a local message arriving inside the window.
+            if window.is_some_and(|w| !self.op_poll_safe(key.0, p, req.pre_cycles(), w.end)) {
+                break;
+            }
+            if let Some(resp) = self.step(ex, (key.0, p, Action::Op), window.is_some()) {
+                return Some(Stop::Resume(p, resp));
+            }
+            if self.stalls[p as usize].is_some() {
+                break;
+            }
+        }
+        ex.ahead = None;
+        None
+    }
+
+    /// Executes one scheduling event, logging it when `sharded`. Returns the
+    /// reply `p`'s fiber is parked for, if the event answered it.
     fn step(
         &mut self,
         ex: &mut Exec,
         (t, p, action): (Time, u32, Action),
         sharded: bool,
-        log: &mut Vec<EventEntry>,
-    ) -> bool {
+    ) -> Option<Resp> {
         if sharded {
-            self.net.pdes_begin_event(log.len() as u32);
+            self.net.pdes_begin_event(ex.log.len() as u32);
         }
-        let next_op_pending = match action {
+        let answer = match action {
             Action::Op => self.service_op(&mut ex.pool, p),
-            Action::Resume => {
-                if let Some(resp) = self.resume_stalled(p) {
-                    ex.pool.resume(p, resp);
-                }
-                false
-            }
+            Action::Resume => self.resume_stalled(p).and_then(|resp| ex.pool.reply(p, resp)),
             Action::Msg => {
                 self.deliver_inbound(p);
-                false
+                None
             }
         };
         if sharded {
-            log.push(EventEntry {
+            ex.log.push(EventEntry {
                 time: t,
                 proc: p,
                 clock_after: self.clocks[p as usize],
@@ -261,7 +327,7 @@ impl Machine {
                 trace_upto: self.trace.len() as u32,
             });
         }
-        next_op_pending
+        answer
     }
 
     /// Refills `ex.cands` with every schedulable action of `ex`'s
@@ -422,9 +488,10 @@ impl Machine {
     }
 
     /// Executes one pending operation of `p` end to end: compute charge,
-    /// inline-check surrogate, poll, execute. Returns `true` if the fiber was
-    /// resumed (its next request is now pending), `false` if it stalled.
-    pub(crate) fn service_op(&mut self, pool: &mut FiberPool<Req, Resp>, p: u32) -> bool {
+    /// inline-check surrogate, poll, execute. Returns the reply `p`'s fiber
+    /// is parked for, if the op was answered and was the last it handed over
+    /// (an op that stalls leaves a stall record instead).
+    pub(crate) fn service_op(&mut self, pool: &mut FiberPool<Req, Resp>, p: u32) -> Option<Resp> {
         let req = pool.take_request(p).expect("scheduled op without request");
         self.charge(p, TimeCat::Task, req.pre_cycles());
         // Inline checks on the accesses inside compute loops.
@@ -434,13 +501,11 @@ impl Machine {
             self.stats.checks.check_cycles += surrogate;
         }
         self.drain_messages(p);
-        if let Some(resp) = self.exec_op(p, &req, false) {
-            pool.resume(p, resp);
-            true
-        } else {
+        let Some(resp) = self.exec_op(p, &req, false) else {
             debug_assert!(self.stalls[p as usize].is_some(), "no response and no stall");
-            false
-        }
+            return None;
+        };
+        pool.reply(p, resp)
     }
 
     /// Handles every message that has arrived at `p` by its current clock

@@ -79,12 +79,6 @@ impl Machine {
         self.handle_home_request_at(p, home, requester, kind, block);
     }
 
-    /// Processes a read / write / upgrade request arriving at its home.
-    #[allow(dead_code)]
-    fn handle_home_request(&mut self, home: u32, requester: u32, kind: ReqKind, block: Block) {
-        self.handle_home_request_at(home, home, requester, kind, block);
-    }
-
     /// Home request processing executed by `exec` — normally the home
     /// processor itself; under the shared-directory extension a requester
     /// colocated with the home runs this directly (costs accrue to `exec`,
@@ -695,8 +689,6 @@ impl Machine {
     fn finish_store(&mut self, v: usize, epoch: u64, requester: u32) {
         self.epochs[v].complete_store(epoch);
         self.outstanding_stores[requester as usize] -= 1;
-        let now = self.clocks.iter().max().copied().unwrap_or_default();
-        let _ = now; // wake floors use per-event times below
         let t = self.clocks[requester as usize];
         self.bump_wake(requester, t);
         self.bump_wake_vnode(v, t);

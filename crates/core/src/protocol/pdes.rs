@@ -150,7 +150,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 
 use shasta_cluster::NodeId;
 use shasta_memchan::{Envelope, PdesSendRecord};
-use shasta_sim::{FiberPool, Time, Trace, TraceEvent};
+use shasta_sim::{FiberPool, Stop, Time, Trace, TraceEvent};
 
 use crate::api::Dsm;
 use crate::protocol::engine::{fiber_body, EventEntry, Exec, Window};
@@ -240,7 +240,15 @@ fn serve(execs: &mut Shards, cmd: Cmd) -> Reply {
         Cmd::Run { shard, remap, window } => {
             let exec = execs.get_mut(&shard).expect("run for foreign shard");
             exec.m.net.pdes_apply(&remap, Vec::new());
-            let events = exec.m.run_events(&mut exec.ex, Some(window));
+            // The worker answers with the blocking `resume`, which returns
+            // once the fiber has handed over its next batch or finished: the
+            // answering event's live count includes that.
+            while let Stop::Resume(p, resp) = exec.m.run_events(&mut exec.ex, Some(window)) {
+                exec.ex.pool.resume(p, resp);
+                let answered = exec.ex.log.last_mut().expect("an answer is an event");
+                answered.live_after = exec.ex.pool.live_count() as u32;
+            }
+            let events = take(&mut exec.ex.log);
             let journal = exec.m.net.pdes_take_window();
             let obs_events =
                 if exec.m.obs.is_enabled() { exec.m.obs.take_journal() } else { Vec::new() };

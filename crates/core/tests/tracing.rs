@@ -88,3 +88,28 @@ fn recording_may_be_enabled_before_or_after_setup() {
     assert_eq!(format!("{:?}", before.msgs()), format!("{:?}", after.msgs()));
     assert_eq!(format!("{:?}", before.profile()), format!("{:?}", after.profile()));
 }
+
+/// A violation caught around `Machine::run` leaves the machine readable:
+/// `take_obs` returns what was recorded up to it, each processor's timeline a
+/// prefix of the complete run's. The liveness oracle fires inside the event
+/// loop, on whichever thread is running it.
+#[test]
+fn the_recording_survives_a_caught_violation() {
+    let observed = |steps: u64| {
+        let mut m = machine();
+        m.set_step_limit(steps);
+        m.enable_obs(1_024);
+        let bodies = program(&mut m);
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(bodies)));
+        (ran.map_err(|_| ()), m.take_obs())
+    };
+    let (ran, full) = observed(u64::MAX);
+    ran.expect("an unlimited run finishes");
+    let (ran, cut) = observed(12);
+    assert!(ran.is_err(), "twelve steps cannot finish the program");
+    assert!(!cut.is_empty() && cut.len() < full.len(), "{} of {} events", cut.len(), full.len());
+    for p in 0..8 {
+        let (cut, full) = (&cut.proc(p).events, &full.proc(p).events);
+        assert_eq!(cut[..], full[..cut.len()], "P{p}");
+    }
+}

@@ -24,7 +24,13 @@ struct ProcRing {
 impl ProcRing {
     fn new(cap: usize) -> Self {
         assert!(cap > 0, "ring capacity must be positive");
-        ProcRing { cap, buf: Vec::new(), start: 0, dropped: 0 }
+        // Reserved here, on the thread that enables recording, so that the
+        // run never regrows a ring on whichever fiber runs the engine (each
+        // fiber thread's malloc arena would keep its own freed copies). A
+        // capacity too large to reserve (a test's "unbounded") grows as used.
+        let mut buf = Vec::new();
+        let _ = buf.try_reserve_exact(cap);
+        ProcRing { cap, buf, start: 0, dropped: 0 }
     }
 
     fn push(&mut self, e: Event) {

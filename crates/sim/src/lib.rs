@@ -7,17 +7,18 @@
 //! The Shasta reproduction simulates a 16-processor SMP cluster by *direct
 //! execution*: each simulated processor runs real Rust application code on
 //! its own OS thread, but every protocol-visible action (shared-memory
-//! access, synchronization, polling) is a rendezvous with a single engine
-//! thread that owns all protocol state and global simulated time. The engine
-//! always resumes the processor whose next action has the minimum
-//! `(time, processor-id)`, so runs are bit-reproducible regardless of host
-//! scheduling.
+//! access, synchronization, polling) goes through a single engine that owns
+//! all protocol state and global simulated time — run by an engine thread,
+//! or by whichever fiber holds the baton. The engine always resumes the
+//! processor whose next action has the minimum `(time, processor-id)`, so
+//! runs are bit-reproducible regardless of host scheduling.
 //!
 //! This crate provides the protocol-agnostic machinery:
 //!
 //! * [`Time`] — simulated time in processor cycles,
 //! * [`FiberPool`] — the suspend/resume rendezvous between application
-//!   threads ("fibers") and the engine,
+//!   threads ("fibers") and the engine, and [`Engine`], the event loop the
+//!   fibers run themselves,
 //! * [`SplitMix64`] — a tiny deterministic RNG for workload generation,
 //! * [`trace`] — an optional bounded event trace for debugging.
 //!
@@ -49,7 +50,7 @@ pub mod sched;
 pub mod time;
 pub mod trace;
 
-pub use fiber::{FiberApi, FiberBody, FiberPool, Resumed};
+pub use fiber::{Engine, FiberApi, FiberBody, FiberPool, Resumed, Stop};
 pub use rng::SplitMix64;
 pub use sched::{SchedulePolicy, Scheduler};
 pub use time::Time;

@@ -321,7 +321,13 @@ pub fn encode_msg(msg: &ProtoMsg, out: &mut Vec<u8>) {
 /// [`MAX_FRAME_LEN`] (only possible for a `DATA` frame carrying an
 /// enormous data reply).
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
-    let mut body = Vec::with_capacity(32);
+    // The length prefix is patched in once the body is written behind it.
+    let payload = match frame {
+        Frame::Data(d) => d.msg.payload_bytes() as usize,
+        _ => 0,
+    };
+    let mut body = Vec::with_capacity(64 + payload);
+    put_u32(&mut body, 0);
     match frame {
         Frame::Hello { ver_min, ver_max, node } => {
             body.push(KIND_HELLO);
@@ -352,13 +358,12 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             body.push(KIND_BYE);
         }
     }
-    if body.len() as u64 > u64::from(MAX_FRAME_LEN) {
-        return Err(WireError::FrameTooLong(body.len() as u64));
+    let len = body.len() as u64 - 4;
+    if len > u64::from(MAX_FRAME_LEN) {
+        return Err(WireError::FrameTooLong(len));
     }
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
-    Ok(out)
+    body[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(body)
 }
 
 // ---- decoding ----
