@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! SPLASH-2-style application kernels for the Shasta reproduction.
 //!

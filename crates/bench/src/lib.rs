@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Experiment harness shared by the per-table/per-figure binaries.
 //!

@@ -88,7 +88,7 @@ proptest! {
                 "{} x{} ring {}: P{} eviction count diverged", s, threads, ring, p
             );
             prop_assert_eq!(
-                &a.events, &b.events,
+                a.events, b.events,
                 "{} x{} ring {}: P{} timeline diverged", s, threads, ring, p
             );
         }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Cluster topology and cost model for the Shasta / SMP-Shasta reproduction.
 //!

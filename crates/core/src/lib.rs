@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # shasta-core — fine-grain software distributed shared memory
 //!

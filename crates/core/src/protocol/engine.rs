@@ -13,9 +13,7 @@
 //!   which is exactly the paper's "poll at loop back-edges" rule: a message
 //!   is never handled between an inline check and its load or store).
 
-use std::panic::resume_unwind;
-
-use shasta_sim::{Engine, FiberPool, Stop, Time};
+use shasta_sim::{FiberPool, Stop, Time};
 use shasta_stats::{MissKind, RunStats, TimeCat};
 
 use crate::api::{Dsm, Req, Resp};
@@ -76,23 +74,6 @@ impl Exec {
     }
 }
 
-/// The serial engine as the fibers run it: the whole machine, and one event
-/// loop over every processor in an unbounded window.
-struct Serial {
-    m: Machine,
-    ex: Exec,
-}
-
-impl Engine<Req, Resp> for Serial {
-    fn pool(&mut self) -> &mut FiberPool<Req, Resp> {
-        &mut self.ex.pool
-    }
-
-    fn run(&mut self) -> Stop<Resp> {
-        self.m.run_events(&mut self.ex, None)
-    }
-}
-
 /// The slice of simulated time a shard may execute: events with key
 /// strictly below `end`. `h_key` names the globally minimal event (set only
 /// for the shard owning it), which is exempt from [`Machine::op_poll_safe`].
@@ -147,22 +128,14 @@ impl Machine {
             crate::protocol::pdes::run_sharded(self, bodies, lookahead);
         } else {
             // The serial engine is the one-shard case: a single event loop
-            // over every processor, in an unbounded window. The fibers run
-            // it themselves, so the machine moves into the engine they share
-            // for the run and `self` holds a placeholder meanwhile; it is
-            // back before anything else happens, panics included.
+            // over every processor, in an unbounded window, on this thread.
+            // Each answer a fiber is suspended for switches to its stack
+            // until it hands over its next batch. A panic leaves through
+            // here, and dropping `ex` unwinds the suspended fibers.
             let fibers = bodies.into_iter().enumerate().map(|(p, b)| fiber_body(p as u32, b));
-            let ex = Exec::new(FiberPool::spawn_each(fibers.collect()), (0..n).collect());
-            let line = self.space.line_bytes();
-            let placeholder =
-                Machine::with_line_size(self.topo.clone(), self.cost.clone(), self.cfg, 0, line);
-            let m = std::mem::replace(self, placeholder);
-            let (Serial { m, ex }, ended) = Serial { m, ex }.drive();
-            *self = m;
-            if let Err(panic) = ended {
-                // Dropping the pool unwinds the fibers before the panic leaves.
-                drop(ex);
-                resume_unwind(panic);
+            let mut ex = Exec::new(FiberPool::spawn_each(fibers.collect()), (0..n).collect());
+            while let Stop::Resume(p, resp) = self.run_events(&mut ex, None) {
+                ex.pool.resume(p, resp);
             }
             if ex.pool.live_count() != 0 || self.net.in_flight() != 0 {
                 self.deadlock_panic(&ex.pool);
@@ -180,12 +153,12 @@ impl Machine {
     /// The event loop — the only one. Executes `ex`'s scheduling events in
     /// exactly serial order: minimal `(time, proc)` first, ties broken by
     /// candidate-scan position via the schedule policy. Returns
-    /// [`Stop::Resume`] where it answers the request a parked fiber waits on
-    /// (posted requests and a finished fiber's tail never stop it), and
+    /// [`Stop::Resume`] where it answers the request a suspended fiber waits
+    /// on (posted requests and a finished fiber's tail never stop it), and
     /// [`Stop::Idle`] when no candidate is left (termination, or deadlock:
-    /// the caller tells which). Whoever delivers the answer re-enters it,
-    /// once the fiber has handed over its next batch, and it carries on
-    /// where it stopped.
+    /// the caller tells which). The caller delivers the answer with
+    /// `FiberPool::resume` and re-enters it, once the fiber has handed over
+    /// its next batch, and it carries on where it stopped.
     ///
     /// `window` is `None` for the serial engine. A shard of the parallel
     /// engine passes its lookahead window, which switches on the three
@@ -269,7 +242,7 @@ impl Machine {
     /// Services `ex.ahead`'s processor's consecutive ops while (a) no action
     /// touched another processor's candidate (`sched_dirty`), and (b) the
     /// next op is still under the bound. Returns the stop at an op that
-    /// answers its parked fiber, `ex.ahead` kept for the re-entry.
+    /// answers its suspended fiber, `ex.ahead` kept for the re-entry.
     fn run_ahead(&mut self, ex: &mut Exec, window: Option<Window>) -> Option<Stop<Resp>> {
         while let Some((p, bound)) = ex.ahead {
             if self.sched_dirty || ex.pool.is_finished(p) {
@@ -299,7 +272,7 @@ impl Machine {
     }
 
     /// Executes one scheduling event, logging it when `sharded`. Returns the
-    /// reply `p`'s fiber is parked for, if the event answered it.
+    /// reply `p`'s fiber is suspended for, if the event answered it.
     fn step(
         &mut self,
         ex: &mut Exec,
@@ -489,7 +462,7 @@ impl Machine {
 
     /// Executes one pending operation of `p` end to end: compute charge,
     /// inline-check surrogate, poll, execute. Returns the reply `p`'s fiber
-    /// is parked for, if the op was answered and was the last it handed over
+    /// is suspended for, if the op was answered and was the last it handed over
     /// (an op that stalls leaves a stall record instead).
     pub(crate) fn service_op(&mut self, pool: &mut FiberPool<Req, Resp>, p: u32) -> Option<Resp> {
         let req = pool.take_request(p).expect("scheduled op without request");

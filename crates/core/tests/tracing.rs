@@ -109,7 +109,7 @@ fn the_recording_survives_a_caught_violation() {
     assert!(ran.is_err(), "twelve steps cannot finish the program");
     assert!(!cut.is_empty() && cut.len() < full.len(), "{} of {} events", cut.len(), full.len());
     for p in 0..8 {
-        let (cut, full) = (&cut.proc(p).events, &full.proc(p).events);
+        let (cut, full) = (cut.proc(p).events, full.proc(p).events);
         assert_eq!(cut[..], full[..cut.len()], "P{p}");
     }
 }

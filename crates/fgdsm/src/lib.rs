@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # shasta-fgdsm — the downgrade protocol under real concurrency
 //!

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Messaging substrate: the Memory Channel network and intra-node
 //! shared-memory message queues.

@@ -60,7 +60,7 @@ pub fn to_chrome_json(log: &EventLog) -> String {
         );
     }
     for p in 0..log.procs() {
-        for e in &log.proc(p as u32).events {
+        for e in log.proc(p as u32).events {
             let mut s = String::with_capacity(128);
             match e.kind {
                 EventKind::Slice { cat, cycles } => {

@@ -282,7 +282,7 @@ fn build_views(log: &EventLog) -> (Vec<ProcView>, HashMap<SendKey, Vec<u64>>) {
         // leaves its `StallBegin` unmatched (the engine skips empty slices)
         // and the next `StallBegin` simply replaces it.
         let mut pending: Option<(u64, TimeCat, Vec<RecvRef>)> = None;
-        for e in &log.proc(p).events {
+        for e in log.proc(p).events {
             match e.kind {
                 EventKind::StallBegin { cat } => pending = Some((e.t, cat, Vec::new())),
                 EventKind::Slice { cat, cycles } => {

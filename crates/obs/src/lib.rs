@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 //! Structured protocol-event tracing for the Shasta / SMP-Shasta
 //! reproduction.

@@ -8,50 +8,87 @@ use crate::fig4::Fig4Agg;
 use crate::profile::{ProfileAgg, SpaceMap};
 use crate::rederive::{DowngradeAgg, MsgAgg};
 use shasta_stats::{MsgClass, MsgStats};
+use std::mem::MaybeUninit;
 
-/// Bounded ring of recent events for one processor. When full, the oldest
-/// event is overwritten and counted as dropped — the exported timeline is a
-/// suffix of the run, but aggregation (fed before eviction) is unaffected.
-#[derive(Clone, Debug)]
-struct ProcRing {
+/// Every processor's bounded ring of recent events, in one allocation: ring
+/// `p` is `slots[p * cap..][..cap]`. When a ring is full, its oldest event
+/// is overwritten and counted as dropped — the exported timeline is a suffix
+/// of the run, but aggregation (fed before eviction) is unaffected.
+///
+/// The allocation is made once, when recording is enabled, and its pages
+/// are touched only as events are written. One block sized `procs × cap`
+/// (48 MiB for sixteen rings of 65 536) lies past the allocator's mapping
+/// threshold and goes back to the system when the log drops, where sixteen
+/// rings allocated apart fill and split holes between the run's long-lived
+/// heap nodes.
+#[derive(Default)]
+struct Rings {
     cap: usize,
-    buf: Vec<Event>,
+    slots: Box<[MaybeUninit<Event>]>,
+    rings: Vec<Ring>,
+}
+
+/// Each ring's evictions and written events, not the unwritten slots.
+impl std::fmt::Debug for Rings {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let rings = self.rings.iter().enumerate().map(|(p, r)| (r.dropped, self.written(p)));
+        f.debug_list().entries(rings).finish()
+    }
+}
+
+/// Where one processor's ring stands.
+#[derive(Clone, Copy, Debug, Default)]
+struct Ring {
+    /// Slots written, from the ring's start: `cap` once it has wrapped.
+    len: usize,
     /// Index of the oldest retained event once the ring has wrapped.
     start: usize,
     dropped: u64,
 }
 
-impl ProcRing {
-    fn new(cap: usize) -> Self {
+impl Rings {
+    fn new(procs: usize, cap: usize) -> Self {
         assert!(cap > 0, "ring capacity must be positive");
-        // Reserved here, on the thread that enables recording, so that the
-        // run never regrows a ring on whichever fiber runs the engine (each
-        // fiber thread's malloc arena would keep its own freed copies). A
-        // capacity too large to reserve (a test's "unbounded") grows as used.
-        let mut buf = Vec::new();
-        let _ = buf.try_reserve_exact(cap);
-        ProcRing { cap, buf, start: 0, dropped: 0 }
+        let slots = procs.checked_mul(cap).expect("procs × ring capacity overflows");
+        Rings { cap, slots: Box::new_uninit_slice(slots), rings: vec![Ring::default(); procs] }
     }
 
     fn push(&mut self, e: Event) {
-        if self.buf.len() < self.cap {
-            self.buf.push(e);
+        let p = e.proc as usize;
+        let (ring, slots) = (&mut self.rings[p], &mut self.slots[p * self.cap..]);
+        if ring.len < self.cap {
+            slots[ring.len].write(e);
+            ring.len += 1;
         } else {
-            self.buf[self.start] = e;
+            slots[ring.start].write(e);
             // Wrapping increment without the integer division a `% cap`
             // would cost on this per-event path.
-            self.start += 1;
-            if self.start == self.cap {
-                self.start = 0;
+            ring.start += 1;
+            if ring.start == self.cap {
+                ring.start = 0;
             }
-            self.dropped += 1;
+            ring.dropped += 1;
         }
     }
 
-    /// Retained events, oldest first.
-    fn drain_in_order(mut self) -> Vec<Event> {
-        self.buf.rotate_left(self.start);
-        self.buf
+    /// Puts every wrapped ring's oldest event first, in place.
+    fn unwrap_in_place(&mut self) {
+        for (p, ring) in self.rings.iter_mut().enumerate() {
+            self.slots[p * self.cap..][..ring.len].rotate_left(ring.start);
+            ring.start = 0;
+        }
+    }
+
+    /// Processor `p`'s retained events, in ring order: oldest first once
+    /// [`Rings::unwrap_in_place`] has run.
+    #[allow(unsafe_code)]
+    fn written(&self, p: usize) -> &[Event] {
+        let slots = &self.slots[p * self.cap..][..self.rings[p].len];
+        // SAFETY: the first `len` slots of ring `p` are initialised: `push`
+        // writes them in order before counting them, later overwrites only
+        // slots below `len`, and `unwrap_in_place` permutes those among
+        // themselves. `MaybeUninit<Event>` has `Event`'s layout.
+        unsafe { &*(std::ptr::from_ref(slots) as *const [Event]) }
     }
 }
 
@@ -60,9 +97,9 @@ impl ProcRing {
 /// A disabled recorder (the default) reduces every [`record`](Self::record)
 /// call to a single branch; an enabled one appends to the acting
 /// processor's ring and streams the events into the aggregators.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Recorder {
-    rings: Vec<ProcRing>,
+    rings: Rings,
     agg: Fig4Agg,
     dg: DowngradeAgg,
     msg: Option<MsgAgg>,
@@ -92,10 +129,12 @@ impl Recorder {
     }
 
     /// A recorder for `procs` processors retaining up to `ring_capacity`
-    /// events per processor in the exported timeline.
+    /// events per processor in the exported timeline. Reserves room for
+    /// `procs × ring_capacity` events at once (address space: a page is
+    /// touched when an event is first written to it).
     pub fn enabled(procs: usize, ring_capacity: usize) -> Self {
         Recorder {
-            rings: (0..procs).map(|_| ProcRing::new(ring_capacity)).collect(),
+            rings: Rings::new(procs, ring_capacity),
             agg: Fig4Agg::new(procs),
             dg: DowngradeAgg::default(),
             msg: None,
@@ -183,25 +222,20 @@ impl Recorder {
             if let Some(profile) = &mut self.profile {
                 profile.observe(e.proc, &e.kind);
             }
-            self.rings[e.proc as usize].push(*e);
+            self.rings.push(*e);
         }
         // Keep the allocation for the next batch.
         self.staged = staged;
         self.staged.clear();
     }
 
-    /// Consumes the recorder into the immutable log handed to exporters.
+    /// Consumes the recorder into the immutable log handed to exporters;
+    /// the rings stay where they were written.
     pub fn into_log(mut self) -> EventLog {
         self.flush();
+        self.rings.unwrap_in_place();
         EventLog {
-            procs: self
-                .rings
-                .into_iter()
-                .map(|r| {
-                    let dropped = r.dropped;
-                    ProcEvents { dropped, events: r.drain_in_order() }
-                })
-                .collect(),
+            rings: self.rings,
             agg: self.agg,
             dg: self.dg,
             msg: self.msg,
@@ -211,19 +245,19 @@ impl Recorder {
 }
 
 /// The retained timeline of one processor.
-#[derive(Clone, Debug)]
-pub struct ProcEvents {
+#[derive(Clone, Copy, Debug)]
+pub struct ProcEvents<'a> {
     /// Retained events in record (and therefore time) order.
-    pub events: Vec<Event>,
+    pub events: &'a [Event],
     /// Events evicted from the ring before export (0 = complete timeline).
     pub dropped: u64,
 }
 
 /// Everything recorded during one run: per-processor timelines plus the
 /// streamed aggregates.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct EventLog {
-    procs: Vec<ProcEvents>,
+    rings: Rings,
     agg: Fig4Agg,
     dg: DowngradeAgg,
     msg: Option<MsgAgg>,
@@ -233,17 +267,18 @@ pub struct EventLog {
 impl EventLog {
     /// Number of processors in the log.
     pub fn procs(&self) -> usize {
-        self.procs.len()
+        self.rings.rings.len()
     }
 
     /// Processor `p`'s retained timeline.
-    pub fn proc(&self, p: u32) -> &ProcEvents {
-        &self.procs[p as usize]
+    pub fn proc(&self, p: u32) -> ProcEvents<'_> {
+        let dropped = self.rings.rings[p as usize].dropped;
+        ProcEvents { events: self.rings.written(p as usize), dropped }
     }
 
     /// Total retained events across all processors.
     pub fn len(&self) -> usize {
-        self.procs.iter().map(|pe| pe.events.len()).sum()
+        self.rings.rings.iter().map(|r| r.len).sum()
     }
 
     /// Whether no events were retained.
@@ -253,7 +288,7 @@ impl EventLog {
 
     /// Total events evicted from the rings before export.
     pub fn dropped(&self) -> u64 {
-        self.procs.iter().map(|pe| pe.dropped).sum()
+        self.rings.rings.iter().map(|r| r.dropped).sum()
     }
 
     /// The slice-tiling audit streamed during the run (covers the whole run
@@ -303,7 +338,7 @@ impl EventLog {
 
     /// Iterates every retained event, processor by processor.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.procs.iter().flat_map(|pe| pe.events.iter())
+        (0..self.procs()).flat_map(|p| self.rings.written(p))
     }
 }
 

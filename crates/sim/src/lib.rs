@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 //! Deterministic direct-execution simulation engine.
 //!
@@ -6,19 +7,19 @@
 //!
 //! The Shasta reproduction simulates a 16-processor SMP cluster by *direct
 //! execution*: each simulated processor runs real Rust application code on
-//! its own OS thread, but every protocol-visible action (shared-memory
-//! access, synchronization, polling) goes through a single engine that owns
-//! all protocol state and global simulated time — run by an engine thread,
-//! or by whichever fiber holds the baton. The engine always resumes the
-//! processor whose next action has the minimum `(time, processor-id)`, so
-//! runs are bit-reproducible regardless of host scheduling.
+//! a stack of its own (a *fiber*), but every protocol-visible action
+//! (shared-memory access, synchronization, polling) goes through a single
+//! engine that owns all protocol state and global simulated time. The engine
+//! and the fibers share one thread, which switches stacks at each hand-over;
+//! the engine always resumes the processor whose next action has the minimum
+//! `(time, processor-id)`, so runs are bit-reproducible.
 //!
 //! This crate provides the protocol-agnostic machinery:
 //!
 //! * [`Time`] — simulated time in processor cycles,
 //! * [`FiberPool`] — the suspend/resume rendezvous between application
-//!   threads ("fibers") and the engine, and [`Engine`], the event loop the
-//!   fibers run themselves,
+//!   fibers and the engine (x86_64 Linux only: `fiber/stack.rs`, the crate's
+//!   one module with `unsafe` code, switches the stacks),
 //! * [`SplitMix64`] — a tiny deterministic RNG for workload generation,
 //! * [`trace`] — an optional bounded event trace for debugging.
 //!
@@ -50,7 +51,7 @@ pub mod sched;
 pub mod time;
 pub mod trace;
 
-pub use fiber::{Engine, FiberApi, FiberBody, FiberPool, Resumed, Stop};
+pub use fiber::{FiberApi, FiberBody, FiberPool, Resumed, Stop};
 pub use rng::SplitMix64;
 pub use sched::{SchedulePolicy, Scheduler};
 pub use time::Time;

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Metrics and reporting for the Shasta / SMP-Shasta reproduction.
 //!

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Real loopback transport for the Shasta reproduction: every remote
 //! protocol message crosses an actual TCP or Unix-domain socket in the

@@ -24,22 +24,21 @@ echo "==> every member crate's tests: cargo test --workspace --release -q"
 # criteria. No wall is gated; host time is the benchmark's (BENCHMARK.json).
 cargo test --workspace --release -q
 
-echo "==> fiber handoff under a deadline (shasta-sim, Dsm, misuse and baton tests, as is and on one CPU)"
-# A lost wake-up in the park/unpark protocol of crates/sim/src/fiber.rs — the
-# engine thread's or a baton hand-off between fibers — is a hang, not a
-# failure, so these runs are bounded; the one-CPU schedule (no thread runs
-# until another blocks) is where it would hide. shasta-core's `api` unit
-# tests and `misuse` suite ride along: a posted operation's tail and an
-# engine panic over a fiber that has run on are the hand-overs the
-# shasta-sim tests reach least. `handoff_hits` / `handoff_turns` count the
-# process's context switches (none while one processor keeps the lowest
-# key, one per hand-off between processors) and `baton_panic` raises a
-# diagnosis on another fiber's thread; each reads /proc, so each is its own
-# binary.
+echo "==> fiber hand-offs under a deadline (shasta-sim, Dsm, misuse, one-thread and engine-panic tests, as is and on one CPU)"
+# A fiber is a stack on the thread that drives its pool, and a hand-off is a
+# switch between stacks (crates/sim/src/fiber/stack.rs): a switch that saves
+# or restores the wrong context hangs or crashes rather than failing, so
+# these runs are bounded, once as is and once pinned to one CPU.
+# shasta-core's `api` unit tests and `misuse` suite ride along: a posted
+# operation's tail and an engine panic over suspended fibers are the
+# hand-overs the shasta-sim tests reach least. `one_thread` counts the
+# process's threads and context switches across a 16-processor run (none
+# added, none slept) and `engine_panic` raises a diagnosis over suspended
+# fibers with its own panic hook; each is its own binary.
 handoff_tests() {
   timeout 120 "$@" cargo test -p shasta-sim --release --offline -q
   timeout 120 "$@" cargo test -p shasta-core --release --offline -q --lib api
-  for t in misuse handoff_hits handoff_turns baton_panic; do
+  for t in misuse one_thread engine_panic; do
     timeout 120 "$@" cargo test -p shasta-core --release --offline -q --test "$t"
   done
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # shasta — fine-grain software distributed shared memory on SMP clusters
 //!
