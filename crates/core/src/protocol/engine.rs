@@ -12,6 +12,14 @@
 //!   processor (running processors poll at operation boundaries instead,
 //!   which is exactly the paper's "poll at loop back-edges" rule: a message
 //!   is never handled between an inline check and its load or store).
+//!
+//! The candidates are not rebuilt per event. Each processor's are cached
+//! and recomputed only after an event *marked* it (`Machine::mark`: a step
+//! marks its processor, a send its destination, a change to what a stalled
+//! processor waits for that processor), and a min-tree over every
+//! processor's earliest key yields the deterministic pick at its root (see
+//! `crate::protocol::candidates`). Seeded policies pick from a list built
+//! from the cache in processor order, the list a full rescan would build.
 
 use shasta_sim::{FiberPool, Stop, Time};
 use shasta_stats::{MissKind, RunStats, TimeCat};
@@ -19,32 +27,25 @@ use shasta_stats::{MissKind, RunStats, TimeCat};
 use crate::api::{Dsm, Req, Resp};
 use crate::check::AccessKind;
 use crate::misstable::{MissEntry, ReqKind};
+use crate::protocol::candidates::{Action, Cands, Key, MinTree};
 use crate::protocol::config::Mode;
 use crate::protocol::machine::{AfterRelease, Machine, Stall, StallKind};
 use crate::protocol::msg::{DowngradeTo, ProtoMsg};
 use crate::space::{Addr, Block};
 use crate::state::{LineState, PrivState, INVALID_FLAG};
 
-/// What the scheduler decided to do next.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Action {
-    /// Execute the processor's pending operation.
-    Op,
-    /// Resume a stalled processor whose condition is satisfied.
-    Resume,
-    /// Deliver the earliest message to a stalled/finished processor.
-    Msg,
-}
-
-/// What one event loop drives: the fibers and the processors it schedules —
-/// every processor for the serial engine, one physical node's for a shard
-/// of the parallel engine (`crate::protocol::pdes`).
+/// What one event loop drives: the fibers and the cached schedule of the
+/// processors it runs — every processor for the serial engine, one physical
+/// node's for a shard of the parallel engine (`crate::protocol::pdes`),
+/// whose other processors are finished placeholders with no candidates.
 pub(crate) struct Exec {
     pub(crate) pool: FiberPool<Req, Resp>,
-    procs: Vec<u32>,
-    /// Reused candidate buffer; the schedule policy chooses among the
-    /// minimal-time entries each iteration (the deterministic default picks
-    /// the first minimal `(time, proc)`, the historical behavior).
+    /// Every processor's candidates as last recomputed.
+    cache: Vec<Cands>,
+    /// Each processor's earliest cached key.
+    tree: MinTree,
+    /// Reused candidate list for the seeded policies, which choose among
+    /// the minimal-time entries.
     cands: Vec<(Time, u32, Action)>,
     /// A shard's executed events since the coordinator last took them (see
     /// [`Machine::run_events`]); empty for the serial engine.
@@ -54,18 +55,21 @@ pub(crate) struct Exec {
     open: bool,
     /// The run-ahead in progress: the processor and the key its ops must
     /// stay below.
-    ahead: Option<(u32, Option<(Time, u32)>)>,
+    ahead: Option<(u32, Option<Key>)>,
     /// Whether the serial loop has yet to capture elapsed time.
     elapsed_pending: bool,
 }
 
 impl Exec {
-    pub(crate) fn new(pool: FiberPool<Req, Resp>, procs: Vec<u32>) -> Self {
-        let cands = Vec::with_capacity(2 * procs.len());
+    /// The loop over `pool`'s fibers. Its cache starts empty, which is
+    /// current because a new machine starts with every processor marked.
+    pub(crate) fn new(pool: FiberPool<Req, Resp>) -> Self {
+        let n = pool.len();
         Exec {
             pool,
-            procs,
-            cands,
+            cache: vec![Cands::NONE; n],
+            tree: MinTree::new(n),
+            cands: Vec::with_capacity(2 * n),
             log: Vec::new(),
             open: false,
             ahead: None,
@@ -133,7 +137,7 @@ impl Machine {
             // until it hands over its next batch. A panic leaves through
             // here, and dropping `ex` unwinds the suspended fibers.
             let fibers = bodies.into_iter().enumerate().map(|(p, b)| fiber_body(p as u32, b));
-            let mut ex = Exec::new(FiberPool::spawn_each(fibers.collect()), (0..n).collect());
+            let mut ex = Exec::new(FiberPool::spawn_each(fibers.collect()));
             while let Stop::Resume(p, resp) = self.run_events(&mut ex, None) {
                 ex.pool.resume(p, resp);
             }
@@ -152,7 +156,7 @@ impl Machine {
 
     /// The event loop — the only one. Executes `ex`'s scheduling events in
     /// exactly serial order: minimal `(time, proc)` first, ties broken by
-    /// candidate-scan position via the schedule policy. Returns
+    /// candidate position (processor order) via the schedule policy. Returns
     /// [`Stop::Resume`] where it answers the request a suspended fiber waits
     /// on (posted requests and a finished fiber's tail never stop it), and
     /// [`Stop::Idle`] when no candidate is left (termination, or deadlock:
@@ -186,7 +190,7 @@ impl Machine {
                     self.oracle_quiescent_sweep();
                 }
             }
-            self.scan(ex);
+            self.refresh(ex);
             // Elapsed time is the clock maximum at the first instant the last
             // fiber has finished. Only the serial loop sees that instant; for
             // shards the coordinator replays it from the merged logs.
@@ -195,11 +199,13 @@ impl Machine {
                     self.clocks.iter().map(|t| t.cycles()).max().unwrap_or(0);
                 ex.elapsed_pending = false;
             }
-            if ex.cands.is_empty() {
-                return Stop::Idle;
-            }
-            let pick = self.sched.pick(&ex.cands, |c| (c.0, c.1));
-            let (t, p, action) = ex.cands[pick];
+            let Some((t, p)) = ex.tree.root() else { return Stop::Idle };
+            let (t, p, action) = if self.sched.perturbs() {
+                self.pick_seeded(ex)
+            } else {
+                self.sched.count_step();
+                (t, p, ex.cache[p as usize].first_min().expect("a keyed leaf has a candidate").1)
+            };
             if let Some(limit) = self.step_limit {
                 if self.sched.steps() > limit {
                     self.liveness_panic(limit, &ex.pool);
@@ -217,20 +223,18 @@ impl Machine {
                 }
             }
 
-            self.sched_dirty = false;
             ex.open = true;
             let answer = self.step(ex, (t, p, action), window.is_some());
             // Run-ahead (needs what sharding needs, so shards always batch:
             // see `unobserved_steps`): an answered `Op` lets `p`'s consecutive
-            // ops run without rescanning while `p`'s next op stays strictly
-            // earlier than every other candidate from the scan and inside the
-            // window. Staleness is one-sided — candidates can only
-            // *disappear* while `sched_dirty` stays false — so the bound is
-            // conservative and early exit is the worst case.
+            // ops run without a pick while `p`'s next op stays strictly
+            // earlier than every other processor's earliest key and inside
+            // the window. That key is the tree's runner-up, exact as of the
+            // pick, and stays exact until an event marks another processor.
             if action == Action::Op && self.stalls[p as usize].is_none() && self.unobserved_steps()
             {
-                let others = ex.cands.iter().enumerate().filter(|&(j, _)| j != pick);
-                let bound = others.map(|(_, c)| (c.0, c.1)).chain(window.map(|w| (w.end, 0))).min();
+                let bound =
+                    ex.tree.runner_up(p).into_iter().chain(window.map(|w| (w.end, 0))).min();
                 ex.ahead = Some((p, bound));
             }
             if let Some(resp) = answer {
@@ -239,13 +243,27 @@ impl Machine {
         }
     }
 
-    /// Services `ex.ahead`'s processor's consecutive ops while (a) no action
-    /// touched another processor's candidate (`sched_dirty`), and (b) the
-    /// next op is still under the bound. Returns the stop at an op that
-    /// answers its suspended fiber, `ex.ahead` kept for the re-entry.
+    /// The seeded policies' pick: [`Scheduler::pick`] over the cached
+    /// candidates listed in processor order — the list a rescan of every
+    /// processor would build, so a seed replays the same schedule.
+    ///
+    /// [`Scheduler::pick`]: shasta_sim::Scheduler::pick
+    fn pick_seeded(&mut self, ex: &mut Exec) -> (Time, u32, Action) {
+        ex.cands.clear();
+        for (p, c) in ex.cache.iter().enumerate() {
+            ex.cands.extend(c.as_slice().iter().map(|&(t, a)| (t, p as u32, a)));
+        }
+        ex.cands[self.sched.pick(&ex.cands, |c| (c.0, c.1))]
+    }
+
+    /// Services `ex.ahead`'s processor's consecutive ops while (a) no event
+    /// marked another processor, so the bound is still every other
+    /// processor's earliest key, and (b) the next op is still under it.
+    /// Returns the stop at an op that answers its suspended fiber,
+    /// `ex.ahead` kept for the re-entry.
     fn run_ahead(&mut self, ex: &mut Exec, window: Option<Window>) -> Option<Stop<Resp>> {
         while let Some((p, bound)) = ex.ahead {
-            if self.sched_dirty || ex.pool.is_finished(p) {
+            if self.dirty.iter().any(|&q| q != p) || ex.pool.is_finished(p) {
                 break;
             }
             let Some(req) = ex.pool.peek_request(p) else { break };
@@ -272,13 +290,16 @@ impl Machine {
     }
 
     /// Executes one scheduling event, logging it when `sharded`. Returns the
-    /// reply `p`'s fiber is suspended for, if the event answered it.
+    /// reply `p`'s fiber is suspended for, if the event answered it. Marks
+    /// `p`: an event changes its own processor's clock, stall, inbox or
+    /// fiber.
     fn step(
         &mut self,
         ex: &mut Exec,
         (t, p, action): (Time, u32, Action),
         sharded: bool,
     ) -> Option<Resp> {
+        self.mark(p);
         if sharded {
             self.net.pdes_begin_event(ex.log.len() as u32);
         }
@@ -303,19 +324,36 @@ impl Machine {
         answer
     }
 
-    /// Refills `ex.cands` with every schedulable action of `ex`'s
-    /// processors, in processor order.
-    pub(crate) fn scan(&self, ex: &mut Exec) {
-        ex.cands.clear();
-        for &p in &ex.procs {
-            self.push_candidates(&ex.pool, p, &mut ex.cands);
+    /// Recomputes the candidates of every processor marked since the last
+    /// refresh, leaving the cache and the tree current. Debug builds then
+    /// check every processor's cached candidates against a recomputation,
+    /// which is what catches an event that changed a candidate unmarked.
+    fn refresh(&mut self, ex: &mut Exec) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &p in &dirty {
+            self.marked[p as usize] = false;
+            let c = self.candidates(&ex.pool, p);
+            ex.cache[p as usize] = c;
+            ex.tree.set(p, c.first_min().map(|(t, _)| (t, p)));
+        }
+        dirty.clear();
+        self.dirty = dirty;
+        #[cfg(debug_assertions)]
+        for (p, cached) in ex.cache.iter().enumerate() {
+            let fresh = self.candidates(&ex.pool, p as u32);
+            assert_eq!(
+                cached.as_slice(),
+                fresh.as_slice(),
+                "P{p}'s cached schedule candidates are stale: an event changed them without \
+                 marking P{p}"
+            );
         }
     }
 
     /// The smallest candidate key over `ex`'s processors, if any.
-    pub(crate) fn next_key(&self, ex: &mut Exec) -> Option<(Time, u32)> {
-        self.scan(ex);
-        ex.cands.iter().map(|c| (c.0, c.1)).min()
+    pub(crate) fn next_key(&mut self, ex: &mut Exec) -> Option<Key> {
+        self.refresh(ex);
+        ex.tree.root()
     }
 
     /// Whether an `Op` event at key `(t, p)` may execute inside a window
@@ -376,8 +414,8 @@ impl Machine {
     /// Whether nothing observes individual scheduling steps, which is what
     /// makes both run-ahead batching and sharding legal: the deterministic
     /// policy always picks the minimal `(time, proc)` key (so a
-    /// locally-minimal run of one processor's ops is exactly what a full
-    /// rescan would pick), and neither a step limit nor the oracle's
+    /// locally-minimal run of one processor's ops is exactly what picking
+    /// each would choose), and neither a step limit nor the oracle's
     /// periodic quiescent sweep is consulting the step counter that batched
     /// ops skip. An installed fault plan also disqualifies: held-message
     /// releases from the admit guard can introduce new candidates mid-batch,
@@ -389,37 +427,35 @@ impl Machine {
             && !self.net.fault_active()
     }
 
-    /// Pushes `p`'s schedulable actions (with their `(time, proc)` keys)
-    /// onto `cands`: the order — Resume before Msg for a stalled processor —
-    /// is load-bearing, because the deterministic policy breaks key ties by
-    /// taking the first minimal entry.
-    pub(crate) fn push_candidates(
-        &self,
-        pool: &FiberPool<Req, Resp>,
-        p: u32,
-        cands: &mut Vec<(Time, u32, Action)>,
-    ) {
+    /// `p`'s schedulable actions, computed from scratch: the order — Resume
+    /// before Msg for a stalled processor — is load-bearing, because the
+    /// deterministic policy breaks key ties by taking the first minimal
+    /// entry.
+    #[inline]
+    fn candidates(&self, pool: &FiberPool<Req, Resp>, p: u32) -> Cands {
+        let mut cands = Cands::NONE;
         let clock = self.clocks[p as usize];
         match &self.stalls[p as usize] {
             Some(stall) => {
                 if self.stall_satisfied(p, stall) {
                     let t = clock.max(self.wake_floor[p as usize]);
-                    cands.push((t, p, Action::Resume));
+                    cands.push(t, Action::Resume);
                 }
                 if let Some(arr) = self.earliest_inbound(p) {
-                    cands.push((clock.max(arr), p, Action::Msg));
+                    cands.push(clock.max(arr), Action::Msg);
                 }
             }
             None => {
                 if pool.is_finished(p) {
                     if let Some(arr) = self.earliest_inbound(p) {
-                        cands.push((clock.max(arr), p, Action::Msg));
+                        cands.push(clock.max(arr), Action::Msg);
                     }
                 } else if let Some(req) = pool.peek_request(p) {
-                    cands.push((clock + req.pre_cycles(), p, Action::Op));
+                    cands.push(clock + req.pre_cycles(), Action::Op);
                 }
             }
         }
+        cands
     }
 
     /// Delivers the earliest inbound message to `p` (the `Action::Msg`
@@ -428,10 +464,7 @@ impl Machine {
         let env = self.pop_inbound(p).expect("scheduled message vanished");
         let t = self.clocks[p as usize].max(env.arrival);
         self.clocks[p as usize] = t;
-        if !self.dispatch(p, env, t) {
-            // A guard release may have changed another processor's candidate.
-            self.sched_dirty = true;
-        }
+        self.dispatch(p, env, t);
     }
 
     /// Runs one popped message through the delivery guard and, if admitted,
@@ -441,6 +474,10 @@ impl Machine {
     /// `false` when the protocol never saw the message: the guard discarded
     /// a duplicate or held an early arrival.
     fn dispatch(&mut self, p: u32, env: shasta_memchan::Envelope<ProtoMsg>, now: Time) -> bool {
+        if self.net.fault_active() {
+            // A guard release may refill any processor's inbox.
+            self.mark_all();
+        }
         let admitted = self.net.admit(env, now);
         if let Some(env) = &admitted {
             self.obs_event(
@@ -486,30 +523,19 @@ impl Machine {
     /// node's shared incoming queue when load balancing is enabled.
     fn drain_messages(&mut self, p: u32) {
         let mut handled = 0u32;
-        let mut absorbed = false;
-        let lb = self.cfg.load_balance_incoming;
         loop {
             let now = self.clocks[p as usize];
-            match self.net.peek_any_arrival(p, lb) {
+            match self.earliest_inbound(p) {
                 Some(a) if a <= now => {}
                 _ => break,
             }
-            let Some(env) = self.net.pop_any_earliest(p, lb) else { break };
+            let Some(env) = self.pop_inbound(p) else { break };
             if self.dispatch(p, env, now) {
                 handled += 1;
-            } else {
-                absorbed = true;
             }
         }
         if handled > 0 {
             self.obs_event(p, shasta_obs::EventKind::PollDrain { handled });
-        }
-        if handled > 0 || absorbed {
-            // Handling may have satisfied another processor's stall or queued
-            // replies, and a guard drop/hold (or a release it triggered) also
-            // changes candidates: force the run-ahead fast path back to a
-            // full rescan.
-            self.sched_dirty = true;
         }
     }
 
@@ -520,8 +546,14 @@ impl Machine {
     }
 
     /// Pops the earliest message `p` can handle (see [`Self::earliest_inbound`]).
+    /// A pop from the node's shared queue moves every node mate's earliest
+    /// arrival, so under load balancing it marks them all.
     fn pop_inbound(&mut self, p: u32) -> Option<shasta_memchan::Envelope<ProtoMsg>> {
-        self.net.pop_any_earliest(p, self.cfg.load_balance_incoming)
+        let lb = self.cfg.load_balance_incoming;
+        if lb {
+            self.mark_inbox(p, true);
+        }
+        self.net.pop_any_earliest(p, lb)
     }
 
     /// Advances `p`'s clock by `cycles`; attributes them to `cat` only when
@@ -547,7 +579,6 @@ impl Machine {
     /// Records a stall beginning now.
     fn begin_stall(&mut self, p: u32, kind: StallKind, cat: TimeCat) {
         debug_assert!(self.stalls[p as usize].is_none(), "nested stall");
-        self.sched_dirty = true;
         self.obs_event(p, shasta_obs::EventKind::StallBegin { cat });
         self.stalls[p as usize] = Some(Stall { kind, since: self.clocks[p as usize], cat });
     }
@@ -629,9 +660,9 @@ impl Machine {
     /// `dst`'s node (`to_vnode`, the load-balancing extension) instead of
     /// `dst`'s own inbox.
     fn post_via(&mut self, src: u32, dst: u32, msg: ProtoMsg, to_vnode: bool) {
-        // A send (or inline self-handling) can create or satisfy another
-        // processor's candidate; the run-ahead fast path must rescan.
-        self.sched_dirty = true;
+        // A send moves the earliest arrival of the processors polling the
+        // inbox it lands in.
+        self.mark_inbox(dst, to_vnode);
         if src == dst {
             // A processor "messaging itself" is a plain function call; no
             // send/receive events are recorded for it.
@@ -1047,7 +1078,6 @@ impl Machine {
     /// setting the pending state). Costs accrue to `p` (inside its stall
     /// window if it is stalled).
     pub(crate) fn issue_request(&mut self, p: u32, block: Block, kind: ReqKind) {
-        self.sched_dirty = true;
         let v = self.vnode(p);
         let epoch = match kind {
             ReqKind::Read => 0,

@@ -215,12 +215,12 @@ pub struct Machine {
     // ---- checker hooks ----
     /// Schedule policy state (deterministic by default).
     pub(crate) sched: Scheduler,
-    /// Set whenever an action may have changed *another* processor's
-    /// scheduling candidate (a message was sent or handled, a wake floor
-    /// moved, a stall began). The engine's run-ahead fast path services
-    /// consecutive operations of one processor without rescanning only
-    /// while this stays false; see `Machine::run`.
-    pub(crate) sched_dirty: bool,
+    /// The processors whose scheduling candidates an event may have changed
+    /// since the engine last recomputed them, each listed once (see
+    /// [`Machine::mark`]). A new machine lists every processor.
+    pub(crate) dirty: Vec<u32>,
+    /// Whether each processor is on `dirty`.
+    pub(crate) marked: Vec<bool>,
     /// Coherence oracles (shadow memory + invariants), checker runs only.
     pub(crate) oracle: Option<Box<Oracle>>,
     /// Liveness budget: panic if a run exceeds this many scheduling steps.
@@ -316,7 +316,8 @@ impl Machine {
             trace: Trace::disabled(),
             obs: shasta_obs::Recorder::disabled(),
             sched: Scheduler::default(),
-            sched_dirty: false,
+            dirty: (0..procs as u32).collect(),
+            marked: vec![true; procs],
             oracle: None,
             step_limit: None,
             barrier_participants: None,
@@ -651,11 +652,65 @@ impl Machine {
         self.mems[v].line_state(block.first_line(self.space.line_bytes()))
     }
 
-    /// Sets all lines of `block` on node `v` to `s`.
+    /// Sets all lines of `block` on node `v` to `s`, marking the node's
+    /// stalled processors: node state is read by a processor's candidates
+    /// only while it waits on it.
     pub(crate) fn set_block_state(&mut self, v: usize, block: Block, s: LineState) {
-        self.sched_dirty = true;
+        for q in self.topo.virt_node_procs(shasta_cluster::NodeId(v as u32)) {
+            if self.stalls[q.0 as usize].is_some() {
+                self.mark(q.0);
+            }
+        }
         let r = block.line_range(self.space.line_bytes());
         self.mems[v].set_lines_state(r, s);
+    }
+
+    /// Marks `p`: its scheduling candidates may have changed, so the engine
+    /// recomputes them before its next pick. The one invalidation mechanism
+    /// of the engine's candidate cache; what marks whom:
+    ///
+    /// * a step marks its own processor (clock, stall, inbox, fiber);
+    /// * a send marks the processors polling the inbox it lands in
+    ///   ([`Machine::mark_inbox`]), as does a pop from a shared inbox;
+    /// * a change to what a stalled processor waits for marks it: node
+    ///   state marks the node's stalled processors
+    ///   ([`Machine::set_block_state`]), and a lock grant, barrier release or
+    ///   completed store (outstanding-store count, store epoch) marks them
+    ///   through the wake-floor bump that follows it ([`Machine::bump_wake`]);
+    /// * while a fault plan is installed, every delivery marks every
+    ///   processor, since a guard release can refill any inbox;
+    /// * a sharded engine's injected messages mark their destinations.
+    ///
+    /// Debug builds check the cache against a recomputation at every pick,
+    /// naming the processor an event changed without marking.
+    #[inline]
+    pub(crate) fn mark(&mut self, p: u32) {
+        let m = &mut self.marked[p as usize];
+        if !*m {
+            *m = true;
+            self.dirty.push(p);
+        }
+    }
+
+    /// Marks every processor.
+    pub(crate) fn mark_all(&mut self) {
+        for p in 0..self.topo.procs() {
+            self.mark(p);
+        }
+    }
+
+    /// Marks the processors that poll the inbox a message to `dst` lands
+    /// in: `dst`, or every processor of its virtual node for the node's
+    /// shared (load-balanced) inbox.
+    #[inline]
+    pub(crate) fn mark_inbox(&mut self, dst: u32, shared: bool) {
+        if shared {
+            for q in self.topo.virt_node_procs(self.topo.virt_node_of(dst)) {
+                self.mark(q.0);
+            }
+        } else {
+            self.mark(dst);
+        }
     }
 
     /// Sets processor `p`'s private state for all lines of `block`.
@@ -670,12 +725,17 @@ impl Machine {
     }
 
     /// Raises `p`'s wake floor to `t`: if `p` resumes from a stall, it
-    /// resumes no earlier than the event that satisfied it.
+    /// resumes no earlier than the event that satisfied it. Every change to
+    /// what a stalled processor waits for other than node state — a lock
+    /// grant, a barrier release, a completed store — is followed by this
+    /// bump, so it marks `p` if `p` is stalled, floor moved or not.
     pub(crate) fn bump_wake(&mut self, p: u32, t: Time) {
-        self.sched_dirty = true;
         let w = &mut self.wake_floor[p as usize];
         if *w < t {
             *w = t;
+        }
+        if self.stalls[p as usize].is_some() {
+            self.mark(p);
         }
     }
 
@@ -752,12 +812,15 @@ impl SetupCtx<'_> {
         let alloc = *self.m.space.allocation_of(addr).expect("just allocated");
         self.m.map_to(alloc.start + alloc.len);
         // An allocation's blocks are uniform: walk them arithmetically.
+        let line = self.m.space.line_bytes();
         for start in (alloc.start..alloc.start + alloc.len).step_by(alloc.block_bytes as usize) {
             let block = Block { start, len: alloc.block_bytes };
             let home = self.m.space.home_in(&alloc, start);
             let hv = self.m.vnode(home);
             self.m.dirs[home as usize].register(start, home);
-            self.m.set_block_state(hv, block, LineState::Exclusive);
+            // Not `set_block_state`: no processor is stalled before the run,
+            // so there is nobody to mark.
+            self.m.mems[hv].set_lines_state(block.line_range(line), LineState::Exclusive);
             self.m.set_priv(home, block, PrivState::Exclusive);
             // Initial contents: zeros (not flag values) at the home copy. The
             // oracle's shadow was mapped as zeros.

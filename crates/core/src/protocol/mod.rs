@@ -14,6 +14,7 @@
 //! Build a [`Machine`], initialize data with [`Machine::setup`], and execute
 //! one program per processor with `Machine::run`.
 
+mod candidates;
 pub mod config;
 pub mod engine;
 pub mod handlers;

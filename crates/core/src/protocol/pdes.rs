@@ -259,6 +259,12 @@ fn serve(execs: &mut Shards, cmd: Cmd) -> Reply {
         }
         Cmd::Apply { shard, remap, inject } => {
             let exec = execs.get_mut(&shard).expect("apply for foreign shard");
+            // Injections move their destinations' earliest arrivals; a remap
+            // only renumbers, which moves no arrival time.
+            let shared = exec.m.cfg.load_balance_incoming;
+            for (env, _) in &inject {
+                exec.m.mark_inbox(env.dst, shared);
+            }
             exec.m.net.pdes_apply(&remap, inject);
             Reply::Status { shard, status: exec.status() }
         }
@@ -310,12 +316,7 @@ pub(crate) fn run_sharded(
     let mut execs: Vec<ShardExec> = split_shards(m)
         .into_iter()
         .zip(per_shard)
-        .enumerate()
-        .map(|(s, (sm, bodies))| {
-            let procs =
-                (0..n as u32).filter(|&p| usize::from(m.topo.phys_node_of(p)) == s).collect();
-            ShardExec { m: sm, ex: Exec::new(FiberPool::spawn_selected(bodies), procs) }
-        })
+        .map(|(sm, bodies)| ShardExec { m: sm, ex: Exec::new(FiberPool::spawn_selected(bodies)) })
         .collect();
 
     // Deterministic telemetry (purely additive; disabled registry = no-op).

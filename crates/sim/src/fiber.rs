@@ -183,6 +183,8 @@ struct Slot<Req, Resp> {
 /// its own stack (see the module docs) and drops unstarted bodies unrun.
 pub struct FiberPool<Req, Resp> {
     slots: Vec<Slot<Req, Resp>>,
+    /// How many slots are live (an event loop asks after every event).
+    live: usize,
 }
 
 impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
@@ -219,7 +221,9 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
         };
         // The pool owns every fiber before the first one runs, so unwinding
         // out of here unwinds the started ones and drops the rest unrun.
-        let mut pool = FiberPool { slots: bodies.into_iter().map(slot).collect() };
+        let slots: Vec<_> = bodies.into_iter().map(slot).collect();
+        let live = slots.iter().filter(|s| s.live).count();
+        let mut pool = FiberPool { slots, live };
         for p in 0..pool.slots.len() as u32 {
             if let Some(fiber) = pool.slots[p as usize].fiber.as_mut() {
                 let step = fiber.start();
@@ -264,6 +268,7 @@ impl<Req, Resp> FiberPool<Req, Resp> {
     fn finish(&mut self, p: u32) {
         let slot = &mut self.slots[p as usize];
         slot.live = false;
+        self.live -= 1;
         if let Some(panic) = slot.panic.take() {
             resume_unwind(panic);
         }
@@ -281,7 +286,7 @@ impl<Req, Resp> FiberPool<Req, Resp> {
 
     /// Number of fibers that have not yet finished.
     pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.live).count()
+        self.live
     }
 
     /// Whether fiber `p` has finished.

@@ -164,6 +164,14 @@ impl Scheduler {
         }
     }
 
+    /// Counts one scheduling step chosen without [`Scheduler::pick`]. A
+    /// caller that keeps its candidates in a structure ordered by
+    /// `(time, proc)` can read the deterministic policy's choice from it
+    /// directly; the step still counts toward [`Scheduler::steps`].
+    pub fn count_step(&mut self) {
+        self.steps += 1;
+    }
+
     /// Extra cycles of message latency for the next send (always 0 under
     /// the deterministic policy).
     pub fn send_jitter(&mut self) -> u64 {

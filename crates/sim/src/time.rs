@@ -31,6 +31,9 @@ impl Time {
     /// The start of simulated time.
     pub const ZERO: Time = Time(0);
 
+    /// The latest representable time point: a sentinel for "never".
+    pub const MAX: Time = Time(u64::MAX);
+
     /// Creates a time point from an absolute cycle count.
     pub fn from_cycles(cycles: u64) -> Time {
         Time(cycles)

@@ -24,6 +24,14 @@ echo "==> every member crate's tests: cargo test --workspace --release -q"
 # criteria. No wall is gated; host time is the benchmark's (BENCHMARK.json).
 cargo test --workspace --release -q
 
+echo "==> the engine's suites under debug assertions (core, check, apps, transport)"
+# The release run compiles out the debug-only checks, among them the
+# engine's candidate-cache cross-check: at every pick, each processor's
+# cached schedule candidates against a recomputation, naming a processor an
+# event changed without marking. This run lets it see every engine run of
+# the suites that drive the engine (~10 s warm).
+cargo test -q -p shasta-core -p shasta-check -p shasta-apps -p shasta-transport
+
 echo "==> fiber hand-offs under a deadline (shasta-sim, Dsm, misuse, one-thread and engine-panic tests, as is and on one CPU)"
 # A fiber is a stack on the thread that drives its pool, and a hand-off is a
 # switch between stacks (crates/sim/src/fiber/stack.rs): a switch that saves
