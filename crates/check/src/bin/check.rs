@@ -40,14 +40,10 @@ use std::time::Instant;
 
 use shasta_check::{
     default_scenarios, replay_observed, resolve_threads, run_scenario_observed, sweep_jobs,
-    validate_oracles_jobs,
+    validate_oracles_jobs, TRACE_RING,
 };
 use shasta_core::BugInjection;
 use shasta_sim::SchedulePolicy;
-
-/// Per-processor event-ring capacity for `--trace` replays: the checker
-/// kernels are small, so this keeps the whole run.
-const TRACE_RING: usize = 16_384;
 
 fn main() -> ExitCode {
     let mut seeds: u64 = 170;
@@ -143,8 +139,8 @@ fn main() -> ExitCode {
     }
     if critical_path {
         // A clean deterministic recorded run of the first scenario; the
-        // analyzer refuses incomplete streams, so use the deep trace ring.
-        let (stats, log, _trace) = run_scenario_observed(
+        // analyzer refuses incomplete streams, so keep the whole run.
+        let (stats, log) = run_scenario_observed(
             &scenarios[0],
             SchedulePolicy::Deterministic,
             BugInjection::None,

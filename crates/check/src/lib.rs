@@ -14,7 +14,9 @@
 //! policy)`, so a failure is a *replayable counterexample*: re-running the
 //! same pair reproduces the violation bit-exactly, and greedy shrinking
 //! reduces the kernel until the failure disappears, keeping the smallest
-//! failing run.
+//! failing run. Sweep runs record no events; a failing run is replayed once
+//! with recording on, and the last events of that replay (its *trail*) are
+//! appended to the counterexample.
 //!
 //! The oracles are validated against deliberately broken protocol variants
 //! ([`BugInjection::SkipDowngradeWait`], [`BugInjection::DropPrivDowngrade`])
@@ -32,6 +34,8 @@
 //! run_checked(&scenario, policy, BugInjection::None).expect("correct protocol passes");
 //! ```
 
+use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -53,8 +57,26 @@ pub use shasta_core::{FaultCounts, FaultPlan, NetProfile};
 /// Shared-heap size for checker machines (small kernels, lots of headroom).
 const HEAP_BYTES: u64 = 1 << 20;
 
-/// Event-trace ring capacity for counterexample dumps.
-const TRACE_CAPACITY: usize = 512;
+/// Per-processor event-ring capacity of the checker's recorded runs (a
+/// counterexample's replay, [`run_scenario_traced`], `check --trace`): the
+/// checker kernels are small, so this keeps the whole run.
+pub const TRACE_RING: usize = 16_384;
+
+/// Events of the recorded replay a counterexample's message ends with.
+const TRAIL_LINES: usize = 40;
+
+thread_local! {
+    /// Checker runs this thread has recorded events for (see
+    /// [`recorded_runs`]).
+    static RECORDED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many checker runs on the calling thread have recorded events so far.
+/// A sweep's passing runs record nothing; a counterexample's trail costs one
+/// recorded replay.
+pub fn recorded_runs() -> u64 {
+    RECORDED.with(Cell::get)
+}
 
 /// When set, every machine the checker builds gets a (throwaway) metrics
 /// registry attached. See [`set_metrics_enabled`].
@@ -312,7 +334,9 @@ pub struct Counterexample {
     /// Injected defect active during the run ([`BugInjection::None`] for a
     /// genuine protocol bug).
     pub bug: BugInjection,
-    /// The violation message, including the event-trace tail.
+    /// The violation message, followed by the trail: the last events of a
+    /// recorded replay of the run, rendered by
+    /// [`EventLog::render_tail`](shasta_obs::EventLog::render_tail).
     pub message: String,
 }
 
@@ -352,7 +376,15 @@ fn policy_seed(policy: SchedulePolicy) -> u64 {
 }
 
 /// Builds the machine for a scenario (shared by checked and unchecked runs).
-fn build_machine(s: &Scenario, policy: SchedulePolicy, bug: BugInjection, oracle: bool) -> Machine {
+/// `ring` turns on event recording, the one place the checker does, counted
+/// for [`recorded_runs`].
+fn build_machine(
+    s: &Scenario,
+    policy: SchedulePolicy,
+    bug: BugInjection,
+    oracle: bool,
+    ring: Option<usize>,
+) -> Machine {
     let topo = Topology::new(s.procs, s.per_node, s.clustering)
         .unwrap_or_else(|e| panic!("bad scenario topology {s}: {e}"));
     let nodes = topo.phys_nodes();
@@ -403,58 +435,62 @@ fn build_machine(s: &Scenario, policy: SchedulePolicy, bug: BugInjection, oracle
     }
     if oracle {
         m.enable_oracle();
-        m.enable_trace(TRACE_CAPACITY);
         // Liveness budget, generously above any correct run of these sizes.
         m.set_step_limit(100_000 + 50_000 * u64::from(s.procs) * u64::from(s.iters));
+    }
+    if let Some(cap) = ring {
+        RECORDED.with(|n| n.set(n.get() + 1));
+        m.enable_obs(cap);
     }
     m
 }
 
 /// Runs a scenario to completion and returns its statistics. Panics on any
 /// oracle violation (callers wanting a [`Counterexample`] use
-/// [`run_checked`]).
+/// [`run_checked`]). Records no events.
 pub fn run_scenario(
     s: &Scenario,
     policy: SchedulePolicy,
     bug: BugInjection,
     oracle: bool,
 ) -> RunStats {
-    let (stats, _m) = run_scenario_inner(s, policy, bug, oracle);
-    stats
+    let mut m = build_machine(s, policy, bug, oracle, None);
+    let bodies = plan_kernel(&mut m, s);
+    m.run(bodies)
 }
 
-/// Like [`run_scenario`] with oracles on, but also returns the rendered
-/// event trace: equal traces across runs witness that the *schedule* —
-/// not merely the aggregate statistics — was reproduced.
+/// Like [`run_scenario`] with oracles on, but also returns the run's events
+/// rendered as text ([`shasta_obs::EventLog::render`]): equal renders across
+/// runs witness that the *schedule* — not merely the aggregate statistics —
+/// was reproduced.
 pub fn run_scenario_traced(
     s: &Scenario,
     policy: SchedulePolicy,
     bug: BugInjection,
 ) -> (RunStats, String) {
-    let (stats, m) = run_scenario_inner(s, policy, bug, true);
-    (stats, m.render_trace())
-}
-
-/// Builds, plans and runs; the machine comes back for callers that want its
-/// trace rendered (a sweep run does not pay for the `String`).
-fn run_scenario_inner(
-    s: &Scenario,
-    policy: SchedulePolicy,
-    bug: BugInjection,
-    oracle: bool,
-) -> (RunStats, Machine) {
-    let mut m = build_machine(s, policy, bug, oracle);
+    let mut m = build_machine(s, policy, bug, true, Some(TRACE_RING));
     let bodies = plan_kernel(&mut m, s);
     let stats = m.run(bodies);
-    (stats, m)
+    (stats, m.take_obs().render())
+}
+
+/// The text of a caught panic.
+fn panic_text(payload: Box<dyn Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// Replays a `(scenario, policy, bug)` triple with oracles *and* structured
 /// event recording enabled, returning the run outcome together with the
 /// captured [`shasta_obs::EventLog`]. An oracle violation becomes
 /// `Err(message)` instead of a panic, and the log still covers the run up to
-/// the violation — this is how a counterexample's timeline is exported for
-/// `chrome://tracing`.
+/// the violation — this is how a counterexample's trail is rendered and its
+/// timeline exported for `chrome://tracing`.
 pub fn replay_observed(
     s: &Scenario,
     policy: SchedulePolicy,
@@ -462,45 +498,32 @@ pub fn replay_observed(
     ring_capacity: usize,
 ) -> (Result<RunStats, String>, shasta_obs::EventLog) {
     silence_expected_panics();
-    let mut m = build_machine(s, policy, bug, true);
+    let mut m = build_machine(s, policy, bug, true, Some(ring_capacity));
     let bodies = plan_kernel(&mut m, s);
-    m.enable_obs(ring_capacity);
-    let res = panic::catch_unwind(AssertUnwindSafe(|| m.run(bodies))).map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    });
-    let log = m.take_obs();
-    (res, log)
+    let res = panic::catch_unwind(AssertUnwindSafe(|| m.run(bodies))).map_err(panic_text);
+    (res, m.take_obs())
 }
 
 /// Runs a `(scenario, policy, bug)` triple with structured event recording
-/// *and* bounded diagnostic tracing enabled but **no oracle** — the
-/// combination the sharded engine can execute. Returns the statistics, the
-/// captured [`shasta_obs::EventLog`], and the rendered trace.
+/// enabled but **no oracle** — the combination the sharded engine can
+/// execute. Returns the statistics and the captured
+/// [`shasta_obs::EventLog`].
 ///
 /// With [`set_sim_threads`] above 1 (and a multi-node, fault-free,
 /// deterministic scenario) this path exercises sharded recording with
-/// deterministic merge; all three return values are byte-identical for
-/// every worker count, which `recording_equivalence.rs` proves
-/// property-style and `scripts/ci.sh` re-proves with an end-to-end diff.
+/// deterministic merge; both return values are byte-identical for every
+/// worker count, which `recording_equivalence.rs` proves property-style and
+/// `scripts/ci.sh` re-proves with an end-to-end diff.
 pub fn run_scenario_observed(
     s: &Scenario,
     policy: SchedulePolicy,
     bug: BugInjection,
     ring_capacity: usize,
-) -> (RunStats, shasta_obs::EventLog, String) {
-    let mut m = build_machine(s, policy, bug, false);
-    m.enable_trace(TRACE_CAPACITY);
+) -> (RunStats, shasta_obs::EventLog) {
+    let mut m = build_machine(s, policy, bug, false, Some(ring_capacity));
     let bodies = plan_kernel(&mut m, s);
-    m.enable_obs(ring_capacity);
     let stats = m.run(bodies);
-    let trace = m.render_trace();
-    (stats, m.take_obs(), trace)
+    (stats, m.take_obs())
 }
 
 /// Allocates the slot array and builds one kernel body per processor.
@@ -632,7 +655,8 @@ pub fn silence_expected_panics() {
 }
 
 /// Runs a scenario with oracles on, converting a violation panic into a
-/// replayable [`Counterexample`].
+/// replayable [`Counterexample`] whose message carries the trail of a
+/// recorded replay.
 // The Err variant carries the violation message and scenario inline; it is
 // built at most once per failing run, so its size is irrelevant on the Ok
 // path and boxing it would only push indirection onto every consumer.
@@ -642,17 +666,38 @@ pub fn run_checked(
     policy: SchedulePolicy,
     bug: BugInjection,
 ) -> Result<RunStats, Counterexample> {
+    run_bare(s, policy, bug).map_err(with_trail)
+}
+
+/// [`run_checked`] without the trail: shrinking and sweeps try many failing
+/// runs and keep one.
+#[allow(clippy::result_large_err)]
+fn run_bare(
+    s: &Scenario,
+    policy: SchedulePolicy,
+    bug: BugInjection,
+) -> Result<RunStats, Counterexample> {
     let res = panic::catch_unwind(AssertUnwindSafe(|| run_scenario(s, policy, bug, true)));
-    res.map_err(|payload| {
-        let message = if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        Counterexample { scenario: *s, policy, bug, message }
+    res.map_err(|payload| Counterexample {
+        scenario: *s,
+        policy,
+        bug,
+        message: panic_text(payload),
     })
+}
+
+/// Appends the last [`TRAIL_LINES`] events of a recorded replay to a bare
+/// counterexample's message. The failing run recorded nothing; the run is a
+/// deterministic function of the triple, so the replay fails the same way —
+/// and if it does not, the message says so instead.
+fn with_trail(cx: Counterexample) -> Counterexample {
+    let (replayed, log) = replay_observed(&cx.scenario, cx.policy, cx.bug, TRACE_RING);
+    let trail = match replayed {
+        Err(again) if again == cx.message => log.render_tail(TRAIL_LINES),
+        Err(again) => format!("no trail: the recorded replay failed differently:\n{again}"),
+        Ok(_) => "no trail: the recorded replay passed".to_string(),
+    };
+    Counterexample { message: format!("{}\n{trail}", cx.message.trim_end()), ..cx }
 }
 
 /// [`run_checked`] under the signature sweep callers thread a [`RunCtx`]
@@ -670,12 +715,27 @@ pub fn run_checked_ctx(
 /// Greedily shrinks a counterexample: repeatedly halve the kernel's round
 /// count while the *same* `(scenario, policy)` pair still fails, keeping
 /// the smallest failing run (fewer rounds ⇒ a shorter schedule and a
-/// tighter trace tail around the violation). When the scenario carries a
+/// tighter trail around the violation). When the scenario carries a
 /// fault plan, whole fault categories that are not needed to reproduce the
 /// failure are dropped too, then the rounds re-shrunk — the surviving
 /// categories name the delivery assumption the failure depends on.
+///
+/// Candidates run bare; only a smaller counterexample than `cx` pays for a
+/// trail replay.
 pub fn shrink(cx: &Counterexample) -> Counterexample {
-    let mut best = shrink_iters(cx.clone());
+    let best = shrink_bare(cx.clone());
+    // Shrinking moves only the round count and the fault plan.
+    let size = |c: &Counterexample| (c.scenario.iters, c.scenario.fault);
+    if size(&best) == size(cx) {
+        cx.clone()
+    } else {
+        with_trail(best)
+    }
+}
+
+/// [`shrink`]'s search over bare counterexamples.
+fn shrink_bare(cx: Counterexample) -> Counterexample {
+    let mut best = shrink_iters(cx);
     if best.scenario.fault.is_none() {
         return best;
     }
@@ -695,7 +755,7 @@ pub fn shrink(cx: &Counterexample) -> Counterexample {
             continue;
         }
         let candidate = Scenario { fault, ..best.scenario };
-        if let Err(smaller) = run_checked(&candidate, best.policy, best.bug) {
+        if let Err(smaller) = run_bare(&candidate, best.policy, best.bug) {
             best = smaller;
         }
     }
@@ -710,7 +770,7 @@ fn shrink_iters(best: Counterexample) -> Counterexample {
     while iters > 1 {
         let half = iters / 2;
         let candidate = Scenario { iters: half, ..best.scenario };
-        match run_checked(&candidate, best.policy, best.bug) {
+        match run_bare(&candidate, best.policy, best.bug) {
             Err(smaller) => {
                 best = smaller;
                 iters = half;
@@ -817,8 +877,8 @@ pub fn sweep_jobs(
         for idx in 0..total {
             let (s, policy) = sweep_run_at(scenarios, &seeds, idx);
             report.runs += 1;
-            if let Err(cx) = run_checked(&s, policy, bug) {
-                report.failures.push(shrink(&cx));
+            if let Err(cx) = run_bare(&s, policy, bug) {
+                report.failures.push(with_trail(shrink_bare(cx)));
                 if report.failures.len() >= k {
                     return report;
                 }
@@ -841,7 +901,7 @@ pub fn sweep_jobs(
                         break;
                     }
                     let (s, policy) = sweep_run_at(scenarios, &seeds, idx);
-                    if let Err(cx) = run_checked(&s, policy, bug) {
+                    if let Err(cx) = run_bare(&s, policy, bug) {
                         let mut v = found.lock().expect("failure list poisoned");
                         v.push((idx, cx));
                         if v.len() >= k {
@@ -864,7 +924,7 @@ pub fn sweep_jobs(
     } else {
         total as u64
     };
-    let failures = failures.into_iter().map(|(_, cx)| shrink(&cx)).collect();
+    let failures = failures.into_iter().map(|(_, cx)| with_trail(shrink_bare(cx))).collect();
     SweepReport { runs, failures }
 }
 
@@ -910,22 +970,6 @@ mod tests {
         let plain = run_scenario(&s, SchedulePolicy::Deterministic, BugInjection::None, false);
         let checked = run_scenario(&s, SchedulePolicy::Deterministic, BugInjection::None, true);
         assert_eq!(plain, checked, "oracles must not perturb timing or stats");
-    }
-
-    #[test]
-    fn observed_replay_captures_counterexample_timeline() {
-        let scenarios = default_scenarios();
-        let report = sweep(&scenarios, 0..8, BugInjection::SkipDowngradeWait, 1);
-        let cx = report.failures.first().expect("injected bug must be caught");
-        let (outcome, log) = replay_observed(&cx.scenario, cx.policy, cx.bug, 16_384);
-        let err = outcome.expect_err("replaying a counterexample must fail again");
-        assert!(!err.is_empty());
-        assert!(!log.is_empty(), "the failing run must leave an event timeline");
-        assert_eq!(log.procs() as u32, cx.scenario.procs);
-        // A clean replay of the same scenario succeeds and also records.
-        let (ok, clean) = replay_observed(&cx.scenario, cx.policy, BugInjection::None, 16_384);
-        let stats = ok.expect("correct protocol passes");
-        clean.crosscheck(&stats.messages).expect("recorded sends match the network's counters");
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Seeded schedule exploration must be deterministic, or counterexamples
 //! are not replayable: the same `(scenario, policy)` pair has to reproduce
-//! the identical run — statistics *and* event trace — while different
-//! seeds have to actually explore different schedules.
+//! the identical run — statistics *and* rendered events — while different
+//! seeds have to actually explore different schedules. A counterexample's
+//! trail comes from a recorded replay, so only a failing run records.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 use shasta_check::{
-    default_scenarios, loss_fault_plan, policies_for_seed, run_checked, run_scenario_traced,
-    shrink, silence_expected_panics, Scenario,
+    default_scenarios, loss_fault_plan, policies_for_seed, recorded_runs, replay_observed,
+    run_checked, run_scenario_traced, shrink, silence_expected_panics, sweep, validate_oracles,
+    Scenario, TRACE_RING,
 };
 use shasta_core::BugInjection;
 use shasta_sim::SchedulePolicy;
@@ -94,4 +96,50 @@ fn deterministic_policy_is_stable() {
         let b = run_scenario_traced(s, SchedulePolicy::Deterministic, BugInjection::None);
         assert_eq!(a, b, "deterministic run diverged for {s}");
     }
+}
+
+/// Both injected bugs are caught with their trail: each shrunk
+/// counterexample's message ends with rendered events of its recorded
+/// replay, and running its triple twice gives byte-identical messages. The
+/// same scenario and policy without the bug pass a recorded replay (the
+/// clean path of `check --trace`), whose log covers every processor and
+/// agrees with the network's message counters.
+#[test]
+fn counterexamples_carry_their_trail() {
+    silence_expected_panics();
+    let caught = validate_oracles(&default_scenarios(), 8).expect("both injected bugs are caught");
+    assert_eq!(caught.len(), 2);
+    for cx in &caught {
+        let trail = cx.message.lines().filter(|l| l.starts_with('[') && l.contains("cy P"));
+        assert!(trail.count() > 0, "no trail in {cx}");
+        let a = run_checked(&cx.scenario, cx.policy, cx.bug).expect_err("the triple fails");
+        let b = run_checked(&cx.scenario, cx.policy, cx.bug).expect_err("the triple fails");
+        assert_eq!(a.message, b.message, "{:?}", cx.bug);
+        assert_eq!(a.message, cx.message, "{:?}", cx.bug);
+        let (ok, log) = replay_observed(&cx.scenario, cx.policy, BugInjection::None, TRACE_RING);
+        let stats = ok.expect("the correct protocol passes");
+        assert_eq!(log.procs() as u32, cx.scenario.procs);
+        log.crosscheck(&stats.messages).expect("recorded sends match the network's counters");
+    }
+}
+
+/// A passing sweep run records no events; a failing run pays for exactly
+/// one recorded replay, its trail — and so does a shrunk counterexample,
+/// however many failing candidates the shrink tried.
+#[test]
+fn only_a_failing_run_records() {
+    silence_expected_panics();
+    let scenarios = default_scenarios();
+    let before = recorded_runs();
+    let report = sweep(&scenarios, 0..2, BugInjection::None, 1);
+    assert!(report.failures.is_empty() && report.runs > 0);
+    assert_eq!(recorded_runs(), before, "a passing sweep recorded events");
+    let cx = scenarios.iter().find_map(|s| {
+        run_checked(s, SchedulePolicy::Deterministic, BugInjection::SkipDowngradeWait).err()
+    });
+    assert!(cx.is_some(), "a deterministic run catches the injected bug");
+    assert_eq!(recorded_runs(), before + 1, "one replay for the one failure");
+    let report = sweep(&scenarios, 0..8, BugInjection::SkipDowngradeWait, 1);
+    assert_eq!(report.failures.len(), 1, "the injected bug is caught");
+    assert_eq!(recorded_runs(), before + 2, "one replay for the one shrunk failure");
 }

@@ -248,9 +248,9 @@ impl Machine {
             })
     }
 
-    /// Reports an oracle violation: panics with the violation, the observing
-    /// processor, and the event-trace tail (the checker formats these into a
-    /// replayable counterexample).
+    /// Reports an oracle violation: panics with the violation and the
+    /// observing processor (the checker formats these into a replayable
+    /// counterexample and attaches the events that led here).
     pub(crate) fn oracle_violation(&self, p: u32, what: String) -> ! {
         let ops = self.oracle.as_ref().map(|o| o.observed_ops).unwrap_or(0);
         let faults = if self.net.fault_active() {
@@ -260,9 +260,8 @@ impl Machine {
         };
         panic!(
             "coherence oracle violation at P{p} (after {ops} observed ops, {} sched steps): \
-             {what}{faults}\n{}",
+             {what}{faults}",
             self.sched.steps(),
-            self.trace.render_tail(40),
         );
     }
 }

@@ -91,16 +91,15 @@ pub(crate) struct Window {
 /// coordinator needs to replay the serial interleaving: the candidate key
 /// (merge order), the executing processor's clock after the event, the
 /// shard's live-fiber count after it (elapsed-time capture), and the
-/// journal high-water marks that delimit which recorded observability /
-/// trace events this scheduling event produced (cumulative within the
-/// window — the journals are drained at every window boundary).
+/// journal high-water mark that delimits which recorded events this
+/// scheduling event produced (cumulative within the window — the journal is
+/// drained at every window boundary).
 pub(crate) struct EventEntry {
     pub(crate) time: Time,
     pub(crate) proc: u32,
     pub(crate) clock_after: Time,
     pub(crate) live_after: u32,
     pub(crate) obs_upto: u32,
-    pub(crate) trace_upto: u32,
 }
 
 /// Wraps an application body as processor `p`'s fiber.
@@ -318,7 +317,6 @@ impl Machine {
                 clock_after: self.clocks[p as usize],
                 live_after: ex.pool.live_count() as u32,
                 obs_upto: self.obs.staged_len() as u32,
-                trace_upto: self.trace.len() as u32,
             });
         }
         answer
@@ -398,11 +396,10 @@ impl Machine {
     /// * no oracle, step limit, or fault plan: these observe the *global*
     ///   interleaving of scheduling steps.
     ///
-    /// Event recording and tracing do **not** disqualify: shards journal
-    /// their recorded events per window and the coordinator replays the
-    /// journals through the parent recorder/trace in the merged serial
-    /// order, byte-identical to a serial run (see
-    /// `crate::protocol::pdes`).
+    /// Event recording does **not** disqualify: shards journal their
+    /// recorded events per window and the coordinator replays the journals
+    /// through the parent recorder in the merged serial order,
+    /// byte-identical to a serial run (see `crate::protocol::pdes`).
     pub(crate) fn pdes_eligible(&self) -> Option<u64> {
         if self.sim_threads <= 1 || self.topo.phys_nodes() < 2 {
             return None;
@@ -1088,9 +1085,8 @@ impl Machine {
         };
         assert!(
             self.miss[v].get(block.start).is_none(),
-            "P{p} issuing {kind:?} for block {:#x} which already has an entry\n{}",
-            block.start,
-            self.trace.render()
+            "P{p} issuing {kind:?} for block {:#x} which already has an entry",
+            block.start
         );
         self.miss[v].insert(MissEntry::new(block, kind, p, epoch));
         let pending = match kind {
@@ -1108,7 +1104,6 @@ impl Machine {
             ReqKind::Write => ProtoMsg::WriteReq { block },
             ReqKind::Upgrade => ProtoMsg::UpgradeReq { block },
         };
-        self.trace_event(p, "issue", || format!("{kind:?} {:#x}", block.start));
         // Future-work extension (§3.1/§5): with shared directory state a
         // requester colocated with the home performs the lookup itself,
         // eliminating the intra-node request message.
@@ -1126,11 +1121,6 @@ impl Machine {
             let to_vnode = self.cfg.load_balance_incoming && self.vnode(p) != self.vnode(home);
             self.post_via(p, home, msg, to_vnode);
         }
-    }
-
-    fn trace_event(&mut self, p: u32, label: &'static str, detail: impl FnOnce() -> String) {
-        let t = self.clocks[p as usize];
-        self.trace.record(t, p, label, detail);
     }
 
     // ------------------------------------------------------------------
@@ -1359,7 +1349,7 @@ impl Machine {
             "liveness violation: run exceeded {limit} scheduling steps without completing\n"
         );
         self.append_proc_diag(&mut diag, pool);
-        panic!("{diag}{}", self.trace.render_tail(40));
+        panic!("{diag}");
     }
 
     /// Appends the state every stuck-run diagnostic opens with: one line per
@@ -1412,7 +1402,7 @@ impl Machine {
                 );
             }
         }
-        panic!("{diag}{}", self.trace.render());
+        panic!("{diag}");
     }
 }
 

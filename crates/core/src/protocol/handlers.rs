@@ -2,12 +2,13 @@
 //! downgrade protocol of §3.4.3, invalidations and acknowledgements, data
 //! replies with store merging, and the application lock/barrier managers.
 
+use shasta_obs::DowngradeAction;
 use shasta_stats::TimeCat;
 
 use crate::misstable::ReqKind;
 use crate::protocol::config::Mode;
 use crate::protocol::engine::{miss_kind_of, priv_ceiling};
-use crate::protocol::machine::{Deferred, DowngradeEntry, LingeringAcks, Machine};
+use crate::protocol::machine::{DowngradeEntry, LingeringAcks, Machine};
 use crate::protocol::msg::{DirUpdate, DowngradeTo, ProtoMsg};
 use crate::space::Block;
 use crate::state::LineState;
@@ -116,10 +117,14 @@ impl Machine {
         let entry = self.dirs[home as usize].entry(block.start);
         if entry.busy {
             entry.queue.push_back(crate::directory::QueuedReq { requester, kind });
-            let t = self.clocks[exec as usize];
-            self.trace.record(t, exec, "dir-queued", || {
-                format!("{:#x} {kind:?} from {requester}", block.start)
-            });
+            self.obs_event(
+                exec,
+                shasta_obs::EventKind::DirQueued {
+                    block: block.start,
+                    requester,
+                    kind: miss_kind_of(kind),
+                },
+            );
             return;
         }
         match kind {
@@ -208,17 +213,7 @@ impl Machine {
             let data = self.mems[hv].read(block.start, block.len).to_vec();
             self.dirs[home as usize].entry(block.start).grant_exclusive(requester);
             self.post(exec, requester, ProtoMsg::WriteReply { block, data, acks_expected: acks });
-            for s in to_inval {
-                if self.vnode(s) == hv {
-                    // The home's own node is a sharer: invalidate it locally,
-                    // with the same state dispatch as a remote invalidation
-                    // (the node may have a pending request, in which case the
-                    // invalidation is deferred to the reply).
-                    self.handle_invalidate(exec, block, requester);
-                } else {
-                    self.post(exec, s, ProtoMsg::InvalidateReq { block, ack_to: requester });
-                }
-            }
+            self.invalidate_sharers(exec, block, requester, to_inval);
         } else {
             // Home lacks a copy: the owner supplies data (and invalidates
             // itself); the home invalidates the remaining sharers.
@@ -247,7 +242,6 @@ impl Machine {
     }
 
     fn home_upgrade(&mut self, exec: u32, home: u32, requester: u32, block: Block) {
-        let hv = self.vnode(home);
         let rv = self.vnode(requester);
         let entry = self.dirs[home as usize].entry(block.start);
         // The directory lists one representative per sharing node; the
@@ -261,13 +255,7 @@ impl Machine {
             let acks = sharers.len() as u32;
             self.dirs[home as usize].entry(block.start).grant_exclusive(requester);
             self.post(exec, requester, ProtoMsg::UpgradeReply { block, acks_expected: acks });
-            for s in sharers {
-                if self.vnode(s) == hv {
-                    self.handle_invalidate(exec, block, requester);
-                } else {
-                    self.post(exec, s, ProtoMsg::InvalidateReq { block, ack_to: requester });
-                }
-            }
+            self.invalidate_sharers(exec, block, requester, sharers);
         } else {
             // The requester's copy was invalidated while the upgrade was in
             // flight: it needs data, so serve as a write (§3.4 race rule).
@@ -296,7 +284,7 @@ impl Machine {
                     owner,
                     block,
                     DowngradeTo::Shared,
-                    Deferred::ReadDone { requester },
+                    DowngradeAction::ReadReply { requester },
                 );
             }
             LineState::Shared => {
@@ -428,7 +416,7 @@ impl Machine {
             owner,
             block,
             DowngradeTo::Invalid,
-            Deferred::WriteDone { requester, acks_expected },
+            DowngradeAction::WriteReply { requester, acks: acks_expected },
         );
     }
 
@@ -447,7 +435,7 @@ impl Machine {
         x: u32,
         block: Block,
         to: DowngradeTo,
-        deferred: Deferred,
+        deferred: DowngradeAction,
     ) {
         let v = self.vnode(x);
         assert!(
@@ -483,7 +471,6 @@ impl Machine {
         // The initiator downgrades its own private entry immediately.
         let lines = block.line_range(self.space.line_bytes());
         self.privs[x as usize].downgrade_range(lines, priv_ceiling(to));
-        self.trace_dg(x, block, to, targets.len());
         self.obs_event(
             x,
             shasta_obs::EventKind::DowngradeStart {
@@ -508,7 +495,7 @@ impl Machine {
             // are then missing from the data the requester receives.
             let early_data = (self.cfg.bug
                 == crate::protocol::config::BugInjection::SkipDowngradeWait
-                && matches!(deferred, Deferred::ReadDone { .. } | Deferred::WriteDone { .. }))
+                && !matches!(deferred, DowngradeAction::InvAck { .. }))
             .then(|| self.mems[v].read(block.start, block.len).to_vec());
             self.downgrades[v].insert(
                 block.start,
@@ -518,11 +505,6 @@ impl Machine {
                 self.post(x, q, ProtoMsg::Downgrade { block, to });
             }
         }
-    }
-
-    fn trace_dg(&mut self, x: u32, block: Block, to: DowngradeTo, n: usize) {
-        let t = self.clocks[x as usize];
-        self.trace.record(t, x, "downgrade", || format!("{:#x} to {to:?} ({n} msgs)", block.start));
     }
 
     /// A processor handling its downgrade message (§3.4.3): lower the
@@ -554,22 +536,18 @@ impl Machine {
         executor: u32,
         block: Block,
         to: DowngradeTo,
-        deferred: Deferred,
+        deferred: DowngradeAction,
         early_data: Option<Vec<u8>>,
     ) {
         let v = self.vnode(executor);
-        let t = self.clocks[executor as usize];
-        self.trace.record(t, executor, "dg-done", || {
-            format!("{:#x} to {to:?} {deferred:?}", block.start)
-        });
         self.pay(executor, TimeCat::Other, self.cost.deferred_action_cycles);
         // Capture data before any flag writes. `early_data` (bug injection
         // only) substitutes a stale pre-downgrade snapshot here.
         let data = match deferred {
-            Deferred::ReadDone { .. } | Deferred::WriteDone { .. } => Some(
+            DowngradeAction::ReadReply { .. } | DowngradeAction::WriteReply { .. } => Some(
                 early_data.unwrap_or_else(|| self.mems[v].read(block.start, block.len).to_vec()),
             ),
-            Deferred::InvDone { .. } => None,
+            DowngradeAction::InvAck { .. } => None,
         };
         match to {
             DowngradeTo::Shared => {
@@ -587,12 +565,15 @@ impl Machine {
                 self.mems[v].write_flags(block.start, block.len);
             }
         }
-        self.obs_event(executor, shasta_obs::EventKind::DowngradeDone { block: block.start });
+        self.obs_event(
+            executor,
+            shasta_obs::EventKind::DowngradeDone { block: block.start, action: deferred },
+        );
         let now = self.clocks[executor as usize];
         self.bump_wake_vnode(v, now);
         let home = self.home_proc(block);
         match deferred {
-            Deferred::ReadDone { requester } => {
+            DowngradeAction::ReadReply { requester } => {
                 let data = data.expect("captured above");
                 self.post(executor, requester, ProtoMsg::ReadReply { block, data });
                 self.post(
@@ -604,9 +585,10 @@ impl Machine {
                     },
                 );
             }
-            Deferred::WriteDone { requester, acks_expected } => {
+            DowngradeAction::WriteReply { requester, acks } => {
                 let data = data.expect("captured above");
-                self.post(executor, requester, ProtoMsg::WriteReply { block, data, acks_expected });
+                let reply = ProtoMsg::WriteReply { block, data, acks_expected: acks };
+                self.post(executor, requester, reply);
                 self.post(
                     executor,
                     home,
@@ -616,7 +598,7 @@ impl Machine {
                     },
                 );
             }
-            Deferred::InvDone { ack_to } => {
+            DowngradeAction::InvAck { ack_to } => {
                 self.post(executor, ack_to, ProtoMsg::InvAck { block });
             }
         }
@@ -626,19 +608,36 @@ impl Machine {
     // Invalidations and acknowledgements
     // ------------------------------------------------------------------
 
+    /// Invalidates `sharers`' copies of `block` for the writer `ack_to`, from
+    /// the home's node (`exec` acts for the home): a remote sharer by
+    /// message, the home's own node in place, with the same state dispatch
+    /// as a remote invalidation (the node may have a pending request, in
+    /// which case the invalidation is deferred to the reply).
+    fn invalidate_sharers(&mut self, exec: u32, block: Block, ack_to: u32, sharers: Vec<u32>) {
+        for s in sharers {
+            if self.vnode(s) == self.vnode(exec) {
+                let kind = shasta_obs::EventKind::HomeInvalidate { block: block.start, ack_to };
+                self.obs_event(exec, kind);
+                self.handle_invalidate(exec, block, ack_to);
+            } else {
+                self.post(exec, s, ProtoMsg::InvalidateReq { block, ack_to });
+            }
+        }
+    }
+
     fn handle_invalidate(&mut self, p: u32, block: Block, ack_to: u32) {
         self.obs_lock_acq(p, block);
         self.pay(p, TimeCat::Message, self.cost.inv_handler_cycles + self.smp_lock_cost());
         self.obs_lock_rel(p, block);
         let v = self.vnode(p);
-        let state = self.block_state(v, block);
-        let t = self.clocks[p as usize];
-        self.trace.record(t, p, "inval", || {
-            format!("{:#x} state {state:?} ack_to {ack_to}", block.start)
-        });
-        match state {
+        match self.block_state(v, block) {
             LineState::Shared | LineState::Exclusive => {
-                self.start_downgrade(p, block, DowngradeTo::Invalid, Deferred::InvDone { ack_to });
+                self.start_downgrade(
+                    p,
+                    block,
+                    DowngradeTo::Invalid,
+                    DowngradeAction::InvAck { ack_to },
+                );
             }
             LineState::PendingRead | LineState::PendingWrite => {
                 // The copy being invalidated is concurrently being replaced:
@@ -660,8 +659,6 @@ impl Machine {
     fn handle_inv_ack(&mut self, p: u32, block: Block) {
         self.pay(p, TimeCat::Message, self.cost.ack_handler_cycles);
         let v = self.vnode(p);
-        let t = self.clocks[p as usize];
-        self.trace.record(t, p, "got-ack", || format!("{:#x}", block.start));
         // Acks for a replied entry live in the lingering list; check it
         // first (a *new* entry for the same block may already exist).
         if let Some(i) = self.lingering[v].iter().position(|l| l.block_start == block.start) {
@@ -674,9 +671,8 @@ impl Machine {
         }
         let Some(e) = self.miss[v].get_mut(block.start) else {
             panic!(
-                "invalidation ack at P{p} without a matching miss entry for block {:#x}\n{}",
-                block.start,
-                self.trace.render()
+                "invalidation ack at P{p} without a matching miss entry for block {:#x}",
+                block.start
             );
         };
         e.early_acks += 1;
@@ -751,8 +747,6 @@ impl Machine {
         self.pay(p, TimeCat::Message, self.cost.reply_receive_cycles + self.smp_lock_cost());
         self.obs_lock_rel(p, block);
         let v = self.vnode(p);
-        let t = self.clocks[p as usize];
-        self.trace.record(t, p, "r-reply", || format!("{:#x} from {src}", block.start));
         let mut entry = self.miss[v].remove(block.start).expect("read reply without a miss entry");
         assert_eq!(entry.kind, ReqKind::Read, "read reply for a non-read entry");
         assert_eq!(entry.requester, p, "reply delivered to a non-requester");
@@ -778,7 +772,12 @@ impl Machine {
         // being killed by a concurrent writer): execute it now. Any stalled
         // local readers will retry and re-fetch fresh data.
         if let Some(ack_to) = self.deferred_invals[v].remove(&block.start) {
-            self.start_downgrade(p, block, DowngradeTo::Invalid, Deferred::InvDone { ack_to });
+            self.start_downgrade(
+                p,
+                block,
+                DowngradeTo::Invalid,
+                DowngradeAction::InvAck { ack_to },
+            );
             debug_assert!(
                 !self.downgrades[v].contains_key(&block.start),
                 "deferred invalidation should complete immediately (no private copies exist)"
@@ -831,8 +830,6 @@ impl Machine {
         self.pay(p, TimeCat::Message, self.cost.reply_receive_cycles + self.smp_lock_cost());
         self.obs_lock_rel(p, block);
         let v = self.vnode(p);
-        let t = self.clocks[p as usize];
-        self.trace.record(t, p, "w-reply", || format!("{:#x} from {src} acks {acks}", block.start));
         let mut entry = self.miss[v].remove(block.start).expect("write reply without a miss entry");
         assert!(
             matches!(entry.kind, ReqKind::Write | ReqKind::Upgrade),
@@ -895,10 +892,6 @@ impl Machine {
                 hops,
             },
         );
-        let t = self.clocks[p as usize];
-        self.trace.record(t, p, "upg-reply", || {
-            format!("{:#x} acks {acks} early {}", block.start, entry.early_acks)
-        });
         assert!(
             !self.deferred_invals[v].contains_key(&block.start),
             "an upgrade cannot be granted to a processor whose copy was invalidated"
@@ -932,14 +925,14 @@ impl Machine {
                     p,
                     block,
                     DowngradeTo::Invalid,
-                    Deferred::WriteDone { requester: f.requester, acks_expected: f.acks_expected },
+                    DowngradeAction::WriteReply { requester: f.requester, acks: f.acks_expected },
                 );
             } else {
                 self.start_downgrade(
                     p,
                     block,
                     DowngradeTo::Shared,
-                    Deferred::ReadDone { requester: f.requester },
+                    DowngradeAction::ReadReply { requester: f.requester },
                 );
             }
         }
@@ -1034,17 +1027,15 @@ impl Machine {
                     assert_eq!(
                         self.block_state(ov, block),
                         LineState::Exclusive,
-                        "block {start:#x}: owner node not exclusive\n{}",
-                        self.trace.render()
+                        "block {start:#x}: owner node not exclusive"
                     );
                     for v in 0..self.mems.len() {
                         if v != ov {
                             assert_eq!(
                                 self.block_state(v, block),
                                 LineState::Invalid,
-                                "block {start:#x}: stale copy on vnode {v}, dir owner P{}\n{}",
-                                e.owner,
-                                self.trace.render()
+                                "block {start:#x}: stale copy on vnode {v}, dir owner P{}",
+                                e.owner
                             );
                         }
                     }

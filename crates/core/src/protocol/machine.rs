@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use shasta_cluster::{CostModel, Topology};
 use shasta_memchan::{Network, Transport};
-use shasta_sim::{SchedulePolicy, Scheduler, Time, Trace};
+use shasta_sim::{SchedulePolicy, Scheduler, Time};
 use shasta_stats::{RunStats, TimeCat};
 
 use crate::api::Req;
@@ -16,32 +16,6 @@ use crate::protocol::msg::{DowngradeTo, ProtoMsg};
 use crate::space::{Addr, Block, BlockHint, HomeHint, SharedSpace};
 use crate::state::{LineState, NodeMem, PrivState, PrivTable};
 
-/// A deferred protocol action, executed when the last downgrade message for
-/// a block is handled (or immediately when no messages are needed), §3.4.3.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Deferred {
-    /// Send the block data to `requester` as a read reply and notify the
-    /// home that the block is now shared by `requester` (and the owner).
-    ReadDone {
-        /// Original requester.
-        requester: u32,
-    },
-    /// Send the block data to `requester` as a write reply (carrying the
-    /// ack count arranged by the home) and notify the home of the ownership
-    /// change.
-    WriteDone {
-        /// Original requester.
-        requester: u32,
-        /// Invalidation acks the requester should expect.
-        acks_expected: u32,
-    },
-    /// The node finished invalidating its copy: acknowledge the writer.
-    InvDone {
-        /// Processor awaiting the invalidation ack.
-        ack_to: u32,
-    },
-}
-
 /// An in-progress block downgrade on a virtual node.
 #[derive(Clone, Debug)]
 pub struct DowngradeEntry {
@@ -49,8 +23,8 @@ pub struct DowngradeEntry {
     pub remaining: u32,
     /// Target state.
     pub to: DowngradeTo,
-    /// Action for the last downgrader to execute.
-    pub deferred: Deferred,
+    /// The reply the last downgrader sends (§3.4.3).
+    pub deferred: shasta_obs::DowngradeAction,
     /// Block state before the downgrade began; accesses by processors that
     /// already handled their downgrade message may still be serviced if this
     /// prior state was sufficient (§3.4.3).
@@ -209,7 +183,6 @@ pub struct Machine {
     pub(crate) barriers: HashMap<u32, BarrierInfo>,
     // ---- output ----
     pub(crate) stats: RunStats,
-    pub(crate) trace: Trace,
     /// Structured protocol-event recorder (disabled by default).
     pub(crate) obs: shasta_obs::Recorder,
     // ---- checker hooks ----
@@ -313,7 +286,6 @@ impl Machine {
             locks: HashMap::new(),
             barriers: HashMap::new(),
             stats: RunStats::new(procs),
-            trace: Trace::disabled(),
             obs: shasta_obs::Recorder::disabled(),
             sched: Scheduler::default(),
             dirty: (0..procs as u32).collect(),
@@ -342,8 +314,8 @@ impl Machine {
     /// exclusivity, and private-state/directory agreement. Enable before
     /// [`Machine::setup`] so initialization writes reach the shadow.
     ///
-    /// Violations panic with the event-trace tail; combine with
-    /// [`Machine::enable_trace`] for usable counterexamples.
+    /// Violations panic with a diagnostic; the checker replays the run with
+    /// [`Machine::enable_obs`] to attach the events that led there.
     pub fn enable_oracle(&mut self) {
         // As far as `malloc` has mapped the images; it maps the rest.
         self.oracle = Some(Box::new(Oracle::new(self.mems[0].mapped_bytes())));
@@ -393,9 +365,9 @@ impl Machine {
     /// physical nodes, a transport with a positive lookahead bound, the
     /// deterministic schedule policy, and no oracle / step limit / fault
     /// plan), and falls back to the serial loop otherwise. Event recording
-    /// and tracing stay sharded: per-shard journals are merged at the
-    /// coordinator in serial event order, so the recorded stream is
-    /// byte-identical too. `n` is a cap, not a demand: at most one worker
+    /// stays sharded: per-shard journals are merged at the coordinator in
+    /// serial event order, so the recorded stream is byte-identical too.
+    /// `n` is a cap, not a demand: at most one worker
     /// per physical node is ever used.
     ///
     /// # Panics
@@ -468,11 +440,6 @@ impl Machine {
     /// protocol chains inherit the originating miss's id.
     pub(crate) fn set_trace_context(&mut self, ctx: u32) {
         self.net.set_trace_context(ctx);
-    }
-
-    /// Enables bounded event tracing (diagnostics).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::bounded(capacity);
     }
 
     /// Enables structured protocol-event recording (the `shasta-obs` layer):
@@ -593,13 +560,6 @@ impl Machine {
         if self.cfg.mode == Mode::Smp {
             self.obs_event(p, shasta_obs::EventKind::LineLockRelease { block: block.start });
         }
-    }
-
-    /// Renders the recorded event trace (empty when tracing is disabled).
-    /// The render is a faithful witness of the schedule taken, so equal
-    /// renders across runs demonstrate reproducibility.
-    pub fn render_trace(&self) -> String {
-        self.trace.render()
     }
 
     /// The topology in effect.
@@ -930,6 +890,7 @@ mod tests {
         const LAST: usize = DowngradeHist::BUCKETS - 1;
         let dg = |targets| K::DowngradeStart { block: 0x40, to_invalid: true, targets };
         let nothing: Expect = |_| {};
+        let inv_ack = shasta_obs::DowngradeAction::InvAck { ack_to: 1 };
         let table: Vec<(K, Expect)> = vec![
             (K::Slice { cat: TimeCat::Read, cycles: 40 }, |s| {
                 s.breakdowns[2].add(TimeCat::Read, 40)
@@ -948,7 +909,9 @@ mod tests {
             (K::MsgSend { msg: "read-req", peer: 1, block: 0x40 }, nothing),
             (K::MsgRecv { msg: "read-reply", peer: 1, block: 0x40 }, nothing),
             (K::DowngradeAck { block: 0x40, remaining: 0 }, nothing),
-            (K::DowngradeDone { block: 0x40 }, nothing),
+            (K::HomeInvalidate { block: 0x40, ack_to: 1 }, nothing),
+            (K::DirQueued { block: 0x40, requester: 1, kind: MissKind::Read }, nothing),
+            (K::DowngradeDone { block: 0x40, action: inv_ack }, nothing),
             (K::PollDrain { handled: 3 }, nothing),
             (K::LineLockAcquire { block: 0x40 }, nothing),
             (K::LineLockRelease { block: 0x40 }, nothing),

@@ -108,19 +108,19 @@
 //!
 //! # Sharded recording
 //!
-//! Event recording (`shasta-obs`) and diagnostic tracing ride the same
-//! merge. A recording shard gets a *journal-mode* recorder/trace — events
-//! accumulate in record order, never flushed to rings — drained at every
-//! window boundary and shipped with the window log, each `EventEntry`
-//! carrying journal high-water marks that delimit which recorded events it
-//! produced. During finalization the coordinator replays each event's
-//! slice through the **parent** recorder and trace, so the rings, the
-//! streaming aggregators (whose transitions depend on the global
-//! interleaving), and trace eviction all see the serial record order —
-//! byte-identical to an unsharded run. The one piece of global state in
-//! the stream, the check-miss id, restarts from zero on every shard; the
-//! coordinator rewrites `CheckMiss` ids with the serial allocator formula
-//! in finalization order, which reproduces the serial ids exactly.
+//! Event recording (`shasta-obs`) rides the same merge. A recording shard
+//! gets a *journal-mode* recorder — events accumulate in record order,
+//! never flushed to rings — drained at every window boundary and shipped
+//! with the window log, each `EventEntry` carrying the journal high-water
+//! mark that delimits which recorded events it produced. During
+//! finalization the coordinator replays each event's slice through the
+//! **parent** recorder, so the rings, their eviction and the streaming
+//! aggregators (whose transitions depend on the global interleaving) all
+//! see the serial record order — byte-identical to an unsharded run. The
+//! one piece of global state in the stream, the check-miss id, restarts
+//! from zero on every shard; the coordinator rewrites `CheckMiss` ids with
+//! the serial allocator formula in finalization order, which reproduces the
+//! serial ids exactly.
 //!
 //! # Why conservative, not optimistic
 //!
@@ -150,7 +150,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 
 use shasta_cluster::NodeId;
 use shasta_memchan::{Envelope, PdesSendRecord};
-use shasta_sim::{FiberPool, Stop, Time, Trace, TraceEvent};
+use shasta_sim::{FiberPool, Stop, Time};
 
 use crate::api::Dsm;
 use crate::protocol::engine::{fiber_body, EventEntry, Exec, Window};
@@ -159,12 +159,11 @@ use crate::protocol::msg::ProtoMsg;
 
 /// An executed-but-unfinalized shard event buffered at the coordinator:
 /// the log entry plus everything the event produced — journaled sends and
-/// the observability / trace events it recorded.
+/// the observability events it recorded.
 struct Pending {
     e: EventEntry,
     sends: Vec<PdesSendRecord<ProtoMsg>>,
     obs: Vec<shasta_obs::Event>,
-    trace: Vec<TraceEvent>,
 }
 
 /// A shard's schedulable state between phases: its next candidate key, live
@@ -204,9 +203,6 @@ enum Reply {
         /// Observability events journaled during the window, in shard
         /// record order; sliced per scheduling event by `obs_upto`.
         obs_events: Vec<shasta_obs::Event>,
-        /// Diagnostic trace events journaled during the window, in shard
-        /// record order; sliced per scheduling event by `trace_upto`.
-        trace_events: Vec<TraceEvent>,
         status: ShardStatus,
     },
 }
@@ -252,10 +248,8 @@ fn serve(execs: &mut Shards, cmd: Cmd) -> Reply {
             let journal = exec.m.net.pdes_take_window();
             let obs_events =
                 if exec.m.obs.is_enabled() { exec.m.obs.take_journal() } else { Vec::new() };
-            let trace_events =
-                if exec.m.trace.is_enabled() { exec.m.trace.take_events() } else { Vec::new() };
             let status = exec.status();
-            Reply::Window { shard, events, journal, obs_events, trace_events, status }
+            Reply::Window { shard, events, journal, obs_events, status }
         }
         Cmd::Apply { shard, remap, inject } => {
             let exec = execs.get_mut(&shard).expect("apply for foreign shard");
@@ -334,14 +328,13 @@ pub(crate) fn run_sharded(
     metrics.gauge("pdes.shards").set(shards as u64);
     metrics.gauge("pdes.workers").set(workers as u64);
 
-    // Recording merge state: the parent's recorder and trace, taken out of
+    // Recording merge state: the parent's recorder, taken out of
     // `m` so the coordinator can feed them mutably inside the scope (which
     // also borrows `m` for topology lookups); restored after the merge.
     // Shard-local miss ids restart from zero per shard, so CheckMiss events
     // are renumbered with the serial formula in finalization (= serial)
     // order — the merged stream carries the exact serial ids.
     let mut obs_merge = std::mem::take(&mut m.obs);
-    let mut trace_merge = std::mem::take(&mut m.trace);
     let mut merged_next_miss_id: u32 = m.next_miss_id;
 
     // The latest status of every shard: refreshed by each reply, and exact
@@ -488,14 +481,8 @@ pub(crate) fn run_sharded(
                 });
                 let mut window_total = 0u64;
                 for reply in phase(runs.collect()) {
-                    let Reply::Window {
-                        shard,
-                        events: ev,
-                        journal,
-                        obs_events,
-                        trace_events,
-                        status: st,
-                    } = reply
+                    let Reply::Window { shard, events: ev, journal, obs_events, status: st } =
+                        reply
                     else {
                         unreachable!("expected window reply")
                     };
@@ -514,22 +501,18 @@ pub(crate) fn run_sharded(
                         m_shard_events[shard].add(cnt);
                         m_events.add(cnt);
                     }
-                    // Slice the window's recording journals per scheduling
-                    // event by the high-water marks the shard logged with
+                    // Slice the window's recording journal per scheduling
+                    // event by the high-water mark the shard logged with
                     // each event.
                     let mut obs_it = obs_events.into_iter();
-                    let mut trace_it = trace_events.into_iter();
-                    let (mut obs_at, mut trace_at) = (0u32, 0u32);
+                    let mut obs_at = 0u32;
                     for (e, sends) in ev.into_iter().zip(groups) {
                         let obs = obs_it.by_ref().take((e.obs_upto - obs_at) as usize).collect();
-                        let trace =
-                            trace_it.by_ref().take((e.trace_upto - trace_at) as usize).collect();
                         obs_at = e.obs_upto;
-                        trace_at = e.trace_upto;
-                        buffers[shard].push_back(Pending { e, sends, obs, trace });
+                        buffers[shard].push_back(Pending { e, sends, obs });
                     }
                     debug_assert!(
-                        obs_it.next().is_none() && trace_it.next().is_none(),
+                        obs_it.next().is_none(),
                         "recorded events outside any scheduling event"
                     );
                     status[shard] = st;
@@ -566,12 +549,11 @@ pub(crate) fn run_sharded(
                 if blocked {
                     break;
                 }
-                let Pending { e, sends, obs, trace } =
-                    buffers[s].pop_front().expect("best head vanished");
+                let Pending { e, sends, obs } = buffers[s].pop_front().expect("best head vanished");
                 // Replay the event's recordings through the parent recorder
-                // and trace in finalization order — exactly the serial
-                // record order, so rings, aggregators, and trace eviction
-                // behave byte-identically to a serial run. Shard-local
+                // in finalization order — exactly the serial record order,
+                // so rings, their eviction and the aggregators behave
+                // byte-identically to a serial run. Shard-local
                 // CheckMiss ids are rewritten with the serial allocator.
                 for ev in obs {
                     let kind = match ev.kind {
@@ -588,9 +570,6 @@ pub(crate) fn run_sharded(
                         kind => kind,
                     };
                     obs_merge.record(ev.t, ev.proc, kind);
-                }
-                for te in trace {
-                    trace_merge.record_event(te);
                 }
                 for rec in sends {
                     next_seq += 1;
@@ -635,7 +614,6 @@ pub(crate) fn run_sharded(
         .collect();
     merge_shards(m, merged);
     m.obs = obs_merge;
-    m.trace = trace_merge;
     m.stats.elapsed_cycles = elapsed.expect("termination implies elapsed capture");
 }
 
@@ -674,11 +652,7 @@ fn split_shards(m: &mut Machine) -> Vec<Machine> {
             sm.net = m.net.pdes_shard().expect("pdes_eligible approved an unshardable transport");
             // Recording shards journal in-order and ship each window's
             // events to the coordinator, which replays them through the
-            // parent's bounded trace / ring recorder in the merged (serial)
-            // event order.
-            if m.trace.is_enabled() {
-                sm.trace = Trace::journal();
-            }
+            // parent's ring recorder in the merged (serial) event order.
             if m.obs.is_enabled() {
                 sm.obs = shasta_obs::Recorder::journal();
             }

@@ -11,8 +11,8 @@ use shasta_stats::RunStats;
 
 const PROCS: u32 = 4;
 
-/// Everything observable about one run: statistics, the rendered event
-/// trace (the schedule taken) and the allocation's final home copy.
+/// Everything observable about one run: statistics, the rendered event log
+/// (the schedule taken) and the allocation's final home copy.
 type Outcome = (RunStats, String, Vec<u8>);
 
 /// A false-sharing kernel: every processor increments its own 8-byte slot
@@ -34,7 +34,7 @@ fn run(
     if oracle {
         m.enable_oracle();
     }
-    m.enable_trace(256);
+    m.enable_obs(256);
     let len = u64::from(PROCS) * slots * 8;
     let a = m.setup(|s| {
         let a = s.malloc(len, BlockHint::Bytes(block_bytes), HomeHint::RoundRobin);
@@ -58,8 +58,8 @@ fn run(
         })
         .collect();
     let stats = m.run(bodies);
-    let trace = m.render_trace();
-    (stats, trace, m.setup(|s| s.read(a, len)))
+    let events = m.take_obs().render();
+    (stats, events, m.setup(|s| s.read(a, len)))
 }
 
 proptest! {
@@ -79,7 +79,7 @@ proptest! {
                 for heap_bytes in [1 << 20, 256 << 20] {
                     let other = at(heap_bytes);
                     prop_assert_eq!(&small.0, &other.0, "smp {} oracle {}: stats", smp, oracle);
-                    prop_assert_eq!(&small.1, &other.1, "smp {} oracle {}: trace", smp, oracle);
+                    prop_assert_eq!(&small.1, &other.1, "smp {} oracle {}: events", smp, oracle);
                     prop_assert_eq!(&small.2, &other.2, "smp {} oracle {}: memory", smp, oracle);
                 }
             }

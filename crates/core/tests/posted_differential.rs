@@ -1,7 +1,8 @@
 //! Posting changes when a fiber hands its operations over, not what the
-//! engine sees: the rendered trace and the statistics of one fixed program
-//! are pinned, per mode, as they read at the commit before `Dsm` posted
-//! anything (`tests/fixtures/posted_*.txt`, generated there by this file).
+//! engine sees: the rendered event log and the statistics of one fixed
+//! program are pinned per mode (`tests/fixtures/posted_*.txt`). The
+//! statistics are as they read before `Dsm` posted anything; the events are
+//! the same run's log, rendered by `EventLog::render`.
 
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
@@ -57,14 +58,14 @@ fn program(p: u64, slots: u64, ranges: u64, counter: u64) -> Body {
 fn rendered(cfg: ProtocolConfig, procs_per_node: u32, clustering: u32) -> String {
     let topo = Topology::new(4, procs_per_node, clustering).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 20);
-    m.enable_trace(1 << 16);
+    m.enable_obs(1 << 16);
     let (slots, ranges, counter) = m.setup(|s| {
         let slots = s.malloc(256, BlockHint::Line, HomeHint::Explicit(0));
         let ranges = s.malloc(256, BlockHint::Bytes(128), HomeHint::RoundRobin);
         (slots, ranges, s.malloc(64, BlockHint::Line, HomeHint::Explicit(3)))
     });
     let stats = m.run((0..4).map(|p| program(p, slots, ranges, counter)).collect());
-    format!("{}{stats:#?}\n", m.render_trace())
+    format!("{}{stats:#?}\n", m.take_obs().render())
 }
 
 #[test]

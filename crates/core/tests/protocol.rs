@@ -13,9 +13,7 @@ type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 fn machine(procs: u32, per_node: u32, clustering: u32, cfg: ProtocolConfig) -> Machine {
     let topo = Topology::new(procs, per_node, clustering).unwrap();
-    let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 22);
-    m.enable_trace(400_000);
-    m
+    Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 22)
 }
 
 fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {

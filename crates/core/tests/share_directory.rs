@@ -14,9 +14,7 @@ type Body = Box<dyn FnOnce(Dsm) + Send>;
 fn machine(share: bool) -> Machine {
     let topo = Topology::new(8, 4, 4).unwrap();
     let cfg = ProtocolConfig { share_directory: share, ..ProtocolConfig::smp() };
-    let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 22);
-    m.enable_trace(10_000);
-    m
+    Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 22)
 }
 
 fn bodies(f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {

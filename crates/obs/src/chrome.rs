@@ -134,9 +134,20 @@ fn write_args(s: &mut String, kind: &EventKind) {
         EventKind::DowngradeAck { block, remaining } => {
             write!(s, "\"block\":\"{block:#x}\",\"remaining\":{remaining}")
         }
-        EventKind::DowngradeDone { block }
-        | EventKind::LineLockAcquire { block }
-        | EventKind::LineLockRelease { block } => write!(s, "\"block\":\"{block:#x}\""),
+        EventKind::HomeInvalidate { block, ack_to } => {
+            write!(s, "\"block\":\"{block:#x}\",\"ack_to\":{ack_to}")
+        }
+        EventKind::DirQueued { block, requester, kind } => write!(
+            s,
+            "\"block\":\"{block:#x}\",\"requester\":{requester},\"kind\":\"{}\"",
+            kind.label()
+        ),
+        EventKind::DowngradeDone { block, action } => {
+            write!(s, "\"block\":\"{block:#x}\",\"action\":\"{action}\"")
+        }
+        EventKind::LineLockAcquire { block } | EventKind::LineLockRelease { block } => {
+            write!(s, "\"block\":\"{block:#x}\"")
+        }
         EventKind::PollDrain { handled } => write!(s, "\"handled\":{handled}"),
         EventKind::BlockState { block, state } => {
             write!(s, "\"block\":\"{block:#x}\",\"state\":{}", quote(state))
@@ -403,7 +414,8 @@ mod tests {
         r.record(40, 1, EventKind::MsgRecv { msg: "write-req", peer: 0, block: 0x12340 });
         r.record(40, 1, EventKind::DowngradeStart { block: 0x12340, to_invalid: true, targets: 2 });
         r.record(60, 1, EventKind::DowngradeAck { block: 0x12340, remaining: 0 });
-        r.record(60, 1, EventKind::DowngradeDone { block: 0x12340 });
+        let action = crate::DowngradeAction::WriteReply { requester: 0, acks: 0 };
+        r.record(60, 1, EventKind::DowngradeDone { block: 0x12340, action });
         r.record(61, 1, EventKind::BlockState { block: 0x12340, state: "invalid" });
         r.record(0, 1, EventKind::Slice { cat: TimeCat::Message, cycles: 70 });
         r.record(100, 0, EventKind::Slice { cat: TimeCat::Write, cycles: 55 });

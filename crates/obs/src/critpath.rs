@@ -531,7 +531,8 @@ mod tests {
         rec(&mut r, 25, 1, EventKind::Slice { cat: Tc::Message, cycles: 3 });
         rec(&mut r, 50, 1, EventKind::MsgRecv { msg: "inv-ack", peer: 2, block: blk });
         rec(&mut r, 50, 1, EventKind::Slice { cat: Tc::Message, cycles: 4 });
-        rec(&mut r, 54, 1, EventKind::DowngradeDone { block: blk });
+        let action = crate::DowngradeAction::WriteReply { requester: 0, acks: 0 };
+        rec(&mut r, 54, 1, EventKind::DowngradeDone { block: blk, action });
         rec(&mut r, 54, 1, EventKind::MsgSend { msg: "write-reply", peer: 0, block: blk });
         rec(&mut r, 54, 1, EventKind::Slice { cat: Tc::Message, cycles: 3 });
         // P2 (copy holder): busy computing past the downgrade's arrival,

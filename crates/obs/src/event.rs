@@ -1,5 +1,7 @@
 //! The event schema: everything the protocol engine can report.
 
+use std::fmt;
+
 use shasta_stats::{Hops, MissKind, TimeCat};
 
 /// One recorded protocol event.
@@ -97,6 +99,27 @@ pub enum EventKind {
         /// Block the message concerns, or 0 for sync messages.
         block: u64,
     },
+    /// A write or upgrade reached the home while the home's own node held a
+    /// shared copy, and the home invalidated that copy in place, without a
+    /// message (a remote sharer's invalidation is the `msg-recv` of an
+    /// `invalidate`).
+    HomeInvalidate {
+        /// Starting address of the invalidated block.
+        block: u64,
+        /// The writer the invalidation is acknowledged to.
+        ack_to: u32,
+    },
+    /// A request reached its home while the block's directory entry was busy
+    /// with an earlier transaction, and was queued behind it (it is served
+    /// when the directory update that ends that transaction arrives).
+    DirQueued {
+        /// Starting address of the requested block.
+        block: u64,
+        /// The processor whose request was queued.
+        requester: u32,
+        /// Read, write or upgrade request.
+        kind: MissKind,
+    },
     /// A downgrade of a block began on this (home-side acting) processor:
     /// downgrade messages were issued to the private-table targets.
     DowngradeStart {
@@ -119,6 +142,8 @@ pub enum EventKind {
     DowngradeDone {
         /// Starting address of the downgraded block.
         block: u64,
+        /// The reply the downgrade was for, sent now.
+        action: DowngradeAction,
     },
     /// A poll point (operation boundary / loop back-edge) drained messages.
     PollDrain {
@@ -160,6 +185,46 @@ pub enum EventKind {
     },
 }
 
+/// What the last downgrader of a block does once every local processor has
+/// handled its downgrade message (§3.4.3): send the reply the downgrade was
+/// started for. The engine keeps it as the pending downgrade's deferred
+/// action and reports it on [`EventKind::DowngradeDone`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DowngradeAction {
+    /// The block goes to `requester` as a read reply, and the home learns
+    /// that `requester` (and the owner) now share it.
+    ReadReply {
+        /// The reader.
+        requester: u32,
+    },
+    /// The block and its ownership go to `requester`, which then waits for
+    /// `acks` invalidation acknowledgements, and the home learns the new
+    /// owner.
+    WriteReply {
+        /// The writer.
+        requester: u32,
+        /// Invalidation acks the writer expects.
+        acks: u32,
+    },
+    /// The node's copy is gone: acknowledge the invalidation to `ack_to`.
+    InvAck {
+        /// The writer awaiting the acknowledgement.
+        ack_to: u32,
+    },
+}
+
+impl fmt::Display for DowngradeAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            DowngradeAction::ReadReply { requester } => write!(f, "read-reply to P{requester}"),
+            DowngradeAction::WriteReply { requester, acks } => {
+                write!(f, "write-reply to P{requester} acks {acks}")
+            }
+            DowngradeAction::InvAck { ack_to } => write!(f, "inv-ack to P{ack_to}"),
+        }
+    }
+}
+
 impl EventKind {
     /// Short, stable name for this event kind (used as the Chrome trace
     /// event name for instant events; slices are named by their category).
@@ -172,6 +237,8 @@ impl EventKind {
             EventKind::MissMerged { .. } => "miss-merged",
             EventKind::MsgSend { .. } => "msg-send",
             EventKind::MsgRecv { .. } => "msg-recv",
+            EventKind::HomeInvalidate { .. } => "home-invalidate",
+            EventKind::DirQueued { .. } => "dir-queued",
             EventKind::DowngradeStart { .. } => "downgrade-start",
             EventKind::DowngradeAck { .. } => "downgrade-ack",
             EventKind::DowngradeDone { .. } => "downgrade-done",

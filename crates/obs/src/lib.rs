@@ -30,6 +30,9 @@
 //!
 //! Exporters:
 //!
+//! * [`EventLog::render_tail`] prints the protocol facts as text, one
+//!   `[{t}cy P{p}] {name}: {detail}` line each, in time order: the trail
+//!   attached to a checker counterexample.
 //! * [`chrome::to_chrome_json`] renders an [`EventLog`] in the Chrome
 //!   `trace_event` JSON format, which opens in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev) as a per-processor timeline.
@@ -59,9 +62,10 @@ pub mod metrics;
 pub mod profile;
 mod recorder;
 mod rederive;
+mod text;
 
 pub use critpath::{analyze, CritPath, PathCat, Segment};
-pub use event::{Event, EventKind};
+pub use event::{DowngradeAction, Event, EventKind};
 pub use fig4::Fig4Agg;
 pub use hints::{hints_from_reports, HintFile, SiteHint};
 pub use metrics::{Counter, Gauge, Histogram, HistogramHandle, Registry};

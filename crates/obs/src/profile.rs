@@ -584,7 +584,7 @@ impl ProfileAgg {
                 h.downgrades_to_invalid += u64::from(to_invalid);
                 h.downgrade_msgs += u64::from(targets);
             }
-            EventKind::DowngradeDone { block } => {
+            EventKind::DowngradeDone { block, .. } => {
                 self.touch(block).downgrade_resolutions += 1;
             }
             EventKind::MsgSend { msg, block, .. } => {
@@ -960,7 +960,8 @@ mod tests {
         );
         agg.observe(1, &EventKind::DowngradeStart { block: 0x1000, to_invalid: true, targets: 3 });
         agg.observe(1, &EventKind::DowngradeStart { block: 0x1000, to_invalid: false, targets: 1 });
-        agg.observe(1, &EventKind::DowngradeDone { block: 0x1000 });
+        let action = crate::DowngradeAction::InvAck { ack_to: 0 };
+        agg.observe(1, &EventKind::DowngradeDone { block: 0x1000, action });
         agg.observe(1, &EventKind::PrivateUpgrade { block: 0x1000 });
         agg.observe(1, &EventKind::MissMerged { block: 0x1000 });
         let h = agg.block(0x1000).unwrap();

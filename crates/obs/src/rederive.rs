@@ -197,7 +197,8 @@ mod tests {
         agg.observe(&EventKind::DowngradeStart { block: 0x1000, to_invalid: false, targets: 2 });
         agg.observe(&EventKind::DowngradeAck { block: 0x1000, remaining: 1 });
         agg.observe(&EventKind::DowngradeAck { block: 0x1000, remaining: 0 });
-        agg.observe(&EventKind::DowngradeDone { block: 0x1000 });
+        let action = crate::DowngradeAction::InvAck { ack_to: 0 };
+        agg.observe(&EventKind::DowngradeDone { block: 0x1000, action });
         agg.observe(&EventKind::DowngradeStart { block: 0x1100, to_invalid: true, targets: 0 });
         agg.observe(&EventKind::PollDrain { handled: 1 }); // ignored
 

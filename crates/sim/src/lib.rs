@@ -20,8 +20,11 @@
 //! * [`FiberPool`] — the suspend/resume rendezvous between application
 //!   fibers and the engine (x86_64 Linux only: `fiber/stack.rs`, the crate's
 //!   one module with `unsafe` code, switches the stacks),
-//! * [`SplitMix64`] — a tiny deterministic RNG for workload generation,
-//! * [`trace`] — an optional bounded event trace for debugging.
+//! * [`Scheduler`] — the [`SchedulePolicy`] that breaks `(time, processor)`
+//!   ties and jitters message latency, deterministically per seed,
+//! * [`SplitMix64`] — a tiny deterministic RNG for workload generation.
+//!
+//! What a run did is recorded by `shasta-obs`, not here.
 //!
 //! The DSM protocol engine built on top lives in `shasta-core`.
 //!
@@ -49,10 +52,8 @@ pub mod fiber;
 pub mod rng;
 pub mod sched;
 pub mod time;
-pub mod trace;
 
 pub use fiber::{FiberApi, FiberBody, FiberPool, Resumed, Stop};
 pub use rng::SplitMix64;
 pub use sched::{SchedulePolicy, Scheduler};
 pub use time::Time;
-pub use trace::{Trace, TraceEvent};

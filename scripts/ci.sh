@@ -221,7 +221,8 @@ echo "==> fault-sweep smoke (--quick: all fault kinds x scenarios x topologies)"
 # clean and under chaos, loss is caught + shrunk, and disabled plans stay
 # byte-identical to the historical checker. Two independent invocations
 # must shrink the loss failure to the byte-identical counterexample — the
-# fault-replay determinism contract.
+# fault-replay determinism contract — and it must end with its trail, the
+# rendered events of its recorded replay.
 fs_a="$(mktemp /tmp/shasta-ci-faultsweep-a.XXXXXX.json)"
 fs_b="$(mktemp /tmp/shasta-ci-faultsweep-b.XXXXXX.json)"
 cx_a="$(mktemp /tmp/shasta-ci-losscx-a.XXXXXX.txt)"
@@ -233,6 +234,7 @@ cargo run --release -p shasta-bench --bin fault_sweep -- \
 test -s "$fs_a" || { echo "fault_sweep JSON is empty"; exit 1; }
 test -s "$cx_a" || { echo "loss counterexample is empty"; exit 1; }
 diff -u "$cx_a" "$cx_b" || { echo "loss counterexample replay is not deterministic"; exit 1; }
+grep -Eq '^  \| \[[0-9]+cy P[0-9]+\] ' "$cx_a" || { echo "loss counterexample has no trail"; exit 1; }
 rm -f "$fs_a" "$fs_b" "$cx_a" "$cx_b"
 
 echo "==> transport smoke (--quick: differential counters over real UDS sockets)"
