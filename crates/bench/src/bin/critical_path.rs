@@ -12,15 +12,12 @@
 //! incomplete streams), deterministically.
 //!
 //! Everything printed derives from simulated counters, so stdout is
-//! byte-identical for any `--sim-threads` value — `scripts/ci.sh` diffs a
-//! serial against a sharded invocation to prove the merged shard journals
-//! feed the analyzer the exact serial stream. Host wall time goes only to
-//! the `BENCH_critical_path.json` trajectory (one
-//! [`Entry`] appended per invocation).
+//! byte-identical run to run. Host wall time goes only to the
+//! `BENCH_critical_path.json` trajectory (one [`Entry`] appended per
+//! invocation).
 //!
 //! ```text
-//! critical_path [--preset tiny|default|large] [--sim-threads N] [--quick]
-//!               [--out PATH]
+//! critical_path [--preset tiny|default|large] [--quick] [--out PATH]
 //! ```
 //!
 //! `--quick` is the CI smoke configuration: tiny preset unless `--preset`
@@ -28,9 +25,9 @@
 
 use std::time::Instant;
 
-use shasta_apps::{run_app_observed_shaped, Preset, Proto, RunConfig};
+use shasta_apps::{run_app_observed, Preset, Proto, RunConfig};
 use shasta_bench::trajectory::{Entry, Num};
-use shasta_bench::{apps_for, preset_from_args, sim_threads_from_args};
+use shasta_bench::{apps_for, preset_from_args};
 use shasta_obs::{critpath, CritPath};
 use shasta_stats::{critical_path_report, RunStats};
 
@@ -39,34 +36,16 @@ const CLUSTERING: u32 = 4;
 /// Ring-capacity ladder: start at the shared default, deepen on eviction.
 const RINGS: [usize; 3] = [65_536, 262_144, 1 << 20];
 
-/// Runs one kernel with recording at the given ring depth.
-fn run_once(
-    spec: &shasta_apps::AppSpec,
-    preset: Preset,
-    ring: usize,
-    sim_threads: usize,
-) -> (RunStats, shasta_obs::EventLog) {
-    let app = (spec.build)(preset, false);
-    let cfg = RunConfig::new(Proto::Smp, PROCS, CLUSTERING);
-    run_app_observed_shaped(app.as_ref(), &cfg, ring, |m| {
-        if sim_threads > 1 {
-            m.set_sim_threads(sim_threads);
-        }
-    })
-}
-
 /// Runs and analyzes one kernel, climbing the ring ladder until the
 /// complete stream fits. Returns the stats, the verified path, and the
 /// wall time of the final (analyzed) run.
-fn analyze_kernel(
-    spec: &shasta_apps::AppSpec,
-    preset: Preset,
-    sim_threads: usize,
-) -> (RunStats, CritPath, f64) {
+fn analyze_kernel(spec: &shasta_apps::AppSpec, preset: Preset) -> (RunStats, CritPath, f64) {
+    let cfg = RunConfig::new(Proto::Smp, PROCS, CLUSTERING);
     let mut last_err = String::new();
     for ring in RINGS {
         let t = Instant::now();
-        let (stats, log) = run_once(spec, preset, ring, sim_threads);
+        let app = (spec.build)(preset, false);
+        let (stats, log) = run_app_observed(app.as_ref(), &cfg, ring);
         let wall = t.elapsed().as_secs_f64() * 1e3;
         if log.dropped() > 0 && ring != RINGS[RINGS.len() - 1] {
             continue;
@@ -86,7 +65,6 @@ fn main() {
     if quick && !args.iter().any(|a| a == "--preset") {
         preset = Preset::Tiny;
     }
-    let sim_threads = sim_threads_from_args();
 
     println!(
         "critical_path: causal run reports, SMP-Shasta {PROCS}p/{CLUSTERING}, {preset:?} inputs\n"
@@ -95,7 +73,7 @@ fn main() {
     let mut tiling = 0;
     let mut total_wall = 0.0;
     for spec in apps_for(true, false) {
-        let (stats, path, wall) = analyze_kernel(&spec, preset, sim_threads);
+        let (stats, path, wall) = analyze_kernel(&spec, preset);
         total_wall += wall;
         println!("=== {} ===", spec.name);
         println!("{}", critical_path_report(&path.report()));
@@ -118,9 +96,7 @@ fn main() {
 
     let mut entry = Entry::new(
         "critical_path",
-        &format!(
-            "\"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}, \"sim_threads\": {sim_threads}"
-        ),
+        &format!("\"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}"),
     );
     entry.criterion("tiling_pass", tiling == kernels.len());
     entry.wall("total_wall_ms", total_wall);

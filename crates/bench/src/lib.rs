@@ -258,15 +258,6 @@ pub fn jobs_from_args() -> usize {
     shasta_check::resolve_threads(num_flag(&["-j", "--jobs"]))
 }
 
-/// Parses the common `--sim-threads` CLI flag (0 = one worker per CPU;
-/// absent = serial) and resolves it the same way `shasta-check` does.
-/// Controls the conservative parallel discrete-event
-/// engine *inside* each simulated run — bit-identical for every value, so
-/// like `--jobs` it can never change the bytes a benchmark prints.
-pub fn sim_threads_from_args() -> usize {
-    shasta_check::resolve_threads(num_flag(&["--sim-threads"]))
-}
-
 /// The one schema of the append-only `BENCH_*.json` *trajectory* files: every
 /// invocation of a trajectory bin appends one [`Entry`](trajectory::Entry) to
 /// the file's `"runs"` array. `crates/bench/tests/trajectories.rs` gates the

@@ -3,18 +3,12 @@
 //! deliberately broken protocol variants.
 //!
 //! ```text
-//! check [--seeds N] [-j N] [--sim-threads N] [--skip-validation] [--quiet] [--trace PATH] [--metrics]
+//! check [--seeds N] [-j N] [--skip-validation] [--quiet] [--trace PATH] [--metrics]
 //! ```
 //!
 //! `-j`/`--jobs` fans the independent `(scenario, seed)` runs across worker
 //! threads (0 = one per CPU; default serial). The report is byte-identical
 //! for any worker count.
-//!
-//! `--sim-threads` shards the event loop *inside* each run across engine
-//! workers (0 = one per CPU; default serial). Orthogonal to `--jobs` and
-//! likewise byte-identical: runs the parallel engine cannot shard
-//! losslessly (oracle sweeps, fault plans, perturbing schedules,
-//! single-node topologies) silently stay serial.
 //!
 //! `--trace PATH` exports a Chrome `trace_event` JSON timeline (open it in
 //! `chrome://tracing` or Perfetto): of the first counterexample's replay
@@ -70,14 +64,6 @@ fn main() -> ExitCode {
                     std::process::exit(2);
                 }));
             }
-            "--sim-threads" => {
-                let v = args.next().unwrap_or_default();
-                let n: usize = v.parse().unwrap_or_else(|_| {
-                    eprintln!("{a} expects a number (0 = one worker per CPU), got {v:?}");
-                    std::process::exit(2);
-                });
-                shasta_check::set_sim_threads(resolve_threads(Some(n)));
-            }
             "--skip-validation" => validate = false,
             "--quiet" => quiet = true,
             "--only" => only = Some(args.next().unwrap_or_default()),
@@ -86,7 +72,7 @@ fn main() -> ExitCode {
             "--critical-path" => critical_path = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: check [--seeds N] [-j N] [--sim-threads N] [--only NAME-SUBSTR] [--skip-validation] [--quiet] [--trace PATH] [--metrics] [--critical-path]"
+                    "usage: check [--seeds N] [-j N] [--only NAME-SUBSTR] [--skip-validation] [--quiet] [--trace PATH] [--metrics] [--critical-path]"
                 );
                 return ExitCode::SUCCESS;
             }

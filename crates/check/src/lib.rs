@@ -92,20 +92,6 @@ pub fn set_metrics_enabled(on: bool) {
     METRICS.store(on, Ordering::Relaxed);
 }
 
-/// Engine worker count for every subsequent checker machine (1 = serial).
-/// See [`set_sim_threads`].
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the simulation-engine worker count (`--sim-threads`) for every
-/// machine the checker builds from here on. Values above 1 let eligible
-/// runs use the conservative parallel discrete-event engine; runs the
-/// engine cannot shard bit-identically (oracles, fault plans, perturbing
-/// schedules, single-node topologies) silently stay serial, so checker
-/// output is byte-identical for every value of `n`.
-pub fn set_sim_threads(n: usize) {
-    SIM_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
 /// A data-race-free kernel the checker can run. All four are DRF by
 /// construction (single-writer slots, barrier-separated phases, or
 /// lock-held critical sections), which is what makes the shadow-memory
@@ -423,10 +409,6 @@ fn build_machine(
         m.set_fault_plan(s.fault.with_seed(mixed));
     }
     m.set_schedule_policy(policy);
-    let sim_threads = SIM_THREADS.load(Ordering::Relaxed);
-    if sim_threads > 1 {
-        m.set_sim_threads(sim_threads);
-    }
     if METRICS.load(Ordering::Relaxed) {
         // Handles live inside the machine; the registry itself is dropped
         // (nobody snapshots it). Recording must not change a single byte of
@@ -505,15 +487,10 @@ pub fn replay_observed(
 }
 
 /// Runs a `(scenario, policy, bug)` triple with structured event recording
-/// enabled but **no oracle** — the combination the sharded engine can
-/// execute. Returns the statistics and the captured
-/// [`shasta_obs::EventLog`].
-///
-/// With [`set_sim_threads`] above 1 (and a multi-node, fault-free,
-/// deterministic scenario) this path exercises sharded recording with
-/// deterministic merge; both return values are byte-identical for every
-/// worker count, which `recording_equivalence.rs` proves property-style and
-/// `scripts/ci.sh` re-proves with an end-to-end diff.
+/// enabled but **no oracle**. Returns the statistics and the captured
+/// [`shasta_obs::EventLog`]; the statistics equal an unrecorded
+/// [`run_scenario`]'s, which `recording_equivalence.rs` proves
+/// property-style.
 pub fn run_scenario_observed(
     s: &Scenario,
     policy: SchedulePolicy,

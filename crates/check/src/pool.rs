@@ -11,9 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Resolves a thread-count flag — the one convention shared by every
-/// thread-count knob in the workspace (`--jobs` here and in the bench bins,
-/// fanning independent runs across cores; `--sim-threads`, sharding the
-/// event loop *inside* one run — bit-identical either way):
+/// `--jobs` knob in the workspace (here and in the bench bins), fanning
+/// independent runs across cores:
 ///
 /// * `Some(0)` — auto: one thread per available CPU;
 /// * `Some(n)` — exactly `n` threads;

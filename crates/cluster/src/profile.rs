@@ -89,33 +89,6 @@ impl NetProfile {
             && self.oneway.iter().flatten().all(|&l| l == cost.mc_oneway_cycles)
     }
 
-    /// The conservative lookahead bound this profile supports, in cycles:
-    /// the minimum one-way latency over all *cross-node* directed links.
-    ///
-    /// A message sent from node `s` at time `t` can never arrive at another
-    /// node before `t + lookahead()` (link occupancy and queuing only add),
-    /// so a parallel discrete-event engine may execute every node
-    /// independently inside the window `[H, H + lookahead())` without any
-    /// node observing an effect of another — the classical conservative
-    /// PDES argument (see `docs/PERFORMANCE.md`). Returns 0 for profiles
-    /// with fewer than two nodes (no cross-node link exists, so no window
-    /// can be justified and callers must stay serial).
-    pub fn lookahead(&self) -> u64 {
-        let mut min = u64::MAX;
-        for (s, row) in self.oneway.iter().enumerate() {
-            for (d, &l) in row.iter().enumerate() {
-                if s != d {
-                    min = min.min(l);
-                }
-            }
-        }
-        if min == u64::MAX {
-            0
-        } else {
-            min
-        }
-    }
-
     /// Enumerates every link parameter as a `(metric name, value)` pair —
     /// `cluster.link.per_byte.n{src}` for each sending node's per-byte
     /// occupancy and `cluster.link.oneway.n{src}.n{dst}` for each directed
@@ -163,19 +136,6 @@ mod tests {
         assert_eq!(p.oneway[0][1], 2 * c.mc_oneway_cycles);
         assert_eq!(p.oneway[1][0], 2 * c.mc_oneway_cycles);
         assert_eq!(p.oneway[0][0], c.mc_oneway_cycles, "self entries untouched");
-    }
-
-    #[test]
-    fn lookahead_is_min_cross_node_latency() {
-        let c = CostModel::alpha_4100();
-        let p = NetProfile::uniform(3, &c);
-        assert_eq!(p.lookahead(), c.mc_oneway_cycles);
-        // Slowing one node's links doesn't change the minimum; the bound
-        // follows the *fastest* link because that is the earliest any
-        // cross-node effect can land.
-        assert_eq!(p.clone().scale_node_latency(1, 3).lookahead(), c.mc_oneway_cycles);
-        // Self-latency entries never count.
-        assert_eq!(NetProfile::uniform(1, &c).lookahead(), 0);
     }
 
     #[test]

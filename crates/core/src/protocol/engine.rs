@@ -34,12 +34,9 @@ use crate::protocol::msg::{DowngradeTo, ProtoMsg};
 use crate::space::{Addr, Block};
 use crate::state::{LineState, PrivState, INVALID_FLAG};
 
-/// What one event loop drives: the fibers and the cached schedule of the
-/// processors it runs — every processor for the serial engine, one physical
-/// node's for a shard of the parallel engine (`crate::protocol::pdes`),
-/// whose other processors are finished placeholders with no candidates.
-pub(crate) struct Exec {
-    pub(crate) pool: FiberPool<Req, Resp>,
+/// What the event loop drives: every processor's fiber and cached schedule.
+struct Exec {
+    pool: FiberPool<Req, Resp>,
     /// Every processor's candidates as last recomputed.
     cache: Vec<Cands>,
     /// Each processor's earliest cached key.
@@ -47,67 +44,31 @@ pub(crate) struct Exec {
     /// Reused candidate list for the seeded policies, which choose among
     /// the minimal-time entries.
     cands: Vec<(Time, u32, Action)>,
-    /// A shard's executed events since the coordinator last took them (see
-    /// [`Machine::run_events`]); empty for the serial engine.
-    pub(crate) log: Vec<EventEntry>,
     /// Whether the loop stopped inside an iteration, at an answer: re-entry
     /// finishes that iteration (the rest of `ahead`, the oracle sweep) first.
     open: bool,
     /// The run-ahead in progress: the processor and the key its ops must
     /// stay below.
     ahead: Option<(u32, Option<Key>)>,
-    /// Whether the serial loop has yet to capture elapsed time.
+    /// Whether the loop has yet to capture elapsed time.
     elapsed_pending: bool,
 }
 
 impl Exec {
     /// The loop over `pool`'s fibers. Its cache starts empty, which is
     /// current because a new machine starts with every processor marked.
-    pub(crate) fn new(pool: FiberPool<Req, Resp>) -> Self {
+    fn new(pool: FiberPool<Req, Resp>) -> Self {
         let n = pool.len();
         Exec {
             pool,
             cache: vec![Cands::NONE; n],
             tree: MinTree::new(n),
             cands: Vec::with_capacity(2 * n),
-            log: Vec::new(),
             open: false,
             ahead: None,
             elapsed_pending: true,
         }
     }
-}
-
-/// The slice of simulated time a shard may execute: events with key
-/// strictly below `end`. `h_key` names the globally minimal event (set only
-/// for the shard owning it), which is exempt from [`Machine::op_poll_safe`].
-#[derive(Clone, Copy)]
-pub(crate) struct Window {
-    pub(crate) end: Time,
-    pub(crate) h_key: Option<(Time, u32)>,
-}
-
-/// One executed scheduling event in a shard's window log. Everything the
-/// coordinator needs to replay the serial interleaving: the candidate key
-/// (merge order), the executing processor's clock after the event, the
-/// shard's live-fiber count after it (elapsed-time capture), and the
-/// journal high-water mark that delimits which recorded events this
-/// scheduling event produced (cumulative within the window — the journal is
-/// drained at every window boundary).
-pub(crate) struct EventEntry {
-    pub(crate) time: Time,
-    pub(crate) proc: u32,
-    pub(crate) clock_after: Time,
-    pub(crate) live_after: u32,
-    pub(crate) obs_upto: u32,
-}
-
-/// Wraps an application body as processor `p`'s fiber.
-pub(crate) fn fiber_body(
-    p: u32,
-    body: Box<dyn FnOnce(Dsm) + Send>,
-) -> shasta_sim::FiberBody<Req, Resp> {
-    Box::new(move |api| body(Dsm::new(p, api)))
 }
 
 impl Machine {
@@ -127,25 +88,23 @@ impl Machine {
             // `enable_obs` came first.
             self.obs.attach_map(self.space_map());
         }
-        if let Some(lookahead) = self.pdes_eligible() {
-            crate::protocol::pdes::run_sharded(self, bodies, lookahead);
-        } else {
-            // The serial engine is the one-shard case: a single event loop
-            // over every processor, in an unbounded window, on this thread.
-            // Each answer a fiber is suspended for switches to its stack
-            // until it hands over its next batch. A panic leaves through
-            // here, and dropping `ex` unwinds the suspended fibers.
-            let fibers = bodies.into_iter().enumerate().map(|(p, b)| fiber_body(p as u32, b));
-            let mut ex = Exec::new(FiberPool::spawn_each(fibers.collect()));
-            while let Stop::Resume(p, resp) = self.run_events(&mut ex, None) {
-                ex.pool.resume(p, resp);
-            }
-            if ex.pool.live_count() != 0 || self.net.in_flight() != 0 {
-                self.deadlock_panic(&ex.pool);
-            }
-            ex.pool.join();
-            self.stats.messages = *self.net.stats();
+        // One event loop over every processor, on this thread. Each answer a
+        // fiber is suspended for switches to its stack until it hands over
+        // its next batch. A panic leaves through here, and dropping `ex`
+        // unwinds the suspended fibers.
+        let fibers = bodies.into_iter().enumerate().map(|(p, body)| {
+            let p = p as u32;
+            Box::new(move |api| body(Dsm::new(p, api))) as shasta_sim::FiberBody<Req, Resp>
+        });
+        let mut ex = Exec::new(FiberPool::spawn_each(fibers.collect()));
+        while let Stop::Resume(p, resp) = self.run_events(&mut ex) {
+            ex.pool.resume(p, resp);
         }
+        if ex.pool.live_count() != 0 || self.net.in_flight() != 0 {
+            self.deadlock_panic(&ex.pool);
+        }
+        ex.pool.join();
+        self.stats.messages = *self.net.stats();
         // Release any real resources a non-simulated transport holds
         // (its sockets); a no-op for the simulated network.
         self.net.shutdown();
@@ -153,29 +112,19 @@ impl Machine {
         self.stats.clone()
     }
 
-    /// The event loop — the only one. Executes `ex`'s scheduling events in
-    /// exactly serial order: minimal `(time, proc)` first, ties broken by
-    /// candidate position (processor order) via the schedule policy. Returns
-    /// [`Stop::Resume`] where it answers the request a suspended fiber waits
-    /// on (posted requests and a finished fiber's tail never stop it), and
-    /// [`Stop::Idle`] when no candidate is left (termination, or deadlock:
-    /// the caller tells which). The caller delivers the answer with
-    /// `FiberPool::resume` and re-enters it, once the fiber has handed over
-    /// its next batch, and it carries on where it stopped.
-    ///
-    /// `window` is `None` for the serial engine. A shard of the parallel
-    /// engine passes its lookahead window, which switches on the three
-    /// things sharding needs: the loop also stops at the first candidate at
-    /// or past `window.end`; any `Op` other than the globally minimal event
-    /// must pass [`Self::op_poll_safe`], and the first that fails ends the
-    /// window early (shard-local key order must be preserved, so skipping
-    /// just the unsafe event is not an option); and every executed event —
-    /// batched ops included, the barrier merge needs them individually — is
-    /// logged in `ex.log` for the coordinator.
-    pub(crate) fn run_events(&mut self, ex: &mut Exec, window: Option<Window>) -> Stop<Resp> {
+    /// The event loop. Executes the scheduling events in order: minimal
+    /// `(time, proc)` first, ties broken by candidate position (processor
+    /// order) via the schedule policy. Returns [`Stop::Resume`] where it
+    /// answers the request a suspended fiber waits on (posted requests and a
+    /// finished fiber's tail never stop it), and [`Stop::Idle`] when no
+    /// candidate is left (termination, or deadlock: the caller tells which).
+    /// The caller delivers the answer with `FiberPool::resume` and re-enters
+    /// it, once the fiber has handed over its next batch, and it carries on
+    /// where it stopped.
+    fn run_events(&mut self, ex: &mut Exec) -> Stop<Resp> {
         loop {
             if ex.open {
-                if let Some(stop) = self.run_ahead(ex, window) {
+                if let Some(stop) = self.run_ahead(ex) {
                     return stop;
                 }
                 ex.open = false;
@@ -191,50 +140,35 @@ impl Machine {
             }
             self.refresh(ex);
             // Elapsed time is the clock maximum at the first instant the last
-            // fiber has finished. Only the serial loop sees that instant; for
-            // shards the coordinator replays it from the merged logs.
-            if window.is_none() && ex.elapsed_pending && ex.pool.live_count() == 0 {
+            // fiber has finished.
+            if ex.elapsed_pending && ex.pool.live_count() == 0 {
                 self.stats.elapsed_cycles =
                     self.clocks.iter().map(|t| t.cycles()).max().unwrap_or(0);
                 ex.elapsed_pending = false;
             }
-            let Some((t, p)) = ex.tree.root() else { return Stop::Idle };
-            let (t, p, action) = if self.sched.perturbs() {
+            let Some((_, p)) = ex.tree.root() else { return Stop::Idle };
+            let (p, action) = if self.sched.perturbs() {
                 self.pick_seeded(ex)
             } else {
                 self.sched.count_step();
-                (t, p, ex.cache[p as usize].first_min().expect("a keyed leaf has a candidate").1)
+                (p, ex.cache[p as usize].first_min().expect("a keyed leaf has a candidate").1)
             };
             if let Some(limit) = self.step_limit {
                 if self.sched.steps() > limit {
                     self.liveness_panic(limit, &ex.pool);
                 }
             }
-            if let Some(w) = window {
-                if t >= w.end {
-                    return Stop::Idle;
-                }
-                if action == Action::Op && w.h_key != Some((t, p)) {
-                    let pre = ex.pool.peek_request(p).expect("op without request").pre_cycles();
-                    if !self.op_poll_safe(t, p, pre, w.end) {
-                        return Stop::Idle;
-                    }
-                }
-            }
 
             ex.open = true;
-            let answer = self.step(ex, (t, p, action), window.is_some());
-            // Run-ahead (needs what sharding needs, so shards always batch:
-            // see `unobserved_steps`): an answered `Op` lets `p`'s consecutive
-            // ops run without a pick while `p`'s next op stays strictly
-            // earlier than every other processor's earliest key and inside
-            // the window. That key is the tree's runner-up, exact as of the
-            // pick, and stays exact until an event marks another processor.
+            let answer = self.step(ex, p, action);
+            // Run-ahead (see `unobserved_steps`): an answered `Op` lets `p`'s
+            // consecutive ops run without a pick while `p`'s next op stays
+            // strictly earlier than every other processor's earliest key.
+            // That key is the tree's runner-up, exact as of the pick, and
+            // stays exact until an event marks another processor.
             if action == Action::Op && self.stalls[p as usize].is_none() && self.unobserved_steps()
             {
-                let bound =
-                    ex.tree.runner_up(p).into_iter().chain(window.map(|w| (w.end, 0))).min();
-                ex.ahead = Some((p, bound));
+                ex.ahead = Some((p, ex.tree.runner_up(p)));
             }
             if let Some(resp) = answer {
                 return Stop::Resume(p, resp);
@@ -247,12 +181,13 @@ impl Machine {
     /// processor would build, so a seed replays the same schedule.
     ///
     /// [`Scheduler::pick`]: shasta_sim::Scheduler::pick
-    fn pick_seeded(&mut self, ex: &mut Exec) -> (Time, u32, Action) {
+    fn pick_seeded(&mut self, ex: &mut Exec) -> (u32, Action) {
         ex.cands.clear();
         for (p, c) in ex.cache.iter().enumerate() {
             ex.cands.extend(c.as_slice().iter().map(|&(t, a)| (t, p as u32, a)));
         }
-        ex.cands[self.sched.pick(&ex.cands, |c| (c.0, c.1))]
+        let (_, p, action) = ex.cands[self.sched.pick(&ex.cands, |c| (c.0, c.1))];
+        (p, action)
     }
 
     /// Services `ex.ahead`'s processor's consecutive ops while (a) no event
@@ -260,7 +195,7 @@ impl Machine {
     /// processor's earliest key, and (b) the next op is still under it.
     /// Returns the stop at an op that answers its suspended fiber,
     /// `ex.ahead` kept for the re-entry.
-    fn run_ahead(&mut self, ex: &mut Exec, window: Option<Window>) -> Option<Stop<Resp>> {
+    fn run_ahead(&mut self, ex: &mut Exec) -> Option<Stop<Resp>> {
         while let Some((p, bound)) = ex.ahead {
             if self.dirty.iter().any(|&q| q != p) || ex.pool.is_finished(p) {
                 break;
@@ -270,14 +205,7 @@ impl Machine {
             if bound.is_some_and(|b| key >= b) {
                 break;
             }
-            // Batched ops are never the global minimum (they follow the
-            // first op of the batch), so the poll guard applies to each;
-            // re-checked every iteration because the op itself may have
-            // posted a local message arriving inside the window.
-            if window.is_some_and(|w| !self.op_poll_safe(key.0, p, req.pre_cycles(), w.end)) {
-                break;
-            }
-            if let Some(resp) = self.step(ex, (key.0, p, Action::Op), window.is_some()) {
+            if let Some(resp) = self.step(ex, p, Action::Op) {
                 return Some(Stop::Resume(p, resp));
             }
             if self.stalls[p as usize].is_some() {
@@ -288,38 +216,19 @@ impl Machine {
         None
     }
 
-    /// Executes one scheduling event, logging it when `sharded`. Returns the
-    /// reply `p`'s fiber is suspended for, if the event answered it. Marks
-    /// `p`: an event changes its own processor's clock, stall, inbox or
-    /// fiber.
-    fn step(
-        &mut self,
-        ex: &mut Exec,
-        (t, p, action): (Time, u32, Action),
-        sharded: bool,
-    ) -> Option<Resp> {
+    /// Executes one scheduling event. Returns the reply `p`'s fiber is
+    /// suspended for, if the event answered it. Marks `p`: an event changes
+    /// its own processor's clock, stall, inbox or fiber.
+    fn step(&mut self, ex: &mut Exec, p: u32, action: Action) -> Option<Resp> {
         self.mark(p);
-        if sharded {
-            self.net.pdes_begin_event(ex.log.len() as u32);
-        }
-        let answer = match action {
+        match action {
             Action::Op => self.service_op(&mut ex.pool, p),
             Action::Resume => self.resume_stalled(p).and_then(|resp| ex.pool.reply(p, resp)),
             Action::Msg => {
                 self.deliver_inbound(p);
                 None
             }
-        };
-        if sharded {
-            ex.log.push(EventEntry {
-                time: t,
-                proc: p,
-                clock_after: self.clocks[p as usize],
-                live_after: ex.pool.live_count() as u32,
-                obs_upto: self.obs.staged_len() as u32,
-            });
         }
-        answer
     }
 
     /// Recomputes the candidates of every processor marked since the last
@@ -348,73 +257,12 @@ impl Machine {
         }
     }
 
-    /// The smallest candidate key over `ex`'s processors, if any.
-    pub(crate) fn next_key(&mut self, ex: &mut Exec) -> Option<Key> {
-        self.refresh(ex);
-        ex.tree.root()
-    }
-
-    /// Whether an `Op` event at key `(t, p)` may execute inside a window
-    /// ending at `end` *without* the globally-minimal event's privileges.
-    ///
-    /// `service_op` polls the inbox (`drain_messages`) after charging the
-    /// op's compute and its inline-check surrogate — at which point `p`'s
-    /// clock is exactly `t + surrogate`. The drain pops every message with
-    /// arrival ≤ clock, and each handled message advances the clock further,
-    /// so a non-empty cascade can sweep past `end` and observe arrivals the
-    /// window barrier has not injected yet. The op is safe exactly when the
-    /// drain provably pops nothing:
-    ///
-    /// * `t + surrogate < end`, so messages this shard cannot see yet (all
-    ///   of which arrive at `≥ end` by the lookahead bound) would not have
-    ///   been popped serially either, and
-    /// * every *visible* arrival is later than `t + surrogate`.
-    ///
-    /// With zero pops the clock never grows past `t + surrogate`, the
-    /// serial drain at this event is empty too, and the op's execution
-    /// (which never re-polls) is bit-identical. An unsafe op is *deferred*:
-    /// the shard ends its window, and the event re-runs in a later window —
-    /// eventually as the globally minimal event, whose inbox is serially
-    /// complete (every earlier event has executed and its sends were
-    /// injected at a barrier), making an unbounded cascade exact.
-    fn op_poll_safe(&self, t: Time, p: u32, pre_cycles: u64, end: Time) -> bool {
-        let poll_at = t + self.cfg.check.compute_check_cycles(pre_cycles);
-        poll_at < end && self.earliest_inbound(p).is_none_or(|a| a > poll_at)
-    }
-
-    /// Whether this run may execute on the sharded conservative-PDES engine,
-    /// and with what lookahead (in cycles). `None` means stay serial. The
-    /// conditions are exactly those under which sharded execution is
-    /// *provably* bit-identical to the serial loop:
-    ///
-    /// * more than one worker requested and more than one physical node to
-    ///   shard over;
-    /// * a transport with a positive lookahead bound (the simulated Memory
-    ///   Channel; real wire backends report `None`);
-    /// * the deterministic schedule policy (seeded policies draw jitter in
-    ///   global step order, which shards cannot reproduce);
-    /// * no oracle, step limit, or fault plan: these observe the *global*
-    ///   interleaving of scheduling steps.
-    ///
-    /// Event recording does **not** disqualify: shards journal their
-    /// recorded events per window and the coordinator replays the journals
-    /// through the parent recorder in the merged serial order,
-    /// byte-identical to a serial run (see `crate::protocol::pdes`).
-    pub(crate) fn pdes_eligible(&self) -> Option<u64> {
-        if self.sim_threads <= 1 || self.topo.phys_nodes() < 2 {
-            return None;
-        }
-        let lookahead = self.net.pdes_lookahead().filter(|&l| l > 0)?;
-        (self.unobserved_steps() && self.net.in_flight() == 0).then_some(lookahead)
-    }
-
     /// Whether nothing observes individual scheduling steps, which is what
-    /// makes both run-ahead batching and sharding legal: the deterministic
-    /// policy always picks the minimal `(time, proc)` key (so a
-    /// locally-minimal run of one processor's ops is exactly what picking
-    /// each would choose), and neither a step limit nor the oracle's
-    /// periodic quiescent sweep is consulting the step counter that batched
-    /// ops skip. An installed fault plan also disqualifies: held-message
+    /// makes run-ahead batching legal: the deterministic policy always picks
+    /// the minimal `(time, proc)` key (so a locally-minimal run of one
+    /// processor's ops is exactly what picking each would choose), and
+    /// neither a step limit nor the oracle's periodic quiescent sweep is
+    /// consulting the step counter that batched ops skip. An installed fault plan also disqualifies: held-message
     /// releases from the admit guard can introduce new candidates mid-batch,
     /// and the fault RNG draws in global send order.
     fn unobserved_steps(&self) -> bool {

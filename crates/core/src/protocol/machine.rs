@@ -164,13 +164,6 @@ pub struct Machine {
     /// [`Transport`] implementation (e.g. the real loopback transport in
     /// `shasta-transport`) before the run starts.
     pub(crate) net: Box<dyn Transport<ProtoMsg>>,
-    /// How many worker threads the conservative parallel discrete-event
-    /// engine may use (1 = stay serial; see [`Machine::set_sim_threads`]).
-    pub(crate) sim_threads: usize,
-    /// The metrics registry handed to [`Machine::set_metrics`] (disabled by
-    /// default). The sharded engine publishes its window/shard telemetry
-    /// here; recording is purely additive, like all registry use.
-    pub(crate) metrics: shasta_obs::Registry,
     // ---- per-processor runtime ----
     pub(crate) clocks: Vec<Time>,
     pub(crate) stalls: Vec<Option<Stall>>,
@@ -275,8 +268,6 @@ impl Machine {
             deferred_invals: (0..vnodes).map(|_| HashMap::new()).collect(),
             lingering: (0..vnodes).map(|_| Vec::new()).collect(),
             net: Box::new(Network::new(topo.clone(), cost.clone())),
-            sim_threads: 1,
-            metrics: shasta_obs::Registry::disabled(),
             clocks: vec![Time::ZERO; procs],
             stalls: vec![None; procs],
             wake_floor: vec![Time::ZERO; procs],
@@ -355,28 +346,12 @@ impl Machine {
         self.net.set_profile(profile);
     }
 
-    /// Allows the run loop to execute on up to `n` worker threads using the
-    /// conservative parallel discrete-event engine (one shard per physical
-    /// node, synchronized by lookahead windows — see `docs/PERFORMANCE.md`).
-    /// The default of 1 keeps the historical serial loop.
-    ///
-    /// Results are **bit-identical** to serial execution for any `n`: the
-    /// sharded engine only engages when it can prove equivalence (multiple
-    /// physical nodes, a transport with a positive lookahead bound, the
-    /// deterministic schedule policy, and no oracle / step limit / fault
-    /// plan), and falls back to the serial loop otherwise. Event recording
-    /// stays sharded: per-shard journals are merged at the coordinator in
-    /// serial event order, so the recorded stream is byte-identical too.
-    /// `n` is a cap, not a demand: at most one worker
-    /// per physical node is ever used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn set_sim_threads(&mut self, n: usize) {
-        assert!(n > 0, "sim-threads must be at least 1 (1 = serial)");
-        self.sim_threads = n;
-    }
+    /// Does nothing: the run loop is serial. Kept only because the
+    /// benchmark harness's `smp16c4_pdes2` workload (`benchmark/src/
+    /// workloads.rs`) still calls it; ROADMAP item 1(e) deletes the method
+    /// together with that call.
+    #[doc(hidden)]
+    pub fn set_sim_threads(&mut self, _n: usize) {}
 
     /// Replaces the messaging backend with another [`Transport`]
     /// implementation — e.g. the real loopback TCP / Unix-domain-socket
@@ -424,7 +399,6 @@ impl Machine {
     /// handles land on the backend that actually runs.
     pub fn set_metrics(&mut self, registry: &shasta_obs::Registry) {
         self.net.set_metrics(registry);
-        self.metrics = registry.clone();
     }
 
     /// Allocates the next miss id and installs it as the transport's causal
@@ -638,8 +612,7 @@ impl Machine {
     ///   completed store (outstanding-store count, store epoch) marks them
     ///   through the wake-floor bump that follows it ([`Machine::bump_wake`]);
     /// * while a fault plan is installed, every delivery marks every
-    ///   processor, since a guard release can refill any inbox;
-    /// * a sharded engine's injected messages mark their destinations.
+    ///   processor, since a guard release can refill any inbox.
     ///
     /// Debug builds check the cache against a recomputation at every pick,
     /// naming the processor an event changed without marking.

@@ -20,7 +20,6 @@ pub mod engine;
 pub mod handlers;
 pub mod machine;
 pub mod msg;
-pub mod pdes;
 
 pub use config::{BugInjection, Mode, ProtocolConfig};
 pub use machine::{Machine, SetupCtx};

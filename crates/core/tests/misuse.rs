@@ -177,64 +177,29 @@ fn wrong_body_count_panics() {
     m.run(vec![Box::new(|_dsm: Dsm| {}) as Body]);
 }
 
+/// A body's panic leaves `Machine::run` with its own payload, whether it
+/// comes after the body's first operation or before its first `Dsm` call
+/// (while the pool is still starting the fibers).
 #[test]
-#[should_panic(expected = "application panic propagates")]
 fn application_panics_propagate_to_the_caller() {
-    let mut m = machine();
-    m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let bodies: Vec<Body> = (0..4u32)
-        .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
-                dsm.compute(10);
-                dsm.poll();
-                if p == 2 {
-                    panic!("application panic propagates");
-                }
-            }) as Body
-        })
-        .collect();
-    m.run(bodies);
-}
-
-/// Two physical nodes on the sharded engine (`set_sim_threads(2)`): node 0
-/// is served inline by the coordinator, node 1 by the one remote worker.
-/// `victim` panics with `msg`, after one operation unless `at_start`.
-fn sharded_application_panic(victim: u32, at_start: bool, msg: &'static str) {
-    let topo = Topology::new(8, 4, 4).unwrap();
-    let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20);
-    m.set_sim_threads(2);
-    m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let bodies: Vec<Body> = (0..8u32)
-        .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
-                if p == victim && at_start {
-                    panic!("{msg}");
-                }
-                dsm.compute(10);
-                dsm.poll();
-                if p == victim {
-                    panic!("{msg}");
-                }
-            }) as Body
-        })
-        .collect();
-    m.run(bodies);
-}
-
-#[test]
-#[should_panic(expected = "panic on the remote worker's shard")]
-fn sharded_application_panic_on_remote_worker_propagates() {
-    sharded_application_panic(5, false, "panic on the remote worker's shard");
-}
-
-#[test]
-#[should_panic(expected = "panic on the coordinator's own shard")]
-fn sharded_application_panic_on_coordinator_shard_propagates() {
-    sharded_application_panic(1, false, "panic on the coordinator's own shard");
-}
-
-#[test]
-#[should_panic(expected = "panic before the first operation")]
-fn sharded_application_panic_before_first_op_propagates() {
-    sharded_application_panic(5, true, "panic before the first operation");
+    for at_start in [false, true] {
+        let mut m = machine();
+        m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
+        let bodies: Vec<Body> = (0..4u32)
+            .map(|p| {
+                Box::new(move |mut dsm: Dsm| {
+                    if p == 2 && at_start {
+                        panic!("application panic propagates");
+                    }
+                    dsm.compute(10);
+                    dsm.poll();
+                    if p == 2 {
+                        panic!("application panic propagates");
+                    }
+                }) as Body
+            })
+            .collect();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(bodies)));
+        assert_eq!(message(r, "run"), "application panic propagates", "at start: {at_start}");
+    }
 }

@@ -88,11 +88,9 @@ use shasta_cluster::{CostModel, NetProfile, Topology};
 use shasta_sim::{SplitMix64, Time};
 use shasta_stats::{MsgClass, MsgStats};
 
-mod pdes;
 mod seqguard;
 mod transport;
 
-pub use pdes::{PdesSendRecord, PDES_PROVISIONAL_BASE};
 pub use seqguard::{PairSequencer, SeqVerdict};
 pub use transport::Transport;
 
@@ -306,9 +304,8 @@ impl FaultState {
 /// Installed metrics handles: admit-guard absorption counters and per-
 /// sending-node link occupancy. Purely additive bookkeeping — recording
 /// never feeds back into arrival arithmetic, so simulated cycles are
-/// bit-identical with metrics on or off. Shard networks clone their parent's
-/// handles, so sharded totals equal the serial run's exactly.
-#[derive(Clone, Debug)]
+/// bit-identical with metrics on or off.
+#[derive(Debug)]
 struct NetMetrics {
     registry: shasta_obs::Registry,
     dups_dropped: shasta_obs::Counter,
@@ -370,9 +367,6 @@ pub struct Network<M> {
     trace_ctx: u32,
     /// Installed metrics handles; `None` = recording off (the default).
     metrics: Option<NetMetrics>,
-    /// Set on the per-physical-node networks of the sharded engine (built by
-    /// [`Network::for_shard`]); `None` on an ordinary whole-cluster network.
-    shard: Option<pdes::ShardState<M>>,
 }
 
 impl<M: Eq + Clone> Network<M> {
@@ -395,7 +389,6 @@ impl<M: Eq + Clone> Network<M> {
             seq: 0,
             trace_ctx: 0,
             metrics: None,
-            shard: None,
         }
     }
 
@@ -473,18 +466,7 @@ impl<M: Eq + Clone> Network<M> {
     /// Installs a fault plan. A plan with every category disabled
     /// ([`FaultPlan::is_none`]) leaves the fault path uninstalled, so runs
     /// under it are byte-identical to runs that never called this.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shard network ([`Network::for_shard`]) given a non-inert
-    /// plan: the fault RNG draws in global send order, which a shard cannot
-    /// observe mid-window, so the sharded engine only runs fault-free.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(
-            self.shard.is_none() || plan.is_none(),
-            "fault plans cannot be installed on a PDES shard network; \
-             the sharded engine only engages on fault-free runs"
-        );
         if plan.is_none() {
             self.fault = None;
         } else {
@@ -547,8 +529,7 @@ impl<M: Eq + Clone> Network<M> {
     }
 
     /// The one send path: classify, cost, fault, build the envelope, and
-    /// either enqueue it or — for a shard network's cross-node send — hand
-    /// it to the window journal for the coordinator to inject.
+    /// enqueue it (with its duplicate, if the fault plan made one).
     #[allow(clippy::too_many_arguments)]
     fn post(
         &mut self,
@@ -582,14 +563,6 @@ impl<M: Eq + Clone> Network<M> {
         let trace = self.trace_ctx;
         let env =
             Envelope { src, dst, arrival, class, payload_bytes, msg, pair_seq, via_vnode, trace };
-        if !local {
-            if let Some(shard) = &mut self.shard {
-                // Another shard owns `dst`: the coordinator injects this at
-                // the window barrier, so it must not enter any inbox here.
-                shard.journal(PdesSendRecord::Remote { env });
-                return arrival;
-            }
-        }
         if let Some(dup_arrival) = dup {
             let mut copy = env.clone();
             copy.arrival = dup_arrival;
@@ -601,27 +574,18 @@ impl<M: Eq + Clone> Network<M> {
         arrival
     }
 
-    /// Queues `env` under the next global sequence number. On a shard
-    /// network that number is provisional, so the send is journaled for the
-    /// coordinator to finalize.
+    /// The one place an envelope enters an inbox: queues `env` by its
+    /// `via_vnode` routing under the next global sequence number (the
+    /// tie-breaker among equal arrivals).
     fn enqueue(&mut self, env: Envelope<M>) {
         self.seq += 1;
-        if let Some(shard) = &mut self.shard {
-            shard.journal(PdesSendRecord::Local { prov_seq: self.seq });
-        }
-        self.enqueue_at(env, self.seq);
-    }
-
-    /// The one place an envelope enters an inbox: queues `env` under `seq`
-    /// (the tie-breaker among equal arrivals) by its `via_vnode` routing.
-    fn enqueue_at(&mut self, env: Envelope<M>, seq: u64) {
         self.in_flight += 1;
         let inbox = if env.via_vnode {
             &mut self.node_inboxes[usize::from(self.topo.virt_node_of(env.dst))]
         } else {
             &mut self.inboxes[env.dst as usize]
         };
-        inbox.push(Queued { key: Reverse((env.arrival, seq)), env });
+        inbox.push(Queued { key: Reverse((env.arrival, self.seq)), env });
     }
 
     /// Arrival time of a message leaving `src` at `now`: shared-memory wire
@@ -847,32 +811,12 @@ impl<M: Eq + Clone> Network<M> {
     /// messages (see [`Network::admit`]) count: they are logically still in
     /// the fabric, which keeps quiescence checks sound under fault plans.
     pub fn in_flight(&self) -> usize {
-        self.in_flight + self.stash.len() + self.shard.as_ref().map_or(0, |s| s.outbox_pending)
+        self.in_flight + self.stash.len()
     }
 
     /// Message statistics accumulated so far.
     pub fn stats(&self) -> &MsgStats {
         &self.stats
-    }
-
-    /// The conservative PDES lookahead this network justifies, in cycles:
-    /// the minimum cross-physical-node one-way latency of the installed
-    /// [`NetProfile`], or the cost model's uniform `mc_oneway_cycles` when
-    /// no profile is installed. 0 when the topology has a single physical
-    /// node (no cross-node link exists, so no window can be justified).
-    ///
-    /// Link occupancy and queuing only ever *add* to a remote message's
-    /// arrival time (see [`Network::send`]'s arithmetic), so a message sent
-    /// at time `t` can never become visible to another node before
-    /// `t + lookahead()` — the bound the sharded engine's windows rest on.
-    pub fn lookahead(&self) -> u64 {
-        if self.topo.phys_nodes() < 2 {
-            return 0;
-        }
-        match &self.profile {
-            Some(p) => p.lookahead(),
-            None => self.cost.mc_oneway_cycles,
-        }
     }
 }
 

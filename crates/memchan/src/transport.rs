@@ -122,48 +122,6 @@ pub trait Transport<M>: std::fmt::Debug + Send {
     /// Releases any real resources (sockets) the backend holds. The engine calls this once after the run completes; the
     /// default is a no-op, which is right for the simulated network.
     fn shutdown(&mut self) {}
-
-    // --- Conservative-PDES coordination interface -----------------------
-    //
-    // The sharded engine (see `docs/PERFORMANCE.md`, "Parallel
-    // discrete-event execution") drives one transport per physical-node
-    // shard through the methods below. They have inert defaults so that
-    // ordinary backends ignore them; only the simulated [`Network`]
-    // overrides them (see its inherent methods of the same names).
-
-    /// The conservative lookahead this backend can justify, in cycles: a
-    /// lower bound on the latency of every cross-physical-node message, or
-    /// `None` when the backend cannot support sharded execution at all
-    /// (the default — real wire backends have no simulated latency floor,
-    /// so the engine stays serial on them).
-    fn pdes_lookahead(&self) -> Option<u64> {
-        None
-    }
-
-    /// Derives the transport of one physical-node shard from this one
-    /// (same topology, costs, link profile and metrics handles, empty
-    /// queues); `None` exactly when [`Transport::pdes_lookahead`] is.
-    fn pdes_shard(&self) -> Option<Box<dyn Transport<M>>> {
-        None
-    }
-
-    /// Tells a shard transport which window-local event the engine is
-    /// about to execute, so subsequent sends are journaled under that
-    /// index.
-    fn pdes_begin_event(&mut self, _event_index: u32) {}
-
-    /// Drains the shard transport's per-window send journal (and its
-    /// cross-shard outbox, referenced by the `Remote` records).
-    fn pdes_take_window(&mut self) -> Vec<(u32, crate::PdesSendRecord<M>)> {
-        Vec::new()
-    }
-
-    /// Applies a window barrier to a shard transport: rewrites the
-    /// provisional sequence numbers of locally queued messages to their
-    /// final (serial-order) values per `remap` and enqueues the cross-shard
-    /// `injections` (each an envelope plus its final sequence number). The
-    /// provisional numbering itself carries on: it is never reset.
-    fn pdes_apply(&mut self, _remap: &[(u64, u64)], _injections: Vec<(Envelope<M>, u64)>) {}
 }
 
 impl<M: Eq + Clone + Send + std::fmt::Debug + 'static> Transport<M> for Network<M> {
@@ -229,25 +187,5 @@ impl<M: Eq + Clone + Send + std::fmt::Debug + 'static> Transport<M> for Network<
 
     fn set_metrics(&mut self, registry: &shasta_obs::Registry) {
         Network::set_metrics(self, registry)
-    }
-
-    fn pdes_lookahead(&self) -> Option<u64> {
-        Some(Network::lookahead(self))
-    }
-
-    fn pdes_shard(&self) -> Option<Box<dyn Transport<M>>> {
-        Some(Box::new(Network::for_shard(self)))
-    }
-
-    fn pdes_begin_event(&mut self, event_index: u32) {
-        Network::pdes_begin_event(self, event_index)
-    }
-
-    fn pdes_take_window(&mut self) -> Vec<(u32, crate::PdesSendRecord<M>)> {
-        Network::pdes_take_window(self)
-    }
-
-    fn pdes_apply(&mut self, remap: &[(u64, u64)], injections: Vec<(Envelope<M>, u64)>) {
-        Network::pdes_apply(self, remap, injections)
     }
 }

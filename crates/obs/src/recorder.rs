@@ -110,12 +110,6 @@ pub struct Recorder {
     /// cross-processor interleaving of events, so staging must not reorder.
     staged: Vec<Event>,
     enabled: bool,
-    /// Journal mode (see [`Recorder::journal`]): events accumulate in
-    /// `staged` — in record order, never flushed — until drained with
-    /// [`Recorder::take_journal`]. Used by the sharded PDES engine, whose
-    /// coordinator replays each shard's journal through the *parent*
-    /// recorder in the serial event order.
-    journal: bool,
 }
 
 /// Staged events are flushed through the aggregators once this many have
@@ -141,38 +135,12 @@ impl Recorder {
             profile: None,
             staged: Vec::with_capacity(STAGE_CAPACITY),
             enabled: true,
-            journal: false,
         }
-    }
-
-    /// A journaling recorder: [`record`](Self::record) appends to an
-    /// unbounded in-order journal and nothing else — no rings, no
-    /// aggregators. The sharded PDES engine installs one per shard and
-    /// drains it every window with [`take_journal`](Self::take_journal);
-    /// the coordinator replays the merged journals through the parent's
-    /// normal [`record`](Self::record) path in serial event order, so the
-    /// parent's rings and aggregators see a stream byte-identical to a
-    /// serial run's.
-    pub fn journal() -> Self {
-        Recorder { enabled: true, journal: true, ..Recorder::default() }
     }
 
     /// Whether this recorder keeps events.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Events currently journaled (see [`Recorder::journal`]). For a
-    /// non-journal recorder this is transient staging detail — use it only
-    /// to delimit journal slices.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Drains the journal accumulated since the last call, in record order.
-    pub fn take_journal(&mut self) -> Vec<Event> {
-        debug_assert!(self.journal, "take_journal on a non-journal recorder");
-        std::mem::take(&mut self.staged)
     }
 
     /// Attaches a shared-space snapshot, enabling the message-class
@@ -197,7 +165,7 @@ impl Recorder {
         }
         let flush_now = matches!(kind, EventKind::PollDrain { .. });
         self.staged.push(Event { t, proc: p, kind });
-        if (flush_now || self.staged.len() >= STAGE_CAPACITY) && !self.journal {
+        if flush_now || self.staged.len() >= STAGE_CAPACITY {
             self.flush();
         }
     }
@@ -205,11 +173,6 @@ impl Recorder {
     /// Replays the staged batch — in global record order — through the
     /// streaming aggregators and the per-processor rings.
     fn flush(&mut self) {
-        if self.journal {
-            // A journal has no rings or aggregation; its events are replayed
-            // through the *parent* recorder by the PDES coordinator.
-            return;
-        }
         let staged = std::mem::take(&mut self.staged);
         for e in &staged {
             if let EventKind::Slice { cycles, .. } = e.kind {

@@ -15,7 +15,7 @@
 //! two stack switches and no system call.
 //!
 //! A fiber is in one of four states:
-//! * *unstarted* — [`FiberPool::spawn_selected`] runs the fibers to their
+//! * *unstarted* — [`FiberPool::spawn_each`] runs the fibers to their
 //!   first request in index order; should one of them panic before it, the
 //!   ones after it are dropped with their bodies unrun;
 //! * *suspended* in `call`, its batch pending in the pool, or owed the reply
@@ -34,10 +34,6 @@
 //! * *A posted operation is one whose reply the fiber does not read*: the
 //!   fiber runs on past it in host time, through simulated barriers and lock
 //!   acquires too.
-//! * A body holds no thread-bound state (a lock guard, a thread-local's
-//!   address, an `Rc` shared outside it) across an operation that may
-//!   suspend: the sharded engine spawns a pool on one thread and resumes it
-//!   on another.
 //!
 //! Panics:
 //! * A body's panic unwinds on its own stack to a `catch_unwind` at its
@@ -161,15 +157,14 @@ pub enum Resumed {
 
 struct Slot<Req, Resp> {
     /// The fiber, until its body ends (returns or unwinds): from then on,
-    /// `pending` is its tail. `None` for a placeholder.
+    /// `pending` is its tail.
     fiber: Option<Fiber<Answer<Req, Resp>, Vec<Req>>>,
     /// Requests handed over and not yet taken, the next one last: the
     /// fiber's own batch buffer reversed, and handed back once it is empty.
     pending: Vec<Req>,
     /// Whether a request was taken and its answer is still to come.
     owed: bool,
-    /// Whether the fiber is live: false once its tail has been answered, and
-    /// for a placeholder.
+    /// Whether the fiber is live: false once its tail has been answered.
     live: bool,
     /// The body's panic, re-raised at the answer to its tail's last request.
     panic: Option<Box<dyn Any + Send>>,
@@ -188,7 +183,7 @@ pub struct FiberPool<Req, Resp> {
 }
 
 impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
-    /// Spawns `n` fibers all running `f(proc_id, api)`; see [`FiberPool::spawn_selected`].
+    /// Spawns `n` fibers all running `f(proc_id, api)`; see [`FiberPool::spawn_each`].
     pub fn spawn<F: Fn(u32, FiberApi<Req, Resp>) + Send + Sync + 'static>(n: u32, f: F) -> Self {
         let f = Arc::new(f);
         let body = |p| {
@@ -198,37 +193,24 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
         Self::spawn_each((0..n).map(body).collect())
     }
 
-    /// Spawns one fiber per closure; see [`FiberPool::spawn_selected`].
-    pub fn spawn_each(bodies: Vec<FiberBody<Req, Resp>>) -> Self {
-        Self::spawn_selected(bodies.into_iter().map(Some).collect())
-    }
-
-    /// Spawns a fiber per `Some` body; a `None` slot is a permanently
-    /// finished placeholder, which keeps processor ids global when a caller
-    /// drives a subset of them (the sharded engine spawns each physical
-    /// node's fibers in its own pool). Runs each fiber, in index order, until
-    /// it has handed over its first request or ended; a panic before that is
+    /// Spawns one fiber per closure and runs each, in index order, until it
+    /// has handed over its first request or ended; a panic before that is
     /// re-raised here, once the tail it posted is empty.
-    pub fn spawn_selected(bodies: Vec<Option<FiberBody<Req, Resp>>>) -> Self {
-        let slot = |body: Option<FiberBody<Req, Resp>>| {
-            let fiber = body.map(|body| {
-                Fiber::new(move |yielder| {
-                    body(FiberApi { yielder, batch: Vec::new(), closed: false });
-                })
+    pub fn spawn_each(bodies: Vec<FiberBody<Req, Resp>>) -> Self {
+        let slot = |body: FiberBody<Req, Resp>| {
+            let fiber = Fiber::new(move |yielder| {
+                body(FiberApi { yielder, batch: Vec::new(), closed: false });
             });
-            let live = fiber.is_some();
-            Slot { fiber, pending: Vec::new(), owed: false, live, panic: None }
+            Slot { fiber: Some(fiber), pending: Vec::new(), owed: false, live: true, panic: None }
         };
         // The pool owns every fiber before the first one runs, so unwinding
         // out of here unwinds the started ones and drops the rest unrun.
         let slots: Vec<_> = bodies.into_iter().map(slot).collect();
-        let live = slots.iter().filter(|s| s.live).count();
+        let live = slots.len();
         let mut pool = FiberPool { slots, live };
         for p in 0..pool.slots.len() as u32 {
-            if let Some(fiber) = pool.slots[p as usize].fiber.as_mut() {
-                let step = fiber.start();
-                pool.switched(p, step);
-            }
+            let step = pool.slots[p as usize].fiber.as_mut().expect("an unstarted fiber").start();
+            pool.switched(p, step);
         }
         pool
     }
@@ -417,25 +399,6 @@ mod tests {
         let r1 = pool.take_request(1).unwrap(); // service fiber 1 first
         assert_eq!(pool.resume(1, r1 + 1), Resumed::Finished);
         assert_eq!(pool.resume(0, 99), Resumed::Finished); // now release fiber 0
-        pool.join();
-    }
-
-    #[test]
-    fn spawn_selected_placeholders_stay_finished() {
-        let odd = |p: u64| -> FiberBody<u64, u64> {
-            Box::new(move |mut api: FiberApi<u64, u64>| assert_eq!(api.call(p), p + 1))
-        };
-        let bodies = (0..4u64).map(|p| (p % 2 == 1).then(|| odd(p)));
-        let mut pool = FiberPool::spawn_selected(bodies.collect());
-        assert_eq!(pool.len(), 4);
-        assert_eq!(pool.live_count(), 2);
-        assert!(pool.is_finished(0) && pool.is_finished(2));
-        assert_eq!(pool.peek_request(0), None);
-        assert_eq!(pool.take_request(2), None);
-        for p in [1u32, 3] {
-            let req = pool.take_request(p).unwrap();
-            assert_eq!(pool.resume(p, req + 1), Resumed::Finished);
-        }
         pool.join();
     }
 

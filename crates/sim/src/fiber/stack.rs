@@ -101,15 +101,6 @@ pub(super) struct Fiber<In, Out> {
     state: State,
 }
 
-// SAFETY: `shared` and `base` are reached only by the thread running the
-// fiber, which holds `&mut Fiber` (the `Yielder` is `!Send` and checks
-// `CURRENT`); the body and every value that crosses a switch are `Send`.
-// What the fiber's stack holds moves with it, and that is the contract: a
-// body holds no thread-bound state (a lock guard, a thread-local's address,
-// an `Rc` shared outside it) across a suspension, because the sharded engine
-// starts a pool's fibers on one thread and resumes them on another.
-unsafe impl<In: Send, Out: Send> Send for Fiber<In, Out> {}
-
 impl<In: 'static, Out: 'static> Fiber<In, Out> {
     /// A fiber that will run `body` on a stack of its own from its first
     /// [`Fiber::start`]. Dropped unstarted, it drops `body` unrun.

@@ -13,7 +13,7 @@ shopt -s nullglob
 files=(BENCH_*.json)
 if [ ${#files[@]} -eq 0 ]; then
   echo "no BENCH_*.json trajectories at the repo root; run a trajectory bin first"
-  echo "(critical_path, fault_sweep, pdes_scaling, ...)"
+  echo "(critical_path, fault_sweep, topology_breakdown, ...)"
   exit 0
 fi
 

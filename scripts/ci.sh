@@ -62,8 +62,9 @@ echo "==> benchmark harness: builds against the crates' public API, golden.json 
 # Its tests run every workload --quick (Tiny inputs), end to end and traced,
 # against golden.json, so an API break or a moved cycle/message fingerprint
 # fails here instead of in the pipeline's benchmark run (the full-size
-# fingerprint that Tiny cannot see is pinned by shasta-apps' pdes_default
-# test in the --release workspace run above). Builds into the git-ignored
+# fingerprint that Tiny cannot see is pinned by the Default figure diffs
+# against results/ at the end of this script, and by golden.json's
+# full-size rows in the benchmark run itself). Builds into the git-ignored
 # directory benchmark/run.sh uses.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml \
   --target-dir "${CARGO_TARGET_DIR:-benchmark/target}" -q
@@ -158,62 +159,15 @@ echo "==> bounded schedule sweep (64 seeds, parallel, oracle validation included
 # byte-identical for any worker count (see docs/PERFORMANCE.md).
 cargo run --release -p shasta-check --bin check -- --seeds 64 -j 0 --quiet
 
-echo "==> parallel-engine byte-identity (--sim-threads 2 vs serial)"
-# The conservative parallel discrete-event engine must be invisible in every
-# byte the checker emits: a full sweep (stdout report, minus the one header
-# line carrying host wall-clock time) and a deterministic trace export are
-# diffed serial vs --sim-threads 2. Neither run passes --metrics — the
-# registry intentionally gains per-shard pdes.* series under the knob, so
-# metrics output is excluded from the identity diff (simulated counters and
-# traces are the contract, registry contents are not). Note the --trace
-# replay builds oracle-carrying machines, which stay serial by design; the
-# sharded-*recording* identity is proven by the critical_path diff below.
-pe_serial="$(mktemp /tmp/shasta-ci-pdes-serial.XXXXXX.txt)"
-pe_sharded="$(mktemp /tmp/shasta-ci-pdes-sharded.XXXXXX.txt)"
-pt_serial="$(mktemp /tmp/shasta-ci-pdes-trace-serial.XXXXXX.json)"
-pt_sharded="$(mktemp /tmp/shasta-ci-pdes-trace-sharded.XXXXXX.json)"
-cargo run --release -p shasta-check --bin check -- \
-  --seeds 16 -j 0 | grep -v '^swept ' > "$pe_serial"
-cargo run --release -p shasta-check --bin check -- \
-  --seeds 16 -j 0 --sim-threads 2 | grep -v '^swept ' > "$pe_sharded"
-diff -u "$pe_serial" "$pe_sharded" || { echo "sweep diverged with --sim-threads 2"; exit 1; }
-cargo run --release -p shasta-check --bin check -- \
-  --seeds 8 -j 0 --quiet --skip-validation --trace "$pt_serial"
-cargo run --release -p shasta-check --bin check -- \
-  --seeds 8 -j 0 --quiet --skip-validation --trace "$pt_sharded" --sim-threads 2
-diff -u "$pt_serial" "$pt_sharded" || { echo "trace diverged with --sim-threads 2"; exit 1; }
-rm -f "$pe_serial" "$pe_sharded" "$pt_serial" "$pt_sharded"
-
-echo "==> sharded-recording byte-identity (critical_path --sim-threads 2 vs serial)"
-# Event recording no longer forces the serial engine: each shard journals
-# its recorded events and the coordinator replays the journals in merged
-# (serial) order. The critical_path binary derives every printed byte from
-# the recorded stream, so diffing a serial against a --sim-threads 2
-# invocation (minus the final line naming the throwaway output file)
-# proves the merged journals reproduce the serial stream exactly — and
-# both runs assert the causal path tiles elapsed_cycles with zero
-# tolerance on all six Table 2 kernels.
-cp_serial="$(mktemp /tmp/shasta-ci-cp-serial.XXXXXX.txt)"
-cp_sharded="$(mktemp /tmp/shasta-ci-cp-sharded.XXXXXX.txt)"
-cp_js="$(mktemp /tmp/shasta-ci-cp-serial.XXXXXX.json)"
-cp_jp="$(mktemp /tmp/shasta-ci-cp-sharded.XXXXXX.json)"
+echo "==> critical-path smoke (--quick: all six Table 2 kernels, zero-tolerance tiling)"
+# The binary itself aborts unless each kernel's causal path tiles
+# elapsed_cycles exactly; writes to a throwaway trajectory so CI never
+# pollutes the tracked BENCH_critical_path.json.
+cp_tmp="$(mktemp /tmp/shasta-ci-cp.XXXXXX.json)"
 cargo run --release -p shasta-bench --bin critical_path -- \
-  --quick --out "$cp_js" | grep -v '^wrote ' > "$cp_serial"
-cargo run --release -p shasta-bench --bin critical_path -- \
-  --quick --sim-threads 2 --out "$cp_jp" | grep -v '^wrote ' > "$cp_sharded"
-diff -u "$cp_serial" "$cp_sharded" || { echo "critical path diverged with --sim-threads 2"; exit 1; }
-test -s "$cp_js" || { echo "critical_path JSON is empty"; exit 1; }
-rm -f "$cp_serial" "$cp_sharded" "$cp_js" "$cp_jp"
-
-echo "==> pdes-scaling smoke (--quick: 3 Table 2 kernels, serial vs sharded)"
-# The binary itself aborts unless every sharded run is bit-identical to its
-# serial twin AND actually executed lookahead windows; writes to a throwaway
-# trajectory so CI never pollutes the tracked BENCH_pdes_scaling.json.
-ps_tmp="$(mktemp /tmp/shasta-ci-pdes-scaling.XXXXXX.json)"
-cargo run --release -p shasta-bench --bin pdes_scaling -- \
-  --quick --out "$ps_tmp" > /dev/null
-test -s "$ps_tmp" || { echo "pdes_scaling JSON is empty"; exit 1; }
-rm -f "$ps_tmp"
+  --quick --out "$cp_tmp" > /dev/null
+test -s "$cp_tmp" || { echo "critical_path JSON is empty"; exit 1; }
+rm -f "$cp_tmp"
 
 echo "==> fault-sweep smoke (--quick: all fault kinds x scenarios x topologies)"
 # Exercises the fault fabric end to end: delay/dup/reorder/chaos must pass
