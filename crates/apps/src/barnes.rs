@@ -9,7 +9,6 @@
 //!
 //! Table 2 raises the cell/leaf array granularity to 512 bytes.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use shasta_core::api::Dsm;
@@ -338,9 +337,9 @@ impl DsmApp for Barnes {
                         // Force phase: traverse the read-shared tree. A
                         // per-step native cache models the hardware cache on
                         // repeat accesses (the DSM fetch happens once).
-                        let mut cell_cache: HashMap<usize, [f64; CELL_F64]> = HashMap::new();
-                        let mut body_cache: HashMap<usize, ([f64; 3], f64)> = HashMap::new();
-                        let _ncells = dsm.load_u64(ctrl);
+                        let ncells = dsm.load_u64(ctrl) as usize;
+                        let mut cell_cache: Vec<Option<[f64; CELL_F64]>> = vec![None; ncells];
+                        let mut body_cache: Vec<Option<([f64; 3], f64)>> = vec![None; n];
                         for b in my_bodies.clone() {
                             let pb = {
                                 let v = dsm.read_f64s(body_rec(b), 3);
@@ -350,14 +349,14 @@ impl DsmApp for Barnes {
                             let force = {
                                 let dsm_cell = std::cell::RefCell::new(&mut dsm);
                                 let mut read_cell = |c: usize| {
-                                    *cell_cache.entry(c).or_insert_with(|| {
+                                    *cell_cache[c].get_or_insert_with(|| {
                                         let v =
                                             dsm_cell.borrow_mut().read_f64s(cell_rec(c), CELL_F64);
                                         v.try_into().expect("cell record")
                                     })
                                 };
                                 let mut read_body = |j: usize| {
-                                    *body_cache.entry(j).or_insert_with(|| {
+                                    *body_cache[j].get_or_insert_with(|| {
                                         let v = dsm_cell.borrow_mut().read_f64s(body_rec(j), 3);
                                         let m = f64::from_bits(
                                             dsm_cell.borrow_mut().load_u64(body_rec(j) + 9 * 8),

@@ -252,8 +252,7 @@ impl DsmApp for Fmm {
                     dsm.barrier(0);
                     // Phase 2: M2L over the read-shared box array plus
                     // near-field P2P with neighbour boxes' particles.
-                    let mut box_cache: std::collections::HashMap<usize, Vec<f64>> =
-                        std::collections::HashMap::new();
+                    let mut box_cache: Vec<Option<Vec<f64>>> = vec![None; nb];
                     for b in my_boxes.clone() {
                         let neigh = app.neighbors(b);
                         let centre =
@@ -263,9 +262,8 @@ impl DsmApp for Fmm {
                             if neigh.contains(&fb) {
                                 continue;
                             }
-                            let rec = box_cache
-                                .entry(fb)
-                                .or_insert_with(|| dsm.read_f64s(box_rec(fb), 3))
+                            let rec = box_cache[fb]
+                                .get_or_insert_with(|| dsm.read_f64s(box_rec(fb), 3))
                                 .clone();
                             dsm.compute(M2L_CYCLES);
                             let (q, cx, cy) = (rec[0], rec[1], rec[2]);

@@ -472,7 +472,7 @@ mod tests {
         let lu = Lu::new(Preset::Tiny, false);
         let nb = lu.nb();
         for procs in [1u32, 2, 4, 8, 16] {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for i in 0..nb {
                 for j in 0..nb {
                     let o = lu.owner(procs, i, j);

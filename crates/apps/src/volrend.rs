@@ -4,7 +4,6 @@
 //! maps — the two arrays whose coherence granularity Table 2 raises to
 //! 1024 bytes — rendered into image tiles distributed through task queues.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use shasta_core::api::Dsm;
@@ -128,6 +127,7 @@ impl DsmApp for Volrend {
         let img = self.img;
         let procs = opts.procs;
         let vol_bytes = (g * g * g) as u64;
+        let vol_chunks = (vol_bytes as usize).div_ceil(CHUNK);
         // Table 2: opacity and normal (shading) maps at 1024-byte blocks.
         let map_hint = if opts.variable_granularity || self.vg {
             BlockHint::Bytes(1_024)
@@ -169,7 +169,7 @@ impl DsmApp for Volrend {
                     };
                     // Volume voxels are fetched in line-sized chunks and
                     // cached natively (the hardware-cache analogue).
-                    let mut chunks: HashMap<usize, Vec<u8>> = HashMap::new();
+                    let mut chunks: Vec<Option<Vec<u8>>> = vec![None; vol_chunks];
                     let tiles_x = img / TILE;
                     while let Some(task) = queues.next_task(&mut dsm, p) {
                         let (tx, ty) = ((task as usize) % tiles_x, (task as usize) / tiles_x);
@@ -181,7 +181,7 @@ impl DsmApp for Volrend {
                                 let mut voxel = |i: usize| {
                                     samples += 1;
                                     let c = i / CHUNK;
-                                    let chunk = chunks.entry(c).or_insert_with(|| {
+                                    let chunk = chunks[c].get_or_insert_with(|| {
                                         dsm.read_range(vol_addr + (c * CHUNK) as u64, CHUNK as u64)
                                     });
                                     chunk[i % CHUNK]

@@ -201,13 +201,11 @@ impl WaterCommon {
                     for _ in 0..steps {
                         // Phase 1: pair forces into a private accumulator,
                         // reading positions through the DSM (read-shared).
-                        let mut local: std::collections::BTreeMap<usize, [f64; 3]> =
-                            std::collections::BTreeMap::new();
-                        let mut pos_cache: std::collections::HashMap<usize, [f64; 3]> =
-                            std::collections::HashMap::new();
+                        let mut local: Vec<Option<[f64; 3]>> = vec![None; n];
+                        let mut pos_cache: Vec<Option<[f64; 3]>> = vec![None; n];
                         for &(i, j) in &pairs[my_pairs.clone()] {
                             let mut read_pos = |dsm: &mut Dsm, m: usize| {
-                                *pos_cache.entry(m).or_insert_with(|| {
+                                *pos_cache[m].get_or_insert_with(|| {
                                     let v = dsm.read_f64s(rec(m), 3);
                                     [v[0], v[1], v[2]]
                                 })
@@ -217,24 +215,26 @@ impl WaterCommon {
                             dsm.compute(PAIR_CYCLES);
                             if let Some(f) = pair_force(pi, pj) {
                                 for d in 0..3 {
-                                    local.entry(i).or_insert([0.0; 3])[d] += f[d];
-                                    local.entry(j).or_insert([0.0; 3])[d] -= f[d];
+                                    local[i].get_or_insert([0.0; 3])[d] += f[d];
+                                    local[j].get_or_insert([0.0; 3])[d] -= f[d];
                                 }
                             }
                         }
                         // Phase 2: locked accumulation into the shared
-                        // records — the migratory pattern.
-                        for (m, f) in &local {
-                            dsm.acquire(*m as u32);
-                            let cur = dsm.read_f64s(rec(*m) + 6 * 8, 3);
+                        // records — the migratory pattern — in molecule
+                        // order, which is also the lock order.
+                        for (m, f) in local.iter().enumerate() {
+                            let Some(f) = f else { continue };
+                            dsm.acquire(m as u32);
+                            let cur = dsm.read_f64s(rec(m) + 6 * 8, 3);
                             dsm.compute(10);
                             // Scalar (non-blocking) stores: under coarse
                             // blocks the record's block is contended, and
                             // Shasta's store path never stalls on steals.
                             for d in 0..3 {
-                                dsm.store_f64(rec(*m) + (6 + d as u64) * 8, cur[d] + f[d]);
+                                dsm.store_f64(rec(m) + (6 + d as u64) * 8, cur[d] + f[d]);
                             }
-                            dsm.release(*m as u32);
+                            dsm.release(m as u32);
                         }
                         dsm.barrier(barrier);
                         barrier += 1;
@@ -353,7 +353,7 @@ mod tests {
     fn spatial_pairs_are_unique_and_local() {
         let w = WaterCommon::new(Preset::Tiny, true);
         let pairs = w.pairs();
-        let set: std::collections::HashSet<_> = pairs.iter().collect();
+        let set: std::collections::BTreeSet<_> = pairs.iter().collect();
         assert_eq!(set.len(), pairs.len(), "no duplicate pairs");
         for &(i, j) in &pairs {
             assert!(i < j);

@@ -18,8 +18,8 @@
 //!   private state tables, and the invalid-flag mechanism;
 //! * [`check`] — the inline miss-check cost/function model (Base and SMP
 //!   flavours);
-//! * [`directory`] — per-home owner/sharer directory with transaction
-//!   queuing;
+//! * [`directory`] — the line-indexed owner/sharer directory with
+//!   transaction queuing;
 //! * [`misstable`] — non-blocking-store miss entries, merging, and the
 //!   epoch tracker for eager release consistency;
 //! * [`protocol`] — the Base-Shasta / SMP-Shasta / hardware engines and the

@@ -16,7 +16,7 @@
 //! invalidation writes flag values over node memory; re-applying recorded
 //! stores after the reply fill reproduces the real memory image.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -180,10 +180,12 @@ impl EpochTracker {
     }
 }
 
-/// The per-node miss table: block start → entry.
+/// The per-node miss table: the node's outstanding requests in issue order,
+/// found by block start. A node holds only its outstanding requests (a few
+/// per processor), so a scan beats hashing.
 #[derive(Clone, Debug, Default)]
 pub struct MissTable {
-    entries: HashMap<Addr, MissEntry>,
+    entries: Vec<MissEntry>,
 }
 
 impl MissTable {
@@ -192,30 +194,35 @@ impl MissTable {
         MissTable::default()
     }
 
+    fn position(&self, block_start: Addr) -> Option<usize> {
+        self.entries.iter().position(|e| e.block.start == block_start)
+    }
+
     /// The entry for the block starting at `block_start`.
     pub fn get(&self, block_start: Addr) -> Option<&MissEntry> {
-        self.entries.get(&block_start)
+        self.entries.iter().find(|e| e.block.start == block_start)
     }
 
     /// Mutable access to the entry for `block_start`.
     pub fn get_mut(&mut self, block_start: Addr) -> Option<&mut MissEntry> {
-        self.entries.get_mut(&block_start)
+        self.entries.iter_mut().find(|e| e.block.start == block_start)
     }
 
-    /// Inserts a fresh entry.
+    /// Inserts a fresh entry, last in issue order.
     ///
     /// # Panics
     ///
     /// Panics if an entry for the block already exists (requests for a block
     /// must merge, never duplicate).
     pub fn insert(&mut self, entry: MissEntry) {
-        let prev = self.entries.insert(entry.block.start, entry);
-        assert!(prev.is_none(), "duplicate miss entry for block");
+        assert!(self.position(entry.block.start).is_none(), "duplicate miss entry for block");
+        self.entries.push(entry);
     }
 
-    /// Removes and returns the entry for `block_start`.
+    /// Removes and returns the entry for `block_start`; the others keep
+    /// their issue order.
     pub fn remove(&mut self, block_start: Addr) -> Option<MissEntry> {
-        self.entries.remove(&block_start)
+        Some(self.entries.remove(self.position(block_start)?))
     }
 
     /// Number of outstanding entries.
@@ -228,9 +235,9 @@ impl MissTable {
         self.entries.is_empty()
     }
 
-    /// Iterator over outstanding entries (diagnostics).
+    /// Iterator over outstanding entries in issue order (diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = &MissEntry> {
-        self.entries.values()
+        self.entries.iter()
     }
 }
 
@@ -331,5 +338,33 @@ mod tests {
         let e = t.remove(0x2000).unwrap();
         assert_eq!(e.requester, 0);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn issue_order_survives_a_remove() {
+        let mut t = MissTable::new();
+        for (i, start) in [0x3000, 0x1000, 0x2000, 0x4000].into_iter().enumerate() {
+            t.insert(MissEntry::new(Block { start, len: 64 }, ReqKind::Read, i as u32, 0));
+        }
+        assert_eq!(t.remove(0x1000).unwrap().requester, 1);
+        assert!(t.remove(0x1000).is_none());
+        let order: Vec<Addr> = t.iter().map(|e| e.block.start).collect();
+        assert_eq!(order, vec![0x3000, 0x2000, 0x4000]);
+        t.insert(MissEntry::new(Block { start: 0x1000, len: 64 }, ReqKind::Write, 9, 0));
+        let order: Vec<Addr> = t.iter().map(|e| e.block.start).collect();
+        assert_eq!(order, vec![0x3000, 0x2000, 0x4000, 0x1000]);
+        t.get_mut(0x2000).unwrap().early_acks = 2;
+        assert_eq!(t.get(0x2000).unwrap().early_acks, 2);
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate miss entry")]
+    fn duplicate_insert_panics_among_others() {
+        let mut t = MissTable::new();
+        t.insert(MissEntry::new(block(), ReqKind::Read, 0, 0));
+        t.insert(MissEntry::new(Block { start: 0x2040, len: 64 }, ReqKind::Read, 0, 0));
+        t.remove(0x2040);
+        t.insert(MissEntry::new(block(), ReqKind::Write, 1, 0));
     }
 }

@@ -204,7 +204,7 @@ impl Machine {
             // Mid-downgrade, processors that have not yet handled their
             // downgrade message legitimately hold the prior state (§3.4.3).
             LineState::PendingDgShared | LineState::PendingDgInvalid => {
-                match self.downgrades[v].get(&block.start).map(|e| e.prior) {
+                match self.downgrades[v].get(block.start).map(|e| e.prior) {
                     Some(LineState::Exclusive) => PrivState::Exclusive,
                     Some(_) => PrivState::Shared,
                     None => PrivState::Invalid,
@@ -227,11 +227,9 @@ impl Machine {
     /// every registered block.
     pub(crate) fn oracle_quiescent_sweep(&self) {
         self.audit();
-        for dir in &self.dirs {
-            for (start, _) in dir.iter() {
-                let block = self.space.block_of(start).expect("registered block");
-                self.oracle_check_block(u32::MAX, block);
-            }
+        for (start, _) in self.dir.iter() {
+            let block = self.space.block_of(start).expect("registered block");
+            self.oracle_check_block(u32::MAX, block);
         }
     }
 

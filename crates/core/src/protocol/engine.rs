@@ -29,7 +29,7 @@ use crate::check::AccessKind;
 use crate::misstable::{MissEntry, ReqKind};
 use crate::protocol::candidates::{Action, Cands, Key, MinTree};
 use crate::protocol::config::Mode;
-use crate::protocol::machine::{AfterRelease, Machine, Stall, StallKind};
+use crate::protocol::machine::{grant, AfterRelease, Machine, Stall, StallKind};
 use crate::protocol::msg::{DowngradeTo, ProtoMsg};
 use crate::space::{Addr, Block};
 use crate::state::{LineState, PrivState, INVALID_FLAG};
@@ -485,11 +485,11 @@ impl Machine {
                 }
             },
             StallKind::LockWait { lock } => {
-                self.lock_grants[p as usize].remove(&lock);
+                self.lock_grants[p as usize].retain(|&l| l != lock);
                 Some(Resp::Unit)
             }
             StallKind::BarrierWait { id } => {
-                self.barrier_done[p as usize].remove(&id);
+                self.barrier_done[p as usize].retain(|&b| b != id);
                 Some(Resp::Unit)
             }
         }
@@ -814,7 +814,7 @@ impl Machine {
             }
             LineState::PendingDgInvalid => {
                 let prior = self.downgrades[v]
-                    .get(&block.start)
+                    .get(block.start)
                     .expect("pending-downgrade state without entry")
                     .prior;
                 if prior.writable() {
@@ -1160,7 +1160,7 @@ impl Machine {
                 assert_eq!(info.holder, Some(p), "hardware lock released by non-holder");
                 info.holder = info.queue.pop_front();
                 if let Some(next) = info.holder {
-                    self.lock_grants[next as usize].insert(lock);
+                    grant(&mut self.lock_grants[next as usize], lock);
                     self.bump_wake(next, now);
                 }
                 Some(Resp::Unit)
@@ -1175,7 +1175,7 @@ impl Machine {
                     info.arrived = 0;
                     let waiting = std::mem::take(&mut info.waiting);
                     for w in waiting {
-                        self.barrier_done[w as usize].insert(id);
+                        grant(&mut self.barrier_done[w as usize], id);
                         self.bump_wake(w, now);
                     }
                     Some(Resp::Unit)

@@ -8,7 +8,7 @@ use shasta_stats::TimeCat;
 use crate::misstable::ReqKind;
 use crate::protocol::config::Mode;
 use crate::protocol::engine::{miss_kind_of, priv_ceiling};
-use crate::protocol::machine::{DowngradeEntry, LingeringAcks, Machine};
+use crate::protocol::machine::{grant, DowngradeEntry, LingeringAcks, Machine};
 use crate::protocol::msg::{DirUpdate, DowngradeTo, ProtoMsg};
 use crate::space::Block;
 use crate::state::LineState;
@@ -47,14 +47,14 @@ impl Machine {
             ProtoMsg::LockRel { lock } => self.handle_lock_rel(p, src, lock),
             ProtoMsg::LockGrant { lock } => {
                 self.pay(p, TimeCat::Message, self.cost.ack_handler_cycles);
-                self.lock_grants[p as usize].insert(lock);
+                grant(&mut self.lock_grants[p as usize], lock);
                 let now = self.clocks[p as usize];
                 self.bump_wake(p, now);
             }
             ProtoMsg::BarrierArrive { id } => self.handle_barrier_arrive(p, src, id),
             ProtoMsg::BarrierGo { id } => {
                 self.pay(p, TimeCat::Message, self.cost.ack_handler_cycles);
-                self.barrier_done[p as usize].insert(id);
+                grant(&mut self.barrier_done[p as usize], id);
                 let now = self.clocks[p as usize];
                 self.bump_wake(p, now);
             }
@@ -114,7 +114,7 @@ impl Machine {
         kind: ReqKind,
         block: Block,
     ) {
-        let entry = self.dirs[home as usize].entry(block.start);
+        let entry = self.dir.entry(block.start);
         if entry.busy {
             entry.queue.push_back(crate::directory::QueuedReq { requester, kind });
             self.obs_event(
@@ -136,49 +136,37 @@ impl Machine {
 
     fn home_read(&mut self, exec: u32, home: u32, requester: u32, block: Block) {
         let hv = self.vnode(home);
-        let entry = self.dirs[home as usize].entry(block.start);
-        if entry.exclusive {
-            let owner = entry.owner;
-            entry.busy = true;
-            if self.vnode(owner) == hv {
-                // The dirty copy is on the home's own node: serve it here
-                // (§3.1: "the home can trivially satisfy the request ...
-                // eliminating the need for an explicit message to the
-                // owner"), with the same pending-state handling as a
-                // forwarded read.
-                self.fwd_read_body(exec, block, requester, true);
-            } else {
-                self.post(
-                    exec,
-                    owner,
-                    ProtoMsg::FwdRead { block, requester, owner_exclusive: true },
-                );
-            }
-            return;
-        }
-        // Shared mode.
-        if self.cfg.home_serves_reads && self.node_has_copy(hv, block) {
+        let home_serves = self.cfg.home_serves_reads && self.node_has_copy(hv, block);
+        let entry = self.dir.entry(block.start);
+        if !entry.exclusive && home_serves {
+            entry.add_sharer(requester);
             let data = self.mems[hv].read(block.start, block.len).to_vec();
-            self.dirs[home as usize].entry(block.start).add_sharer(requester);
             self.post(exec, requester, ProtoMsg::ReadReply { block, data });
             return;
         }
-        // Forward to the owner, which holds a shared copy.
-        let owner = self.dirs[home as usize].entry(block.start).owner;
-        self.dirs[home as usize].entry(block.start).busy = true;
+        // Forward to the owner: it holds the dirty copy, or (shared mode) a
+        // copy the home's node lacks.
+        let owner_exclusive = entry.exclusive;
+        let owner = entry.owner;
+        entry.busy = true;
         if self.vnode(owner) == hv {
-            self.fwd_read_body(exec, block, requester, false);
+            // The owner's copy is on the home's own node: serve it here
+            // (§3.1: "the home can trivially satisfy the request ...
+            // eliminating the need for an explicit message to the owner"),
+            // with the same pending-state handling as a forwarded read.
+            self.fwd_read_body(exec, block, requester, owner_exclusive);
         } else {
-            self.post(exec, owner, ProtoMsg::FwdRead { block, requester, owner_exclusive: false });
+            self.post(exec, owner, ProtoMsg::FwdRead { block, requester, owner_exclusive });
         }
     }
 
     fn home_write(&mut self, exec: u32, home: u32, requester: u32, block: Block) {
         let hv = self.vnode(home);
         let rv = self.vnode(requester);
-        let entry = self.dirs[home as usize].entry(block.start);
+        let home_has_copy = self.node_has_copy(hv, block);
+        let entry = self.dir.entry(block.start);
+        let owner = entry.owner;
         if entry.exclusive {
-            let owner = entry.owner;
             entry.busy = true;
             assert_ne!(self.vnode(owner), rv, "write request from the exclusive owner's own node");
             if self.vnode(owner) == hv {
@@ -198,29 +186,31 @@ impl Machine {
             return;
         }
         // Shared mode: all sharers must be invalidated; data comes from the
-        // home's copy if present, else from the owner. The directory lists
-        // one representative processor per sharing node, so filtering must
-        // be by *virtual node*, never by processor id.
-        let owner = entry.owner;
-        let sharers: Vec<u32> = entry.sharer_list().collect();
+        // home's copy if present, else from the owner, which then invalidates
+        // itself. The directory lists one representative processor per
+        // sharing node, so filtering must be by *virtual node*, never by
+        // processor id.
+        let topo = &self.topo;
+        let other_node = |s: u32| usize::from(topo.virt_node_of(s)) != rv;
         debug_assert!(
-            sharers.iter().all(|&s| self.vnode(s) != rv),
+            entry.sharer_list().all(other_node),
             "write request from a node still listed as sharer"
         );
-        if self.node_has_copy(hv, block) {
-            let to_inval: Vec<u32> = sharers.into_iter().filter(|&s| self.vnode(s) != rv).collect();
-            let acks = to_inval.len() as u32;
+        let to_inval: Vec<u32> = entry
+            .sharer_list()
+            .filter(|&s| other_node(s) && (home_has_copy || s != owner))
+            .collect();
+        if home_has_copy {
+            entry.grant_exclusive(requester);
+        } else {
+            entry.busy = true;
+        }
+        let acks = to_inval.len() as u32;
+        if home_has_copy {
             let data = self.mems[hv].read(block.start, block.len).to_vec();
-            self.dirs[home as usize].entry(block.start).grant_exclusive(requester);
             self.post(exec, requester, ProtoMsg::WriteReply { block, data, acks_expected: acks });
             self.invalidate_sharers(exec, block, requester, to_inval);
         } else {
-            // Home lacks a copy: the owner supplies data (and invalidates
-            // itself); the home invalidates the remaining sharers.
-            let to_inval: Vec<u32> =
-                sharers.into_iter().filter(|&s| self.vnode(s) != rv && s != owner).collect();
-            let acks = to_inval.len() as u32;
-            self.dirs[home as usize].entry(block.start).busy = true;
             if self.vnode(owner) == hv {
                 self.fwd_write_body(exec, block, requester, acks, false);
             } else {
@@ -242,25 +232,24 @@ impl Machine {
     }
 
     fn home_upgrade(&mut self, exec: u32, home: u32, requester: u32, block: Block) {
-        let rv = self.vnode(requester);
-        let entry = self.dirs[home as usize].entry(block.start);
+        let topo = &self.topo;
+        let rv = topo.virt_node_of(requester);
+        let entry = self.dir.entry(block.start);
         // The directory lists one representative per sharing node; the
         // upgrade is valid if the *requester's node* is still a sharer, even
         // when a node mate did the original fetch (§3.4.2).
-        let node_is_sharer = entry.sharer_list().any(|s| self.vnode(s) == rv);
-        let entry = self.dirs[home as usize].entry(block.start);
-        if !entry.exclusive && node_is_sharer {
-            let all: Vec<u32> = entry.sharer_list().collect();
-            let sharers: Vec<u32> = all.into_iter().filter(|&s| self.vnode(s) != rv).collect();
-            let acks = sharers.len() as u32;
-            self.dirs[home as usize].entry(block.start).grant_exclusive(requester);
-            self.post(exec, requester, ProtoMsg::UpgradeReply { block, acks_expected: acks });
-            self.invalidate_sharers(exec, block, requester, sharers);
-        } else {
+        if entry.exclusive || !entry.sharer_list().any(|s| topo.virt_node_of(s) == rv) {
             // The requester's copy was invalidated while the upgrade was in
             // flight: it needs data, so serve as a write (§3.4 race rule).
             self.home_write(exec, home, requester, block);
+            return;
         }
+        let sharers: Vec<u32> =
+            entry.sharer_list().filter(|&s| topo.virt_node_of(s) != rv).collect();
+        entry.grant_exclusive(requester);
+        let acks = sharers.len() as u32;
+        self.post(exec, requester, ProtoMsg::UpgradeReply { block, acks_expected: acks });
+        self.invalidate_sharers(exec, block, requester, sharers);
     }
 
     // ------------------------------------------------------------------
@@ -303,7 +292,7 @@ impl Machine {
             }
             LineState::PendingWrite => {
                 let kind = self.miss[v].get(block.start).expect("pending state without entry").kind;
-                let stale = self.deferred_invals[v].contains_key(&block.start);
+                let stale = self.deferred_invals[v].contains(block.start);
                 if kind == ReqKind::Upgrade && !stale && !owner_exclusive {
                     // A shared-mode forward while our (unconverted) upgrade
                     // is queued at the home *behind this very transaction*:
@@ -371,7 +360,7 @@ impl Machine {
         let state = self.block_state(v, block);
         if state == LineState::PendingWrite {
             let kind = self.miss[v].get(block.start).expect("pending state without entry").kind;
-            let stale = self.deferred_invals[v].contains_key(&block.start);
+            let stale = self.deferred_invals[v].contains(block.start);
             if kind == ReqKind::Upgrade && !stale && !owner_exclusive {
                 // Our upgrade lost the race: this node's (still valid,
                 // previously shared) data goes to the new writer, and our
@@ -439,7 +428,7 @@ impl Machine {
     ) {
         let v = self.vnode(x);
         assert!(
-            !self.downgrades[v].contains_key(&block.start),
+            !self.downgrades[v].contains(block.start),
             "overlapping downgrades for block {:#x}",
             block.start
         );
@@ -497,7 +486,7 @@ impl Machine {
                 == crate::protocol::config::BugInjection::SkipDowngradeWait
                 && !matches!(deferred, DowngradeAction::InvAck { .. }))
             .then(|| self.mems[v].read(block.start, block.len).to_vec());
-            self.downgrades[v].insert(
+            self.downgrades[v].push(
                 block.start,
                 DowngradeEntry { remaining: targets.len() as u32, to, deferred, prior, early_data },
             );
@@ -517,12 +506,12 @@ impl Machine {
             self.privs[p as usize].downgrade_range(lines, priv_ceiling(to));
         }
         let entry =
-            self.downgrades[v].get_mut(&block.start).expect("downgrade message without entry");
+            self.downgrades[v].get_mut(block.start).expect("downgrade message without entry");
         entry.remaining -= 1;
         let remaining = entry.remaining;
         self.obs_event(p, shasta_obs::EventKind::DowngradeAck { block: block.start, remaining });
         if remaining == 0 {
-            let entry = self.downgrades[v].remove(&block.start).expect("just present");
+            let entry = self.downgrades[v].remove(block.start).expect("just present");
             self.complete_downgrade(p, block, entry.to, entry.deferred, entry.early_data);
         }
     }
@@ -643,8 +632,11 @@ impl Machine {
                 // The copy being invalidated is concurrently being replaced:
                 // defer until the reply is processed (§3.4.2's serialization
                 // at the home guarantees the reply is in flight).
-                let prev = self.deferred_invals[v].insert(block.start, ack_to);
-                assert!(prev.is_none(), "two invalidations deferred for one block");
+                assert!(
+                    !self.deferred_invals[v].contains(block.start),
+                    "two invalidations deferred for one block"
+                );
+                self.deferred_invals[v].push(block.start, ack_to);
             }
             LineState::Invalid => {
                 // Stale invalidation (the copy is already gone): just ack.
@@ -697,7 +689,7 @@ impl Machine {
     fn handle_dir_update(&mut self, home: u32, block: Block, update: DirUpdate) {
         self.pay(home, TimeCat::Message, self.cost.handler_dirupdate_cycles + self.smp_lock_cost());
         {
-            let entry = self.dirs[home as usize].entry(block.start);
+            let entry = self.dir.entry(block.start);
             assert!(entry.busy, "directory update for a non-busy entry");
             match update {
                 DirUpdate::SharedBy { reader } => {
@@ -712,7 +704,7 @@ impl Machine {
         }
         // Drain queued requests until one re-busies the entry.
         loop {
-            let entry = self.dirs[home as usize].entry(block.start);
+            let entry = self.dir.entry(block.start);
             if entry.busy {
                 break;
             }
@@ -771,7 +763,7 @@ impl Machine {
         // A deferred invalidation (the copy we just received was already
         // being killed by a concurrent writer): execute it now. Any stalled
         // local readers will retry and re-fetch fresh data.
-        if let Some(ack_to) = self.deferred_invals[v].remove(&block.start) {
+        if let Some(ack_to) = self.deferred_invals[v].remove(block.start) {
             self.start_downgrade(
                 p,
                 block,
@@ -779,7 +771,7 @@ impl Machine {
                 DowngradeAction::InvAck { ack_to },
             );
             debug_assert!(
-                !self.downgrades[v].contains_key(&block.start),
+                !self.downgrades[v].contains(block.start),
                 "deferred invalidation should complete immediately (no private copies exist)"
             );
         }
@@ -856,7 +848,7 @@ impl Machine {
         // A deferred invalidation targeted the *old* copy; our new exclusive
         // copy postdates the invalidating write (the home serialized them),
         // so acknowledge without invalidating.
-        if let Some(ack_to) = self.deferred_invals[v].remove(&block.start) {
+        if let Some(ack_to) = self.deferred_invals[v].remove(block.start) {
             self.post(p, ack_to, ProtoMsg::InvAck { block });
         }
 
@@ -893,7 +885,7 @@ impl Machine {
             },
         );
         assert!(
-            !self.deferred_invals[v].contains_key(&block.start),
+            !self.deferred_invals[v].contains(block.start),
             "an upgrade cannot be granted to a processor whose copy was invalidated"
         );
         self.set_block_state(v, block, LineState::Exclusive);
@@ -1016,58 +1008,55 @@ impl Machine {
         for (p, n) in self.outstanding_stores.iter().enumerate() {
             assert_eq!(*n, 0, "P{p}: outstanding store count nonzero after run");
         }
-        let line = self.space.line_bytes();
-        for (home, dir) in self.dirs.iter().enumerate() {
-            for (start, e) in dir.iter() {
-                assert!(!e.busy, "block {start:#x} at home {home}: busy after run");
-                assert!(e.queue.is_empty(), "block {start:#x}: queued requests after run");
-                let block = self.space.block_of(start).expect("registered block");
-                if e.exclusive {
-                    let ov = self.vnode(e.owner);
-                    assert_eq!(
-                        self.block_state(ov, block),
-                        LineState::Exclusive,
-                        "block {start:#x}: owner node not exclusive"
-                    );
-                    for v in 0..self.mems.len() {
-                        if v != ov {
-                            assert_eq!(
-                                self.block_state(v, block),
-                                LineState::Invalid,
-                                "block {start:#x}: stale copy on vnode {v}, dir owner P{}",
-                                e.owner
-                            );
-                        }
-                    }
-                } else {
-                    let sharer_vnodes: std::collections::HashSet<usize> =
-                        e.sharer_list().map(|s| self.vnode(s)).collect();
-                    let mut reference: Option<&[u8]> = None;
-                    for v in 0..self.mems.len() {
-                        let st = self.block_state(v, block);
-                        if sharer_vnodes.contains(&v) {
-                            assert!(
-                                st.readable(),
-                                "block {start:#x}: sharer vnode {v} state {st:?}"
-                            );
-                            let bytes = self.mems[v].read(start, block.len);
-                            match reference {
-                                None => reference = Some(bytes),
-                                Some(r) => assert_eq!(
-                                    r, bytes,
-                                    "block {start:#x}: divergent copies between sharer nodes"
-                                ),
-                            }
-                        } else {
-                            assert_eq!(
-                                st,
-                                LineState::Invalid,
-                                "block {start:#x}: non-sharer vnode {v} state {st:?}"
-                            );
-                        }
+        for (start, e) in self.dir.iter() {
+            assert!(
+                !e.busy,
+                "block {start:#x} at home {}: busy after run",
+                self.space.home_of(start)
+            );
+            assert!(e.queue.is_empty(), "block {start:#x}: queued requests after run");
+            let block = self.space.block_of(start).expect("registered block");
+            if e.exclusive {
+                let ov = self.vnode(e.owner);
+                assert_eq!(
+                    self.block_state(ov, block),
+                    LineState::Exclusive,
+                    "block {start:#x}: owner node not exclusive"
+                );
+                for v in 0..self.mems.len() {
+                    if v != ov {
+                        assert_eq!(
+                            self.block_state(v, block),
+                            LineState::Invalid,
+                            "block {start:#x}: stale copy on vnode {v}, dir owner P{}",
+                            e.owner
+                        );
                     }
                 }
-                let _ = line;
+            } else {
+                let sharer_vnodes: u64 =
+                    e.sharer_list().fold(0, |mask, s| mask | 1 << self.vnode(s));
+                let mut reference: Option<&[u8]> = None;
+                for v in 0..self.mems.len() {
+                    let st = self.block_state(v, block);
+                    if sharer_vnodes & 1 << v != 0 {
+                        assert!(st.readable(), "block {start:#x}: sharer vnode {v} state {st:?}");
+                        let bytes = self.mems[v].read(start, block.len);
+                        match reference {
+                            None => reference = Some(bytes),
+                            Some(r) => assert_eq!(
+                                r, bytes,
+                                "block {start:#x}: divergent copies between sharer nodes"
+                            ),
+                        }
+                    } else {
+                        assert_eq!(
+                            st,
+                            LineState::Invalid,
+                            "block {start:#x}: non-sharer vnode {v} state {st:?}"
+                        );
+                    }
+                }
             }
         }
     }

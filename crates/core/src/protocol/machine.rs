@@ -1,6 +1,6 @@
 //! The simulated cluster machine: all protocol state for one run.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use shasta_cluster::{CostModel, Topology};
 use shasta_memchan::{Network, Transport};
@@ -37,6 +37,56 @@ pub struct DowngradeEntry {
     ///
     /// [`BugInjection::SkipDowngradeWait`]: crate::protocol::config::BugInjection::SkipDowngradeWait
     pub early_data: Option<Vec<u8>>,
+}
+
+/// A virtual node's in-progress records of one kind, one per block, in the
+/// order they began, found by a scan of block starts: a node has only a few
+/// transactions open at a time.
+#[derive(Clone, Debug)]
+pub(crate) struct BlockList<T>(Vec<(Addr, T)>);
+
+impl<T> BlockList<T> {
+    pub(crate) fn new() -> Self {
+        BlockList(Vec::new())
+    }
+
+    fn position(&self, block_start: Addr) -> Option<usize> {
+        self.0.iter().position(|(a, _)| *a == block_start)
+    }
+
+    pub(crate) fn get(&self, block_start: Addr) -> Option<&T> {
+        self.0.iter().find(|(a, _)| *a == block_start).map(|(_, v)| v)
+    }
+
+    pub(crate) fn get_mut(&mut self, block_start: Addr) -> Option<&mut T> {
+        self.0.iter_mut().find(|(a, _)| *a == block_start).map(|(_, v)| v)
+    }
+
+    pub(crate) fn contains(&self, block_start: Addr) -> bool {
+        self.position(block_start).is_some()
+    }
+
+    /// Adds the record for `block_start`, last. The caller has checked that
+    /// the block has none.
+    pub(crate) fn push(&mut self, block_start: Addr, v: T) {
+        self.0.push((block_start, v));
+    }
+
+    /// Removes the record for `block_start`; the others keep their order.
+    pub(crate) fn remove(&mut self, block_start: Addr) -> Option<T> {
+        Some(self.0.remove(self.position(block_start)?).1)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Adds `id` to a processor's granted locks or released barriers, once.
+pub(crate) fn grant(ids: &mut Vec<u32>, id: u32) {
+    if !ids.contains(&id) {
+        ids.push(id);
+    }
 }
 
 /// Why a processor is stalled, and what to do when it can make progress.
@@ -147,16 +197,17 @@ pub struct Machine {
     /// One private state table per processor (SMP mode only; empty sized
     /// tables otherwise).
     pub(crate) privs: Vec<PrivTable>,
-    /// Directory fragments, one per (home) processor.
-    pub(crate) dirs: Vec<Directory>,
+    /// Every block's directory entry. Each entry belongs to the block's home
+    /// processor, which routes requests and pays for handling them.
+    pub(crate) dir: Directory,
     /// Miss tables, one per virtual node.
     pub(crate) miss: Vec<MissTable>,
     /// Epoch trackers, one per virtual node.
     pub(crate) epochs: Vec<EpochTracker>,
-    /// In-progress downgrades, one map per virtual node.
-    pub(crate) downgrades: Vec<HashMap<Addr, DowngradeEntry>>,
+    /// In-progress downgrades, per virtual node.
+    pub(crate) downgrades: Vec<BlockList<DowngradeEntry>>,
     /// Deferred invalidations (block → ack target) per virtual node.
-    pub(crate) deferred_invals: Vec<HashMap<Addr, u32>>,
+    pub(crate) deferred_invals: Vec<BlockList<u32>>,
     /// Store entries past their reply but awaiting acks, per virtual node.
     pub(crate) lingering: Vec<Vec<LingeringAcks>>,
     /// The messaging backend. Defaults to the simulated Memory Channel
@@ -168,12 +219,14 @@ pub struct Machine {
     pub(crate) clocks: Vec<Time>,
     pub(crate) stalls: Vec<Option<Stall>>,
     pub(crate) wake_floor: Vec<Time>,
-    pub(crate) lock_grants: Vec<HashSet<u32>>,
-    pub(crate) barrier_done: Vec<HashSet<u32>>,
+    /// Locks granted to each processor and not yet taken by its resume.
+    pub(crate) lock_grants: Vec<Vec<u32>>,
+    /// Barriers released for each processor and not yet passed.
+    pub(crate) barrier_done: Vec<Vec<u32>>,
     pub(crate) outstanding_stores: Vec<u32>,
     // ---- synchronization managers ----
-    pub(crate) locks: HashMap<u32, LockInfo>,
-    pub(crate) barriers: HashMap<u32, BarrierInfo>,
+    pub(crate) locks: BTreeMap<u32, LockInfo>,
+    pub(crate) barriers: BTreeMap<u32, BarrierInfo>,
     // ---- output ----
     pub(crate) stats: RunStats,
     /// Structured protocol-event recorder (disabled by default).
@@ -261,21 +314,21 @@ impl Machine {
         Machine {
             mems: (0..vnodes).map(|_| NodeMem::new(0, line_bytes)).collect(),
             privs: (0..procs).map(|_| PrivTable::new(0)).collect(),
-            dirs: (0..procs).map(|_| Directory::new()).collect(),
+            dir: Directory::with_line_bytes(line_bytes),
             miss: (0..vnodes).map(|_| MissTable::new()).collect(),
             epochs: (0..vnodes).map(|_| EpochTracker::default()).collect(),
-            downgrades: (0..vnodes).map(|_| HashMap::new()).collect(),
-            deferred_invals: (0..vnodes).map(|_| HashMap::new()).collect(),
+            downgrades: (0..vnodes).map(|_| BlockList::new()).collect(),
+            deferred_invals: (0..vnodes).map(|_| BlockList::new()).collect(),
             lingering: (0..vnodes).map(|_| Vec::new()).collect(),
             net: Box::new(Network::new(topo.clone(), cost.clone())),
             clocks: vec![Time::ZERO; procs],
             stalls: vec![None; procs],
             wake_floor: vec![Time::ZERO; procs],
-            lock_grants: (0..procs).map(|_| HashSet::new()).collect(),
-            barrier_done: (0..procs).map(|_| HashSet::new()).collect(),
+            lock_grants: vec![Vec::new(); procs],
+            barrier_done: vec![Vec::new(); procs],
             outstanding_stores: vec![0; procs],
-            locks: HashMap::new(),
-            barriers: HashMap::new(),
+            locks: BTreeMap::new(),
+            barriers: BTreeMap::new(),
             stats: RunStats::new(procs),
             obs: shasta_obs::Recorder::disabled(),
             sched: Scheduler::default(),
@@ -679,8 +732,8 @@ impl Machine {
         }
     }
 
-    /// Maps every node image, every private state table and the oracle's
-    /// shadow (if enabled) up to `end`. Called by the only allocator,
+    /// Maps every node image, every private state table, the directory and
+    /// the oracle's shadow (if enabled) up to `end`. Called by the only allocator,
     /// [`SetupCtx::malloc_labeled`], so everything a run may index is mapped
     /// before it starts.
     fn map_to(&mut self, end: Addr) {
@@ -691,6 +744,7 @@ impl Machine {
         for t in &mut self.privs {
             t.map_to(lines);
         }
+        self.dir.map_to(lines);
         if let Some(o) = &mut self.oracle {
             o.map_to(end);
         }
@@ -715,8 +769,8 @@ pub struct SetupCtx<'a> {
 
 impl SetupCtx<'_> {
     /// Allocates `size` bytes with the given granularity and home hints.
-    /// Every block is registered in its home's directory with the home as
-    /// exclusive owner.
+    /// Every block is registered in the directory with its home as exclusive
+    /// owner.
     ///
     /// # Panics
     ///
@@ -750,7 +804,7 @@ impl SetupCtx<'_> {
             let block = Block { start, len: alloc.block_bytes };
             let home = self.m.space.home_in(&alloc, start);
             let hv = self.m.vnode(home);
-            self.m.dirs[home as usize].register(start, home);
+            self.m.dir.register(start, home);
             // Not `set_block_state`: no processor is stalled before the run,
             // so there is nobody to mark.
             self.m.mems[hv].set_lines_state(block.line_range(line), LineState::Exclusive);
@@ -919,9 +973,11 @@ mod tests {
         let other = 1 - hv;
         assert_eq!(m.block_state(other, block), LineState::Invalid);
         assert_eq!(m.mems[other].longword(a), INVALID_FLAG);
-        // Directory registered at the home.
-        assert!(m.dirs[5].peek(block.start).is_some());
-        assert!(m.dirs[0].peek(block.start).is_none());
+        // Registered once, exclusive at the home.
+        let e = m.dir.peek(block.start).expect("registered");
+        assert_eq!(e.owner, 5);
+        assert!(e.exclusive);
+        assert_eq!(m.dir.len(), 2, "two 64-byte blocks");
     }
 
     #[test]

@@ -9,6 +9,15 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> no hashed tables in the protocol or the kernels"
+# Every table on the simulated-event path is direct-indexed or a short
+# scan (docs/PERFORMANCE.md, "Tables without hashing"): SipHash was 15-20 %
+# of a run there, so it must not come back unnoticed.
+if git grep -nE '\bHash(Map|Set)\b' -- crates/core/src crates/apps/src; then
+  echo "HashMap/HashSet in crates/core/src or crates/apps/src"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
