@@ -27,7 +27,7 @@ use shasta_stats::{MissKind, RunStats, TimeCat};
 use crate::api::{Dsm, Req, Resp};
 use crate::check::AccessKind;
 use crate::misstable::{MissEntry, ReqKind};
-use crate::protocol::candidates::{Action, Cands, Key, MinTree};
+use crate::protocol::candidates::{key, key_proc, Action, Cands, Key, MinTree};
 use crate::protocol::config::Mode;
 use crate::protocol::machine::{grant, AfterRelease, Machine, Stall, StallKind};
 use crate::protocol::msg::{DowngradeTo, ProtoMsg};
@@ -49,7 +49,7 @@ struct Exec {
     open: bool,
     /// The run-ahead in progress: the processor and the key its ops must
     /// stay below.
-    ahead: Option<(u32, Option<Key>)>,
+    ahead: Option<(u32, Key)>,
     /// Whether the loop has yet to capture elapsed time.
     elapsed_pending: bool,
 }
@@ -105,9 +105,10 @@ impl Machine {
         }
         ex.pool.join();
         self.stats.messages = *self.net.stats();
-        // Release any real resources a non-simulated transport holds
-        // (its sockets); a no-op for the simulated network.
-        self.net.shutdown();
+        // Release the wire's sockets, if a wire is tapped on.
+        if let Some(wire) = &mut self.wire {
+            wire.shutdown();
+        }
         self.audit();
         self.stats.clone()
     }
@@ -146,7 +147,8 @@ impl Machine {
                     self.clocks.iter().map(|t| t.cycles()).max().unwrap_or(0);
                 ex.elapsed_pending = false;
             }
-            let Some((_, p)) = ex.tree.root() else { return Stop::Idle };
+            let Some(root) = ex.tree.root() else { return Stop::Idle };
+            let p = key_proc(root);
             let (p, action) = if self.sched.perturbs() {
                 self.pick_seeded(ex)
             } else {
@@ -184,7 +186,7 @@ impl Machine {
     fn pick_seeded(&mut self, ex: &mut Exec) -> (u32, Action) {
         ex.cands.clear();
         for (p, c) in ex.cache.iter().enumerate() {
-            ex.cands.extend(c.as_slice().iter().map(|&(t, a)| (t, p as u32, a)));
+            ex.cands.extend(c.iter().map(|(t, a)| (t, p as u32, a)));
         }
         let (_, p, action) = ex.cands[self.sched.pick(&ex.cands, |c| (c.0, c.1))];
         (p, action)
@@ -201,8 +203,7 @@ impl Machine {
                 break;
             }
             let Some(req) = ex.pool.peek_request(p) else { break };
-            let key = (self.clocks[p as usize] + req.pre_cycles(), p);
-            if bound.is_some_and(|b| key >= b) {
+            if key(self.clocks[p as usize] + req.pre_cycles(), p) >= bound {
                 break;
             }
             if let Some(resp) = self.step(ex, p, Action::Op) {
@@ -241,7 +242,7 @@ impl Machine {
             self.marked[p as usize] = false;
             let c = self.candidates(&ex.pool, p);
             ex.cache[p as usize] = c;
-            ex.tree.set(p, c.first_min().map(|(t, _)| (t, p)));
+            ex.tree.set(p, c.key(p));
         }
         dirty.clear();
         self.dirty = dirty;
@@ -249,8 +250,7 @@ impl Machine {
         for (p, cached) in ex.cache.iter().enumerate() {
             let fresh = self.candidates(&ex.pool, p as u32);
             assert_eq!(
-                cached.as_slice(),
-                fresh.as_slice(),
+                *cached, fresh,
                 "P{p}'s cached schedule candidates are stale: an event changed them without \
                  marking P{p}"
             );
@@ -284,19 +284,19 @@ impl Machine {
             Some(stall) => {
                 if self.stall_satisfied(p, stall) {
                     let t = clock.max(self.wake_floor[p as usize]);
-                    cands.push(t, Action::Resume);
+                    cands.set(t, Action::Resume);
                 }
                 if let Some(arr) = self.earliest_inbound(p) {
-                    cands.push(clock.max(arr), Action::Msg);
+                    cands.set(clock.max(arr), Action::Msg);
                 }
             }
             None => {
                 if pool.is_finished(p) {
                     if let Some(arr) = self.earliest_inbound(p) {
-                        cands.push(clock.max(arr), Action::Msg);
+                        cands.set(clock.max(arr), Action::Msg);
                     }
                 } else if let Some(req) = pool.peek_request(p) {
-                    cands.push(clock + req.pre_cycles(), Action::Op);
+                    cands.set(clock + req.pre_cycles(), Action::Op);
                 }
             }
         }
@@ -393,12 +393,31 @@ impl Machine {
     /// Pops the earliest message `p` can handle (see [`Self::earliest_inbound`]).
     /// A pop from the node's shared queue moves every node mate's earliest
     /// arrival, so under load balancing it marks them all.
+    ///
+    /// With a wire tapped on, a remote message is handled in the copy the
+    /// wire decodes: the wire is polled until it has arrived. Per (src,
+    /// dst) processor pair both the network and the wire deliver in send
+    /// order, so the copy is this envelope's; a divergence fails a debug
+    /// assertion here, and in release flows into the protocol and fails
+    /// the counter differential against a pure-simulation run.
     fn pop_inbound(&mut self, p: u32) -> Option<shasta_memchan::Envelope<ProtoMsg>> {
         let lb = self.cfg.load_balance_incoming;
         if lb {
             self.mark_inbox(p, true);
         }
-        self.net.pop_any_earliest(p, lb)
+        let mut env = self.net.pop_any_earliest(p, lb)?;
+        if let Some(wire) = &mut self.wire {
+            if !self.topo.same_phys_node(env.src, env.dst) {
+                let copy = wire.recv(env.src, env.dst);
+                debug_assert_eq!(
+                    copy, env.msg,
+                    "wire-decoded message diverged from the simulated envelope ({} -> {})",
+                    env.src, env.dst
+                );
+                env.msg = copy;
+            }
+        }
+        Some(env)
     }
 
     /// Advances `p`'s clock by `cycles`; attributes them to `cat` only when
@@ -528,6 +547,11 @@ impl Machine {
         // (within legal bounds — latency is unspecified) to reorder
         // deliveries; the deterministic policy adds zero.
         let t = self.clocks[src as usize] + self.sched.send_jitter();
+        if let Some(wire) = &mut self.wire {
+            if !self.topo.same_phys_node(src, dst) {
+                wire.send(src, dst, to_vnode, &msg, self.net.trace_context());
+            }
+        }
         if to_vnode {
             self.net.send_to_vnode(src, dst, msg, payload, t);
         } else {

@@ -82,6 +82,12 @@ impl<T> BlockList<T> {
     }
 }
 
+/// Why a simulated fault plan and a real wire do not combine.
+const FAULTS_NEED_NO_WIRE: &str = "simulated fault plans do not compose with a real wire: \
+     the wire takes one copy of each remote message off the socket per delivery, and has its \
+     own loss/retransmit machinery (the loopback transport's DropPlan); install the FaultPlan \
+     on a machine without a transport instead";
+
 /// Adds `id` to a processor's granted locks or released barriers, once.
 pub(crate) fn grant(ids: &mut Vec<u32>, id: u32) {
     if !ids.contains(&id) {
@@ -210,11 +216,12 @@ pub struct Machine {
     pub(crate) deferred_invals: Vec<BlockList<u32>>,
     /// Store entries past their reply but awaiting acks, per virtual node.
     pub(crate) lingering: Vec<Vec<LingeringAcks>>,
-    /// The messaging backend. Defaults to the simulated Memory Channel
-    /// ([`Network`]); [`Machine::set_transport`] swaps in any other
-    /// [`Transport`] implementation (e.g. the real loopback transport in
-    /// `shasta-transport`) before the run starts.
-    pub(crate) net: Box<dyn Transport<ProtoMsg>>,
+    /// The simulated Memory Channel: every message's timing, order and
+    /// count, with or without a wire.
+    pub(crate) net: Network<ProtoMsg>,
+    /// A real wire tapped onto `net` ([`Machine::set_transport`]): remote
+    /// messages also cross it, and are handled in the copy it decodes.
+    pub(crate) wire: Option<Box<dyn Transport<ProtoMsg>>>,
     // ---- per-processor runtime ----
     pub(crate) clocks: Vec<Time>,
     pub(crate) stalls: Vec<Option<Stall>>,
@@ -250,8 +257,8 @@ pub struct Machine {
     pub(crate) barrier_participants: Option<u32>,
     /// Miss-id allocator for causal cross-layer tracing: each check miss
     /// gets the next id (1-based; 0 = "no context"), which is recorded on
-    /// the `CheckMiss` event and stamped into the transport as the trace
-    /// context. Advances unconditionally — independent of whether the
+    /// the `CheckMiss` event and stamped into the network (and any wire) as
+    /// the trace context. Advances unconditionally — independent of whether the
     /// recorder or any metrics registry is on — so wire frames are
     /// byte-identical whatever the observability configuration.
     pub(crate) next_miss_id: u32,
@@ -320,7 +327,8 @@ impl Machine {
             downgrades: (0..vnodes).map(|_| BlockList::new()).collect(),
             deferred_invals: (0..vnodes).map(|_| BlockList::new()).collect(),
             lingering: (0..vnodes).map(|_| Vec::new()).collect(),
-            net: Box::new(Network::new(topo.clone(), cost.clone())),
+            net: Network::new(topo.clone(), cost.clone()),
+            wire: None,
             clocks: vec![Time::ZERO; procs],
             stalls: vec![None; procs],
             wake_floor: vec![Time::ZERO; procs],
@@ -377,7 +385,14 @@ impl Machine {
     /// [`FaultPlan`](shasta_memchan::FaultPlan). An all-disabled plan
     /// installs nothing, leaving runs byte-identical to an unfaulted
     /// machine. Set before [`Machine::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a wire is installed ([`Machine::set_transport`]), before
+    /// or after: the wire takes one copy of each remote message off its
+    /// socket per delivery, so it cannot follow a duplicated or lost one.
     pub fn set_fault_plan(&mut self, plan: shasta_memchan::FaultPlan) {
+        assert!(plan.is_none() || self.wire.is_none(), "{FAULTS_NEED_NO_WIRE}");
         self.net.set_fault_plan(plan);
     }
 
@@ -406,23 +421,31 @@ impl Machine {
     #[doc(hidden)]
     pub fn set_sim_threads(&mut self, _n: usize) {}
 
-    /// Replaces the messaging backend with another [`Transport`]
-    /// implementation — e.g. the real loopback TCP / Unix-domain-socket
-    /// transport in `shasta-transport` (see `docs/TRANSPORT.md` for its
-    /// wire protocol). The default backend is the simulated Memory Channel.
-    /// Must be called before [`Machine::run`], while no messages are in
-    /// flight: the previous backend is dropped, queued messages and all.
+    /// Taps a real wire onto the machine's network — e.g. the loopback TCP
+    /// / Unix-domain-socket transport in `shasta-transport` (see
+    /// `docs/TRANSPORT.md` for its wire protocol). The network still times,
+    /// orders and counts every message, so a link profile applies whether
+    /// it was set before or after this; every remote message also crosses
+    /// the wire, and is handled in the copy the wire decodes. A registry
+    /// the wire was given ([`Transport::metrics`]) meters the network too.
+    /// Replaces any wire installed before. Must be called before
+    /// [`Machine::run`], while no messages are in flight.
     ///
     /// # Panics
     ///
-    /// Panics if the outgoing backend still has messages in flight.
+    /// Panics if messages are in flight, or if a fault plan is installed
+    /// (see [`Machine::set_fault_plan`]).
     pub fn set_transport(&mut self, transport: Box<dyn Transport<ProtoMsg>>) {
         assert_eq!(
             self.net.in_flight(),
             0,
-            "swap the transport before the run starts, not while messages are in flight"
+            "install the transport before the run starts, not while messages are in flight"
         );
-        self.net = transport;
+        assert!(!self.net.fault_active(), "{FAULTS_NEED_NO_WIRE}");
+        if let Some(registry) = transport.metrics() {
+            self.net.set_metrics(registry);
+        }
+        self.wire = Some(transport);
     }
 
     /// Overrides how many processors a barrier waits for (default: all of
@@ -443,18 +466,21 @@ impl Machine {
         self.barrier_participants.unwrap_or_else(|| self.topo.procs())
     }
 
-    /// Attaches a metrics registry to the transport (wire latencies,
-    /// retransmit reasons, queue depths, admit-guard absorption, link
-    /// occupancy — see `docs/OBSERVABILITY.md`). Recording is purely
-    /// additive: simulated cycles and every counter are bit-identical with
-    /// or without a registry, which CI enforces with byte-diffs. Call after
-    /// [`Machine::set_transport`] / [`Machine::set_net_profile`] so the
-    /// handles land on the backend that actually runs.
+    /// Attaches a metrics registry to the network (admit-guard absorption,
+    /// link occupancy) and to the wire, if one is installed (latencies,
+    /// retransmit reasons, queue depths — see `docs/OBSERVABILITY.md`).
+    /// Recording is purely additive: simulated cycles and every counter
+    /// are bit-identical with or without a registry, which CI enforces
+    /// with byte-diffs. Call after [`Machine::set_transport`] to meter the
+    /// wire.
     pub fn set_metrics(&mut self, registry: &shasta_obs::Registry) {
         self.net.set_metrics(registry);
+        if let Some(wire) = &mut self.wire {
+            wire.set_metrics(registry);
+        }
     }
 
-    /// Allocates the next miss id and installs it as the transport's causal
+    /// Allocates the next miss id and installs it as the network's causal
     /// trace context. Ids advance unconditionally (see `next_miss_id`).
     pub(crate) fn begin_miss_context(&mut self) -> u32 {
         self.next_miss_id = self.next_miss_id.wrapping_add(1).max(1);
@@ -537,7 +563,7 @@ impl Machine {
     /// it is the source of — the Figure 4 breakdown (slices, per processor),
     /// the Figure 6 miss counters, the Figure 8 downgrade histogram — then
     /// handed to the recorder (one branch when recording is off). Every
-    /// other kind moves no counter: messages are counted by the transport,
+    /// other kind moves no counter: messages are counted by the network,
     /// checks and read latencies at their single call sites. Every caller
     /// passes a literal variant, so inlined the `match` is the single
     /// increment that belongs at that call site.

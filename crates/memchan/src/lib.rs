@@ -17,8 +17,8 @@
 //!   (processors on a node share the link bandwidth, as in the paper's
 //!   methodology section),
 //! * messages are classified remote / local / downgrade for Figure 7, and
-//! * per-destination delivery is in global arrival order with a
-//!   deterministic tie-break, preserving per-pair FIFO.
+//! * each inbox is kept in arrival order, equal arrivals in the order
+//!   they were queued, which preserves per-pair FIFO.
 //!
 //! The network is owned and driven entirely by the single-threaded protocol
 //! engine; receivers *poll* (§2.1), so the network never pushes.
@@ -46,15 +46,16 @@
 //! no RNG is seeded, no sequence numbers are stamped, and [`Network::admit`]
 //! passes every message through untouched.
 //!
-//! # The transport abstraction
+//! # The wire as a tap
 //!
-//! The protocol engine does not depend on [`Network`] directly: it speaks
-//! the [`Transport`] trait, of which `Network` is the canonical (and
-//! timing-oracle) implementation. The `shasta-transport` crate provides a
-//! second backend over real loopback TCP / Unix-domain sockets; the
-//! exactly-once in-order guard both backends need is factored into
-//! [`PairSequencer`]. See `docs/ARCHITECTURE.md` for the crate map and
-//! `docs/TRANSPORT.md` for the wire protocol.
+//! A machine has one [`Network`], and it alone times, orders and counts
+//! messages. A real wire is a [`Transport`]: a tap on that network that
+//! ships each remote message's frame when it is sent and hands back the
+//! decoded copy when it is delivered. The `shasta-transport` crate provides
+//! one over loopback TCP / Unix-domain sockets; the exactly-once in-order
+//! guard it shares with the fault plans' admit guard is [`PairSequencer`].
+//! See `docs/ARCHITECTURE.md` for the crate map and `docs/TRANSPORT.md` for
+//! the wire protocol.
 //!
 //! # Example
 //!
@@ -80,8 +81,7 @@
 //! assert_eq!(net.stats().count(MsgClass::Downgrade), 1);
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use shasta_cluster::{CostModel, NetProfile, Topology};
@@ -317,25 +317,6 @@ struct NetMetrics {
     link_bytes: Vec<shasta_obs::Counter>,
 }
 
-/// An inbox entry: heaps pop the earliest `(arrival, global send seq)`.
-#[derive(PartialEq, Eq, Debug)]
-struct Queued<M> {
-    key: Reverse<(Time, u64)>,
-    env: Envelope<M>,
-}
-
-impl<M: Eq> Ord for Queued<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-impl<M: Eq> PartialOrd for Queued<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// The cluster messaging fabric: per-destination arrival-ordered queues plus
 /// per-node Memory Channel link occupancy.
 ///
@@ -348,9 +329,11 @@ impl<M: Eq> PartialOrd for Queued<M> {
 pub struct Network<M> {
     topo: Topology,
     cost: CostModel,
-    inboxes: Vec<BinaryHeap<Queued<M>>>,
+    /// Per-processor inboxes, each in arrival order (see
+    /// [`Network::enqueue`]), so the head is the earliest message.
+    inboxes: Vec<VecDeque<Envelope<M>>>,
     /// Shared per-virtual-node inboxes (load-balancing extension).
-    node_inboxes: Vec<BinaryHeap<Queued<M>>>,
+    node_inboxes: Vec<VecDeque<Envelope<M>>>,
     /// Next time each physical node's Memory Channel link is free.
     link_free: Vec<Time>,
     /// Heterogeneous link parameters; `None` = the cost model's uniform
@@ -362,14 +345,13 @@ pub struct Network<M> {
     stash: Vec<Envelope<M>>,
     stats: MsgStats,
     in_flight: usize,
-    seq: u64,
     /// Causal context stamped into outgoing envelopes (0 = none).
     trace_ctx: u32,
     /// Installed metrics handles; `None` = recording off (the default).
     metrics: Option<NetMetrics>,
 }
 
-impl<M: Eq + Clone> Network<M> {
+impl<M: Clone> Network<M> {
     /// Creates an empty network for the given topology and cost model.
     pub fn new(topo: Topology, cost: CostModel) -> Self {
         let procs = topo.procs() as usize;
@@ -378,15 +360,14 @@ impl<M: Eq + Clone> Network<M> {
         Network {
             topo,
             cost,
-            inboxes: (0..procs).map(|_| BinaryHeap::with_capacity(8)).collect(),
-            node_inboxes: (0..vnodes).map(|_| BinaryHeap::with_capacity(8)).collect(),
+            inboxes: (0..procs).map(|_| VecDeque::with_capacity(8)).collect(),
+            node_inboxes: (0..vnodes).map(|_| VecDeque::with_capacity(8)).collect(),
             link_free: vec![Time::ZERO; nodes],
             profile: None,
             fault: None,
             stash: Vec::new(),
             stats: MsgStats::default(),
             in_flight: 0,
-            seq: 0,
             trace_ctx: 0,
             metrics: None,
         }
@@ -447,6 +428,11 @@ impl<M: Eq + Clone> Network<M> {
     /// now on (0 clears it). See [`Envelope::trace`].
     pub fn set_trace_context(&mut self, ctx: u32) {
         self.trace_ctx = ctx;
+    }
+
+    /// The causal trace context stamped into envelopes sent now.
+    pub fn trace_context(&self) -> u32 {
+        self.trace_ctx
     }
 
     /// Publishes the effective link parameters — the installed profile, or
@@ -574,18 +560,20 @@ impl<M: Eq + Clone> Network<M> {
         arrival
     }
 
-    /// The one place an envelope enters an inbox: queues `env` by its
-    /// `via_vnode` routing under the next global sequence number (the
-    /// tie-breaker among equal arrivals).
+    /// The one place an envelope enters an inbox (the one its `via_vnode`
+    /// routing names). An inbox is kept in arrival order, ties in the
+    /// order they were enqueued: `env` goes after every queued envelope
+    /// that arrives no later. Sends mostly arrive last, so that is usually
+    /// the back; otherwise a short scan from the back finds the place.
     fn enqueue(&mut self, env: Envelope<M>) {
-        self.seq += 1;
         self.in_flight += 1;
         let inbox = if env.via_vnode {
             &mut self.node_inboxes[usize::from(self.topo.virt_node_of(env.dst))]
         } else {
             &mut self.inboxes[env.dst as usize]
         };
-        inbox.push(Queued { key: Reverse((env.arrival, self.seq)), env });
+        let at = inbox.iter().rposition(|e| e.arrival <= env.arrival).map_or(0, |i| i + 1);
+        inbox.insert(at, env);
     }
 
     /// Arrival time of a message leaving `src` at `now`: shared-memory wire
@@ -722,9 +710,9 @@ impl<M: Eq + Clone> Network<M> {
 
     /// Re-enqueues any held message on the `(src node, dst node)` stream
     /// whose turn has come (the stream's next position), and drops held
-    /// duplicates of already-delivered positions. Released messages get a
-    /// fresh global sequence number and an arrival no earlier than `now`,
-    /// and return to the inbox they were originally routed to.
+    /// duplicates of already-delivered positions. Released messages get an
+    /// arrival no earlier than `now` and return, behind every message that
+    /// arrives no later, to the inbox they were originally routed to.
     fn release_held(&mut self, src: u32, dst: u32, now: Time) {
         let idx = self.pair_stream(src, dst);
         let next =
@@ -756,29 +744,29 @@ impl<M: Eq + Clone> Network<M> {
 
     /// Earliest arrival time queued for `dst`, if any.
     pub fn peek_arrival(&self, dst: u32) -> Option<Time> {
-        self.inboxes[dst as usize].peek().map(|q| q.env.arrival)
+        self.inboxes[dst as usize].front().map(|e| e.arrival)
     }
 
     /// Pops the earliest message for `dst` regardless of `now` (used when a
     /// stalled processor's clock advances to the message arrival).
     pub fn pop_earliest(&mut self, dst: u32) -> Option<Envelope<M>> {
-        let q = self.inboxes[dst as usize].pop()?;
+        let env = self.inboxes[dst as usize].pop_front()?;
         self.in_flight -= 1;
-        Some(q.env)
+        Some(env)
     }
 
     /// Earliest arrival queued in `p`'s virtual-node shared inbox.
     pub fn peek_vnode_arrival(&self, p: u32) -> Option<Time> {
         let v = usize::from(self.topo.virt_node_of(p));
-        self.node_inboxes[v].peek().map(|q| q.env.arrival)
+        self.node_inboxes[v].front().map(|e| e.arrival)
     }
 
     /// Pops the earliest message from `p`'s virtual-node shared inbox.
     pub fn pop_vnode_earliest(&mut self, p: u32) -> Option<Envelope<M>> {
         let v = usize::from(self.topo.virt_node_of(p));
-        let q = self.node_inboxes[v].pop()?;
+        let env = self.node_inboxes[v].pop_front()?;
         self.in_flight -= 1;
-        Some(q.env)
+        Some(env)
     }
 
     /// Earliest arrival `p` could handle over its own inbox and (when
@@ -842,8 +830,8 @@ mod tests {
     #[test]
     fn delivery_in_arrival_order_with_fifo_ties() {
         let mut n = net();
-        // Two local messages to the same destination from the same source:
-        // FIFO by seq since arrival offsets are identical shapes.
+        // Two local messages to the same destination from the same source
+        // arrive at the same time: the first queued pops first.
         n.send(0, 1, 10, 0, Time::ZERO, None);
         n.send(0, 1, 11, 0, Time::ZERO, None);
         let a = n.pop_earliest(1).unwrap();

@@ -7,7 +7,6 @@ use shasta_cluster::{CostModel, Topology};
 use shasta_core::protocol::ProtoMsg;
 use shasta_core::space::Block;
 use shasta_obs::Registry;
-use shasta_sim::Time;
 use shasta_transport::{Backend, DropPlan, LoopbackTransport, Transport};
 
 /// `loopback.rs`'s private `SEND_WINDOW`.
@@ -25,10 +24,9 @@ fn one_directional_flood(backend: Backend) {
     .unwrap();
     t.set_metrics(&reg);
     // Processor 0 (node 0) floods processor 4 (node 1), which never polls.
-    let mut now = Time::ZERO;
+    let msg = |i: u64| ProtoMsg::ReadReq { block: Block { start: i, len: 64 } };
     for i in 0..SENDS {
-        let msg = ProtoMsg::ReadReq { block: Block { start: i, len: 64 } };
-        now = t.send(0, 4, msg, 0, now, None);
+        t.send(0, 4, false, &msg(i), 0);
     }
     assert_eq!(t.wire_counts().data_frames, SENDS);
     let high = reg.gauge("wire.queue.unacked").high();
@@ -38,11 +36,8 @@ fn one_directional_flood(backend: Backend) {
         backend.label()
     );
     for i in 0..SENDS {
-        let env = t.pop_any_earliest(4, false).expect("every send is queued");
-        let env = t.admit(env, now).expect("no fault plan: admit passes through");
-        assert_eq!(env.msg, ProtoMsg::ReadReq { block: Block { start: i, len: 64 } });
+        assert_eq!(t.recv(0, 4), msg(i), "{}: message {i} out of order", backend.label());
     }
-    assert!(t.pop_any_earliest(4, false).is_none());
     assert_eq!(t.wire_counts().retransmits, 0, "back-pressure is not loss");
     t.shutdown();
 }

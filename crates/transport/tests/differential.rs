@@ -7,7 +7,11 @@
 //! `transport_bench` binary runs the *full* Table 2 set over both backends
 //! and asserts the same equalities (the acceptance criterion).
 
-use shasta_apps::driver::{registry, run_app, run_app_with_transport, Preset, Proto, RunConfig};
+use shasta_apps::driver::{
+    registry, run_app, run_app_shaped, run_app_with_transport, Preset, Proto, RunConfig,
+};
+use shasta_cluster::{CostModel, Topology};
+use shasta_core::{FaultPlan, Machine, NetProfile, ProtocolConfig};
 use shasta_stats::RunStats;
 use shasta_transport::{Backend, DropPlan, LoopbackTransport};
 
@@ -107,4 +111,62 @@ fn induced_drops_converge_via_retransmission() {
 #[test]
 fn induced_drops_converge_via_retransmission_over_tcp() {
     induced_drops_converge(Backend::Tcp);
+}
+
+/// A UDS wire for `m`'s topology.
+fn wire_for(m: &Machine) -> Box<LoopbackTransport> {
+    Box::new(
+        LoopbackTransport::connect(
+            m.topology().clone(),
+            m.cost_model().clone(),
+            Backend::Uds,
+            DropPlan::default(),
+        )
+        .expect("loopback fabric"),
+    )
+}
+
+/// A link profile set *before* the wire is tapped on still times the run:
+/// the machine has one network, and the wire does not replace it.
+#[test]
+fn a_profile_set_before_the_wire_still_applies() {
+    // Node 0's link is 4x narrower, and every path into or out of node 1
+    // is 3x longer: the two directions differ.
+    let profile = |m: &Machine| {
+        NetProfile::uniform(m.topology().phys_nodes(), m.cost_model())
+            .scale_link_bandwidth(0, 4)
+            .scale_node_latency(1, 3)
+    };
+    let spec = registry().into_iter().find(|s| s.name == "LU").expect("app");
+    let app = (spec.build)(Preset::Tiny, true);
+    let sim = run_app_shaped(app.as_ref(), &smp_tiny(), |m| m.set_net_profile(profile(m)));
+    let wire = run_app_shaped(app.as_ref(), &smp_tiny(), |m| {
+        m.set_net_profile(profile(m));
+        m.set_transport(wire_for(m));
+    });
+    assert_ne!(sim.elapsed_cycles, run_sim("LU").elapsed_cycles, "the profile moves the run");
+    assert_eq!(sim, wire, "the wire run lost the profile set before it");
+}
+
+fn bare_machine() -> Machine {
+    let topo = Topology::new(8, 4, 4).expect("topology");
+    Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 16)
+}
+
+#[test]
+#[should_panic(expected = "simulated fault plans do not compose")]
+fn a_fault_plan_then_a_wire_panics() {
+    let mut m = bare_machine();
+    m.set_fault_plan(FaultPlan::chaos(1));
+    let wire = wire_for(&m);
+    m.set_transport(wire);
+}
+
+#[test]
+#[should_panic(expected = "simulated fault plans do not compose")]
+fn a_wire_then_a_fault_plan_panics() {
+    let mut m = bare_machine();
+    let wire = wire_for(&m);
+    m.set_transport(wire);
+    m.set_fault_plan(FaultPlan::chaos(1));
 }

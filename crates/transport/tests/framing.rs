@@ -7,13 +7,11 @@ use proptest::prelude::*;
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::protocol::{DirUpdate, DowngradeTo, ProtoMsg};
 use shasta_core::space::Block;
-use shasta_memchan::Transport;
-use shasta_sim::Time;
 use shasta_transport::wire::{
     decode_body, encode_frame, DataFrame, Frame, FrameReader, WireError, KIND_ACK, KIND_DATA,
     MAX_FRAME_LEN, VERSION,
 };
-use shasta_transport::{Backend, DropPlan, LoopbackTransport};
+use shasta_transport::{Backend, DropPlan, LoopbackTransport, Transport};
 
 fn data_frame(msg: ProtoMsg) -> Frame {
     Frame::Data(DataFrame {
@@ -101,8 +99,9 @@ fn frame_length_ceiling_is_exact() {
 
 /// Two source nodes interleave sends into one destination node over two
 /// independent sockets; per-source FIFO must survive the interleaving, and
-/// every message must cross the wire (the transport substitutes the
-/// wire-decoded copy, so content corruption would surface here).
+/// every message must cross the wire. Each source's messages are received
+/// in the reverse of the order the sources sent in, so the wire must keep
+/// one queue per source, not one per destination.
 #[test]
 fn interleaved_streams_preserve_per_source_fifo() {
     let topo = Topology::new(12, 4, 4).unwrap();
@@ -114,25 +113,16 @@ fn interleaved_streams_preserve_per_source_fifo() {
     )
     .unwrap();
     let mk = |start: u64| ProtoMsg::ReadReq { block: Block { start, len: 64 } };
-    let mut now = Time::ZERO;
     for i in 0..8u64 {
         // Node 0 (proc 0) and node 1 (proc 4) alternate sends to proc 8 on
         // node 2; distinct block starts encode (source, position).
-        now = t.send(0, 8, mk(0x1000 + i), 0, now, None);
-        now = t.send(4, 8, mk(0x2000 + i), 0, now, None);
+        t.send(0, 8, false, &mk(0x1000 + i), 0);
+        t.send(4, 8, false, &mk(0x2000 + i), 0);
     }
-    let (mut from0, mut from4) = (Vec::new(), Vec::new());
-    while let Some(env) = t.pop_any_earliest(8, false) {
-        let env = t.admit(env, now).expect("no fault plan: admit passes through");
-        let ProtoMsg::ReadReq { block } = env.msg else { panic!("unexpected msg") };
-        match env.src {
-            0 => from0.push(block.start),
-            4 => from4.push(block.start),
-            s => panic!("unexpected source {s}"),
-        }
-    }
-    assert_eq!(from0, (0..8).map(|i| 0x1000 + i).collect::<Vec<_>>());
-    assert_eq!(from4, (0..8).map(|i| 0x2000 + i).collect::<Vec<_>>());
+    let from4: Vec<ProtoMsg> = (0..8).map(|_| t.recv(4, 8)).collect();
+    let from0: Vec<ProtoMsg> = (0..8).map(|_| t.recv(0, 8)).collect();
+    assert_eq!(from0, (0..8).map(|i| mk(0x1000 + i)).collect::<Vec<_>>());
+    assert_eq!(from4, (0..8).map(|i| mk(0x2000 + i)).collect::<Vec<_>>());
     t.shutdown();
     let counts = t.wire_counts();
     assert_eq!(counts.data_frames, 16, "every interleaved send crossed the wire");

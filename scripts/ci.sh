@@ -18,6 +18,15 @@ if git grep -nE '\bHash(Map|Set)\b' -- crates/core/src crates/apps/src; then
   exit 1
 fi
 
+echo "==> no heap-ordered inboxes or schedules in memchan or the protocol"
+# Inboxes fill in arrival order and the schedule's min-tree compares one
+# integer per key (docs/PERFORMANCE.md, "A branch-light event core"): heap
+# sifts over whole envelopes were ~9 % of a run, so they must not return.
+if git grep -nE '\bBinaryHeap\b' -- crates/memchan/src crates/core/src; then
+  echo "BinaryHeap in crates/memchan/src or crates/core/src"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -33,13 +42,16 @@ echo "==> every member crate's tests: cargo test --workspace --release -q"
 # criteria. No wall is gated; host time is the benchmark's (BENCHMARK.json).
 cargo test --workspace --release -q
 
-echo "==> the engine's suites under debug assertions (core, check, apps, transport)"
+echo "==> the engine's and the network's suites under debug assertions (core, check, apps, transport, memchan)"
 # The release run compiles out the debug-only checks, among them the
 # engine's candidate-cache cross-check: at every pick, each processor's
 # cached schedule candidates against a recomputation, naming a processor an
 # event changed without marking. This run lets it see every engine run of
-# the suites that drive the engine (~10 s warm).
-cargo test -q -p shasta-core -p shasta-check -p shasta-apps -p shasta-transport
+# the suites that drive the engine (~10 s warm). shasta-memchan's inbox-order
+# property test rides along, so its arrival arithmetic runs with overflow
+# checks.
+cargo test -q -p shasta-core -p shasta-check -p shasta-apps -p shasta-transport \
+  -p shasta-memchan
 
 echo "==> fiber hand-offs under a deadline (shasta-sim, Dsm, misuse, one-thread and engine-panic tests, as is and on one CPU)"
 # A fiber is a stack on the thread that drives its pool, and a hand-off is a
