@@ -9,7 +9,7 @@
 //!
 //! Table 2 raises the cell/leaf array granularity to 512 bytes.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
@@ -216,8 +216,8 @@ pub struct Barnes {
     n: usize,
     steps: usize,
     vg: bool,
-    pos: Arc<Vec<[f64; 3]>>,
-    mass: Arc<Vec<f64>>,
+    pos: Rc<Vec<[f64; 3]>>,
+    mass: Rc<Vec<f64>>,
 }
 
 impl Barnes {
@@ -233,7 +233,7 @@ impl Barnes {
             .map(|_| [rng.range_f64(0.1, 0.9), rng.range_f64(0.1, 0.9), rng.range_f64(0.1, 0.9)])
             .collect();
         let mass: Vec<f64> = (0..n).map(|_| rng.range_f64(0.5, 1.5)).collect();
-        Barnes { n, steps, vg: variable_granularity, pos: Arc::new(pos), mass: Arc::new(mass) }
+        Barnes { n, steps, vg: variable_granularity, pos: Rc::new(pos), mass: Rc::new(mass) }
     }
 
     /// Native reference with identical traversal order.
@@ -305,13 +305,13 @@ impl DsmApp for Barnes {
             rec[9] = self.mass[b];
             s.write_f64s(bodies_addr + b as u64 * BODY_BYTES, &rec);
         }
-        let expected = opts.validate.then(|| Arc::new(self.reference()));
-        let mass = Arc::clone(&self.mass);
+        let expected = opts.validate.then(|| Rc::new(self.reference()));
+        let mass = Rc::clone(&self.mass);
 
         (0..procs)
             .map(|p| {
                 let expected = expected.clone();
-                let mass = Arc::clone(&mass);
+                let mass = Rc::clone(&mass);
                 let my_bodies = chunk(n, procs, p);
                 Box::new(move |mut dsm: Dsm| {
                     let body_rec = |b: usize| bodies_addr + b as u64 * BODY_BYTES;

@@ -7,7 +7,7 @@ use shasta_memchan::Transport;
 use shasta_stats::RunStats;
 
 /// One processor's program.
-pub type Body = Box<dyn FnOnce(Dsm) + Send>;
+pub type Body = Box<dyn FnOnce(Dsm)>;
 
 /// Problem-size preset.
 ///
@@ -38,7 +38,7 @@ pub struct PlanOpts {
 }
 
 /// A kernel that can run on the simulated DSM.
-pub trait DsmApp: Send + Sync {
+pub trait DsmApp {
     /// Display name, matching the paper's tables (e.g. `"LU-Contig"`).
     fn name(&self) -> &'static str;
 

@@ -10,7 +10,7 @@
 //! placement optimization); Table 2 raises the box-array granularity to
 //! 256 bytes.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
@@ -36,7 +36,7 @@ pub struct Fmm {
     n: usize,
     g: usize,
     vg: bool,
-    pos: Arc<Vec<[f64; 2]>>,
+    pos: Rc<Vec<[f64; 2]>>,
 }
 
 impl Fmm {
@@ -49,7 +49,7 @@ impl Fmm {
         };
         let mut rng = shasta_sim::SplitMix64::new(0xF3E + n as u64);
         let pos: Vec<[f64; 2]> = (0..n).map(|_| [rng.next_f64(), rng.next_f64()]).collect();
-        Fmm { n, g, vg: variable_granularity, pos: Arc::new(pos) }
+        Fmm { n, g, vg: variable_granularity, pos: Rc::new(pos) }
     }
 
     fn box_of(&self, p: [f64; 2]) -> usize {
@@ -213,17 +213,17 @@ impl DsmApp for Fmm {
         let expected = opts.validate.then(|| {
             let pot = self.reference();
             // Expected per sorted slot.
-            Arc::new(order.iter().map(|&i| pot[i]).collect::<Vec<f64>>())
+            Rc::new(order.iter().map(|&i| pot[i]).collect::<Vec<f64>>())
         });
-        let order = Arc::new(order);
-        let ranges = Arc::new(ranges);
-        let part_addr = Arc::new(part_addr);
+        let order = Rc::new(order);
+        let ranges = Rc::new(ranges);
+        let part_addr = Rc::new(part_addr);
         let app = self.clone();
 
         (0..procs)
             .map(|p| {
-                let ranges = Arc::clone(&ranges);
-                let part_addr = Arc::clone(&part_addr);
+                let ranges = Rc::clone(&ranges);
+                let part_addr = Rc::clone(&part_addr);
                 let expected = expected.clone();
                 let app = app.clone();
                 let my_boxes = chunk(nb, procs, p);

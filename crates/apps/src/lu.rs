@@ -15,7 +15,7 @@
 //! diagonal block, updates the perimeter, then the interior, with barriers
 //! between phases.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
@@ -37,7 +37,7 @@ enum Layout {
     /// Row-major `n × n` array at `base`.
     RowMajor { base: Addr },
     /// One allocation per block, indexed `[bi * nb + bj]`.
-    Blocked { blocks: Arc<Vec<Addr>> },
+    Blocked { blocks: Rc<Vec<Addr>> },
 }
 
 /// The LU kernel (both layouts).
@@ -48,7 +48,7 @@ pub struct Lu {
     contig: bool,
     /// Table 2 granularity hints requested at construction.
     pub(crate) vg_hint: bool,
-    init: Arc<Vec<f64>>,
+    init: Rc<Vec<f64>>,
 }
 
 impl Lu {
@@ -67,7 +67,7 @@ impl Lu {
             Preset::Default => (256, 16),
             Preset::Large => (384, 16),
         };
-        let init = Arc::new(gen_matrix(n));
+        let init = Rc::new(gen_matrix(n));
         Lu { n, b, contig, vg_hint, init }
     }
 
@@ -291,7 +291,7 @@ impl DsmApp for Lu {
                     blocks.push(addr);
                 }
             }
-            Layout::Blocked { blocks: Arc::new(blocks) }
+            Layout::Blocked { blocks: Rc::new(blocks) }
         } else {
             let hint = if use_vg { BlockHint::Bytes(128) } else { BlockHint::Line };
             let base =
@@ -303,7 +303,7 @@ impl DsmApp for Lu {
         let expected = if opts.validate {
             let mut a = self.init.as_ref().clone();
             reference_lu(&mut a, n, b);
-            Some(Arc::new(a))
+            Some(Rc::new(a))
         } else {
             None
         };

@@ -9,7 +9,7 @@
 //! four processors per node, three of every four band boundaries become
 //! intra-node.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
@@ -26,7 +26,7 @@ pub struct Ocean {
     /// Grid dimension including the fixed border (paper: 514, i.e. 512+2).
     n: usize,
     iters: usize,
-    init: Arc<Vec<f64>>,
+    init: Rc<Vec<f64>>,
 }
 
 impl Ocean {
@@ -40,7 +40,7 @@ impl Ocean {
         };
         let mut rng = shasta_sim::SplitMix64::new(0xC0FFEE + n as u64);
         let init: Vec<f64> = (0..n * n).map(|_| rng.range_f64(0.0, 1.0)).collect();
-        Ocean { n, iters, init: Arc::new(init) }
+        Ocean { n, iters, init: Rc::new(init) }
     }
 
     /// Native reference: identical sweep order to the parallel kernel.
@@ -118,13 +118,13 @@ impl DsmApp for Ocean {
                 s.write_f64s(row_addr[r], &self.init[r * n..(r + 1) * n]);
             }
         }
-        let row_addr = Arc::new(row_addr);
+        let row_addr = Rc::new(row_addr);
 
-        let expected = opts.validate.then(|| Arc::new(self.reference()));
+        let expected = opts.validate.then(|| Rc::new(self.reference()));
 
         (0..procs)
             .map(|p| {
-                let row_addr = Arc::clone(&row_addr);
+                let row_addr = Rc::clone(&row_addr);
                 let expected = expected.clone();
                 let my_rows: Vec<usize> = chunk(interior, procs, p).map(|r| r + 1).collect();
                 Box::new(move |mut dsm: Dsm| {

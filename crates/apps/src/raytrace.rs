@@ -8,7 +8,7 @@
 //! which this kernel reproduces by doing its intersection math through
 //! FP loads of the scene.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
@@ -31,7 +31,7 @@ const TILE: usize = 8;
 pub struct Raytrace {
     width: usize,
     height: usize,
-    spheres: Arc<Vec<[f64; 5]>>,
+    spheres: Rc<Vec<[f64; 5]>>,
 }
 
 impl Raytrace {
@@ -54,7 +54,7 @@ impl Raytrace {
                 ]
             })
             .collect();
-        Raytrace { width: w, height: w, spheres: Arc::new(spheres) }
+        Raytrace { width: w, height: w, spheres: Rc::new(spheres) }
     }
 
     /// Shade for the pixel ray `(px, py)` — pure function of the scene.
@@ -133,7 +133,7 @@ impl DsmApp for Raytrace {
             "raytrace.image",
         );
         let queues = TaskQueues::setup(s, &deal_tasks(self.tiles(), procs), 1_000);
-        let expected = opts.validate.then(|| Arc::new(self.reference()));
+        let expected = opts.validate.then(|| Rc::new(self.reference()));
         let nspheres = self.spheres.len();
 
         (0..procs)
@@ -149,7 +149,7 @@ impl DsmApp for Raytrace {
                         let v = dsm.read_f64s(scene_addr + i as u64 * SPH_BYTES, 5);
                         scene.push([v[0], v[1], v[2], v[3], v[4]]);
                     }
-                    let local = Raytrace { width: w, height: h, spheres: Arc::new(scene) };
+                    let local = Raytrace { width: w, height: h, spheres: Rc::new(scene) };
                     let tiles_x = w / TILE;
                     while let Some(task) = queues.next_task(&mut dsm, p) {
                         let (tx, ty) = ((task as usize) % tiles_x, (task as usize) / tiles_x);

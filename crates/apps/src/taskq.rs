@@ -6,7 +6,7 @@
 //! data: under SMP-Shasta they bounce between node mates cheaply and only
 //! occasionally cross nodes.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
@@ -15,7 +15,7 @@ use shasta_core::space::{Addr, BlockHint, HomeHint};
 /// Shared-memory task queues, one per processor.
 #[derive(Clone, Debug)]
 pub struct TaskQueues {
-    bases: Arc<Vec<Addr>>,
+    bases: Rc<Vec<Addr>>,
     lock_base: u32,
     procs: u32,
 }
@@ -41,7 +41,7 @@ impl TaskQueues {
             }
             bases.push(base);
         }
-        TaskQueues { bases: Arc::new(bases), lock_base, procs }
+        TaskQueues { bases: Rc::new(bases), lock_base, procs }
     }
 
     fn pop(&self, dsm: &mut Dsm, q: u32) -> Option<u64> {

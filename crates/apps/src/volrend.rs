@@ -4,7 +4,7 @@
 //! maps — the two arrays whose coherence granularity Table 2 raises to
 //! 1024 bytes — rendered into image tiles distributed through task queues.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
@@ -28,11 +28,11 @@ pub struct Volrend {
     /// Image edge (pixels).
     img: usize,
     vg: bool,
-    volume: Arc<Vec<u8>>,
+    volume: Rc<Vec<u8>>,
     /// Opacity transfer map indexed by voxel value.
-    opacity: Arc<Vec<f64>>,
+    opacity: Rc<Vec<f64>>,
     /// Shading map indexed by voxel value (the "normal map" analogue).
-    shading: Arc<Vec<f64>>,
+    shading: Rc<Vec<f64>>,
 }
 
 impl Volrend {
@@ -68,9 +68,9 @@ impl Volrend {
             g,
             img,
             vg: variable_granularity,
-            volume: Arc::new(volume),
-            opacity: Arc::new(opacity),
-            shading: Arc::new(shading),
+            volume: Rc::new(volume),
+            opacity: Rc::new(opacity),
+            shading: Rc::new(shading),
         }
     }
 
@@ -150,7 +150,7 @@ impl DsmApp for Volrend {
             "volrend.image",
         );
         let queues = TaskQueues::setup(s, &deal_tasks(self.tiles(), procs), 2_000);
-        let expected = opts.validate.then(|| Arc::new(self.reference()));
+        let expected = opts.validate.then(|| Rc::new(self.reference()));
         let app = self.clone();
 
         (0..procs)
@@ -163,8 +163,8 @@ impl DsmApp for Volrend {
                     let opacity = dsm.read_f64s(opac_addr, 256);
                     let shading = dsm.read_f64s(shade_addr, 256);
                     let local = Volrend {
-                        opacity: Arc::new(opacity),
-                        shading: Arc::new(shading),
+                        opacity: Rc::new(opacity),
+                        shading: Rc::new(shading),
                         ..app.clone()
                     };
                     // Volume voxels are fetched in line-sized chunks and

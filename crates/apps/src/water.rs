@@ -13,7 +13,7 @@
 //! * **Water-Sp** bins molecules into a cell grid and evaluates only pairs
 //!   in the same or neighbouring cells, partitioned by cell.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
@@ -39,7 +39,7 @@ struct WaterCommon {
     n: usize,
     steps: usize,
     /// Initial positions in the unit box.
-    pos: Arc<Vec<[f64; 3]>>,
+    pos: Rc<Vec<[f64; 3]>>,
     spatial: bool,
     /// Cell-grid dimension (spatial variant only).
     g: usize,
@@ -75,7 +75,7 @@ impl WaterCommon {
         let mut rng = shasta_sim::SplitMix64::new(0x3A7E5 + n as u64);
         let pos: Vec<[f64; 3]> =
             (0..n).map(|_| [rng.next_f64(), rng.next_f64(), rng.next_f64()]).collect();
-        WaterCommon { n, steps, pos: Arc::new(pos), spatial, g }
+        WaterCommon { n, steps, pos: Rc::new(pos), spatial, g }
     }
 
     fn cell_of(&self, p: [f64; 3]) -> usize {
@@ -186,12 +186,12 @@ impl WaterCommon {
             rec[..3].copy_from_slice(p);
             s.write_f64s(mols + i as u64 * REC_BYTES, &rec);
         }
-        let pairs = Arc::new(self.pairs());
-        let expected = opts.validate.then(|| Arc::new(self.reference()));
+        let pairs = Rc::new(self.pairs());
+        let expected = opts.validate.then(|| Rc::new(self.reference()));
 
         (0..procs)
             .map(|p| {
-                let pairs = Arc::clone(&pairs);
+                let pairs = Rc::clone(&pairs);
                 let expected = expected.clone();
                 let my_pairs = chunk(pairs.len(), procs, p);
                 let my_mols = chunk(n, procs, p);

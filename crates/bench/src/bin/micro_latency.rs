@@ -10,8 +10,6 @@ use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
-
 /// Runs a microbenchmark machine: the home (P0) spin-polls as a dedicated
 /// server, `writers` processors on node 0 first touch the block, then the
 /// requester performs a single read; everyone else idles.
@@ -19,9 +17,9 @@ fn read_latency_us(cfg: ProtocolConfig, clustering: u32, writers: u32, requester
     let topo = Topology::new(8, 4, clustering).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 20);
     let addr = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let bodies: Vec<Body> = (0..8u32)
+    let bodies: Vec<_> = (0..8u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            move |mut dsm: Dsm| {
                 // Phase 1: writers on node 0 establish exclusive private
                 // state, in processor order.
                 if p < writers {
@@ -39,7 +37,7 @@ fn read_latency_us(cfg: ProtocolConfig, clustering: u32, writers: u32, requester
                     dsm.compute(1_000);
                     let _ = dsm.load_u64(addr);
                 }
-            }) as Body
+            }
         })
         .collect();
     let stats = m.run(bodies);
@@ -81,9 +79,9 @@ fn main() {
     let topo = Topology::new(8, 4, 1).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::base(), 1 << 20);
     let addr = m.setup(|s| s.malloc(2_048, BlockHint::Bytes(2_048), HomeHint::Explicit(0)));
-    let bodies: Vec<Body> = (0..8u32)
+    let bodies: Vec<_> = (0..8u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            move |mut dsm: Dsm| {
                 if p == 0 {
                     for _ in 0..3_000 {
                         dsm.compute(20);
@@ -93,7 +91,7 @@ fn main() {
                     dsm.compute(1_000);
                     let _ = dsm.read_range(addr, 2_048);
                 }
-            }) as Body
+            }
         })
         .collect();
     let stats = m.run(bodies);

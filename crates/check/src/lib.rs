@@ -511,7 +511,7 @@ pub fn run_scenario_observed(
 /// slot array is homed *on the memory node* so every miss crosses to it.
 /// For every other cluster kind `workers == procs` and the arithmetic below
 /// is exactly the historical kernel.
-fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Box<dyn FnOnce(Dsm) + Send>> {
+fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Box<dyn FnOnce(Dsm)>> {
     let procs = s.workers();
     let iters = s.iters;
     let home = match s.cluster {
@@ -525,7 +525,7 @@ fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Box<dyn FnOnce(Dsm) + Send>
             let kernel = s.kernel;
             if p >= procs {
                 // Memory-node processor: no computation, just message service.
-                return Box::new(move |_dsm: Dsm| {}) as Box<dyn FnOnce(Dsm) + Send>;
+                return Box::new(move |_dsm: Dsm| {}) as Box<dyn FnOnce(Dsm)>;
             }
             Box::new(move |mut dsm: Dsm| match kernel {
                 Kernel::FalseSharing => {
@@ -616,7 +616,7 @@ fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Box<dyn FnOnce(Dsm) + Send>
                         );
                     }
                 }
-            }) as Box<dyn FnOnce(Dsm) + Send>
+            }) as Box<dyn FnOnce(Dsm)>
         })
         .collect()
 }

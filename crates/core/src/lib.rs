@@ -44,7 +44,7 @@
 //! let stats = m.run(
 //!     (0..4)
 //!         .map(|p| {
-//!             Box::new(move |mut dsm: shasta_core::api::Dsm| {
+//!             move |mut dsm: shasta_core::api::Dsm| {
 //!                 let addr = counters + 8 * p as u64;
 //!                 for _ in 0..100 {
 //!                     let v = dsm.load_u64(addr);
@@ -52,7 +52,7 @@
 //!                     dsm.compute(50);
 //!                 }
 //!                 dsm.barrier(0);
-//!             }) as Box<dyn FnOnce(shasta_core::api::Dsm) + Send>
+//!             }
 //!         })
 //!         .collect(),
 //! );

@@ -80,7 +80,7 @@ impl Machine {
     /// Panics on protocol deadlock (with diagnostics), on an application
     /// panic inside a fiber, or if `bodies.len()` differs from the
     /// processor count.
-    pub fn run(&mut self, bodies: Vec<Box<dyn FnOnce(Dsm) + Send>>) -> RunStats {
+    pub fn run<B: FnOnce(Dsm) + 'static>(&mut self, bodies: Vec<B>) -> RunStats {
         let n = self.topo.procs();
         assert_eq!(bodies.len() as u32, n, "need exactly one program per processor");
         if self.obs.is_enabled() {

@@ -1031,12 +1031,12 @@ mod tests {
         }
         let bodies = (0..16u32)
             .map(|p| {
-                Box::new(move |mut dsm: crate::api::Dsm| {
+                move |mut dsm: crate::api::Dsm| {
                     if p == 15 {
                         dsm.store_u64(a, 7);
                         assert_eq!(dsm.load_u64(a), 7);
                     }
-                }) as Box<dyn FnOnce(crate::api::Dsm) + Send>
+                }
             })
             .collect();
         let stats = m.run(bodies);

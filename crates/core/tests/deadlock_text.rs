@@ -8,7 +8,7 @@ use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 use shasta_memchan::FaultPlan;
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 /// Runs a Base machine that loses every message while P0 posts stores to
 /// blocks 2, 0 and 3 of an allocation homed at P1 and then loads block 1.

@@ -7,9 +7,9 @@ use shasta_core::space::{BlockHint, HomeHint};
 use shasta_sim::SplitMix64;
 use shasta_stats::TimeCat;
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Clone + 'static) -> Vec<Body> {
     (0..n)
         .map(|p| {
             let f = f.clone();

@@ -3,23 +3,24 @@
 //! every suspended body, and leaves the machine's recording readable. Alone
 //! in its test binary: it installs its own panic hook.
 
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
 
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 /// Counts its own drop.
-struct Witness(Arc<AtomicUsize>);
+struct Witness(Rc<Cell<usize>>);
 
 impl Drop for Witness {
     fn drop(&mut self) {
-        self.0.fetch_add(1, SeqCst);
+        self.0.set(self.0.get() + 1);
     }
 }
 
@@ -36,10 +37,10 @@ fn a_diagnosis_unwinds_the_suspended_fibers_and_leaves_through_run() {
     // P1 posts a bad store due at cycle 1 000 and hands it over with its
     // first load; the others load in a loop well past that, so each is
     // suspended in a load when the loop reaches the store.
-    let dropped = Arc::new(AtomicUsize::new(0));
+    let dropped = Rc::new(Cell::new(0));
     let bodies: Vec<Body> = (0..4u32)
         .map(|p| {
-            let witness = Witness(Arc::clone(&dropped));
+            let witness = Witness(Rc::clone(&dropped));
             Box::new(move |mut dsm: Dsm| {
                 let _local = witness;
                 if p == 1 {
@@ -59,7 +60,7 @@ fn a_diagnosis_unwinds_the_suspended_fibers_and_leaves_through_run() {
     let msg = raised.downcast_ref::<String>().expect("a formatted diagnosis");
     assert!(msg.contains("access to unallocated shared address 0x9000"), "{msg}");
     assert_eq!(HOOK_RAN.load(SeqCst), 1, "the diagnosis alone ran the hook");
-    assert_eq!(dropped.load(SeqCst), 4, "every suspended body unwound");
+    assert_eq!(dropped.get(), 4, "every suspended body unwound");
     let log = m.take_obs();
     assert_eq!(log.procs(), 4);
     assert!(!log.is_empty(), "the events up to the diagnosis are kept");

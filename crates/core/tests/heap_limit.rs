@@ -54,7 +54,7 @@ fn run(
                     let _ = dsm.load_u64(slot((p + 1 + r) % PROCS, 0));
                     dsm.barrier(2 * r + 1);
                 }
-            }) as Box<dyn FnOnce(Dsm) + Send>
+            }) as Box<dyn FnOnce(Dsm)>
         })
         .collect();
     let stats = m.run(bodies);

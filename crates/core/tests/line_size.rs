@@ -2,14 +2,17 @@
 //! fewer misses for streaming access and more false sharing for interleaved
 //! writers — both directions verified here.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Clone + 'static) -> Vec<Body> {
     (0..n)
         .map(|p| {
             let f = f.clone();
@@ -89,8 +92,8 @@ fn results_identical_across_line_sizes() {
     let run = |line: u64| -> u64 {
         let mut m = machine(line);
         let a = m.setup(|s| s.malloc(1_024, BlockHint::Line, HomeHint::RoundRobin));
-        let total = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let t2 = std::sync::Arc::clone(&total);
+        let total = Rc::new(Cell::new(0));
+        let t2 = Rc::clone(&total);
         m.run(bodies(8, move |p, dsm| {
             for i in 0..16u64 {
                 dsm.acquire((i % 4) as u32);
@@ -104,11 +107,11 @@ fn results_identical_across_line_sizes() {
                 for i in 0..16u64 {
                     sum += dsm.load_u64(a + i * 64);
                 }
-                t2.store(sum, std::sync::atomic::Ordering::Relaxed);
+                t2.set(sum);
             }
             dsm.barrier(1);
         }));
-        total.load(std::sync::atomic::Ordering::Relaxed)
+        total.get()
     };
     let v64 = run(64);
     let v128 = run(128);

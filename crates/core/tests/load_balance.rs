@@ -3,19 +3,22 @@
 //! whichever processor of the home's node handles them first, using the
 //! (necessarily shared) directory state.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 use shasta_sim::SplitMix64;
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 fn lb_config() -> ProtocolConfig {
     ProtocolConfig { load_balance_incoming: true, ..ProtocolConfig::smp() }
 }
 
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Clone + 'static) -> Vec<Body> {
     (0..n)
         .map(|p| {
             let f = f.clone();
@@ -105,8 +108,8 @@ fn load_balancing_preserves_results() {
         let cfg = if lb { lb_config() } else { ProtocolConfig::smp() };
         let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 22);
         let a = m.setup(|s| s.malloc(1_024, BlockHint::Line, HomeHint::RoundRobin));
-        let out = std::sync::Arc::new(std::sync::Mutex::new(vec![0u64; 16]));
-        let out2 = std::sync::Arc::clone(&out);
+        let out = Rc::new(RefCell::new(vec![0u64; 16]));
+        let out2 = Rc::clone(&out);
         m.run(bodies(8, move |p, dsm| {
             let mut rng = SplitMix64::new(p as u64 * 3 + 1);
             for _ in 0..150 {
@@ -123,14 +126,13 @@ fn load_balancing_preserves_results() {
             }
             dsm.barrier(0);
             if p == 3 {
-                let mut o = out2.lock().unwrap();
-                for (slot, v) in o.iter_mut().enumerate() {
-                    *v = dsm.load_u64(a + slot as u64 * 64);
-                }
+                // Loads suspend: borrow `out2` only once they are done.
+                let loaded: Vec<u64> = (0..16).map(|slot| dsm.load_u64(a + slot * 64)).collect();
+                *out2.borrow_mut() = loaded;
             }
             dsm.barrier(1);
         }));
-        std::sync::Arc::try_unwrap(out).unwrap().into_inner().unwrap()
+        out.take()
     };
     let plain = run(false);
     let lb = run(true);

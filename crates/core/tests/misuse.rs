@@ -6,7 +6,7 @@ use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 /// Each protocol mode on four processors, with the clustering it needs.
 fn modes() -> [(&'static str, ProtocolConfig, u32); 3] {

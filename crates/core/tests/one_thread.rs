@@ -1,18 +1,20 @@
 //! A serial run is one thread: sixteen processors that hand the lowest key
 //! to one another at every load run on the caller's thread, and no hand-off
-//! puts it to sleep. Alone in its test binary, as every test that reads
-//! `/proc` is: it sums the whole process.
+//! puts it to sleep. The bodies report through `Rc<Cell<..>>`s, which are
+//! not `Send`, so that `Machine::run` compiles with them only because it
+//! keeps every body on this thread. Alone in its test binary, as every test
+//! that reads `/proc` is: it sums the whole process.
 #![cfg(target_os = "linux")]
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 fn tasks() -> usize {
     std::fs::read_dir("/proc/self/task").expect("procfs").count()
@@ -42,20 +44,19 @@ fn sixteen_processors_loading_in_turn_run_on_the_callers_thread() {
     // Read inside the bodies, so that every thread a run might start is
     // alive and counted: from P0's first load to P15's next-to-last one, the
     // others suspended in a load of the same round or the next.
-    let (start, end) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-    let seen = Arc::new(AtomicUsize::new(0));
+    let (start, end, seen) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
     let bodies = (0..PROCS)
         .map(|p| {
-            let (start, end, seen) = (Arc::clone(&start), Arc::clone(&end), Arc::clone(&seen));
+            let (start, end, seen) = (Rc::clone(&start), Rc::clone(&end), Rc::clone(&seen));
             Box::new(move |mut dsm: Dsm| {
                 for round in 0..ROUNDS {
                     dsm.compute(100);
                     dsm.load_u64(a);
                     if (p, round) == (0, 0) {
-                        start.store(process_switches(), SeqCst);
+                        start.set(process_switches());
                     } else if (p, round) == (PROCS - 1, ROUNDS - 2) {
-                        end.store(process_switches(), SeqCst);
-                        seen.store(tasks(), SeqCst);
+                        end.set(process_switches());
+                        seen.set(tasks());
                     }
                 }
             }) as Body
@@ -63,7 +64,7 @@ fn sixteen_processors_loading_in_turn_run_on_the_callers_thread() {
         .collect();
     let before = tasks();
     m.run(bodies);
-    let switches = end.load(SeqCst) - start.load(SeqCst);
-    assert_eq!(seen.load(SeqCst), before, "a body saw threads the run started");
+    let switches = end.get() - start.get();
+    assert_eq!(seen.get(), before, "a body saw threads the run started");
     assert!(switches <= 8, "4 783 hand-offs cost {switches} voluntary context switches");
 }

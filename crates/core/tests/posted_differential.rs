@@ -9,7 +9,7 @@ use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 /// Every `Req` kind, with runs of reply-less operations before loads, right
 /// after barriers, inside critical sections and at the end of the body.

@@ -9,14 +9,14 @@ use shasta_core::state::INVALID_FLAG;
 use shasta_sim::SplitMix64;
 use shasta_stats::{Hops, MissKind, MsgClass, RunStats};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 fn machine(procs: u32, per_node: u32, clustering: u32, cfg: ProtocolConfig) -> Machine {
     let topo = Topology::new(procs, per_node, clustering).unwrap();
     Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 22)
 }
 
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Clone + 'static) -> Vec<Body> {
     (0..n)
         .map(|p| {
             let f = f.clone();

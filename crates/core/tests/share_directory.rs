@@ -2,6 +2,9 @@
 //! a requester colocated with the home looks up and modifies directory
 //! state directly, eliminating the intra-node request hop.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
@@ -9,7 +12,7 @@ use shasta_core::space::{BlockHint, HomeHint};
 use shasta_sim::SplitMix64;
 use shasta_stats::MsgClass;
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 fn machine(share: bool) -> Machine {
     let topo = Topology::new(8, 4, 4).unwrap();
@@ -17,7 +20,7 @@ fn machine(share: bool) -> Machine {
     Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 22)
 }
 
-fn bodies(f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies(f: impl Fn(u32, &mut Dsm) + Clone + 'static) -> Vec<Body> {
     (0..8u32)
         .map(|p| {
             let f = f.clone();
@@ -71,8 +74,8 @@ fn shared_directory_preserves_results() {
     let run = |share: bool| -> Vec<u64> {
         let mut m = machine(share);
         let a = m.setup(|s| s.malloc(1024, BlockHint::Line, HomeHint::RoundRobin));
-        let out = std::sync::Arc::new(std::sync::Mutex::new(vec![0u64; 16]));
-        let out2 = std::sync::Arc::clone(&out);
+        let out = Rc::new(RefCell::new(vec![0u64; 16]));
+        let out2 = Rc::clone(&out);
         m.run(bodies(move |p, dsm| {
             let mut rng = SplitMix64::new(p as u64 + 99);
             for _ in 0..150 {
@@ -89,14 +92,13 @@ fn shared_directory_preserves_results() {
             }
             dsm.barrier(0);
             if p == 0 {
-                let mut o = out2.lock().unwrap();
-                for (slot, v) in o.iter_mut().enumerate() {
-                    *v = dsm.load_u64(a + slot as u64 * 64);
-                }
+                // Loads suspend: borrow `out2` only once they are done.
+                let loaded: Vec<u64> = (0..16).map(|slot| dsm.load_u64(a + slot * 64)).collect();
+                *out2.borrow_mut() = loaded;
             }
             dsm.barrier(1);
         }));
-        std::sync::Arc::try_unwrap(out).unwrap().into_inner().unwrap()
+        out.take()
     };
     let plain = run(false);
     let shared = run(true);

@@ -8,7 +8,7 @@ use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 fn machine() -> Machine {
     let topo = Topology::new(8, 4, 4).unwrap();

@@ -25,7 +25,7 @@
 /// owns the tap as a `Box<dyn Transport<ProtoMsg>>` and calls it from its
 /// one thread, only for messages between different physical nodes:
 /// intra-node messages stay in the node's shared memory.
-pub trait Transport<M>: std::fmt::Debug + Send {
+pub trait Transport<M>: std::fmt::Debug {
     /// Puts the frame of `msg`, from processor `src` to processor `dst`, on
     /// the wire. `via_vnode` says the network routed it to the shared inbox
     /// of `dst`'s virtual node, and `trace` is the causal trace context (the

@@ -13,14 +13,13 @@
 //!   no-op handles; every record call is a branch on an `Option` that the
 //!   optimizer sinks. [`Registry::default`] is disabled.
 //! * **Allocation-free on the hot path.** Registration (naming) allocates;
-//!   recording never does — counters are `AtomicU64` adds, gauges are a
-//!   store plus a `fetch_max`, histograms bump a fixed `[u64; 65]` bucket
-//!   under a mutex that is only ever contended by the handful of wire
-//!   threads.
-//! * **Mergeable across threads.** Handles are `Clone + Send + Sync` and
-//!   all share the registered metric's storage; [`Histogram::merge`] is
-//!   associative and commutative by construction, so per-thread local
-//!   histograms can be folded in any order.
+//!   recording never does — counters are a `Cell` add, gauges two `Cell`
+//!   stores, histograms bump a fixed `[u64; 65]` bucket in a `RefCell`.
+//! * **One thread.** A registry and its handles are `Rc`s: they stay on
+//!   the thread of the run they meter, and the compiler rejects a handle
+//!   sent to another. Handles all share the registered metric's storage;
+//!   [`Histogram::merge`] is associative and commutative by construction,
+//!   so separately recorded histograms fold in any order.
 //! * **Never an input to simulation.** Nothing in this module feeds back
 //!   into simulated time; CI byte-diffs runs with recording off vs on.
 //!
@@ -28,9 +27,9 @@
 //! [`shasta_stats::Snapshot`]: the bench bins and the benchmark harness read
 //! its entries, and its `render()` is the deterministic text exposition.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use shasta_stats::{MetricEntry, MetricValue, Snapshot};
 
@@ -66,8 +65,9 @@ fn bucket_upper(i: usize) -> u64 {
 /// nearest-rank at bucket resolution, clamped to `max` so a one-sample
 /// histogram reports that sample exactly. Merging two histograms is an
 /// element-wise bucket add plus min/max combine, which makes it
-/// associative and commutative — the property the cross-thread fold
-/// relies on (and that the proptests in `tests/metrics_props.rs` check).
+/// associative and commutative — the property a fold of several
+/// histograms relies on (and that the proptests in `tests/metrics_props.rs`
+/// check).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: [u64; HIST_BUCKETS],
@@ -165,30 +165,30 @@ impl Histogram {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct GaugeCore {
-    value: AtomicU64,
-    high: AtomicU64,
+    value: Cell<u64>,
+    high: Cell<u64>,
 }
 
 #[derive(Debug)]
 enum Metric {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<GaugeCore>),
-    Hist(Arc<Mutex<Histogram>>),
+    Counter(Rc<Cell<u64>>),
+    Gauge(Rc<GaugeCore>),
+    Hist(Rc<RefCell<Histogram>>),
 }
 
 /// A monotonically increasing counter handle. No-op when obtained from a
-/// disabled registry; recording is a relaxed atomic add either way.
+/// disabled registry.
 #[derive(Clone, Debug, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
+pub struct Counter(Option<Rc<Cell<u64>>>);
 
 impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(c) = &self.0 {
-            c.fetch_add(n, Ordering::Relaxed);
+            c.set(c.get() + n);
         }
     }
 
@@ -200,65 +200,57 @@ impl Counter {
 
     /// Current value (0 for a no-op handle).
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |c| c.get())
     }
 }
 
 /// A level gauge handle that also tracks its high-water mark.
 #[derive(Clone, Debug, Default)]
-pub struct Gauge(Option<Arc<GaugeCore>>);
+pub struct Gauge(Option<Rc<GaugeCore>>);
 
 impl Gauge {
     /// Sets the current level and folds it into the high-water mark.
     #[inline]
     pub fn set(&self, v: u64) {
         if let Some(g) = &self.0 {
-            g.value.store(v, Ordering::Relaxed);
-            g.high.fetch_max(v, Ordering::Relaxed);
+            g.value.set(v);
+            g.high.set(g.high.get().max(v));
         }
     }
 
     /// Current level (0 for a no-op handle).
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |g| g.value.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |g| g.value.get())
     }
 
     /// High-water mark (0 for a no-op handle).
     pub fn high(&self) -> u64 {
-        self.0.as_ref().map_or(0, |g| g.high.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |g| g.high.get())
     }
 }
 
-/// A histogram handle. Recording takes a short mutex (wire metrics only);
-/// no-op when obtained from a disabled registry.
+/// A histogram handle; no-op when obtained from a disabled registry.
 #[derive(Clone, Debug, Default)]
-pub struct HistogramHandle(Option<Arc<Mutex<Histogram>>>);
+pub struct HistogramHandle(Option<Rc<RefCell<Histogram>>>);
 
 impl HistogramHandle {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
         if let Some(h) = &self.0 {
-            h.lock().unwrap().record(v);
-        }
-    }
-
-    /// Folds a thread-local histogram in (element-wise bucket add).
-    pub fn merge(&self, local: &Histogram) {
-        if let Some(h) = &self.0 {
-            h.lock().unwrap().merge(local);
+            h.borrow_mut().record(v);
         }
     }
 
     /// A copy of the current contents (empty for a no-op handle).
     pub fn load(&self) -> Histogram {
-        self.0.as_ref().map_or_else(Histogram::new, |h| h.lock().unwrap().clone())
+        self.0.as_ref().map_or_else(Histogram::new, |h| h.borrow().clone())
     }
 }
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    metrics: Mutex<BTreeMap<String, Metric>>,
+    metrics: RefCell<BTreeMap<String, Metric>>,
 }
 
 /// A registry of named metrics. Cloning shares the underlying store;
@@ -267,13 +259,13 @@ struct RegistryInner {
 /// "is telemetry on" itself.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    inner: Option<Arc<RegistryInner>>,
+    inner: Option<Rc<RegistryInner>>,
 }
 
 impl Registry {
     /// An enabled registry.
     pub fn enabled() -> Registry {
-        Registry { inner: Some(Arc::new(RegistryInner::default())) }
+        Registry { inner: Some(Rc::default()) }
     }
 
     /// A disabled registry: every handle it returns is a no-op.
@@ -294,12 +286,9 @@ impl Registry {
     /// If `name` is already registered as a different metric type.
     pub fn counter(&self, name: &str) -> Counter {
         let Some(inner) = &self.inner else { return Counter(None) };
-        let mut m = inner.metrics.lock().unwrap();
-        let entry = m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(AtomicU64::new(0))));
-        match entry {
-            Metric::Counter(c) => Counter(Some(c.clone())),
+        let mut m = inner.metrics.borrow_mut();
+        match m.entry(name.to_string()).or_insert_with(|| Metric::Counter(Rc::default())) {
+            Metric::Counter(c) => Counter(Some(Rc::clone(c))),
             _ => panic!("metric {name:?} already registered with a different type"),
         }
     }
@@ -311,12 +300,9 @@ impl Registry {
     /// If `name` is already registered as a different metric type.
     pub fn gauge(&self, name: &str) -> Gauge {
         let Some(inner) = &self.inner else { return Gauge(None) };
-        let mut m = inner.metrics.lock().unwrap();
-        let entry = m.entry(name.to_string()).or_insert_with(|| {
-            Metric::Gauge(Arc::new(GaugeCore { value: AtomicU64::new(0), high: AtomicU64::new(0) }))
-        });
-        match entry {
-            Metric::Gauge(g) => Gauge(Some(g.clone())),
+        let mut m = inner.metrics.borrow_mut();
+        match m.entry(name.to_string()).or_insert_with(|| Metric::Gauge(Rc::default())) {
+            Metric::Gauge(g) => Gauge(Some(Rc::clone(g))),
             _ => panic!("metric {name:?} already registered with a different type"),
         }
     }
@@ -328,12 +314,9 @@ impl Registry {
     /// If `name` is already registered as a different metric type.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         let Some(inner) = &self.inner else { return HistogramHandle(None) };
-        let mut m = inner.metrics.lock().unwrap();
-        let entry = m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Hist(Arc::new(Mutex::new(Histogram::new()))));
-        match entry {
-            Metric::Hist(h) => HistogramHandle(Some(h.clone())),
+        let mut m = inner.metrics.borrow_mut();
+        match m.entry(name.to_string()).or_insert_with(|| Metric::Hist(Rc::default())) {
+            Metric::Hist(h) => HistogramHandle(Some(Rc::clone(h))),
             _ => panic!("metric {name:?} already registered with a different type"),
         }
     }
@@ -342,18 +325,17 @@ impl Registry {
     /// disabled registry.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else { return Snapshot::default() };
-        let m = inner.metrics.lock().unwrap();
+        let m = inner.metrics.borrow();
         let entries = m
             .iter()
             .map(|(name, metric)| MetricEntry {
                 name: name.clone(),
                 value: match metric {
-                    Metric::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                    Metric::Gauge(g) => MetricValue::Gauge {
-                        value: g.value.load(Ordering::Relaxed),
-                        high: g.high.load(Ordering::Relaxed),
-                    },
-                    Metric::Hist(h) => h.lock().unwrap().to_value(),
+                    Metric::Counter(c) => MetricValue::Counter(c.get()),
+                    Metric::Gauge(g) => {
+                        MetricValue::Gauge { value: g.value.get(), high: g.high.get() }
+                    }
+                    Metric::Hist(h) => h.borrow().to_value(),
                 },
             })
             .collect();

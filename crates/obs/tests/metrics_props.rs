@@ -1,9 +1,9 @@
 //! Property tests for the metrics histogram: percentiles against an exact
-//! sorted-reference implementation, cross-thread merge associativity, and
-//! the empty / one-sample edge cases the bucket walk must get right.
+//! sorted-reference implementation, merge associativity, and the empty /
+//! one-sample edge cases the bucket walk must get right.
 
 use proptest::prelude::*;
-use shasta_obs::metrics::{Histogram, Registry};
+use shasta_obs::metrics::Histogram;
 
 /// The specification the histogram promises: nearest-rank percentile at
 /// log₂-bucket resolution, clamped to the exact max. Computed here from
@@ -122,37 +122,4 @@ fn empty_histogram_has_no_percentiles() {
         assert_eq!(h.percentile(q), None);
     }
     assert_eq!((h.count(), h.min(), h.max()), (0, None, None));
-}
-
-/// Threads recording into local histograms, folded through a shared
-/// registry handle in whatever order the threads finish: the result must
-/// equal recording the union stream single-threaded.
-#[test]
-fn cross_thread_merge_is_order_independent() {
-    let registry = Registry::enabled();
-    let handle = registry.histogram("wire.test_ns");
-    let streams: Vec<Vec<u64>> =
-        (0..4).map(|t| (0..500u64).map(|i| (i * 2654435761 + t) % (1 << 20)).collect()).collect();
-
-    let mut expected = Histogram::new();
-    for s in &streams {
-        for &v in s {
-            expected.record(v);
-        }
-    }
-
-    std::thread::scope(|scope| {
-        for s in &streams {
-            let handle = handle.clone();
-            scope.spawn(move || {
-                let mut local = Histogram::new();
-                for &v in s {
-                    local.record(v);
-                }
-                handle.merge(&local);
-            });
-        }
-    });
-
-    assert_eq!(handle.load(), expected);
 }

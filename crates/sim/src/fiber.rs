@@ -52,12 +52,12 @@ mod stack;
 use std::any::Any;
 use std::mem;
 use std::panic::resume_unwind;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use stack::{Fiber, Switched, Yielder};
 
 /// A boxed fiber body, used by [`FiberPool::spawn_each`].
-pub type FiberBody<Req, Resp> = Box<dyn FnOnce(FiberApi<Req, Resp>) + Send>;
+pub type FiberBody<Req, Resp> = Box<dyn FnOnce(FiberApi<Req, Resp>)>;
 
 /// Posted operations a fiber may hold before `post` exchanges them itself, so
 /// that a phase of nothing but posts buffers a bounded amount.
@@ -182,12 +182,12 @@ pub struct FiberPool<Req, Resp> {
     live: usize,
 }
 
-impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
+impl<Req: 'static, Resp: 'static> FiberPool<Req, Resp> {
     /// Spawns `n` fibers all running `f(proc_id, api)`; see [`FiberPool::spawn_each`].
-    pub fn spawn<F: Fn(u32, FiberApi<Req, Resp>) + Send + Sync + 'static>(n: u32, f: F) -> Self {
-        let f = Arc::new(f);
+    pub fn spawn<F: Fn(u32, FiberApi<Req, Resp>) + 'static>(n: u32, f: F) -> Self {
+        let f = Rc::new(f);
         let body = |p| {
-            let f = Arc::clone(&f);
+            let f = Rc::clone(&f);
             Box::new(move |api: FiberApi<Req, Resp>| f(p, api)) as FiberBody<Req, Resp>
         };
         Self::spawn_each((0..n).map(body).collect())
@@ -355,9 +355,9 @@ impl<Req, Resp> Drop for FiberPool<Req, Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::hint::black_box;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
     use std::thread;
 
     /// Engine that services all fibers round-robin until done.
@@ -432,14 +432,16 @@ mod tests {
             let below = if depth == 0 { 0 } else { deep(api, depth - 1) };
             api.call(depth) + below + u64::from(frame[depth as usize])
         }
-        let total = Arc::new(AtomicUsize::new(0));
-        let out = Arc::clone(&total);
+        let total = Rc::new(Cell::new(0));
+        let out = Rc::clone(&total);
         let pool = FiberPool::<u64, u64>::spawn(2, move |_, mut api| {
-            out.fetch_add(deep(&mut api, 20) as usize, SeqCst);
+            // Read `out` only after `deep`, which suspends: the other fiber adds meanwhile.
+            let sum = deep(&mut api, 20);
+            out.set(out.get() + sum);
         });
         drain(pool, |x| x);
         // 21 levels of 64 KiB each, and each adds its depth twice.
-        assert_eq!(total.load(SeqCst), 2 * 2 * (0..=20).sum::<usize>());
+        assert_eq!(total.get(), 2 * 2 * (0..=20).sum::<u64>());
     }
 
     /// Engine side of one operation: takes `want`, then answers it with `resp`.
@@ -451,14 +453,14 @@ mod tests {
 
     #[test]
     fn posts_arrive_in_program_order_ahead_of_the_call_that_carried_them() {
-        let posted = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&posted);
+        let posted = Rc::new(Cell::new(false));
+        let flag = Rc::clone(&posted);
         let mut pool = FiberPool::<u64, u64>::spawn(1, move |_, mut api| {
             (1..=3).for_each(|i| api.post(i));
-            flag.store(true, SeqCst);
+            flag.set(true);
             assert_eq!(api.call(4), 40);
         });
-        assert!(posted.load(SeqCst), "`post` returned to the fiber before any hand-over");
+        assert!(posted.get(), "`post` returned to the fiber before any hand-over");
         // The fiber is suspended for the reply to 4, so a `resume` that ran
         // it for a posted request instead would find it waiting on a reply.
         for i in 1..=3 {
@@ -509,20 +511,20 @@ mod tests {
     #[test]
     fn the_deferred_bound_forces_an_exchange() {
         let bound = MAX_DEFERRED as u64;
-        let past_it = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&past_it);
+        let past_it = Rc::new(Cell::new(false));
+        let flag = Rc::clone(&past_it);
         let mut pool = FiberPool::<u64, u64>::spawn(1, move |_, mut api| {
             (1..=bound + 5).for_each(|i| api.post(i));
-            flag.store(true, SeqCst);
+            flag.set(true);
         });
         // Suspended in the post that filled the batch, until that one is answered.
-        assert!(!past_it.load(SeqCst));
+        assert!(!past_it.get());
         for i in 1..bound {
             assert_eq!(serve(&mut pool, i, 0), Resumed::HasRequest);
-            assert!(!past_it.load(SeqCst));
+            assert!(!past_it.get());
         }
         assert_eq!(serve(&mut pool, bound, 0), Resumed::HasRequest);
-        assert!(past_it.load(SeqCst), "the other five came as the tail");
+        assert!(past_it.get(), "the other five came as the tail");
         for i in bound + 1..bound + 5 {
             assert_eq!(serve(&mut pool, i, 0), Resumed::HasRequest);
         }
@@ -530,34 +532,34 @@ mod tests {
         pool.join();
     }
 
-    struct Counted(Arc<AtomicUsize>);
+    struct Counted(Rc<Cell<usize>>);
     impl Drop for Counted {
         fn drop(&mut self) {
-            self.0.fetch_add(1, SeqCst);
+            self.0.set(self.0.get() + 1);
         }
     }
 
     #[test]
     fn every_request_and_reply_is_dropped_exactly_once() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let (fiber_drops, new) = (Arc::clone(&drops), || Counted(Arc::clone(&drops)));
+        let drops = Rc::new(Cell::new(0));
+        let (fiber_drops, new) = (Rc::clone(&drops), || Counted(Rc::clone(&drops)));
         let mut pool = FiberPool::<Counted, Counted>::spawn(2, move |_, mut api| {
-            drop(api.call(Counted(Arc::clone(&fiber_drops)))); // answered
-            api.post(Counted(Arc::clone(&fiber_drops))); // never taken
-            api.call(Counted(Arc::clone(&fiber_drops))); // never answered
+            drop(api.call(Counted(Rc::clone(&fiber_drops)))); // answered
+            api.post(Counted(Rc::clone(&fiber_drops))); // never taken
+            api.call(Counted(Rc::clone(&fiber_drops))); // never answered
         });
         for p in 0..2 {
             drop(pool.take_request(p));
             pool.resume(p, new());
         }
-        assert_eq!(drops.load(SeqCst), 4, "two requests, two replies");
+        assert_eq!(drops.get(), 4, "two requests, two replies");
         // Fiber 0: its post answered, its call taken and owed. Fiber 1: both
         // still pending in the pool.
         drop(pool.take_request(0));
         assert_eq!(pool.resume(0, new()), Resumed::HasRequest);
         drop(pool.take_request(0));
         drop(pool);
-        assert_eq!(drops.load(SeqCst), 9, "fiber 0's post, its reply and its call; fiber 1's two");
+        assert_eq!(drops.get(), 9, "fiber 0's post, its reply and its call; fiber 1's two");
     }
 
     /// What [`run_echo`] panics at when asked.
@@ -586,27 +588,27 @@ mod tests {
 
     #[test]
     fn fibers_run_by_an_event_loop_to_the_end() {
-        let answered = Arc::new(AtomicUsize::new(0));
-        let count = Arc::clone(&answered);
+        let answered = Rc::new(Cell::new(0));
+        let count = Rc::clone(&answered);
         let pool = FiberPool::<u64, u64>::spawn(4, move |pid, mut api| {
             for i in 0..50 {
                 let x = u64::from(pid) * 1_000 + i;
                 (0..i % 3).for_each(|j| api.post(j));
                 assert_eq!(api.call(x), x + 1);
-                count.fetch_add(1, SeqCst);
+                count.set(count.get() + 1);
             }
             (0..5).for_each(|j| api.post(j)); // the tail
         });
         assert!(run_echo(pool).is_ok());
-        assert_eq!(answered.load(SeqCst), 200);
+        assert_eq!(answered.get(), 200);
     }
 
     #[test]
     fn an_engine_panic_unwinds_the_suspended_fibers() {
-        let unwound = Arc::new(AtomicUsize::new(0));
-        let witness = Arc::clone(&unwound);
+        let unwound = Rc::new(Cell::new(0));
+        let witness = Rc::clone(&unwound);
         let pool = FiberPool::<u64, u64>::spawn(3, move |pid, mut api| {
-            let _local = Counted(Arc::clone(&witness));
+            let _local = Counted(Rc::clone(&witness));
             for i in 0..20 {
                 if (pid, i) == (2, 10) {
                     api.post(ENGINE_PANIC);
@@ -617,7 +619,7 @@ mod tests {
         let raised = run_echo(pool).unwrap_err();
         let msg = raised.downcast_ref::<String>().expect("a formatted message");
         assert!(msg.contains("the engine's own panic"), "{msg}");
-        assert_eq!(unwound.load(SeqCst), 3, "every suspended body's locals dropped");
+        assert_eq!(unwound.get(), 3, "every suspended body's locals dropped");
     }
 
     #[test]

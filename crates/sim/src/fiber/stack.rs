@@ -25,7 +25,7 @@ use std::io;
 use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::thread;
 
 /// Usable bytes of a fiber's stack: what a spawned OS thread gets by default.
@@ -60,7 +60,7 @@ thread_local! {
 }
 
 /// What `entry` runs: the body, and the yielder it is given.
-type Start<In, Out> = (Box<dyn FnOnce(Yielder<In, Out>) + Send>, Yielder<In, Out>);
+type Start<In, Out> = (Box<dyn FnOnce(Yielder<In, Out>)>, Yielder<In, Out>);
 
 /// What a fiber's two sides share, at an address that does not move.
 struct Shared<In, Out> {
@@ -95,7 +95,7 @@ enum State {
 
 /// A body with its own stack, run on the thread that starts or resumes it.
 pub(super) struct Fiber<In, Out> {
-    shared: Arc<Shared<In, Out>>,
+    shared: Rc<Shared<In, Out>>,
     /// The mapping, guard page lowest.
     base: *mut u8,
     state: State,
@@ -104,14 +104,14 @@ pub(super) struct Fiber<In, Out> {
 impl<In: 'static, Out: 'static> Fiber<In, Out> {
     /// A fiber that will run `body` on a stack of its own from its first
     /// [`Fiber::start`]. Dropped unstarted, it drops `body` unrun.
-    pub(super) fn new(body: impl FnOnce(Yielder<In, Out>) + Send + 'static) -> Self {
+    pub(super) fn new(body: impl FnOnce(Yielder<In, Out>) + 'static) -> Self {
         let prot = sys::PROT_READ | sys::PROT_WRITE;
         let flags = sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE | sys::MAP_STACK;
         // SAFETY: a new anonymous mapping, where the kernel picks, aliases
         // no memory the program uses.
         let base = unsafe { sys::mmap(ptr::null_mut(), MAP_BYTES, prot, flags, -1, 0) };
         assert!(base as isize != -1, "cannot map a fiber stack: {}", io::Error::last_os_error());
-        let shared = Arc::new(Shared {
+        let shared = Rc::new(Shared {
             fiber_sp: Cell::new(ptr::null_mut()),
             caller_sp: Cell::new(ptr::null_mut()),
             input: Cell::new(None),
@@ -119,8 +119,8 @@ impl<In: 'static, Out: 'static> Fiber<In, Out> {
             ended: Cell::new(None),
             start: Cell::new(None),
         });
-        shared.fiber_sp.set(initial_frame(base.wrapping_add(MAP_BYTES), Arc::as_ptr(&shared)));
-        let yielder = Yielder { shared: Arc::clone(&shared) };
+        shared.fiber_sp.set(initial_frame(base.wrapping_add(MAP_BYTES), Rc::as_ptr(&shared)));
+        let yielder = Yielder { shared: Rc::clone(&shared) };
         shared.start.set(Some((Box::new(body), yielder)));
         let fiber = Fiber { shared, base, state: State::Unstarted };
         // SAFETY: the guard is the lowest page of the fiber's own mapping,
@@ -153,7 +153,7 @@ impl<In, Out> Fiber<In, Out> {
 
     fn switch_in(&mut self) -> Switched<Out> {
         let shared = &*self.shared;
-        let outer = CURRENT.replace(Arc::as_ptr(&self.shared).cast());
+        let outer = CURRENT.replace(Rc::as_ptr(&self.shared).cast());
         // SAFETY: `fiber_sp` is the fiber's saved context on its own mapped
         // stack — its initial frame, or what its last `suspend` saved — and
         // the fiber is not running, since this holds `&mut self`. This side's
@@ -186,16 +186,14 @@ impl<In, Out> Drop for Fiber<In, Out> {
 
 /// The fiber's side of the switch, given to its body.
 pub(super) struct Yielder<In, Out> {
-    shared: Arc<Shared<In, Out>>,
+    shared: Rc<Shared<In, Out>>,
 }
 
 impl<In, Out> Yielder<In, Out> {
-    /// Whether the caller runs on this yielder's fiber, innermost. Never
-    /// inlined, so that the thread-local is read on the thread running now:
-    /// a suspended fiber may be resumed on another.
-    #[inline(never)]
+    /// Whether the caller runs on this yielder's fiber, innermost. A fiber
+    /// never leaves the thread that made it: `Rc` keeps it `!Send`.
     fn running_here(&self) -> bool {
-        CURRENT.get() == Arc::as_ptr(&self.shared).cast()
+        CURRENT.get() == Rc::as_ptr(&self.shared).cast()
     }
 
     /// Switches back to the fiber's resumer with `out`, and returns what the
@@ -224,7 +222,7 @@ impl<In, Out> Yielder<In, Out> {
 /// The first code a fiber runs, called by [`trampoline`] with its `Shared`
 /// address. Its last act is the switch away from the ended fiber.
 extern "sysv64" fn entry<In, Out>(shared: *const Shared<In, Out>) -> ! {
-    // SAFETY: `trampoline` passes the `Arc` pointer `Fiber::new` stored, and
+    // SAFETY: `trampoline` passes the `Rc` pointer `Fiber::new` stored, and
     // that `Fiber` outlives this stack's frames: it is mutably borrowed by
     // the `start` or `resume` running them, and never unmaps a suspended one.
     let shared = unsafe { &*shared };

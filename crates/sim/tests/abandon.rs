@@ -4,21 +4,22 @@
 //! test binary, because the panic hook is its own.
 
 use shasta_sim::{FiberBody, FiberPool};
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
 
 /// Counts its own drop.
-struct Witness(Arc<AtomicUsize>);
+struct Witness(Rc<Cell<usize>>);
 
 impl Drop for Witness {
     fn drop(&mut self) {
-        self.0.fetch_add(1, SeqCst);
+        self.0.set(self.0.get() + 1);
     }
 }
 
-fn counter() -> Arc<AtomicUsize> {
-    Arc::new(AtomicUsize::new(0))
+fn counter() -> Rc<Cell<usize>> {
+    Rc::default()
 }
 
 /// What fiber 8 leaves with. `resume_unwind` runs no hook, so the hook
@@ -39,10 +40,10 @@ fn dropping_a_pool_unwinds_its_fibers_and_runs_no_panic_hook() {
     // it into a local.
     let (started, locals, captured) = (counter(), counter(), counter());
     let bodies = (0..16u32).map(|p| {
-        let (started, locals) = (Arc::clone(&started), Arc::clone(&locals));
-        let witness = Witness(Arc::clone(&captured));
+        let (started, locals) = (Rc::clone(&started), Rc::clone(&locals));
+        let witness = Witness(Rc::clone(&captured));
         Box::new(move |mut api: shasta_sim::FiberApi<u32, u32>| {
-            started.fetch_add(1, SeqCst);
+            started.set(started.get() + 1);
             let _captured = witness;
             match p {
                 0..=7 => {
@@ -57,22 +58,22 @@ fn dropping_a_pool_unwinds_its_fibers_and_runs_no_panic_hook() {
     let spawned = panic::catch_unwind(AssertUnwindSafe(|| FiberPool::spawn_each(bodies.collect())));
 
     assert!(spawned.err().is_some_and(|payload| payload.is::<Halt>()), "fiber 8 stops `spawn`");
-    assert_eq!(started.load(SeqCst), 9, "fibers 9..16 never ran");
-    assert_eq!(locals.load(SeqCst), 8, "every suspended fiber unwound");
-    assert_eq!(captured.load(SeqCst), 16, "the unstarted bodies were dropped");
+    assert_eq!(started.get(), 9, "fibers 9..16 never ran");
+    assert_eq!(locals.get(), 8, "every suspended fiber unwound");
+    assert_eq!(captured.get(), 16, "the unstarted bodies were dropped");
     assert_eq!(HOOK_RAN.load(SeqCst), 0, "an abandoned fiber is not a panic");
 
     // A pool driven part-way: fiber 1 finishes, fiber 0 is owed the reply to
     // its second call when the pool drops. It catches the unwinding, and
     // its next `call` unwinds again without suspending.
     let locals = counter();
-    let fiber_locals = Arc::clone(&locals);
+    let fiber_locals = Rc::clone(&locals);
     let mut pool = FiberPool::<u32, u32>::spawn(2, move |pid, mut api| {
         if pid == 1 {
             assert_eq!(api.call(5), 6);
             return;
         }
-        let _local = Witness(Arc::clone(&fiber_locals));
+        let _local = Witness(Rc::clone(&fiber_locals));
         assert_eq!(api.call(1), 2);
         api.post(7);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| api.call(99)));
@@ -89,6 +90,6 @@ fn dropping_a_pool_unwinds_its_fibers_and_runs_no_panic_hook() {
     assert_eq!(pool.take_request(0), Some(99));
     assert_eq!((pool.live_count(), pool.is_finished(1)), (1, true));
     drop(pool);
-    assert_eq!(locals.load(SeqCst), 1, "the fiber owed a reply unwound");
+    assert_eq!(locals.get(), 1, "the fiber owed a reply unwound");
     assert_eq!(HOOK_RAN.load(SeqCst), 0, "an abandoned fiber is not a panic");
 }

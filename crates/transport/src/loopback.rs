@@ -29,12 +29,13 @@
 //! [`PairSequencer`](shasta_memchan::PairSequencer) state machine the
 //! simulated network's fault-injection admit guard uses.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use shasta_core::protocol::ProtoMsg;
@@ -189,17 +190,17 @@ impl Probed {
 /// consumed by a run — how the differential harness asserts that induced
 /// drops really exercised the retransmit path.
 #[derive(Clone, Debug)]
-pub struct WireCountsProbe(Arc<Mutex<Probed>>);
+pub struct WireCountsProbe(Rc<RefCell<Probed>>);
 
 impl WireCountsProbe {
     /// Snapshot of the tally right now.
     pub fn get(&self) -> WireCounts {
-        self.0.lock().unwrap().counts
+        self.0.borrow().counts
     }
 }
 
 /// Either flavor of connected stream socket.
-trait Sock: Read + Write + std::fmt::Debug + Send {
+trait Sock: Read + Write + std::fmt::Debug {
     fn set_nonblocking(&self) -> std::io::Result<()>;
 }
 
@@ -266,13 +267,13 @@ struct WireEventLog {
 /// Cloneable handle that drains recorded [`WireEvent`]s after the
 /// transport has been consumed by a run.
 #[derive(Clone, Debug)]
-pub struct WireEventsProbe(Arc<Mutex<Probed>>);
+pub struct WireEventsProbe(Rc<RefCell<Probed>>);
 
 impl WireEventsProbe {
     /// Takes every event recorded so far (subsequent calls see only newer
     /// ones).
     pub fn take(&self) -> Vec<WireEvent> {
-        match &mut self.0.lock().unwrap().events {
+        match &mut self.0.borrow_mut().events {
             Some(log) => std::mem::take(&mut log.events),
             None => Vec::new(),
         }
@@ -398,7 +399,7 @@ struct End {
 /// inside those two calls.
 #[derive(Debug)]
 pub(crate) struct Fabric {
-    probed: Arc<Mutex<Probed>>,
+    probed: Rc<RefCell<Probed>>,
     /// Every socket end, sorted by `(own, peer)` (see [`Fabric::end_ix`]).
     ends: Vec<End>,
     /// Decoded, in-order messages awaiting pickup, keyed by
@@ -541,7 +542,7 @@ impl Fabric {
         ends.sort_by_key(|e| (e.own, e.peer));
 
         Ok(Fabric {
-            probed: Arc::default(),
+            probed: Rc::default(),
             ends,
             inboxes: HashMap::new(),
             seqr: PairSequencer::new(nodes * nodes),
@@ -574,7 +575,7 @@ impl Fabric {
         self.probed()
             .events
             .get_or_insert_with(|| WireEventLog { epoch: Instant::now(), events: Vec::new() });
-        WireEventsProbe(Arc::clone(&self.probed))
+        WireEventsProbe(Rc::clone(&self.probed))
     }
 
     /// Which socket flavor this fabric runs over.
@@ -589,12 +590,12 @@ impl Fabric {
 
     /// A counts handle that outlives this fabric's owner.
     pub(crate) fn counts_probe(&self) -> WireCountsProbe {
-        WireCountsProbe(Arc::clone(&self.probed))
+        WireCountsProbe(Rc::clone(&self.probed))
     }
 
-    /// The probes' state; only a probe, copying it out, ever contends.
-    fn probed(&self) -> MutexGuard<'_, Probed> {
-        self.probed.lock().expect("no holder of the probe lock can panic")
+    /// The probes' state, borrowed for one update.
+    fn probed(&self) -> RefMut<'_, Probed> {
+        self.probed.borrow_mut()
     }
 
     /// Index into `ends` of node `own`'s end of its connection with `peer`.

@@ -26,7 +26,7 @@ fn main() {
 
     let bodies = (0..16u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            move |mut dsm: Dsm| {
                 // Processor 0 produces a message.
                 if p == 0 {
                     for i in 0..32u64 {
@@ -54,7 +54,7 @@ fn main() {
                     assert_eq!(dsm.load_u64(counter), 160);
                 }
                 dsm.barrier(2);
-            }) as Box<dyn FnOnce(Dsm) + Send>
+            }
         })
         .collect();
 

@@ -27,6 +27,15 @@ if git grep -nE '\bBinaryHeap\b' -- crates/memchan/src crates/core/src; then
   exit 1
 fi
 
+echo "==> no thread-safety machinery on the run's one thread"
+# A run is one thread (docs/ARCHITECTURE.md): values only it touches are
+# Rc/Cell/RefCell, so a cross-thread use fails to compile instead of racing.
+if git grep -nE '\b(Arc|Mutex|RwLock|Atomic[A-Za-z0-9]*)\b' -- \
+  crates/core/src crates/apps/src crates/memchan/src crates/obs/src crates/sim/src; then
+  echo "Arc/Mutex/RwLock/atomics in crates/{core,apps,memchan,obs,sim}/src"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -9,13 +9,15 @@
 //! the machine's post-run audit additionally checks directory/state-table
 //! agreement and copy equality.
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use shasta::cluster::{CostModel, Topology};
 use shasta::core::api::Dsm;
 use shasta::core::protocol::{Machine, ProtocolConfig};
 use shasta::core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 #[derive(Clone, Debug)]
 struct Phase {
@@ -49,10 +51,10 @@ fn run_program(
     let topo = Topology::new(procs, procs.min(4), clustering).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 20);
     let base = m.setup(|s| s.malloc(64 * slots as u64, hint, HomeHint::RoundRobin));
-    let phases: std::sync::Arc<Vec<Phase>> = std::sync::Arc::new(phases.to_vec());
+    let phases: Rc<Vec<Phase>> = Rc::new(phases.to_vec());
     let bodies: Vec<Body> = (0..procs)
         .map(|p| {
-            let phases = std::sync::Arc::clone(&phases);
+            let phases = Rc::clone(&phases);
             Box::new(move |mut dsm: Dsm| {
                 for (i, phase) in phases.iter().enumerate() {
                     for (slot, &w) in phase.writers.iter().enumerate() {

@@ -16,7 +16,7 @@ use shasta::core::space::{BlockHint, HomeHint};
 use shasta::fgdsm;
 use shasta::stats::MsgClass;
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
+type Body = Box<dyn FnOnce(Dsm)>;
 
 /// Figure 2(a)/(b): processors with exclusive private state keep loading
 /// and storing while their node is downgraded; the data shipped to the
