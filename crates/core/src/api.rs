@@ -110,6 +110,23 @@ impl Req {
             | Req::Poll { pre_cycles } => pre_cycles,
         }
     }
+
+    /// The range whose coherence blocks a memory access needs, as
+    /// `(addr, len)`: a range access's whole range, a scalar access's first
+    /// byte (it is checked against that byte's block). `None` for
+    /// synchronization and polls.
+    pub fn block_span(&self) -> Option<(Addr, u64)> {
+        match *self {
+            Req::Load { addr, .. } | Req::Store { addr, .. } => Some((addr, 1)),
+            Req::ReadRange { addr, len, .. } => Some((addr, len)),
+            Req::WriteRange { addr, ref data, .. } => Some((addr, data.len() as u64)),
+            Req::Acquire { .. }
+            | Req::Release { .. }
+            | Req::Fence { .. }
+            | Req::Barrier { .. }
+            | Req::Poll { .. } => None,
+        }
+    }
 }
 
 /// A reply from the protocol engine to application code.
@@ -205,7 +222,12 @@ impl Dsm {
 
     /// Batched read of `len` bytes at `addr` (a Shasta batch: one check
     /// sequence covering the range, then unchecked accesses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero, in every protocol mode.
     pub fn read_range(&mut self, addr: Addr, len: u64) -> Vec<u8> {
+        assert!(len > 0, "empty range read at shared address {addr:#x}");
         let pre_cycles = self.take_cycles();
         match self.api.call(Req::ReadRange { addr, len, pre_cycles }) {
             Resp::Data(d) => d,
@@ -213,18 +235,24 @@ impl Dsm {
         }
     }
 
-    /// Batched read of `n` consecutive `f64`s at `addr`.
+    /// Batched read of `n` consecutive `f64`s at `addr`; panics if `n` is
+    /// zero, as [`Dsm::read_range`] does.
     pub fn read_f64s(&mut self, addr: Addr, n: usize) -> Vec<f64> {
         let bytes = self.read_range(addr, (n * 8) as u64);
         bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
     }
 
     /// Batched write of `data` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is empty, in every protocol mode.
     pub fn write_range(&mut self, addr: Addr, data: &[u8]) {
         self.write_owned(addr, data.to_vec());
     }
 
-    /// Batched write of consecutive `f64`s at `addr`.
+    /// Batched write of consecutive `f64`s at `addr`; panics if `values` is
+    /// empty, as [`Dsm::write_range`] does.
     pub fn write_f64s(&mut self, addr: Addr, values: &[f64]) {
         let mut bytes = Vec::with_capacity(values.len() * 8);
         for v in values {
@@ -234,6 +262,7 @@ impl Dsm {
     }
 
     fn write_owned(&mut self, addr: Addr, data: Vec<u8>) {
+        assert!(!data.is_empty(), "empty range write at shared address {addr:#x}");
         let pre_cycles = self.take_cycles();
         self.api.post(Req::WriteRange { addr, data, pre_cycles });
     }

@@ -19,6 +19,16 @@ use std::collections::VecDeque;
 use crate::misstable::ReqKind;
 use crate::space::Addr;
 
+/// The processors of a set held as a mask (bit *p* = processor *p*), lowest
+/// first.
+pub(crate) fn procs_in(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let p = (mask != 0).then(|| mask.trailing_zeros())?;
+        mask &= mask - 1;
+        Some(p)
+    })
+}
+
 /// A request deferred while the directory entry was busy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct QueuedReq {
@@ -77,12 +87,7 @@ impl DirEntry {
 
     /// Iterator over current sharers, in processor order.
     pub fn sharer_list(&self) -> impl Iterator<Item = u32> + use<> {
-        let mut bits = self.sharers;
-        std::iter::from_fn(move || {
-            let p = (bits != 0).then(|| bits.trailing_zeros())?;
-            bits &= bits - 1;
-            Some(p)
-        })
+        procs_in(self.sharers)
     }
 
     /// Number of sharers.

@@ -12,9 +12,13 @@
 //!
 //! Unlike the real implementation — where merged store *values* already live
 //! in node memory and the reply merge just skips those ranges — the
-//! simulator records the store bytes in the entry, because an intervening
+//! simulator records each merged store in the entry, because an intervening
 //! invalidation writes flag values over node memory; re-applying recorded
 //! stores after the reply fill reproduces the real memory image.
+//!
+//! An entry's lists outlive it: the table keeps a retired entry's emptied
+//! store and forward lists and hands them to the entries it inserts next, so
+//! a node in steady state records merged stores without allocating.
 
 use std::collections::BTreeMap;
 
@@ -46,13 +50,16 @@ pub enum ReqKind {
     Upgrade,
 }
 
-/// A store merged into a pending entry: address and the bytes written.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+/// A scalar store merged into a pending entry: its `size` low-order bytes
+/// of `value`, little-endian, at `addr`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct StoreRecord {
     /// Target address of the store.
     pub addr: Addr,
-    /// The stored bytes.
-    pub data: Vec<u8>,
+    /// Bytes stored (at most 8).
+    pub size: u8,
+    /// The stored value.
+    pub value: u64,
 }
 
 /// One outstanding request for a block.
@@ -110,17 +117,19 @@ impl MissEntry {
         self.replied && self.early_acks >= self.acks_expected
     }
 
-    /// Records a store into the entry.
-    pub fn merge_store(&mut self, addr: Addr, data: Vec<u8>) {
-        self.stores.push(StoreRecord { addr, data });
+    /// Records a store of `size` bytes of `value` at `addr` into the entry.
+    pub fn merge_store(&mut self, addr: Addr, size: u8, value: u64) {
+        self.stores.push(StoreRecord { addr, size, value });
     }
 
-    /// Re-applies merged stores over freshly filled block data. `buf` holds
-    /// the block contents starting at `self.block.start`.
+    /// Re-applies merged stores, in the order they were made, over freshly
+    /// filled block data. `buf` holds the block contents starting at
+    /// `self.block.start`.
     pub fn apply_stores(&self, buf: &mut [u8]) {
         for s in &self.stores {
             let off = (s.addr - self.block.start) as usize;
-            buf[off..off + s.data.len()].copy_from_slice(&s.data);
+            let n = usize::from(s.size);
+            buf[off..off + n].copy_from_slice(&s.value.to_le_bytes()[..n]);
         }
     }
 }
@@ -180,12 +189,21 @@ impl EpochTracker {
     }
 }
 
+/// Emptied lists a table keeps for its next entries: at most the engine's
+/// processor limit of each kind, more than a node has entries outstanding
+/// under the default store limit.
+const MAX_SPARE_LISTS: usize = 64;
+
 /// The per-node miss table: the node's outstanding requests in issue order,
 /// found by block start. A node holds only its outstanding requests (a few
 /// per processor), so a scan beats hashing.
 #[derive(Clone, Debug, Default)]
 pub struct MissTable {
     entries: Vec<MissEntry>,
+    /// Retired entries' emptied store lists, for the next entries.
+    spare_stores: Vec<Vec<StoreRecord>>,
+    /// Retired entries' emptied forward lists, for the next entries.
+    spare_fwds: Vec<Vec<QueuedFwd>>,
 }
 
 impl MissTable {
@@ -208,21 +226,42 @@ impl MissTable {
         self.entries.iter_mut().find(|e| e.block.start == block_start)
     }
 
-    /// Inserts a fresh entry, last in issue order.
+    /// Inserts an entry, last in issue order. An entry without room for
+    /// stores or forwards takes a retired entry's emptied lists.
     ///
     /// # Panics
     ///
     /// Panics if an entry for the block already exists (requests for a block
     /// must merge, never duplicate).
-    pub fn insert(&mut self, entry: MissEntry) {
+    pub fn insert(&mut self, mut entry: MissEntry) {
         assert!(self.position(entry.block.start).is_none(), "duplicate miss entry for block");
+        if entry.stores.capacity() == 0 {
+            entry.stores = self.spare_stores.pop().unwrap_or_default();
+        }
+        if entry.queued_fwds.capacity() == 0 {
+            entry.queued_fwds = self.spare_fwds.pop().unwrap_or_default();
+        }
         self.entries.push(entry);
     }
 
     /// Removes and returns the entry for `block_start`; the others keep
-    /// their issue order.
+    /// their issue order. Hand it to [`MissTable::retire`] once done with it.
     pub fn remove(&mut self, block_start: Addr) -> Option<MissEntry> {
         Some(self.entries.remove(self.position(block_start)?))
+    }
+
+    /// Takes back a removed entry's lists, emptied, for the entries inserted
+    /// next.
+    pub fn retire(&mut self, entry: MissEntry) {
+        let MissEntry { mut stores, mut queued_fwds, .. } = entry;
+        if stores.capacity() > 0 && self.spare_stores.len() < MAX_SPARE_LISTS {
+            stores.clear();
+            self.spare_stores.push(stores);
+        }
+        if queued_fwds.capacity() > 0 && self.spare_fwds.len() < MAX_SPARE_LISTS {
+            queued_fwds.clear();
+            self.spare_fwds.push(queued_fwds);
+        }
     }
 
     /// Number of outstanding entries.
@@ -281,8 +320,8 @@ mod tests {
     #[test]
     fn store_merge_and_apply() {
         let mut e = MissEntry::new(block(), ReqKind::Write, 0, 0);
-        e.merge_store(0x2004, vec![0xAA, 0xBB]);
-        e.merge_store(0x2000, vec![0x11]);
+        e.merge_store(0x2004, 2, 0xBBAA);
+        e.merge_store(0x2000, 1, 0x11);
         let mut buf = vec![0u8; 64];
         e.apply_stores(&mut buf);
         assert_eq!(buf[0], 0x11);
@@ -294,8 +333,8 @@ mod tests {
     #[test]
     fn later_stores_win_overlaps() {
         let mut e = MissEntry::new(block(), ReqKind::Write, 0, 0);
-        e.merge_store(0x2000, vec![1, 1]);
-        e.merge_store(0x2000, vec![2, 2]);
+        e.merge_store(0x2000, 2, 0x0101);
+        e.merge_store(0x2000, 2, 0x0202);
         let mut buf = vec![0u8; 64];
         e.apply_stores(&mut buf);
         assert_eq!(&buf[..2], &[2, 2]);
@@ -356,6 +395,22 @@ mod tests {
         t.get_mut(0x2000).unwrap().early_acks = 2;
         assert_eq!(t.get(0x2000).unwrap().early_acks, 2);
         assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn a_retired_entry_hands_its_emptied_lists_to_the_next() {
+        let mut t = MissTable::new();
+        t.insert(MissEntry::new(block(), ReqKind::Write, 0, 0));
+        let e = t.get_mut(0x2000).unwrap();
+        e.merge_store(0x2008, 8, 7);
+        e.queued_fwds.push(QueuedFwd { requester: 1, exclusive: true, acks_expected: 0 });
+        let (stores, fwds) = (e.stores.as_ptr(), e.queued_fwds.as_ptr());
+        let e = t.remove(0x2000).unwrap();
+        t.retire(e);
+        t.insert(MissEntry::new(Block { start: 0x2040, len: 64 }, ReqKind::Read, 2, 0));
+        let next = t.get(0x2040).unwrap();
+        assert!(next.stores.is_empty() && next.queued_fwds.is_empty());
+        assert_eq!((next.stores.as_ptr(), next.queued_fwds.as_ptr()), (stores, fwds));
     }
 
     #[test]

@@ -135,32 +135,20 @@ impl Machine {
             }
             _ => {}
         }
-        match op {
-            Req::Load { addr, .. } | Req::Store { addr, .. } => {
-                let block = self.space.block_of(*addr).expect("observed access is allocated");
+        if let Some((addr, len)) = op.block_span() {
+            for block in self.space.blocks_in(addr, len) {
                 self.oracle_check_block(p, block);
             }
-            Req::ReadRange { addr, len, .. } => {
-                for block in self.space.blocks_in(*addr, *len) {
-                    self.oracle_check_block(p, block);
-                }
-            }
-            Req::WriteRange { addr, data, .. } => {
-                for block in self.space.blocks_in(*addr, data.len() as u64) {
-                    self.oracle_check_block(p, block);
-                }
-            }
-            _ => {}
         }
     }
 
     /// Per-block invariants checked at every observation point.
     pub(crate) fn oracle_check_block(&self, p: u32, block: Block) {
-        // Single-writer exclusivity across virtual nodes.
-        let exclusive: Vec<usize> = (0..self.mems.len())
-            .filter(|&v| self.block_state(v, block) == LineState::Exclusive)
-            .collect();
-        if exclusive.len() > 1 {
+        // Single-writer exclusivity across virtual nodes, counted; the
+        // nodes are listed only for the diagnosis.
+        let holds = |v: &usize| self.block_state(*v, block) == LineState::Exclusive;
+        if (0..self.mems.len()).filter(holds).count() > 1 {
+            let exclusive: Vec<usize> = (0..self.mems.len()).filter(holds).collect();
             self.oracle_violation(
                 p,
                 format!(

@@ -450,10 +450,11 @@ impl Machine {
     /// Whether `p`'s stall condition is satisfied.
     fn stall_satisfied(&self, p: u32, stall: &Stall) -> bool {
         match &stall.kind {
-            StallKind::Miss { blocks, .. } => {
+            StallKind::Miss { op, .. } => {
                 let v = self.vnode(p);
-                blocks.iter().all(|b| {
-                    let s = self.block_state(v, *b);
+                let (addr, len) = op.block_span().expect("a miss stalls an access");
+                self.space.blocks_in(addr, len).all(|b| {
+                    let s = self.block_state(v, b);
                     !s.pending() && !s.downgrading()
                 })
             }
@@ -733,7 +734,7 @@ impl Machine {
                 }
                 self.begin_stall(
                     p,
-                    StallKind::Miss { op: op.clone(), blocks: vec![block], is_read: true },
+                    StallKind::Miss { op: op.clone(), is_read: true },
                     TimeCat::Read,
                 );
                 self.pay(p, TimeCat::Read, self.smp_lock());
@@ -742,7 +743,7 @@ impl Machine {
             LineState::Invalid => {
                 self.begin_stall(
                     p,
-                    StallKind::Miss { op: op.clone(), blocks: vec![block], is_read: true },
+                    StallKind::Miss { op: op.clone(), is_read: true },
                     TimeCat::Read,
                 );
                 self.issue_request(p, block, ReqKind::Read);
@@ -852,7 +853,7 @@ impl Machine {
                     // miss on the invalid block.
                     self.begin_stall(
                         p,
-                        StallKind::Miss { op: op.clone(), blocks: vec![block], is_read: false },
+                        StallKind::Miss { op: op.clone(), is_read: false },
                         TimeCat::Write,
                     );
                     self.pay(p, TimeCat::Write, self.smp_lock());
@@ -866,16 +867,15 @@ impl Machine {
                     }
                     self.pay(p, TimeCat::Other, self.smp_lock() + self.cost.miss_entry_cycles);
                     self.mems[v].write_scalar(addr, size, value);
-                    let bytes = value.to_le_bytes()[..size as usize].to_vec();
                     self.miss[v]
                         .get_mut(block.start)
                         .expect("pending state without miss entry")
-                        .merge_store(addr, bytes);
+                        .merge_store(addr, size, value);
                     Some(Resp::Unit)
                 } else {
                     self.begin_stall(
                         p,
-                        StallKind::Miss { op: op.clone(), blocks: vec![block], is_read: false },
+                        StallKind::Miss { op: op.clone(), is_read: false },
                         TimeCat::Write,
                     );
                     None
@@ -888,17 +888,16 @@ impl Machine {
                     }
                     self.pay(p, TimeCat::Other, self.smp_lock() + self.cost.miss_entry_cycles);
                     self.mems[v].write_scalar(addr, size, value);
-                    let bytes = value.to_le_bytes()[..size as usize].to_vec();
                     let e = self.miss[v]
                         .get_mut(block.start)
                         .expect("pending state without miss entry");
-                    e.merge_store(addr, bytes);
+                    e.merge_store(addr, size, value);
                     e.wants_exclusive = true;
                     Some(Resp::Unit)
                 } else {
                     self.begin_stall(
                         p,
-                        StallKind::Miss { op: op.clone(), blocks: vec![block], is_read: false },
+                        StallKind::Miss { op: op.clone(), is_read: false },
                         TimeCat::Write,
                     );
                     None
@@ -922,8 +921,7 @@ impl Machine {
                     // the reply merge.
                     self.mems[v].write_scalar(addr, size, value);
                     if let Some(e) = self.miss[v].get_mut(block.start) {
-                        let bytes = value.to_le_bytes()[..size as usize].to_vec();
-                        e.merge_store(addr, bytes);
+                        e.merge_store(addr, size, value);
                     } else {
                         debug_assert!(self.block_state(v, block).writable());
                     }
@@ -931,7 +929,7 @@ impl Machine {
                 } else {
                     self.begin_stall(
                         p,
-                        StallKind::Miss { op: op.clone(), blocks: vec![block], is_read: false },
+                        StallKind::Miss { op: op.clone(), is_read: false },
                         TimeCat::Write,
                     );
                     self.issue_request(p, block, kind);
@@ -999,21 +997,19 @@ impl Machine {
     // Batched (range) accesses
     // ------------------------------------------------------------------
 
-    /// Classifies the blocks of a range for a batched access, requesting any
-    /// missing ones. Returns the blocks still pending (empty = ready).
-    /// `addr`/`len` describe the full access range, so each insufficient
-    /// block can report the touched span it contributes.
-    fn prepare_range(
-        &mut self,
-        p: u32,
-        blocks: &[Block],
-        write: bool,
-        addr: Addr,
-        len: u64,
-    ) -> Vec<Block> {
+    /// Classifies the blocks of a range for a batched access, in address
+    /// order, requesting any missing ones. Returns whether any block is
+    /// still pending (none = ready). `addr`/`len` is the full access range,
+    /// so each insufficient block can report the touched span it
+    /// contributes.
+    fn prepare_range(&mut self, p: u32, write: bool, addr: Addr, len: u64) -> bool {
         let v = self.vnode(p);
-        let mut waiting = Vec::new();
-        for &block in blocks {
+        let mut pending = false;
+        let end = addr + len;
+        let mut next = addr;
+        while next < end {
+            let block = self.block_of(next);
+            next = block.start + block.len;
             let state = self.block_state(v, block);
             let sufficient = if write { state.writable() } else { state.readable() };
             if sufficient {
@@ -1036,7 +1032,7 @@ impl Machine {
             // The batch check missed on this block: report the span of the
             // range that falls inside it (what the sharing profiler uses).
             let lo = addr.max(block.start);
-            let hi = (addr + len).min(block.start + block.len);
+            let hi = end.min(block.start + block.len);
             let miss_id = self.begin_miss_context();
             self.obs_event(
                 p,
@@ -1055,7 +1051,7 @@ impl Machine {
                     }
                     // A write needs exclusivity; a pending read will not
                     // grant it, but the wake-and-retry loop re-requests.
-                    waiting.push(block);
+                    pending = true;
                 }
                 LineState::PendingDgShared | LineState::PendingDgInvalid => {
                     if !write && state == LineState::PendingDgShared {
@@ -1067,23 +1063,23 @@ impl Machine {
                         // last downgrader writes flags; readable now.
                         continue;
                     }
-                    waiting.push(block);
+                    pending = true;
                 }
                 LineState::Invalid => {
                     let kind = if write { ReqKind::Write } else { ReqKind::Read };
                     self.issue_request(p, block, kind);
-                    waiting.push(block);
+                    pending = true;
                 }
                 LineState::Shared => {
                     debug_assert!(write, "shared is readable");
                     self.issue_request(p, block, ReqKind::Upgrade);
-                    waiting.push(block);
+                    pending = true;
                 }
                 LineState::Exclusive => unreachable!("exclusive is sufficient"),
             }
         }
         self.set_trace_context(0);
-        waiting
+        pending
     }
 
     fn charge_batch(&mut self, p: u32, addr: Addr, len: u64, loads_only: bool) {
@@ -1107,17 +1103,11 @@ impl Machine {
         if !retry {
             self.charge_batch(p, addr, len, true);
         }
-        let blocks = self.space.blocks_in(addr, len);
-        let waiting = self.prepare_range(p, &blocks, false, addr, len);
-        if waiting.is_empty() {
+        if !self.prepare_range(p, false, addr, len) {
             let v = self.vnode(p);
             return Some(Resp::Data(self.mems[v].read(addr, len).to_vec()));
         }
-        self.begin_stall(
-            p,
-            StallKind::Miss { op: op.clone(), blocks, is_read: true },
-            TimeCat::Read,
-        );
+        self.begin_stall(p, StallKind::Miss { op: op.clone(), is_read: true }, TimeCat::Read);
         None
     }
 
@@ -1132,18 +1122,12 @@ impl Machine {
         if !retry {
             self.charge_batch(p, addr, data.len() as u64, false);
         }
-        let blocks = self.space.blocks_in(addr, data.len() as u64);
-        let waiting = self.prepare_range(p, &blocks, true, addr, data.len() as u64);
-        if waiting.is_empty() {
+        if !self.prepare_range(p, true, addr, data.len() as u64) {
             let v = self.vnode(p);
             self.mems[v].write(addr, data);
             return Some(Resp::Unit);
         }
-        self.begin_stall(
-            p,
-            StallKind::Miss { op: op.clone(), blocks, is_read: false },
-            TimeCat::Write,
-        );
+        self.begin_stall(p, StallKind::Miss { op: op.clone(), is_read: false }, TimeCat::Write);
         None
     }
 
@@ -1197,11 +1181,13 @@ impl Machine {
                 info.arrived += 1;
                 if info.arrived == procs {
                     info.arrived = 0;
-                    let waiting = std::mem::take(&mut info.waiting);
-                    for w in waiting {
+                    let mut waiting = std::mem::take(&mut info.waiting);
+                    for &w in &waiting {
                         grant(&mut self.barrier_done[w as usize], id);
                         self.bump_wake(w, now);
                     }
+                    waiting.clear();
+                    self.barriers.get_mut(&id).expect("entered above").waiting = waiting;
                     Some(Resp::Unit)
                 } else {
                     info.waiting.push(p);

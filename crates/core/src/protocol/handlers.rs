@@ -5,10 +5,11 @@
 use shasta_obs::DowngradeAction;
 use shasta_stats::TimeCat;
 
-use crate::misstable::ReqKind;
+use crate::directory::procs_in;
+use crate::misstable::{QueuedFwd, ReqKind};
 use crate::protocol::config::Mode;
 use crate::protocol::engine::{miss_kind_of, priv_ceiling};
-use crate::protocol::machine::{grant, DowngradeEntry, LingeringAcks, Machine};
+use crate::protocol::machine::{grant, DowngradeEntry, LingeringAcks, Machine, MAX_SPARE_BUFS};
 use crate::protocol::msg::{DirUpdate, DowngradeTo, ProtoMsg};
 use crate::space::Block;
 use crate::state::LineState;
@@ -140,7 +141,7 @@ impl Machine {
         let entry = self.dir.entry(block.start);
         if !entry.exclusive && home_serves {
             entry.add_sharer(requester);
-            let data = self.mems[hv].read(block.start, block.len).to_vec();
+            let data = self.block_copy(hv, block);
             self.post(exec, requester, ProtoMsg::ReadReply { block, data });
             return;
         }
@@ -196,18 +197,18 @@ impl Machine {
             entry.sharer_list().all(other_node),
             "write request from a node still listed as sharer"
         );
-        let to_inval: Vec<u32> = entry
+        let to_inval = entry
             .sharer_list()
             .filter(|&s| other_node(s) && (home_has_copy || s != owner))
-            .collect();
+            .fold(0u64, |set, s| set | 1 << s);
         if home_has_copy {
             entry.grant_exclusive(requester);
         } else {
             entry.busy = true;
         }
-        let acks = to_inval.len() as u32;
+        let acks = to_inval.count_ones();
         if home_has_copy {
-            let data = self.mems[hv].read(block.start, block.len).to_vec();
+            let data = self.block_copy(hv, block);
             self.post(exec, requester, ProtoMsg::WriteReply { block, data, acks_expected: acks });
             self.invalidate_sharers(exec, block, requester, to_inval);
         } else {
@@ -225,7 +226,7 @@ impl Machine {
                     },
                 );
             }
-            for s in to_inval {
+            for s in procs_in(to_inval) {
                 self.post(exec, s, ProtoMsg::InvalidateReq { block, ack_to: requester });
             }
         }
@@ -244,10 +245,12 @@ impl Machine {
             self.home_write(exec, home, requester, block);
             return;
         }
-        let sharers: Vec<u32> =
-            entry.sharer_list().filter(|&s| topo.virt_node_of(s) != rv).collect();
+        let sharers = entry
+            .sharer_list()
+            .filter(|&s| topo.virt_node_of(s) != rv)
+            .fold(0u64, |set, s| set | 1 << s);
         entry.grant_exclusive(requester);
-        let acks = sharers.len() as u32;
+        let acks = sharers.count_ones();
         self.post(exec, requester, ProtoMsg::UpgradeReply { block, acks_expected: acks });
         self.invalidate_sharers(exec, block, requester, sharers);
     }
@@ -278,7 +281,7 @@ impl Machine {
             }
             LineState::Shared => {
                 // Shared-mode forward: no downgrade needed, serve directly.
-                let data = self.mems[v].read(block.start, block.len).to_vec();
+                let data = self.block_copy(v, block);
                 let home = self.home_proc(block);
                 self.post(owner, requester, ProtoMsg::ReadReply { block, data });
                 self.post(
@@ -298,7 +301,7 @@ impl Machine {
                     // is queued at the home *behind this very transaction*:
                     // the node's data is current in home serialization
                     // order, so serve the read now — waiting would deadlock.
-                    let data = self.mems[v].read(block.start, block.len).to_vec();
+                    let data = self.block_copy(v, block);
                     let home = self.home_proc(block);
                     self.post(owner, requester, ProtoMsg::ReadReply { block, data });
                     self.post(
@@ -317,11 +320,7 @@ impl Machine {
                         .get_mut(block.start)
                         .expect("pending state without entry")
                         .queued_fwds
-                        .push(crate::misstable::QueuedFwd {
-                            requester,
-                            exclusive: false,
-                            acks_expected: 0,
-                        });
+                        .push(QueuedFwd { requester, exclusive: false, acks_expected: 0 });
                 }
             }
             other => panic!(
@@ -367,7 +366,7 @@ impl Machine {
                 // upgrade will be converted to a read-exclusive by the home
                 // once it sees we are no longer a sharer. Waiting would
                 // deadlock (our reply is queued behind this transaction).
-                let data = self.mems[v].read(block.start, block.len).to_vec();
+                let data = self.block_copy(v, block);
                 let home = self.home_proc(block);
                 self.post(owner, requester, ProtoMsg::WriteReply { block, data, acks_expected });
                 self.post(
@@ -388,11 +387,7 @@ impl Machine {
                     .get_mut(block.start)
                     .expect("pending state without entry")
                     .queued_fwds
-                    .push(crate::misstable::QueuedFwd {
-                        requester,
-                        exclusive: true,
-                        acks_expected,
-                    });
+                    .push(QueuedFwd { requester, exclusive: true, acks_expected });
             }
             return;
         }
@@ -433,7 +428,7 @@ impl Machine {
             block.start
         );
         let prior = self.block_state(v, block);
-        let mut targets = Vec::new();
+        let mut targets = 0u64;
         if self.topo.clustering() > 1 {
             for q in self.topo.virt_node_procs(shasta_cluster::NodeId(v as u32)) {
                 let q = q.0;
@@ -453,7 +448,7 @@ impl Machine {
                     true
                 };
                 if needs {
-                    targets.push(q);
+                    targets |= 1 << q;
                 }
             }
         }
@@ -465,10 +460,10 @@ impl Machine {
             shasta_obs::EventKind::DowngradeStart {
                 block: block.start,
                 to_invalid: to == DowngradeTo::Invalid,
-                targets: targets.len() as u32,
+                targets: targets.count_ones(),
             },
         );
-        if targets.is_empty() {
+        if targets == 0 {
             self.complete_downgrade(x, block, to, deferred, None);
         } else {
             self.pay(x, TimeCat::Other, self.cost.downgrade_setup_cycles);
@@ -485,12 +480,12 @@ impl Machine {
             let early_data = (self.cfg.bug
                 == crate::protocol::config::BugInjection::SkipDowngradeWait
                 && !matches!(deferred, DowngradeAction::InvAck { .. }))
-            .then(|| self.mems[v].read(block.start, block.len).to_vec());
+            .then(|| self.block_copy(v, block));
             self.downgrades[v].push(
                 block.start,
-                DowngradeEntry { remaining: targets.len() as u32, to, deferred, prior, early_data },
+                DowngradeEntry { remaining: targets.count_ones(), to, deferred, prior, early_data },
             );
-            for q in targets {
+            for q in procs_in(targets) {
                 self.post(x, q, ProtoMsg::Downgrade { block, to });
             }
         }
@@ -533,9 +528,9 @@ impl Machine {
         // Capture data before any flag writes. `early_data` (bug injection
         // only) substitutes a stale pre-downgrade snapshot here.
         let data = match deferred {
-            DowngradeAction::ReadReply { .. } | DowngradeAction::WriteReply { .. } => Some(
-                early_data.unwrap_or_else(|| self.mems[v].read(block.start, block.len).to_vec()),
-            ),
+            DowngradeAction::ReadReply { .. } | DowngradeAction::WriteReply { .. } => {
+                Some(early_data.unwrap_or_else(|| self.block_copy(v, block)))
+            }
             DowngradeAction::InvAck { .. } => None,
         };
         match to {
@@ -597,13 +592,14 @@ impl Machine {
     // Invalidations and acknowledgements
     // ------------------------------------------------------------------
 
-    /// Invalidates `sharers`' copies of `block` for the writer `ack_to`, from
+    /// Invalidates the copies of `block` that the processors in the mask
+    /// `sharers` hold, lowest first, for the writer `ack_to`, from
     /// the home's node (`exec` acts for the home): a remote sharer by
     /// message, the home's own node in place, with the same state dispatch
     /// as a remote invalidation (the node may have a pending request, in
     /// which case the invalidation is deferred to the reply).
-    fn invalidate_sharers(&mut self, exec: u32, block: Block, ack_to: u32, sharers: Vec<u32>) {
-        for s in sharers {
+    fn invalidate_sharers(&mut self, exec: u32, block: Block, ack_to: u32, sharers: u64) {
+        for s in procs_in(sharers) {
             if self.vnode(s) == self.vnode(exec) {
                 let kind = shasta_obs::EventKind::HomeInvalidate { block: block.start, ack_to };
                 self.obs_event(exec, kind);
@@ -754,6 +750,7 @@ impl Machine {
         let mut buf = data;
         entry.apply_stores(&mut buf);
         self.mems[v].write(block.start, &buf);
+        self.give_back(buf);
         self.set_block_state(v, block, LineState::Shared);
         self.obs_state(p, block, LineState::Shared);
         self.set_priv(p, block, crate::state::PrivState::Shared);
@@ -791,9 +788,10 @@ impl Machine {
             // Re-apply merged stores in case the deferred invalidation wiped
             // them; they stay recorded for the exclusive reply merge.
             if kind == ReqKind::Upgrade {
-                let mut cur = self.mems[v].read(block.start, block.len).to_vec();
+                let mut cur = self.block_copy(v, block);
                 entry.apply_stores(&mut cur);
                 self.mems[v].write(block.start, &cur);
+                self.give_back(cur);
             }
             self.set_block_state(v, block, LineState::PendingWrite);
             self.obs_state(p, block, LineState::PendingWrite);
@@ -814,6 +812,8 @@ impl Machine {
             } else {
                 self.post(p, home, msg);
             }
+        } else {
+            self.miss[v].retire(entry);
         }
     }
 
@@ -839,6 +839,7 @@ impl Machine {
         let mut buf = data;
         entry.apply_stores(&mut buf);
         self.mems[v].write(block.start, &buf);
+        self.give_back(buf);
         self.set_block_state(v, block, LineState::Exclusive);
         self.obs_state(p, block, LineState::Exclusive);
         self.set_priv(p, block, crate::state::PrivState::Exclusive);
@@ -864,7 +865,8 @@ impl Machine {
                 requester: entry.requester,
             });
         }
-        self.drain_queued_fwds(p, block, std::mem::take(&mut entry.queued_fwds));
+        self.drain_queued_fwds(p, block, &entry.queued_fwds);
+        self.miss[v].retire(entry);
     }
 
     fn handle_upgrade_reply(&mut self, p: u32, src: u32, block: Block, acks: u32) {
@@ -905,12 +907,13 @@ impl Machine {
                 requester: entry.requester,
             });
         }
-        self.drain_queued_fwds(p, block, std::mem::take(&mut entry.queued_fwds));
+        self.drain_queued_fwds(p, block, &entry.queued_fwds);
+        self.miss[v].retire(entry);
     }
 
     /// Services forwards that raced ahead of the reply that made this node
     /// the owner, in arrival order.
-    fn drain_queued_fwds(&mut self, p: u32, block: Block, fwds: Vec<crate::misstable::QueuedFwd>) {
+    fn drain_queued_fwds(&mut self, p: u32, block: Block, fwds: &[QueuedFwd]) {
         for f in fwds {
             if f.exclusive {
                 self.start_downgrade(
@@ -964,10 +967,31 @@ impl Machine {
         info.waiting.push(src);
         if info.arrived == procs {
             info.arrived = 0;
-            let waiting = std::mem::take(&mut info.waiting);
-            for w in waiting {
+            // The list keeps its room for the next episode: releasing a
+            // waiter never arrives at a barrier, so nothing joins it meanwhile.
+            let mut waiting = std::mem::take(&mut info.waiting);
+            for &w in &waiting {
                 self.post(mgr, w, ProtoMsg::BarrierGo { id });
             }
+            waiting.clear();
+            self.barriers.get_mut(&id).expect("entered above").waiting = waiting;
+        }
+    }
+
+    /// A copy of node `v`'s image of `block`, for a data reply, in a buffer
+    /// from the spare list when it has one.
+    fn block_copy(&mut self, v: usize, block: Block) -> Vec<u8> {
+        let mut buf = self.spare_bufs.pop().unwrap_or_default();
+        buf.extend_from_slice(self.mems[v].read(block.start, block.len));
+        buf
+    }
+
+    /// Keeps an emptied data buffer for the next [`Machine::block_copy`],
+    /// while the spare list has room.
+    fn give_back(&mut self, mut buf: Vec<u8>) {
+        if self.spare_bufs.len() < MAX_SPARE_BUFS {
+            buf.clear();
+            self.spare_bufs.push(buf);
         }
     }
 

@@ -88,6 +88,10 @@ const FAULTS_NEED_NO_WIRE: &str = "simulated fault plans do not compose with a r
      own loss/retransmit machinery (the loopback transport's DropPlan); install the FaultPlan \
      on a machine without a transport instead";
 
+/// Data-reply buffers a machine keeps for reuse: the engine's processor
+/// limit, as many replies as its processors can each await at once.
+pub(crate) const MAX_SPARE_BUFS: usize = 64;
+
 /// Adds `id` to a processor's granted locks or released barriers, once.
 pub(crate) fn grant(ids: &mut Vec<u32>, id: u32) {
     if !ids.contains(&id) {
@@ -98,12 +102,12 @@ pub(crate) fn grant(ids: &mut Vec<u32>, id: u32) {
 /// Why a processor is stalled, and what to do when it can make progress.
 #[derive(Clone, PartialEq, Debug)]
 pub enum StallKind {
-    /// Waiting for block state so the recorded operation can be retried.
+    /// Waiting for block state so the recorded operation can be retried:
+    /// every block it touches ([`Req::block_span`]) must leave the pending
+    /// states.
     Miss {
         /// The operation to re-execute on wake.
         op: Req,
-        /// Blocks that must leave pending states.
-        blocks: Vec<Block>,
         /// Whether this stall began as a read miss (for latency stats).
         is_read: bool,
     },
@@ -222,6 +226,9 @@ pub struct Machine {
     /// A real wire tapped onto `net` ([`Machine::set_transport`]): remote
     /// messages also cross it, and are handled in the copy it decodes.
     pub(crate) wire: Option<Box<dyn Transport<ProtoMsg>>>,
+    /// Emptied data-reply buffers, at most [`MAX_SPARE_BUFS`]: a reply takes
+    /// one, and its requester gives it back once the data is in its image.
+    pub(crate) spare_bufs: Vec<Vec<u8>>,
     // ---- per-processor runtime ----
     pub(crate) clocks: Vec<Time>,
     pub(crate) stalls: Vec<Option<Stall>>,
@@ -329,6 +336,7 @@ impl Machine {
             lingering: (0..vnodes).map(|_| Vec::new()).collect(),
             net: Network::new(topo.clone(), cost.clone()),
             wire: None,
+            spare_bufs: Vec::new(),
             clocks: vec![Time::ZERO; procs],
             stalls: vec![None; procs],
             wake_floor: vec![Time::ZERO; procs],

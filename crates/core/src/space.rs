@@ -336,24 +336,38 @@ impl SharedSpace {
         Some(Block { start: a.start + idx * a.block_bytes, len: a.block_bytes })
     }
 
-    /// All blocks overlapping `[addr, addr + len)`.
+    /// The blocks overlapping `[addr, addr + len)`, in address order, found
+    /// one at a time as the iterator is advanced.
     ///
     /// # Panics
     ///
-    /// Panics if any byte of the range is unallocated.
-    pub fn blocks_in(&self, addr: Addr, len: u64) -> Vec<Block> {
-        assert!(len > 0, "empty range");
-        let mut out = Vec::new();
-        let mut cur = addr;
+    /// Panics if `len` is zero, and, on reaching it, at the first
+    /// unallocated byte of the range.
+    pub fn blocks_in(&self, addr: Addr, len: u64) -> impl Iterator<Item = Block> + '_ {
+        assert!(len > 0, "empty range at shared address {addr:#x}");
         let end = addr + len;
-        while cur < end {
-            let b =
-                self.block_of(cur).unwrap_or_else(|| panic!("unallocated shared address {cur:#x}"));
-            let next = b.start + b.len;
-            out.push(b);
-            cur = next;
-        }
-        out
+        let mut cur = addr;
+        // An allocation's blocks are uniform: look it up once, and align to
+        // its blocks once; from then on `cur` is the next block's start.
+        let mut alloc: Option<&Allocation> = None;
+        std::iter::from_fn(move || {
+            if cur >= end {
+                return None;
+            }
+            let a = match alloc {
+                Some(a) if a.contains(cur) => a,
+                _ => {
+                    let a = self
+                        .allocation_of(cur)
+                        .unwrap_or_else(|| panic!("unallocated shared address {cur:#x}"));
+                    cur = a.start + (cur - a.start) / a.block_bytes * a.block_bytes;
+                    *alloc.insert(a)
+                }
+            };
+            let block = Block { start: cur, len: a.block_bytes };
+            cur += a.block_bytes;
+            Some(block)
+        })
     }
 
     /// Home processor of the page containing `addr`.
@@ -430,7 +444,7 @@ mod tests {
     fn blocks_in_covers_range() {
         let mut s = space();
         let a = s.malloc(1_024, BlockHint::Line, HomeHint::RoundRobin).unwrap();
-        let blocks = s.blocks_in(a + 32, 128);
+        let blocks: Vec<Block> = s.blocks_in(a + 32, 128).collect();
         assert_eq!(blocks.len(), 3); // touches lines 0,1,2 of the allocation
         assert_eq!(blocks[0].start, a);
         assert_eq!(blocks[2].start, a + 128);

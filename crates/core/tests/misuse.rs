@@ -105,6 +105,39 @@ fn every_access_past_the_last_allocation_names_it_unallocated() {
     }
 }
 
+/// An empty range is the body's error in every mode: `read_range` and
+/// `write_range` panic in the body, naming the address, before the engine
+/// sees the operation.
+#[test]
+fn an_empty_range_panics_in_the_body_in_every_mode() {
+    type Misuse = (&'static str, fn(&mut Dsm));
+    let accesses: [Misuse; 4] = [
+        ("read_range", |d| drop(d.read_range(0x1000, 0))),
+        ("write_range", |d| d.write_range(0x1000, &[])),
+        ("read_f64s", |d| drop(d.read_f64s(0x1000, 0))),
+        ("write_f64s", |d| d.write_f64s(0x1000, &[])),
+    ];
+    for (mode, cfg, clustering) in modes() {
+        for (name, access) in accesses {
+            let topo = Topology::new(4, 4, clustering).unwrap();
+            let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 20);
+            m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
+            let bodies: Vec<Body> = (0..4u32)
+                .map(|p| {
+                    Box::new(move |mut dsm: Dsm| {
+                        if p == 1 {
+                            access(&mut dsm);
+                        }
+                    }) as Body
+                })
+                .collect();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(m.run(bodies))));
+            let msg = message(r, name);
+            assert!(msg.contains("empty range") && msg.contains("0x1000"), "{mode} {name}: {msg}");
+        }
+    }
+}
+
 /// The fiber does not wait for a store, a range write or a release, so the
 /// engine reaches the bad one after the body has moved on: into a load (it
 /// arrives with the load's batch), out of its closure (it arrives as the

@@ -2,7 +2,10 @@
 //! whose reply they read, each on a stack of its own on the engine's thread.
 //!
 //! Each simulated processor runs ordinary Rust code on a 2 MiB stack with a
-//! guard page (`stack.rs`, the crate's only `unsafe` code). A DSM operation
+//! guard page (`stack.rs`, the crate's only `unsafe` code). Stacks are
+//! recycled per thread: a fiber that ends gives its stack back to a list of
+//! at most 64 that the thread's next fibers take from, so a thread maps
+//! stacks only for its first machine of a given size. A DSM operation
 //! is a [`FiberApi::post`] or a [`FiberApi::call`]. `post` appends the
 //! request to a fiber-local batch and returns; `call` appends and switches
 //! back to the engine with the whole batch, and returns when the engine
@@ -22,7 +25,7 @@
 //!   to its last request;
 //! * *ended with a tail* — the body returned or unwound, and what it posted
 //!   and never handed over is still pending; it stays live (and its stack is
-//!   already unmapped) until that is answered;
+//!   already given back) until that is answered;
 //! * *finished*.
 //!
 //! Rules for bodies:
@@ -176,6 +179,11 @@ struct Slot<Req, Resp> {
 /// the engine runs a fiber only inside [`FiberPool::resume`], until it hands
 /// over its next batch. Dropping the pool unwinds every suspended fiber on
 /// its own stack (see the module docs) and drops unstarted bodies unrun.
+///
+/// Every fiber takes its stack from the driving thread's spare list and
+/// gives it back when it ends or drops unstarted, so pools spawned one after
+/// another on a thread reuse the same mapped (and already faulted-in)
+/// stacks; a thread keeps at most 64 and unmaps them when it exits.
 pub struct FiberPool<Req, Resp> {
     slots: Vec<Slot<Req, Resp>>,
     /// How many slots are live (an event loop asks after every event).
@@ -223,7 +231,7 @@ impl<Req, Resp> FiberPool<Req, Resp> {
             Switched::Suspended(batch) => self.hand_in(p, batch),
             Switched::Ended(tail, ended) => {
                 let slot = &mut self.slots[p as usize];
-                // Unmaps the stack.
+                // Gives the stack back.
                 slot.fiber = None;
                 slot.panic = ended.err();
                 self.end(p, tail.unwrap_or_default());

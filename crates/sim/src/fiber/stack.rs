@@ -1,18 +1,28 @@
 //! A fiber's stack and the switch into and out of it, for x86_64 Linux
 //! (System V ABI): the only `unsafe` code in `shasta-sim`.
 //!
-//! A [`Fiber`] owns one anonymous mapping, [`STACK_BYTES`] of stack above a
-//! `PROT_NONE` guard page. Starting or resuming it saves the caller's
-//! callee-saved registers, MXCSR and x87 control word on the caller's stack
-//! and loads the fiber's; [`Yielder::suspend`] does the reverse. One value
-//! crosses each switch, in cells that only the running side touches. The body
-//! runs under `catch_unwind` in [`entry`], whose caller [`trampoline`] is
-//! marked as having none, so unwinding and backtraces end at the fiber.
+//! A [`Fiber`] runs on one [`Stack`]: an anonymous mapping of
+//! [`STACK_BYTES`] above a `PROT_NONE` guard page. Stacks are recycled: a
+//! fiber takes the lowest-addressed one from its thread's spare list
+//! ([`SPARE`]) and maps a new one only when the list is empty, and a fiber
+//! that ended, or never started, gives its stack back. The list keeps at most [`MAX_SPARE`]
+//! stacks, unmaps the rest, and unmaps its own when the thread exits, so a
+//! thread's second machine maps nothing and its stacks' pages are already
+//! faulted in. Starting or resuming a fiber saves the caller's callee-saved
+//! registers, MXCSR and x87 control word on the caller's stack and loads
+//! the fiber's; [`Yielder::suspend`] does the reverse. One value crosses
+//! each switch, in cells that only the running side touches. The body runs
+//! under `catch_unwind` in [`entry`], whose caller [`trampoline`] is marked
+//! as having none, so unwinding and backtraces end at the fiber.
 //!
-//! Soundness rests on three checks: a fiber runs only inside a call that
+//! Soundness rests on four checks: a fiber runs only inside a call that
 //! holds `&mut Fiber`; `suspend` and `leave` act only on the innermost
-//! running fiber (the thread-local `CURRENT`); and the stack of a suspended
-//! fiber, whose frames have not been dropped, is never unmapped.
+//! running fiber (the thread-local `CURRENT`); the stack of a suspended
+//! fiber, whose frames have not been dropped, is never unmapped nor listed;
+//! and a listed stack has one owner, the list, and no live frame, since only
+//! a fiber that ended or never ran gives its stack back, and a stack leaves
+//! the list only to be moved into one new fiber, which overwrites its top
+//! with a fresh initial frame.
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(
@@ -20,7 +30,7 @@ compile_error!(
      crates/sim/src/fiber/stack.rs (its register switch and mapping) to this target"
 );
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::io;
 use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,6 +45,10 @@ const STACK_BYTES: usize = 2 << 20;
 const GUARD_BYTES: usize = 4 << 10;
 
 const MAP_BYTES: usize = GUARD_BYTES + STACK_BYTES;
+
+/// Stacks a thread keeps for reuse: the engine's processor limit, so a
+/// machine of any size, built after one of that size, maps nothing.
+const MAX_SPARE: usize = 64;
 
 /// Linux x86_64's values for the calls that map a stack.
 mod sys {
@@ -57,6 +71,87 @@ mod sys {
 thread_local! {
     /// The fiber running innermost on this thread, by its `Shared` address.
     static CURRENT: Cell<*const ()> = const { Cell::new(ptr::null()) };
+    /// Mapped, guarded stacks that no fiber uses; unmapped when the thread
+    /// exits.
+    static SPARE: RefCell<Spare> =
+        const { RefCell::new(Spare { stacks: [const { None }; MAX_SPARE], len: 0 }) };
+}
+
+/// A thread's spare stacks, the first `len` slots. Held inline in the
+/// thread-local, so keeping them takes nothing from the heap.
+struct Spare {
+    stacks: [Option<Stack>; MAX_SPARE],
+    len: usize,
+}
+
+impl Spare {
+    /// Takes the lowest-addressed spare stack. Fibers spawned in the same
+    /// order as an earlier pool's then get the same stacks back, so a
+    /// stack's faulted-in pages are what its own fiber uses, not the
+    /// deepest of every fiber that ever ran on it.
+    fn pop(&mut self) -> Option<Stack> {
+        let listed = &mut self.stacks[..self.len];
+        let lowest = (0..listed.len()).min_by_key(|&i| listed[i].as_ref().map(|s| s.base))?;
+        listed.swap(lowest, self.len - 1);
+        self.len -= 1;
+        self.stacks[self.len].take()
+    }
+
+    /// Lists `stack`, or unmaps it if the list is full.
+    fn push(&mut self, stack: Stack) {
+        if self.len < MAX_SPARE {
+            self.stacks[self.len] = Some(stack);
+            self.len += 1;
+        }
+    }
+}
+
+/// One mapping, [`GUARD_BYTES`] of `PROT_NONE` guard lowest, then
+/// [`STACK_BYTES`] of stack; unmapped when dropped.
+struct Stack {
+    base: *mut u8,
+}
+
+impl Stack {
+    /// A spare stack of this thread, or a new one.
+    fn take() -> Stack {
+        SPARE.with_borrow_mut(Spare::pop).unwrap_or_else(Stack::map)
+    }
+
+    fn map() -> Stack {
+        let prot = sys::PROT_READ | sys::PROT_WRITE;
+        let flags = sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE | sys::MAP_STACK;
+        // SAFETY: a new anonymous mapping, where the kernel picks, aliases
+        // no memory the program uses.
+        let base = unsafe { sys::mmap(ptr::null_mut(), MAP_BYTES, prot, flags, -1, 0) };
+        assert!(base as isize != -1, "cannot map a fiber stack: {}", io::Error::last_os_error());
+        // Owned from here on, so a failed guard unmaps it before the panic.
+        let stack = Stack { base };
+        // SAFETY: the guard is the lowest page of the new mapping, which
+        // nothing uses.
+        let guarded = unsafe { sys::mprotect(base, GUARD_BYTES, sys::PROT_NONE) };
+        assert!(guarded == 0, "cannot guard a fiber stack: {}", io::Error::last_os_error());
+        stack
+    }
+
+    /// One past the stack's highest byte.
+    fn top(&self) -> *mut u8 {
+        self.base.wrapping_add(MAP_BYTES)
+    }
+
+    /// Lists the stack for the thread's next fiber, or unmaps it if the
+    /// list is full (or, while the thread exits, gone).
+    fn give_back(self) {
+        let _ = SPARE.try_with(|spare| spare.borrow_mut().push(self));
+    }
+}
+
+impl Drop for Stack {
+    fn drop(&mut self) {
+        // SAFETY: the mapping is this stack's own, and no frame lives on it:
+        // a fiber's stack is dropped only once the fiber ended or never ran.
+        unsafe { sys::munmap(self.base, MAP_BYTES) };
+    }
 }
 
 /// What `entry` runs: the body, and the yielder it is given.
@@ -96,8 +191,8 @@ enum State {
 /// A body with its own stack, run on the thread that starts or resumes it.
 pub(super) struct Fiber<In, Out> {
     shared: Rc<Shared<In, Out>>,
-    /// The mapping, guard page lowest.
-    base: *mut u8,
+    /// Taken only by `drop`.
+    stack: Option<Stack>,
     state: State,
 }
 
@@ -105,12 +200,7 @@ impl<In: 'static, Out: 'static> Fiber<In, Out> {
     /// A fiber that will run `body` on a stack of its own from its first
     /// [`Fiber::start`]. Dropped unstarted, it drops `body` unrun.
     pub(super) fn new(body: impl FnOnce(Yielder<In, Out>) + 'static) -> Self {
-        let prot = sys::PROT_READ | sys::PROT_WRITE;
-        let flags = sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE | sys::MAP_STACK;
-        // SAFETY: a new anonymous mapping, where the kernel picks, aliases
-        // no memory the program uses.
-        let base = unsafe { sys::mmap(ptr::null_mut(), MAP_BYTES, prot, flags, -1, 0) };
-        assert!(base as isize != -1, "cannot map a fiber stack: {}", io::Error::last_os_error());
+        let stack = Stack::take();
         let shared = Rc::new(Shared {
             fiber_sp: Cell::new(ptr::null_mut()),
             caller_sp: Cell::new(ptr::null_mut()),
@@ -119,15 +209,10 @@ impl<In: 'static, Out: 'static> Fiber<In, Out> {
             ended: Cell::new(None),
             start: Cell::new(None),
         });
-        shared.fiber_sp.set(initial_frame(base.wrapping_add(MAP_BYTES), Rc::as_ptr(&shared)));
+        shared.fiber_sp.set(initial_frame(stack.top(), Rc::as_ptr(&shared)));
         let yielder = Yielder { shared: Rc::clone(&shared) };
         shared.start.set(Some((Box::new(body), yielder)));
-        let fiber = Fiber { shared, base, state: State::Unstarted };
-        // SAFETY: the guard is the lowest page of the fiber's own mapping,
-        // which nothing uses.
-        let guarded = unsafe { sys::mprotect(base, GUARD_BYTES, sys::PROT_NONE) };
-        assert!(guarded == 0, "cannot guard a fiber stack: {}", io::Error::last_os_error());
-        fiber
+        Fiber { shared, stack: Some(stack), state: State::Unstarted }
     }
 }
 
@@ -174,12 +259,14 @@ impl<In, Out> Drop for Fiber<In, Out> {
         // A suspended fiber's frames have not been dropped, and one may own
         // memory that something else points into (a pinned local): its stack
         // stays mapped.
-        if self.state != State::Suspended {
+        let Some(stack) = self.stack.take() else { return };
+        if self.state == State::Suspended {
+            mem::forget(stack);
+        } else {
             // An unstarted body, and the yielder that holds `shared`.
             drop(self.shared.start.take());
-            // SAFETY: the mapping is this fiber's own, and no frame lives on
-            // it: the fiber never ran, or it has ended.
-            unsafe { sys::munmap(self.base, MAP_BYTES) };
+            // No frame lives on it: the fiber never ran, or it has ended.
+            stack.give_back();
         }
     }
 }
@@ -255,7 +342,8 @@ fn initial_frame<In, Out>(top: *mut u8, shared: *const Shared<In, Out>) -> *mut 
         trampoline as *const () as u64,       // return address
     ];
     let sp = top.wrapping_sub(mem::size_of_val(&frame));
-    // SAFETY: `top` ends a fresh, writable, page-aligned mapping, so the 64
+    // SAFETY: `top` ends a writable, page-aligned stack that no frame uses
+    // (new, or given back by a fiber that ended or never ran), so the 64
     // bytes below it are in bounds, aligned and unused.
     unsafe { sp.cast::<[u64; 8]>().write(frame) };
     sp

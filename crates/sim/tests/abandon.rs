@@ -93,3 +93,44 @@ fn dropping_a_pool_unwinds_its_fibers_and_runs_no_panic_hook() {
     assert_eq!(locals.get(), 1, "the fiber owed a reply unwound");
     assert_eq!(HOOK_RAN.load(SeqCst), 0, "an abandoned fiber is not a panic");
 }
+
+/// A pool dropped with its fibers suspended gives their stacks back once
+/// they unwind: the next pool on the thread runs to completion on them,
+/// each fiber using a frame of its stack the first pool's fibers wrote.
+#[test]
+fn the_next_pool_runs_on_the_stacks_of_an_abandoned_one() {
+    let run = |abandon: bool| {
+        let answered = counter();
+        let count = Rc::clone(&answered);
+        let mut pool = FiberPool::<u32, u32>::spawn(16, move |p, mut api| {
+            let mut frame = [0u8; 64 << 10];
+            frame.fill(p as u8);
+            std::hint::black_box(&mut frame);
+            for i in 0..3 {
+                assert_eq!(api.call(p + i), p + i + 1);
+                count.set(count.get() + 1);
+            }
+            assert!(std::hint::black_box(&frame).iter().all(|&b| b == p as u8));
+        });
+        for p in 0..16 {
+            let req = pool.take_request(p).unwrap();
+            pool.resume(p, req + 1);
+        }
+        if abandon {
+            // Every fiber is suspended in its second call.
+            drop(pool);
+            return answered.get();
+        }
+        while pool.live_count() > 0 {
+            for p in 0..16 {
+                if let Some(req) = pool.take_request(p) {
+                    pool.resume(p, req + 1);
+                }
+            }
+        }
+        pool.join();
+        answered.get()
+    };
+    assert_eq!(run(true), 16, "each fiber was answered once before the drop");
+    assert_eq!(run(false), 48, "the next pool ran to completion");
+}

@@ -36,6 +36,15 @@ if git grep -nE '\b(Arc|Mutex|RwLock|Atomic[A-Za-z0-9]*)\b' -- \
   exit 1
 fi
 
+echo "==> no block copies outside the spare-buffer helper in the protocol handlers"
+# Data replies take their buffers from the machine's spare list and the
+# requester gives them back (docs/PERFORMANCE.md, "Nothing mapped per fiber,
+# nothing allocated per step"): a `.to_vec()` there allocates per message.
+if git grep -nE '\.to_vec\(\)' -- crates/core/src/protocol/handlers.rs; then
+  echo ".to_vec() in crates/core/src/protocol/handlers.rs: use Machine::block_copy"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
