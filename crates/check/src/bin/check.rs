@@ -105,6 +105,7 @@ fn main() -> ExitCode {
             if workers == 1 { "" } else { "s" },
             elapsed
         );
+        println!("{}", report.rows_line());
     }
     if let Some(path) = &trace {
         // Replay the first counterexample so its timeline can be inspected

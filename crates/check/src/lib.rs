@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 
 use shasta_cluster::{CostModel, Topology};
+use shasta_core::protocol::Row;
 use shasta_core::space::{BlockHint, HomeHint};
 use shasta_core::{BugInjection, Dsm, Machine, Mode, ProtocolConfig};
 use shasta_sim::SchedulePolicy;
@@ -436,9 +437,21 @@ pub fn run_scenario(
     bug: BugInjection,
     oracle: bool,
 ) -> RunStats {
+    run_rows(s, policy, bug, oracle).0
+}
+
+/// [`run_scenario`], with the bits of the transition-table rows the run
+/// stepped ([`Row::bit`]).
+fn run_rows(
+    s: &Scenario,
+    policy: SchedulePolicy,
+    bug: BugInjection,
+    oracle: bool,
+) -> (RunStats, u64) {
     let mut m = build_machine(s, policy, bug, oracle, None);
     let bodies = plan_kernel(&mut m, s);
-    m.run(bodies)
+    let stats = m.run(bodies);
+    (stats, m.rows_stepped())
 }
 
 /// Like [`run_scenario`] with oracles on, but also returns the run's events
@@ -643,18 +656,18 @@ pub fn run_checked(
     policy: SchedulePolicy,
     bug: BugInjection,
 ) -> Result<RunStats, Counterexample> {
-    run_bare(s, policy, bug).map_err(with_trail)
+    run_bare(s, policy, bug).map(|(stats, _)| stats).map_err(with_trail)
 }
 
-/// [`run_checked`] without the trail: shrinking and sweeps try many failing
-/// runs and keep one.
+/// [`run_checked`] without the trail, and with the rows the run stepped:
+/// shrinking and sweeps try many failing runs and keep one.
 #[allow(clippy::result_large_err)]
 fn run_bare(
     s: &Scenario,
     policy: SchedulePolicy,
     bug: BugInjection,
-) -> Result<RunStats, Counterexample> {
-    let res = panic::catch_unwind(AssertUnwindSafe(|| run_scenario(s, policy, bug, true)));
+) -> Result<(RunStats, u64), Counterexample> {
+    let res = panic::catch_unwind(AssertUnwindSafe(|| run_rows(s, policy, bug, true)));
     res.map_err(|payload| Counterexample {
         scenario: *s,
         policy,
@@ -765,6 +778,9 @@ pub struct SweepReport {
     pub runs: u64,
     /// Failures found (already shrunk).
     pub failures: Vec<Counterexample>,
+    /// The bits ([`Row::bit`]) of every transition-table row a passing run
+    /// of the sweep stepped.
+    pub rows: u64,
 }
 
 impl SweepReport {
@@ -775,11 +791,23 @@ impl SweepReport {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "runs: {}", self.runs);
+        let _ = writeln!(out, "{}", self.rows_line());
         let _ = writeln!(out, "failures: {}", self.failures.len());
         for cx in &self.failures {
             let _ = write!(out, "{cx}");
         }
         out
+    }
+
+    /// `rows stepped: N of M`, naming the rows no passing run reached.
+    pub fn rows_line(&self) -> String {
+        let mut line = format!("rows stepped: {} of {}", self.rows.count_ones(), Row::ALL.len());
+        let never: Vec<&str> =
+            Row::ALL.iter().filter(|r| self.rows & r.bit() == 0).map(|r| r.name()).collect();
+        if !never.is_empty() {
+            line += &format!(" (never: {})", never.join(", "));
+        }
+        line
     }
 }
 
@@ -854,10 +882,13 @@ pub fn sweep_jobs(
         for idx in 0..total {
             let (s, policy) = sweep_run_at(scenarios, &seeds, idx);
             report.runs += 1;
-            if let Err(cx) = run_bare(&s, policy, bug) {
-                report.failures.push(with_trail(shrink_bare(cx)));
-                if report.failures.len() >= k {
-                    return report;
+            match run_bare(&s, policy, bug) {
+                Ok((_, rows)) => report.rows |= rows,
+                Err(cx) => {
+                    report.failures.push(with_trail(shrink_bare(cx)));
+                    if report.failures.len() >= k {
+                        return report;
+                    }
                 }
             }
         }
@@ -869,6 +900,9 @@ pub fn sweep_jobs(
     // k-th smallest discovered failing index as failures come in.
     let cutoff = AtomicUsize::new(usize::MAX);
     let found: Mutex<Vec<(usize, Counterexample)>> = Mutex::new(Vec::new());
+    // The rows each passing run stepped, by index: only runs below the final
+    // cutoff count, as in the serial sweep.
+    let stepped: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(total) {
             scope.spawn(|| {
@@ -878,14 +912,19 @@ pub fn sweep_jobs(
                         break;
                     }
                     let (s, policy) = sweep_run_at(scenarios, &seeds, idx);
-                    if let Err(cx) = run_bare(&s, policy, bug) {
-                        let mut v = found.lock().expect("failure list poisoned");
-                        v.push((idx, cx));
-                        if v.len() >= k {
-                            let mut idxs: Vec<usize> = v.iter().map(|(i, _)| *i).collect();
-                            idxs.sort_unstable();
-                            // Monotone: both sides only shrink over time.
-                            cutoff.fetch_min(idxs[k - 1], Ordering::Relaxed);
+                    match run_bare(&s, policy, bug) {
+                        Ok((_, rows)) => {
+                            stepped.lock().expect("row list poisoned").push((idx, rows))
+                        }
+                        Err(cx) => {
+                            let mut v = found.lock().expect("failure list poisoned");
+                            v.push((idx, cx));
+                            if v.len() >= k {
+                                let mut idxs: Vec<usize> = v.iter().map(|(i, _)| *i).collect();
+                                idxs.sort_unstable();
+                                // Monotone: both sides only shrink over time.
+                                cutoff.fetch_min(idxs[k - 1], Ordering::Relaxed);
+                            }
                         }
                     }
                 }
@@ -901,8 +940,10 @@ pub fn sweep_jobs(
     } else {
         total as u64
     };
+    let rows = stepped.into_inner().expect("row list poisoned");
+    let rows = rows.iter().filter(|(idx, _)| (*idx as u64) < runs).fold(0, |m, (_, r)| m | r);
     let failures = failures.into_iter().map(|(_, cx)| with_trail(shrink_bare(cx))).collect();
-    SweepReport { runs, failures }
+    SweepReport { runs, failures, rows }
 }
 
 /// Validates the oracles end to end: each deliberately broken protocol

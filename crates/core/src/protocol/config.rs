@@ -118,6 +118,16 @@ impl ProtocolConfig {
     pub fn sequential() -> Self {
         Self::hardware()
     }
+
+    /// What taking a block's line lock costs: SMP-Shasta only, since
+    /// Base-Shasta has no node mates to lock against.
+    pub(crate) fn smp_lock_cycles(&self, cost: &shasta_cluster::CostModel) -> u64 {
+        if self.mode == Mode::Smp {
+            cost.smp_lock_cycles
+        } else {
+            0
+        }
+    }
 }
 
 impl Default for ProtocolConfig {

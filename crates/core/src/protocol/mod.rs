@@ -20,7 +20,9 @@ pub mod engine;
 pub mod handlers;
 pub mod machine;
 pub mod msg;
+mod rows;
 
 pub use config::{BugInjection, Mode, ProtocolConfig};
 pub use machine::{Machine, SetupCtx};
 pub use msg::{DirUpdate, DowngradeTo, ProtoMsg};
+pub use rows::{DowngradeEntry, LingeringAcks, Row};

@@ -160,10 +160,10 @@ impl ProtoMsg {
         }
     }
 
-    /// Starting address of the block this message concerns (0 for lock and
-    /// barrier messages, which carry no block).
-    pub fn block_start(&self) -> u64 {
-        match self {
+    /// The block this message concerns (`None` for lock and barrier
+    /// messages, which carry no block).
+    pub fn block(&self) -> Option<Block> {
+        match *self {
             ProtoMsg::ReadReq { block }
             | ProtoMsg::WriteReq { block }
             | ProtoMsg::UpgradeReq { block }
@@ -175,13 +175,19 @@ impl ProtoMsg {
             | ProtoMsg::InvalidateReq { block, .. }
             | ProtoMsg::InvAck { block }
             | ProtoMsg::DirUpdateMsg { block, .. }
-            | ProtoMsg::Downgrade { block, .. } => block.start,
+            | ProtoMsg::Downgrade { block, .. } => Some(block),
             ProtoMsg::LockAcq { .. }
             | ProtoMsg::LockRel { .. }
             | ProtoMsg::LockGrant { .. }
             | ProtoMsg::BarrierArrive { .. }
-            | ProtoMsg::BarrierGo { .. } => 0,
+            | ProtoMsg::BarrierGo { .. } => None,
         }
+    }
+
+    /// Starting address of the block this message concerns (0 for lock and
+    /// barrier messages, which carry no block).
+    pub fn block_start(&self) -> u64 {
+        self.block().map_or(0, |b| b.start)
     }
 
     /// Short label for traces.

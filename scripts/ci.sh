@@ -36,12 +36,22 @@ if git grep -nE '\b(Arc|Mutex|RwLock|Atomic[A-Za-z0-9]*)\b' -- \
   exit 1
 fi
 
-echo "==> no block copies outside the spare-buffer helper in the protocol handlers"
+echo "==> no block copies outside the spare-buffer helper in the protocol rows and handlers"
 # Data replies take their buffers from the machine's spare list and the
 # requester gives them back (docs/PERFORMANCE.md, "Nothing mapped per fiber,
 # nothing allocated per step"): a `.to_vec()` there allocates per message.
-if git grep -nE '\.to_vec\(\)' -- crates/core/src/protocol/handlers.rs; then
-  echo ".to_vec() in crates/core/src/protocol/handlers.rs: use Machine::block_copy"
+if git grep -nE '\.to_vec\(\)' -- crates/core/src/protocol/rows.rs \
+  crates/core/src/protocol/handlers.rs; then
+  echo ".to_vec() in the protocol rows or handlers: copy through the rows' spare-buffer copy"
+  exit 1
+fi
+
+echo "==> the transition table stays pure"
+# A row reads one block's view and returns effects; the engine applies them
+# (docs/PROTOCOL.md section 4). The rows module naming the machine, its
+# network or its clocks would let a row act on the engine directly.
+if git grep -nwE 'Machine|Network|clocks' -- crates/core/src/protocol/rows.rs; then
+  echo "crates/core/src/protocol/rows.rs names Machine, Network or clocks"
   exit 1
 fi
 
