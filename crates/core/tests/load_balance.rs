@@ -98,6 +98,63 @@ fn without_load_balancing_the_request_waits() {
     assert!(us > 1_000.0, "the request should stall behind the busy home ({us:.1} us)");
 }
 
+/// A store merged into a pending read chains an exclusive request after the
+/// read reply; under load balancing that request, like any remote request,
+/// goes to the home node's shared queue, so a sibling serves it while the
+/// home computes. (The warm phase leaves node 0 with a shared copy that only
+/// P1 has touched, so neither request needs P0.)
+#[test]
+fn a_chained_exclusive_request_is_load_balanced() {
+    let topo = Topology::new(12, 4, 4).unwrap();
+    let mut m = Machine::new(topo, CostModel::alpha_4100(), lb_config(), 1 << 20);
+    let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
+    let stats = m.run(bodies(12, move |p, dsm| {
+        // Warm phase: P8 (node 2) takes the block away from node 0, then P1
+        // reads it back, so node 0 shares it and P0's private state is
+        // invalid.
+        if p == 8 {
+            dsm.store_u64(a, 1);
+        }
+        dsm.barrier(0);
+        if p == 1 {
+            assert_eq!(dsm.load_u64(a), 1);
+        }
+        dsm.barrier(1);
+        match p {
+            0 => {
+                dsm.compute(2_000_000);
+                dsm.poll();
+            }
+            1..=3 | 8 => {
+                for _ in 0..4_000 {
+                    dsm.compute(50);
+                    dsm.poll();
+                }
+            }
+            4 => {
+                dsm.compute(1_000);
+                // The node's merged store may already show.
+                assert!(matches!(dsm.load_u64(a), 1 | 2));
+            }
+            5 => {
+                // Stores while P4's read is pending: merged into its entry.
+                dsm.compute(1_200);
+                dsm.store_u64(a, 2);
+                // Fence once the read has replied and the upgrade chained.
+                dsm.compute(50_000);
+                dsm.fence();
+            }
+            _ => {}
+        }
+    }));
+    assert!(stats.misses.merged >= 1, "P5's store merged into the pending read");
+    // Siblings served the warm phase's write, P4's read and the upgrade
+    // chained for P5's store (that upgrade went to P0's own inbox before).
+    assert!(stats.load_balanced_requests >= 3, "siblings served the read and the upgrade");
+    let fence_wait = stats.breakdowns[5].get(shasta_stats::TimeCat::Write);
+    assert!(fence_wait < 1_000_000, "P5's fence waited {fence_wait} cycles for the busy home");
+}
+
 /// Results and coherence are unaffected: a randomized locked-counter stress
 /// produces identical final values with and without the extension, and the
 /// post-run audit passes.
