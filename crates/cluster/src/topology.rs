@@ -195,6 +195,7 @@ impl Topology {
     }
 
     /// Virtual (protocol) node of processor `p`.
+    #[inline]
     pub fn virt_node_of(&self, p: u32) -> NodeId {
         debug_assert!(p < self.procs);
         NodeId(p / self.clustering)
@@ -202,6 +203,7 @@ impl Topology {
 
     /// Whether two processors are on the same physical SMP node (messages
     /// between them use the shared-memory segment, not the Memory Channel).
+    #[inline]
     pub fn same_phys_node(&self, a: u32, b: u32) -> bool {
         self.phys_node_of(a) == self.phys_node_of(b)
     }
@@ -213,6 +215,7 @@ impl Topology {
     }
 
     /// Iterator over the processors of virtual node `n`.
+    #[inline]
     pub fn virt_node_procs(&self, n: NodeId) -> impl Iterator<Item = ProcId> + use<> {
         let lo = n.0 * self.clustering;
         let hi = lo + self.clustering;

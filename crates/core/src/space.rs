@@ -130,16 +130,19 @@ pub struct Block {
 
 impl Block {
     /// The block's first line index.
+    #[inline]
     pub fn first_line(&self, line_bytes: u64) -> u64 {
         self.start / line_bytes
     }
 
     /// Number of lines in the block.
+    #[inline]
     pub fn lines(&self, line_bytes: u64) -> u64 {
         self.len / line_bytes
     }
 
     /// Iterator over the block's line indices.
+    #[inline]
     pub fn line_range(&self, line_bytes: u64) -> std::ops::Range<u64> {
         let first = self.first_line(line_bytes);
         first..first + self.lines(line_bytes)

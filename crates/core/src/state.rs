@@ -170,11 +170,13 @@ impl NodeMem {
     }
 
     /// Line size this image was built with.
+    #[inline]
     pub fn line_bytes(&self) -> u64 {
         self.line_bytes
     }
 
     /// State of line `line`.
+    #[inline]
     pub fn line_state(&self, line: u64) -> LineState {
         self.state[line as usize]
     }
@@ -275,6 +277,7 @@ impl PrivTable {
     }
 
     /// State of line `line`.
+    #[inline]
     pub fn get(&self, line: u64) -> PrivState {
         self.state[line as usize]
     }
