@@ -326,7 +326,9 @@ impl Machine {
             self.mark_all();
         }
         let admitted = self.net.admit(env, now);
-        if let Some(env) = &admitted {
+        // Only a recording run needs the event: `emit` counts no message,
+        // and labelling one costs a lookup per delivery.
+        if let Some(env) = admitted.as_ref().filter(|_| self.obs.is_enabled()) {
             self.obs_event(
                 p,
                 shasta_obs::EventKind::MsgRecv {
@@ -543,14 +545,16 @@ impl Machine {
             self.handle_message(src, src, msg);
             return;
         }
-        self.obs_event(
-            src,
-            shasta_obs::EventKind::MsgSend {
-                msg: msg.label(),
-                peer: dst,
-                block: msg.block_start(),
-            },
-        );
+        if self.obs.is_enabled() {
+            self.obs_event(
+                src,
+                shasta_obs::EventKind::MsgSend {
+                    msg: msg.label(),
+                    peer: dst,
+                    block: msg.block_start(),
+                },
+            );
+        }
         self.pay(src, TimeCat::Message, self.cost.msg_send_cycles);
         let payload = msg.payload_bytes();
         // Seeded schedule policies stretch individual message latencies

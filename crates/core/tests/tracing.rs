@@ -88,3 +88,66 @@ fn the_recording_survives_a_caught_violation() {
         assert_eq!(cut[..], full[..cut.len()], "P{p}");
     }
 }
+
+/// Three allocations of different block sizes: every processor writes its
+/// own slot of two of them, bumps a counter in the third under a lock, and
+/// reads another node's slots between barriers.
+fn mixed_program(m: &mut Machine) -> Vec<Body> {
+    let (lines, quads, counter) = m.setup(|s| {
+        (
+            s.malloc(512, BlockHint::Line, HomeHint::Explicit(0)),
+            s.malloc(1_024, BlockHint::Bytes(256), HomeHint::Explicit(4)),
+            s.malloc(128, BlockHint::Bytes(128), HomeHint::Explicit(2)),
+        )
+    });
+    (0..8u64)
+        .map(|p| {
+            Box::new(move |mut dsm: Dsm| {
+                dsm.store_u64(lines + p * 64, p);
+                dsm.store_u64(quads + p * 128, p);
+                dsm.acquire(0);
+                let n = dsm.load_u64(counter);
+                dsm.store_u64(counter, n + 1);
+                dsm.release(0);
+                dsm.barrier(0);
+                let q = (p + 3) % 8;
+                assert_eq!(dsm.load_u64(lines + q * 64), q);
+                assert_eq!(dsm.load_u64(quads + q * 128), q);
+                dsm.barrier(1);
+                if p == 0 {
+                    assert_eq!(dsm.load_u64(counter), 8);
+                }
+            }) as Body
+        })
+        .collect()
+}
+
+/// The profiler charges each message about a known allocation to its block,
+/// so its per-block counts sum to the message aggregate's totals over every
+/// kind but the sync traffic (locks and barriers name no block).
+#[test]
+fn profiler_message_totals_match_the_message_aggregate() {
+    let mut m = machine();
+    m.enable_obs(1 << 16);
+    let bodies = mixed_program(&mut m);
+    let stats = m.run(bodies);
+    let log = m.take_obs();
+    log.crosscheck(&stats.messages).expect("engine and network agree");
+    let profile = log.profile().expect("the run attached the space map");
+    let profiled =
+        profile.blocks().fold((0, 0), |(n, b), (_, h)| (n + h.protocol_msgs, b + h.protocol_bytes));
+    let sync = |kind: &str| kind.starts_with("lock-") || kind.starts_with("barrier-");
+    let (mut known, mut all) = ((0, 0), (0, 0));
+    for (kind, n, bytes) in log.msgs().expect("the run attached the space map").by_kind() {
+        all = (all.0 + n, all.1 + bytes);
+        if !sync(kind) {
+            known = (known.0 + n, known.1 + bytes);
+        }
+    }
+    assert_eq!(profiled, known);
+    assert!(known.1 > 0, "data replies carry blocks");
+    assert!(all.0 > known.0, "the run sent sync messages too");
+    let sites = profile.advise();
+    assert_eq!(sites.len(), 3);
+    assert!(sites.iter().all(|s| s.protocol_msgs > 0), "every allocation saw traffic");
+}

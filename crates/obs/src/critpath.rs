@@ -306,7 +306,7 @@ fn build_views(log: &EventLog) -> (Vec<ProcView>, HashMap<SendKey, Vec<u64>>) {
                     recvs.push(r);
                 }
                 EventKind::MsgSend { msg, peer, block } => {
-                    sends.entry((e.proc, peer, msg, block)).or_default().push(e.t);
+                    sends.entry((p, peer, msg, block)).or_default().push(e.t);
                 }
                 _ => {}
             }

@@ -21,6 +21,23 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// One slot of a processor's ring: an [`Event`] without its processor,
+/// which is the ring's own (40 bytes where an [`Event`] takes 48).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Stamped {
+    /// Simulated timestamp in cycles, as [`Event::t`].
+    pub t: u64,
+    /// What happened.
+    pub kind: EventKind,
+}
+
+impl Stamped {
+    /// The event this slot holds, on processor `proc`.
+    pub fn on(self, proc: u32) -> Event {
+        Event { t: self.t, proc, kind: self.kind }
+    }
+}
+
 /// The protocol-significant event kinds the engine reports.
 ///
 /// Block fields carry the block's starting shared-space address (what the
@@ -279,5 +296,15 @@ mod tests {
         let e = Event { t: 5, proc: 1, kind: EventKind::FalseMiss { block: 0x40 } };
         let f = e; // Copy
         assert_eq!(e, f);
+    }
+
+    #[test]
+    fn a_ring_slot_is_forty_bytes() {
+        // Sixteen rings of 65 536 slots are a 40 MiB slab; a wider kind
+        // widens every slot.
+        assert!(std::mem::size_of::<EventKind>() <= 32);
+        assert_eq!(std::mem::size_of::<Stamped>(), 40);
+        let e = Event { t: 7, proc: 3, kind: EventKind::MissMerged { block: 0x80 } };
+        assert_eq!(Stamped { t: e.t, kind: e.kind }.on(3), e);
     }
 }

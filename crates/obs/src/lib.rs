@@ -65,7 +65,7 @@ mod rederive;
 mod text;
 
 pub use critpath::{analyze, CritPath, PathCat, Segment};
-pub use event::{DowngradeAction, Event, EventKind};
+pub use event::{DowngradeAction, Event, EventKind, Stamped};
 pub use fig4::Fig4Agg;
 pub use hints::{hints_from_reports, HintFile, SiteHint};
 pub use metrics::{Counter, Gauge, Histogram, HistogramHandle, Registry};

@@ -15,6 +15,12 @@
 //! (e.g. *"2 nodes touch disjoint sublines of each 256 B block — split to
 //! 64 B"*).
 //!
+//! Histories are found the way the engine finds a directory entry: each
+//! allocation keeps one slot per block, indexed directly by the block's
+//! offset, that points into one table of histories kept in first-touch
+//! order (a block outside every allocation goes on a short side list).
+//! Reports sort that table by address when they are built, not per event.
+//!
 //! Each block history divides the block into [`SUBLINES`] equal sublines and
 //! keeps one read bitmap and one write bitmap per **coherence node** — the
 //! virtual protocol node, the unit that actually exchanges coherence
@@ -31,7 +37,7 @@
 //! processor → physical-node and → coherence-node mappings) when
 //! observation is enabled.
 
-use std::collections::BTreeMap;
+use std::ops::Deref;
 
 use shasta_stats::{Hops, MissKind};
 
@@ -103,6 +109,13 @@ impl SpaceMap {
     /// physical node for maps built before the field existed.
     pub fn coh_node_of(&self, p: u32) -> u32 {
         self.proc_coh_node.get(p as usize).copied().unwrap_or_else(|| self.phys_node_of(p))
+    }
+
+    /// One more than the largest node id [`coh_node_of`](Self::coh_node_of)
+    /// can return (at least 1).
+    fn node_count(&self) -> usize {
+        let max = self.proc_coh_node.iter().chain(&self.proc_phys_node).copied().max();
+        max.map_or(1, |n| n as usize + 1)
     }
 }
 
@@ -179,7 +192,9 @@ impl NodeOcc {
     }
 }
 
-/// Everything the profiler remembers about one coherence block.
+/// The counters the profiler keeps about one coherence block. Its per-node
+/// occupancy lives in the profiler's table beside it; [`BlockProfile`]
+/// lends the two together.
 #[derive(Clone, Debug)]
 pub struct BlockHistory {
     /// Index of the owning allocation in the [`SpaceMap`] (`usize::MAX` if
@@ -225,9 +240,6 @@ pub struct BlockHistory {
     last_writer: Option<u32>,
     epoch_readers: u64,
     epoch_reader_total: u64,
-    /// Per-node occupancy, indexed directly by physical node id (O(1) on
-    /// the check-miss hot path; node counts are tiny).
-    occ: Vec<NodeOcc>,
 }
 
 impl BlockHistory {
@@ -255,7 +267,6 @@ impl BlockHistory {
             last_writer: None,
             epoch_readers: 0,
             epoch_reader_total: 0,
-            occ: Vec::new(),
         }
     }
 
@@ -280,18 +291,12 @@ impl BlockHistory {
         }
     }
 
-    fn occ_mut(&mut self, node: u32) -> &mut NodeOcc {
-        let i = node as usize;
-        if i >= self.occ.len() {
-            self.occ.resize(i + 1, NodeOcc::UNTOUCHED);
-        }
-        &mut self.occ[i]
-    }
-
-    fn note_miss(&mut self, node: u32, off: u64, len: u64, write: bool) {
+    /// Books a miss by coherence node `node` on `[off, off + len)`; `occ`
+    /// is the block's occupancy, indexed by coherence node.
+    fn note_miss(&mut self, occ: &mut [NodeOcc], node: u32, off: u64, len: u64, write: bool) {
         let (lo, hi) = (off, off + len.max(1));
         let bits = self.mask(lo, hi);
-        let o = self.occ_mut(node);
+        let o = &mut occ[node as usize];
         o.lo = o.lo.min(lo);
         o.hi = o.hi.max(hi);
         if write {
@@ -313,12 +318,6 @@ impl BlockHistory {
             self.reader_nodes |= Self::bit(node);
             self.epoch_readers |= Self::bit(node);
         }
-    }
-
-    /// Per-node occupancy for every node that touched the block, as
-    /// `(node, occupancy)` pairs.
-    pub fn occupancy(&self) -> impl Iterator<Item = (u32, &NodeOcc)> {
-        self.occ.iter().enumerate().filter(|(_, o)| o.touched()).map(|(n, o)| (n as u32, o))
     }
 
     /// Number of distinct nodes that read-missed on the block.
@@ -343,6 +342,31 @@ impl BlockHistory {
         } else {
             self.epoch_reader_total as f64 / self.epochs as f64
         }
+    }
+}
+
+/// One touched block as the profiler holds it: its [`BlockHistory`]
+/// (reachable through `Deref`) with the per-node occupancy kept beside it.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockProfile<'a> {
+    history: &'a BlockHistory,
+    /// Indexed by coherence node.
+    occ: &'a [NodeOcc],
+}
+
+impl Deref for BlockProfile<'_> {
+    type Target = BlockHistory;
+
+    fn deref(&self) -> &BlockHistory {
+        self.history
+    }
+}
+
+impl<'a> BlockProfile<'a> {
+    /// Per-node occupancy for every node that touched the block, as
+    /// `(node, occupancy)` pairs in node order.
+    pub fn occupancy(&self) -> impl Iterator<Item = (u32, &'a NodeOcc)> {
+        self.occ.iter().enumerate().filter(|(_, o)| o.touched()).map(|(n, o)| (n as u32, o))
     }
 
     /// Whether the per-node touched **byte extents** `[lo, hi)` are
@@ -542,10 +566,36 @@ impl SiteReport {
 /// Streaming sharing-pattern aggregator. Fed every recorded event (before
 /// ring eviction, like every streamed aggregator), so its histories cover the
 /// whole run regardless of ring capacity.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone)]
 pub struct ProfileAgg {
     map: SpaceMap,
-    blocks: BTreeMap<u64, BlockHistory>,
+    /// Per allocation, one slot per block in address order: 1 + the block's
+    /// index in `hist`, or 0 while the block is untouched.
+    slots: Vec<Vec<u32>>,
+    /// Every touched block and its history, in first-touch order.
+    hist: Vec<(u64, BlockHistory)>,
+    /// `nodes` occupancy entries per `hist` entry, in the same order.
+    occ: Vec<NodeOcc>,
+    /// Coherence nodes the map can name: the stride of `occ`.
+    nodes: usize,
+    /// Touched blocks no allocation's slot table holds (outside every
+    /// allocation, or off its block grid), with their `hist` index.
+    stray: Vec<(u64, u32)>,
+}
+
+/// A profiler over an empty space.
+impl Default for ProfileAgg {
+    fn default() -> Self {
+        ProfileAgg::new(SpaceMap::default())
+    }
+}
+
+/// The touched blocks in address order, not the slot tables.
+impl std::fmt::Debug for ProfileAgg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let blocks: Vec<_> = self.blocks().collect();
+        f.debug_struct("ProfileAgg").field("map", &self.map).field("blocks", &blocks).finish()
+    }
 }
 
 /// Transfer-waste ratio above which the advisor treats a split as justified
@@ -553,9 +603,20 @@ pub struct ProfileAgg {
 const WASTE_SPLIT_RATIO: f64 = 8.0;
 
 impl ProfileAgg {
-    /// A profiler over the given space snapshot.
+    /// A profiler over the given space snapshot. Each allocation's slot
+    /// table is zeroed memory, so its pages are touched only where blocks
+    /// are.
     pub fn new(map: SpaceMap) -> Self {
-        ProfileAgg { map, blocks: BTreeMap::new() }
+        let slots =
+            map.allocs.iter().map(|a| vec![0; a.len.div_ceil(a.block_bytes.max(1)) as usize]);
+        ProfileAgg {
+            slots: slots.collect(),
+            hist: Vec::new(),
+            occ: Vec::new(),
+            nodes: map.node_count(),
+            stray: Vec::new(),
+            map,
+        }
     }
 
     /// The space snapshot this profiler classifies against.
@@ -569,7 +630,9 @@ impl ProfileAgg {
             EventKind::CheckMiss { block, addr, len, write, .. } => {
                 let node = self.map.coh_node_of(p);
                 let off = addr.saturating_sub(block);
-                self.touch(block).note_miss(node, off, u64::from(len), write);
+                let i = self.entry(self.map.site_index_of(block), block);
+                let occ = &mut self.occ[i * self.nodes..][..self.nodes];
+                self.hist[i].1.note_miss(occ, node, off, u64::from(len), write);
             }
             EventKind::MissResolved { block, kind, hops } => {
                 let k = MissKind::ALL.iter().position(|&x| x == kind).expect("kind in ALL");
@@ -590,10 +653,11 @@ impl ProfileAgg {
             EventKind::MsgSend { msg, block, .. } => {
                 // Attribute only messages about known allocations — sync
                 // traffic (locks, barriers) has no site to charge.
-                if let Some(i) = self.map.site_index_of(block) {
-                    let bb = self.map.allocs[i].block_bytes;
+                if let Some(site) = self.map.site_index_of(block) {
+                    let bb = self.map.allocs[site].block_bytes;
                     let payload = if msg == "read-reply" || msg == "write-reply" { bb } else { 0 };
-                    let h = self.blocks.entry(block).or_insert_with(|| BlockHistory::new(i, bb));
+                    let i = self.entry(Some(site), block);
+                    let h = &mut self.hist[i].1;
                     h.protocol_msgs += 1;
                     h.protocol_bytes += payload;
                 }
@@ -602,27 +666,75 @@ impl ProfileAgg {
         }
     }
 
+    /// The history of `block`, created on first touch.
     fn touch(&mut self, block: u64) -> &mut BlockHistory {
-        let (site, bb) = match self.map.site_index_of(block) {
-            Some(i) => (i, self.map.allocs[i].block_bytes),
+        let i = self.entry(self.map.site_index_of(block), block);
+        &mut self.hist[i].1
+    }
+
+    /// Index in `hist` of `block`, which lies in allocation `site` (`None`:
+    /// in none), creating its history on first touch.
+    fn entry(&mut self, site: Option<usize>, block: u64) -> usize {
+        let slot = self.slot_of(site, block);
+        if let Some(i) = self.stored(slot, block) {
+            return i as usize;
+        }
+        let (site, bb) = match site {
+            Some(s) => (s, self.map.allocs[s].block_bytes),
             None => (usize::MAX, self.map.line_bytes.max(64)),
         };
-        self.blocks.entry(block).or_insert_with(|| BlockHistory::new(site, bb))
+        let i = u32::try_from(self.hist.len()).expect("fewer than 2^32 touched blocks");
+        self.hist.push((block, BlockHistory::new(site, bb)));
+        self.occ.resize(self.occ.len() + self.nodes, NodeOcc::UNTOUCHED);
+        match slot {
+            Some((s, k)) => self.slots[s][k] = i + 1,
+            None => self.stray.push((block, i)),
+        }
+        i as usize
+    }
+
+    /// `(site, slot)` of `block`, which lies in allocation `site`, in that
+    /// allocation's slot table; `None` (the side list) when it lies in no
+    /// allocation or off its block grid.
+    fn slot_of(&self, site: Option<usize>, block: u64) -> Option<(usize, usize)> {
+        let s = site?;
+        let a = &self.map.allocs[s];
+        let (off, bb) = (block - a.start, a.block_bytes.max(1));
+        off.is_multiple_of(bb).then(|| (s, (off / bb) as usize))
+    }
+
+    /// The `hist` index kept for `block` at `slot` (or on the side list).
+    fn stored(&self, slot: Option<(usize, usize)>, block: u64) -> Option<u32> {
+        match slot {
+            Some((s, k)) => self.slots[s][k].checked_sub(1),
+            None => self.stray.iter().find(|&&(b, _)| b == block).map(|&(_, i)| i),
+        }
+    }
+
+    /// The block at `hist` index `i`, with its occupancy.
+    fn profile_at(&self, i: usize) -> (u64, BlockProfile<'_>) {
+        let (block, ref history) = self.hist[i];
+        (block, BlockProfile { history, occ: &self.occ[i * self.nodes..][..self.nodes] })
     }
 
     /// History of the block starting at `start`, if it saw any activity.
-    pub fn block(&self, start: u64) -> Option<&BlockHistory> {
-        self.blocks.get(&start)
+    pub fn block(&self, start: u64) -> Option<BlockProfile<'_>> {
+        let slot = self.slot_of(self.map.site_index_of(start), start);
+        self.stored(slot, start).map(|i| self.profile_at(i as usize).1)
     }
 
-    /// All touched blocks with their histories, in address order.
-    pub fn blocks(&self) -> impl Iterator<Item = (u64, &BlockHistory)> {
-        self.blocks.iter().map(|(&b, h)| (b, h))
+    /// All touched blocks with their histories, in address order (sorted
+    /// here, on each call).
+    pub fn blocks(&self) -> impl Iterator<Item = (u64, BlockProfile<'_>)> {
+        let mut order: Vec<(u64, usize)> =
+            self.hist.iter().enumerate().map(|(i, &(b, _))| (b, i)).collect();
+        order.sort_unstable();
+        order.into_iter().map(|(_, i)| self.profile_at(i))
     }
 
     /// Number of blocks that saw any protocol activity.
     pub fn touched(&self) -> usize {
-        self.blocks.len()
+        self.hist.len()
     }
 
     /// Largest chunk size (a line multiple below the block size) that
@@ -631,8 +743,8 @@ impl ProfileAgg {
     fn split_candidate(
         &self,
         a: &AllocSite,
-        blocks: &[(u64, &BlockHistory)],
-        keep: impl Fn(&BlockHistory) -> bool,
+        blocks: &[(u64, BlockProfile<'_>)],
+        keep: impl Fn(&BlockProfile<'_>) -> bool,
     ) -> Option<u64> {
         let line = self.map.line_bytes.max(1);
         let mut chunk = (a.block_bytes / line).saturating_sub(1) * line;
@@ -653,14 +765,14 @@ impl ProfileAgg {
     fn grow_candidate(
         &self,
         a: &AllocSite,
-        blocks: &[(u64, &BlockHistory)],
+        blocks: &[(u64, BlockProfile<'_>)],
         cap: u64,
     ) -> Option<u64> {
         let max_k = (cap / a.block_bytes).min(a.len / a.block_bytes);
         (2..=max_k).rev().find(|&k| self.grow_harmless(a, blocks, k))
     }
 
-    fn grow_harmless(&self, a: &AllocSite, blocks: &[(u64, &BlockHistory)], k: u64) -> bool {
+    fn grow_harmless(&self, a: &AllocSite, blocks: &[(u64, BlockProfile<'_>)], k: u64) -> bool {
         let merged = a.block_bytes * k;
         let mut group = u64::MAX;
         let (mut un, mut uw) = (0u64, 0u64);
@@ -695,12 +807,21 @@ impl ProfileAgg {
     /// without a strict false-shared majority; a grow is only recommended
     /// when merging provably adds no sharers).
     pub fn advise(&self) -> Vec<SiteReport> {
-        self.map.allocs.iter().enumerate().map(|(i, a)| self.advise_site(i, a)).collect()
+        let mut by_site = vec![Vec::new(); self.map.allocs.len()];
+        for (b, h) in self.blocks() {
+            if let Some(blocks) = by_site.get_mut(h.site) {
+                blocks.push((b, h));
+            }
+        }
+        self.map
+            .allocs
+            .iter()
+            .zip(&by_site)
+            .map(|(a, blocks)| self.advise_site(a, blocks))
+            .collect()
     }
 
-    fn advise_site(&self, i: usize, a: &AllocSite) -> SiteReport {
-        let blocks: Vec<(u64, &BlockHistory)> =
-            self.blocks.iter().filter(|(_, h)| h.site == i).map(|(&b, h)| (b, h)).collect();
+    fn advise_site(&self, a: &AllocSite, blocks: &[(u64, BlockProfile<'_>)]) -> SiteReport {
         let mut report = SiteReport {
             label: a.label,
             block_bytes: a.block_bytes,
@@ -719,7 +840,7 @@ impl ProfileAgg {
             evidence: String::new(),
         };
         let mut fs_nodes = 0u32;
-        for (_, h) in &blocks {
+        for (_, h) in blocks {
             report.read_misses += h.read_misses;
             report.write_misses += h.write_misses;
             report.downgrades += h.downgrades;
@@ -749,8 +870,8 @@ impl ProfileAgg {
             return report;
         }
         if fs > 0 && fs * 2 >= touched {
-            let is_fs = |h: &BlockHistory| h.pattern() == SharingPattern::FalseShared;
-            match self.split_candidate(a, &blocks, is_fs) {
+            let is_fs = |h: &BlockProfile<'_>| h.pattern() == SharingPattern::FalseShared;
+            match self.split_candidate(a, blocks, is_fs) {
                 Some(rec) => {
                     report.recommendation = Recommendation::Shrink(rec);
                     report.evidence = format!(
@@ -771,7 +892,7 @@ impl ProfileAgg {
         }
         let multi_node = blocks.iter().any(|(_, h)| h.distinct_nodes() >= 2);
         if multi_node && waste >= WASTE_SPLIT_RATIO {
-            if let Some(rec) = self.split_candidate(a, &blocks, |_| true) {
+            if let Some(rec) = self.split_candidate(a, blocks, |_| true) {
                 report.recommendation = Recommendation::Shrink(rec);
                 report.evidence = format!(
                     "{waste:.1} payload bytes moved per touched byte and a {rec} B split \
@@ -786,7 +907,7 @@ impl ProfileAgg {
             SharingPattern::ReadMostly | SharingPattern::ProducerConsumer | SharingPattern::Private
         );
         if growable && touched >= 4 && a.block_bytes < 2_048 {
-            if let Some(k) = self.grow_candidate(a, &blocks, 2_048) {
+            if let Some(k) = self.grow_candidate(a, blocks, 2_048) {
                 let rec = a.block_bytes * k;
                 report.recommendation = Recommendation::Grow(rec);
                 report.evidence = format!(
@@ -1040,6 +1161,201 @@ mod tests {
             proc_phys_node: vec![0, 0, 1, 1],
             proc_coh_node: vec![0, 0, 1, 1],
             allocs: vec![AllocSite { start: 0x1000, len: block_bytes, block_bytes, label: "arr" }],
+        }
+    }
+
+    /// The profiler as a tree keyed by block address: every history in one
+    /// `BTreeMap`, each block's occupancy grown to the largest node that
+    /// touched it. The model the direct-indexed tables must agree with.
+    #[derive(Default)]
+    struct TreeModel {
+        blocks: std::collections::BTreeMap<u64, (BlockHistory, Vec<NodeOcc>)>,
+    }
+
+    impl TreeModel {
+        fn touch(&mut self, map: &SpaceMap, block: u64) -> &mut (BlockHistory, Vec<NodeOcc>) {
+            let (site, bb) = match map.site_index_of(block) {
+                Some(i) => (i, map.allocs[i].block_bytes),
+                None => (usize::MAX, map.line_bytes.max(64)),
+            };
+            self.blocks.entry(block).or_insert_with(|| (BlockHistory::new(site, bb), Vec::new()))
+        }
+
+        fn observe(&mut self, map: &SpaceMap, p: u32, kind: &EventKind) {
+            match *kind {
+                EventKind::CheckMiss { block, addr, len, write, .. } => {
+                    let node = map.coh_node_of(p);
+                    let (h, occ) = self.touch(map, block);
+                    if occ.len() <= node as usize {
+                        occ.resize(node as usize + 1, NodeOcc::UNTOUCHED);
+                    }
+                    h.note_miss(occ, node, addr.saturating_sub(block), u64::from(len), write);
+                }
+                EventKind::MissResolved { block, kind, hops } => {
+                    let k = MissKind::ALL.iter().position(|&x| x == kind).unwrap();
+                    let h = Hops::ALL.iter().position(|&x| x == hops).unwrap();
+                    self.touch(map, block).0.miss_hops[k][h] += 1;
+                }
+                EventKind::PrivateUpgrade { block } => {
+                    self.touch(map, block).0.private_upgrades += 1
+                }
+                EventKind::MissMerged { block } => self.touch(map, block).0.merged += 1,
+                EventKind::DowngradeStart { block, to_invalid, targets } => {
+                    let h = &mut self.touch(map, block).0;
+                    h.downgrades += 1;
+                    h.downgrades_to_invalid += u64::from(to_invalid);
+                    h.downgrade_msgs += u64::from(targets);
+                }
+                EventKind::DowngradeDone { block, .. } => {
+                    self.touch(map, block).0.downgrade_resolutions += 1;
+                }
+                EventKind::MsgSend { msg, block, .. } => {
+                    if let Some(i) = map.site_index_of(block) {
+                        let bb = map.allocs[i].block_bytes;
+                        let h = &mut self.touch(map, block).0;
+                        h.protocol_msgs += 1;
+                        h.protocol_bytes +=
+                            if msg == "read-reply" || msg == "write-reply" { bb } else { 0 };
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        fn view(&self, block: u64) -> Option<BlockProfile<'_>> {
+            self.blocks.get(&block).map(|(history, occ)| BlockProfile { history, occ })
+        }
+
+        /// Every site's report, from the tree's blocks in address order.
+        fn advise(&self, agg: &ProfileAgg) -> Vec<SiteReport> {
+            let map = agg.map();
+            let site = |i| {
+                let views = self.blocks.keys().map(|&b| (b, self.view(b).unwrap()));
+                views.filter(|(_, h)| h.site == i).collect::<Vec<_>>()
+            };
+            map.allocs.iter().enumerate().map(|(i, a)| agg.advise_site(a, &site(i))).collect()
+        }
+    }
+
+    /// A block's history and the nodes that touched it, as text.
+    fn shown(h: Option<BlockProfile<'_>>) -> String {
+        h.map_or("untouched".into(), |h| {
+            format!("{:?} {:?}", *h, h.occupancy().collect::<Vec<_>>())
+        })
+    }
+
+    /// Allocations from `(gap lines, block-size choice, blocks)` triples,
+    /// laid out upwards from 0x1000 (so block 0 lies outside every one),
+    /// with mixed block sizes including a non-power-of-two one.
+    fn random_map(allocs: &[(u64, u64, u64)], nodes: &[(u32, u32)]) -> SpaceMap {
+        const SIZES: [u64; 6] = [64, 128, 192, 256, 512, 2_048];
+        let mut next = 0x1000;
+        let allocs = allocs
+            .iter()
+            .map(|&(gap, size, blocks)| {
+                let block_bytes = SIZES[size as usize % SIZES.len()];
+                let start = next + gap * 64;
+                next = start + blocks * block_bytes;
+                AllocSite { start, len: blocks * block_bytes, block_bytes, label: "site" }
+            })
+            .collect();
+        SpaceMap {
+            line_bytes: 64,
+            proc_phys_node: nodes.iter().map(|&(phys, _)| phys).collect(),
+            proc_coh_node: nodes.iter().map(|&(phys, split)| phys * 2 + split % 2).collect(),
+            allocs,
+        }
+    }
+
+    /// The block an event names: one on an allocation's grid, any line
+    /// address up to just past the last allocation (inside one, on or off
+    /// its grid, or in a gap), or block 0, where sync messages point.
+    fn pick_block(map: &SpaceMap, pick: u64) -> u64 {
+        let end = map.allocs.last().map_or(0x1000, |a| a.start + a.len);
+        match pick % 4 {
+            0 | 1 => {
+                let a = &map.allocs[(pick / 4) as usize % map.allocs.len()];
+                a.start + (pick >> 16) % (a.len / a.block_bytes) * a.block_bytes
+            }
+            2 => (pick >> 8) % (end / 64 + 8) * 64,
+            _ => 0,
+        }
+    }
+
+    fn random_event(map: &SpaceMap, (kind, pick, off, misc): (u32, u64, u64, u32)) -> EventKind {
+        let block = pick_block(map, pick);
+        const MSGS: [&str; 6] =
+            ["read-req", "read-reply", "write-reply", "downgrade", "barrier-arrive", "lock-acq"];
+        match kind {
+            0..=2 => EventKind::CheckMiss {
+                id: 0,
+                block,
+                addr: block + off % 2_048,
+                len: misc % 72 + 1,
+                write: misc % 3 == 0,
+            },
+            3 => EventKind::MissResolved {
+                block,
+                kind: MissKind::ALL[misc as usize % 3],
+                hops: Hops::ALL[misc as usize % 2],
+            },
+            4 => EventKind::PrivateUpgrade { block },
+            5 => EventKind::MissMerged { block },
+            6 => EventKind::DowngradeStart { block, to_invalid: misc % 2 == 0, targets: misc % 5 },
+            7 => {
+                let action = crate::DowngradeAction::InvAck { ack_to: misc % 4 };
+                EventKind::DowngradeDone { block, action }
+            }
+            8 | 9 => {
+                let msg = MSGS[misc as usize % MSGS.len()];
+                // Sync traffic names no block.
+                let block =
+                    if msg.starts_with("barrier") || msg.starts_with("lock") { 0 } else { block };
+                EventKind::MsgSend { msg, peer: misc % 8, block }
+            }
+            _ => EventKind::PollDrain { handled: misc },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 64 })]
+
+        /// The direct-indexed tables and the side list hold exactly what a
+        /// tree keyed by block address holds: the same histories, in the
+        /// same address order, the same lookups (touched or not), and the
+        /// same site reports.
+        #[test]
+        fn direct_indexed_tables_match_a_tree_model(
+            allocs in proptest::collection::vec((0u64..4, 0u64..6, 1u64..12), 1..6),
+            nodes in proptest::collection::vec((0u32..4, 0u32..2), 1..9),
+            events in proptest::collection::vec((0u32..11, 0u64..u64::MAX, 0u64..4_096, 0u32..1_000), 0..400),
+        ) {
+            let map = random_map(&allocs, &nodes);
+            let mut agg = ProfileAgg::new(map.clone());
+            let mut model = TreeModel::default();
+            let procs = nodes.len() as u64;
+            for (i, &e) in events.iter().enumerate() {
+                let p = (e.1.rotate_left(7) % procs) as u32;
+                let kind = random_event(&map, e);
+                agg.observe(p, &kind);
+                model.observe(&map, p, &kind);
+                if i % 97 == 0 {
+                    proptest::prop_assert_eq!(agg.touched(), model.blocks.len());
+                }
+            }
+            proptest::prop_assert_eq!(agg.touched(), model.blocks.len());
+            let got: Vec<String> = agg.blocks().map(|(b, h)| format!("{b:#x} {}", shown(Some(h)))).collect();
+            let want: Vec<String> =
+                model.blocks.keys().map(|&b| format!("{b:#x} {}", shown(model.view(b)))).collect();
+            proptest::prop_assert_eq!(got, want);
+            let probes = events.iter().map(|&(_, pick, ..)| pick_block(&map, pick));
+            for b in probes.chain((0..map.allocs.len() as u64 * 4).map(|k| pick_block(&map, k))) {
+                proptest::prop_assert_eq!(shown(agg.block(b)), shown(model.view(b)), "block {:#x}", b);
+            }
+            proptest::prop_assert_eq!(
+                format!("{:?}", agg.advise()),
+                format!("{:?}", model.advise(&agg))
+            );
         }
     }
 

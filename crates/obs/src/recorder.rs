@@ -3,7 +3,7 @@
 //! sharing profiler), and the immutable [`EventLog`] a finished run hands to
 //! the exporters.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, Stamped};
 use crate::fig4::Fig4Agg;
 use crate::profile::{ProfileAgg, SpaceMap};
 use crate::rederive::{DowngradeAgg, MsgAgg};
@@ -11,20 +11,22 @@ use shasta_stats::{MsgClass, MsgStats};
 use std::mem::MaybeUninit;
 
 /// Every processor's bounded ring of recent events, in one allocation: ring
-/// `p` is `slots[p * cap..][..cap]`. When a ring is full, its oldest event
-/// is overwritten and counted as dropped — the exported timeline is a suffix
-/// of the run, but aggregation (fed before eviction) is unaffected.
+/// `p` is `slots[p * cap..][..cap]`. A slot holds a [`Stamped`] event, not
+/// an [`Event`]: every event in ring `p` happened on `p`. When a ring is
+/// full, its oldest event is overwritten and counted as dropped — the
+/// exported timeline is a suffix of the run, but aggregation (fed before
+/// eviction) is unaffected.
 ///
 /// The allocation is made once, when recording is enabled, and its pages
 /// are touched only as events are written. One block sized `procs × cap`
-/// (48 MiB for sixteen rings of 65 536) lies past the allocator's mapping
+/// (40 MiB for sixteen rings of 65 536) lies past the allocator's mapping
 /// threshold and goes back to the system when the log drops, where sixteen
 /// rings allocated apart fill and split holes between the run's long-lived
 /// heap nodes.
 #[derive(Default)]
 struct Rings {
     cap: usize,
-    slots: Box<[MaybeUninit<Event>]>,
+    slots: Box<[MaybeUninit<Stamped>]>,
     rings: Vec<Ring>,
 }
 
@@ -53,8 +55,7 @@ impl Rings {
         Rings { cap, slots: Box::new_uninit_slice(slots), rings: vec![Ring::default(); procs] }
     }
 
-    fn push(&mut self, e: Event) {
-        let p = e.proc as usize;
+    fn push(&mut self, p: usize, e: Stamped) {
         let (ring, slots) = (&mut self.rings[p], &mut self.slots[p * self.cap..]);
         if ring.len < self.cap {
             slots[ring.len].write(e);
@@ -82,13 +83,13 @@ impl Rings {
     /// Processor `p`'s retained events, in ring order: oldest first once
     /// [`Rings::unwrap_in_place`] has run.
     #[allow(unsafe_code)]
-    fn written(&self, p: usize) -> &[Event] {
+    fn written(&self, p: usize) -> &[Stamped] {
         let slots = &self.slots[p * self.cap..][..self.rings[p].len];
         // SAFETY: the first `len` slots of ring `p` are initialised: `push`
         // writes them in order before counting them, later overwrites only
         // slots below `len`, and `unwrap_in_place` permutes those among
-        // themselves. `MaybeUninit<Event>` has `Event`'s layout.
-        unsafe { &*(std::ptr::from_ref(slots) as *const [Event]) }
+        // themselves. `MaybeUninit<Stamped>` has `Stamped`'s layout.
+        unsafe { &*(std::ptr::from_ref(slots) as *const [Stamped]) }
     }
 }
 
@@ -185,7 +186,7 @@ impl Recorder {
             if let Some(profile) = &mut self.profile {
                 profile.observe(e.proc, &e.kind);
             }
-            self.rings.push(*e);
+            self.rings.push(e.proc as usize, Stamped { t: e.t, kind: e.kind });
         }
         // Keep the allocation for the next batch.
         self.staged = staged;
@@ -207,11 +208,13 @@ impl Recorder {
     }
 }
 
-/// The retained timeline of one processor.
+/// The retained timeline of one processor, lent from its ring.
 #[derive(Clone, Copy, Debug)]
 pub struct ProcEvents<'a> {
+    /// The processor every event here happened on.
+    pub proc: u32,
     /// Retained events in record (and therefore time) order.
-    pub events: &'a [Event],
+    pub events: &'a [Stamped],
     /// Events evicted from the ring before export (0 = complete timeline).
     pub dropped: u64,
 }
@@ -236,7 +239,7 @@ impl EventLog {
     /// Processor `p`'s retained timeline.
     pub fn proc(&self, p: u32) -> ProcEvents<'_> {
         let dropped = self.rings.rings[p as usize].dropped;
-        ProcEvents { events: self.rings.written(p as usize), dropped }
+        ProcEvents { proc: p, events: self.rings.written(p as usize), dropped }
     }
 
     /// Total retained events across all processors.
@@ -299,9 +302,10 @@ impl EventLog {
         Ok(())
     }
 
-    /// Iterates every retained event, processor by processor.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        (0..self.procs()).flat_map(|p| self.rings.written(p))
+    /// Iterates every retained event, processor by processor, each with
+    /// the processor its ring belongs to.
+    pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
+        (0..self.procs() as u32).flat_map(|p| self.proc(p).events.iter().map(move |e| e.on(p)))
     }
 }
 
@@ -395,7 +399,8 @@ mod tests {
         let log = r.into_log();
         assert_eq!(log.proc(0).events.len(), 1);
         assert_eq!(log.proc(1).events.len(), 1);
-        assert_eq!(log.proc(1).events[0].proc, 1);
-        assert_eq!(log.iter().count(), 2);
+        assert_eq!(log.proc(1).proc, 1);
+        let procs: Vec<(u64, u32)> = log.iter().map(|e| (e.t, e.proc)).collect();
+        assert_eq!(procs, vec![(1, 0), (2, 1)], "the ring hands its processor back");
     }
 }

@@ -13,8 +13,6 @@
 //! Figure 4 breakdown have one producer: the engine folds them into
 //! `RunStats` where it emits the event.)
 
-use std::collections::BTreeMap;
-
 use shasta_stats::{MsgClass, MsgStats};
 
 use crate::event::EventKind;
@@ -33,13 +31,15 @@ use crate::profile::SpaceMap;
 pub struct MsgAgg {
     map: SpaceMap,
     stats: MsgStats,
-    kinds: BTreeMap<&'static str, (u64, u64)>,
+    /// `(label, count, payload bytes)` per message kind, in first-send
+    /// order: a short scan, as the engine has under twenty kinds.
+    kinds: Vec<(&'static str, u64, u64)>,
 }
 
 impl MsgAgg {
     /// An aggregator classifying against the given space snapshot.
     pub fn new(map: SpaceMap) -> Self {
-        MsgAgg { map, stats: MsgStats::default(), kinds: BTreeMap::new() }
+        MsgAgg { map, stats: MsgStats::default(), kinds: Vec::new() }
     }
 
     /// Feeds one event recorded on processor `p`.
@@ -58,9 +58,13 @@ impl MsgAgg {
                 0
             };
             self.stats.record(class, payload);
-            let e = self.kinds.entry(msg).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += payload;
+            let k = self.kinds.iter().position(|&(label, ..)| label == msg).unwrap_or_else(|| {
+                self.kinds.push((msg, 0, 0));
+                self.kinds.len() - 1
+            });
+            let (_, n, bytes) = &mut self.kinds[k];
+            *n += 1;
+            *bytes += payload;
         }
     }
 
@@ -69,12 +73,14 @@ impl MsgAgg {
         &self.stats
     }
 
-    /// Per-message-kind `(count, payload bytes)` totals in label order.
-    /// Sums across kinds equal the class totals in [`stats`](Self::stats)
-    /// by construction (each send is charged to exactly one kind and one
-    /// class).
+    /// Per-message-kind `(label, count, payload bytes)` totals in label
+    /// order (sorted here, on each call). Sums across kinds equal the class
+    /// totals in [`stats`](Self::stats) by construction (each send is
+    /// charged to exactly one kind and one class).
     pub fn by_kind(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
-        self.kinds.iter().map(|(&k, &(n, b))| (k, n, b))
+        let mut kinds = self.kinds.clone();
+        kinds.sort_unstable_by_key(|&(label, ..)| label);
+        kinds.into_iter()
     }
 
     /// Compares the event-derived counters against the transport's own,

@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{Event, EventKind};
+use crate::event::{EventKind, Stamped};
 use crate::recorder::EventLog;
 
 impl EventLog {
@@ -30,10 +30,13 @@ impl EventLog {
     /// facts, and the tail then shows other processors' older lines in
     /// their place. An `evicted` note is the sign to check.
     pub fn render_tail(&self, n: usize) -> String {
-        let mut facts: Vec<&Event> = self.iter().filter(|e| !skipped(&e.kind)).collect();
-        // `iter` walks each ring oldest first, so the stable sort keeps
-        // ring order among events with the same time and processor.
-        facts.sort_by_key(|e| (e.t, e.proc));
+        let mut facts: Vec<(u32, &Stamped)> = (0..self.procs() as u32)
+            .flat_map(|p| self.proc(p).events.iter().map(move |e| (p, e)))
+            .filter(|(_, e)| !skipped(&e.kind))
+            .collect();
+        // Each ring is walked oldest first, so the stable sort keeps ring
+        // order among events with the same time and processor.
+        facts.sort_by_key(|&(p, e)| (e.t, p));
         let mut out = String::new();
         let evicted = self.dropped();
         if evicted > 0 {
@@ -43,8 +46,8 @@ impl EventLog {
         if elided > 0 {
             let _ = writeln!(out, "... {elided} earlier events elided ...");
         }
-        for e in &facts[elided..] {
-            line(&mut out, e);
+        for &(p, e) in &facts[elided..] {
+            line(&mut out, p, e);
         }
         out
     }
@@ -63,9 +66,10 @@ fn skipped(kind: &EventKind) -> bool {
     )
 }
 
-/// Appends `e`'s line, newline included; `e` is not a [`skipped`] kind.
-fn line(s: &mut String, e: &Event) {
-    let _ = write!(s, "[{}cy P{}] {}: ", e.t, e.proc, e.kind.name());
+/// Appends the line of `e` on processor `p`, newline included; `e` is not
+/// a [`skipped`] kind.
+fn line(s: &mut String, p: u32, e: &Stamped) {
+    let _ = write!(s, "[{}cy P{p}] {}: ", e.t, e.kind.name());
     let _ = match e.kind {
         EventKind::CheckMiss { id, block, addr, len, write } => {
             let access = if write { "write" } else { "read" };
