@@ -216,29 +216,17 @@ pub fn run_app_with_transport(
 }
 
 /// Runs `app` under `cfg` with event recording enabled and returns both the
-/// statistics and the captured event log.
+/// statistics and the captured event log. `shape` runs on the fully built
+/// machine (after setup and event recording are enabled, before the run)
+/// and is the place to install a heterogeneous link profile
+/// (`Machine::set_net_profile`), a metrics registry
+/// (`Machine::set_metrics`), a wire (`Machine::set_transport`), or other
+/// per-experiment machine state; `|_| {}` installs nothing.
 ///
 /// `ring_capacity` bounds the per-processor event ring: when it overflows,
 /// the oldest events are dropped (the drop count is preserved) but the
 /// Figure-4 aggregation stays exact because time slices are folded into the
 /// aggregator before ring insertion.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_app`].
-pub fn run_app_observed(
-    app: &dyn DsmApp,
-    cfg: &RunConfig,
-    ring_capacity: usize,
-) -> (RunStats, shasta_obs::EventLog) {
-    run_app_observed_shaped(app, cfg, ring_capacity, |_| {})
-}
-
-/// [`run_app_observed`] with a shaping hook: `shape` runs on the fully built
-/// machine (after setup and event recording are enabled, before the run) and
-/// is the place to install a heterogeneous link profile
-/// (`Machine::set_net_profile`), a metrics registry
-/// (`Machine::set_metrics`), or other per-experiment machine state.
 ///
 /// # Panics
 ///
@@ -271,28 +259,6 @@ pub fn run_app_shaped(
     let (mut machine, bodies) = build_machine(app, cfg);
     shape(&mut machine);
     machine.run(bodies)
-}
-
-/// [`run_app_with_transport`] with event recording enabled: the entry point
-/// for wire-aware trace exports (`transport_bench --trace`), where the
-/// engine's simulated timeline and the wire fabric's event log are captured
-/// from the same run and merged into one Chrome trace.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_app_with_transport`].
-pub fn run_app_observed_with_transport(
-    app: &dyn DsmApp,
-    cfg: &RunConfig,
-    ring_capacity: usize,
-    make: impl FnOnce(&Topology, &CostModel) -> Box<dyn Transport<ProtoMsg>>,
-) -> (RunStats, shasta_obs::EventLog) {
-    let (mut machine, bodies) = build_machine(app, cfg);
-    machine.enable_obs(ring_capacity);
-    let transport = make(machine.topology(), machine.cost_model());
-    machine.set_transport(transport);
-    let stats = machine.run(bodies);
-    (stats, machine.take_obs())
 }
 
 /// Runs `app` on a disaggregated **memory-home** cluster with event

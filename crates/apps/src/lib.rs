@@ -47,7 +47,6 @@ pub mod volrend;
 pub mod water;
 
 pub use driver::{
-    registry, run_app, run_app_observed, run_app_observed_memory_home, run_app_observed_shaped,
-    run_app_observed_with_transport, run_app_shaped, sequential_cycles, AppSpec, Body, DsmApp,
-    PlanOpts, Preset, Proto, RunConfig,
+    registry, run_app, run_app_observed_memory_home, run_app_observed_shaped, run_app_shaped,
+    sequential_cycles, AppSpec, Body, DsmApp, PlanOpts, Preset, Proto, RunConfig,
 };

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use shasta_apps::{run_app_observed, Preset, Proto, RunConfig};
+use shasta_apps::{run_app_observed_shaped, Preset, Proto, RunConfig};
 use shasta_bench::trajectory::{Entry, Num};
 use shasta_bench::{apps_for, preset_from_args};
 use shasta_obs::{critpath, CritPath};
@@ -45,7 +45,7 @@ fn analyze_kernel(spec: &shasta_apps::AppSpec, preset: Preset) -> (RunStats, Cri
     for ring in RINGS {
         let t = Instant::now();
         let app = (spec.build)(preset, false);
-        let (stats, log) = run_app_observed(app.as_ref(), &cfg, ring);
+        let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, ring, |_| {});
         let wall = t.elapsed().as_secs_f64() * 1e3;
         if log.dropped() > 0 && ring != RINGS[RINGS.len() - 1] {
             continue;

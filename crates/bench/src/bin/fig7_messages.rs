@@ -6,9 +6,7 @@
 //! what the bars show) and by the engine, whose `msg-send` events
 //! `shasta_obs::MsgAgg` classifies by physical placement from the space
 //! snapshot. Counts *and* payload bytes must agree **exactly**, or
-//! `run_observed` aborts the binary (`EventLog::crosscheck`). The event
-//! side also keeps a per-message-kind count/byte table; its sums must
-//! likewise equal the class totals exactly.
+//! `run_observed` aborts the binary (`EventLog::crosscheck`).
 //!
 //! `-j`/`--jobs` fans the independent (procs, app) blocks across worker
 //! threads (0 = one per CPU; default serial). Each block's bars come from

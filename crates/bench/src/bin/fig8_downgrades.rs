@@ -2,9 +2,10 @@
 //! in 8- and 16-processor SMP-Shasta runs (clustering 4).
 //!
 //! The histogram is the engine's `DowngradeHist`; the last three columns
-//! come from the recorded event stream (`shasta_obs::DowngradeAgg`), which
-//! splits downgrade direction (exclusive→shared vs exclusive→invalid) and
-//! counts resolved pending downgrades — facts the histogram does not keep.
+//! sum the sharing profiler's per-block histories over the recorded event
+//! stream (`shasta_obs::ProfileAgg::blocks`), which split downgrade
+//! direction (exclusive→shared vs exclusive→invalid) and count resolved
+//! pending downgrades — facts the histogram does not keep.
 //!
 //! `-j`/`--jobs` fans the independent (procs, app) runs across worker
 //! threads (0 = one per CPU; default serial); rows are printed in sweep
@@ -17,7 +18,10 @@ use shasta_stats::Table;
 
 fn row(spec: &AppSpec, preset: Preset, procs: u32) -> Vec<String> {
     let (st, log) = run_observed(spec, preset, Proto::Smp, procs, 4, false);
-    let dg = log.downgrades();
+    let profile = log.profile().expect("the run attached the space map");
+    let (downgrades, to_inv, resolved) = profile.blocks().fold((0, 0, 0), |(n, inv, r), (_, b)| {
+        (n + b.downgrades, inv + b.downgrades_to_invalid, r + b.downgrade_resolutions)
+    });
     let h = &st.downgrades;
     let pct = |k: usize| format!("{:.1}%", h.fraction(k) * 100.0);
     vec![
@@ -28,9 +32,9 @@ fn row(spec: &AppSpec, preset: Preset, procs: u32) -> Vec<String> {
         pct(2),
         pct(3),
         format!("{:.2}", h.mean()),
-        dg.to_shared().to_string(),
-        dg.to_invalid().to_string(),
-        dg.resolutions().to_string(),
+        (downgrades - to_inv).to_string(),
+        to_inv.to_string(),
+        resolved.to_string(),
     ]
 }
 

@@ -22,7 +22,7 @@
 //! sharing_profile [--preset tiny|default|large] [--out PATH]
 //! ```
 
-use shasta_apps::{registry, run_app_observed, Body, DsmApp, PlanOpts, Proto, RunConfig};
+use shasta_apps::{registry, run_app_observed_shaped, Body, DsmApp, PlanOpts, Proto, RunConfig};
 use shasta_bench::trajectory::{Entry, Num};
 use shasta_bench::{preset_from_args, run, run_observed, TRACE_RING_CAPACITY};
 use shasta_core::protocol::SetupCtx;
@@ -83,7 +83,7 @@ impl DsmApp for FalseShareSynth {
 fn run_synth(hint: BlockHint) -> (u64, Vec<SiteReport>) {
     let app = FalseShareSynth { hint };
     let cfg = RunConfig::new(Proto::Base, PROCS, 1);
-    let (stats, log) = run_app_observed(&app, &cfg, TRACE_RING_CAPACITY);
+    let (stats, log) = run_app_observed_shaped(&app, &cfg, TRACE_RING_CAPACITY, |_| {});
     let reports = log.profile().expect("observed runs attach the space map").advise();
     (stats.elapsed_cycles, reports)
 }

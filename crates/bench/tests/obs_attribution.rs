@@ -9,7 +9,7 @@
 //! stream must not move a single counter.
 
 use proptest::prelude::*;
-use shasta_apps::{registry, run_app_observed, AppSpec, Preset, Proto, RunConfig};
+use shasta_apps::{registry, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig};
 use shasta_bench::{apps_for, run, run_observed, run_observed_metrics};
 use shasta_obs::{chrome, EventKind, EventLog};
 use shasta_stats::RunStats;
@@ -70,6 +70,23 @@ fn recording_and_metrics_leave_run_stats_identical_on_table2_kernels() {
         assert_eq!(plain, recorded, "{name}: event recording perturbed the run");
         let (metered, _) = run_observed_metrics(&spec, Preset::Tiny, proto, 8, clustering, false);
         assert_eq!(plain, metered, "{name}: the metrics registry perturbed the run");
+    }
+}
+
+/// Figure 8's event columns sum the sharing profiler's per-block downgrade
+/// fields. Their total must be the engine's own count (`RunStats`, the one
+/// producer of the histogram), and only a started downgrade can resolve.
+#[test]
+fn profiled_downgrades_match_the_engine_count_on_table2_kernels() {
+    for spec in apps_for(true, false) {
+        let (stats, log) = run_observed(&spec, Preset::Tiny, Proto::Smp, 8, 4, false);
+        let profile = log.profile().expect("the run attached the space map");
+        let (downgrades, resolved) = profile
+            .blocks()
+            .fold((0, 0), |(n, r), (_, b)| (n + b.downgrades, r + b.downgrade_resolutions));
+        let name = spec.name;
+        assert_eq!(downgrades, stats.downgrades.total(), "{name}: profiled downgrades");
+        assert!(resolved <= downgrades, "{name}: {resolved} resolved of {downgrades}");
     }
 }
 
@@ -173,13 +190,13 @@ proptest! {
         let spec = &registry()[3]; // LU-Contig
         let cfg = RunConfig::new(Proto::Smp, 4, 2);
         let app = (spec.build)(Preset::Tiny, false);
-        let (stats, log) = run_app_observed(app.as_ref(), &cfg, cap);
+        let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, cap, |_| {});
         assert_attribution_exact(&format!("cap {cap}"), &stats, &log);
         for p in 0..log.procs() as u32 {
             let pe = log.proc(p);
             prop_assert!(pe.events.len() <= cap, "ring must honour its capacity");
         }
-        let (_, full) = run_app_observed(app.as_ref(), &cfg, 1 << 20);
+        let (_, full) = run_app_observed_shaped(app.as_ref(), &cfg, 1 << 20, |_| {});
         prop_assert_eq!(full.dropped(), 0, "a ring of 2^20 holds the whole run");
         prop_assert_eq!(
             log.len() as u64 + log.dropped(),

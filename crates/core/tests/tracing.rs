@@ -7,6 +7,8 @@ use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
+use shasta_obs::EventKind;
+use shasta_stats::MsgClass;
 
 type Body = Box<dyn FnOnce(Dsm)>;
 
@@ -123,8 +125,9 @@ fn mixed_program(m: &mut Machine) -> Vec<Body> {
 }
 
 /// The profiler charges each message about a known allocation to its block,
-/// so its per-block counts sum to the message aggregate's totals over every
-/// kind but the sync traffic (locks and barriers name no block).
+/// so its per-block counts sum to the `msg-send` events of every kind but
+/// the sync traffic (locks and barriers name no block), and all of those
+/// events sum to the message aggregate's totals.
 #[test]
 fn profiler_message_totals_match_the_message_aggregate() {
     let mut m = machine();
@@ -133,17 +136,24 @@ fn profiler_message_totals_match_the_message_aggregate() {
     let stats = m.run(bodies);
     let log = m.take_obs();
     log.crosscheck(&stats.messages).expect("engine and network agree");
+    assert_eq!(log.dropped(), 0, "the ring holds every msg-send");
     let profile = log.profile().expect("the run attached the space map");
     let profiled =
         profile.blocks().fold((0, 0), |(n, b), (_, h)| (n + h.protocol_msgs, b + h.protocol_bytes));
     let sync = |kind: &str| kind.starts_with("lock-") || kind.starts_with("barrier-");
     let (mut known, mut all) = ((0, 0), (0, 0));
-    for (kind, n, bytes) in log.msgs().expect("the run attached the space map").by_kind() {
-        all = (all.0 + n, all.1 + bytes);
-        if !sync(kind) {
-            known = (known.0 + n, known.1 + bytes);
+    for e in log.iter() {
+        let EventKind::MsgSend { msg, block, .. } = e.kind else { continue };
+        let reply = msg == "read-reply" || msg == "write-reply";
+        let bytes = if reply { profile.map().block_bytes_of(block).unwrap_or(0) } else { 0 };
+        all = (all.0 + 1, all.1 + bytes);
+        if !sync(msg) {
+            known = (known.0 + 1, known.1 + bytes);
         }
     }
+    let msgs = log.msgs().expect("the run attached the space map").stats();
+    let classes = MsgClass::ALL.iter().map(|&c| (msgs.count(c), msgs.payload_bytes(c)));
+    assert_eq!(all, classes.fold((0, 0), |(n, b), (cn, cb)| (n + cn, b + cb)));
     assert_eq!(profiled, known);
     assert!(known.1 > 0, "data replies carry blocks");
     assert!(all.0 > known.0, "the run sent sync messages too");

@@ -9,24 +9,24 @@
 //! The protocol engine emits a stream of [`Event`]s — inline-check misses,
 //! message sends and receives, downgrade progress, poll-point drains, line
 //! locks, pending-state transitions, and execution-time slices — into a
-//! [`Recorder`]. The recorder keeps a bounded per-processor ring of recent
-//! events for timeline export and *streams* every event through a few
-//! aggregators that hold what `shasta-stats`' `RunStats` does not: whether
-//! the time slices tile each processor's clock ([`Fig4Agg`]: idle, overlap,
-//! span), Figure 8's direction split ([`DowngradeAgg`]), and the engine's
-//! sends classified by placement ([`MsgAgg`]). The figure counters
-//! themselves have one producer: the engine folds each miss, downgrade and
-//! slice into `RunStats` at the line that emits the event, recording or
-//! not. Messages alone are counted in two *layers* — the engine's sends
-//! here, the transport's own `MsgStats` — and [`EventLog::crosscheck`]
-//! demands the two agree exactly.
+//! [`Recorder`]. The recorder passes each event once, as it is recorded,
+//! through a few aggregators that hold what `shasta-stats`' `RunStats` does
+//! not, and then into a bounded per-processor ring of recent events for
+//! timeline export. The aggregators are whether the time slices tile each
+//! processor's clock ([`Fig4Agg`]: idle, overlap, span), the engine's sends
+//! classified by placement ([`MsgAgg`]), and the sharing profiler below.
+//! The figure counters themselves have one producer: the engine folds each
+//! miss, downgrade and slice into `RunStats` at the line that emits the
+//! event, recording or not. Messages alone are counted in two *layers* —
+//! the engine's sends here, the transport's own `MsgStats` — and
+//! [`EventLog::crosscheck`] demands the two agree exactly.
 //!
-//! On top of the raw stream sits the **sharing profiler**
-//! ([`profile::ProfileAgg`]): per-block sharing histories classified into
-//! patterns (read-mostly, migratory, producer–consumer, false-shared,
-//! private), rolled up to `malloc` site labels, with a granularity advisor
-//! that recommends per-allocation block-size hints
-//! ([`profile::ProfileAgg::advise`]).
+//! The **sharing profiler** ([`profile::ProfileAgg`]) keeps per-block
+//! sharing histories classified into patterns (read-mostly, migratory,
+//! producer–consumer, false-shared, private), rolled up to `malloc` site
+//! labels, with a granularity advisor that recommends per-allocation
+//! block-size hints ([`profile::ProfileAgg::advise`]). Its per-block
+//! downgrade fields are also Figure 8's direction split and resolutions.
 //!
 //! Exporters:
 //!
@@ -71,4 +71,4 @@ pub use hints::{hints_from_reports, HintFile, SiteHint};
 pub use metrics::{Counter, Gauge, Histogram, HistogramHandle, Registry};
 pub use profile::{ProfileAgg, Recommendation, SharingPattern, SiteReport, SpaceMap};
 pub use recorder::{EventLog, ProcEvents, Recorder};
-pub use rederive::{DowngradeAgg, MsgAgg};
+pub use rederive::MsgAgg;

@@ -1,13 +1,12 @@
 //! The recorder: per-processor bounded event rings plus the streaming
-//! aggregators (slice tiling, Figure 7 messages, Figure 8 directions, the
-//! sharing profiler), and the immutable [`EventLog`] a finished run hands to
-//! the exporters.
+//! aggregators (slice tiling, Figure 7 messages, the sharing profiler), and
+//! the immutable [`EventLog`] a finished run hands to the exporters.
 
 use crate::event::{Event, EventKind, Stamped};
 use crate::fig4::Fig4Agg;
 use crate::profile::{ProfileAgg, SpaceMap};
-use crate::rederive::{DowngradeAgg, MsgAgg};
-use shasta_stats::{MsgClass, MsgStats};
+use crate::rederive::MsgAgg;
+use shasta_stats::MsgStats;
 use std::mem::MaybeUninit;
 
 /// Every processor's bounded ring of recent events, in one allocation: ring
@@ -96,26 +95,16 @@ impl Rings {
 /// Records protocol events during a run.
 ///
 /// A disabled recorder (the default) reduces every [`record`](Self::record)
-/// call to a single branch; an enabled one appends to the acting
-/// processor's ring and streams the events into the aggregators.
+/// call to a single branch; an enabled one streams each event through the
+/// aggregators and then appends it to the acting processor's ring.
 #[derive(Debug, Default)]
 pub struct Recorder {
     rings: Rings,
     agg: Fig4Agg,
-    dg: DowngradeAgg,
     msg: Option<MsgAgg>,
     profile: Option<ProfileAgg>,
-    /// Events staged in global record order and replayed through the
-    /// aggregators in batches (see [`Recorder::flush`]). Global order is
-    /// load-bearing: the sharing profiler's transitions depend on the
-    /// cross-processor interleaving of events, so staging must not reorder.
-    staged: Vec<Event>,
     enabled: bool,
 }
-
-/// Staged events are flushed through the aggregators once this many have
-/// accumulated (or earlier, at every poll-drain boundary).
-const STAGE_CAPACITY: usize = 1024;
 
 impl Recorder {
     /// A recorder that ignores every event (the engine's default).
@@ -131,10 +120,8 @@ impl Recorder {
         Recorder {
             rings: Rings::new(procs, ring_capacity),
             agg: Fig4Agg::new(procs),
-            dg: DowngradeAgg::default(),
             msg: None,
             profile: None,
-            staged: Vec::with_capacity(STAGE_CAPACITY),
             enabled: true,
         }
     }
@@ -154,57 +141,38 @@ impl Recorder {
     }
 
     /// Records `kind` happening on processor `p` at simulated cycle `t`.
-    /// No-op (one branch) when the recorder is disabled.
-    ///
-    /// The hot path is a single bounds-checked push: events stage into a
-    /// batch and replay through the aggregators and rings at poll-drain
-    /// boundaries (or when the batch fills), amortizing the aggregators'
-    /// dispatch over many events while preserving exact record order.
+    /// No-op (one branch, inlined into the engine) when the recorder is
+    /// disabled.
+    #[inline]
     pub fn record(&mut self, t: u64, p: u32, kind: EventKind) {
-        if !self.enabled {
-            return;
-        }
-        let flush_now = matches!(kind, EventKind::PollDrain { .. });
-        self.staged.push(Event { t, proc: p, kind });
-        if flush_now || self.staged.len() >= STAGE_CAPACITY {
-            self.flush();
+        if self.enabled {
+            self.stream(t, p, kind);
         }
     }
 
-    /// Replays the staged batch — in global record order — through the
-    /// streaming aggregators and the per-processor rings.
-    fn flush(&mut self) {
-        let staged = std::mem::take(&mut self.staged);
-        for e in &staged {
-            if let EventKind::Slice { cycles, .. } = e.kind {
-                self.agg.observe_slice(e.proc, e.t, cycles);
-            }
-            self.dg.observe(&e.kind);
-            if let Some(msg) = &mut self.msg {
-                msg.observe(e.proc, &e.kind);
-            }
-            if let Some(profile) = &mut self.profile {
-                profile.observe(e.proc, &e.kind);
-            }
-            self.rings.push(e.proc as usize, Stamped { t: e.t, kind: e.kind });
+    /// Passes one event through the aggregators, in global record order —
+    /// the sharing profiler's transitions depend on the cross-processor
+    /// interleaving — and then into `p`'s ring. Kept out of line so that
+    /// each of the engine's event sites inlines only `record`'s branch.
+    #[inline(never)]
+    fn stream(&mut self, t: u64, p: u32, kind: EventKind) {
+        if let EventKind::Slice { cycles, .. } = kind {
+            self.agg.observe_slice(p, t, cycles);
         }
-        // Keep the allocation for the next batch.
-        self.staged = staged;
-        self.staged.clear();
+        if let Some(msg) = &mut self.msg {
+            msg.observe(p, &kind);
+        }
+        if let Some(profile) = &mut self.profile {
+            profile.observe(p, &kind);
+        }
+        self.rings.push(p as usize, Stamped { t, kind });
     }
 
     /// Consumes the recorder into the immutable log handed to exporters;
     /// the rings stay where they were written.
     pub fn into_log(mut self) -> EventLog {
-        self.flush();
         self.rings.unwrap_in_place();
-        EventLog {
-            rings: self.rings,
-            agg: self.agg,
-            dg: self.dg,
-            msg: self.msg,
-            profile: self.profile,
-        }
+        EventLog { rings: self.rings, agg: self.agg, msg: self.msg, profile: self.profile }
     }
 }
 
@@ -225,7 +193,6 @@ pub struct ProcEvents<'a> {
 pub struct EventLog {
     rings: Rings,
     agg: Fig4Agg,
-    dg: DowngradeAgg,
     msg: Option<MsgAgg>,
     profile: Option<ProfileAgg>,
 }
@@ -263,12 +230,6 @@ impl EventLog {
         &self.agg
     }
 
-    /// Figure 8's direction split, acknowledgements and resolutions
-    /// (streamed, run-wide).
-    pub fn downgrades(&self) -> &DowngradeAgg {
-        &self.dg
-    }
-
     /// The event-derived Figure 7 message counters, if a [`SpaceMap`] was
     /// attached before the run.
     pub fn msgs(&self) -> Option<&MsgAgg> {
@@ -285,21 +246,10 @@ impl EventLog {
     /// engine reported sending (`msg-send` events, classified against the
     /// attached [`SpaceMap`]) against the transport's own count, `messages`
     /// (`RunStats::messages`). Equality is exact in every class count and
-    /// payload-byte total, and the per-kind table must re-sum to the class
-    /// totals; the first divergence is returned. Vacuous without a map.
+    /// payload-byte total; the first divergence is returned. Vacuous
+    /// without a map.
     pub fn crosscheck(&self, messages: &MsgStats) -> Result<(), String> {
-        let Some(msgs) = &self.msg else { return Ok(()) };
-        msgs.crosscheck(messages)?;
-        let kinds = msgs.by_kind().fold((0, 0), |(c, b), (_, n, bytes)| (c + n, b + bytes));
-        let classes = MsgClass::ALL.iter().fold((0, 0), |(c, b), &class| {
-            (c + messages.count(class), b + messages.payload_bytes(class))
-        });
-        if kinds != classes {
-            return Err(format!(
-                "per-kind message (count, bytes) {kinds:?} != class totals {classes:?}"
-            ));
-        }
-        Ok(())
+        self.msg.as_ref().map_or(Ok(()), |msgs| msgs.crosscheck(messages))
     }
 
     /// Iterates every retained event, processor by processor, each with
@@ -313,7 +263,7 @@ impl EventLog {
 mod tests {
     use super::*;
     use crate::profile::AllocSite;
-    use shasta_stats::TimeCat;
+    use shasta_stats::{MsgClass, TimeCat};
 
     #[test]
     fn disabled_recorder_keeps_nothing() {
