@@ -31,7 +31,9 @@
 //! poll points, every socket is non-blocking and is read by the engine
 //! thread inside [`Transport::recv`]: one `read` of the socket
 //! end the wanted message arrives on usually yields it together with its
-//! neighbours and the peer's ACKs. Acknowledgements are coalesced (one
+//! neighbours and the peer's ACKs. Frames are written there too: a
+//! sending end corks its `DATA` frames until their stream is next read,
+//! then writes them with one `write`. Acknowledgements are coalesced (one
 //! cumulative `ACK` per several deliveries). Loss is recovered in round
 //! trips: a repeated `ACK` resends the stream's head at once, and
 //! otherwise a per-stream timer derived from measured round trips does,

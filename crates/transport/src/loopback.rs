@@ -5,11 +5,13 @@
 //! Shasta handles messages only at poll points, on the processor that
 //! wants them (§1 of the paper), and the fabric treats the wire the same
 //! way. It spawns no thread: every socket end is non-blocking and owned by
-//! [`Fabric`]. [`Fabric::send_data`] writes the frame, [`Fabric::recv`]
-//! drains the one end its message arrives on, an end acknowledges once per
-//! [`ACK_EVERY`] deliveries rather than once per frame, and loss recovery
-//! runs from the receive's slow path, entered only when the wanted frame is
-//! not already on the wire.
+//! [`Fabric`]. [`Fabric::send_data`] corks the frame on its end,
+//! [`Fabric::recv`] drains the one end its message arrives on — writing
+//! the frames corked for that stream with one `write` first, then reading
+//! them with one `read` — an end acknowledges once per [`ACK_EVERY`]
+//! deliveries rather than once per frame, and loss recovery runs from the
+//! receive's slow path, entered only when the wanted frame is not already
+//! on the wire.
 //!
 //! Loss is priced in round trips. A stream resends only its oldest
 //! unacknowledged frame — whatever follows it is held at the receiver or
@@ -30,7 +32,7 @@
 //! simulated network's fault-injection admit guard uses.
 
 use std::cell::{RefCell, RefMut};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -225,9 +227,10 @@ struct Unacked {
     seq: u64,
     bytes: Vec<u8>,
     last_sent: Instant,
-    /// When the frame was first offered, for Karn-rule RTT sampling: an
-    /// ACK covering a frame that was ever retransmitted is ambiguous and
-    /// contributes no RTT sample.
+    /// When the batch holding the frame's first transmission was written
+    /// (a suppressed frame: the batch it was dropped from), for Karn-rule
+    /// RTT sampling: an ACK covering a frame that was ever retransmitted is
+    /// ambiguous and contributes no RTT sample.
     first_sent: Instant,
     /// Whether the frame has ever been resent.
     retransmitted: bool,
@@ -290,7 +293,7 @@ struct WireMetrics {
     /// nanoseconds. Self-pair slots hold disabled handles.
     encode_ns: Vec<HistogramHandle>,
     decode_ns: Vec<HistogramHandle>,
-    /// Send → ACK *collected*: the sample includes the wait until the
+    /// Write → ACK *collected*: the sample includes the wait until the
     /// engine next polls the end the ACK arrives on.
     ack_rtt_ns: Vec<HistogramHandle>,
     /// The timeout a stream's retransmission timer had when it expired.
@@ -323,6 +326,9 @@ struct WireMetrics {
     io_reads: Counter,
     io_writes: Counter,
     io_would_block: Counter,
+    /// Whether the registry is enabled: only then are encode and decode
+    /// timed, so an untraced run reads no clock per frame.
+    timed: bool,
 }
 
 impl WireMetrics {
@@ -360,6 +366,7 @@ impl WireMetrics {
             io_reads: registry.counter("wire.io.reads"),
             io_writes: registry.counter("wire.io.writes"),
             io_would_block: registry.counter("wire.io.would_block"),
+            timed: registry.is_enabled(),
         }
     }
 }
@@ -376,6 +383,12 @@ struct End {
     /// Sent-but-unacknowledged frames of stream `own -> peer`, oldest
     /// first; never longer than [`SEND_WINDOW`].
     unacked: VecDeque<Unacked>,
+    /// Encoded `DATA` frames of stream `own -> peer` not yet written: the
+    /// next drain of the peer end writes them all at once.
+    corked: Vec<u8>,
+    /// How many of the newest `unacked` frames are corked, those the
+    /// [`DropPlan`] kept out of `corked` included.
+    corked_frames: usize,
     /// Retransmission timeout of stream `own -> peer`.
     rto: Rto,
     /// When an ACK last cleared frames out of `unacked` (before the first,
@@ -402,10 +415,11 @@ pub(crate) struct Fabric {
     probed: Rc<RefCell<Probed>>,
     /// Every socket end, sorted by `(own, peer)` (see [`Fabric::end_ix`]).
     ends: Vec<End>,
-    /// Decoded, in-order messages awaiting pickup, keyed by
+    /// Decoded, in-order messages awaiting pickup, one queue per
     /// `(src processor, dst processor)` — the granularity the engine pops
-    /// simulated envelopes at.
-    inboxes: HashMap<(u32, u32), VecDeque<ProtoMsg>>,
+    /// simulated envelopes at — at `src * procs + dst` (see
+    /// [`Fabric::inbox_ix`]).
+    inboxes: Vec<VecDeque<ProtoMsg>>,
     /// Receiver-side exactly-once in-order guard, one stream per directed
     /// node pair (`src_node * nodes + dst_node`).
     seqr: PairSequencer,
@@ -530,6 +544,8 @@ impl Fabric {
                         own,
                         peer,
                         unacked: VecDeque::new(),
+                        corked: Vec::new(),
+                        corked_frames: 0,
                         rto: Rto::default(),
                         progressed: Instant::now(),
                         ack_debt: 0,
@@ -540,11 +556,12 @@ impl Fabric {
             }
         }
         ends.sort_by_key(|e| (e.own, e.peer));
+        let procs = node_of.len();
 
         Ok(Fabric {
             probed: Rc::default(),
             ends,
-            inboxes: HashMap::new(),
+            inboxes: std::iter::repeat_with(VecDeque::new).take(procs * procs).collect(),
             seqr: PairSequencer::new(nodes * nodes),
             held: BTreeMap::new(),
             send_seqr: PairSequencer::new(nodes * nodes),
@@ -603,13 +620,20 @@ impl Fabric {
         own as usize * (self.nodes - 1) + peer as usize - usize::from(peer > own)
     }
 
-    /// Encodes and transmits one protocol message from processor `src` to
-    /// processor `dst` (which must be on different nodes), stamping the
-    /// next position on their node-pair stream and remembering the frame
-    /// until it is acknowledged. Honors the [`DropPlan`] by suppressing
-    /// the first transmission of selected frames. Never blocks on the
-    /// socket: a stream at its [`SEND_WINDOW`] polls the fabric until the
-    /// window reopens.
+    /// Index into `inboxes` of the `src -> dst` processor queue.
+    fn inbox_ix(&self, src: u32, dst: u32) -> usize {
+        src as usize * self.node_of.len() + dst as usize
+    }
+
+    /// Encodes one protocol message from processor `src` to processor
+    /// `dst` (which must be on different nodes), stamping the next position
+    /// on their node-pair stream, corks it on the stream's end and
+    /// remembers it until it is acknowledged. The frame reaches the socket
+    /// when the receiving end is next drained ([`Fabric::uncork`]). Honors
+    /// the [`DropPlan`] by keeping selected frames out of the batch, so
+    /// their first transmission never happens. Never touches the socket
+    /// otherwise: a stream at its [`SEND_WINDOW`] polls the fabric until
+    /// the window reopens.
     pub(crate) fn send_data(
         &mut self,
         src: u32,
@@ -627,7 +651,7 @@ impl Fabric {
             self.poll_slow(&mut waiting_since, format_args!("room in the {sn}->{dn} send window"));
         }
         let pair_seq = self.send_seqr.stamp(stream);
-        let encode_start = Instant::now();
+        let encode_start = self.metrics.timed.then(Instant::now);
         let bytes = encode_frame(&Frame::Data(DataFrame {
             version: self.version,
             src,
@@ -638,7 +662,9 @@ impl Fabric {
             msg: msg.clone(),
         }))
         .expect("protocol messages fit in a frame");
-        self.metrics.encode_ns[stream].record(encode_start.elapsed().as_nanos() as u64);
+        if let Some(start) = encode_start {
+            self.metrics.encode_ns[stream].record(start.elapsed().as_nanos() as u64);
+        }
 
         let dropped_first = {
             let mut pr = self.probed();
@@ -649,16 +675,19 @@ impl Fabric {
             pr.event("wire-send", sn, dn, pair_seq, trace);
             drop_this
         };
-        let now = Instant::now();
+        let end = &mut self.ends[e];
         if !dropped_first {
             self.metrics.bytes_data.add(bytes.len() as u64);
-            self.write_frame(e, &bytes, true);
+            end.corked.extend_from_slice(&bytes);
         }
-        self.ends[e].unacked.push_back(Unacked {
+        end.corked_frames += 1;
+        // A placeholder: `uncork` stamps the frame when its batch is written.
+        let unwritten = end.progressed;
+        end.unacked.push_back(Unacked {
             seq: pair_seq,
             bytes,
-            last_sent: now,
-            first_sent: now,
+            last_sent: unwritten,
+            first_sent: unwritten,
             retransmitted: false,
             dropped_first,
             trace,
@@ -681,7 +710,8 @@ impl Fabric {
         let e = self.end_ix(dn, sn);
         let mut waiting_since = None;
         loop {
-            if let Some(msg) = self.inboxes.get_mut(&(src, dst)).and_then(VecDeque::pop_front) {
+            let inbox = self.inbox_ix(src, dst);
+            if let Some(msg) = self.inboxes[inbox].pop_front() {
                 return msg;
             }
             if self.drain(e, false) == 0 {
@@ -747,9 +777,11 @@ impl Fabric {
     }
 
     /// Writes the oldest unacknowledged frame of the stream end `e` sends
-    /// once more, byte for byte. Only ever the head: what follows it is
-    /// held at the receiver, or the next cumulative ACK will say otherwise.
+    /// once more, byte for byte, after whatever the end still has corked.
+    /// Only ever the head: what follows it is held at the receiver, or the
+    /// next cumulative ACK will say otherwise.
     fn resend_head(&mut self, e: usize, now: Instant) {
+        self.uncork(e);
         let end = &mut self.ends[e];
         let (own, peer) = (end.own, end.peer);
         let head = end.unacked.front_mut().expect("a stream that resends has a head");
@@ -776,30 +808,34 @@ impl Fabric {
         self.ends[e].unacked[0].bytes = bytes;
     }
 
-    /// Polls end `e`: reads what its socket holds, runs every complete
-    /// frame through its handler — `DATA` through the delivery guard, `ACK`
-    /// against the send buffer — and then settles the end's ACK debt with
-    /// one cumulative `ACK` if `force_ack` asks, a duplicate or an early
-    /// frame arrived, or [`ACK_EVERY`] deliveries are owed. Returns the
-    /// frames handled.
+    /// Polls end `e`: writes the `DATA` frames the peer end has corked for
+    /// it, reads what its socket holds, runs every complete frame through
+    /// its handler — `DATA` through the delivery guard, `ACK` against the
+    /// send buffer — and then settles the end's ACK debt with one
+    /// cumulative `ACK` if `force_ack` asks, a duplicate or an early frame
+    /// arrived, or [`ACK_EVERY`] deliveries are owed. Returns the frames
+    /// handled.
     fn drain(&mut self, e: usize, force_ack: bool) -> usize {
-        self.fill(e);
         let (own, peer) = (self.ends[e].own, self.ends[e].peer);
+        self.uncork(self.end_ix(peer, own));
+        self.fill(e);
         let mut handled = 0;
         loop {
-            let decode_start = Instant::now();
+            let decode_start = self.metrics.timed.then(Instant::now);
             let frame = match self.ends[e].reader.next_frame() {
                 Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(err) => panic!("wire fabric failed: node {own} reading from {peer}: {err}"),
             };
-            let decode_ns = decode_start.elapsed().as_nanos() as u64;
+            let decode_ns = decode_start.map(|start| start.elapsed().as_nanos() as u64);
             handled += 1;
             match frame {
                 Frame::Data(data) => {
-                    // Frames on this socket end flow peer -> own.
-                    self.metrics.decode_ns[peer as usize * self.nodes + own as usize]
-                        .record(decode_ns);
+                    if let Some(ns) = decode_ns {
+                        // Frames on this socket end flow peer -> own.
+                        self.metrics.decode_ns[peer as usize * self.nodes + own as usize]
+                            .record(ns);
+                    }
                     self.accept_data(data, e);
                 }
                 Frame::Ack { cum_seq, .. } => self.collect_ack(e, cum_seq),
@@ -814,6 +850,34 @@ impl Fabric {
             self.write_ack(e);
         }
         handled
+    }
+
+    /// Writes end `e`'s corked `DATA` frames with one [`write_frame`] and
+    /// stamps them, suppressed ones included, as sent now: a stream's
+    /// timer and its round trips run from the write, not from the send.
+    ///
+    /// [`write_frame`]: Fabric::write_frame
+    fn uncork(&mut self, e: usize) {
+        let n = self.ends[e].corked_frames;
+        if n == 0 {
+            return;
+        }
+        let mut batch = std::mem::take(&mut self.ends[e].corked);
+        if !batch.is_empty() {
+            self.write_frame(e, &batch, true);
+        }
+        batch.clear();
+        let now = Instant::now();
+        let end = &mut self.ends[e];
+        // Unwritten frames cannot have been acknowledged: they are still
+        // the newest `n`.
+        let from = end.unacked.len() - n;
+        for u in end.unacked.range_mut(from..) {
+            u.first_sent = now;
+            u.last_sent = now;
+        }
+        end.corked = batch;
+        end.corked_frames = 0;
     }
 
     /// Moves every byte end `e`'s socket holds into its reassembler,
@@ -843,7 +907,7 @@ impl Fabric {
         }
     }
 
-    /// Writes one encoded frame on end `e`, never leaving part of one
+    /// Writes encoded frames on end `e`, never leaving part of one
     /// behind. A socket that would block is full of bytes the peer end has
     /// not read, and the thread that would read them is this one: the peer
     /// end is [`fill`](Fabric::fill)ed and the write retried. With `must`
@@ -992,16 +1056,20 @@ impl Fabric {
     fn deliver(&mut self, frame: DataFrame, e: usize, sn: u32, dn: u32) {
         self.probed().event("wire-recv", sn, dn, frame.pair_seq, frame.trace);
         self.ends[e].ack_debt += 1;
-        self.inboxes.entry((frame.src, frame.dst)).or_default().push_back(frame.msg);
+        let inbox = self.inbox_ix(frame.src, frame.dst);
+        self.inboxes[inbox].push_back(frame.msg);
     }
 
-    /// Tears the fabric down: says `BYE` on every end (best effort), then
-    /// closes every socket by dropping it. Idempotent — the ends are gone.
+    /// Tears the fabric down: writes what each end still has corked and
+    /// says `BYE` after it (best effort), then closes every socket by
+    /// dropping it. Idempotent — the ends are gone.
     pub(crate) fn shutdown(&mut self) {
         let bye = encode_frame(&Frame::Bye).expect("BYE is tiny");
         self.metrics.bytes_bye.add(bye.len() as u64 * self.ends.len() as u64);
         for end in &mut self.ends {
-            let _ = end.sock.write(&bye);
+            if end.sock.write_all(&end.corked).is_ok() {
+                let _ = end.sock.write(&bye);
+            }
         }
         self.ends.clear();
     }

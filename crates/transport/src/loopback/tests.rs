@@ -67,7 +67,7 @@ fn a_duplicate_is_dropped_and_answered_with_the_cumulative_ack() {
     assert_eq!(f.drain(rx, false), 1);
     let counts = f.counts();
     assert_eq!((counts.dups_dropped, counts.acks_sent), (1, 1), "{counts:?}");
-    assert!(f.inboxes[&(0, 1)].is_empty(), "a duplicate must not be delivered again");
+    assert!(f.inboxes.iter().all(VecDeque::is_empty), "a duplicate must not be delivered again");
 
     // The re-ACK is cumulative: collecting it empties the send buffer.
     assert_eq!(f.drain(tx, false), 1);
@@ -93,7 +93,7 @@ fn a_frame_split_across_two_writes_is_reassembled() {
     let bytes = data(1);
     f.write_frame(tx, &bytes[..10], true);
     assert_eq!(f.drain(rx, false), 0, "ten bytes are not a frame");
-    assert!(f.inboxes.is_empty());
+    assert!(f.inboxes.iter().all(VecDeque::is_empty));
     f.write_frame(tx, &bytes[10..], true);
     assert_eq!(f.recv(0, 1), msg(1));
 }
@@ -142,6 +142,61 @@ fn an_ack_that_would_block_stays_owed_and_is_never_written_in_part() {
     assert_eq!(f.counts().acks_sent, 1);
     assert_eq!(f.drain(tx, false), 1);
     assert!(f.ends[tx].unacked.is_empty());
+}
+
+#[test]
+fn sends_are_corked_until_the_receiving_end_is_drained() {
+    let (mut f, tx, rx) = two_nodes();
+    let reg = Registry::enabled();
+    f.set_metrics(&reg);
+    let io = |what| reg.counter(&format!("wire.io.{what}")).get();
+    let (reads, writes) = (io("reads"), io("writes"));
+    for seq in 1..=8 {
+        f.send_data(0, 1, false, &msg(seq), 0);
+    }
+    assert_eq!(io("writes"), writes, "a send writes nothing");
+    let after_sends = Instant::now();
+
+    // One write puts the whole batch on the wire, one read takes it off.
+    assert_eq!(f.drain(rx, false), 8);
+    assert_eq!((io("reads"), io("writes")), (reads + 1, writes + 1));
+    for seq in 1..=8 {
+        assert_eq!(f.recv(0, 1), msg(seq));
+    }
+    // The timers and round trips run from the write, not the send.
+    assert!(f.ends[tx].unacked.iter().all(|u| u.first_sent >= after_sends));
+    assert!(f.ends[tx].unacked.iter().all(|u| u.last_sent == u.first_sent));
+}
+
+#[test]
+fn a_loss_inside_a_corked_batch_is_resent_on_a_repeated_ack() {
+    let (mut f, tx, rx) = two_nodes_dropping(4);
+    let reg = Registry::enabled();
+    f.set_metrics(&reg);
+    for seq in 1..=5 {
+        f.send_data(0, 1, false, &msg(seq), 0);
+    }
+    assert_eq!(f.counts().induced_drops, 1, "position 4 never reached the wire");
+    // 1..=3 are delivered and 5 is held; the ACK covers 3.
+    assert_eq!(f.drain(rx, false), 4);
+    assert_eq!(f.drain(tx, false), 1);
+    assert!(f.ends[tx].unacked.iter().map(|u| u.seq).eq([4, 5]));
+    let (lost, next) = (&f.ends[tx].unacked[0], &f.ends[tx].unacked[1]);
+    assert_eq!(lost.first_sent, next.first_sent, "stamped with the batch it was dropped from");
+    assert_eq!(f.counts().retransmits, 0);
+
+    // The next frame is held too, and the ACK that earns repeats the last.
+    f.send_data(0, 1, false, &msg(6), 0);
+    assert_eq!(f.drain(rx, false), 1);
+    assert_eq!(f.drain(tx, false), 1);
+    assert_eq!(f.counts().retransmits, 1);
+    for seq in 1..=6 {
+        assert_eq!(f.recv(0, 1), msg(seq));
+    }
+    let count = |name| reg.counter(name).get();
+    assert_eq!((count("wire.retransmits.fast"), count("wire.retransmits.timeout")), (1, 0));
+    let counts = f.counts();
+    assert_eq!((counts.holds, counts.resequenced, counts.dups_dropped), (2, 2, 0), "{counts:?}");
 }
 
 const fn us(n: u64) -> Duration {

@@ -12,8 +12,9 @@ use shasta_apps::driver::{
 };
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::{FaultPlan, Machine, NetProfile, ProtocolConfig};
+use shasta_obs::Registry;
 use shasta_stats::RunStats;
-use shasta_transport::{Backend, DropPlan, LoopbackTransport};
+use shasta_transport::{Backend, DropPlan, LoopbackTransport, Transport};
 
 fn smp_tiny() -> RunConfig {
     RunConfig::new(Proto::Smp, 8, 4)
@@ -65,6 +66,31 @@ fn water_over_uds_matches_the_simulator() {
     let sim = run_sim("Water-Nsq");
     let wire = run_wire("Water-Nsq", Backend::Uds, DropPlan::default());
     assert_counters_match("Water-Nsq", "uds", &sim, &wire);
+}
+
+/// `DATA` frames are corked per socket end and written when their stream is
+/// next read, so a run makes fewer `write` calls than it sends frames, ACKs
+/// included. On loopback the count is deterministic (LU reads 594 writes for
+/// 1 088 frames); one write per frame would be well above the bound.
+#[test]
+fn lu_over_uds_writes_fewer_times_than_it_sends_frames() {
+    let sim = run_sim("LU");
+    let spec = registry().into_iter().find(|s| s.name == "LU").expect("app");
+    let reg = Registry::enabled();
+    let mut probe = None;
+    let wire =
+        run_app_with_transport((spec.build)(Preset::Tiny, true).as_ref(), &smp_tiny(), |t, c| {
+            let mut transport =
+                LoopbackTransport::connect(t.clone(), c.clone(), Backend::Uds, DropPlan::default())
+                    .expect("loopback fabric");
+            transport.set_metrics(&reg);
+            probe = Some(transport.counts_probe());
+            Box::new(transport)
+        });
+    assert_counters_match("LU", "uds", &sim, &wire);
+    let frames = probe.expect("factory ran").get().data_frames;
+    let writes = reg.snapshot().counter("wire.io.writes");
+    assert!(writes * 4 < frames * 3, "{writes} writes for {frames} DATA frames");
 }
 
 /// Drop every 7th first transmission: retransmission must recover every

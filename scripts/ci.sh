@@ -9,12 +9,18 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> no hashed tables in the protocol or the kernels"
+echo "==> no hashed tables in the protocol, the kernels or the wire's message path"
 # Every table on the simulated-event path is direct-indexed or a short
 # scan (docs/PERFORMANCE.md, "Tables without hashing"): SipHash was 15-20 %
-# of a run there, so it must not come back unnoticed.
+# of a run there, so it must not come back unnoticed. The socket wire's
+# inboxes are direct-indexed too (docs/PERFORMANCE.md, "The wire path");
+# its test module is exempt.
 if git grep -nE '\bHash(Map|Set)\b' -- crates/core/src crates/apps/src; then
   echo "HashMap/HashSet in crates/core/src or crates/apps/src"
+  exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/transport/src/loopback.rs | grep -nE '\bHash(Map|Set)\b'; then
+  echo "HashMap/HashSet outside the tests of crates/transport/src/loopback.rs"
   exit 1
 fi
 
