@@ -15,7 +15,7 @@ use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
 
-use crate::driver::{assert_close, chunk, Body, DsmApp, PlanOpts, Preset};
+use crate::driver::{assert_close, chunk, read_rec, Body, DsmApp, PlanOpts, Preset};
 
 /// Body record: pos 3, vel 3, force 3, mass, pad → 16 f64 (128 B).
 const BODY_F64: usize = 16;
@@ -322,8 +322,7 @@ impl DsmApp for Barnes {
                             // Rebuild the tree through the DSM.
                             let mut pos = Vec::with_capacity(n);
                             for b in 0..n {
-                                let v = dsm.read_f64s(body_rec(b), 3);
-                                pos.push([v[0], v[1], v[2]]);
+                                pos.push(read_rec(&mut dsm, body_rec(b)));
                             }
                             let tree = Tree::build(&pos, &mass);
                             dsm.compute(220 * n as u64); // tree construction work
@@ -341,27 +340,22 @@ impl DsmApp for Barnes {
                         let mut cell_cache: Vec<Option<[f64; CELL_F64]>> = vec![None; ncells];
                         let mut body_cache: Vec<Option<([f64; 3], f64)>> = vec![None; n];
                         for b in my_bodies.clone() {
-                            let pb = {
-                                let v = dsm.read_f64s(body_rec(b), 3);
-                                [v[0], v[1], v[2]]
-                            };
+                            let pb = read_rec(&mut dsm, body_rec(b));
                             let mut visits = 0u64;
                             let force = {
                                 let dsm_cell = std::cell::RefCell::new(&mut dsm);
                                 let mut read_cell = |c: usize| {
                                     *cell_cache[c].get_or_insert_with(|| {
-                                        let v =
-                                            dsm_cell.borrow_mut().read_f64s(cell_rec(c), CELL_F64);
-                                        v.try_into().expect("cell record")
+                                        read_rec(&mut dsm_cell.borrow_mut(), cell_rec(c))
                                     })
                                 };
                                 let mut read_body = |j: usize| {
                                     *body_cache[j].get_or_insert_with(|| {
-                                        let v = dsm_cell.borrow_mut().read_f64s(body_rec(j), 3);
+                                        let v = read_rec(&mut dsm_cell.borrow_mut(), body_rec(j));
                                         let m = f64::from_bits(
                                             dsm_cell.borrow_mut().load_u64(body_rec(j) + 9 * 8),
                                         );
-                                        ([v[0], v[1], v[2]], m)
+                                        (v, m)
                                     })
                                 };
                                 force_on(b, pb, &mut read_cell, &mut read_body, &mut visits)
@@ -373,7 +367,7 @@ impl DsmApp for Barnes {
                         barrier += 1;
                         // Update phase: integrate own bodies.
                         for b in my_bodies.clone() {
-                            let r = dsm.read_f64s(body_rec(b), 9);
+                            let r: [f64; 9] = read_rec(&mut dsm, body_rec(b));
                             dsm.compute(20);
                             let mut out = [0.0f64; 9];
                             for d in 0..3 {
@@ -388,10 +382,10 @@ impl DsmApp for Barnes {
                     }
                     if p == 0 {
                         if let Some(expected) = expected {
-                            let mut got = Vec::with_capacity(n * 3);
+                            let mut got = vec![0.0; n * 3];
                             let mut want = Vec::with_capacity(n * 3);
-                            for b in 0..n {
-                                got.extend(dsm.read_f64s(body_rec(b), 3));
+                            for (b, g) in got.chunks_exact_mut(3).enumerate() {
+                                dsm.read_f64s_into(body_rec(b), g);
                                 want.extend_from_slice(&expected[b]);
                             }
                             assert_close("Barnes", &got, &want, 1e-9);

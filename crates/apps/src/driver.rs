@@ -3,6 +3,7 @@
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtoMsg, ProtocolConfig, SetupCtx};
+use shasta_core::space::Addr;
 use shasta_memchan::Transport;
 use shasta_stats::RunStats;
 
@@ -444,6 +445,13 @@ pub(crate) fn chunk(total: usize, procs: u32, p: u32) -> std::ops::Range<usize> 
     let lo = (p as usize * per).min(total);
     let hi = ((p as usize + 1) * per).min(total);
     lo..hi
+}
+
+/// Reads the `N`-`f64` record at `addr` into a stack array.
+pub(crate) fn read_rec<const N: usize>(dsm: &mut Dsm, addr: Addr) -> [f64; N] {
+    let mut rec = [0.0; N];
+    dsm.read_f64s_into(addr, &mut rec);
+    rec
 }
 
 /// Asserts that two floating-point slices agree within a relative tolerance.

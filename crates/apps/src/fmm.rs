@@ -16,7 +16,7 @@ use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
 
-use crate::driver::{assert_close, chunk, Body, DsmApp, PlanOpts, Preset};
+use crate::driver::{assert_close, chunk, read_rec, Body, DsmApp, PlanOpts, Preset};
 
 /// Particle record: x, y, potential, pad → 4 f64 (32 B).
 const PART_F64: usize = 4;
@@ -237,7 +237,7 @@ impl DsmApp for Fmm {
                         let (first, count) = ranges[b];
                         let (mut q, mut cx, mut cy) = (0.0f64, 0.0f64, 0.0f64);
                         for k in first..first + count {
-                            let v = dsm.read_f64s(part_addr[k], 2);
+                            let v: [f64; 2] = read_rec(&mut dsm, part_addr[k]);
                             q += 1.0;
                             cx += v[0];
                             cy += v[1];
@@ -252,7 +252,7 @@ impl DsmApp for Fmm {
                     dsm.barrier(0);
                     // Phase 2: M2L over the read-shared box array plus
                     // near-field P2P with neighbour boxes' particles.
-                    let mut box_cache: Vec<Option<Vec<f64>>> = vec![None; nb];
+                    let mut box_cache: Vec<Option<[f64; 3]>> = vec![None; nb];
                     for b in my_boxes.clone() {
                         let neigh = app.neighbors(b);
                         let centre =
@@ -262,9 +262,8 @@ impl DsmApp for Fmm {
                             if neigh.contains(&fb) {
                                 continue;
                             }
-                            let rec = box_cache[fb]
-                                .get_or_insert_with(|| dsm.read_f64s(box_rec(fb), 3))
-                                .clone();
+                            let rec = *box_cache[fb]
+                                .get_or_insert_with(|| read_rec(&mut dsm, box_rec(fb)));
                             dsm.compute(M2L_CYCLES);
                             let (q, cx, cy) = (rec[0], rec[1], rec[2]);
                             if q == 0.0 {
@@ -278,13 +277,12 @@ impl DsmApp for Fmm {
                         for nb_ in &neigh {
                             let (nf, nc) = ranges[*nb_];
                             for k in nf..nf + nc {
-                                let v = dsm.read_f64s(part_addr[k], 2);
-                                near.push((k, [v[0], v[1]]));
+                                near.push((k, read_rec(&mut dsm, part_addr[k])));
                             }
                         }
                         let (first, count) = ranges[b];
                         for k in first..first + count {
-                            let v = dsm.read_f64s(part_addr[k], 2);
+                            let v: [f64; 2] = read_rec(&mut dsm, part_addr[k]);
                             let mut pot = local;
                             for (kj, pj) in &near {
                                 if *kj == k {

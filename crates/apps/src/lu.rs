@@ -191,7 +191,8 @@ fn gemm_sub(aij: &mut [f64], lik: &[f64], ukj: &[f64], b: usize) {
     }
 }
 
-/// Reads block `(bi, bj)` through the DSM.
+/// Reads block `(bi, bj)` through the DSM into `out` (`b * b` values).
+#[allow(clippy::too_many_arguments)]
 fn read_block(
     dsm: &mut Dsm,
     layout: &Layout,
@@ -199,19 +200,18 @@ fn read_block(
     b: usize,
     bi: usize,
     bj: usize,
-) -> Vec<f64> {
+    out: &mut [f64],
+) {
     match layout {
         Layout::RowMajor { base } => {
-            let mut out = Vec::with_capacity(b * b);
-            for r in 0..b {
+            for (r, row) in out.chunks_exact_mut(b).enumerate() {
                 let addr = base + (((bi * b + r) * n + bj * b) * 8) as u64;
-                out.extend(dsm.read_f64s(addr, b));
+                dsm.read_f64s_into(addr, row);
             }
-            out
         }
         Layout::Blocked { blocks } => {
             let nb = n / b;
-            dsm.read_f64s(blocks[bi * nb + bj], b * b)
+            dsm.read_f64s_into(blocks[bi * nb + bj], out);
         }
     }
 }
@@ -316,55 +316,67 @@ impl DsmApp for Lu {
                 let app = app.clone();
                 let expected = expected.clone();
                 Box::new(move |mut dsm: Dsm| {
+                    // Every block read lands in one of these: the diagonal
+                    // block, the row block `lik` of an interior row, and the
+                    // block being updated (`ukj` beside it for the interior).
+                    let mut diag = vec![0.0f64; b * b];
+                    let mut lik = vec![0.0f64; b * b];
+                    let mut ukj = vec![0.0f64; b * b];
+                    let mut blk = vec![0.0f64; b * b];
                     let mut barrier = 0u32;
                     for k in 0..nb {
                         if app.owner(procs, k, k) == p {
-                            let mut diag = read_block(&mut dsm, &layout, n, b, k, k);
+                            read_block(&mut dsm, &layout, n, b, k, k, &mut blk);
                             dsm.compute(FMA_CYCLES * (b * b * b) as u64 / 3);
-                            factor_block(&mut diag, b);
-                            write_block(&mut dsm, &layout, n, b, k, k, &diag);
+                            factor_block(&mut blk, b);
+                            write_block(&mut dsm, &layout, n, b, k, k, &blk);
                         }
                         dsm.barrier(barrier);
                         barrier += 1;
-                        // Perimeter: row k and column k panels.
-                        let mut diag: Option<Vec<f64>> = None;
+                        // Perimeter: row k and column k panels, reading the
+                        // diagonal block before the first of them.
+                        let mut have_diag = false;
                         for j in k + 1..nb {
                             if app.owner(procs, k, j) == p {
-                                let d = diag.get_or_insert_with(|| {
-                                    read_block(&mut dsm, &layout, n, b, k, k)
-                                });
-                                let mut blk = read_block(&mut dsm, &layout, n, b, k, j);
+                                if !have_diag {
+                                    read_block(&mut dsm, &layout, n, b, k, k, &mut diag);
+                                    have_diag = true;
+                                }
+                                read_block(&mut dsm, &layout, n, b, k, j, &mut blk);
                                 dsm.compute(FMA_CYCLES * (b * b * b) as u64 / 2);
-                                solve_lower(d, &mut blk, b);
+                                solve_lower(&diag, &mut blk, b);
                                 write_block(&mut dsm, &layout, n, b, k, j, &blk);
                             }
                         }
                         for i in k + 1..nb {
                             if app.owner(procs, i, k) == p {
-                                let d = diag.get_or_insert_with(|| {
-                                    read_block(&mut dsm, &layout, n, b, k, k)
-                                });
-                                let mut blk = read_block(&mut dsm, &layout, n, b, i, k);
+                                if !have_diag {
+                                    read_block(&mut dsm, &layout, n, b, k, k, &mut diag);
+                                    have_diag = true;
+                                }
+                                read_block(&mut dsm, &layout, n, b, i, k, &mut blk);
                                 dsm.compute(FMA_CYCLES * (b * b * b) as u64 / 2);
-                                solve_upper(d, &mut blk, b);
+                                solve_upper(&diag, &mut blk, b);
                                 write_block(&mut dsm, &layout, n, b, i, k, &blk);
                             }
                         }
                         dsm.barrier(barrier);
                         barrier += 1;
-                        // Interior updates.
+                        // Interior updates, reading row i's `lik` before its
+                        // first owned block.
                         for i in k + 1..nb {
-                            let mut lik: Option<Vec<f64>> = None;
+                            let mut have_lik = false;
                             for j in k + 1..nb {
                                 if app.owner(procs, i, j) == p {
-                                    let l = lik.get_or_insert_with(|| {
-                                        read_block(&mut dsm, &layout, n, b, i, k)
-                                    });
-                                    let ukj = read_block(&mut dsm, &layout, n, b, k, j);
-                                    let mut aij = read_block(&mut dsm, &layout, n, b, i, j);
+                                    if !have_lik {
+                                        read_block(&mut dsm, &layout, n, b, i, k, &mut lik);
+                                        have_lik = true;
+                                    }
+                                    read_block(&mut dsm, &layout, n, b, k, j, &mut ukj);
+                                    read_block(&mut dsm, &layout, n, b, i, j, &mut blk);
                                     dsm.compute(FMA_CYCLES * (b * b * b) as u64);
-                                    gemm_sub(&mut aij, l, &ukj, b);
-                                    write_block(&mut dsm, &layout, n, b, i, j, &aij);
+                                    gemm_sub(&mut blk, &lik, &ukj, b);
+                                    write_block(&mut dsm, &layout, n, b, i, j, &blk);
                                 }
                             }
                         }
@@ -376,7 +388,7 @@ impl DsmApp for Lu {
                             let mut got = vec![0.0f64; n * n];
                             for bi in 0..nb {
                                 for bj in 0..nb {
-                                    let blk = read_block(&mut dsm, &layout, n, b, bi, bj);
+                                    read_block(&mut dsm, &layout, n, b, bi, bj, &mut blk);
                                     for r in 0..b {
                                         got[(bi * b + r) * n + bj * b
                                             ..(bi * b + r) * n + bj * b + b]

@@ -128,25 +128,28 @@ impl DsmApp for Ocean {
                 let expected = expected.clone();
                 let my_rows: Vec<usize> = chunk(interior, procs, p).map(|r| r + 1).collect();
                 Box::new(move |mut dsm: Dsm| {
+                    // The halo plus own band, one row after another, and
+                    // the row being computed.
+                    let mut band = vec![0.0f64; (my_rows.len() + 2) * n];
+                    let mut new_row = vec![0.0f64; n];
                     let mut barrier = 0u32;
                     for _ in 0..iters {
                         for color in 0..2usize {
                             // Read the halo plus own band, compute, write back.
                             if let (Some(&lo), Some(&hi)) = (my_rows.first(), my_rows.last()) {
-                                let mut rows = Vec::with_capacity(my_rows.len() + 2);
-                                for r in lo - 1..=hi + 1 {
-                                    rows.push(dsm.read_f64s(row_addr[r], n));
+                                for (r, row) in (lo - 1..=hi + 1).zip(band.chunks_exact_mut(n)) {
+                                    dsm.read_f64s_into(row_addr[r], row);
                                 }
                                 for (i, &r) in my_rows.iter().enumerate() {
-                                    let mut new_row = rows[i + 1].clone();
+                                    // Row r is band row i + 1, between rows i and i + 2.
+                                    let row = |k: usize| &band[k * n..(k + 1) * n];
+                                    let (up, mid, down) = (row(i), row(i + 1), row(i + 2));
+                                    new_row.copy_from_slice(mid);
                                     dsm.compute(STENCIL_CYCLES * (n as u64 - 2) / 2);
                                     for c in 1..n - 1 {
                                         if (r + c) % 2 == color {
-                                            new_row[c] = 0.25
-                                                * (rows[i][c]
-                                                    + rows[i + 2][c]
-                                                    + rows[i + 1][c - 1]
-                                                    + rows[i + 1][c + 1]);
+                                            new_row[c] =
+                                                0.25 * (up[c] + down[c] + mid[c - 1] + mid[c + 1]);
                                         }
                                     }
                                     dsm.write_f64s(row_addr[r], &new_row);
@@ -159,9 +162,8 @@ impl DsmApp for Ocean {
                     if p == 0 {
                         if let Some(expected) = expected {
                             let mut got = vec![0.0f64; n * n];
-                            for r in 0..n {
-                                got[r * n..(r + 1) * n]
-                                    .copy_from_slice(&dsm.read_f64s(row_addr[r], n));
+                            for (r, row) in got.chunks_exact_mut(n).enumerate() {
+                                dsm.read_f64s_into(row_addr[r], row);
                             }
                             assert_close("Ocean", &got, &expected, 1e-9);
                         }

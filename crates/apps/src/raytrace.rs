@@ -14,7 +14,7 @@ use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
 
-use crate::driver::{Body, DsmApp, PlanOpts, Preset};
+use crate::driver::{read_rec, Body, DsmApp, PlanOpts, Preset};
 use crate::taskq::{deal_tasks, TaskQueues};
 
 /// Sphere record: centre 3, radius, shade, pad 3 → 8 f64 (64 B).
@@ -146,8 +146,7 @@ impl DsmApp for Raytrace {
                     // local copy as hardware caches would.
                     let mut scene = Vec::with_capacity(nspheres);
                     for i in 0..nspheres {
-                        let v = dsm.read_f64s(scene_addr + i as u64 * SPH_BYTES, 5);
-                        scene.push([v[0], v[1], v[2], v[3], v[4]]);
+                        scene.push(read_rec(&mut dsm, scene_addr + i as u64 * SPH_BYTES));
                     }
                     let local = Raytrace { width: w, height: h, spheres: Rc::new(scene) };
                     let tiles_x = w / TILE;
@@ -167,9 +166,9 @@ impl DsmApp for Raytrace {
                     dsm.barrier(0);
                     if p == 0 {
                         if let Some(expected) = expected {
-                            let mut got = Vec::with_capacity(w * h);
-                            for py in 0..h {
-                                got.extend(dsm.read_f64s(image_addr + ((py * w) * 8) as u64, w));
+                            let mut got = vec![0.0; w * h];
+                            for (py, row) in got.chunks_exact_mut(w).enumerate() {
+                                dsm.read_f64s_into(image_addr + ((py * w) * 8) as u64, row);
                             }
                             crate::driver::assert_close("Raytrace", &got, &expected, 1e-12);
                         }

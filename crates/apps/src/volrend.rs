@@ -160,8 +160,10 @@ impl DsmApp for Volrend {
                 let app = app.clone();
                 Box::new(move |mut dsm: Dsm| {
                     // Read the transfer maps through the DSM once.
-                    let opacity = dsm.read_f64s(opac_addr, 256);
-                    let shading = dsm.read_f64s(shade_addr, 256);
+                    let mut opacity = vec![0.0; 256];
+                    dsm.read_f64s_into(opac_addr, &mut opacity);
+                    let mut shading = vec![0.0; 256];
+                    dsm.read_f64s_into(shade_addr, &mut shading);
                     let local = Volrend {
                         opacity: Rc::new(opacity),
                         shading: Rc::new(shading),
@@ -169,7 +171,7 @@ impl DsmApp for Volrend {
                     };
                     // Volume voxels are fetched in line-sized chunks and
                     // cached natively (the hardware-cache analogue).
-                    let mut chunks: Vec<Option<Vec<u8>>> = vec![None; vol_chunks];
+                    let mut chunks: Vec<Option<[u8; CHUNK]>> = vec![None; vol_chunks];
                     let tiles_x = img / TILE;
                     while let Some(task) = queues.next_task(&mut dsm, p) {
                         let (tx, ty) = ((task as usize) % tiles_x, (task as usize) / tiles_x);
@@ -182,7 +184,9 @@ impl DsmApp for Volrend {
                                     samples += 1;
                                     let c = i / CHUNK;
                                     let chunk = chunks[c].get_or_insert_with(|| {
-                                        dsm.read_range(vol_addr + (c * CHUNK) as u64, CHUNK as u64)
+                                        let mut chunk = [0; CHUNK];
+                                        dsm.read_into(vol_addr + (c * CHUNK) as u64, &mut chunk);
+                                        chunk
                                     });
                                     chunk[i % CHUNK]
                                 };
@@ -195,11 +199,9 @@ impl DsmApp for Volrend {
                     dsm.barrier(0);
                     if p == 0 {
                         if let Some(expected) = expected {
-                            let mut got = Vec::with_capacity(img * img);
-                            for py in 0..img {
-                                got.extend(
-                                    dsm.read_f64s(image_addr + ((py * img) * 8) as u64, img),
-                                );
+                            let mut got = vec![0.0; img * img];
+                            for (py, row) in got.chunks_exact_mut(img).enumerate() {
+                                dsm.read_f64s_into(image_addr + ((py * img) * 8) as u64, row);
                             }
                             crate::driver::assert_close("Volrend", &got, &expected, 1e-12);
                         }

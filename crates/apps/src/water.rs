@@ -19,7 +19,7 @@ use shasta_core::api::Dsm;
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{Addr, BlockHint, HomeHint};
 
-use crate::driver::{assert_close, chunk, Body, DsmApp, PlanOpts, Preset};
+use crate::driver::{assert_close, chunk, read_rec, Body, DsmApp, PlanOpts, Preset};
 
 /// Molecule record: 3 position + 3 velocity + 3 force + padding = 16 f64
 /// (128 bytes, two 64-byte lines).
@@ -205,10 +205,7 @@ impl WaterCommon {
                         let mut pos_cache: Vec<Option<[f64; 3]>> = vec![None; n];
                         for &(i, j) in &pairs[my_pairs.clone()] {
                             let mut read_pos = |dsm: &mut Dsm, m: usize| {
-                                *pos_cache[m].get_or_insert_with(|| {
-                                    let v = dsm.read_f64s(rec(m), 3);
-                                    [v[0], v[1], v[2]]
-                                })
+                                *pos_cache[m].get_or_insert_with(|| read_rec(dsm, rec(m)))
                             };
                             let pi = read_pos(&mut dsm, i);
                             let pj = read_pos(&mut dsm, j);
@@ -226,7 +223,7 @@ impl WaterCommon {
                         for (m, f) in local.iter().enumerate() {
                             let Some(f) = f else { continue };
                             dsm.acquire(m as u32);
-                            let cur = dsm.read_f64s(rec(m) + 6 * 8, 3);
+                            let cur: [f64; 3] = read_rec(&mut dsm, rec(m) + 6 * 8);
                             dsm.compute(10);
                             // Scalar (non-blocking) stores: under coarse
                             // blocks the record's block is contended, and
@@ -241,7 +238,7 @@ impl WaterCommon {
                         // Phase 3: owners integrate their molecules and
                         // clear forces.
                         for m in my_mols.clone() {
-                            let r = dsm.read_f64s(rec(m), 9);
+                            let r: [f64; 9] = read_rec(&mut dsm, rec(m));
                             dsm.compute(INTEGRATE_CYCLES);
                             for d in 0..3u64 {
                                 let du = d as usize;
@@ -257,10 +254,10 @@ impl WaterCommon {
                     }
                     if p == 0 {
                         if let Some(expected) = expected {
-                            let mut got = Vec::with_capacity(n * 3);
+                            let mut got = vec![0.0; n * 3];
                             let mut want = Vec::with_capacity(n * 3);
-                            for m in 0..n {
-                                got.extend(dsm.read_f64s(rec(m), 3));
+                            for (m, g) in got.chunks_exact_mut(3).enumerate() {
+                                dsm.read_f64s_into(rec(m), g);
                                 want.extend_from_slice(&expected[m]);
                             }
                             assert_close(name, &got, &want, 1e-6);

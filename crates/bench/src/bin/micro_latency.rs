@@ -89,7 +89,7 @@ fn main() {
                     }
                 } else if p == 4 {
                     dsm.compute(1_000);
-                    let _ = dsm.read_range(addr, 2_048);
+                    dsm.read_into(addr, &mut [0; 2_048]);
                 }
             }
         })

@@ -10,6 +10,11 @@
 //! operation, so it costs no engine rendezvous. Neither does an operation
 //! that returns nothing: like Shasta's non-blocking stores it is *posted*,
 //! and reaches the engine, in program order, with the next load or range read.
+//!
+//! A range read lands in a slice the caller owns ([`Dsm::read_into`],
+//! [`Dsm::read_f64s_into`]). Its bytes travel in the processor's one read
+//! buffer, which rides the request to the engine and back in the reply, so a
+//! read allocates nothing once that buffer is as large as the largest read.
 
 use shasta_sim::FiberApi;
 
@@ -49,6 +54,10 @@ pub enum Req {
         addr: Addr,
         /// Length in bytes.
         len: u64,
+        /// The processor's read buffer. Its contents are ignored: the engine
+        /// replaces them with the range's bytes and returns it in
+        /// [`Resp::Data`], so a read allocates only while the buffer grows.
+        buf: Vec<u8>,
         /// Compute cycles since the previous operation.
         pre_cycles: u64,
     },
@@ -134,7 +143,7 @@ impl Req {
 pub enum Resp {
     /// Loaded scalar (little-endian, zero-extended).
     Value(u64),
-    /// Bytes from a `ReadRange`.
+    /// A `ReadRange`'s buffer, holding the range's bytes.
     Data(Vec<u8>),
     /// Completion of a store, write, sync, or poll.
     Unit,
@@ -155,12 +164,15 @@ pub struct Dsm {
     api: FiberApi<Req, Resp>,
     proc_id: u32,
     pending_cycles: u64,
+    /// The one buffer this processor's range reads travel in (see
+    /// [`Req::ReadRange`]); it is as large as the largest read so far.
+    read_buf: Vec<u8>,
 }
 
 impl Dsm {
     /// Wraps a fiber API endpoint. Used by the engine when spawning fibers.
     pub fn new(proc_id: u32, api: FiberApi<Req, Resp>) -> Self {
-        Dsm { api, proc_id, pending_cycles: 0 }
+        Dsm { api, proc_id, pending_cycles: 0, read_buf: Vec::new() }
     }
 
     /// This processor's id (0-based, dense).
@@ -220,26 +232,48 @@ impl Dsm {
         self.api.post(Req::Store { addr, size: 8, value: value.to_bits(), fp: true, pre_cycles });
     }
 
-    /// Batched read of `len` bytes at `addr` (a Shasta batch: one check
-    /// sequence covering the range, then unchecked accesses).
+    /// Batched read of `out.len()` bytes at `addr` into `out` (a Shasta
+    /// batch: one check sequence covering the range, then unchecked
+    /// accesses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is empty, in every protocol mode.
+    pub fn read_into(&mut self, addr: Addr, out: &mut [u8]) {
+        out.copy_from_slice(self.read_bytes(addr, out.len()));
+    }
+
+    /// Batched read of `out.len()` consecutive `f64`s at `addr` into `out`;
+    /// panics if `out` is empty, as [`Dsm::read_into`] does.
+    pub fn read_f64s_into(&mut self, addr: Addr, out: &mut [f64]) {
+        let bytes = self.read_bytes(addr, out.len() * 8);
+        for (v, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = f64::from_le_bytes(c.try_into().expect("8 bytes"));
+        }
+    }
+
+    /// Batched read of `len` bytes at `addr` into a new `Vec`: a
+    /// [`Dsm::read_into`] for callers that keep the bytes.
     ///
     /// # Panics
     ///
     /// Panics if `len` is zero, in every protocol mode.
     pub fn read_range(&mut self, addr: Addr, len: u64) -> Vec<u8> {
-        assert!(len > 0, "empty range read at shared address {addr:#x}");
-        let pre_cycles = self.take_cycles();
-        match self.api.call(Req::ReadRange { addr, len, pre_cycles }) {
-            Resp::Data(d) => d,
-            other => panic!("engine returned {other:?} where data was expected"),
-        }
+        let mut out = vec![0; len as usize];
+        self.read_into(addr, &mut out);
+        out
     }
 
-    /// Batched read of `n` consecutive `f64`s at `addr`; panics if `n` is
-    /// zero, as [`Dsm::read_range`] does.
-    pub fn read_f64s(&mut self, addr: Addr, n: usize) -> Vec<f64> {
-        let bytes = self.read_range(addr, (n * 8) as u64);
-        bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
+    /// Reads `len` bytes at `addr` into the read buffer and lends them.
+    fn read_bytes(&mut self, addr: Addr, len: usize) -> &[u8] {
+        assert!(len > 0, "empty range read at shared address {addr:#x}");
+        let pre_cycles = self.take_cycles();
+        let buf = std::mem::take(&mut self.read_buf);
+        match self.api.call(Req::ReadRange { addr, len: len as u64, buf, pre_cycles }) {
+            Resp::Data(d) => self.read_buf = d,
+            other => panic!("engine returned {other:?} where data was expected"),
+        }
+        &self.read_buf
     }
 
     /// Batched write of `data` at `addr`.
@@ -327,8 +361,10 @@ mod tests {
                                 .copy_from_slice(&value.to_le_bytes()[..size as usize]);
                             Resp::Unit
                         }
-                        Req::ReadRange { addr, len, .. } => {
-                            Resp::Data(mem[addr as usize..(addr + len) as usize].to_vec())
+                        Req::ReadRange { addr, len, mut buf, .. } => {
+                            buf.clear();
+                            buf.extend_from_slice(&mem[addr as usize..(addr + len) as usize]);
+                            Resp::Data(buf)
                         }
                         Req::WriteRange { addr, ref data, .. } => {
                             mem[addr as usize..addr as usize + data.len()].copy_from_slice(data);
@@ -354,12 +390,65 @@ mod tests {
             dsm.store_f64(8, 3.25);
             assert_eq!(dsm.load_f64(8), 3.25);
             dsm.write_f64s(16, &[1.0, 2.0]);
-            assert_eq!(dsm.read_f64s(16, 2), vec![1.0, 2.0]);
+            let mut f = [0.0; 2];
+            dsm.read_f64s_into(16, &mut f);
+            assert_eq!(f, [1.0, 2.0]);
             dsm.write_range(32, &[1, 2, 3]);
             assert_eq!(dsm.read_range(32, 3), vec![1, 2, 3]);
         });
         let mut mem = vec![0u8; 64];
         echo_engine(&mut pool, &mut mem);
+        pool.join();
+    }
+
+    #[test]
+    fn borrowed_reads_round_trip() {
+        let mut pool = FiberPool::spawn(1, |pid, api| {
+            let mut dsm = Dsm::new(pid, api);
+            dsm.write_range(0, &[9, 8, 7, 6]);
+            let mut bytes = [0u8; 3];
+            dsm.read_into(1, &mut bytes);
+            assert_eq!(bytes, [8, 7, 6]);
+            dsm.write_f64s(8, &[0.5, -2.0, 1e300]);
+            let mut f = [0.0; 3];
+            dsm.read_f64s_into(8, &mut f);
+            assert_eq!(f, [0.5, -2.0, 1e300]);
+            // A shorter read after a longer one lands only its own bytes.
+            let mut one = [0.0; 1];
+            dsm.read_f64s_into(16, &mut one);
+            assert_eq!(one, [-2.0]);
+            dsm.read_into(0, &mut bytes[..1]);
+            assert_eq!(bytes, [9, 7, 6]);
+        });
+        let mut mem = vec![0u8; 64];
+        echo_engine(&mut pool, &mut mem);
+        pool.join();
+    }
+
+    #[test]
+    fn the_read_buffer_travels_with_its_request_and_comes_back() {
+        let mut pool = FiberPool::spawn(1, |pid, api| {
+            let mut dsm = Dsm::new(pid, api);
+            let mut out = [0u8; 16];
+            dsm.read_into(0, &mut out);
+            assert_eq!(out, [7; 16]);
+            dsm.read_into(0, &mut out[..4]);
+            assert_eq!(out[..4], [5; 4]);
+        });
+        let Some(Req::ReadRange { len: 16, mut buf, .. }) = pool.take_request(0) else {
+            panic!("expected the first range read");
+        };
+        assert_eq!(buf.capacity(), 0, "the first read has no buffer yet");
+        buf.extend_from_slice(&[7; 16]);
+        let first = buf.as_ptr();
+        pool.resume(0, Resp::Data(buf));
+        let Some(Req::ReadRange { len: 4, mut buf, .. }) = pool.take_request(0) else {
+            panic!("expected the second range read");
+        };
+        assert_eq!(buf.as_ptr(), first, "the second read reuses the first one's buffer");
+        buf.clear();
+        buf.extend_from_slice(&[5; 4]);
+        pool.resume(0, Resp::Data(buf));
         pool.join();
     }
 

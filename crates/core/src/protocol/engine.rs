@@ -56,6 +56,23 @@ struct Exec {
     elapsed_pending: bool,
 }
 
+/// Moves an op that stalls out of the executor into its stall record,
+/// leaving a poll behind: an op is observed only when it completes.
+fn park(op: &mut Req) -> Req {
+    std::mem::replace(op, Req::Poll { pre_cycles: 0 })
+}
+
+/// Answers a range read: lands `bytes` in the buffer its request carried
+/// and hands that buffer back as the reply. The op keeps its address and
+/// length for the oracle.
+fn data_reply(op: &mut Req, bytes: &[u8]) -> Resp {
+    let Req::ReadRange { buf, .. } = op else { unreachable!("data answers a range read") };
+    let mut buf = std::mem::take(buf);
+    buf.clear();
+    buf.extend_from_slice(bytes);
+    Resp::Data(buf)
+}
+
 impl Exec {
     /// The loop over `pool`'s fibers. Its cache starts empty, which is
     /// current because a new machine starts with every processor marked.
@@ -360,7 +377,7 @@ impl Machine {
             self.stats.checks.check_cycles += surrogate;
         }
         self.drain_messages(p);
-        let Some(resp) = self.exec_op(p, &req, false) else {
+        let Some(resp) = self.exec_op(p, req, false) else {
             debug_assert!(self.stalls[p as usize].is_some(), "no response and no stall");
             return None;
         };
@@ -453,9 +470,9 @@ impl Machine {
 
     /// Records a stall on a miss: `op` retries once every block it touches
     /// has left the pending states.
-    fn stall_on_miss(&mut self, p: u32, op: &Req, is_read: bool) {
+    fn stall_on_miss(&mut self, p: u32, op: Req, is_read: bool) {
         let cat = if is_read { TimeCat::Read } else { TimeCat::Write };
-        self.begin_stall(p, StallKind::Miss { op: op.clone(), is_read }, cat);
+        self.begin_stall(p, StallKind::Miss { op, is_read }, cat);
     }
 
     /// Whether `p`'s stall condition is satisfied.
@@ -497,9 +514,9 @@ impl Machine {
                     self.stats.read_latency_cycles += window;
                     self.stats.read_latency_count += 1;
                 }
-                self.exec_op(p, &op, true)
+                self.exec_op(p, op, true)
             }
-            StallKind::StoreLimit { op } => self.exec_op(p, &op, true),
+            StallKind::StoreLimit { op } => self.exec_op(p, op, true),
             StallKind::ReleaseWait { then, .. } => match then {
                 AfterRelease::Nothing => Some(Resp::Unit),
                 AfterRelease::Lock(lock) => {
@@ -587,9 +604,10 @@ impl Machine {
     /// Executes one application operation for `p`. Returns the response, or
     /// `None` if the processor stalled (a stall record has been created).
     /// `retry` skips compute and check charging when re-executing after a
-    /// stall.
-    fn exec_op(&mut self, p: u32, op: &Req, retry: bool) -> Option<Resp> {
-        let resp = self.exec_op_inner(p, op, retry);
+    /// stall. An op that stalls moves into its stall record; a range read
+    /// that completes moves its buffer into the reply.
+    fn exec_op(&mut self, p: u32, mut op: Req, retry: bool) -> Option<Resp> {
+        let resp = self.exec_op_inner(p, &mut op, retry);
         if let Some(r) = &resp {
             // A fiber posts these and never reads the reply, so it is checked here.
             let reads = matches!(op, Req::Load { .. } | Req::ReadRange { .. });
@@ -597,13 +615,13 @@ impl Machine {
             // Oracle observation happens at commit: the operation completed (a
             // stalled op is observed when its retry finally returns a response).
             if self.oracle.is_some() {
-                self.oracle_observe(p, op, r);
+                self.oracle_observe(p, &op, r);
             }
         }
         resp
     }
 
-    fn exec_op_inner(&mut self, p: u32, op: &Req, retry: bool) -> Option<Resp> {
+    fn exec_op_inner(&mut self, p: u32, op: &mut Req, retry: bool) -> Option<Resp> {
         if self.cfg.mode == Mode::Hardware {
             return self.exec_hw(p, op);
         }
@@ -613,9 +631,7 @@ impl Machine {
                 self.exec_store(p, addr, size, value, fp, retry, op)
             }
             Req::ReadRange { addr, len, .. } => self.exec_read_range(p, addr, len, retry, op),
-            Req::WriteRange { addr, ref data, .. } => {
-                self.exec_write_range(p, addr, data, retry, op)
-            }
+            Req::WriteRange { .. } => self.exec_write_range(p, retry, op),
             Req::Acquire { lock, .. } => {
                 self.charge(p, TimeCat::Task, self.cost.sync_issue_cycles);
                 self.begin_stall(p, StallKind::LockWait { lock }, TimeCat::Sync);
@@ -686,7 +702,7 @@ impl Machine {
         size: u8,
         fp: bool,
         retry: bool,
-        op: &Req,
+        op: &mut Req,
     ) -> Option<Resp> {
         let v = self.vnode(p);
         if !retry {
@@ -745,12 +761,12 @@ impl Machine {
                 if self.cfg.mode == Mode::Smp {
                     self.obs_event(p, shasta_obs::EventKind::MissMerged { block: block.start });
                 }
-                self.stall_on_miss(p, op, true);
+                self.stall_on_miss(p, park(op), true);
                 self.pay(p, TimeCat::Read, self.smp_lock());
                 None
             }
             LineState::Invalid => {
-                self.stall_on_miss(p, op, true);
+                self.stall_on_miss(p, park(op), true);
                 self.issue_request(p, block, ReqKind::Read);
                 None
             }
@@ -792,7 +808,7 @@ impl Machine {
         value: u64,
         _fp: bool,
         retry: bool,
-        op: &Req,
+        op: &mut Req,
     ) -> Option<Resp> {
         let v = self.vnode(p);
         if !retry {
@@ -849,13 +865,13 @@ impl Machine {
                     // Prior state insufficient (shared → invalid): wait for
                     // the downgrade to finish, then re-execute as a write
                     // miss on the invalid block.
-                    self.stall_on_miss(p, op, false);
+                    self.stall_on_miss(p, park(op), false);
                     self.pay(p, TimeCat::Write, self.smp_lock());
                     None
                 }
             }
             LineState::PendingWrite | LineState::PendingRead if !self.cfg.nonblocking_stores => {
-                self.stall_on_miss(p, op, false);
+                self.stall_on_miss(p, park(op), false);
                 None
             }
             LineState::PendingWrite | LineState::PendingRead => {
@@ -876,7 +892,7 @@ impl Machine {
                 // A genuine store miss: upgrade (shared) or read-exclusive
                 // (invalid) request. Respect the outstanding-store limit.
                 if self.outstanding_stores[p as usize] >= self.cfg.max_outstanding_stores {
-                    self.begin_stall(p, StallKind::StoreLimit { op: op.clone() }, TimeCat::Write);
+                    self.begin_stall(p, StallKind::StoreLimit { op: park(op) }, TimeCat::Write);
                     self.set_trace_context(0);
                     return None;
                 }
@@ -896,7 +912,7 @@ impl Machine {
                     }
                     Some(Resp::Unit)
                 } else {
-                    self.stall_on_miss(p, op, false);
+                    self.stall_on_miss(p, park(op), false);
                     self.issue_request(p, block, kind);
                     None
                 }
@@ -1177,27 +1193,21 @@ impl Machine {
         addr: Addr,
         len: u64,
         retry: bool,
-        op: &Req,
+        op: &mut Req,
     ) -> Option<Resp> {
         if !retry {
             self.charge_batch(p, addr, len, true);
         }
         if !self.prepare_range(p, false, addr, len) {
             let v = self.vnode(p);
-            return Some(Resp::Data(self.mems[v].read(addr, len).to_vec()));
+            return Some(data_reply(op, self.mems[v].read(addr, len)));
         }
-        self.stall_on_miss(p, op, true);
+        self.stall_on_miss(p, park(op), true);
         None
     }
 
-    fn exec_write_range(
-        &mut self,
-        p: u32,
-        addr: Addr,
-        data: &[u8],
-        retry: bool,
-        op: &Req,
-    ) -> Option<Resp> {
+    fn exec_write_range(&mut self, p: u32, retry: bool, op: &mut Req) -> Option<Resp> {
+        let Req::WriteRange { addr, ref data, .. } = *op else { unreachable!("a range write") };
         if !retry {
             self.charge_batch(p, addr, data.len() as u64, false);
         }
@@ -1206,7 +1216,7 @@ impl Machine {
             self.mems[v].write(addr, data);
             return Some(Resp::Unit);
         }
-        self.stall_on_miss(p, op, false);
+        self.stall_on_miss(p, park(op), false);
         None
     }
 
@@ -1214,16 +1224,14 @@ impl Machine {
     // Hardware (ANL) mode
     // ------------------------------------------------------------------
 
-    fn exec_hw(&mut self, p: u32, op: &Req) -> Option<Resp> {
+    fn exec_hw(&mut self, p: u32, op: &mut Req) -> Option<Resp> {
         match *op {
             Req::Load { addr, size, .. } => Some(Resp::Value(self.mems[0].read_scalar(addr, size))),
             Req::Store { addr, size, value, .. } => {
                 self.mems[0].write_scalar(addr, size, value);
                 Some(Resp::Unit)
             }
-            Req::ReadRange { addr, len, .. } => {
-                Some(Resp::Data(self.mems[0].read(addr, len).to_vec()))
-            }
+            Req::ReadRange { addr, len, .. } => Some(data_reply(op, self.mems[0].read(addr, len))),
             Req::WriteRange { addr, ref data, .. } => {
                 self.mems[0].write(addr, data);
                 Some(Resp::Unit)

@@ -1,6 +1,6 @@
-//! The event path allocates nothing it drops: a run twice as long allocates
-//! more only where the application's own read path does. Alone in its test
-//! binary, because it installs the global allocator.
+//! The event path allocates nothing it drops, and neither does a range read
+//! into a slice the body owns: a run twice as long allocates no more. Alone
+//! in its test binary, because it installs the global allocator.
 
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::api::Dsm;
@@ -60,8 +60,8 @@ type Body = Box<dyn FnOnce(Dsm)>;
 /// 4-processor Base machine. Each round, P0 and P1 store to their own word
 /// of every shared block and load it back (the blocks ping-pong between
 /// them: write misses, forwards, invalidations, data replies, merged stores
-/// and stalls), P2 reads the whole area with `read_f64s`, and every
-/// processor meets at a barrier.
+/// and stalls), P2 reads the whole area with `read_f64s_into` into a slice
+/// it owns, and every processor meets at a barrier.
 fn allocations(iterations: u64) -> u64 {
     let topo = Topology::new(4, 1, 1).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::base(), 1 << 20);
@@ -69,6 +69,7 @@ fn allocations(iterations: u64) -> u64 {
     let bodies: Vec<Body> = (0..4u64)
         .map(|p| {
             Box::new(move |mut dsm: Dsm| {
+                let mut values = vec![0.0f64; (BLOCKS * 8) as usize];
                 for round in 0..iterations {
                     match p {
                         0 | 1 => {
@@ -79,10 +80,7 @@ fn allocations(iterations: u64) -> u64 {
                                 assert_eq!(dsm.load_u64(a + b * 64 + 8 * p), round);
                             }
                         }
-                        2 => {
-                            let values = dsm.read_f64s(a, (BLOCKS * 8) as usize);
-                            assert_eq!(values.len(), (BLOCKS * 8) as usize);
-                        }
+                        2 => dsm.read_f64s_into(a, &mut values),
                         _ => {}
                     }
                     dsm.barrier(0);
@@ -98,15 +96,14 @@ fn allocations(iterations: u64) -> u64 {
 }
 
 #[test]
-fn only_the_read_path_allocates_per_round() {
+fn a_run_twice_as_long_allocates_no_more_app_reads_included() {
     let short = allocations(200);
     let long = allocations(400);
-    // `read_f64s` allocates twice per call: the bytes of `Resp::Data` and the
-    // `Vec<f64>` it builds from them. Nothing else may grow with the run.
-    let budget = 2 * 200;
+    // A range read travels in its processor's one read buffer, which grows
+    // to the largest read in the first round; nothing grows with the run.
     assert!(
-        long <= short + budget,
-        "200 more rounds took {} more allocations (budget {budget}): {short} then {long}",
-        long.saturating_sub(short)
+        long <= short,
+        "200 more rounds took {} more allocations (budget 0): {short} then {long}",
+        long - short
     );
 }

@@ -28,6 +28,7 @@ fn breakdowns_account_every_cycle() {
     let a = m.setup(|s| s.malloc(2_048, BlockHint::Line, HomeHint::RoundRobin));
     let stats = m.run(bodies(8, move |p, dsm| {
         let mut rng = SplitMix64::new(p as u64 + 5);
+        let mut line = [0u8; 64];
         for _ in 0..200 {
             let off = rng.below(256) * 8;
             match rng.below(4) {
@@ -40,9 +41,7 @@ fn breakdowns_account_every_cycle() {
                     dsm.release((off % 7) as u32);
                 }
                 2 => dsm.compute(137),
-                _ => {
-                    let _ = dsm.read_range(a + (off & !63), 64);
-                }
+                _ => dsm.read_into(a + (off & !63), &mut line),
             }
         }
         dsm.barrier(0);

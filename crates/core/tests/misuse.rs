@@ -58,15 +58,16 @@ fn access_to_unallocated_memory_panics() {
 #[test]
 fn every_access_past_the_last_allocation_names_it_unallocated() {
     type Misuse = (&'static str, fn(&mut Dsm));
-    let accesses: [Misuse; 5] = [
+    let accesses: [Misuse; 6] = [
         ("load_u64", |d| {
             let _ = d.load_u64(0x9000);
         }),
         ("store_u64", |d| d.store_u64(0x9000, 1)),
+        ("read_into", |d| d.read_into(0x9000, &mut [0; 128])),
         ("read_range", |d| drop(d.read_range(0x9000, 128))),
         ("write_range", |d| d.write_range(0x9000, &[1; 128])),
         // Starts inside the allocation, runs off its end.
-        ("read_range across the end", |d| drop(d.read_range(0x1020, 128))),
+        ("read_f64s_into across the end", |d| d.read_f64s_into(0x1020, &mut [0.0; 16])),
     ];
     for (mode, cfg, clustering) in modes() {
         let build = || {
@@ -105,16 +106,17 @@ fn every_access_past_the_last_allocation_names_it_unallocated() {
     }
 }
 
-/// An empty range is the body's error in every mode: `read_range` and
-/// `write_range` panic in the body, naming the address, before the engine
-/// sees the operation.
+/// An empty range is the body's error in every mode: every range read and
+/// write panics in the body, naming the address, before the engine sees the
+/// operation.
 #[test]
 fn an_empty_range_panics_in_the_body_in_every_mode() {
     type Misuse = (&'static str, fn(&mut Dsm));
-    let accesses: [Misuse; 4] = [
+    let accesses: [Misuse; 5] = [
+        ("read_into", |d| d.read_into(0x1000, &mut [])),
+        ("read_f64s_into", |d| d.read_f64s_into(0x1000, &mut [])),
         ("read_range", |d| drop(d.read_range(0x1000, 0))),
         ("write_range", |d| d.write_range(0x1000, &[])),
-        ("read_f64s", |d| drop(d.read_f64s(0x1000, 0))),
         ("write_f64s", |d| d.write_f64s(0x1000, &[])),
     ];
     for (mode, cfg, clustering) in modes() {

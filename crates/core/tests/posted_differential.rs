@@ -31,8 +31,9 @@ fn program(p: u64, slots: u64, ranges: u64, counter: u64) -> Body {
         dsm.barrier(1);
         let from_prev = dsm.load_u64(mine + 24);
         assert_eq!(from_prev, ((p + 3) % 4 + 1) * 10);
-        let far = dsm.read_range(ranges + 64 * across, 64);
-        assert_eq!(far, vec![across as u8 + 1; 64]);
+        let mut far = [0u8; 64];
+        dsm.read_into(ranges + 64 * across, &mut far);
+        assert_eq!(far, [across as u8 + 1; 64]);
         assert_eq!(dsm.load_u32(mine + 8), 7 * p as u32);
         assert_eq!(dsm.load_f64(mine + 16), p as f64 * 0.5);
         for round in 0..2 {

@@ -302,9 +302,10 @@ fn range_ops_across_blocks() {
         }
         dsm.barrier(0);
         if p == 7 {
-            let got = dsm.read_range(a, 512);
+            let mut got = [0u8; 512];
+            dsm.read_into(a, &mut got);
             let want: Vec<u8> = (0..=255).chain(0..=255).collect();
-            assert_eq!(got, want);
+            assert_eq!(got[..], want);
         }
         dsm.barrier(1);
     }));
@@ -538,7 +539,8 @@ fn bulk_write_then_remote_bulk_read() {
         }
         dsm.barrier(0);
         if p == 0 {
-            let got = dsm.read_range(a, n);
+            let mut got = vec![0u8; n as usize];
+            dsm.read_into(a, &mut got);
             assert!(got.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
         }
         dsm.barrier(1);

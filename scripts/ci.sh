@@ -55,13 +55,16 @@ if git grep -nE '\b(Arc|Mutex|RwLock|Atomic[A-Za-z0-9]*)\b' -- \
   exit 1
 fi
 
-echo "==> no block copies outside the spare-buffer helper in the protocol rows and handlers"
+echo "==> no block copies outside the spare-buffer helper in the protocol rows, handlers and engine"
 # Data replies take their buffers from the machine's spare list and the
 # requester gives them back (docs/PERFORMANCE.md, "Nothing mapped per fiber,
-# nothing allocated per step"): a `.to_vec()` there allocates per message.
+# nothing allocated per step"), and a range read lands in the buffer its
+# request carried ("Borrowed reads"): a `.to_vec()` there allocates per message
+# or per read.
 if git grep -nE '\.to_vec\(\)' -- crates/core/src/protocol/rows.rs \
-  crates/core/src/protocol/handlers.rs; then
-  echo ".to_vec() in the protocol rows or handlers: copy through the rows' spare-buffer copy"
+  crates/core/src/protocol/handlers.rs crates/core/src/protocol/engine.rs; then
+  echo ".to_vec() in the protocol rows, handlers or engine: copy through the rows' spare-buffer"
+  echo "copy, or into a range read's own buffer"
   exit 1
 fi
 
