@@ -160,12 +160,28 @@ cargo run --release -p shasta-bench --features shasta-core/obs-block-state \
 diff -u "$fig4_off" "$fig4_on" || { echo "fig4 diverged with obs-block-state"; exit 1; }
 rm -f "$fig4_off" "$fig4_on"
 
-echo "==> trace-capture smoke (tiny preset, engine/network message cross-check + Chrome export)"
-trace_tmp="$(mktemp /tmp/shasta-ci-trace.XXXXXX.json)"
+echo "==> Chrome traces byte-identical to the archived digests (fig4 tiny, also with obs-block-state, and check --trace)"
+# Both exports are deterministic and read every retained ring slot, so a
+# change to how the recorder stores events or the exporter prints them that
+# moves one byte shows here. The traces are ~2.5 MB and ~110 KB of JSON, so
+# results/trace_digests.txt keeps their sha256 rather than the files.
+trace_fig4="$(mktemp /tmp/shasta-ci-trace.XXXXXX.json)"
+trace_bs="$(mktemp /tmp/shasta-ci-trace-bs.XXXXXX.json)"
+trace_ck="$(mktemp /tmp/shasta-ci-trace-ck.XXXXXX.json)"
 cargo run --release -p shasta-bench --bin fig4_breakdown -- \
-  --preset tiny --trace "$trace_tmp" > /dev/null
-test -s "$trace_tmp" || { echo "trace export is empty"; exit 1; }
-rm -f "$trace_tmp"
+  --preset tiny --trace "$trace_fig4" > /dev/null
+cargo run --release -p shasta-bench --features shasta-core/obs-block-state \
+  --bin fig4_breakdown -- --preset tiny --trace "$trace_bs" > /dev/null
+cargo run --release -p shasta-check --bin check -- \
+  --seeds 8 -j 0 --quiet --skip-validation --trace "$trace_ck" > /dev/null
+digest() { printf '%s  %s\n' "$(sha256sum < "$1" | cut -d' ' -f1)" "$2"; }
+{
+  digest "$trace_fig4" "fig4_breakdown --preset tiny --trace"
+  digest "$trace_bs" "fig4_breakdown --preset tiny --trace (obs-block-state)"
+  digest "$trace_ck" "check --seeds 8 -j 0 --quiet --skip-validation --trace"
+} | diff -u results/trace_digests.txt - \
+  || { echo "a Chrome trace diverged from results/trace_digests.txt"; exit 1; }
+rm -f "$trace_fig4" "$trace_bs" "$trace_ck"
 
 echo "==> metrics byte-identity (figure 4 and checker output, metrics off vs on)"
 # Attaching a live metrics registry must not perturb a single simulated
