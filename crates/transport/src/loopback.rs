@@ -44,7 +44,10 @@ use shasta_core::protocol::ProtoMsg;
 use shasta_memchan::{PairSequencer, SeqVerdict};
 use shasta_obs::{Counter, Gauge, HistogramHandle, Registry};
 
-use crate::wire::{encode_frame, negotiate, DataFrame, Frame, FrameReader, VERSION, VERSION_MIN};
+use crate::wire::{
+    encode_data, encode_frame, negotiate, DataFrame, DataRef, Frame, FrameReader, VERSION,
+    VERSION_MIN,
+};
 
 /// How long a receive (or a send at a full window) polls the wire before
 /// declaring the fabric wedged (a generous multiple of [`RTO_MAX`]).
@@ -652,15 +655,15 @@ impl Fabric {
         }
         let pair_seq = self.send_seqr.stamp(stream);
         let encode_start = self.metrics.timed.then(Instant::now);
-        let bytes = encode_frame(&Frame::Data(DataFrame {
+        let bytes = encode_data(&DataRef {
             version: self.version,
             src,
             dst,
             pair_seq,
             via_vnode,
             trace,
-            msg: msg.clone(),
-        }))
+            msg,
+        })
         .expect("protocol messages fit in a frame");
         if let Some(start) = encode_start {
             self.metrics.encode_ns[stream].record(start.elapsed().as_nanos() as u64);

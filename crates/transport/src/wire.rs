@@ -321,13 +321,11 @@ pub fn encode_msg(msg: &ProtoMsg, out: &mut Vec<u8>) {
 /// [`MAX_FRAME_LEN`] (only possible for a `DATA` frame carrying an
 /// enormous data reply).
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
-    // The length prefix is patched in once the body is written behind it.
     let payload = match frame {
         Frame::Data(d) => d.msg.payload_bytes() as usize,
         _ => 0,
     };
-    let mut body = Vec::with_capacity(64 + payload);
-    put_u32(&mut body, 0);
+    let mut body = frame_start(payload);
     match frame {
         Frame::Hello { ver_min, ver_max, node } => {
             body.push(KIND_HELLO);
@@ -336,19 +334,7 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             body.push(*ver_max);
             put_u32(&mut body, *node);
         }
-        Frame::Data(d) => {
-            body.push(KIND_DATA);
-            body.push(d.version);
-            put_u32(&mut body, d.src);
-            put_u32(&mut body, d.dst);
-            put_u64(&mut body, d.pair_seq);
-            body.push(u8::from(d.via_vnode));
-            if d.version >= 2 {
-                // v2 trace-context extension; v1 streams omit the field.
-                put_u32(&mut body, d.trace);
-            }
-            encode_msg(&d.msg, &mut body);
-        }
+        Frame::Data(d) => put_data(&mut body, &d.borrowed()),
         Frame::Ack { version, cum_seq } => {
             body.push(KIND_ACK);
             body.push(*version);
@@ -358,12 +344,66 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             body.push(KIND_BYE);
         }
     }
+    frame_end(body)
+}
+
+/// A `DATA` frame whose message is borrowed, so that sending a message
+/// encodes it without cloning it; fields as in [`DataFrame`].
+pub(crate) struct DataRef<'a> {
+    pub version: u8,
+    pub src: u32,
+    pub dst: u32,
+    pub pair_seq: u64,
+    pub via_vnode: bool,
+    pub trace: u32,
+    pub msg: &'a ProtoMsg,
+}
+
+impl DataFrame {
+    fn borrowed(&self) -> DataRef<'_> {
+        let DataFrame { version, src, dst, pair_seq, via_vnode, trace, ref msg } = *self;
+        DataRef { version, src, dst, pair_seq, via_vnode, trace, msg }
+    }
+}
+
+/// Encodes one `DATA` frame, length prefix included, as [`encode_frame`]
+/// encodes a [`Frame::Data`] with the same fields.
+pub(crate) fn encode_data(d: &DataRef<'_>) -> Result<Vec<u8>, WireError> {
+    let mut body = frame_start(d.msg.payload_bytes() as usize);
+    put_data(&mut body, d);
+    frame_end(body)
+}
+
+/// A frame buffer with room for `payload` data bytes and a placeholder
+/// length prefix, which [`frame_end`] patches once the body is written.
+fn frame_start(payload: usize) -> Vec<u8> {
+    let mut body = Vec::with_capacity(64 + payload);
+    put_u32(&mut body, 0);
+    body
+}
+
+fn frame_end(mut body: Vec<u8>) -> Result<Vec<u8>, WireError> {
     let len = body.len() as u64 - 4;
     if len > u64::from(MAX_FRAME_LEN) {
         return Err(WireError::FrameTooLong(len));
     }
     body[..4].copy_from_slice(&(len as u32).to_le_bytes());
     Ok(body)
+}
+
+/// Appends a `DATA` frame's kind, header and message.
+fn put_data(body: &mut Vec<u8>, d: &DataRef<'_>) {
+    body.push(KIND_DATA);
+    body.push(d.version);
+    put_u32(body, d.src);
+    put_u32(body, d.dst);
+    put_u64(body, d.pair_seq);
+    body.push(u8::from(d.via_vnode));
+    if d.version >= 2 {
+        // v2 trace-context extension; v1 streams omit the field.
+        put_u32(body, d.trace);
+    }
+    encode_msg(d.msg, body);
 }
 
 // ---- decoding ----
@@ -672,5 +712,22 @@ mod tests {
         let v2 = encode_frame(&mk(2, 42)).unwrap();
         assert_eq!(v2.len(), v1_plain.len() + 4);
         assert_eq!(decode_body(&v2[4..]).unwrap(), mk(2, 42));
+    }
+
+    /// A sender encodes from a borrowed message the very bytes the frame
+    /// encodes to, data reply included, under either version.
+    #[test]
+    fn a_borrowed_data_frame_encodes_as_the_frame() {
+        let reply =
+            ProtoMsg::ReadReply { block: Block { start: 0x80, len: 8 }, data: (1..=8).collect() };
+        for (version, msg) in [(1, reply.clone()), (2, reply), (2, ProtoMsg::LockGrant { lock: 3 })]
+        {
+            let trace = if version >= 2 { 9 } else { 0 }; // v1 carries no trace
+            let d =
+                DataFrame { version, src: 2, dst: 6, pair_seq: 11, via_vnode: false, trace, msg };
+            let bytes = encode_data(&d.borrowed()).unwrap();
+            assert_eq!(bytes, encode_frame(&Frame::Data(d.clone())).unwrap());
+            assert_eq!(decode_body(&bytes[4..]).unwrap(), Frame::Data(d));
+        }
     }
 }
