@@ -193,8 +193,7 @@ proptest! {
         let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, cap, |_| {});
         assert_attribution_exact(&format!("cap {cap}"), &stats, &log);
         for p in 0..log.procs() as u32 {
-            let pe = log.proc(p);
-            prop_assert!(pe.events.len() <= cap, "ring must honour its capacity");
+            prop_assert!(log.proc(p).len() <= cap, "ring must honour its capacity");
         }
         let (_, full) = run_app_observed_shaped(app.as_ref(), &cfg, 1 << 20, |_| {});
         prop_assert_eq!(full.dropped(), 0, "a ring of 2^20 holds the whole run");

@@ -21,8 +21,10 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// One slot of a processor's ring: an [`Event`] without its processor,
-/// which is the ring's own (40 bytes where an [`Event`] takes 48).
+/// An [`Event`] without its processor, as a processor's timeline yields it
+/// ([`ProcEvents::events`](crate::ProcEvents::events)): every event in a
+/// ring happened on the ring's processor. The ring itself keeps a packed
+/// 24-byte form.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Stamped {
     /// Simulated timestamp in cycles, as [`Event::t`].
@@ -293,18 +295,10 @@ mod tests {
     fn events_are_small_and_copy() {
         // The record path stores events by value; keep them register-friendly.
         assert!(std::mem::size_of::<Event>() <= 48);
+        assert!(std::mem::size_of::<EventKind>() <= 32);
         let e = Event { t: 5, proc: 1, kind: EventKind::FalseMiss { block: 0x40 } };
         let f = e; // Copy
         assert_eq!(e, f);
-    }
-
-    #[test]
-    fn a_ring_slot_is_forty_bytes() {
-        // Sixteen rings of 65 536 slots are a 40 MiB slab; a wider kind
-        // widens every slot.
-        assert!(std::mem::size_of::<EventKind>() <= 32);
-        assert_eq!(std::mem::size_of::<Stamped>(), 40);
-        let e = Event { t: 7, proc: 3, kind: EventKind::MissMerged { block: 0x80 } };
-        assert_eq!(Stamped { t: e.t, kind: e.kind }.on(3), e);
+        assert_eq!(Stamped { t: e.t, kind: e.kind }.on(1), e);
     }
 }

@@ -1,5 +1,5 @@
 #![deny(missing_docs)]
-#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 //! Structured protocol-event tracing for the Shasta / SMP-Shasta
 //! reproduction.

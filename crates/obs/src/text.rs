@@ -30,8 +30,8 @@ impl EventLog {
     /// facts, and the tail then shows other processors' older lines in
     /// their place. An `evicted` note is the sign to check.
     pub fn render_tail(&self, n: usize) -> String {
-        let mut facts: Vec<(u32, &Stamped)> = (0..self.procs() as u32)
-            .flat_map(|p| self.proc(p).events.iter().map(move |e| (p, e)))
+        let mut facts: Vec<(u32, Stamped)> = (0..self.procs() as u32)
+            .flat_map(|p| self.proc(p).events().map(move |e| (p, e)))
             .filter(|(_, e)| !skipped(&e.kind))
             .collect();
         // Each ring is walked oldest first, so the stable sort keeps ring
@@ -46,8 +46,8 @@ impl EventLog {
         if elided > 0 {
             let _ = writeln!(out, "... {elided} earlier events elided ...");
         }
-        for &(p, e) in &facts[elided..] {
-            line(&mut out, p, e);
+        for (p, e) in &facts[elided..] {
+            line(&mut out, *p, e);
         }
         out
     }
@@ -201,7 +201,7 @@ mod tests {
             prop_assert_eq!(whole.dropped(), 0);
             let holds_n = |p| {
                 let ring = evicting.proc(p);
-                ring.dropped == 0 || ring.events.iter().filter(|e| !skipped(&e.kind)).count() >= n
+                ring.dropped == 0 || ring.events().filter(|e| !skipped(&e.kind)).count() >= n
             };
             let tail = |s: String| {
                 let lines: Vec<String> = s.lines().map(str::to_owned).collect();
