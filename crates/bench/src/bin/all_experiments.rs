@@ -1,6 +1,8 @@
 //! Runs every table/figure binary in sequence, writing each output to
 //! `results/<name>.txt` as well as stdout. Pass `--preset tiny` for a quick
-//! smoke run.
+//! smoke run. `--list` prints the binaries' names, one a line, and runs
+//! nothing: `scripts/ci.sh` diffs each one's Default output against
+//! `results/`, so a figure added here is gated there too.
 
 use std::process::Command;
 
@@ -22,6 +24,10 @@ const EXPERIMENTS: &[&str] = &[
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args == ["--list"] {
+        println!("{}", EXPERIMENTS.join("\n"));
+        return;
+    }
     let exe_dir =
         std::env::current_exe().expect("current exe").parent().expect("exe dir").to_path_buf();
     std::fs::create_dir_all("results").expect("create results dir");

@@ -90,6 +90,25 @@ fn profiled_downgrades_match_the_engine_count_on_table2_kernels() {
     }
 }
 
+/// A recorded event costs a few bytes of ring, counted rather than timed:
+/// the four kernels of the benchmark's recorded workload at Tiny, SMP
+/// 16p/c4, keep every event they record at no more than 6 bytes an event
+/// (4.7 today). A change that widens the encoding fails here: writing times
+/// whole rather than as steps reads 6.3, and blocks whole as well 6.8.
+#[test]
+fn a_recorded_event_takes_at_most_six_bytes_of_ring() {
+    let (mut events, mut bytes) = (0, 0);
+    for name in ["LU", "Barnes", "Water-Nsq", "Volrend"] {
+        let spec = registry().into_iter().find(|s| s.name == name).expect("a registered kernel");
+        let (_, log) = run_observed(&spec, Preset::Tiny, Proto::Smp, 16, 4, false);
+        assert_eq!(log.dropped(), 0, "{name}: the ring keeps the whole run");
+        events += log.len();
+        bytes += log.ring_bytes();
+    }
+    assert!(events > 10_000, "{events} events recorded");
+    assert!(bytes <= 6 * events, "{bytes} ring bytes for {events} events");
+}
+
 /// An SMP run with false sharing exercises every event kind the protocol
 /// can emit; a Base run must emit none of the SMP-only kinds.
 #[test]

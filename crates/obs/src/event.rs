@@ -23,8 +23,8 @@ pub struct Event {
 
 /// An [`Event`] without its processor, as a processor's timeline yields it
 /// ([`ProcEvents::events`](crate::ProcEvents::events)): every event in a
-/// ring happened on the ring's processor. The ring itself keeps a packed
-/// 24-byte form.
+/// ring happened on the ring's processor. The ring itself keeps it encoded
+/// in a few bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Stamped {
     /// Simulated timestamp in cycles, as [`Event::t`].
@@ -34,7 +34,7 @@ pub struct Stamped {
 }
 
 impl Stamped {
-    /// The event this slot holds, on processor `proc`.
+    /// This event, on processor `proc`.
     pub fn on(self, proc: u32) -> Event {
         Event { t: self.t, proc, kind: self.kind }
     }

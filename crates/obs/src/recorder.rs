@@ -2,9 +2,14 @@
 //! aggregators (slice tiling, Figure 7 messages, the sharing profiler), and
 //! the immutable [`EventLog`] a finished run hands to the exporters.
 //!
-//! A ring keeps each event in a 24-byte [`Slot`], packed when it is recorded
-//! and unpacked into a [`Stamped`] when an exporter reads it, in chunks of
-//! [`CHUNK`] slots allocated as the ring fills.
+//! A ring keeps its events as a byte stream: each event is encoded in a few
+//! bytes when it is recorded (a tag byte, then varints, its time and block
+//! as steps from the previous event's) and decoded into a [`Stamped`] when
+//! an exporter reads it. The stream lives in chunks of [`CHUNK_BYTES`],
+//! allocated as the ring fills; a full ring reuses its oldest chunk once it
+//! has evicted every event in it.
+
+use std::collections::VecDeque;
 
 use crate::event::{DowngradeAction, Event, EventKind, Stamped};
 use crate::fig4::Fig4Agg;
@@ -12,184 +17,344 @@ use crate::profile::{ProfileAgg, SpaceMap};
 use crate::rederive::MsgAgg;
 use shasta_stats::{Hops, MissKind, MsgStats, TimeCat};
 
-/// Slots per ring chunk. A ring allocates its next chunk when the last one
-/// fills (a ring smaller than a chunk allocates only its capacity), so a
-/// log holds what its processors recorded rather than `procs × capacity`,
-/// and a chunk is small enough to be carved from heap memory an earlier
-/// log freed instead of fresh pages.
-const CHUNK: usize = 4_096;
+/// Bytes per ring chunk. A ring allocates its next chunk when the last one
+/// has less room than [`MAX_ENCODED`], so a chunk never reallocates, a log
+/// holds what its processors recorded rather than `procs × capacity`, and
+/// a chunk is small enough to be carved from heap memory an earlier log
+/// freed instead of fresh pages.
+const CHUNK_BYTES: usize = 32 * 1024;
 
-/// Bits of [`Slot::head`] holding the event's time.
-const TIME_BITS: u32 = 48;
-/// Bits of [`Slot::head`] above the time holding the kind's tag.
+/// The longest encoding of one event: a check miss with its time, block
+/// and offset 10 varint bytes each and its id and length 5 each, after the
+/// tag byte.
+const MAX_ENCODED: usize = 1 + 3 * 10 + 2 * 5;
+
+/// Bits of the tag byte holding the kind's tag; the kind's small fields
+/// take the 3 bits above.
 const TAG_BITS: u32 = 5;
-/// Shift of the small fields, the 11 bits above the tag.
-const SMALL_SHIFT: u32 = TIME_BITS + TAG_BITS;
 
-/// One retained event, packed: [`Stamped`] takes 40 bytes.
-///
-/// * `head`: the time (low 48 bits), the kind's tag (5 bits) and the
-///   kind's small fields (the top 11 bits): a write or `to_invalid` flag, a
-///   [`MissKind`], [`Hops`] or [`TimeCat`] index, a [`DowngradeAction`]
-///   variant;
-/// * `a`: the block address, a slice's cycles, or a check miss's block and
-///   address as two `u32` halves;
-/// * `b`: the `u32` fields, low half first: a peer with its message
-///   label's id above it, a check miss's id and length, a requester and its
-///   acks, a state label's id.
-///
-/// Labels are ids into the ring set's [`Rings::labels`].
-#[derive(Clone, Copy)]
-struct Slot {
-    head: u64,
-    a: u64,
-    b: u64,
-}
-
-/// Each [`EventKind`] variant's tag in [`Slot::head`].
+/// Each [`EventKind`] variant's tag in an event's first byte.
 mod tag {
-    pub const CHECK_MISS: u64 = 0;
-    pub const FALSE_MISS: u64 = 1;
-    pub const MISS_RESOLVED: u64 = 2;
-    pub const PRIVATE_UPGRADE: u64 = 3;
-    pub const MISS_MERGED: u64 = 4;
-    pub const MSG_SEND: u64 = 5;
-    pub const MSG_RECV: u64 = 6;
-    pub const HOME_INVALIDATE: u64 = 7;
-    pub const DIR_QUEUED: u64 = 8;
-    pub const DOWNGRADE_START: u64 = 9;
-    pub const DOWNGRADE_ACK: u64 = 10;
-    pub const DOWNGRADE_DONE: u64 = 11;
-    pub const POLL_DRAIN: u64 = 12;
-    pub const LINE_LOCK_ACQUIRE: u64 = 13;
-    pub const LINE_LOCK_RELEASE: u64 = 14;
-    pub const BLOCK_STATE: u64 = 15;
-    pub const STALL_BEGIN: u64 = 16;
-    pub const SLICE: u64 = 17;
+    pub const CHECK_MISS: u8 = 0;
+    pub const FALSE_MISS: u8 = 1;
+    pub const MISS_RESOLVED: u8 = 2;
+    pub const PRIVATE_UPGRADE: u8 = 3;
+    pub const MISS_MERGED: u8 = 4;
+    pub const MSG_SEND: u8 = 5;
+    pub const MSG_RECV: u8 = 6;
+    pub const HOME_INVALIDATE: u8 = 7;
+    pub const DIR_QUEUED: u8 = 8;
+    pub const DOWNGRADE_START: u8 = 9;
+    pub const DOWNGRADE_ACK: u8 = 10;
+    pub const DOWNGRADE_DONE: u8 = 11;
+    pub const POLL_DRAIN: u8 = 12;
+    pub const LINE_LOCK_ACQUIRE: u8 = 13;
+    pub const LINE_LOCK_RELEASE: u8 = 14;
+    pub const BLOCK_STATE: u8 = 15;
+    pub const STALL_BEGIN: u8 = 16;
+    pub const SLICE: u8 = 17;
 }
 
-/// `lo` in the low half of a word, `hi` in the high half.
-fn halves(lo: u32, hi: u32) -> u64 {
-    u64::from(lo) | u64::from(hi) << 32
+/// `d` (a wrapping difference) with its sign folded into the low bit, so a
+/// small step either way is a small varint.
+fn zigzag(d: u64) -> u64 {
+    let d = d as i64;
+    ((d << 1) ^ (d >> 63)) as u64
 }
 
-/// `v` as a `u32`, panicking with the field's name if it does not fit.
-fn narrow(v: u64, field: &str) -> u32 {
-    u32::try_from(v).unwrap_or_else(|_| panic!("{field} = {v:#x} does not fit in 32 bits"))
+/// The difference [`zigzag`] folded.
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
-impl Slot {
-    /// Packs `kind` at time `t`, interning its label in `labels`.
-    ///
-    /// # Panics
-    ///
-    /// If `t` is 2⁴⁸ or later, or a check miss's block or address does not
-    /// fit in 32 bits: no field is truncated.
+/// What an event's time and block are encoded against: the previous
+/// event's, within one chunk. Each chunk starts from zero, so it decodes on
+/// its own.
+#[derive(Clone, Copy, Default)]
+struct Base {
+    t: u64,
+    block: u64,
+}
+
+/// Writes one event into the room at the end of a chunk: `out` is that
+/// room, `n` the bytes written so far. The position and the base stay in
+/// registers while the event is encoded: its helpers are inlined into
+/// [`Enc::event`], which, with them out of line, cost ~40 % more an event
+/// (14 ns against 10 on the benchmark's `obs.record_ns_per_event` stream).
+struct Enc<'a> {
+    out: &'a mut [u8; MAX_ENCODED],
+    n: usize,
+    base: Base,
+}
+
+impl Enc<'_> {
+    #[inline(always)]
+    fn byte(&mut self, b: u8) {
+        self.out[self.n] = b;
+        self.n += 1;
+    }
+
+    /// A LEB128 varint: seven bits a byte, low bits first, the top bit set
+    /// on every byte but the last.
+    #[inline(always)]
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
+    }
+
+    /// The tag byte, then the time as a signed step from the previous
+    /// event's.
+    #[inline(always)]
+    fn head(&mut self, tag: u8, small: u8, t: u64) {
+        self.byte(tag | small << TAG_BITS);
+        self.varint(zigzag(t.wrapping_sub(self.base.t)));
+        self.base.t = t;
+    }
+
+    /// A block address as a signed step from the previous block's.
+    #[inline(always)]
+    fn block(&mut self, block: u64) {
+        self.varint(zigzag(block.wrapping_sub(self.base.block)));
+        self.base.block = block;
+    }
+
+    /// A `u32` field, a label's id, or a slice's cycles.
+    #[inline(always)]
+    fn field(&mut self, v: impl Into<u64>) {
+        self.varint(v.into());
+    }
+
+    /// Encodes `kind` at time `t`, interning its label in `labels`: the
+    /// head, then the block if the kind has one, then its other fields.
     ///
     /// Borrows `kind` so that each arm reads only its own fields, at their
     /// own widths. A by-value kind was first copied whole, with 8-byte loads
     /// across its narrower fields just after the engine stored them; one of
-    /// those loads drew ~8 % of a recorded run's CPU samples, more than the
-    /// narrower slot saved.
-    fn pack(t: u64, kind: &EventKind, labels: &mut Labels) -> Slot {
-        assert!(t < 1 << TIME_BITS, "event time t = {t} does not fit in {TIME_BITS} bits");
-        let (tag, small, a, b) = match *kind {
+    /// those loads drew ~8 % of a recorded run's CPU samples.
+    fn event(&mut self, t: u64, kind: &EventKind, labels: &mut Labels) {
+        match *kind {
             EventKind::CheckMiss { id, block, addr, len, write } => {
-                let a = halves(narrow(block, "check-miss block"), narrow(addr, "check-miss addr"));
-                (tag::CHECK_MISS, u64::from(write), a, halves(id, len))
+                self.head(tag::CHECK_MISS, u8::from(write), t);
+                self.block(block);
+                self.field(id);
+                self.field(len);
+                self.varint(zigzag(addr.wrapping_sub(block)));
             }
-            EventKind::FalseMiss { block } => (tag::FALSE_MISS, 0, block, 0),
+            EventKind::FalseMiss { block } => {
+                self.head(tag::FALSE_MISS, 0, t);
+                self.block(block);
+            }
             EventKind::MissResolved { block, kind, hops } => {
-                (tag::MISS_RESOLVED, kind as u64 | (hops as u64) << 2, block, 0)
+                self.head(tag::MISS_RESOLVED, kind as u8 | (hops as u8) << 2, t);
+                self.block(block);
             }
-            EventKind::PrivateUpgrade { block } => (tag::PRIVATE_UPGRADE, 0, block, 0),
-            EventKind::MissMerged { block } => (tag::MISS_MERGED, 0, block, 0),
+            EventKind::PrivateUpgrade { block } => {
+                self.head(tag::PRIVATE_UPGRADE, 0, t);
+                self.block(block);
+            }
+            EventKind::MissMerged { block } => {
+                self.head(tag::MISS_MERGED, 0, t);
+                self.block(block);
+            }
             EventKind::MsgSend { msg, peer, block } => {
-                (tag::MSG_SEND, 0, block, halves(peer, labels.intern(msg)))
+                self.head(tag::MSG_SEND, 0, t);
+                self.block(block);
+                self.field(peer);
+                self.field(labels.intern(msg));
             }
             EventKind::MsgRecv { msg, peer, block } => {
-                (tag::MSG_RECV, 0, block, halves(peer, labels.intern(msg)))
+                self.head(tag::MSG_RECV, 0, t);
+                self.block(block);
+                self.field(peer);
+                self.field(labels.intern(msg));
             }
             EventKind::HomeInvalidate { block, ack_to } => {
-                (tag::HOME_INVALIDATE, 0, block, u64::from(ack_to))
+                self.head(tag::HOME_INVALIDATE, 0, t);
+                self.block(block);
+                self.field(ack_to);
             }
             EventKind::DirQueued { block, requester, kind } => {
-                (tag::DIR_QUEUED, kind as u64, block, u64::from(requester))
+                self.head(tag::DIR_QUEUED, kind as u8, t);
+                self.block(block);
+                self.field(requester);
             }
             EventKind::DowngradeStart { block, to_invalid, targets } => {
-                (tag::DOWNGRADE_START, u64::from(to_invalid), block, u64::from(targets))
+                self.head(tag::DOWNGRADE_START, u8::from(to_invalid), t);
+                self.block(block);
+                self.field(targets);
             }
             EventKind::DowngradeAck { block, remaining } => {
-                (tag::DOWNGRADE_ACK, 0, block, u64::from(remaining))
+                self.head(tag::DOWNGRADE_ACK, 0, t);
+                self.block(block);
+                self.field(remaining);
             }
             EventKind::DowngradeDone { block, action } => {
-                let (variant, b) = match action {
-                    DowngradeAction::ReadReply { requester } => (0, u64::from(requester)),
-                    DowngradeAction::WriteReply { requester, acks } => (1, halves(requester, acks)),
-                    DowngradeAction::InvAck { ack_to } => (2, u64::from(ack_to)),
+                let (variant, lo, acks) = match action {
+                    DowngradeAction::ReadReply { requester } => (0, requester, None),
+                    DowngradeAction::WriteReply { requester, acks } => (1, requester, Some(acks)),
+                    DowngradeAction::InvAck { ack_to } => (2, ack_to, None),
                 };
-                (tag::DOWNGRADE_DONE, variant, block, b)
+                self.head(tag::DOWNGRADE_DONE, variant, t);
+                self.block(block);
+                self.field(lo);
+                if let Some(acks) = acks {
+                    self.field(acks);
+                }
             }
-            EventKind::PollDrain { handled } => (tag::POLL_DRAIN, 0, 0, u64::from(handled)),
-            EventKind::LineLockAcquire { block } => (tag::LINE_LOCK_ACQUIRE, 0, block, 0),
-            EventKind::LineLockRelease { block } => (tag::LINE_LOCK_RELEASE, 0, block, 0),
+            EventKind::PollDrain { handled } => {
+                self.head(tag::POLL_DRAIN, 0, t);
+                self.field(handled);
+            }
+            EventKind::LineLockAcquire { block } => {
+                self.head(tag::LINE_LOCK_ACQUIRE, 0, t);
+                self.block(block);
+            }
+            EventKind::LineLockRelease { block } => {
+                self.head(tag::LINE_LOCK_RELEASE, 0, t);
+                self.block(block);
+            }
             EventKind::BlockState { block, state } => {
-                (tag::BLOCK_STATE, 0, block, u64::from(labels.intern(state)))
+                self.head(tag::BLOCK_STATE, 0, t);
+                self.block(block);
+                self.field(labels.intern(state));
             }
-            EventKind::StallBegin { cat } => (tag::STALL_BEGIN, cat as u64, 0, 0),
-            EventKind::Slice { cat, cycles } => (tag::SLICE, cat as u64, cycles, 0),
-        };
-        Slot { head: t | tag << TIME_BITS | small << SMALL_SHIFT, a, b }
+            EventKind::StallBegin { cat } => self.head(tag::STALL_BEGIN, cat as u8, t),
+            EventKind::Slice { cat, cycles } => {
+                self.head(tag::SLICE, cat as u8, t);
+                self.field(cycles);
+            }
+        }
+    }
+}
+
+/// Reads events back from one chunk's bytes, in the order [`Enc`] wrote
+/// them.
+struct Dec<'a> {
+    bytes: &'a [u8],
+    base: Base,
+}
+
+impl Dec<'_> {
+    fn byte(&mut self) -> u8 {
+        let (&b, rest) = self.bytes.split_first().expect("a chunk ends on an event boundary");
+        self.bytes = rest;
+        b
     }
 
-    /// The event this slot holds, its labels looked up in `labels`.
-    fn unpack(self, labels: &Labels) -> Stamped {
-        let t = self.head & ((1 << TIME_BITS) - 1);
-        let small = (self.head >> SMALL_SHIFT) as usize;
-        let (block, lo, hi) = (self.a, self.b as u32, (self.b >> 32) as u32);
-        let kind = match self.head >> TIME_BITS & ((1 << TAG_BITS) - 1) {
-            tag::CHECK_MISS => EventKind::CheckMiss {
-                id: lo,
-                block: u64::from(self.a as u32),
-                addr: self.a >> 32,
-                len: hi,
-                write: small & 1 != 0,
-            },
-            tag::FALSE_MISS => EventKind::FalseMiss { block },
+    /// A varint [`Enc::varint`] wrote.
+    fn varint(&mut self) -> u64 {
+        let b = self.byte();
+        if b < 0x80 {
+            return u64::from(b);
+        }
+        let (mut v, mut shift) = (u64::from(b & 0x7f), 7);
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    /// A field [`Enc`] wrote from a `u32`.
+    fn u32(&mut self) -> u32 {
+        self.varint() as u32
+    }
+
+    fn block(&mut self) -> u64 {
+        self.base.block = self.base.block.wrapping_add(unzigzag(self.varint()));
+        self.base.block
+    }
+
+    /// The next event, its labels looked up in `labels`: its fields read
+    /// in the order [`Enc::event`] wrote them.
+    fn event(&mut self, labels: &Labels) -> Stamped {
+        let head = self.byte();
+        let small = usize::from(head >> TAG_BITS);
+        self.base.t = self.base.t.wrapping_add(unzigzag(self.varint()));
+        let kind = match head & ((1 << TAG_BITS) - 1) {
+            tag::CHECK_MISS => {
+                let (block, id, len) = (self.block(), self.u32(), self.u32());
+                let addr = block.wrapping_add(unzigzag(self.varint()));
+                EventKind::CheckMiss { id, block, addr, len, write: small & 1 != 0 }
+            }
+            tag::FALSE_MISS => EventKind::FalseMiss { block: self.block() },
             tag::MISS_RESOLVED => EventKind::MissResolved {
-                block,
+                block: self.block(),
                 kind: MissKind::ALL[small & 3],
                 hops: Hops::ALL[small >> 2 & 1],
             },
-            tag::PRIVATE_UPGRADE => EventKind::PrivateUpgrade { block },
-            tag::MISS_MERGED => EventKind::MissMerged { block },
-            tag::MSG_SEND => EventKind::MsgSend { msg: labels.get(hi), peer: lo, block },
-            tag::MSG_RECV => EventKind::MsgRecv { msg: labels.get(hi), peer: lo, block },
-            tag::HOME_INVALIDATE => EventKind::HomeInvalidate { block, ack_to: lo },
-            tag::DIR_QUEUED => {
-                EventKind::DirQueued { block, requester: lo, kind: MissKind::ALL[small] }
+            tag::PRIVATE_UPGRADE => EventKind::PrivateUpgrade { block: self.block() },
+            tag::MISS_MERGED => EventKind::MissMerged { block: self.block() },
+            tag::MSG_SEND => {
+                let (block, peer) = (self.block(), self.u32());
+                EventKind::MsgSend { msg: labels.get(self.varint()), peer, block }
             }
-            tag::DOWNGRADE_START => {
-                EventKind::DowngradeStart { block, to_invalid: small & 1 != 0, targets: lo }
+            tag::MSG_RECV => {
+                let (block, peer) = (self.block(), self.u32());
+                EventKind::MsgRecv { msg: labels.get(self.varint()), peer, block }
             }
-            tag::DOWNGRADE_ACK => EventKind::DowngradeAck { block, remaining: lo },
+            tag::HOME_INVALIDATE => {
+                EventKind::HomeInvalidate { block: self.block(), ack_to: self.u32() }
+            }
+            tag::DIR_QUEUED => EventKind::DirQueued {
+                block: self.block(),
+                requester: self.u32(),
+                kind: MissKind::ALL[small],
+            },
+            tag::DOWNGRADE_START => EventKind::DowngradeStart {
+                block: self.block(),
+                to_invalid: small & 1 != 0,
+                targets: self.u32(),
+            },
+            tag::DOWNGRADE_ACK => {
+                EventKind::DowngradeAck { block: self.block(), remaining: self.u32() }
+            }
             tag::DOWNGRADE_DONE => {
+                let (block, lo) = (self.block(), self.u32());
                 let action = match small {
                     0 => DowngradeAction::ReadReply { requester: lo },
-                    1 => DowngradeAction::WriteReply { requester: lo, acks: hi },
+                    1 => DowngradeAction::WriteReply { requester: lo, acks: self.u32() },
                     _ => DowngradeAction::InvAck { ack_to: lo },
                 };
                 EventKind::DowngradeDone { block, action }
             }
-            tag::POLL_DRAIN => EventKind::PollDrain { handled: lo },
-            tag::LINE_LOCK_ACQUIRE => EventKind::LineLockAcquire { block },
-            tag::LINE_LOCK_RELEASE => EventKind::LineLockRelease { block },
-            tag::BLOCK_STATE => EventKind::BlockState { block, state: labels.get(lo) },
+            tag::POLL_DRAIN => EventKind::PollDrain { handled: self.u32() },
+            tag::LINE_LOCK_ACQUIRE => EventKind::LineLockAcquire { block: self.block() },
+            tag::LINE_LOCK_RELEASE => EventKind::LineLockRelease { block: self.block() },
+            tag::BLOCK_STATE => {
+                let block = self.block();
+                EventKind::BlockState { block, state: labels.get(self.varint()) }
+            }
             tag::STALL_BEGIN => EventKind::StallBegin { cat: TimeCat::ALL[small] },
-            tag::SLICE => EventKind::Slice { cat: TimeCat::ALL[small], cycles: self.a },
-            other => unreachable!("no event kind has slot tag {other}"),
+            tag::SLICE => EventKind::Slice { cat: TimeCat::ALL[small], cycles: self.varint() },
+            other => unreachable!("no event kind has tag {other}"),
         };
-        Stamped { t, kind }
+        Stamped { t: self.base.t, kind }
+    }
+}
+
+/// A ring's retained events, oldest first, decoded chunk by chunk.
+struct RingEvents<'a, C> {
+    chunks: C,
+    dec: Dec<'a>,
+    labels: &'a Labels,
+}
+
+impl<'a, C: Iterator<Item = &'a Chunk>> Iterator for RingEvents<'a, C> {
+    type Item = Stamped;
+
+    fn next(&mut self) -> Option<Stamped> {
+        while self.dec.bytes.is_empty() {
+            let chunk = self.chunks.next()?;
+            self.dec = Dec { bytes: &chunk.bytes[..chunk.used], base: Base::default() };
+        }
+        Some(self.dec.event(self.labels))
     }
 }
 
@@ -201,7 +366,7 @@ impl Slot {
 struct Labels(Vec<&'static str>);
 
 impl Labels {
-    fn intern(&mut self, label: &'static str) -> u32 {
+    fn intern(&mut self, label: &'static str) -> u64 {
         let id = match self.0.iter().position(|&l| std::ptr::eq(l, label)) {
             Some(id) => id,
             None => {
@@ -209,19 +374,19 @@ impl Labels {
                 self.0.len() - 1
             }
         };
-        narrow(id as u64, "label id")
+        id as u64
     }
 
-    fn get(&self, id: u32) -> &'static str {
+    fn get(&self, id: u64) -> &'static str {
         self.0[id as usize]
     }
 }
 
 /// Every processor's bounded ring of recent events, and the labels their
-/// slots refer to. Every event in ring `p` happened on `p`, so a slot does
-/// not store its processor. When a ring is full, its oldest event is
-/// overwritten and counted as dropped — the exported timeline is a suffix
-/// of the run, but aggregation (fed before eviction) is unaffected.
+/// events refer to. Every event in ring `p` happened on `p`, so an encoded
+/// event leaves its processor out. When a ring is full, its oldest event is
+/// evicted and counted as dropped — the exported timeline is a suffix of
+/// the run, but aggregation (fed before eviction) is unaffected.
 #[derive(Default)]
 struct Rings {
     cap: usize,
@@ -229,16 +394,36 @@ struct Rings {
     labels: Labels,
 }
 
-/// One processor's ring: its slots in chunks of [`CHUNK`], slot `i` at
-/// `chunks[i / CHUNK][i % CHUNK]`.
+/// Encoded events: the first `used` of [`CHUNK_BYTES`] bytes.
+#[derive(Default)]
+struct Chunk {
+    bytes: Box<[u8]>,
+    used: usize,
+    events: usize,
+}
+
+impl Chunk {
+    fn has_room(&self) -> bool {
+        self.bytes.len() - self.used >= MAX_ENCODED
+    }
+}
+
+/// One processor's ring: its events encoded in chunks, oldest first.
 #[derive(Default)]
 struct Ring {
-    chunks: Vec<Vec<Slot>>,
-    /// Slots written, from the ring's start: `cap` once it has wrapped.
+    /// Chunks closed for lack of room, oldest first.
+    full: VecDeque<Chunk>,
+    /// The chunk events are written to; it has no bytes until the first.
+    head: Chunk,
+    /// What the head's next event is encoded against.
+    base: Base,
+    /// Events of the oldest chunk already evicted, which decoding skips.
+    skip: usize,
+    /// Events retained: at most the ring's capacity.
     len: usize,
-    /// Index of the oldest retained event once the ring has wrapped.
-    start: usize,
     dropped: u64,
+    /// The last closed chunk evicted whole, to become the next head.
+    spare: Option<Box<[u8]>>,
 }
 
 impl Rings {
@@ -252,24 +437,23 @@ impl Rings {
     }
 
     fn push(&mut self, p: usize, t: u64, kind: &EventKind) {
-        let slot = Slot::pack(t, kind, &mut self.labels);
         let ring = &mut self.rings[p];
-        if ring.len < self.cap {
-            if ring.len.is_multiple_of(CHUNK) {
-                ring.chunks.push(Vec::with_capacity(CHUNK.min(self.cap - ring.len)));
-            }
-            ring.chunks.last_mut().expect("a chunk was pushed above").push(slot);
-            ring.len += 1;
-        } else {
-            ring.chunks[ring.start / CHUNK][ring.start % CHUNK] = slot;
-            // Wrapping increment without the integer division a `% cap`
-            // would cost on this per-event path.
-            ring.start += 1;
-            if ring.start == self.cap {
-                ring.start = 0;
-            }
-            ring.dropped += 1;
+        if ring.len == self.cap {
+            ring.evict();
         }
+        if !ring.head.has_room() {
+            ring.open();
+        }
+        let head = &mut ring.head;
+        let out = (&mut head.bytes[head.used..head.used + MAX_ENCODED])
+            .try_into()
+            .expect("a slice of MAX_ENCODED bytes");
+        let mut enc = Enc { out, n: 0, base: ring.base };
+        enc.event(t, kind, &mut self.labels);
+        ring.base = enc.base;
+        head.used += enc.n;
+        head.events += 1;
+        ring.len += 1;
     }
 
     /// Processor `p`'s retained timeline.
@@ -287,10 +471,49 @@ impl std::fmt::Debug for Rings {
 }
 
 impl Ring {
-    /// The retained slots, oldest first.
-    fn slots(&self) -> impl Iterator<Item = &Slot> + '_ {
-        let flat = self.chunks.iter().flatten();
-        flat.clone().skip(self.start).chain(flat.take(self.start))
+    /// Drops the oldest retained event. Once none of the oldest chunk's is
+    /// left, a closed chunk becomes the spare and the head starts over.
+    fn evict(&mut self) {
+        self.skip += 1;
+        self.len -= 1;
+        self.dropped += 1;
+        if self.skip == self.full.front().unwrap_or(&self.head).events {
+            self.skip = 0;
+            match self.full.pop_front() {
+                Some(oldest) => self.spare = Some(oldest.bytes),
+                None => {
+                    (self.head.used, self.head.events) = (0, 0);
+                    self.base = Base::default();
+                }
+            }
+        }
+    }
+
+    /// Closes the head and starts a new one, the spare if there is one,
+    /// whose deltas start from zero.
+    fn open(&mut self) {
+        let bytes = self.spare.take().unwrap_or_else(|| vec![0; CHUNK_BYTES].into_boxed_slice());
+        let closed = std::mem::replace(&mut self.head, Chunk { bytes, used: 0, events: 0 });
+        if closed.events > 0 {
+            self.full.push_back(closed);
+        }
+        self.base = Base::default();
+    }
+
+    /// Its chunks, oldest first.
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> + '_ {
+        self.full.iter().chain(std::iter::once(&self.head))
+    }
+
+    /// The retained events, oldest first: the oldest chunk's evicted ones
+    /// are decoded, for the deltas, and passed over.
+    fn events<'a>(&'a self, labels: &'a Labels) -> impl Iterator<Item = Stamped> + 'a {
+        let dec = Dec { bytes: &[], base: Base::default() };
+        let mut events = RingEvents { chunks: self.chunks(), dec, labels };
+        for _ in 0..self.skip {
+            events.next();
+        }
+        events
     }
 }
 
@@ -316,7 +539,9 @@ impl Recorder {
 
     /// A recorder for `procs` processors retaining up to `ring_capacity`
     /// events per processor in the exported timeline. Reserves nothing up
-    /// front: each ring grows by a chunk of 4 096 slots as it fills.
+    /// front: each ring grows by a 32 KiB chunk of encoded events (a few
+    /// bytes each) as it fills, and a full ring reuses its oldest chunk once
+    /// every event in it is evicted.
     pub fn enabled(procs: usize, ring_capacity: usize) -> Self {
         Recorder {
             rings: Rings::new(procs, ring_capacity),
@@ -389,10 +614,9 @@ pub struct ProcEvents<'a> {
 
 impl<'a> ProcEvents<'a> {
     /// Retained events in record (and therefore time) order, oldest first,
-    /// each unpacked from its ring slot.
+    /// each decoded from its ring's bytes.
     pub fn events(&self) -> impl Iterator<Item = Stamped> + 'a {
-        let labels = self.labels;
-        self.ring.slots().map(move |s| s.unpack(labels))
+        self.ring.events(self.labels)
     }
 
     /// Number of retained events.
@@ -445,6 +669,12 @@ impl EventLog {
     /// Whether no events were retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes of encoded events the rings hold. A full ring's oldest chunk
+    /// keeps the bytes of the events it evicted until all of them are.
+    pub fn ring_bytes(&self) -> usize {
+        self.rings.rings.iter().flat_map(Ring::chunks).map(|c| c.used).sum()
     }
 
     /// Total events evicted from the rings before export.
@@ -584,14 +814,6 @@ mod tests {
         assert_eq!(procs, vec![(1, 0), (2, 1)], "the ring hands its processor back");
     }
 
-    #[test]
-    fn a_ring_slot_is_twenty_four_bytes() {
-        // Sixteen rings of 65 536 slots hold 24 MiB at most; a wider slot
-        // widens every retained event.
-        assert_eq!(std::mem::size_of::<Slot>(), 24);
-        assert!(std::mem::size_of::<Stamped>() > std::mem::size_of::<Slot>());
-    }
-
     const MSGS: [&str; 4] = ["read-req", "read-reply", "downgrade", "inv-ack"];
     const STATES: [&str; 3] = ["pending-read", "exclusive", "shared"];
 
@@ -621,8 +843,8 @@ mod tests {
         match v {
             0 => EventKind::CheckMiss {
                 id: a,
-                block: u64::from(u32_of(y.rotate_left(7))),
-                addr: u64::from(u32_of(x.rotate_left(13))),
+                block: u64_of(y.rotate_left(7)),
+                addr: u64_of(x.rotate_left(13)),
                 len: b,
                 write: (x ^ y) & 1 != 0,
             },
@@ -653,35 +875,143 @@ mod tests {
         }
     }
 
+    /// `e` encoded against `base`, which moves on to `e`.
+    fn encode(e: &Stamped, base: &mut Base, labels: &mut Labels) -> Vec<u8> {
+        let mut out = [0; MAX_ENCODED];
+        let mut enc = Enc { out: &mut out, n: 0, base: *base };
+        enc.event(e.t, &e.kind, labels);
+        let n = enc.n;
+        *base = enc.base;
+        out[..n].to_vec()
+    }
+
+    /// A time that is 0, `u64::MAX` or an arbitrary value, by `r`.
+    fn t_of(r: u64) -> u64 {
+        match r % 3 {
+            0 => 0,
+            1 => u64::MAX,
+            _ => r,
+        }
+    }
+
     proptest! {
-        /// Every variant, with `u32::MAX` fields, `t` = 2⁴⁸ − 1 and the
-        /// labels of two tables interned into one, unpacks to what was
-        /// packed, whatever was packed before it.
+        /// Every variant, with full-width fields and times and the labels
+        /// of two tables interned into one, decodes to what was encoded,
+        /// whatever was encoded before it. (An encoding past [`MAX_ENCODED`]
+        /// bytes would panic.)
         #[test]
-        fn every_kind_packs_and_unpacks_to_itself(
+        fn every_kind_encodes_and_decodes_to_itself(
             events in proptest::collection::vec(
                 (0u64..18, any::<u64>(), any::<u64>(), any::<u64>()),
                 1..80,
             ),
         ) {
-            let mut labels = Labels::default();
+            let stamped: Vec<Stamped> = events
+                .iter()
+                .map(|&(v, x, y, t)| Stamped { t: t_of(t), kind: kind_of(v, x, y) })
+                .collect();
+            let (mut labels, mut base) = (Labels::default(), Base::default());
+            let bytes: Vec<u8> =
+                stamped.iter().flat_map(|e| encode(e, &mut base, &mut labels)).collect();
+            let mut dec = Dec { bytes: &bytes, base: Base::default() };
+            for e in &stamped {
+                prop_assert_eq!(dec.event(&labels), *e);
+            }
+            prop_assert!(dec.bytes.is_empty());
+        }
+
+        /// The widths the rings once refused: times at `u64::MAX`, check
+        /// misses whose address lies below their block, and blocks at
+        /// `u64::MAX`, recorded into rings that keep every event and into
+        /// rings that wrap, read back as they were recorded.
+        #[test]
+        fn full_widths_round_trip_through_a_ring(
+            events in proptest::collection::vec(
+                (0u64..18, any::<u64>(), any::<u64>(), any::<u64>()),
+                1..200,
+            ),
+            cap in 1usize..64,
+        ) {
             let stamped: Vec<Stamped> = events
                 .iter()
                 .map(|&(v, x, y, t)| {
-                    let t = match t % 3 {
-                        0 => 0,
-                        1 => (1 << TIME_BITS) - 1,
-                        _ => t >> (64 - TIME_BITS),
+                    let kind = match (v, x % 3) {
+                        (0, 0) => EventKind::CheckMiss {
+                            id: 7, block: u64::MAX, addr: y, len: 8, write: true,
+                        },
+                        (0, 1) => EventKind::CheckMiss {
+                            id: 8, block: y | 1 << 63, addr: y >> 1, len: 4, write: false,
+                        },
+                        (1, 0) => EventKind::FalseMiss { block: u64::MAX },
+                        _ => kind_of(v, x, y),
                     };
-                    Stamped { t, kind: kind_of(v, x, y) }
+                    Stamped { t: if t.is_multiple_of(4) { u64::MAX } else { t_of(t) }, kind }
                 })
                 .collect();
-            let slots: Vec<Slot> =
-                stamped.iter().map(|e| Slot::pack(e.t, &e.kind, &mut labels)).collect();
-            for (slot, e) in slots.iter().zip(&stamped) {
-                prop_assert_eq!(slot.unpack(&labels), *e);
+            // Straight into the rings: the tiling audit would add a slice's
+            // cycles to its start.
+            let (mut whole, mut wrapped) = (Rings::new(2, stamped.len()), Rings::new(2, cap));
+            for (i, e) in stamped.iter().enumerate() {
+                whole.push(i % 2, e.t, &e.kind);
+                wrapped.push(i % 2, e.t, &e.kind);
+            }
+            for p in 0..2u32 {
+                let mine: Vec<Stamped> =
+                    stamped.iter().skip(p as usize).step_by(2).copied().collect();
+                prop_assert_eq!(whole.proc(p).events().collect::<Vec<_>>(), mine.clone());
+                let kept = mine.len().min(cap);
+                prop_assert_eq!(
+                    wrapped.proc(p).events().collect::<Vec<_>>(),
+                    mine[mine.len() - kept..].to_vec()
+                );
+                prop_assert_eq!(wrapped.proc(p).dropped, (mine.len() - kept) as u64);
             }
         }
+    }
+
+    /// Values of every length encode as plain LEB128 and decode back,
+    /// whether more bytes follow them or they end the chunk.
+    #[test]
+    fn varints_of_every_length_round_trip() {
+        let leb128 = |mut v: u64| {
+            let mut bytes = Vec::new();
+            while v >= 0x80 {
+                bytes.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            bytes.push(v as u8);
+            bytes
+        };
+        let values = (0..64).flat_map(|b| [1 << b, (1 << b) - 1, 1 << b | 0x55]);
+        for v in values.chain([u64::MAX]) {
+            let mut out = [0; MAX_ENCODED];
+            let mut enc = Enc { out: &mut out, n: 0, base: Base::default() };
+            enc.varint(v);
+            let n = enc.n;
+            assert_eq!(out[..n], leb128(v), "{v:#x}");
+            for tail in [0, 8] {
+                let mut bytes = out[..n].to_vec();
+                bytes.resize(n + tail, 0xff);
+                let mut dec = Dec { bytes: &bytes, base: Base::default() };
+                assert_eq!((dec.varint(), dec.bytes.len()), (v, tail), "{v:#x}");
+            }
+        }
+    }
+
+    /// The longest event a chunk must have room for is a check miss with
+    /// every field at full width, and it takes [`MAX_ENCODED`] bytes.
+    #[test]
+    fn a_full_width_check_miss_is_the_longest_encoding() {
+        let mut base = Base { t: 1 << 63, block: 1 << 63 };
+        let kind = EventKind::CheckMiss {
+            id: u32::MAX,
+            block: 0,
+            addr: 1 << 63,
+            len: u32::MAX,
+            write: true,
+        };
+        let bytes = encode(&Stamped { t: 0, kind }, &mut base, &mut Labels::default());
+        assert_eq!(bytes.len(), MAX_ENCODED);
     }
 
     /// A label is the very `&'static str` recorded, even one equal to
@@ -695,65 +1025,56 @@ mod tests {
         assert!(std::ptr::eq(labels.get(2), copy) && std::ptr::eq(labels.get(0), MSGS[0]));
     }
 
-    /// A ring one chunk and three slots long, fed three chunks' worth of
-    /// events, retains what a `VecDeque` bounded the same way retains,
-    /// oldest first, and drops as many. A chunk holds at most what its ring
-    /// has room for.
+    /// Event `i` of a stream whose encodings run from 3 to 41 bytes, so
+    /// that chunks close after irregular numbers of events.
+    fn varied(i: u64) -> Stamped {
+        let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let t = if i.is_multiple_of(5) { x } else { i };
+        Stamped { t, kind: kind_of(x % 18, x >> 8, x.rotate_left(29) ^ i) }
+    }
+
+    /// The most chunks (the spare included) a ring of `cap` events can
+    /// hold: every chunk but the oldest and the newest is closed, so holds
+    /// more than `CHUNK_BYTES − MAX_ENCODED` bytes of events retained.
+    fn chunk_bound(cap: usize) -> usize {
+        (cap * MAX_ENCODED).div_ceil(CHUNK_BYTES - MAX_ENCODED) + 2
+    }
+
+    /// Rings of one event, of fewer events than a chunk holds and of
+    /// several chunks' worth, fed until they have wrapped across many
+    /// chunk boundaries, retain what a `VecDeque` bounded the same way
+    /// retains, oldest first, and drop as many. All the while a ring holds
+    /// at most [`chunk_bound`] chunks.
     #[test]
     fn a_chunked_ring_matches_a_bounded_deque() {
-        let cap = CHUNK + 3;
-        let mut r = Recorder::enabled(3, cap);
-        let mut model: Vec<VecDeque<Stamped>> = vec![VecDeque::new(); 3];
-        let mut dropped = [0u64; 3];
-        let fed = [3 * CHUNK, CHUNK + 1, 5];
-        for i in 0..3 * CHUNK {
-            for p in (0..3).filter(|&p| i < fed[p]) {
-                let kind = EventKind::DowngradeAck { block: 0x40 * p as u64, remaining: i as u32 };
-                let e = Stamped { t: i as u64, kind };
-                r.record(e.t, p as u32, e.kind);
-                model[p].push_back(e);
-                if model[p].len() > cap {
-                    model[p].pop_front();
-                    dropped[p] += 1;
+        for cap in [1, 7, 5_000] {
+            let mut r = Rings::new(2, cap);
+            let mut model: VecDeque<Stamped> = VecDeque::new();
+            let mut dropped = 0u64;
+            let (fed, mut opened) = ((10 * cap).max(10_000), 0);
+            for i in 0..fed as u64 {
+                let e = varied(i);
+                r.push(0, e.t, &e.kind);
+                model.push_back(e);
+                if model.len() > cap {
+                    model.pop_front();
+                    dropped += 1;
+                }
+                let ring = &r.rings[0];
+                if ring.head.events == 1 {
+                    opened += 1;
+                }
+                let held = ring.full.len() + 1 + usize::from(ring.spare.is_some());
+                assert!(held <= chunk_bound(cap), "cap {cap}, event {i}: {held} chunks");
+                if i.is_multiple_of(997) || i + 1 == fed as u64 {
+                    let pe = r.proc(0);
+                    assert!(pe.events().eq(model.iter().copied()), "cap {cap}, event {i}");
+                    assert_eq!((pe.len(), pe.dropped), (model.len(), dropped), "cap {cap}");
                 }
             }
+            assert!(opened > 3, "cap {cap}: the ring wrapped across {opened} chunks only");
+            assert_eq!(dropped, (fed - cap) as u64);
+            assert!(r.proc(1).is_empty());
         }
-        let capacities = |r: &Recorder, p: usize| -> Vec<usize> {
-            r.rings.rings[p].chunks.iter().map(Vec::capacity).collect()
-        };
-        assert_eq!(capacities(&r, 0), [CHUNK, 3]);
-        assert_eq!(capacities(&r, 1), [CHUNK, 3]);
-        assert_eq!(capacities(&r, 2), [CHUNK]);
-        let mut small = Recorder::enabled(1, 5);
-        small.record(0, 0, EventKind::PollDrain { handled: 1 });
-        assert_eq!(capacities(&small, 0), [5]);
-        let log = r.into_log();
-        for p in 0..3 {
-            let pe = log.proc(p as u32);
-            assert_eq!(pe.events().collect::<Vec<_>>(), Vec::from(model[p].clone()), "P{p}");
-            assert_eq!((pe.len(), pe.dropped), (model[p].len(), dropped[p]), "P{p}");
-        }
-        assert_eq!(dropped, [(3 * CHUNK - cap) as u64, 0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "event time t = 281474976710656 does not fit in 48 bits")]
-    fn a_time_past_48_bits_panics() {
-        Recorder::enabled(1, 8).record(1 << 48, 0, EventKind::MissMerged { block: 0x40 });
-    }
-
-    #[test]
-    #[should_panic(expected = "check-miss block = 0x100000000 does not fit in 32 bits")]
-    fn a_check_miss_block_past_32_bits_panics() {
-        let kind = EventKind::CheckMiss { id: 1, block: 1 << 32, addr: 0x48, len: 8, write: true };
-        Recorder::enabled(1, 8).record(1, 0, kind);
-    }
-
-    #[test]
-    #[should_panic(expected = "check-miss addr = 0x100000008 does not fit in 32 bits")]
-    fn a_check_miss_addr_past_32_bits_panics() {
-        let kind =
-            EventKind::CheckMiss { id: 1, block: 0x40, addr: (1 << 32) + 8, len: 8, write: true };
-        Recorder::enabled(1, 8).record(1, 0, kind);
     }
 }

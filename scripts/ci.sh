@@ -161,7 +161,7 @@ diff -u "$fig4_off" "$fig4_on" || { echo "fig4 diverged with obs-block-state"; e
 rm -f "$fig4_off" "$fig4_on"
 
 echo "==> Chrome traces byte-identical to the archived digests (fig4 tiny, also with obs-block-state, and check --trace)"
-# Both exports are deterministic and read every retained ring slot, so a
+# Both exports are deterministic and read every retained ring event, so a
 # change to how the recorder stores events or the exporter prints them that
 # moves one byte shows here. The traces are ~2.5 MB and ~110 KB of JSON, so
 # results/trace_digests.txt keeps their sha256 rather than the files.
@@ -311,10 +311,13 @@ grep -q '"cat":"wire"' "$wt_tmp" || { echo "merged trace carries no wire events"
 diff -u "$tc_a" "$tc_b" || { echo "sim-backend counters are not deterministic"; exit 1; }
 rm -f "$tb_a" "$tb_b" "$tc_a" "$tc_b" "$wt_tmp"
 
-echo "==> paper figures byte-identical to the archive (Figures 4, 6, 7, 8 at Default vs results/)"
+echo "==> paper tables and figures byte-identical to the archive (all_experiments --list at Default vs results/)"
 # Every statistic has one producer, so what guards a refactor of it is the
-# archived output itself (~30 s together on two CPUs).
-for fig in fig4_breakdown fig6_misses fig7_messages fig8_downgrades; do
+# archived output itself (~40 s together on two CPUs). The list is
+# all_experiments' own, so a figure it writes cannot go ungated.
+figs="$(cargo run --release -q -p shasta-bench --bin all_experiments -- --list)"
+test "$(echo "$figs" | wc -l)" -ge 13 || { echo "all_experiments --list is short: $figs"; exit 1; }
+for fig in $figs; do
   cargo run --release -p shasta-bench --bin "$fig" | diff -u "results/$fig.txt" - \
     || { echo "$fig diverged from results/$fig.txt"; exit 1; }
 done
