@@ -15,8 +15,9 @@
 //!
 //! `--critical-path` adds one causal summary line per bar: the critical
 //! path extracted from the same event stream (`shasta_obs::critpath`),
-//! whose segments must tile `elapsed_cycles` exactly — the binary panics
-//! on any accounting hole. Runs whose ring evicted events print `skipped`
+//! following the engine's recorded delivery and wake edges, whose segments
+//! must tile `elapsed_cycles` exactly — the binary panics on any accounting
+//! hole or unrecorded edge. Runs whose ring evicted events print `skipped`
 //! (the analyzer refuses incomplete streams; the standalone
 //! `critical_path` binary deepens the ring instead).
 
@@ -27,8 +28,8 @@ use shasta_bench::{
 use shasta_obs::EventLog;
 use shasta_stats::RunStats;
 
-/// One causal summary line for `--critical-path`: top category share, hop
-/// and fallback counts, with the tiling crosscheck enforced.
+/// One causal summary line for `--critical-path`: top category share and
+/// wire hops, with the tiling crosscheck enforced.
 fn critical_path_line(stats: &RunStats, log: &EventLog) -> String {
     if log.dropped() > 0 {
         return format!("critical path: skipped ({} events evicted)", log.dropped());
@@ -37,12 +38,11 @@ fn critical_path_line(stats: &RunStats, log: &EventLog) -> String {
         .unwrap_or_else(|e| panic!("critical-path analysis failed: {e}"));
     let (top, cycles) = path.top_cat();
     format!(
-        "critical path: {} segments, top {} {:.1}%, {} wire hops, {} fallback, tiling exact",
+        "critical path: {} segments, top {} {:.1}%, {} wire hops, tiling exact",
         path.segments.len(),
         top.label(),
         cycles as f64 / stats.elapsed_cycles.max(1) as f64 * 100.0,
         path.wire_hops(),
-        path.fallback_segments(),
     )
 }
 

@@ -166,7 +166,8 @@ pub fn num_flag<T: std::str::FromStr>(names: &[&str]) -> Option<T> {
 pub fn write_chrome_trace(path: &str, log: &EventLog) {
     std::fs::write(path, shasta_obs::chrome::to_chrome_json(log))
         .unwrap_or_else(|e| panic!("cannot write trace to {path}: {e}"));
-    eprintln!("wrote Chrome trace ({} events) to {path}", log.len());
+    let events = log.iter().filter(|e| shasta_obs::chrome::is_exported(&e.kind)).count();
+    eprintln!("wrote Chrome trace ({events} events) to {path}");
 }
 
 /// Splices the wire fabric's event log into an engine-side Chrome trace:

@@ -8,10 +8,12 @@
 //! the processor's entire simulated timeline *exactly*, and recording the
 //! stream must not move a single counter.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 use shasta_apps::{registry, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig};
 use shasta_bench::{apps_for, run, run_observed, run_observed_metrics};
-use shasta_obs::{chrome, EventKind, EventLog};
+use shasta_obs::{chrome, critpath, EventKind, EventLog, PathCat};
 use shasta_stats::RunStats;
 
 /// The Table 2 kernels at tiny inputs, Base-Shasta and two SMP clusterings.
@@ -93,8 +95,10 @@ fn profiled_downgrades_match_the_engine_count_on_table2_kernels() {
 /// A recorded event costs a few bytes of ring, counted rather than timed:
 /// the four kernels of the benchmark's recorded workload at Tiny, SMP
 /// 16p/c4, keep every event they record at no more than 6 bytes an event
-/// (4.7 today). A change that widens the encoding fails here: writing times
-/// whole rather than as steps reads 6.3, and blocks whole as well 6.8.
+/// (5.0 today: 546 987 bytes for 110 250 events, each receive carrying its
+/// send stamp; 4.7 without). A change that widens the encoding fails here:
+/// writing times whole rather than as steps read 6.3, and blocks whole as
+/// well 6.8.
 #[test]
 fn a_recorded_event_takes_at_most_six_bytes_of_ring() {
     let (mut events, mut bytes) = (0, 0);
@@ -107,6 +111,66 @@ fn a_recorded_event_takes_at_most_six_bytes_of_ring() {
     }
     assert!(events > 10_000, "{events} events recorded");
     assert!(bytes <= 6 * events, "{bytes} ring bytes for {events} events");
+}
+
+/// The critical path follows the edges the engine recorded under every
+/// SMP-Shasta configuration that changes who ends a stall: as configured
+/// (a node mate's reply ends a merged miss, §3.4.2), with the shared
+/// directory, and with load balancing (a node processor other than the
+/// addressed one serves a request, §3.1). On all six Table 2 kernels at
+/// Tiny, SMP 8p/c4, each run analyses without error and tiles exactly, and
+/// every change of processor along the path is a wire hop or a recorded
+/// wake: a `woken` at that cycle naming the processor the path continues
+/// on. Nothing is left to a guess, and both node-level edges are taken.
+#[test]
+fn critical_paths_follow_recorded_edges_under_the_smp_extensions() {
+    let plain = RunConfig::new(Proto::Smp, 8, 4);
+    for (config, cfg) in [
+        ("plain", plain.clone()),
+        ("share_directory", plain.clone().share_directory()),
+        ("load_balance", plain.load_balance()),
+    ] {
+        let (mut wakes, mut served_elsewhere) = (0, 0);
+        for spec in apps_for(true, false) {
+            let name = format!("{} {config}", spec.name);
+            let app = (spec.build)(Preset::Tiny, false);
+            let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, 1 << 20, |_| {});
+            let path = critpath::analyze(&log, stats.elapsed_cycles)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            path.crosscheck().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut woken = BTreeSet::new();
+            let mut sends = BTreeMap::new();
+            for e in log.iter() {
+                match e.kind {
+                    EventKind::Woken { by } => _ = woken.insert((e.proc, e.t, by)),
+                    EventKind::MsgSend { peer, .. } => _ = sends.insert((e.proc, e.t), peer),
+                    _ => {}
+                }
+            }
+            for pair in path.segments.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                if a.proc == b.proc {
+                    continue;
+                }
+                if a.cat == PathCat::Wire {
+                    served_elsewhere += usize::from(sends[&(a.proc, a.start)] != b.proc);
+                } else {
+                    assert!(
+                        woken.contains(&(b.proc, b.start, a.proc)),
+                        "{name}: the path moves from P{} to P{} at {} with no recorded edge",
+                        b.proc,
+                        a.proc,
+                        b.start
+                    );
+                    wakes += 1;
+                }
+            }
+        }
+        assert!(wakes > 0, "{config}: no wake edge on any path");
+        if config == "load_balance" {
+            assert!(served_elsewhere > 0, "{config}: no request served by another processor");
+        }
+    }
 }
 
 /// An SMP run with false sharing exercises every event kind the protocol
@@ -128,6 +192,7 @@ fn event_kinds_cover_the_protocol_surface() {
         "line-lock-release",
         "stall-begin",
         "slice",
+        "woken",
     ];
     // Per-transition block-state events are compiled out by default; they
     // only exist under the `obs-block-state` feature (see
@@ -163,7 +228,7 @@ fn event_kinds_cover_the_protocol_surface() {
 
 /// The Chrome `trace_event` export of a real run re-parses, and the parsed
 /// document reflects the log: one complete ("X") event per retained slice,
-/// one instant ("i") event per other retained event, thread metadata per
+/// one instant ("i") event per other retained event but wakes, thread metadata per
 /// processor, and slice durations that re-sum to the Figure 4 breakdown.
 #[test]
 fn chrome_export_round_trips() {
@@ -174,7 +239,8 @@ fn chrome_export_round_trips() {
 
     let events = doc.get("traceEvents").and_then(|v| v.as_arr()).expect("traceEvents array");
     let slices = log.iter().filter(|e| matches!(e.kind, EventKind::Slice { .. })).count();
-    let instants = log.len() - slices;
+    let wakes = log.iter().filter(|e| !chrome::is_exported(&e.kind)).count();
+    let instants = log.len() - slices - wakes;
     let metadata = 1 + log.procs(); // process_name + one thread_name per proc
     let ph = |want: &str| {
         events.iter().filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some(want)).count()
@@ -185,7 +251,7 @@ fn chrome_export_round_trips() {
     assert_eq!(ph("i"), instants, "one instant event per other retained event");
     assert_eq!(ph("M"), metadata, "process + per-thread metadata");
     assert_eq!(ph("s"), flows, "one flow start per id-carrying check miss");
-    assert_eq!(events.len(), log.len() + metadata + flows);
+    assert_eq!(events.len(), log.len() - wakes + metadata + flows);
 
     // No ring eviction at tiny inputs, so the re-summed "X" durations are
     // the full breakdown.

@@ -17,9 +17,11 @@
 //!
 //! `--critical-path` re-runs the first scenario deterministically with
 //! event recording and prints its causal run report (`# shasta
-//! critical-path v1`): the chain of compute, protocol occupancy, wire
-//! hops, queueing, and synchronization that bounded the run, tiling
-//! `elapsed_cycles` exactly (the process aborts on any accounting hole).
+//! critical-path v2`): the chain of compute, protocol occupancy, wire
+//! hops, queueing, and synchronization that bounded the run, followed
+//! along the delivery and wake edges the engine recorded and tiling
+//! `elapsed_cycles` exactly (the process exits 2 on an accounting hole or
+//! an unrecorded edge).
 //!
 //! `--metrics` attaches a metrics registry to every machine the sweep
 //! builds. The registry is never read here — the flag exists so CI can
@@ -121,7 +123,8 @@ fn main() -> ExitCode {
         }
         if !quiet {
             let verdict = if outcome.is_ok() { "clean run" } else { "counterexample replay" };
-            println!("wrote Chrome trace ({verdict}, {} events) to {path}", log.len());
+            let events = log.iter().filter(|e| shasta_obs::chrome::is_exported(&e.kind)).count();
+            println!("wrote Chrome trace ({verdict}, {events} events) to {path}");
         }
     }
     if critical_path {

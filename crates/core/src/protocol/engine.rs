@@ -344,15 +344,16 @@ impl Machine {
         }
         let admitted = self.net.admit(env, now);
         // Only a recording run needs the event: `emit` counts no message,
-        // and labelling one costs a lookup per delivery.
+        // and labelling one costs a lookup per delivery. It carries the
+        // cycle of its `msg-send`, the critical path's delivery edge.
         if let Some(env) = admitted.as_ref().filter(|_| self.obs.is_enabled()) {
-            self.obs_event(
+            self.obs.record_recv(
+                self.clocks[p as usize].cycles(),
                 p,
-                shasta_obs::EventKind::MsgRecv {
-                    msg: env.msg.label(),
-                    peer: env.src,
-                    block: env.msg.block_start(),
-                },
+                env.msg.label(),
+                env.src,
+                env.msg.block_start(),
+                env.sent().cycles(),
             );
         }
         self.pay(p, TimeCat::Message, self.cost.msg_dispatch_cycles);
@@ -500,9 +501,15 @@ impl Machine {
     /// Resumes a stalled processor; returns the response to hand to its
     /// fiber, or `None` if it transitioned into another stall.
     pub(crate) fn resume_stalled(&mut self, p: u32) -> Option<Resp> {
-        let now = self.clocks[p as usize].max(self.wake_floor[p as usize]);
+        let (clock, floor) = (self.clocks[p as usize], self.wake_floor[p as usize]);
+        let now = clock.max(floor);
         self.clocks[p as usize] = now;
         let stall = self.stalls[p as usize].take().expect("resume without stall");
+        // Another processor's wake set the resume's time (a processor's own
+        // bump never raises its floor past its clock).
+        if let Some(&by) = self.waker.get(p as usize).filter(|_| floor > clock) {
+            self.obs_event(p, shasta_obs::EventKind::Woken { by });
+        }
         let window = now - stall.since;
         // The whole stall window becomes one slice (message handling during
         // the stall advanced the clock without attributing — the paper hides
@@ -572,6 +579,8 @@ impl Machine {
                 },
             );
         }
+        // The envelope names the send by the cycle its `msg-send` carries.
+        self.net.set_send_stamp(self.clocks[src as usize]);
         self.pay(src, TimeCat::Message, self.cost.msg_send_cycles);
         let payload = msg.payload_bytes();
         // Seeded schedule policies stretch individual message latencies
@@ -1044,8 +1053,7 @@ impl Machine {
                 self.set_block_state(v, block, s);
                 self.obs_state(p, block, s);
                 self.set_priv(p, block, private);
-                let now = self.clocks[p as usize];
-                self.bump_wake_vnode(v, now);
+                self.bump_wake_vnode(v, p);
             }
             Effect::PrivCeiling(s) => {
                 let lines = block.line_range(self.space.line_bytes());
@@ -1060,18 +1068,15 @@ impl Machine {
                 self.pay(p, TimeCat::Other, cycles);
                 self.mems[v].write_flags(block.start, block.len);
             }
-            Effect::WakeNode => {
-                let now = self.clocks[p as usize];
-                self.bump_wake_vnode(v, now);
-            }
+            Effect::WakeNode => self.bump_wake_vnode(v, p),
             Effect::FinishStore { epoch, requester } => {
                 // Credit the epoch and the requester's outstanding-store
-                // budget, waking release and store-limit stalls.
+                // budget, waking release and store-limit stalls at the
+                // requester's clock.
                 self.epochs[v].complete_store(epoch);
                 self.outstanding_stores[requester as usize] -= 1;
-                let t = self.clocks[requester as usize];
-                self.bump_wake(requester, t);
-                self.bump_wake_vnode(v, t);
+                self.bump_wake(requester, requester);
+                self.bump_wake_vnode(v, requester);
             }
             Effect::Retire => {
                 let entry = self.miss[v].remove(block.start).expect("a replied entry");
@@ -1250,20 +1255,18 @@ impl Machine {
             }
             Req::Release { lock, .. } => {
                 self.charge(p, TimeCat::Sync, self.cost.hw_lock_cycles);
-                let now = self.clocks[p as usize];
                 let info = self.locks.get_mut(&lock).expect("release of unknown lock");
                 assert_eq!(info.holder, Some(p), "hardware lock released by non-holder");
                 info.holder = info.queue.pop_front();
                 if let Some(next) = info.holder {
                     grant(&mut self.lock_grants[next as usize], lock);
-                    self.bump_wake(next, now);
+                    self.bump_wake(next, p);
                 }
                 Some(Resp::Unit)
             }
             Req::Barrier { id, .. } => {
                 self.charge(p, TimeCat::Sync, self.cost.hw_barrier_cycles);
                 let procs = self.barrier_count();
-                let now = self.clocks[p as usize];
                 let info = self.barriers.entry(id).or_default();
                 info.arrived += 1;
                 if info.arrived == procs {
@@ -1271,7 +1274,7 @@ impl Machine {
                     let mut waiting = std::mem::take(&mut info.waiting);
                     for &w in &waiting {
                         grant(&mut self.barrier_done[w as usize], id);
-                        self.bump_wake(w, now);
+                        self.bump_wake(w, p);
                     }
                     waiting.clear();
                     self.barriers.get_mut(&id).expect("entered above").waiting = waiting;

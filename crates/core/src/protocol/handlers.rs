@@ -19,15 +19,13 @@ impl Machine {
             ProtoMsg::LockGrant { lock } => {
                 self.pay(p, TimeCat::Message, self.cost.ack_handler_cycles);
                 grant(&mut self.lock_grants[p as usize], lock);
-                let now = self.clocks[p as usize];
-                self.bump_wake(p, now);
+                self.bump_wake(p, p);
             }
             ProtoMsg::BarrierArrive { id } => self.handle_barrier_arrive(p, src, id),
             ProtoMsg::BarrierGo { id } => {
                 self.pay(p, TimeCat::Message, self.cost.ack_handler_cycles);
                 grant(&mut self.barrier_done[p as usize], id);
-                let now = self.clocks[p as usize];
-                self.bump_wake(p, now);
+                self.bump_wake(p, p);
             }
             msg => {
                 let block = msg.block().expect("a coherence message names its block");

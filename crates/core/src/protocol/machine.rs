@@ -156,6 +156,9 @@ pub struct Machine {
     pub(crate) clocks: Vec<Time>,
     pub(crate) stalls: Vec<Option<Stall>>,
     pub(crate) wake_floor: Vec<Time>,
+    /// The processor whose clock last raised each wake floor, kept only
+    /// while recording: a `Woken` event is all that reads it.
+    pub(crate) waker: Vec<u32>,
     /// Locks granted to each processor and not yet taken by its resume.
     pub(crate) lock_grants: Vec<Vec<u32>>,
     /// Barriers released for each processor and not yet passed.
@@ -264,6 +267,7 @@ impl Machine {
             clocks: vec![Time::ZERO; procs],
             stalls: vec![None; procs],
             wake_floor: vec![Time::ZERO; procs],
+            waker: Vec::new(),
             lock_grants: vec![Vec::new(); procs],
             barrier_done: vec![Vec::new(); procs],
             outstanding_stores: vec![0; procs],
@@ -439,6 +443,7 @@ impl Machine {
     /// are snapshotted when the run starts.
     pub fn enable_obs(&mut self, ring_capacity: usize) {
         self.obs = shasta_obs::Recorder::enabled(self.topo.procs() as usize, ring_capacity);
+        self.waker = vec![0; self.topo.procs() as usize];
     }
 
     /// Installs profile-guided label → block-size overrides on the shared
@@ -664,25 +669,35 @@ impl Machine {
         self.privs[p as usize].get(block.first_line(self.space.line_bytes()))
     }
 
-    /// Raises `p`'s wake floor to `t`: if `p` resumes from a stall, it
-    /// resumes no earlier than the event that satisfied it. Every change to
-    /// what a stalled processor waits for other than node state — a lock
+    /// Raises `p`'s wake floor to `by`'s clock: if `p` resumes from a
+    /// stall, it resumes no earlier than the event that satisfied it. `by`
+    /// is the processor that acted (for a completed store, the requester,
+    /// whose clock the store is credited at); while recording, a raise
+    /// keeps it as `p`'s waker, which the resume reports if the floor sets
+    /// its time
+    /// ([`EventKind::Woken`](shasta_obs::EventKind::Woken)). Every change
+    /// to what a stalled processor waits for other than node state — a lock
     /// grant, a barrier release, a completed store — is followed by this
     /// bump, so it marks `p` if `p` is stalled, floor moved or not.
-    pub(crate) fn bump_wake(&mut self, p: u32, t: Time) {
+    pub(crate) fn bump_wake(&mut self, p: u32, by: u32) {
+        let t = self.clocks[by as usize];
         let w = &mut self.wake_floor[p as usize];
         if *w < t {
             *w = t;
+            if let Some(waker) = self.waker.get_mut(p as usize) {
+                *waker = by;
+            }
         }
         if self.stalls[p as usize].is_some() {
             self.mark(p);
         }
     }
 
-    /// Raises the wake floor of every processor on virtual node `v`.
-    pub(crate) fn bump_wake_vnode(&mut self, v: usize, t: Time) {
+    /// Raises the wake floor of every processor on virtual node `v` to
+    /// `by`'s clock.
+    pub(crate) fn bump_wake_vnode(&mut self, v: usize, by: u32) {
         for p in self.topo.virt_node_procs(shasta_cluster::NodeId(v as u32)) {
-            self.bump_wake(p.0, t);
+            self.bump_wake(p.0, by);
         }
     }
 

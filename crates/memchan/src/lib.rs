@@ -103,10 +103,6 @@ pub struct Envelope<M> {
     pub dst: u32,
     /// Simulated time at which the message becomes visible to polling.
     pub arrival: Time,
-    /// Classification for Figure 7 accounting.
-    pub class: MsgClass,
-    /// Payload size in bytes (excluding the protocol header).
-    pub payload_bytes: u64,
     /// The protocol message itself.
     pub msg: M,
     /// Per-(src node, dst node) stream position, stamped only while a fault
@@ -119,6 +115,8 @@ pub struct Envelope<M> {
     /// Causal trace context: the miss id in effect at send time (0 = none).
     /// Pure metadata — never consulted for timing or ordering.
     trace: u32,
+    /// The send stamp in effect at send time (see [`Envelope::sent`]).
+    sent: Time,
 }
 
 impl<M> Envelope<M> {
@@ -129,6 +127,15 @@ impl<M> Envelope<M> {
     /// inherit the id of the miss that started them.
     pub fn trace(&self) -> u32 {
         self.trace
+    }
+
+    /// The send stamp in effect when the message was sent
+    /// ([`Network::set_send_stamp`]): the engine stamps the sender's clock
+    /// before it pays for the send, the cycle its `msg-send` event carries,
+    /// so a delivery names the send that caused it. Pure metadata, like
+    /// [`Envelope::trace`].
+    pub fn sent(&self) -> Time {
+        self.sent
     }
 }
 
@@ -347,6 +354,8 @@ pub struct Network<M> {
     in_flight: usize,
     /// Causal context stamped into outgoing envelopes (0 = none).
     trace_ctx: u32,
+    /// Send stamp written into outgoing envelopes.
+    send_stamp: Time,
     /// Installed metrics handles; `None` = recording off (the default).
     metrics: Option<NetMetrics>,
 }
@@ -369,6 +378,7 @@ impl<M: Clone> Network<M> {
             stats: MsgStats::default(),
             in_flight: 0,
             trace_ctx: 0,
+            send_stamp: Time::ZERO,
             metrics: None,
         }
     }
@@ -433,6 +443,12 @@ impl<M: Clone> Network<M> {
     /// The causal trace context stamped into envelopes sent now.
     pub fn trace_context(&self) -> u32 {
         self.trace_ctx
+    }
+
+    /// Sets the send stamp written into every envelope sent from now on.
+    /// See [`Envelope::sent`].
+    pub fn set_send_stamp(&mut self, t: Time) {
+        self.send_stamp = t;
     }
 
     /// Publishes the effective link parameters — the installed profile, or
@@ -546,9 +562,8 @@ impl<M: Clone> Network<M> {
                 None => return arrival,
             }
         };
-        let trace = self.trace_ctx;
-        let env =
-            Envelope { src, dst, arrival, class, payload_bytes, msg, pair_seq, via_vnode, trace };
+        let (trace, sent) = (self.trace_ctx, self.send_stamp);
+        let env = Envelope { src, dst, arrival, msg, pair_seq, via_vnode, trace, sent };
         if let Some(dup_arrival) = dup {
             let mut copy = env.clone();
             copy.arrival = dup_arrival;
@@ -1023,6 +1038,15 @@ mod tests {
         let b = n.pop_earliest(4).unwrap();
         assert_eq!((a.msg, a.trace()), (1, 7));
         assert_eq!((b.msg, b.trace()), (2, 0));
+    }
+
+    #[test]
+    fn send_stamp_rides_the_envelope() {
+        let mut n = net();
+        n.set_send_stamp(Time::from_cycles(30));
+        let arrival = n.send(0, 4, 1, 0, Time::from_cycles(40), None);
+        let env = n.pop_earliest(4).unwrap();
+        assert_eq!((env.sent(), env.arrival), (Time::from_cycles(30), arrival));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! The exported file opens directly in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev): each simulated processor becomes a
 //! timeline row (`tid`), time slices become complete (`"ph":"X"`) events,
-//! and protocol events become instant (`"ph":"i"`) markers. Timestamps are
+//! and protocol events become instant (`"ph":"i"`) markers; a `woken`
+//! event, the critical path's wake edge, is left out. Timestamps are
 //! simulated cycles written into the format's microsecond field, so one
 //! display microsecond equals one simulated cycle.
 //!
@@ -30,6 +31,13 @@ use crate::recorder::EventLog;
 pub const MISS_FLOW_CAT: &str = "miss-flow";
 /// Flow-event name (see [`MISS_FLOW_CAT`]).
 pub const MISS_FLOW_NAME: &str = "miss";
+
+/// Whether the exporter writes events of `kind`: every kind but
+/// [`EventKind::Woken`], the critical path's wake edge, which is not a fact
+/// on the timeline.
+pub fn is_exported(kind: &EventKind) -> bool {
+    !matches!(kind, EventKind::Woken { .. })
+}
 
 /// Renders `log` in the Chrome `trace_event` JSON format.
 pub fn to_chrome_json(log: &EventLog) -> String {
@@ -60,7 +68,7 @@ pub fn to_chrome_json(log: &EventLog) -> String {
         );
     }
     for p in 0..log.procs() {
-        for e in log.proc(p as u32).events() {
+        for e in log.proc(p as u32).events().filter(|e| is_exported(&e.kind)) {
             let mut s = String::with_capacity(128);
             match e.kind {
                 EventKind::Slice { cat, cycles } => {
@@ -154,6 +162,7 @@ fn write_args(s: &mut String, kind: &EventKind) {
         }
         EventKind::StallBegin { cat } => write!(s, "\"cat\":\"{}\"", cat.label()),
         EventKind::Slice { .. } => unreachable!("slices are duration events"),
+        EventKind::Woken { .. } => unreachable!("wakes are not exported"),
     };
 }
 

@@ -2,61 +2,61 @@
 //!
 //! Figure 4 explains *where cycles go in aggregate*; this module answers
 //! the operator's question: **which chain of misses, wire hops, and waits
-//! actually bounded the run?** It reconstructs the causal DAG latent in an
-//! [`EventLog`] — `CheckMiss` → stall window → satisfying `MsgRecv`,
-//! matched back to the `MsgSend` that produced it on the peer, downgrade
-//! fan-out and lock/barrier releases included — and walks it *backward*
-//! from the run's final instant, emitting one attributed segment per step.
+//! actually bounded the run?** It walks *backward* from the run's final
+//! instant along two causal edges the engine records, emitting one
+//! attributed segment per step:
+//!
+//! * the **delivery edge**: each [`EventKind::MsgRecv`] carries the cycle
+//!   of its sender's [`EventKind::MsgSend`], whichever node processor
+//!   handled it ([`Recorder::record_recv`](crate::Recorder::record_recv));
+//! * the **wake edge**: an [`EventKind::Woken`] names the processor whose
+//!   wake set a stall's resume time — a node mate whose reply filled a
+//!   merged miss (§3.4.2), a lock or barrier manager, a completed store.
 //!
 //! # The walk
 //!
-//! Preprocessing turns each processor's record-ordered timeline into
-//! intervals: normal execution slices ([`EventKind::Slice`] from `pay` /
-//! `charge`) and **stall windows** (a [`EventKind::StallBegin`] at time `s`
-//! paired with the first subsequent slice recorded at `t == s` with the
-//! same category — the engine emits the whole window as one slice at
-//! resume). Messages received *inside* a window are kept with it: the last
-//! one to arrive before the point under examination is the stall's
-//! satisfier.
-//!
-//! Starting at `(p, elapsed)` for the processor whose activity reaches the
-//! run's end, each step looks at what covered the instant just before the
-//! current time `t` on the current processor:
+//! Each processor's timeline becomes intervals: paid slices
+//! ([`EventKind::Slice`]) and **stall windows** (a
+//! [`EventKind::StallBegin`] at `s` paired with the next slice recorded at
+//! `s` with its category — the engine emits the whole window as one slice
+//! at resume, just after its `Woken`, if any). Intervals, receives and
+//! sends are kept in time order and the walk only moves back in time, so
+//! each step is a binary search. From `(p, elapsed)` for the processor
+//! whose activity reaches the run's end, each step looks at what covered
+//! the instant just before the current time `t` on the current processor:
 //!
 //! * a **normal slice** `[a, b)` emits `[a, t)` as [`PathCat::Compute`]
 //!   (task time) or [`PathCat::Protocol`] (message handling, checks,
 //!   bookkeeping) and continues at `(p, a)`;
-//! * a **stall window** with satisfying arrival at `w` emits `[w, t)` as
-//!   [`PathCat::Queueing`] (or [`PathCat::Sync`] for lock/barrier waits),
-//!   FIFO-matches the arrival to its `MsgSend` on the peer `q` at `u` by
-//!   `(src, dst, label, block)` occurrence index, emits `[u, w)` as
-//!   [`PathCat::Wire`] attributed to the node pair and allocation site,
-//!   and hops to `(q, u)`;
-//! * a stall the walk cannot resolve causally — satisfied by a node-mate's
-//!   merged miss fill, a local store-limit/release quiesce, or a
-//!   load-balanced request serviced by a different processor than the one
-//!   addressed — emits the window wholesale as a **fallback** segment in
-//!   the wait category (counted, so reports show how much of the path is
-//!   exact);
-//! * activity that *begins exactly at* a message arrival (an event-driven
-//!   home handler dispatching a request, a downgrade ack waking the
-//!   fan-out collector) hops straight through the wire to the sender —
-//!   this is what lets the walk follow a Figure 2(b) downgrade chain
-//!   requester → home → copy holder → home → requester end to end;
-//! * a remaining **gap** (idle processor whose clock jumped to a wake
-//!   floor or an unmatchable arrival) emits [`PathCat::Queueing`].
+//! * a **stall window** `[s, e)` is ended by the later of its last arrival
+//!   before `t` and its recorded wake (which counts when `t == e`):
+//!   * a wake by `q` hops to `(q, e)`, where `q`'s clock stood when it
+//!     raised the wake floor;
+//!   * an arrival at `w` sent by `q` at `u` emits `[w, t)` as
+//!     [`PathCat::Queueing`] (or [`PathCat::Sync`] for lock/barrier
+//!     waits), then `[u, w)` as [`PathCat::Wire`] attributed to the node
+//!     pair and allocation site, and hops to `(q, u)`;
+//!   * with neither, the window was the processor's own work (an inline
+//!     self-message, or its own request issued before the first arrival):
+//!     it emits `[s, t)` in the wait category and continues at `(p, s)`;
+//! * activity that *begins exactly at* a dispatch (an event-driven home
+//!   handler, a downgrade ack waking the fan-out collector) hops through
+//!   the wire to the sender — how a Figure 2(b) downgrade chain requester
+//!   → home → copy holder → home → requester is followed end to end;
+//! * a remaining **gap** (an idle processor whose clock jumped) emits
+//!   [`PathCat::Queueing`] back to its previous interval's end.
 //!
 //! Every segment ends exactly where the previous (later) one began, so the
 //! emitted segments **tile `[0, elapsed)` exactly by construction** — the
-//! zero-tolerance crosscheck of [`CritPath::crosscheck`], in the style of
-//! the Fig4 and topology-breakdown accounting. A `Wire` segment spans send
-//! to *dispatch* (transit plus any receiver-side queueing before the poll
-//! that handled it).
+//! zero-tolerance crosscheck of [`CritPath::crosscheck`]. A `Wire` segment
+//! spans send to *dispatch* (transit plus any receiver-side queueing before
+//! the poll that handled it).
 //!
 //! The analysis needs the complete stream: [`analyze`] refuses a log with
-//! ring evictions ([`EventLog::dropped`] `> 0`).
+//! ring evictions ([`EventLog::dropped`] `> 0`), a receive without a send
+//! stamp, and a hop to a send its sender never recorded.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use shasta_stats::{CritReport, TimeCat};
 
@@ -116,12 +116,14 @@ pub struct Segment {
     pub nodes: Option<(u32, u32)>,
     /// Protocol-message label for wire/wait segments, when known.
     pub msg: Option<&'static str>,
-    /// Whether the causal edge could not be resolved and the stall window
-    /// was attributed wholesale.
-    pub fallback: bool,
 }
 
 impl Segment {
+    /// A segment with no site, node pair or message.
+    fn new(start: u64, end: u64, proc: u32, cat: PathCat) -> Self {
+        Segment { start, end, proc, cat, site: None, nodes: None, msg: None }
+    }
+
     /// Cycles covered by the segment.
     pub fn cycles(&self) -> u64 {
         self.end - self.start
@@ -143,14 +145,11 @@ impl CritPath {
         self.segments.iter().filter(|s| s.cat == PathCat::Wire).count()
     }
 
-    /// Segments whose causal edge was unresolved (attributed wholesale).
-    pub fn fallback_segments(&self) -> usize {
-        self.segments.iter().filter(|s| s.fallback).count()
-    }
-
-    /// Cycles covered by fallback segments.
+    /// Always 0: every edge the walk follows is recorded, so no stall
+    /// window is attributed wholesale. Kept for `benchmark/` until ROADMAP
+    /// item 1(e) retires it.
     pub fn fallback_cycles(&self) -> u64 {
-        self.segments.iter().filter(|s| s.fallback).map(Segment::cycles).sum()
+        0
     }
 
     /// `(category, cycles, segment count)` in fixed report order.
@@ -204,7 +203,7 @@ impl CritPath {
     pub fn report(&self) -> CritReport {
         let by_cat =
             self.by_cat().into_iter().map(|(c, cyc, n)| (c.label(), cyc, n)).collect::<Vec<_>>();
-        let mut sites: HashMap<&'static str, u64> = HashMap::new();
+        let mut sites: BTreeMap<&'static str, u64> = BTreeMap::new();
         for s in &self.segments {
             if let Some(site) = s.site {
                 *sites.entry(site).or_insert(0) += s.cycles();
@@ -213,7 +212,7 @@ impl CritPath {
         let mut by_site: Vec<(String, u64)> =
             sites.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         by_site.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let mut pairs: HashMap<(u32, u32), u64> = HashMap::new();
+        let mut pairs: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         for s in &self.segments {
             if let Some(nodes) = s.nodes {
                 *pairs.entry(nodes).or_insert(0) += s.cycles();
@@ -226,8 +225,8 @@ impl CritPath {
             elapsed_cycles: self.elapsed,
             segments: self.segments.len(),
             wire_hops: self.wire_hops(),
-            fallback_segments: self.fallback_segments(),
-            fallback_cycles: self.fallback_cycles(),
+            fallback_segments: 0,
+            fallback_cycles: 0,
             by_cat,
             by_site,
             by_pair,
@@ -235,17 +234,23 @@ impl CritPath {
     }
 }
 
-/// A message arrival kept with the stall window it landed in.
+/// A delivery: the message `msg` about `block` from `peer`, dispatched at
+/// `t`, sent at `sent`.
 #[derive(Clone, Copy, Debug)]
-struct RecvRef {
+struct Recv {
     t: u64,
+    sent: u64,
     peer: u32,
     msg: &'static str,
     block: u64,
-    /// Occurrence index among this processor's receives with the same
-    /// `(peer, msg, block)` key — the FIFO rank matched against the peer's
-    /// sends.
-    occ: u32,
+}
+
+/// A recorded send: what [`Recv::sent`] must name.
+#[derive(Clone, Copy, Debug)]
+struct Sent {
+    t: u64,
+    msg: &'static str,
+    block: u64,
 }
 
 /// One preprocessed interval of a processor's timeline.
@@ -254,67 +259,89 @@ struct Iv {
     start: u64,
     end: u64,
     cat: TimeCat,
-    /// Index into the processor's stall-window receive lists when this
-    /// interval is a stall window; `None` for a normal paid slice.
-    stall: Option<usize>,
+    /// `None` for a normal paid slice; for a stall window, `Some` of the
+    /// processor whose wake set the window's end, if one did.
+    stall: Option<Option<u32>>,
 }
 
+/// One processor's timeline, each list in time order.
+#[derive(Default)]
 struct ProcView {
-    /// Intervals sorted by `(start, end)`.
     ivs: Vec<Iv>,
-    /// Per stall window: the arrivals recorded inside it, in order.
-    stall_recvs: Vec<Vec<RecvRef>>,
-    /// Every arrival on this processor, in record order (for wake hops).
-    recvs: Vec<RecvRef>,
+    recvs: Vec<Recv>,
+    sends: Vec<Sent>,
 }
 
-type SendKey = (u32, u32, &'static str, u64);
+impl ProcView {
+    /// The last interval starting before `t` (it covers the instant before
+    /// `t` if it ends no earlier).
+    fn last_before(&self, t: u64) -> Option<Iv> {
+        let i = self.ivs.partition_point(|iv| iv.start < t);
+        i.checked_sub(1).map(|i| self.ivs[i])
+    }
 
-fn build_views(log: &EventLog) -> (Vec<ProcView>, HashMap<SendKey, Vec<u64>>) {
-    let mut sends: HashMap<SendKey, Vec<u64>> = HashMap::new();
+    /// The last delivery dispatched before `t` (or at `t`, with `at`).
+    fn last_recv(&self, t: u64, at: bool) -> Option<Recv> {
+        let i = self.recvs.partition_point(|r| r.t < t || (at && r.t == t));
+        i.checked_sub(1).map(|i| self.recvs[i])
+    }
+
+    /// Whether this processor recorded the send delivery `r` names: its
+    /// message and block, at its send stamp.
+    fn sent(&self, r: Recv) -> bool {
+        let from = self.sends.partition_point(|s| s.t < r.sent);
+        let mut at = self.sends[from..].iter().take_while(|s| s.t == r.sent);
+        at.any(|s| s.msg == r.msg && s.block == r.block)
+    }
+}
+
+fn build_views(log: &EventLog) -> Result<Vec<ProcView>, String> {
     let mut views = Vec::with_capacity(log.procs());
     for p in 0..log.procs() as u32 {
-        let mut ivs = Vec::new();
-        let mut stall_recvs: Vec<Vec<RecvRef>> = Vec::new();
-        let mut recvs: Vec<RecvRef> = Vec::new();
-        let mut recv_occ: HashMap<(u32, &'static str, u64), u32> = HashMap::new();
+        let mut view = ProcView::default();
         // At most one stall can be open per processor; a zero-length window
         // leaves its `StallBegin` unmatched (the engine skips empty slices)
         // and the next `StallBegin` simply replaces it.
-        let mut pending: Option<(u64, TimeCat, Vec<RecvRef>)> = None;
-        for e in log.proc(p).events() {
+        let mut pending: Option<(u64, TimeCat, Option<u32>)> = None;
+        for (e, sent) in log.proc(p).stamped() {
             match e.kind {
-                EventKind::StallBegin { cat } => pending = Some((e.t, cat, Vec::new())),
+                EventKind::StallBegin { cat } => pending = Some((e.t, cat, None)),
+                EventKind::Woken { by } => {
+                    if let Some((_, _, woken)) = pending.as_mut() {
+                        *woken = Some(by);
+                    }
+                }
                 EventKind::Slice { cat, cycles } => {
-                    let is_stall = pending.as_ref().is_some_and(|&(s, c, _)| s == e.t && c == cat);
-                    let stall = if is_stall {
-                        let (_, _, recvs) = pending.take().expect("checked above");
-                        stall_recvs.push(recvs);
-                        Some(stall_recvs.len() - 1)
-                    } else {
-                        None
+                    let stall = match pending {
+                        Some((s, c, woken)) if s == e.t && c == cat => {
+                            pending = None;
+                            Some(woken)
+                        }
+                        _ => None,
                     };
-                    ivs.push(Iv { start: e.t, end: e.t + cycles, cat, stall });
+                    view.ivs.push(Iv { start: e.t, end: e.t + cycles, cat, stall });
                 }
                 EventKind::MsgRecv { msg, peer, block } => {
-                    let occ = recv_occ.entry((peer, msg, block)).or_insert(0);
-                    let r = RecvRef { t: e.t, peer, msg, block, occ: *occ };
-                    *occ += 1;
-                    if let Some((_, _, win)) = pending.as_mut() {
-                        win.push(r);
-                    }
-                    recvs.push(r);
+                    let Some(sent) = sent else {
+                        return Err(format!(
+                            "P{p}'s {msg} from P{peer} at cycle {} carries no send stamp",
+                            e.t
+                        ));
+                    };
+                    view.recvs.push(Recv { t: e.t, sent, peer, msg, block });
                 }
-                EventKind::MsgSend { msg, peer, block } => {
-                    sends.entry((p, peer, msg, block)).or_default().push(e.t);
+                EventKind::MsgSend { msg, block, .. } => {
+                    view.sends.push(Sent { t: e.t, msg, block });
                 }
                 _ => {}
             }
         }
-        ivs.sort_by_key(|iv| (iv.start, iv.end));
-        views.push(ProcView { ivs, stall_recvs, recvs });
+        view.ivs.sort_by_key(|iv| (iv.start, iv.end));
+        view.recvs.sort_by_key(|r| r.t);
+        view.sends.sort_by_key(|s| s.t);
+        views.push(view);
     }
-    (views, sends)
+    Ok(views)
 }
 
 /// The processor the backward walk starts on: the lowest-numbered one
@@ -351,8 +378,11 @@ fn site_of(map: &SpaceMap, block: u64) -> Option<&'static str> {
 /// # Errors
 ///
 /// Fails when the log is incomplete (ring evictions — raise the recording
-/// capacity) or when the accounting crosscheck finds a hole, which would be
-/// a bug in the analyzer or the event stream.
+/// capacity), when a receive carries no send stamp, when a delivery the
+/// walk follows names a send its sender did not record (that message, at
+/// that cycle) or one no earlier than its dispatch, when wake edges form a
+/// cycle, or when the accounting crosscheck finds a hole; the last three
+/// would be bugs in the engine's records or the analyzer.
 pub fn analyze(log: &EventLog, elapsed: u64) -> Result<CritPath, String> {
     if log.dropped() != 0 {
         return Err(format!(
@@ -365,124 +395,90 @@ pub fn analyze(log: &EventLog, elapsed: u64) -> Result<CritPath, String> {
         return Err("critical-path analysis needs an enabled recorder".to_string());
     }
     let map: SpaceMap = log.profile().map(|pr| pr.map().clone()).unwrap_or_default();
-    let (views, sends) = build_views(log);
+    let views = build_views(log)?;
+    // The wire segment of delivery `r` to `p`, once its send is verified.
+    let wire = |r: Recv, p: u32| {
+        if r.sent >= r.t || !views.get(r.peer as usize).is_some_and(|v| v.sent(r)) {
+            return Err(format!(
+                "P{p}'s {} from P{} at cycle {} names a send at cycle {} that P{} did not record \
+                 before it",
+                r.msg, r.peer, r.t, r.sent, r.peer
+            ));
+        }
+        let nodes = Some((map.phys_node_of(r.peer), map.phys_node_of(p)));
+        let site = site_of(&map, r.block);
+        Ok(Segment {
+            site,
+            nodes,
+            msg: Some(r.msg),
+            ..Segment::new(r.sent, r.t, r.peer, PathCat::Wire)
+        })
+    };
     let mut segments: Vec<Segment> = Vec::new();
-    let mut t = elapsed;
-    let mut p = pick_start(&views, elapsed);
+    let (mut t, mut p) = (elapsed, pick_start(&views, elapsed));
+    // Wake hops taken at the current instant: more than one per processor
+    // would be a cycle.
+    let mut wakes = 0;
     while t > 0 {
         let view = &views[p as usize];
-        // The interval covering the instant just before `t` (maximal start
-        // wins if record anomalies ever overlap two).
-        let cover =
-            view.ivs.iter().filter(|iv| iv.start < t && iv.end >= t).max_by_key(|iv| iv.start);
-        let Some(iv) = cover.copied() else {
-            // No slice strictly covers the instant, so activity *begins*
-            // exactly at `t`. If a message arrived exactly then, it is what
-            // started the work (an event-driven handler dispatch, a
-            // downgrade ack, a wake) — hop through the wire to its sender.
-            let hop = view.recvs.iter().rev().filter(|r| r.t == t).find_map(|r| {
-                sends
-                    .get(&(r.peer, p, r.msg, r.block))
-                    .and_then(|v| v.get(r.occ as usize))
-                    .and_then(|&u| (u < t).then_some((*r, u)))
-            });
-            if let Some((r, u)) = hop {
-                segments.push(Segment {
-                    start: u,
-                    end: t,
-                    proc: r.peer,
-                    cat: PathCat::Wire,
-                    site: site_of(&map, r.block),
-                    nodes: Some((map.phys_node_of(r.peer), map.phys_node_of(p))),
-                    msg: Some(r.msg),
-                    fallback: false,
-                });
-                p = r.peer;
-                t = u;
-                continue;
-            }
-            // Idle gap: the processor's clock jumped (message arrival on a
-            // finished processor, or a wake floor). Whatever it waited for
-            // is not locally recorded; account the span as queueing.
-            let prev_end = view.ivs.iter().map(|iv| iv.end).filter(|&e| e < t).max().unwrap_or(0);
-            segments.push(Segment {
-                start: prev_end,
-                end: t,
-                proc: p,
-                cat: PathCat::Queueing,
-                site: None,
-                nodes: None,
-                msg: None,
-                fallback: false,
-            });
-            t = prev_end;
-            continue;
-        };
-        let Some(si) = iv.stall else {
-            let cat = if iv.cat == TimeCat::Task { PathCat::Compute } else { PathCat::Protocol };
-            segments.push(Segment {
-                start: iv.start,
-                end: t,
-                proc: p,
-                cat,
-                site: None,
-                nodes: None,
-                msg: None,
-                fallback: false,
-            });
-            t = iv.start;
-            continue;
-        };
-        // Stall window. The satisfier is the last arrival strictly before
-        // the instant under examination.
-        let wait_cat = if iv.cat == TimeCat::Sync { PathCat::Sync } else { PathCat::Queueing };
-        let sat = view.stall_recvs[si].iter().rev().find(|r| r.t < t).copied();
-        let hop = sat.and_then(|r| {
-            let u = sends.get(&(r.peer, p, r.msg, r.block)).and_then(|v| v.get(r.occ as usize));
-            u.and_then(|&u| (u < r.t).then_some((r, u)))
-        });
-        match hop {
-            Some((r, u)) => {
-                segments.push(Segment {
-                    start: r.t,
-                    end: t,
-                    proc: p,
-                    cat: wait_cat,
-                    site: site_of(&map, r.block),
-                    nodes: None,
-                    msg: Some(r.msg),
-                    fallback: false,
-                });
-                segments.push(Segment {
-                    start: u,
-                    end: r.t,
-                    proc: r.peer,
-                    cat: PathCat::Wire,
-                    site: site_of(&map, r.block),
-                    nodes: Some((map.phys_node_of(r.peer), map.phys_node_of(p))),
-                    msg: Some(r.msg),
-                    fallback: false,
-                });
-                p = r.peer;
-                t = u;
-            }
-            None => {
-                // Unresolvable causal edge: no arrival in the window (a
-                // node-mate's merged fill or a local quiesce satisfied it),
-                // or the send could not be FIFO-matched (load-balanced
-                // request serviced by a different node processor).
-                segments.push(Segment {
-                    start: iv.start,
-                    end: t,
-                    proc: p,
-                    cat: wait_cat,
-                    site: sat.and_then(|r| site_of(&map, r.block)),
-                    nodes: None,
-                    msg: sat.map(|r| r.msg),
-                    fallback: true,
-                });
-                t = iv.start;
-            }
+        let last = view.last_before(t);
+        let before = t;
+        match last.filter(|iv| iv.end >= t) {
+            // No interval covers the instant, so activity *begins* exactly
+            // at `t`: a message dispatched then started it (an event-driven
+            // handler, a downgrade ack, a wake) — hop through the wire to
+            // its sender. Otherwise the processor was idle (its clock
+            // jumped): the gap is queueing.
+            None => match view.last_recv(t, true).filter(|r| r.t == t) {
+                Some(r) => {
+                    segments.push(wire(r, p)?);
+                    (p, t) = (r.peer, r.sent);
+                }
+                None => {
+                    let prev_end = last.map_or(0, |iv| iv.end);
+                    segments.push(Segment::new(prev_end, t, p, PathCat::Queueing));
+                    t = prev_end;
+                }
+            },
+            Some(iv) => match iv.stall {
+                None => {
+                    let task = iv.cat == TimeCat::Task;
+                    let cat = if task { PathCat::Compute } else { PathCat::Protocol };
+                    segments.push(Segment::new(iv.start, t, p, cat));
+                    t = iv.start;
+                }
+                // A wake that set the window's end is its later cause: hop
+                // to the waker, whose clock stood at `t`.
+                Some(Some(by)) if t == iv.end => {
+                    wakes += 1;
+                    if wakes > views.len() {
+                        return Err(format!("wake edges form a cycle at cycle {t} (P{p})"));
+                    }
+                    p = by;
+                }
+                Some(_) => {
+                    let sync = iv.cat == TimeCat::Sync;
+                    let wait = if sync { PathCat::Sync } else { PathCat::Queueing };
+                    match view.last_recv(t, false).filter(|r| r.t >= iv.start) {
+                        Some(r) => {
+                            let (site, msg) = (site_of(&map, r.block), Some(r.msg));
+                            segments.push(Segment { site, msg, ..Segment::new(r.t, t, p, wait) });
+                            segments.push(wire(r, p)?);
+                            (p, t) = (r.peer, r.sent);
+                        }
+                        // Neither an arrival nor a wake: the processor's own
+                        // work (an inline self-message, or its own request
+                        // issued before the first arrival).
+                        None => {
+                            segments.push(Segment::new(iv.start, t, p, wait));
+                            t = iv.start;
+                        }
+                    }
+                }
+            },
+        }
+        if t < before {
+            wakes = 0;
         }
     }
     segments.reverse();
@@ -498,6 +494,20 @@ mod tests {
 
     fn rec(r: &mut Recorder, t: u64, p: u32, kind: EventKind) {
         r.record(t, p, kind);
+    }
+
+    /// `p` dispatches `msg` from `peer` at `t`, sent at `sent`.
+    fn recv(r: &mut Recorder, t: u64, p: u32, msg: &'static str, peer: u32, sent: u64) {
+        r.record_recv(t, p, msg, peer, 0x1000, sent);
+    }
+
+    fn send(r: &mut Recorder, t: u64, p: u32, msg: &'static str, peer: u32) {
+        rec(r, t, p, EventKind::MsgSend { msg, peer, block: 0x1000 });
+    }
+
+    /// `(start, end, proc, category)` of each segment.
+    fn spans(path: &CritPath) -> Vec<(u64, u64, u32, PathCat)> {
+        path.segments.iter().map(|s| (s.start, s.end, s.proc, s.cat)).collect()
     }
 
     /// The hand-worked Figure 2(b) downgrade chain: P0 write-misses on a
@@ -524,12 +534,12 @@ mod tests {
         // P1 (home): dispatch the request at its arrival, fan out the
         // downgrade, later collect the ack and reply.
         rec(&mut r, 0, 1, EventKind::Slice { cat: Tc::Task, cycles: 8 });
-        rec(&mut r, 20, 1, EventKind::MsgRecv { msg: "write-req", peer: 0, block: blk });
+        recv(&mut r, 20, 1, "write-req", 0, 10);
         rec(&mut r, 20, 1, EventKind::Slice { cat: Tc::Message, cycles: 5 });
         rec(&mut r, 25, 1, EventKind::DowngradeStart { block: blk, to_invalid: true, targets: 1 });
         rec(&mut r, 25, 1, EventKind::MsgSend { msg: "downgrade", peer: 2, block: blk });
         rec(&mut r, 25, 1, EventKind::Slice { cat: Tc::Message, cycles: 3 });
-        rec(&mut r, 50, 1, EventKind::MsgRecv { msg: "inv-ack", peer: 2, block: blk });
+        recv(&mut r, 50, 1, "inv-ack", 2, 39);
         rec(&mut r, 50, 1, EventKind::Slice { cat: Tc::Message, cycles: 4 });
         let action = crate::DowngradeAction::WriteReply { requester: 0, acks: 0 };
         rec(&mut r, 54, 1, EventKind::DowngradeDone { block: blk, action });
@@ -538,22 +548,20 @@ mod tests {
         // P2 (copy holder): busy computing past the downgrade's arrival,
         // then handles it and acks.
         rec(&mut r, 0, 2, EventKind::Slice { cat: Tc::Task, cycles: 30 });
-        rec(&mut r, 35, 2, EventKind::MsgRecv { msg: "downgrade", peer: 1, block: blk });
+        recv(&mut r, 35, 2, "downgrade", 1, 25);
         rec(&mut r, 35, 2, EventKind::Slice { cat: Tc::Message, cycles: 4 });
         rec(&mut r, 39, 2, EventKind::MsgSend { msg: "inv-ack", peer: 1, block: blk });
         rec(&mut r, 39, 2, EventKind::Slice { cat: Tc::Message, cycles: 2 });
         // P0: the reply arrives inside the stall window; one slice covers
         // the whole window at resume, then the task finishes.
-        rec(&mut r, 65, 0, EventKind::MsgRecv { msg: "write-reply", peer: 1, block: blk });
+        recv(&mut r, 65, 0, "write-reply", 1, 54);
         rec(&mut r, 13, 0, EventKind::Slice { cat: Tc::Write, cycles: 56 });
         rec(&mut r, 69, 0, EventKind::Slice { cat: Tc::Task, cycles: 5 });
         let log = r.into_log();
         let path = analyze(&log, 74).expect("analysis must succeed");
         path.crosscheck().expect("segments must tile elapsed exactly");
-        let got: Vec<(u64, u64, u32, PathCat)> =
-            path.segments.iter().map(|s| (s.start, s.end, s.proc, s.cat)).collect();
         assert_eq!(
-            got,
+            spans(&path),
             vec![
                 (0, 10, 0, PathCat::Compute),   // requester computes
                 (10, 20, 0, PathCat::Wire),     // write-req in flight
@@ -568,31 +576,151 @@ mod tests {
             ]
         );
         assert_eq!(path.wire_hops(), 4);
-        assert_eq!(path.fallback_segments(), 0);
         let total: u64 = path.by_cat().iter().map(|&(_, cyc, _)| cyc).sum();
         assert_eq!(total, 74, "categories must account every elapsed cycle");
         let report = shasta_stats::critical_path_report(&path.report());
         assert!(report.contains("tiling exact"), "report must confirm tiling:\n{report}");
     }
 
-    /// A stall window with no recorded arrival (store-limit quiesce,
-    /// node-mate merged fill) cannot be causally resolved: the window is
-    /// attributed wholesale as a fallback segment — and tiling still holds.
+    /// SMP-Shasta's merged miss (§3.4.2): P0 and P1 share a node, P0's
+    /// read request to P2 is outstanding when P1 misses on the same block,
+    /// so P1 stalls without sending. P0 handles the reply and its grant
+    /// wakes P1: P1's window ends at P0's clock, and the walk hops from P1
+    /// to P0 there, then follows P0's reply back to the home and P0's
+    /// request — no cycle is left without a cause. The wake is later than
+    /// the unrelated message P1 handled inside its window, so the wake, not
+    /// that arrival, ended the window.
     #[test]
-    fn unresolved_stall_falls_back_but_tiles() {
+    fn a_merged_miss_hops_to_the_waking_node_mate() {
         use shasta_stats::TimeCat as Tc;
-        let mut r = Recorder::enabled(1, 256);
+        let mut r = Recorder::enabled(3, 256);
         rec(&mut r, 0, 0, EventKind::Slice { cat: Tc::Task, cycles: 10 });
-        rec(&mut r, 10, 0, EventKind::StallBegin { cat: Tc::Write });
-        rec(&mut r, 10, 0, EventKind::Slice { cat: Tc::Write, cycles: 20 });
-        rec(&mut r, 30, 0, EventKind::Slice { cat: Tc::Task, cycles: 5 });
-        let path = analyze(&r.into_log(), 35).expect("analysis must succeed");
-        assert_eq!(path.fallback_segments(), 1);
-        assert_eq!(path.fallback_cycles(), 20);
-        assert_eq!(path.wire_hops(), 0);
-        path.crosscheck().expect("fallbacks must not break tiling");
-        let (top, cyc) = path.top_cat();
-        assert_eq!((top, cyc), (PathCat::Queueing, 20));
+        send(&mut r, 10, 0, "read-req", 2);
+        rec(&mut r, 10, 0, EventKind::Slice { cat: Tc::Message, cycles: 3 });
+        rec(&mut r, 13, 0, EventKind::StallBegin { cat: Tc::Read });
+        // P1 misses on the pending block and merges into P0's request.
+        rec(&mut r, 0, 1, EventKind::Slice { cat: Tc::Task, cycles: 12 });
+        rec(&mut r, 12, 1, EventKind::MissMerged { block: 0x1000 });
+        rec(&mut r, 12, 1, EventKind::Slice { cat: Tc::Other, cycles: 2 });
+        rec(&mut r, 14, 1, EventKind::StallBegin { cat: Tc::Read });
+        // The home serves the request and replies.
+        rec(&mut r, 0, 2, EventKind::Slice { cat: Tc::Task, cycles: 8 });
+        recv(&mut r, 20, 2, "read-req", 0, 10);
+        rec(&mut r, 20, 2, EventKind::Slice { cat: Tc::Message, cycles: 10 });
+        send(&mut r, 30, 2, "read-reply", 0);
+        rec(&mut r, 30, 2, EventKind::Slice { cat: Tc::Message, cycles: 3 });
+        send(&mut r, 33, 2, "invalidate", 1);
+        rec(&mut r, 33, 2, EventKind::Slice { cat: Tc::Message, cycles: 3 });
+        recv(&mut r, 37, 1, "invalidate", 2, 33);
+        // P0 handles the reply inside its window; at its clock 45 the
+        // grant wakes the node. P0's own resume is its own clock's.
+        recv(&mut r, 40, 0, "read-reply", 2, 30);
+        rec(&mut r, 13, 0, EventKind::Slice { cat: Tc::Read, cycles: 32 });
+        rec(&mut r, 45, 0, EventKind::Slice { cat: Tc::Task, cycles: 5 });
+        // P1's resume is the wake's: 45, set by P0.
+        rec(&mut r, 45, 1, EventKind::Woken { by: 0 });
+        rec(&mut r, 14, 1, EventKind::Slice { cat: Tc::Read, cycles: 31 });
+        rec(&mut r, 45, 1, EventKind::Slice { cat: Tc::Task, cycles: 15 });
+        let path = analyze(&r.into_log(), 60).expect("analysis must succeed");
+        assert_eq!(
+            spans(&path),
+            vec![
+                (0, 10, 0, PathCat::Compute),   // P0 computes, misses
+                (10, 20, 0, PathCat::Wire),     // read-req in flight
+                (20, 30, 2, PathCat::Protocol), // home serves it
+                (30, 40, 2, PathCat::Wire),     // read-reply in flight
+                (40, 45, 0, PathCat::Queueing), // P0 fills, grants, wakes P1
+                (45, 60, 1, PathCat::Compute),  // P1 resumes at the wake
+            ]
+        );
+        assert_eq!(path.wire_hops(), 2);
+    }
+
+    /// The load-balancing extension (§3.1): P0's request addressed to P2
+    /// lands in the node's shared inbox and P3 serves it. The delivery's
+    /// send stamp names P0's send although P0 recorded it to P2, so the
+    /// walk follows P3's reply back through P3 to P0's request.
+    #[test]
+    fn a_load_balanced_request_hops_through_the_processor_that_served_it() {
+        use shasta_stats::TimeCat as Tc;
+        let mut r = Recorder::enabled(4, 256);
+        rec(&mut r, 0, 0, EventKind::Slice { cat: Tc::Task, cycles: 10 });
+        send(&mut r, 10, 0, "read-req", 2);
+        rec(&mut r, 10, 0, EventKind::Slice { cat: Tc::Message, cycles: 3 });
+        rec(&mut r, 13, 0, EventKind::StallBegin { cat: Tc::Read });
+        rec(&mut r, 0, 2, EventKind::Slice { cat: Tc::Task, cycles: 40 });
+        recv(&mut r, 20, 3, "read-req", 0, 10);
+        rec(&mut r, 20, 3, EventKind::Slice { cat: Tc::Message, cycles: 5 });
+        send(&mut r, 25, 3, "read-reply", 0);
+        rec(&mut r, 25, 3, EventKind::Slice { cat: Tc::Message, cycles: 3 });
+        recv(&mut r, 35, 0, "read-reply", 3, 25);
+        rec(&mut r, 13, 0, EventKind::Slice { cat: Tc::Read, cycles: 27 });
+        rec(&mut r, 40, 0, EventKind::Slice { cat: Tc::Task, cycles: 5 });
+        let path = analyze(&r.into_log(), 45).expect("analysis must succeed");
+        assert_eq!(
+            spans(&path),
+            vec![
+                (0, 10, 0, PathCat::Compute),
+                (10, 20, 0, PathCat::Wire), // addressed to P2, taken by P3
+                (20, 25, 3, PathCat::Protocol), // P3 serves it
+                (25, 35, 3, PathCat::Wire),
+                (35, 40, 0, PathCat::Queueing),
+                (40, 45, 0, PathCat::Compute),
+            ]
+        );
+    }
+
+    /// A delivery whose stamp names a send its sender never recorded — at
+    /// that cycle, of that message — is an error, not a guess; so is a
+    /// receive recorded without a stamp.
+    #[test]
+    fn a_delivery_without_its_recorded_send_is_an_error() {
+        use shasta_stats::TimeCat as Tc;
+        let log = |stamped: bool, sent_at: u64, msg: &'static str| {
+            let mut r = Recorder::enabled(2, 256);
+            rec(&mut r, 0, 0, EventKind::Slice { cat: Tc::Task, cycles: 10 });
+            rec(&mut r, 10, 0, EventKind::StallBegin { cat: Tc::Read });
+            send(&mut r, 4, 1, msg, 0);
+            rec(&mut r, 4, 1, EventKind::Slice { cat: Tc::Message, cycles: 3 });
+            if stamped {
+                recv(&mut r, 15, 0, "read-reply", 1, sent_at);
+            } else {
+                rec(
+                    &mut r,
+                    15,
+                    0,
+                    EventKind::MsgRecv { msg: "read-reply", peer: 1, block: 0x1000 },
+                );
+            }
+            rec(&mut r, 10, 0, EventKind::Slice { cat: Tc::Read, cycles: 8 });
+            r.into_log()
+        };
+        let path = analyze(&log(true, 4, "read-reply"), 18).expect("the send is recorded");
+        assert_eq!(path.wire_hops(), 1);
+        for (stamped, sent_at, msg, why) in [
+            (true, 5, "read-reply", "did not record"),
+            (true, 4, "write-reply", "did not record"),
+            (false, 4, "read-reply", "no send stamp"),
+        ] {
+            let err = analyze(&log(stamped, sent_at, msg), 18).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+    }
+
+    /// Two windows that end at one cycle, each woken by the other, can
+    /// only come from a hand-made log; the walk reports the cycle rather
+    /// than hopping between them forever.
+    #[test]
+    fn a_cycle_of_wake_edges_is_an_error() {
+        use shasta_stats::TimeCat as Tc;
+        let mut r = Recorder::enabled(2, 256);
+        for (p, by) in [(0, 1), (1, 0)] {
+            rec(&mut r, 0, p, EventKind::StallBegin { cat: Tc::Read });
+            rec(&mut r, 10, p, EventKind::Woken { by });
+            rec(&mut r, 0, p, EventKind::Slice { cat: Tc::Read, cycles: 10 });
+        }
+        let err = analyze(&r.into_log(), 10).unwrap_err();
+        assert!(err.contains("wake edges form a cycle at cycle 10"), "{err}");
     }
 
     /// Sync-category stall windows (lock/barrier waits) surface as

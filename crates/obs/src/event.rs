@@ -202,6 +202,17 @@ pub enum EventKind {
         /// Length of the slice in cycles.
         cycles: u64,
     },
+    /// A stall resumed at the time another processor's wake set: `by`
+    /// raised this processor's wake floor past its clock (a node mate's
+    /// reply filling a merged miss, a lock grant, a barrier release, a
+    /// completed store), so the resume waited for `by` rather than for
+    /// anything this processor handled. Recorded at the resume, just before
+    /// the stall window's slice. It is the critical path's wake edge; the
+    /// text and Chrome exporters skip it.
+    Woken {
+        /// The processor whose clock the wake floor rose to.
+        by: u32,
+    },
 }
 
 /// What the last downgrader of a block does once every local processor has
@@ -267,6 +278,7 @@ impl EventKind {
             EventKind::BlockState { .. } => "block-state",
             EventKind::StallBegin { .. } => "stall-begin",
             EventKind::Slice { .. } => "slice",
+            EventKind::Woken { .. } => "woken",
         }
     }
 }
@@ -289,6 +301,7 @@ mod tests {
         );
         assert_eq!(EventKind::PrivateUpgrade { block: 0 }.name(), "private-upgrade");
         assert_eq!(EventKind::MissMerged { block: 0 }.name(), "miss-merged");
+        assert_eq!(EventKind::Woken { by: 3 }.name(), "woken");
     }
 
     #[test]

@@ -48,9 +48,17 @@ impl Fig4Agg {
     /// `p`. Gaps before `t` count as idle; any portion of the slice before
     /// the current cursor counts as overlap (never produced by the engine,
     /// but tracked so the accounting identity always holds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice ends past `u64::MAX` cycles, naming the
+    /// processor, the start and the length (the engine's clocks stop far
+    /// below, at its schedule keys' limit).
     pub fn observe_slice(&mut self, p: u32, t: u64, cycles: u64) {
         let a = &mut self.procs[p as usize];
-        let end = t + cycles;
+        let Some(end) = t.checked_add(cycles) else {
+            panic!("P{p}'s slice of {cycles} cycles at cycle {t} ends past u64::MAX cycles");
+        };
         if t >= a.cursor {
             a.idle += t - a.cursor;
         } else {
@@ -121,5 +129,13 @@ mod tests {
         assert_eq!(agg.overlap(0), 40);
         assert_eq!(agg.span(0), 140);
         assert_eq!(100 + 80 + agg.idle(0) - agg.overlap(0), agg.span(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "P1's slice of 2 cycles at cycle 18446744073709551614 ends past")]
+    fn a_slice_ending_past_the_last_cycle_panics() {
+        let mut agg = Fig4Agg::new(2);
+        agg.observe_slice(1, u64::MAX - 1, 1);
+        agg.observe_slice(1, u64::MAX - 1, 2);
     }
 }

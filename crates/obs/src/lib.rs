@@ -38,9 +38,11 @@
 //!   [Perfetto](https://ui.perfetto.dev) as a per-processor timeline.
 //! * [`profile::ProfileAgg::advise`] emits one granularity recommendation
 //!   per allocation site, with evidence.
-//! * [`critpath::analyze`] reconstructs the run's causal DAG from the
-//!   event stream and extracts the **critical path**: attributed
-//!   compute / protocol / wire / queueing / sync segments that tile
+//! * [`critpath::analyze`] extracts the **critical path** by walking back
+//!   from the run's end along the two causal edges the engine records: the
+//!   send stamp each delivery carries ([`Recorder::record_recv`]) and the
+//!   [`EventKind::Woken`] that names who set a stall's resume time. Its
+//!   attributed compute / protocol / wire / queueing / sync segments tile
 //!   `[0, elapsed_cycles)` exactly (zero-tolerance accounting), rendered
 //!   by `shasta_stats::critical_path_report`.
 //!

@@ -5,7 +5,9 @@
 //! A ring keeps its events as a byte stream: each event is encoded in a few
 //! bytes when it is recorded (a tag byte, then varints, its time and block
 //! as steps from the previous event's) and decoded into a [`Stamped`] when
-//! an exporter reads it. The stream lives in chunks of [`CHUNK_BYTES`],
+//! an exporter reads it. A delivery recorded with its send stamp
+//! ([`Recorder::record_recv`]) keeps the stamp as one more varint, which
+//! only the critical path reads. The stream lives in chunks of [`CHUNK_BYTES`],
 //! allocated as the ring fills; a full ring reuses its oldest chunk once it
 //! has evicted every event in it.
 
@@ -26,7 +28,8 @@ const CHUNK_BYTES: usize = 32 * 1024;
 
 /// The longest encoding of one event: a check miss with its time, block
 /// and offset 10 varint bytes each and its id and length 5 each, after the
-/// tag byte.
+/// tag byte. A stamped receive (time, block and stamp 10 bytes each, peer
+/// and label id 5 each) takes no more.
 const MAX_ENCODED: usize = 1 + 3 * 10 + 2 * 5;
 
 /// Bits of the tag byte holding the kind's tag; the kind's small fields
@@ -53,7 +56,11 @@ mod tag {
     pub const BLOCK_STATE: u8 = 15;
     pub const STALL_BEGIN: u8 = 16;
     pub const SLICE: u8 = 17;
+    pub const WOKEN: u8 = 18;
 }
+
+/// The small bit of a [`tag::MSG_RECV`] head that says a send stamp follows.
+const STAMPED: u8 = 1;
 
 /// `d` (a wrapping difference) with its sign folded into the low bit, so a
 /// small step either way is a small varint.
@@ -128,13 +135,14 @@ impl Enc<'_> {
     }
 
     /// Encodes `kind` at time `t`, interning its label in `labels`: the
-    /// head, then the block if the kind has one, then its other fields.
+    /// head, then the block if the kind has one, then its other fields. A
+    /// receive with a send stamp `sent` ends with `t − sent`.
     ///
     /// Borrows `kind` so that each arm reads only its own fields, at their
     /// own widths. A by-value kind was first copied whole, with 8-byte loads
     /// across its narrower fields just after the engine stored them; one of
     /// those loads drew ~8 % of a recorded run's CPU samples.
-    fn event(&mut self, t: u64, kind: &EventKind, labels: &mut Labels) {
+    fn event(&mut self, t: u64, kind: &EventKind, sent: Option<u64>, labels: &mut Labels) {
         match *kind {
             EventKind::CheckMiss { id, block, addr, len, write } => {
                 self.head(tag::CHECK_MISS, u8::from(write), t);
@@ -166,10 +174,13 @@ impl Enc<'_> {
                 self.field(labels.intern(msg));
             }
             EventKind::MsgRecv { msg, peer, block } => {
-                self.head(tag::MSG_RECV, 0, t);
+                self.head(tag::MSG_RECV, if sent.is_some() { STAMPED } else { 0 }, t);
                 self.block(block);
                 self.field(peer);
                 self.field(labels.intern(msg));
+                if let Some(sent) = sent {
+                    self.varint(t.wrapping_sub(sent));
+                }
             }
             EventKind::HomeInvalidate { block, ack_to } => {
                 self.head(tag::HOME_INVALIDATE, 0, t);
@@ -226,6 +237,10 @@ impl Enc<'_> {
                 self.head(tag::SLICE, cat as u8, t);
                 self.field(cycles);
             }
+            EventKind::Woken { by } => {
+                self.head(tag::WOKEN, 0, t);
+                self.field(by);
+            }
         }
     }
 }
@@ -272,11 +287,13 @@ impl Dec<'_> {
     }
 
     /// The next event, its labels looked up in `labels`: its fields read
-    /// in the order [`Enc::event`] wrote them.
-    fn event(&mut self, labels: &Labels) -> Stamped {
+    /// in the order [`Enc::event`] wrote them, with a receive's send stamp
+    /// if it has one.
+    fn event(&mut self, labels: &Labels) -> (Stamped, Option<u64>) {
         let head = self.byte();
         let small = usize::from(head >> TAG_BITS);
         self.base.t = self.base.t.wrapping_add(unzigzag(self.varint()));
+        let mut sent = None;
         let kind = match head & ((1 << TAG_BITS) - 1) {
             tag::CHECK_MISS => {
                 let (block, id, len) = (self.block(), self.u32(), self.u32());
@@ -297,7 +314,11 @@ impl Dec<'_> {
             }
             tag::MSG_RECV => {
                 let (block, peer) = (self.block(), self.u32());
-                EventKind::MsgRecv { msg: labels.get(self.varint()), peer, block }
+                let msg = labels.get(self.varint());
+                if small & usize::from(STAMPED) != 0 {
+                    sent = Some(self.base.t.wrapping_sub(self.varint()));
+                }
+                EventKind::MsgRecv { msg, peer, block }
             }
             tag::HOME_INVALIDATE => {
                 EventKind::HomeInvalidate { block: self.block(), ack_to: self.u32() }
@@ -333,13 +354,15 @@ impl Dec<'_> {
             }
             tag::STALL_BEGIN => EventKind::StallBegin { cat: TimeCat::ALL[small] },
             tag::SLICE => EventKind::Slice { cat: TimeCat::ALL[small], cycles: self.varint() },
+            tag::WOKEN => EventKind::Woken { by: self.u32() },
             other => unreachable!("no event kind has tag {other}"),
         };
-        Stamped { t: self.base.t, kind }
+        (Stamped { t: self.base.t, kind }, sent)
     }
 }
 
-/// A ring's retained events, oldest first, decoded chunk by chunk.
+/// A ring's retained events, oldest first, decoded chunk by chunk, each
+/// with its send stamp if it is a stamped receive.
 struct RingEvents<'a, C> {
     chunks: C,
     dec: Dec<'a>,
@@ -347,9 +370,9 @@ struct RingEvents<'a, C> {
 }
 
 impl<'a, C: Iterator<Item = &'a Chunk>> Iterator for RingEvents<'a, C> {
-    type Item = Stamped;
+    type Item = (Stamped, Option<u64>);
 
-    fn next(&mut self) -> Option<Stamped> {
+    fn next(&mut self) -> Option<Self::Item> {
         while self.dec.bytes.is_empty() {
             let chunk = self.chunks.next()?;
             self.dec = Dec { bytes: &chunk.bytes[..chunk.used], base: Base::default() };
@@ -436,7 +459,7 @@ impl Rings {
         }
     }
 
-    fn push(&mut self, p: usize, t: u64, kind: &EventKind) {
+    fn push(&mut self, p: usize, t: u64, kind: &EventKind, sent: Option<u64>) {
         let ring = &mut self.rings[p];
         if ring.len == self.cap {
             ring.evict();
@@ -449,7 +472,7 @@ impl Rings {
             .try_into()
             .expect("a slice of MAX_ENCODED bytes");
         let mut enc = Enc { out, n: 0, base: ring.base };
-        enc.event(t, kind, &mut self.labels);
+        enc.event(t, kind, sent, &mut self.labels);
         ring.base = enc.base;
         head.used += enc.n;
         head.events += 1;
@@ -505,9 +528,13 @@ impl Ring {
         self.full.iter().chain(std::iter::once(&self.head))
     }
 
-    /// The retained events, oldest first: the oldest chunk's evicted ones
-    /// are decoded, for the deltas, and passed over.
-    fn events<'a>(&'a self, labels: &'a Labels) -> impl Iterator<Item = Stamped> + 'a {
+    /// The retained events, oldest first, with their send stamps: the
+    /// oldest chunk's evicted ones are decoded, for the deltas, and passed
+    /// over.
+    fn events<'a>(
+        &'a self,
+        labels: &'a Labels,
+    ) -> impl Iterator<Item = (Stamped, Option<u64>)> + 'a {
         let dec = Dec { bytes: &[], base: Base::default() };
         let mut events = RingEvents { chunks: self.chunks(), dec, labels };
         for _ in 0..self.skip {
@@ -572,7 +599,29 @@ impl Recorder {
     #[inline]
     pub fn record(&mut self, t: u64, p: u32, kind: EventKind) {
         if self.enabled {
-            self.stream(t, p, kind);
+            self.stream(t, p, kind, None);
+        }
+    }
+
+    /// Records the delivery of message `msg` from `peer` about `block` on
+    /// processor `p` at cycle `t`: an [`EventKind::MsgRecv`], and beside it
+    /// in the ring the cycle `sent` at which the sender recorded the
+    /// matching [`EventKind::MsgSend`]. The stamp is the critical path's
+    /// delivery edge ([`critpath::analyze`](crate::critpath::analyze)
+    /// follows it back to the send); every other reader sees the plain
+    /// event.
+    #[inline]
+    pub fn record_recv(
+        &mut self,
+        t: u64,
+        p: u32,
+        msg: &'static str,
+        peer: u32,
+        block: u64,
+        sent: u64,
+    ) {
+        if self.enabled {
+            self.stream(t, p, EventKind::MsgRecv { msg, peer, block }, Some(sent));
         }
     }
 
@@ -581,7 +630,7 @@ impl Recorder {
     /// interleaving — and then into `p`'s ring. Kept out of line so that
     /// each of the engine's event sites inlines only `record`'s branch.
     #[inline(never)]
-    fn stream(&mut self, t: u64, p: u32, kind: EventKind) {
+    fn stream(&mut self, t: u64, p: u32, kind: EventKind, sent: Option<u64>) {
         if let EventKind::Slice { cycles, .. } = kind {
             self.agg.observe_slice(p, t, cycles);
         }
@@ -591,7 +640,7 @@ impl Recorder {
         if let Some(profile) = &mut self.profile {
             profile.observe(p, &kind);
         }
-        self.rings.push(p as usize, t, &kind);
+        self.rings.push(p as usize, t, &kind, sent);
     }
 
     /// Consumes the recorder into the immutable log handed to exporters;
@@ -616,6 +665,12 @@ impl<'a> ProcEvents<'a> {
     /// Retained events in record (and therefore time) order, oldest first,
     /// each decoded from its ring's bytes.
     pub fn events(&self) -> impl Iterator<Item = Stamped> + 'a {
+        self.ring.events(self.labels).map(|(e, _)| e)
+    }
+
+    /// [`ProcEvents::events`], each receive recorded by
+    /// [`Recorder::record_recv`] with its send stamp.
+    pub(crate) fn stamped(&self) -> impl Iterator<Item = (Stamped, Option<u64>)> + 'a {
         self.ring.events(self.labels)
     }
 
@@ -871,15 +926,23 @@ mod tests {
             14 => EventKind::LineLockRelease { block },
             15 => EventKind::BlockState { block, state: STATES[(y % 3) as usize] },
             16 => EventKind::StallBegin { cat },
-            _ => EventKind::Slice { cat, cycles: block },
+            17 => EventKind::Slice { cat, cycles: block },
+            _ => EventKind::Woken { by: b },
         }
     }
 
-    /// `e` encoded against `base`, which moves on to `e`.
-    fn encode(e: &Stamped, base: &mut Base, labels: &mut Labels) -> Vec<u8> {
+    /// A send stamp for `kind` drawn from `r`: none for most, and for a
+    /// receive none, 0, `u64::MAX` or an arbitrary cycle.
+    fn sent_of(kind: &EventKind, r: u64) -> Option<u64> {
+        matches!(kind, EventKind::MsgRecv { .. } if !r.is_multiple_of(5)).then(|| u64_of(r >> 3))
+    }
+
+    /// `e` (with send stamp `sent`) encoded against `base`, which moves on
+    /// to `e`.
+    fn encode(e: &Stamped, sent: Option<u64>, base: &mut Base, labels: &mut Labels) -> Vec<u8> {
         let mut out = [0; MAX_ENCODED];
         let mut enc = Enc { out: &mut out, n: 0, base: *base };
-        enc.event(e.t, &e.kind, labels);
+        enc.event(e.t, &e.kind, sent, labels);
         let n = enc.n;
         *base = enc.base;
         out[..n].to_vec()
@@ -895,24 +958,30 @@ mod tests {
     }
 
     proptest! {
-        /// Every variant, with full-width fields and times and the labels
-        /// of two tables interned into one, decodes to what was encoded,
-        /// whatever was encoded before it. (An encoding past [`MAX_ENCODED`]
-        /// bytes would panic.)
+        /// Every variant, with full-width fields and times, receives with
+        /// and without full-width send stamps, and the labels of two tables
+        /// interned into one, decodes to what was encoded, whatever was
+        /// encoded before it. (An encoding past [`MAX_ENCODED`] bytes would
+        /// panic.)
         #[test]
         fn every_kind_encodes_and_decodes_to_itself(
             events in proptest::collection::vec(
-                (0u64..18, any::<u64>(), any::<u64>(), any::<u64>()),
+                (0u64..19, any::<u64>(), any::<u64>(), any::<u64>()),
                 1..80,
             ),
         ) {
-            let stamped: Vec<Stamped> = events
+            let stamped: Vec<(Stamped, Option<u64>)> = events
                 .iter()
-                .map(|&(v, x, y, t)| Stamped { t: t_of(t), kind: kind_of(v, x, y) })
+                .map(|&(v, x, y, t)| {
+                    let kind = kind_of(v, x, y);
+                    (Stamped { t: t_of(t), kind }, sent_of(&kind, x ^ t))
+                })
                 .collect();
             let (mut labels, mut base) = (Labels::default(), Base::default());
-            let bytes: Vec<u8> =
-                stamped.iter().flat_map(|e| encode(e, &mut base, &mut labels)).collect();
+            let bytes: Vec<u8> = stamped
+                .iter()
+                .flat_map(|(e, sent)| encode(e, *sent, &mut base, &mut labels))
+                .collect();
             let mut dec = Dec { bytes: &bytes, base: Base::default() };
             for e in &stamped {
                 prop_assert_eq!(dec.event(&labels), *e);
@@ -927,12 +996,12 @@ mod tests {
         #[test]
         fn full_widths_round_trip_through_a_ring(
             events in proptest::collection::vec(
-                (0u64..18, any::<u64>(), any::<u64>(), any::<u64>()),
+                (0u64..19, any::<u64>(), any::<u64>(), any::<u64>()),
                 1..200,
             ),
             cap in 1usize..64,
         ) {
-            let stamped: Vec<Stamped> = events
+            let stamped: Vec<(Stamped, Option<u64>)> = events
                 .iter()
                 .map(|&(v, x, y, t)| {
                     let kind = match (v, x % 3) {
@@ -945,23 +1014,24 @@ mod tests {
                         (1, 0) => EventKind::FalseMiss { block: u64::MAX },
                         _ => kind_of(v, x, y),
                     };
-                    Stamped { t: if t.is_multiple_of(4) { u64::MAX } else { t_of(t) }, kind }
+                    let t = if t.is_multiple_of(4) { u64::MAX } else { t_of(t) };
+                    (Stamped { t, kind }, sent_of(&kind, y ^ t))
                 })
                 .collect();
             // Straight into the rings: the tiling audit would add a slice's
             // cycles to its start.
             let (mut whole, mut wrapped) = (Rings::new(2, stamped.len()), Rings::new(2, cap));
-            for (i, e) in stamped.iter().enumerate() {
-                whole.push(i % 2, e.t, &e.kind);
-                wrapped.push(i % 2, e.t, &e.kind);
+            for (i, (e, sent)) in stamped.iter().enumerate() {
+                whole.push(i % 2, e.t, &e.kind, *sent);
+                wrapped.push(i % 2, e.t, &e.kind, *sent);
             }
             for p in 0..2u32 {
-                let mine: Vec<Stamped> =
+                let mine: Vec<(Stamped, Option<u64>)> =
                     stamped.iter().skip(p as usize).step_by(2).copied().collect();
-                prop_assert_eq!(whole.proc(p).events().collect::<Vec<_>>(), mine.clone());
+                prop_assert_eq!(whole.proc(p).stamped().collect::<Vec<_>>(), mine.clone());
                 let kept = mine.len().min(cap);
                 prop_assert_eq!(
-                    wrapped.proc(p).events().collect::<Vec<_>>(),
+                    wrapped.proc(p).stamped().collect::<Vec<_>>(),
                     mine[mine.len() - kept..].to_vec()
                 );
                 prop_assert_eq!(wrapped.proc(p).dropped, (mine.len() - kept) as u64);
@@ -999,7 +1069,8 @@ mod tests {
     }
 
     /// The longest event a chunk must have room for is a check miss with
-    /// every field at full width, and it takes [`MAX_ENCODED`] bytes.
+    /// every field at full width, and it takes [`MAX_ENCODED`] bytes; a
+    /// receive with a full-width peer and send stamp takes fewer.
     #[test]
     fn a_full_width_check_miss_is_the_longest_encoding() {
         let mut base = Base { t: 1 << 63, block: 1 << 63 };
@@ -1010,8 +1081,13 @@ mod tests {
             len: u32::MAX,
             write: true,
         };
-        let bytes = encode(&Stamped { t: 0, kind }, &mut base, &mut Labels::default());
+        let bytes = encode(&Stamped { t: 0, kind }, None, &mut base, &mut Labels::default());
         assert_eq!(bytes.len(), MAX_ENCODED);
+        let mut base = Base { t: 1 << 63, block: 1 << 63 };
+        let kind = EventKind::MsgRecv { msg: MSGS[0], peer: u32::MAX, block: 0 };
+        let stamp = Some(1 << 63);
+        let bytes = encode(&Stamped { t: 0, kind }, stamp, &mut base, &mut Labels::default());
+        assert_eq!(bytes.len(), MAX_ENCODED - 4, "a label id of one byte, not five");
     }
 
     /// A label is the very `&'static str` recorded, even one equal to
@@ -1030,7 +1106,7 @@ mod tests {
     fn varied(i: u64) -> Stamped {
         let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let t = if i.is_multiple_of(5) { x } else { i };
-        Stamped { t, kind: kind_of(x % 18, x >> 8, x.rotate_left(29) ^ i) }
+        Stamped { t, kind: kind_of(x % 19, x >> 8, x.rotate_left(29) ^ i) }
     }
 
     /// The most chunks (the spare included) a ring of `cap` events can
@@ -1054,7 +1130,7 @@ mod tests {
             let (fed, mut opened) = ((10 * cap).max(10_000), 0);
             for i in 0..fed as u64 {
                 let e = varied(i);
-                r.push(0, e.t, &e.kind);
+                r.push(0, e.t, &e.kind, None);
                 model.push_back(e);
                 if model.len() > cap {
                     model.pop_front();

@@ -18,8 +18,8 @@ impl EventLog {
     /// The last `n` protocol facts as `[{t}cy P{p}] {name}: {detail}`
     /// lines, ordered by `(t, proc, ring index)`: the per-processor rings
     /// merged stably by time. Kinds that only attribute time or keep books
-    /// (slices, stall beginnings, poll drains, the line-lock pair, block
-    /// states) are not rendered. Notes go first: one counting the events
+    /// (slices, stall beginnings, wakes, poll drains, the line-lock pair,
+    /// block states) are not rendered. Notes go first: one counting the events
     /// the rings evicted, if any, and one counting the rendered lines cut
     /// off above the last `n`. An empty or disabled log renders as `""`.
     ///
@@ -63,6 +63,7 @@ fn skipped(kind: &EventKind) -> bool {
             | EventKind::BlockState { .. }
             | EventKind::StallBegin { .. }
             | EventKind::Slice { .. }
+            | EventKind::Woken { .. }
     )
 }
 
@@ -98,7 +99,8 @@ fn line(s: &mut String, p: u32, e: &Stamped) {
         | EventKind::LineLockRelease { .. }
         | EventKind::BlockState { .. }
         | EventKind::StallBegin { .. }
-        | EventKind::Slice { .. } => unreachable!("{} is not rendered", e.kind.name()),
+        | EventKind::Slice { .. }
+        | EventKind::Woken { .. } => unreachable!("{} is not rendered", e.kind.name()),
     };
     s.push('\n');
 }
@@ -115,11 +117,13 @@ mod tests {
         EventKind::DowngradeDone { block: 0x40, action: DowngradeAction::ReadReply { requester } }
     }
 
-    /// Facts in `(t, proc)` order, ties in ring order; bookkeeping skipped.
+    /// Facts in `(t, proc)` order, ties in ring order; bookkeeping and wakes
+    /// skipped, and a receive's send stamp not shown.
     #[test]
     fn render_is_a_line_per_fact_in_key_order() {
         let mut r = Recorder::enabled(4, 8);
-        r.record(2, 3, EventKind::MsgRecv { msg: "read-reply", peer: 1, block: 0x40 });
+        r.record_recv(2, 3, "read-reply", 1, 0x40, 0);
+        r.record(2, 3, EventKind::Woken { by: 1 });
         r.record(
             1,
             2,

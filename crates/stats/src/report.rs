@@ -184,11 +184,11 @@ pub struct CritReport {
     pub segments: usize,
     /// Wire hops on the path (send → arrival crossings).
     pub wire_hops: usize,
-    /// Segments where the causal edge could not be resolved and the stall
-    /// window was attributed wholesale (load-balanced or node-mate-merged
-    /// satisfiers).
+    /// Always 0 since the critical path follows recorded edges, and not
+    /// rendered; kept because `benchmark/` builds this struct (ROADMAP item
+    /// 1(e) retires it).
     pub fallback_segments: usize,
-    /// Cycles covered by fallback segments.
+    /// Always 0 and not rendered, as `fallback_segments`.
     pub fallback_cycles: u64,
     /// `(category label, cycles, segment count)` in fixed category order
     /// (compute, protocol, wire, queueing, sync).
@@ -207,13 +207,9 @@ pub struct CritReport {
 /// per-node-pair attribution.
 pub fn critical_path_report(r: &CritReport) -> String {
     use fmt::Write as _;
-    let mut out = String::from("# shasta critical-path v1\n");
+    let mut out = String::from("# shasta critical-path v2\n");
     let _ = writeln!(out, "elapsed_cycles {}", r.elapsed_cycles);
-    let _ = writeln!(
-        out,
-        "segments {} wire_hops {} fallback_segments {} fallback_cycles {}",
-        r.segments, r.wire_hops, r.fallback_segments, r.fallback_cycles
-    );
+    let _ = writeln!(out, "segments {} wire_hops {}", r.segments, r.wire_hops);
     let mut cats = Table::new(vec!["category", "cycles", "share", "segments"]);
     let total: u64 = r.by_cat.iter().map(|&(_, c, _)| c).sum();
     for &(label, cycles, count) in &r.by_cat {
@@ -340,8 +336,8 @@ mod tests {
             by_pair: vec![("n0->n1".into(), 25)],
         };
         let s = critical_path_report(&r);
-        assert!(s.starts_with("# shasta critical-path v1\n"));
-        assert!(s.contains("elapsed_cycles 100"));
+        assert!(s.starts_with("# shasta critical-path v2\n"));
+        assert!(s.contains("elapsed_cycles 100\nsegments 3 wire_hops 1\n"));
         assert!(s.contains("tiling exact (100 of 100 cycles)"));
         assert!(s.contains("lu.matrix"));
         assert!(s.contains("n0->n1"));
