@@ -222,12 +222,26 @@ pub fn run_app_with_transport(
 /// and is the place to install a heterogeneous link profile
 /// (`Machine::set_net_profile`), a metrics registry
 /// (`Machine::set_metrics`), a wire (`Machine::set_transport`), or other
-/// per-experiment machine state; `|_| {}` installs nothing.
+/// per-experiment machine state; `|_| {}` installs nothing. The log keeps
+/// every event of the run.
 ///
-/// `ring_capacity` bounds the per-processor event ring: when it overflows,
-/// the oldest events are dropped (the drop count is preserved) but the
-/// Figure-4 aggregation stays exact because time slices are folded into the
-/// aggregator before ring insertion.
+/// # Panics
+///
+/// Panics under the same conditions as [`run_app`].
+pub fn run_app_observed(
+    app: &dyn DsmApp,
+    cfg: &RunConfig,
+    shape: impl FnOnce(&mut Machine),
+) -> (RunStats, shasta_obs::EventLog) {
+    let (mut machine, bodies) = build_machine(app, cfg);
+    machine.enable_recording();
+    shape(&mut machine);
+    let stats = machine.run(bodies);
+    (stats, machine.take_obs())
+}
+
+/// [`run_app_observed`]: the ring capacity is ignored, as a ring keeps every
+/// event. Kept for the benchmark harness, which still passes one.
 ///
 /// # Panics
 ///
@@ -235,18 +249,14 @@ pub fn run_app_with_transport(
 pub fn run_app_observed_shaped(
     app: &dyn DsmApp,
     cfg: &RunConfig,
-    ring_capacity: usize,
+    _ring_capacity: usize,
     shape: impl FnOnce(&mut Machine),
 ) -> (RunStats, shasta_obs::EventLog) {
-    let (mut machine, bodies) = build_machine(app, cfg);
-    machine.enable_obs(ring_capacity);
-    shape(&mut machine);
-    let stats = machine.run(bodies);
-    (stats, machine.take_obs())
+    run_app_observed(app, cfg, shape)
 }
 
 /// Runs `app` under `cfg` without event recording but with a shaping hook
-/// (see [`run_app_observed_shaped`]) — used to measure the standalone cost
+/// (see [`run_app_observed`]) — used to measure the standalone cost
 /// of e.g. a metrics registry without the event recorder in the way.
 ///
 /// # Panics
@@ -276,7 +286,6 @@ pub fn run_app_shaped(
 pub fn run_app_observed_memory_home(
     app: &dyn DsmApp,
     cfg: &RunConfig,
-    ring_capacity: usize,
     shape: impl FnOnce(&mut Machine),
 ) -> (RunStats, shasta_obs::EventLog) {
     assert_eq!(cfg.proto, Proto::Smp, "the memory-home shape is an SMP-Shasta experiment");
@@ -305,7 +314,7 @@ pub fn run_app_observed_memory_home(
         bodies.push(Box::new(|_dsm| {}));
     }
     machine.set_barrier_participants(cfg.procs);
-    machine.enable_obs(ring_capacity);
+    machine.enable_recording();
     shape(&mut machine);
     let stats = machine.run(bodies);
     (stats, machine.take_obs())

@@ -10,9 +10,7 @@
 //! deterministic text report (`# shasta critical-path v2`): compute /
 //! protocol / wire / queueing / sync segments that must **tile
 //! `[0, elapsed_cycles)` exactly** — the binary aborts on any accounting
-//! hole or unrecorded edge. When the default ring would evict events the
-//! run is retried with a deeper ring (the analysis refuses incomplete
-//! streams), deterministically.
+//! hole or unrecorded edge.
 //!
 //! Everything printed derives from simulated counters, so stdout is
 //! byte-identical run to run. Host wall time goes only to the
@@ -28,7 +26,7 @@
 
 use std::time::Instant;
 
-use shasta_apps::{run_app_observed_shaped, Preset, Proto, RunConfig};
+use shasta_apps::{run_app_observed, Preset, Proto, RunConfig};
 use shasta_bench::trajectory::{Entry, Num};
 use shasta_bench::{apps_for, preset_from_args};
 use shasta_obs::{critpath, CritPath};
@@ -36,32 +34,21 @@ use shasta_stats::{critical_path_report, RunStats};
 
 const PROCS: u32 = 8;
 const CLUSTERING: u32 = 4;
-/// Ring-capacity ladder: start at the shared default, deepen on eviction.
-const RINGS: [usize; 3] = [65_536, 262_144, 1 << 20];
 
-/// Runs and analyzes one kernel under `cfg`, climbing the ring ladder
-/// until the complete stream fits. Returns the stats, the verified path,
-/// and the wall time of the final (analyzed) run.
+/// Runs and analyzes one kernel under `cfg`. Returns the stats, the
+/// verified path, and the wall time of the run.
 fn analyze_kernel(
     spec: &shasta_apps::AppSpec,
     preset: Preset,
     cfg: &RunConfig,
 ) -> (RunStats, CritPath, f64) {
-    let mut last_err = String::new();
-    for ring in RINGS {
-        let t = Instant::now();
-        let app = (spec.build)(preset, false);
-        let (stats, log) = run_app_observed_shaped(app.as_ref(), cfg, ring, |_| {});
-        let wall = t.elapsed().as_secs_f64() * 1e3;
-        if log.dropped() > 0 && ring != RINGS[RINGS.len() - 1] {
-            continue;
-        }
-        match critpath::analyze(&log, stats.elapsed_cycles) {
-            Ok(path) => return (stats, path, wall),
-            Err(e) => last_err = e,
-        }
-    }
-    panic!("{}: critical-path analysis failed: {last_err}", spec.name);
+    let t = Instant::now();
+    let app = (spec.build)(preset, false);
+    let (stats, log) = run_app_observed(app.as_ref(), cfg, |_| {});
+    let wall = t.elapsed().as_secs_f64() * 1e3;
+    let path = critpath::analyze(&log, stats.elapsed_cycles)
+        .unwrap_or_else(|e| panic!("{}: critical-path analysis failed: {e}", spec.name));
+    (stats, path, wall)
 }
 
 fn main() {

@@ -5,7 +5,7 @@
 //! The bars are the engine's `RunStats` breakdowns. Every run is also
 //! *recorded* (`run_observed`), which is what makes this binary CI's probe
 //! that observation perturbs nothing: its stdout is byte-diffed with and
-//! without `--metrics` and with and without the `obs-block-state` feature.
+//! without `--metrics`.
 //! Pass `--trace <path>` to also export the first run's timeline as Chrome
 //! `trace_event` JSON.
 //!
@@ -17,9 +17,7 @@
 //! path extracted from the same event stream (`shasta_obs::critpath`),
 //! following the engine's recorded delivery and wake edges, whose segments
 //! must tile `elapsed_cycles` exactly — the binary panics on any accounting
-//! hole or unrecorded edge. Runs whose ring evicted events print `skipped`
-//! (the analyzer refuses incomplete streams; the standalone
-//! `critical_path` binary deepens the ring instead).
+//! hole or unrecorded edge.
 
 use shasta_apps::{registry, Proto};
 use shasta_bench::{
@@ -31,9 +29,6 @@ use shasta_stats::RunStats;
 /// One causal summary line for `--critical-path`: top category share and
 /// wire hops, with the tiling crosscheck enforced.
 fn critical_path_line(stats: &RunStats, log: &EventLog) -> String {
-    if log.dropped() > 0 {
-        return format!("critical path: skipped ({} events evicted)", log.dropped());
-    }
     let path = shasta_obs::critpath::analyze(log, stats.elapsed_cycles)
         .unwrap_or_else(|e| panic!("critical-path analysis failed: {e}"));
     let (top, cycles) = path.top_cat();

@@ -25,10 +25,10 @@
 use std::time::Instant;
 
 use shasta_apps::{
-    run_app_observed_memory_home, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig,
+    run_app_observed, run_app_observed_memory_home, AppSpec, Preset, Proto, RunConfig,
 };
 use shasta_bench::trajectory::{Entry, Num};
-use shasta_bench::{apps_for, breakdown_bar, preset_from_args, TRACE_RING_CAPACITY};
+use shasta_bench::{apps_for, breakdown_bar, preset_from_args};
 use shasta_check::{cluster_kinds, ClusterKind};
 use shasta_core::{Machine, NetProfile};
 use shasta_obs::{EventLog, Registry};
@@ -103,10 +103,8 @@ fn run_cell(
         }
     };
     match kind {
-        ClusterKind::MemoryHome => {
-            run_app_observed_memory_home(app.as_ref(), &cfg, TRACE_RING_CAPACITY, shape)
-        }
-        _ => run_app_observed_shaped(app.as_ref(), &cfg, TRACE_RING_CAPACITY, shape),
+        ClusterKind::MemoryHome => run_app_observed_memory_home(app.as_ref(), &cfg, shape),
+        _ => run_app_observed(app.as_ref(), &cfg, shape),
     }
 }
 

@@ -51,10 +51,10 @@ use std::io::{Read, Write};
 use std::time::Instant;
 
 use shasta_apps::driver::{
-    registry, run_app, run_app_observed_shaped, run_app_with_transport, Preset, Proto, RunConfig,
+    registry, run_app, run_app_observed, run_app_with_transport, Preset, Proto, RunConfig,
 };
 use shasta_bench::trajectory::{Entry, Num};
-use shasta_bench::{flag, merge_wire_trace, TRACE_RING_CAPACITY};
+use shasta_bench::{flag, merge_wire_trace};
 use shasta_core::protocol::ProtoMsg;
 use shasta_core::space::Block;
 use shasta_obs::Registry;
@@ -403,22 +403,17 @@ fn main() {
         // event log, merged into a single Chrome trace (outside
         // `total_wall_ms`; timing here includes trace capture).
         let mut events_probe = None;
-        let (_, log) = run_app_observed_shaped(
-            (lu.build)(Preset::Tiny, true).as_ref(),
-            &cfg,
-            TRACE_RING_CAPACITY,
-            |m| {
-                let transport = LoopbackTransport::connect(
-                    m.topology().clone(),
-                    m.cost_model().clone(),
-                    Backend::Uds,
-                    DropPlan { drop_every: 7 },
-                )
-                .expect("loopback fabric");
-                events_probe = Some(transport.enable_wire_events());
-                m.set_transport(Box::new(transport));
-            },
-        );
+        let (_, log) = run_app_observed((lu.build)(Preset::Tiny, true).as_ref(), &cfg, |m| {
+            let transport = LoopbackTransport::connect(
+                m.topology().clone(),
+                m.cost_model().clone(),
+                Backend::Uds,
+                DropPlan { drop_every: 7 },
+            )
+            .expect("loopback fabric");
+            events_probe = Some(transport.enable_wire_events());
+            m.set_transport(Box::new(transport));
+        });
         let events = events_probe.expect("the shape ran").take();
         let merged = merge_wire_trace(&shasta_obs::chrome::to_chrome_json(&log), &events);
         std::fs::write(&path, merged).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

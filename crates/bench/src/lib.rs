@@ -13,14 +13,9 @@
 //!
 //! Run them all with `cargo run --release -p shasta-bench --bin all_experiments`.
 
-use shasta_apps::{registry, run_app, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig};
+use shasta_apps::{registry, run_app, run_app_observed, AppSpec, Preset, Proto, RunConfig};
 use shasta_obs::EventLog;
 use shasta_stats::{RunStats, TimeCat};
-
-/// Default per-processor event-ring capacity for observed runs: deep enough
-/// to keep the interesting tail of a Table 2 kernel while bounding memory.
-/// The streamed aggregates stay exact even when the ring overflows.
-pub const TRACE_RING_CAPACITY: usize = 65_536;
 
 /// The processor/clustering points of the paper's parallel runs: 2- and
 /// 4-processor runs use one node; 8 and 16 use two and four nodes (§4.3),
@@ -44,8 +39,7 @@ pub fn run(
 }
 
 /// Runs `spec` at one configuration with event recording enabled, returning
-/// the statistics plus the captured event log (ring capacity
-/// [`TRACE_RING_CAPACITY`] per processor).
+/// the statistics plus the captured event log, which keeps every event.
 ///
 /// # Panics
 ///
@@ -88,7 +82,7 @@ fn observe(
     shape: impl FnOnce(&mut shasta_core::Machine),
 ) -> (RunStats, EventLog) {
     let app = (spec.build)(preset, false);
-    let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, TRACE_RING_CAPACITY, shape);
+    let (stats, log) = run_app_observed(app.as_ref(), &cfg, shape);
     if let Err(e) = log.crosscheck(&stats.messages) {
         panic!(
             "{} {:?} {}p c{}: engine/network message divergence: {e}",

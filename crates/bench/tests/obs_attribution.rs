@@ -10,8 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use proptest::prelude::*;
-use shasta_apps::{registry, run_app_observed_shaped, AppSpec, Preset, Proto, RunConfig};
+use shasta_apps::{registry, run_app_observed, AppSpec, Preset, Proto, RunConfig};
 use shasta_bench::{apps_for, run, run_observed, run_observed_metrics};
 use shasta_obs::{chrome, critpath, EventKind, EventLog, PathCat};
 use shasta_stats::RunStats;
@@ -105,7 +104,6 @@ fn a_recorded_event_takes_at_most_six_bytes_of_ring() {
     for name in ["LU", "Barnes", "Water-Nsq", "Volrend"] {
         let spec = registry().into_iter().find(|s| s.name == name).expect("a registered kernel");
         let (_, log) = run_observed(&spec, Preset::Tiny, Proto::Smp, 16, 4, false);
-        assert_eq!(log.dropped(), 0, "{name}: the ring keeps the whole run");
         events += log.len();
         bytes += log.ring_bytes();
     }
@@ -134,7 +132,7 @@ fn critical_paths_follow_recorded_edges_under_the_smp_extensions() {
         for spec in apps_for(true, false) {
             let name = format!("{} {config}", spec.name);
             let app = (spec.build)(Preset::Tiny, false);
-            let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, 1 << 20, |_| {});
+            let (stats, log) = run_app_observed(app.as_ref(), &cfg, |_| {});
             let path = critpath::analyze(&log, stats.elapsed_cycles)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             path.crosscheck().unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -180,7 +178,7 @@ fn event_kinds_cover_the_protocol_surface() {
     let spec = &registry()[0]; // Barnes: heavy sharing, locks, and barriers.
     let (_, smp) = run_observed(spec, Preset::Tiny, Proto::Smp, 8, 4, false);
     let kinds: std::collections::HashSet<&str> = smp.iter().map(|e| e.kind.name()).collect();
-    let mut expected = vec![
+    let expected = [
         "check-miss",
         "msg-send",
         "msg-recv",
@@ -194,20 +192,8 @@ fn event_kinds_cover_the_protocol_surface() {
         "slice",
         "woken",
     ];
-    // Per-transition block-state events are compiled out by default; they
-    // only exist under the `obs-block-state` feature (see
-    // docs/OBSERVABILITY.md).
-    if shasta_core::OBS_BLOCK_STATE {
-        expected.push("block-state");
-    }
     for expected in expected {
         assert!(kinds.contains(expected), "SMP run missing {expected} events; saw {kinds:?}");
-    }
-    if !shasta_core::OBS_BLOCK_STATE {
-        assert!(
-            !kinds.contains("block-state"),
-            "block-state events must be compiled out without the obs-block-state feature"
-        );
     }
     // Base-Shasta has no node mates: downgrades degenerate to local state
     // changes (zero targets, so no acks) and there is no intra-node state
@@ -227,8 +213,8 @@ fn event_kinds_cover_the_protocol_surface() {
 }
 
 /// The Chrome `trace_event` export of a real run re-parses, and the parsed
-/// document reflects the log: one complete ("X") event per retained slice,
-/// one instant ("i") event per other retained event but wakes, thread metadata per
+/// document reflects the log: one complete ("X") event per slice, one
+/// instant ("i") event per other event but wakes, thread metadata per
 /// processor, and slice durations that re-sum to the Figure 4 breakdown.
 #[test]
 fn chrome_export_round_trips() {
@@ -247,45 +233,18 @@ fn chrome_export_round_trips() {
     };
     let flows =
         log.iter().filter(|e| matches!(e.kind, EventKind::CheckMiss { id, .. } if id != 0)).count();
-    assert_eq!(ph("X"), slices, "one complete event per retained slice");
-    assert_eq!(ph("i"), instants, "one instant event per other retained event");
+    assert_eq!(ph("X"), slices, "one complete event per slice");
+    assert_eq!(ph("i"), instants, "one instant event per other event");
     assert_eq!(ph("M"), metadata, "process + per-thread metadata");
     assert_eq!(ph("s"), flows, "one flow start per id-carrying check miss");
     assert_eq!(events.len(), log.len() - wakes + metadata + flows);
 
-    // No ring eviction at tiny inputs, so the re-summed "X" durations are
-    // the full breakdown.
-    assert_eq!(log.dropped(), 0, "tiny run must fit the ring");
+    // The ring keeps every slice, so the re-summed "X" durations are the
+    // full breakdown.
     let dur_sum: u64 = events.iter().filter_map(|e| e.get("dur").and_then(|v| v.as_u64())).sum();
     assert_eq!(
         dur_sum,
         stats.total_breakdown().total(),
         "exported durations re-sum to the breakdown"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8 })]
-
-    /// The tiling audit is independent of ring capacity: eviction
-    /// truncates the exported timeline (retained + dropped is invariant)
-    /// but never what the aggregators saw.
-    #[test]
-    fn aggregation_is_ring_capacity_independent(cap in 16usize..4096) {
-        let spec = &registry()[3]; // LU-Contig
-        let cfg = RunConfig::new(Proto::Smp, 4, 2);
-        let app = (spec.build)(Preset::Tiny, false);
-        let (stats, log) = run_app_observed_shaped(app.as_ref(), &cfg, cap, |_| {});
-        assert_attribution_exact(&format!("cap {cap}"), &stats, &log);
-        for p in 0..log.procs() as u32 {
-            prop_assert!(log.proc(p).len() <= cap, "ring must honour its capacity");
-        }
-        let (_, full) = run_app_observed_shaped(app.as_ref(), &cfg, 1 << 20, |_| {});
-        prop_assert_eq!(full.dropped(), 0, "a ring of 2^20 holds the whole run");
-        prop_assert_eq!(
-            log.len() as u64 + log.dropped(),
-            full.len() as u64,
-            "retained + dropped is the full event count"
-        );
-    }
 }

@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use shasta_check::{
     default_scenarios, replay_observed, resolve_threads, run_scenario_observed, sweep_jobs,
-    validate_oracles_jobs, TRACE_RING,
+    validate_oracles_jobs,
 };
 use shasta_core::BugInjection;
 use shasta_sim::SchedulePolicy;
@@ -116,7 +116,7 @@ fn main() -> ExitCode {
             Some(cx) => (cx.scenario, cx.policy, cx.bug),
             None => (scenarios[0], SchedulePolicy::Deterministic, BugInjection::None),
         };
-        let (outcome, log) = replay_observed(&scenario, policy, bug, TRACE_RING);
+        let (outcome, log) = replay_observed(&scenario, policy, bug);
         if let Err(e) = std::fs::write(path, shasta_obs::chrome::to_chrome_json(&log)) {
             eprintln!("cannot write trace to {path}: {e}");
             return ExitCode::from(2);
@@ -128,14 +128,9 @@ fn main() -> ExitCode {
         }
     }
     if critical_path {
-        // A clean deterministic recorded run of the first scenario; the
-        // analyzer refuses incomplete streams, so keep the whole run.
-        let (stats, log) = run_scenario_observed(
-            &scenarios[0],
-            SchedulePolicy::Deterministic,
-            BugInjection::None,
-            TRACE_RING,
-        );
+        // A clean deterministic recorded run of the first scenario.
+        let (stats, log) =
+            run_scenario_observed(&scenarios[0], SchedulePolicy::Deterministic, BugInjection::None);
         match shasta_obs::critpath::analyze(&log, stats.elapsed_cycles) {
             Ok(path) => {
                 println!("\ncritical path of {} (deterministic run):", scenarios[0]);

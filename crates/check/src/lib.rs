@@ -58,11 +58,6 @@ pub use shasta_core::{FaultCounts, FaultPlan, NetProfile};
 /// Shared-heap size for checker machines (small kernels, lots of headroom).
 const HEAP_BYTES: u64 = 1 << 20;
 
-/// Per-processor event-ring capacity of the checker's recorded runs (a
-/// counterexample's replay, [`run_scenario_traced`], `check --trace`): the
-/// checker kernels are small, so this keeps the whole run.
-pub const TRACE_RING: usize = 16_384;
-
 /// Events of the recorded replay a counterexample's message ends with.
 const TRAIL_LINES: usize = 40;
 
@@ -363,14 +358,14 @@ fn policy_seed(policy: SchedulePolicy) -> u64 {
 }
 
 /// Builds the machine for a scenario (shared by checked and unchecked runs).
-/// `ring` turns on event recording, the one place the checker does, counted
-/// for [`recorded_runs`].
+/// `record` turns on event recording, the one place the checker does,
+/// counted for [`recorded_runs`].
 fn build_machine(
     s: &Scenario,
     policy: SchedulePolicy,
     bug: BugInjection,
     oracle: bool,
-    ring: Option<usize>,
+    record: bool,
 ) -> Machine {
     let topo = Topology::new(s.procs, s.per_node, s.clustering)
         .unwrap_or_else(|e| panic!("bad scenario topology {s}: {e}"));
@@ -421,9 +416,9 @@ fn build_machine(
         // Liveness budget, generously above any correct run of these sizes.
         m.set_step_limit(100_000 + 50_000 * u64::from(s.procs) * u64::from(s.iters));
     }
-    if let Some(cap) = ring {
+    if record {
         RECORDED.with(|n| n.set(n.get() + 1));
-        m.enable_obs(cap);
+        m.enable_recording();
     }
     m
 }
@@ -448,7 +443,7 @@ fn run_rows(
     bug: BugInjection,
     oracle: bool,
 ) -> (RunStats, u64) {
-    let mut m = build_machine(s, policy, bug, oracle, None);
+    let mut m = build_machine(s, policy, bug, oracle, false);
     let bodies = plan_kernel(&mut m, s);
     let stats = m.run(bodies);
     (stats, m.rows_stepped())
@@ -463,7 +458,7 @@ pub fn run_scenario_traced(
     policy: SchedulePolicy,
     bug: BugInjection,
 ) -> (RunStats, String) {
-    let mut m = build_machine(s, policy, bug, true, Some(TRACE_RING));
+    let mut m = build_machine(s, policy, bug, true, true);
     let bodies = plan_kernel(&mut m, s);
     let stats = m.run(bodies);
     (stats, m.take_obs().render())
@@ -490,10 +485,9 @@ pub fn replay_observed(
     s: &Scenario,
     policy: SchedulePolicy,
     bug: BugInjection,
-    ring_capacity: usize,
 ) -> (Result<RunStats, String>, shasta_obs::EventLog) {
     silence_expected_panics();
-    let mut m = build_machine(s, policy, bug, true, Some(ring_capacity));
+    let mut m = build_machine(s, policy, bug, true, true);
     let bodies = plan_kernel(&mut m, s);
     let res = panic::catch_unwind(AssertUnwindSafe(|| m.run(bodies))).map_err(panic_text);
     (res, m.take_obs())
@@ -508,9 +502,8 @@ pub fn run_scenario_observed(
     s: &Scenario,
     policy: SchedulePolicy,
     bug: BugInjection,
-    ring_capacity: usize,
 ) -> (RunStats, shasta_obs::EventLog) {
-    let mut m = build_machine(s, policy, bug, false, Some(ring_capacity));
+    let mut m = build_machine(s, policy, bug, false, true);
     let bodies = plan_kernel(&mut m, s);
     let stats = m.run(bodies);
     (stats, m.take_obs())
@@ -681,7 +674,7 @@ fn run_bare(
 /// deterministic function of the triple, so the replay fails the same way —
 /// and if it does not, the message says so instead.
 fn with_trail(cx: Counterexample) -> Counterexample {
-    let (replayed, log) = replay_observed(&cx.scenario, cx.policy, cx.bug, TRACE_RING);
+    let (replayed, log) = replay_observed(&cx.scenario, cx.policy, cx.bug);
     let trail = match replayed {
         Err(again) if again == cx.message => log.render_tail(TRAIL_LINES),
         Err(again) => format!("no trail: the recorded replay failed differently:\n{again}"),

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use shasta_check::{
     default_scenarios, loss_fault_plan, policies_for_seed, recorded_runs, replay_observed,
     run_checked, run_scenario_traced, shrink, silence_expected_panics, sweep, validate_oracles,
-    Scenario, TRACE_RING,
+    Scenario,
 };
 use shasta_core::BugInjection;
 use shasta_sim::SchedulePolicy;
@@ -116,7 +116,7 @@ fn counterexamples_carry_their_trail() {
         let b = run_checked(&cx.scenario, cx.policy, cx.bug).expect_err("the triple fails");
         assert_eq!(a.message, b.message, "{:?}", cx.bug);
         assert_eq!(a.message, cx.message, "{:?}", cx.bug);
-        let (ok, log) = replay_observed(&cx.scenario, cx.policy, BugInjection::None, TRACE_RING);
+        let (ok, log) = replay_observed(&cx.scenario, cx.policy, BugInjection::None);
         let stats = ok.expect("the correct protocol passes");
         assert_eq!(log.procs() as u32, cx.scenario.procs);
         log.crosscheck(&stats.messages).expect("recorded sends match the network's counters");

@@ -75,8 +75,3 @@ pub use protocol::{BugInjection, Machine, Mode, ProtocolConfig, SetupCtx};
 // checker and benches need no direct dependency on the fabric crates.
 pub use shasta_cluster::NetProfile;
 pub use shasta_memchan::{FaultCounts, FaultPlan};
-
-/// Whether this build records per-transition `block-state` events (the
-/// `obs-block-state` feature). Only the Chrome timeline exporter consumes
-/// them — no streaming aggregate does — so they default to off.
-pub const OBS_BLOCK_STATE: bool = cfg!(feature = "obs-block-state");

@@ -104,7 +104,7 @@ impl Machine {
         assert_eq!(bodies.len() as u32, n, "need exactly one program per processor");
         if self.obs.is_enabled() {
             // Everything is allocated by now, whichever of `setup` and
-            // `enable_obs` came first.
+            // `enable_recording` came first.
             self.obs.attach_map(self.space_map());
         }
         // One event loop over every processor, on this thread. Each answer a
@@ -972,7 +972,6 @@ impl Machine {
             _ => LineState::PendingWrite,
         };
         self.set_block_state(v, block, pending);
-        self.obs_state(p, block, pending);
         if fresh {
             let cycles = self.smp_lock() + self.cost.miss_entry_cycles;
             self.locked_pay(p, block, TimeCat::Other, cycles);
@@ -1045,13 +1044,9 @@ impl Machine {
             Effect::Pay(cat, cycles) => self.pay(p, cat, cycles),
             Effect::Locked(cycles) => self.locked_pay(p, block, TimeCat::Message, cycles),
             Effect::Event(kind) => self.obs_event(p, kind),
-            Effect::State(s) => {
-                self.set_block_state(v, block, s);
-                self.obs_state(p, block, s);
-            }
+            Effect::State(s) => self.set_block_state(v, block, s),
             Effect::Grant(s, private) => {
                 self.set_block_state(v, block, s);
-                self.obs_state(p, block, s);
                 self.set_priv(p, block, private);
                 self.bump_wake_vnode(v, p);
             }

@@ -303,7 +303,7 @@ impl Machine {
     /// [`Machine::setup`] so initialization writes reach the shadow.
     ///
     /// Violations panic with a diagnostic; the checker replays the run with
-    /// [`Machine::enable_obs`] to attach the events that led there.
+    /// [`Machine::enable_recording`] to attach the events that led there.
     pub fn enable_oracle(&mut self) {
         // As far as `malloc` has mapped the images; it maps the rest.
         self.oracle = Some(Box::new(Oracle::new(self.mems[0].mapped_bytes())));
@@ -432,18 +432,25 @@ impl Machine {
     }
 
     /// Enables structured protocol-event recording (the `shasta-obs` layer):
-    /// per-processor rings of up to `ring_capacity` events each, plus the
-    /// streaming aggregations (slice tiling, Figure 7 messages, Figure 8
-    /// directions, and the sharing profiler). Retrieve the result with
+    /// per-processor rings that keep every event, plus the streaming
+    /// aggregations (slice tiling, Figure 7 messages, Figure 8 directions,
+    /// and the sharing profiler). Retrieve the result with
     /// [`Machine::take_obs`] after [`Machine::run`].
     ///
     /// Before or after [`Machine::setup`], either order: the shared space
     /// (allocation extents, block sizes, site labels) and the processor
     /// placement the profiler and the message aggregate classify against
     /// are snapshotted when the run starts.
-    pub fn enable_obs(&mut self, ring_capacity: usize) {
-        self.obs = shasta_obs::Recorder::enabled(self.topo.procs() as usize, ring_capacity);
+    pub fn enable_recording(&mut self) {
+        self.obs = shasta_obs::Recorder::new(self.topo.procs() as usize);
         self.waker = vec![0; self.topo.procs() as usize];
+    }
+
+    /// [`Machine::enable_recording`]: the capacity is ignored, as a ring
+    /// keeps every event. Kept for the benchmark harness, which still
+    /// passes one.
+    pub fn enable_obs(&mut self, _ring_capacity: usize) {
+        self.enable_recording();
     }
 
     /// Installs profile-guided label → block-size overrides on the shared
@@ -476,7 +483,7 @@ impl Machine {
     }
 
     /// Takes the recorded event log (leaving recording disabled). Empty
-    /// unless [`Machine::enable_obs`] was called before the run.
+    /// unless [`Machine::enable_recording`] was called before the run.
     pub fn take_obs(&mut self) -> shasta_obs::EventLog {
         std::mem::take(&mut self.obs).into_log()
     }
@@ -518,21 +525,6 @@ impl Machine {
             _ => {}
         }
         self.obs.record(t, p, kind);
-    }
-
-    /// Records a line-state transition of `block` as observed by `p`.
-    /// Block-state events feed only the Chrome timeline exporter — no
-    /// streaming aggregate reads them — and are the most frequent event
-    /// kind, so they compile out unless the `obs-block-state` feature is on.
-    #[inline]
-    pub(crate) fn obs_state(&mut self, p: u32, block: Block, s: LineState) {
-        #[cfg(feature = "obs-block-state")]
-        self.obs_event(
-            p,
-            shasta_obs::EventKind::BlockState { block: block.start, state: s.label() },
-        );
-        #[cfg(not(feature = "obs-block-state"))]
-        let _ = (p, block, s);
     }
 
     /// Pays `cycles` of `cat` at `p` under `block`'s line lock: in SMP mode
@@ -785,11 +777,6 @@ impl SetupCtx<'_> {
         addr
     }
 
-    /// Allocates with default granularity and round-robin homes.
-    pub fn malloc_default(&mut self, size: u64) -> Addr {
-        self.malloc(size, BlockHint::Auto, HomeHint::RoundRobin)
-    }
-
     fn home_vnode_of(&self, addr: Addr) -> usize {
         let block = self.m.space.block_of(addr).expect("setup write to unallocated address");
         let home = self.m.home_proc(block);
@@ -821,11 +808,6 @@ impl SetupCtx<'_> {
 
     /// Writes an initial `u64`.
     pub fn write_u64(&mut self, addr: Addr, value: u64) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
-    /// Writes an initial `f64`.
-    pub fn write_f64(&mut self, addr: Addr, value: f64) {
         self.write(addr, &value.to_le_bytes());
     }
 
@@ -911,7 +893,6 @@ mod tests {
             (K::PollDrain { handled: 3 }, nothing),
             (K::LineLockAcquire { block: 0x40 }, nothing),
             (K::LineLockRelease { block: 0x40 }, nothing),
-            (K::BlockState { block: 0x40, state: "invalid" }, nothing),
             (K::StallBegin { cat: TimeCat::Sync }, nothing),
         ];
         for (kind, expect) in table {

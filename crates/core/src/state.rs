@@ -66,19 +66,6 @@ impl LineState {
     pub fn downgrading(self) -> bool {
         matches!(self, LineState::PendingDgShared | LineState::PendingDgInvalid)
     }
-
-    /// Short label for traces and event exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            LineState::Invalid => "invalid",
-            LineState::Shared => "shared",
-            LineState::Exclusive => "exclusive",
-            LineState::PendingRead => "pending-read",
-            LineState::PendingWrite => "pending-write",
-            LineState::PendingDgShared => "pending-dg-shared",
-            LineState::PendingDgInvalid => "pending-dg-invalid",
-        }
-    }
 }
 
 /// Coherence state of a line in a processor's private state table.

@@ -33,7 +33,7 @@ fn a_diagnosis_unwinds_the_suspended_fibers_and_leaves_through_run() {
     let topo = Topology::new(4, 4, 4).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20);
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    m.enable_obs(1_024);
+    m.enable_recording();
     // P1 posts a bad store due at cycle 1 000 and hands it over with its
     // first load; the others load in a loop well past that, so each is
     // suspended in a load when the loop reaches the store.

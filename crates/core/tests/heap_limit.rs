@@ -34,7 +34,7 @@ fn run(
     if oracle {
         m.enable_oracle();
     }
-    m.enable_obs(256);
+    m.enable_recording();
     let len = u64::from(PROCS) * slots * 8;
     let a = m.setup(|s| {
         let a = s.malloc(len, BlockHint::Bytes(block_bytes), HomeHint::RoundRobin);

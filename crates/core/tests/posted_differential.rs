@@ -59,7 +59,7 @@ fn program(p: u64, slots: u64, ranges: u64, counter: u64) -> Body {
 fn rendered(cfg: ProtocolConfig, procs_per_node: u32, clustering: u32) -> String {
     let topo = Topology::new(4, procs_per_node, clustering).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 20);
-    m.enable_obs(1 << 16);
+    m.enable_recording();
     let (slots, ranges, counter) = m.setup(|s| {
         let slots = s.malloc(256, BlockHint::Line, HomeHint::Explicit(0));
         let ranges = s.malloc(256, BlockHint::Bytes(128), HomeHint::RoundRobin);

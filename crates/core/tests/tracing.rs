@@ -36,7 +36,7 @@ fn program(m: &mut Machine) -> Vec<Body> {
         .collect()
 }
 
-/// `enable_obs` before `setup` or after it, either order: the recorder
+/// `enable_recording` before `setup` or after it, either order: the recorder
 /// classifies against the allocations as they stand when the run starts, so
 /// the message aggregate counts the reply's payload and the profiler knows
 /// the allocation site both ways.
@@ -45,11 +45,11 @@ fn recording_may_be_enabled_before_or_after_setup() {
     let observed = |before_setup: bool| {
         let mut m = machine();
         if before_setup {
-            m.enable_obs(1_024);
+            m.enable_recording();
         }
         let bodies = program(&mut m);
         if !before_setup {
-            m.enable_obs(1_024);
+            m.enable_recording();
         }
         let stats = m.run(bodies);
         (stats, m.take_obs())
@@ -75,7 +75,7 @@ fn the_recording_survives_a_caught_violation() {
     let observed = |steps: u64| {
         let mut m = machine();
         m.set_step_limit(steps);
-        m.enable_obs(1_024);
+        m.enable_recording();
         let bodies = program(&mut m);
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(bodies)));
         (ran.map_err(|_| ()), m.take_obs())
@@ -133,12 +133,11 @@ fn mixed_program(m: &mut Machine) -> Vec<Body> {
 #[test]
 fn profiler_message_totals_match_the_message_aggregate() {
     let mut m = machine();
-    m.enable_obs(1 << 16);
+    m.enable_recording();
     let bodies = mixed_program(&mut m);
     let stats = m.run(bodies);
     let log = m.take_obs();
     log.crosscheck(&stats.messages).expect("engine and network agree");
-    assert_eq!(log.dropped(), 0, "the ring holds every msg-send");
     let profile = log.profile().expect("the run attached the space map");
     let profiled =
         profile.blocks().fold((0, 0), |(n, b), (_, h)| (n + h.protocol_msgs, b + h.protocol_bytes));

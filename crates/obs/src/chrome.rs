@@ -57,12 +57,10 @@ pub fn to_chrome_json(log: &EventLog) -> String {
         &mut out,
     );
     for p in 0..log.procs() {
-        let pe = log.proc(p as u32);
         emit(
             &format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{p},\
-                 \"args\":{{\"name\":\"P{p}\",\"dropped\":{}}}}}",
-                pe.dropped
+                 \"args\":{{\"name\":\"P{p}\"}}}}"
             ),
             &mut out,
         );
@@ -157,9 +155,6 @@ fn write_args(s: &mut String, kind: &EventKind) {
             write!(s, "\"block\":\"{block:#x}\"")
         }
         EventKind::PollDrain { handled } => write!(s, "\"handled\":{handled}"),
-        EventKind::BlockState { block, state } => {
-            write!(s, "\"block\":\"{block:#x}\",\"state\":{}", quote(state))
-        }
         EventKind::StallBegin { cat } => write!(s, "\"cat\":\"{}\"", cat.label()),
         EventKind::Slice { .. } => unreachable!("slices are duration events"),
         EventKind::Woken { .. } => unreachable!("wakes are not exported"),
@@ -411,7 +406,7 @@ mod tests {
     use shasta_stats::TimeCat;
 
     fn sample_log() -> EventLog {
-        let mut r = Recorder::enabled(2, 64);
+        let mut r = Recorder::new(2);
         r.record(0, 0, EventKind::Slice { cat: TimeCat::Task, cycles: 100 });
         r.record(
             100,
@@ -425,7 +420,6 @@ mod tests {
         r.record(60, 1, EventKind::DowngradeAck { block: 0x12340, remaining: 0 });
         let action = crate::DowngradeAction::WriteReply { requester: 0, acks: 0 };
         r.record(60, 1, EventKind::DowngradeDone { block: 0x12340, action });
-        r.record(61, 1, EventKind::BlockState { block: 0x12340, state: "invalid" });
         r.record(0, 1, EventKind::Slice { cat: TimeCat::Message, cycles: 70 });
         r.record(100, 0, EventKind::Slice { cat: TimeCat::Write, cycles: 55 });
         r.into_log()
@@ -437,7 +431,7 @@ mod tests {
         let json = to_chrome_json(&log);
         let doc = parse(&json).expect("exporter output parses");
         let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
-        // 1 process_name + 2 thread_name + every retained event + 1 flow
+        // 1 process_name + 2 thread_name + every event + 1 flow
         // start for the id-carrying check miss.
         assert_eq!(events.len(), 3 + log.len() + 1);
 
@@ -450,7 +444,7 @@ mod tests {
 
         let instants: Vec<&Json> =
             events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("i")).collect();
-        assert_eq!(instants.len(), 8);
+        assert_eq!(instants.len(), 7);
         let dg = instants
             .iter()
             .find(|e| e.get("name").and_then(Json::as_str) == Some("downgrade-start"))
@@ -484,7 +478,7 @@ mod tests {
 
     #[test]
     fn zero_id_miss_emits_no_flow_start() {
-        let mut r = Recorder::enabled(1, 8);
+        let mut r = Recorder::new(1);
         r.record(
             5,
             0,
@@ -498,27 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn thread_metadata_carries_drop_counts() {
-        let mut r = Recorder::enabled(1, 2);
-        for i in 0..5u64 {
-            r.record(i, 0, EventKind::PollDrain { handled: 0 });
-        }
-        let json = to_chrome_json(&r.into_log());
-        let doc = parse(&json).unwrap();
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let thread = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
-            .unwrap();
-        assert_eq!(
-            thread.get("args").and_then(|a| a.get("dropped")).and_then(Json::as_u64),
-            Some(3)
-        );
-    }
-
-    #[test]
     fn empty_ring_exports_metadata_only() {
-        let r = Recorder::enabled(2, 8);
+        let r = Recorder::new(2);
         let log = r.into_log();
         assert!(log.is_empty());
         let json = to_chrome_json(&log);
@@ -531,7 +506,7 @@ mod tests {
 
     #[test]
     fn single_event_ring_exports_one_instant() {
-        let mut r = Recorder::enabled(1, 8);
+        let mut r = Recorder::new(1);
         r.record(7, 0, EventKind::MissMerged { block: 0x1040 });
         let json = to_chrome_json(&r.into_log());
         let doc = parse(&json).expect("single-event export parses");
@@ -544,52 +519,6 @@ mod tests {
         assert_eq!(
             instants[0].get("args").and_then(|a| a.get("block")).and_then(Json::as_str),
             Some("0x1040")
-        );
-    }
-
-    #[test]
-    fn wrapped_ring_exports_suffix_and_stays_parseable() {
-        let mut r = Recorder::enabled(1, 4);
-        // 10 events into a 4-slot ring: the oldest 6 are evicted. Mix kinds
-        // so eviction crosses kind boundaries.
-        for i in 0..5u64 {
-            r.record(
-                i,
-                0,
-                EventKind::CheckMiss {
-                    id: i as u32 + 1,
-                    block: 0x1000,
-                    addr: 0x1000 + i,
-                    len: 8,
-                    write: true,
-                },
-            );
-        }
-        for i in 5..10u64 {
-            r.record(i, 0, EventKind::Slice { cat: TimeCat::Task, cycles: 1 });
-        }
-        let log = r.into_log();
-        assert_eq!(log.dropped(), 6);
-        assert_eq!(log.len(), 4);
-        let json = to_chrome_json(&log);
-        let doc = parse(&json).expect("wrapped export parses");
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_eq!(events.len(), 2 + 4, "metadata plus the retained suffix");
-        // The retained timeline is the newest events, still in time order.
-        let ts: Vec<u64> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
-            .map(|e| e.get("ts").and_then(Json::as_u64).unwrap())
-            .collect();
-        assert_eq!(ts, vec![6, 7, 8, 9]);
-        // The thread metadata reports the eviction count.
-        let thread = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
-            .unwrap();
-        assert_eq!(
-            thread.get("args").and_then(|a| a.get("dropped")).and_then(Json::as_u64),
-            Some(6)
         );
     }
 

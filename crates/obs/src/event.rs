@@ -7,9 +7,9 @@ use shasta_stats::{Hops, MissKind, TimeCat};
 /// One recorded protocol event.
 ///
 /// Events are `Copy` and fixed-size so the record path never allocates;
-/// message kinds and line states are carried as `&'static str` labels
-/// (the engine's own message/state label tables), which keeps this crate
-/// decoupled from `shasta-core`'s types.
+/// message kinds are carried as `&'static str` labels (the engine's own
+/// message label table), which keeps this crate decoupled from
+/// `shasta-core`'s types.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Event {
     /// Simulated timestamp in cycles (the acting processor's clock when the
@@ -179,13 +179,6 @@ pub enum EventKind {
         /// Starting address of the unlocked block.
         block: u64,
     },
-    /// A block's (node-level) line state changed.
-    BlockState {
-        /// Starting address of the block.
-        block: u64,
-        /// The new state's label (e.g. `"pending-read"`, `"exclusive"`).
-        state: &'static str,
-    },
     /// The processor entered a stall (the matching time slice is emitted
     /// when the stall resumes, covering the whole window).
     StallBegin {
@@ -275,7 +268,6 @@ impl EventKind {
             EventKind::PollDrain { .. } => "poll-drain",
             EventKind::LineLockAcquire { .. } => "line-lock-acquire",
             EventKind::LineLockRelease { .. } => "line-lock-release",
-            EventKind::BlockState { .. } => "block-state",
             EventKind::StallBegin { .. } => "stall-begin",
             EventKind::Slice { .. } => "slice",
             EventKind::Woken { .. } => "woken",

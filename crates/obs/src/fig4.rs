@@ -7,9 +7,7 @@
 /// breakdown (`RunStats::breakdowns`, folded from the same events where they
 /// are emitted); this is the other half of the accounting identity.
 ///
-/// The aggregator is fed at record time (before any ring-buffer eviction),
-/// so it covers the *entire* run even when the timeline rings only retain a
-/// suffix of it.
+/// The aggregator is fed at record time, as the event goes to its ring.
 ///
 /// Invariant (checked by the bench-level property tests): the engine's
 /// per-processor slices are non-overlapping and start-ordered, so for every

@@ -8,11 +8,10 @@
 //!
 //! The protocol engine emits a stream of [`Event`]s — inline-check misses,
 //! message sends and receives, downgrade progress, poll-point drains, line
-//! locks, pending-state transitions, and execution-time slices — into a
-//! [`Recorder`]. The recorder passes each event once, as it is recorded,
-//! through a few aggregators that hold what `shasta-stats`' `RunStats` does
-//! not, and then into a bounded per-processor ring of recent events for
-//! timeline export. The aggregators are whether the time slices tile each
+//! locks, stall wake-ups, and execution-time slices — into a [`Recorder`].
+//! The recorder passes each event once, as it is recorded, through a few
+//! aggregators that hold what `shasta-stats`' `RunStats` does not, and then
+//! into a per-processor ring that keeps every event for the exporters. The aggregators are whether the time slices tile each
 //! processor's clock ([`Fig4Agg`]: idle, overlap, span), the engine's sends
 //! classified by placement ([`MsgAgg`]), and the sharing profiler below.
 //! The figure counters themselves have one producer: the engine folds each
@@ -48,12 +47,11 @@
 //!
 //! A disabled recorder costs the engine one branch per event. This crate
 //! is dependency-light (only `shasta-stats`, for the counter and category
-//! types the events carry) and never allocates on the record path once the
-//! rings are at capacity.
+//! types the events carry); an enabled one allocates on the record path
+//! only when a ring opens its next 32 KiB chunk.
 //!
-//! See `docs/OBSERVABILITY.md` for the event schema, the ring-buffer
-//! design, and a worked example that captures the Figure 2(b) downgrade
-//! race.
+//! See `docs/OBSERVABILITY.md` for the event schema, the ring design, and
+//! a worked example that captures the Figure 2(b) downgrade race.
 
 pub mod chrome;
 pub mod critpath;

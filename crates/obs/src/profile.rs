@@ -4,7 +4,7 @@
 //! Shasta's main knob for trading false sharing against transfer
 //! amortization, but the hint passed to `malloc` is normally picked by
 //! guesswork. This module closes the loop: a [`ProfileAgg`] streams over the
-//! event stream (fed at record time, so ring eviction never loses history),
+//! event stream (fed at record time, like every streamed aggregator),
 //! maintains a per-block [`BlockHistory`] — miss kind × hop count, downgrade
 //! fan-out and direction, protocol-message bytes, inter-node writer
 //! alternation, readers per write epoch, and per-node **subline occupancy
@@ -320,11 +320,6 @@ impl BlockHistory {
         }
     }
 
-    /// Number of distinct nodes that read-missed on the block.
-    pub fn distinct_readers(&self) -> u32 {
-        self.reader_nodes.count_ones()
-    }
-
     /// Number of distinct nodes that write-missed on the block.
     pub fn distinct_writers(&self) -> u32 {
         self.writer_nodes.count_ones()
@@ -397,12 +392,6 @@ impl<'a> BlockProfile<'a> {
             nodes += 1;
         }
         nodes >= 2
-    }
-
-    /// Widest single-node touch span in bytes (from the recorded faulting
-    /// spans).
-    pub fn max_node_span(&self) -> u64 {
-        self.occupancy().map(|(_, o)| o.hi - o.lo).max().unwrap_or(0)
     }
 
     /// Bytes of the block actually touched by anyone, at subline
@@ -563,9 +552,9 @@ impl SiteReport {
     }
 }
 
-/// Streaming sharing-pattern aggregator. Fed every recorded event (before
-/// ring eviction, like every streamed aggregator), so its histories cover the
-/// whole run regardless of ring capacity.
+/// Streaming sharing-pattern aggregator. Fed every recorded event at record
+/// time, like every streamed aggregator, so its histories cover the whole
+/// run.
 #[derive(Clone)]
 pub struct ProfileAgg {
     map: SpaceMap,

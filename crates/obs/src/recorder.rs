@@ -1,17 +1,14 @@
-//! The recorder: per-processor bounded event rings plus the streaming
-//! aggregators (slice tiling, Figure 7 messages, the sharing profiler), and
-//! the immutable [`EventLog`] a finished run hands to the exporters.
+//! The recorder: per-processor event rings plus the streaming aggregators
+//! (slice tiling, Figure 7 messages, the sharing profiler), and the
+//! immutable [`EventLog`] a finished run hands to the exporters.
 //!
-//! A ring keeps its events as a byte stream: each event is encoded in a few
-//! bytes when it is recorded (a tag byte, then varints, its time and block
-//! as steps from the previous event's) and decoded into a [`Stamped`] when
-//! an exporter reads it. A delivery recorded with its send stamp
-//! ([`Recorder::record_recv`]) keeps the stamp as one more varint, which
-//! only the critical path reads. The stream lives in chunks of [`CHUNK_BYTES`],
-//! allocated as the ring fills; a full ring reuses its oldest chunk once it
-//! has evicted every event in it.
-
-use std::collections::VecDeque;
+//! A ring keeps every event its processor recorded, as a byte stream: each
+//! event is encoded in a few bytes when it is recorded (a tag byte, then
+//! varints, its time and block as steps from the previous event's) and
+//! decoded into a [`Stamped`] when an exporter reads it. A delivery recorded
+//! with its send stamp ([`Recorder::record_recv`]) keeps the stamp as one
+//! more varint, which only the critical path reads. The stream lives in
+//! chunks of [`CHUNK_BYTES`], allocated as the ring fills.
 
 use crate::event::{DowngradeAction, Event, EventKind, Stamped};
 use crate::fig4::Fig4Agg;
@@ -21,9 +18,8 @@ use shasta_stats::{Hops, MissKind, MsgStats, TimeCat};
 
 /// Bytes per ring chunk. A ring allocates its next chunk when the last one
 /// has less room than [`MAX_ENCODED`], so a chunk never reallocates, a log
-/// holds what its processors recorded rather than `procs × capacity`, and
-/// a chunk is small enough to be carved from heap memory an earlier log
-/// freed instead of fresh pages.
+/// holds what its processors recorded, and a chunk is small enough to be
+/// carved from heap memory an earlier log freed instead of fresh pages.
 const CHUNK_BYTES: usize = 32 * 1024;
 
 /// The longest encoding of one event: a check miss with its time, block
@@ -53,10 +49,9 @@ mod tag {
     pub const POLL_DRAIN: u8 = 12;
     pub const LINE_LOCK_ACQUIRE: u8 = 13;
     pub const LINE_LOCK_RELEASE: u8 = 14;
-    pub const BLOCK_STATE: u8 = 15;
-    pub const STALL_BEGIN: u8 = 16;
-    pub const SLICE: u8 = 17;
-    pub const WOKEN: u8 = 18;
+    pub const STALL_BEGIN: u8 = 15;
+    pub const SLICE: u8 = 16;
+    pub const WOKEN: u8 = 17;
 }
 
 /// The small bit of a [`tag::MSG_RECV`] head that says a send stamp follows.
@@ -227,11 +222,6 @@ impl Enc<'_> {
                 self.head(tag::LINE_LOCK_RELEASE, 0, t);
                 self.block(block);
             }
-            EventKind::BlockState { block, state } => {
-                self.head(tag::BLOCK_STATE, 0, t);
-                self.block(block);
-                self.field(labels.intern(state));
-            }
             EventKind::StallBegin { cat } => self.head(tag::STALL_BEGIN, cat as u8, t),
             EventKind::Slice { cat, cycles } => {
                 self.head(tag::SLICE, cat as u8, t);
@@ -348,10 +338,6 @@ impl Dec<'_> {
             tag::POLL_DRAIN => EventKind::PollDrain { handled: self.u32() },
             tag::LINE_LOCK_ACQUIRE => EventKind::LineLockAcquire { block: self.block() },
             tag::LINE_LOCK_RELEASE => EventKind::LineLockRelease { block: self.block() },
-            tag::BLOCK_STATE => {
-                let block = self.block();
-                EventKind::BlockState { block, state: labels.get(self.varint()) }
-            }
             tag::STALL_BEGIN => EventKind::StallBegin { cat: TimeCat::ALL[small] },
             tag::SLICE => EventKind::Slice { cat: TimeCat::ALL[small], cycles: self.varint() },
             tag::WOKEN => EventKind::Woken { by: self.u32() },
@@ -361,15 +347,15 @@ impl Dec<'_> {
     }
 }
 
-/// A ring's retained events, oldest first, decoded chunk by chunk, each
-/// with its send stamp if it is a stamped receive.
-struct RingEvents<'a, C> {
-    chunks: C,
+/// A ring's events, oldest first, decoded chunk by chunk, each with its
+/// send stamp if it is a stamped receive.
+struct RingEvents<'a> {
+    chunks: std::slice::Iter<'a, Chunk>,
     dec: Dec<'a>,
     labels: &'a Labels,
 }
 
-impl<'a, C: Iterator<Item = &'a Chunk>> Iterator for RingEvents<'a, C> {
+impl Iterator for RingEvents<'_> {
     type Item = (Stamped, Option<u64>);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -381,10 +367,10 @@ impl<'a, C: Iterator<Item = &'a Chunk>> Iterator for RingEvents<'a, C> {
     }
 }
 
-/// The message and state labels the rings refer to by id, in first-use
-/// order. A label is found by pointer identity: the engine's labels are
-/// string literals, so a handful of entries cover a run, and a lookup hands
-/// back the very `&'static str` that was recorded.
+/// The message labels the rings refer to by id, in first-use order. A label
+/// is found by pointer identity: the engine's labels are string literals,
+/// so a handful of entries cover a run, and a lookup hands back the very
+/// `&'static str` that was recorded.
 #[derive(Default)]
 struct Labels(Vec<&'static str>);
 
@@ -405,24 +391,19 @@ impl Labels {
     }
 }
 
-/// Every processor's bounded ring of recent events, and the labels their
-/// events refer to. Every event in ring `p` happened on `p`, so an encoded
-/// event leaves its processor out. When a ring is full, its oldest event is
-/// evicted and counted as dropped — the exported timeline is a suffix of
-/// the run, but aggregation (fed before eviction) is unaffected.
+/// Every processor's ring, and the labels their events refer to. Every
+/// event in ring `p` happened on `p`, so an encoded event leaves its
+/// processor out.
 #[derive(Default)]
 struct Rings {
-    cap: usize,
     rings: Box<[Ring]>,
     labels: Labels,
 }
 
 /// Encoded events: the first `used` of [`CHUNK_BYTES`] bytes.
-#[derive(Default)]
 struct Chunk {
     bytes: Box<[u8]>,
     used: usize,
-    events: usize,
 }
 
 impl Chunk {
@@ -431,43 +412,29 @@ impl Chunk {
     }
 }
 
-/// One processor's ring: its events encoded in chunks, oldest first.
+/// One processor's ring: its events encoded in chunks, oldest first. Only
+/// the last chunk is written to; it has room for one more event, or the
+/// next event opens a new chunk.
 #[derive(Default)]
 struct Ring {
-    /// Chunks closed for lack of room, oldest first.
-    full: VecDeque<Chunk>,
-    /// The chunk events are written to; it has no bytes until the first.
-    head: Chunk,
-    /// What the head's next event is encoded against.
+    chunks: Vec<Chunk>,
+    /// What the last chunk's next event is encoded against.
     base: Base,
-    /// Events of the oldest chunk already evicted, which decoding skips.
-    skip: usize,
-    /// Events retained: at most the ring's capacity.
+    /// Events recorded.
     len: usize,
-    dropped: u64,
-    /// The last closed chunk evicted whole, to become the next head.
-    spare: Option<Box<[u8]>>,
 }
 
 impl Rings {
-    fn new(procs: usize, cap: usize) -> Self {
-        assert!(cap > 0, "ring capacity must be positive");
-        Rings {
-            cap,
-            rings: (0..procs).map(|_| Ring::default()).collect(),
-            labels: Labels::default(),
-        }
+    fn new(procs: usize) -> Self {
+        Rings { rings: (0..procs).map(|_| Ring::default()).collect(), labels: Labels::default() }
     }
 
     fn push(&mut self, p: usize, t: u64, kind: &EventKind, sent: Option<u64>) {
         let ring = &mut self.rings[p];
-        if ring.len == self.cap {
-            ring.evict();
-        }
-        if !ring.head.has_room() {
+        if !ring.chunks.last().is_some_and(Chunk::has_room) {
             ring.open();
         }
-        let head = &mut ring.head;
+        let head = ring.chunks.last_mut().expect("an open chunk");
         let out = (&mut head.bytes[head.used..head.used + MAX_ENCODED])
             .try_into()
             .expect("a slice of MAX_ENCODED bytes");
@@ -475,18 +442,16 @@ impl Rings {
         enc.event(t, kind, sent, &mut self.labels);
         ring.base = enc.base;
         head.used += enc.n;
-        head.events += 1;
         ring.len += 1;
     }
 
-    /// Processor `p`'s retained timeline.
+    /// Processor `p`'s timeline.
     fn proc(&self, p: u32) -> ProcEvents<'_> {
-        let ring = &self.rings[p as usize];
-        ProcEvents { proc: p, dropped: ring.dropped, ring, labels: &self.labels }
+        ProcEvents { proc: p, ring: &self.rings[p as usize], labels: &self.labels }
     }
 }
 
-/// Each ring's evictions and retained events.
+/// Each ring's events.
 impl std::fmt::Debug for Rings {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries((0..self.rings.len() as u32).map(|p| self.proc(p))).finish()
@@ -494,53 +459,16 @@ impl std::fmt::Debug for Rings {
 }
 
 impl Ring {
-    /// Drops the oldest retained event. Once none of the oldest chunk's is
-    /// left, a closed chunk becomes the spare and the head starts over.
-    fn evict(&mut self) {
-        self.skip += 1;
-        self.len -= 1;
-        self.dropped += 1;
-        if self.skip == self.full.front().unwrap_or(&self.head).events {
-            self.skip = 0;
-            match self.full.pop_front() {
-                Some(oldest) => self.spare = Some(oldest.bytes),
-                None => {
-                    (self.head.used, self.head.events) = (0, 0);
-                    self.base = Base::default();
-                }
-            }
-        }
-    }
-
-    /// Closes the head and starts a new one, the spare if there is one,
-    /// whose deltas start from zero.
+    /// Starts a new chunk, whose deltas start from zero.
     fn open(&mut self) {
-        let bytes = self.spare.take().unwrap_or_else(|| vec![0; CHUNK_BYTES].into_boxed_slice());
-        let closed = std::mem::replace(&mut self.head, Chunk { bytes, used: 0, events: 0 });
-        if closed.events > 0 {
-            self.full.push_back(closed);
-        }
+        self.chunks.push(Chunk { bytes: vec![0; CHUNK_BYTES].into_boxed_slice(), used: 0 });
         self.base = Base::default();
     }
 
-    /// Its chunks, oldest first.
-    fn chunks(&self) -> impl Iterator<Item = &Chunk> + '_ {
-        self.full.iter().chain(std::iter::once(&self.head))
-    }
-
-    /// The retained events, oldest first, with their send stamps: the
-    /// oldest chunk's evicted ones are decoded, for the deltas, and passed
-    /// over.
-    fn events<'a>(
-        &'a self,
-        labels: &'a Labels,
-    ) -> impl Iterator<Item = (Stamped, Option<u64>)> + 'a {
+    /// The events, oldest first, with their send stamps.
+    fn events<'a>(&'a self, labels: &'a Labels) -> RingEvents<'a> {
         let dec = Dec { bytes: &[], base: Base::default() };
-        let mut events = RingEvents { chunks: self.chunks(), dec, labels };
-        for _ in 0..self.skip {
-            events.next();
-        }
-        events
+        RingEvents { chunks: self.chunks.iter(), dec, labels }
     }
 }
 
@@ -564,19 +492,23 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// A recorder for `procs` processors retaining up to `ring_capacity`
-    /// events per processor in the exported timeline. Reserves nothing up
-    /// front: each ring grows by a 32 KiB chunk of encoded events (a few
-    /// bytes each) as it fills, and a full ring reuses its oldest chunk once
-    /// every event in it is evicted.
-    pub fn enabled(procs: usize, ring_capacity: usize) -> Self {
+    /// A recorder for `procs` processors that keeps every event. Reserves
+    /// nothing up front: each processor's ring grows by a 32 KiB chunk of
+    /// encoded events (a few bytes each) as it fills.
+    pub fn new(procs: usize) -> Self {
         Recorder {
-            rings: Rings::new(procs, ring_capacity),
+            rings: Rings::new(procs),
             agg: Fig4Agg::new(procs),
             msg: None,
             profile: None,
             enabled: true,
         }
+    }
+
+    /// [`Recorder::new`]: the capacity is ignored, as a ring keeps every
+    /// event. Kept for the benchmark harness, which still passes one.
+    pub fn enabled(procs: usize, _ring_capacity: usize) -> Self {
+        Recorder::new(procs)
     }
 
     /// Whether this recorder keeps events.
@@ -650,20 +582,18 @@ impl Recorder {
     }
 }
 
-/// The retained timeline of one processor, read from its ring.
+/// The timeline of one processor, read from its ring.
 #[derive(Clone, Copy)]
 pub struct ProcEvents<'a> {
     /// The processor every event here happened on.
     pub proc: u32,
-    /// Events evicted from the ring before export (0 = complete timeline).
-    pub dropped: u64,
     ring: &'a Ring,
     labels: &'a Labels,
 }
 
 impl<'a> ProcEvents<'a> {
-    /// Retained events in record (and therefore time) order, oldest first,
-    /// each decoded from its ring's bytes.
+    /// Its events in record (and therefore time) order, oldest first, each
+    /// decoded from its ring's bytes.
     pub fn events(&self) -> impl Iterator<Item = Stamped> + 'a {
         self.ring.events(self.labels).map(|(e, _)| e)
     }
@@ -674,12 +604,12 @@ impl<'a> ProcEvents<'a> {
         self.ring.events(self.labels)
     }
 
-    /// Number of retained events.
+    /// Number of events.
     pub fn len(&self) -> usize {
         self.ring.len
     }
 
-    /// Whether the ring retained no event.
+    /// Whether the processor recorded no event.
     pub fn is_empty(&self) -> bool {
         self.ring.len == 0
     }
@@ -689,7 +619,6 @@ impl std::fmt::Debug for ProcEvents<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProcEvents")
             .field("proc", &self.proc)
-            .field("dropped", &self.dropped)
             .field("events", &self.events().collect::<Vec<_>>())
             .finish()
     }
@@ -711,34 +640,33 @@ impl EventLog {
         self.rings.rings.len()
     }
 
-    /// Processor `p`'s retained timeline.
+    /// Processor `p`'s timeline.
     pub fn proc(&self, p: u32) -> ProcEvents<'_> {
         self.rings.proc(p)
     }
 
-    /// Total retained events across all processors.
+    /// Total events across all processors.
     pub fn len(&self) -> usize {
         self.rings.rings.iter().map(|r| r.len).sum()
     }
 
-    /// Whether no events were retained.
+    /// Whether no event was recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Bytes of encoded events the rings hold. A full ring's oldest chunk
-    /// keeps the bytes of the events it evicted until all of them are.
+    /// Bytes of encoded events the rings hold.
     pub fn ring_bytes(&self) -> usize {
-        self.rings.rings.iter().flat_map(Ring::chunks).map(|c| c.used).sum()
+        self.rings.rings.iter().flat_map(|r| &r.chunks).map(|c| c.used).sum()
     }
 
-    /// Total events evicted from the rings before export.
+    /// Always 0: a ring keeps every event. Kept for the benchmark harness,
+    /// which still reads it.
     pub fn dropped(&self) -> u64 {
-        self.rings.rings.iter().map(|r| r.dropped).sum()
+        0
     }
 
-    /// The slice-tiling audit streamed during the run (covers the whole run
-    /// regardless of ring eviction).
+    /// The slice-tiling audit streamed during the run.
     pub fn fig4(&self) -> &Fig4Agg {
         &self.agg
     }
@@ -765,7 +693,7 @@ impl EventLog {
         self.msg.as_ref().map_or(Ok(()), |msgs| msgs.crosscheck(messages))
     }
 
-    /// Iterates every retained event, processor by processor, each with
+    /// Iterates every event, processor by processor, each with
     /// the processor its ring belongs to.
     pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
         (0..self.procs() as u32).flat_map(|p| self.proc(p).events().map(move |e| e.on(p)))
@@ -778,7 +706,6 @@ mod tests {
     use crate::profile::AllocSite;
     use proptest::prelude::*;
     use shasta_stats::MsgClass;
-    use std::collections::VecDeque;
 
     #[test]
     fn disabled_recorder_keeps_nothing() {
@@ -790,36 +717,20 @@ mod tests {
         assert!(log.is_empty());
     }
 
+    /// The capacity the benchmark harness passes is ignored: a ring of
+    /// "one" event keeps both, and nothing is dropped.
     #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
-        let mut r = Recorder::enabled(1, 3);
-        for i in 0..5u64 {
-            r.record(i, 0, EventKind::PollDrain { handled: i as u32 });
-        }
+    fn the_ring_capacity_is_ignored() {
+        let mut r = Recorder::enabled(1, 1);
+        r.record(1, 0, EventKind::PollDrain { handled: 1 });
+        r.record(2, 0, EventKind::PollDrain { handled: 2 });
         let log = r.into_log();
-        let pe = log.proc(0);
-        assert_eq!(pe.dropped, 2);
-        let ts: Vec<u64> = pe.events().map(|e| e.t).collect();
-        assert_eq!(ts, vec![2, 3, 4], "oldest events evicted, order preserved");
-        assert_eq!(log.dropped(), 2);
-        assert_eq!(log.len(), 3);
-    }
-
-    #[test]
-    fn slices_feed_aggregation_even_after_eviction() {
-        let mut r = Recorder::enabled(1, 2);
-        for i in 0..10u64 {
-            r.record(i * 10, 0, EventKind::Slice { cat: TimeCat::Task, cycles: 10 });
-        }
-        let log = r.into_log();
-        assert_eq!(log.proc(0).len(), 2, "timeline is a suffix");
-        assert_eq!(log.fig4().span(0), 100, "aggregation sees all");
-        assert_eq!(log.fig4().idle(0), 0);
+        assert_eq!((log.len(), log.dropped()), (2, 0));
     }
 
     #[test]
     fn crosscheck_names_the_message_class_that_diverges() {
-        let mut r = Recorder::enabled(2, 8);
+        let mut r = Recorder::new(2);
         r.attach_map(SpaceMap {
             line_bytes: 64,
             proc_phys_node: vec![0, 1],
@@ -845,12 +756,12 @@ mod tests {
         net.record(MsgClass::Remote, 128);
         assert_eq!(log.crosscheck(&net), Ok(()));
         // Without a map there is nothing to classify against.
-        assert_eq!(Recorder::enabled(1, 8).into_log().crosscheck(&net), Ok(()));
+        assert_eq!(Recorder::new(1).into_log().crosscheck(&net), Ok(()));
     }
 
     #[test]
     fn events_route_to_their_processor() {
-        let mut r = Recorder::enabled(2, 8);
+        let mut r = Recorder::new(2);
         r.record(
             1,
             0,
@@ -870,7 +781,6 @@ mod tests {
     }
 
     const MSGS: [&str; 4] = ["read-req", "read-reply", "downgrade", "inv-ack"];
-    const STATES: [&str; 3] = ["pending-read", "exclusive", "shared"];
 
     /// A `u32` that is 0, `u32::MAX` or an arbitrary value, by `r`.
     fn u32_of(r: u64) -> u32 {
@@ -924,9 +834,8 @@ mod tests {
             12 => EventKind::PollDrain { handled: b },
             13 => EventKind::LineLockAcquire { block },
             14 => EventKind::LineLockRelease { block },
-            15 => EventKind::BlockState { block, state: STATES[(y % 3) as usize] },
-            16 => EventKind::StallBegin { cat },
-            17 => EventKind::Slice { cat, cycles: block },
+            15 => EventKind::StallBegin { cat },
+            16 => EventKind::Slice { cat, cycles: block },
             _ => EventKind::Woken { by: b },
         }
     }
@@ -966,7 +875,7 @@ mod tests {
         #[test]
         fn every_kind_encodes_and_decodes_to_itself(
             events in proptest::collection::vec(
-                (0u64..19, any::<u64>(), any::<u64>(), any::<u64>()),
+                (0u64..18, any::<u64>(), any::<u64>(), any::<u64>()),
                 1..80,
             ),
         ) {
@@ -991,15 +900,14 @@ mod tests {
 
         /// The widths the rings once refused: times at `u64::MAX`, check
         /// misses whose address lies below their block, and blocks at
-        /// `u64::MAX`, recorded into rings that keep every event and into
-        /// rings that wrap, read back as they were recorded.
+        /// `u64::MAX`, recorded into rings and read back as they were
+        /// recorded.
         #[test]
         fn full_widths_round_trip_through_a_ring(
             events in proptest::collection::vec(
-                (0u64..19, any::<u64>(), any::<u64>(), any::<u64>()),
+                (0u64..18, any::<u64>(), any::<u64>(), any::<u64>()),
                 1..200,
             ),
-            cap in 1usize..64,
         ) {
             let stamped: Vec<(Stamped, Option<u64>)> = events
                 .iter()
@@ -1020,21 +928,14 @@ mod tests {
                 .collect();
             // Straight into the rings: the tiling audit would add a slice's
             // cycles to its start.
-            let (mut whole, mut wrapped) = (Rings::new(2, stamped.len()), Rings::new(2, cap));
+            let mut rings = Rings::new(2);
             for (i, (e, sent)) in stamped.iter().enumerate() {
-                whole.push(i % 2, e.t, &e.kind, *sent);
-                wrapped.push(i % 2, e.t, &e.kind, *sent);
+                rings.push(i % 2, e.t, &e.kind, *sent);
             }
             for p in 0..2u32 {
                 let mine: Vec<(Stamped, Option<u64>)> =
                     stamped.iter().skip(p as usize).step_by(2).copied().collect();
-                prop_assert_eq!(whole.proc(p).stamped().collect::<Vec<_>>(), mine.clone());
-                let kept = mine.len().min(cap);
-                prop_assert_eq!(
-                    wrapped.proc(p).stamped().collect::<Vec<_>>(),
-                    mine[mine.len() - kept..].to_vec()
-                );
-                prop_assert_eq!(wrapped.proc(p).dropped, (mine.len() - kept) as u64);
+                prop_assert_eq!(rings.proc(p).stamped().collect::<Vec<_>>(), mine);
             }
         }
     }
@@ -1096,7 +997,7 @@ mod tests {
     fn labels_come_back_by_identity() {
         let copy: &'static str = Box::leak(String::from(MSGS[0]).into_boxed_str());
         let mut labels = Labels::default();
-        let ids = [MSGS[0], STATES[0], copy, MSGS[0]].map(|l| labels.intern(l));
+        let ids = [MSGS[0], MSGS[1], copy, MSGS[0]].map(|l| labels.intern(l));
         assert_eq!(ids, [0, 1, 2, 0]);
         assert!(std::ptr::eq(labels.get(2), copy) && std::ptr::eq(labels.get(0), MSGS[0]));
     }
@@ -1106,51 +1007,39 @@ mod tests {
     fn varied(i: u64) -> Stamped {
         let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let t = if i.is_multiple_of(5) { x } else { i };
-        Stamped { t, kind: kind_of(x % 19, x >> 8, x.rotate_left(29) ^ i) }
+        Stamped { t, kind: kind_of(x % 18, x >> 8, x.rotate_left(29) ^ i) }
     }
 
-    /// The most chunks (the spare included) a ring of `cap` events can
-    /// hold: every chunk but the oldest and the newest is closed, so holds
-    /// more than `CHUNK_BYTES − MAX_ENCODED` bytes of events retained.
-    fn chunk_bound(cap: usize) -> usize {
-        (cap * MAX_ENCODED).div_ceil(CHUNK_BYTES - MAX_ENCODED) + 2
-    }
-
-    /// Rings of one event, of fewer events than a chunk holds and of
-    /// several chunks' worth, fed until they have wrapped across many
-    /// chunk boundaries, retain what a `VecDeque` bounded the same way
-    /// retains, oldest first, and drop as many. All the while a ring holds
-    /// at most [`chunk_bound`] chunks.
+    /// A ring fed more than ten chunks' worth of events keeps every one,
+    /// in order; holds exactly the bytes they encode to, each chunk's
+    /// deltas starting from zero; and holds no more chunks than those
+    /// bytes need, as every chunk but the last was closed with less than
+    /// [`MAX_ENCODED`] bytes of room left.
     #[test]
-    fn a_chunked_ring_matches_a_bounded_deque() {
-        for cap in [1, 7, 5_000] {
-            let mut r = Rings::new(2, cap);
-            let mut model: VecDeque<Stamped> = VecDeque::new();
-            let mut dropped = 0u64;
-            let (fed, mut opened) = ((10 * cap).max(10_000), 0);
-            for i in 0..fed as u64 {
-                let e = varied(i);
-                r.push(0, e.t, &e.kind, None);
-                model.push_back(e);
-                if model.len() > cap {
-                    model.pop_front();
-                    dropped += 1;
-                }
-                let ring = &r.rings[0];
-                if ring.head.events == 1 {
-                    opened += 1;
-                }
-                let held = ring.full.len() + 1 + usize::from(ring.spare.is_some());
-                assert!(held <= chunk_bound(cap), "cap {cap}, event {i}: {held} chunks");
-                if i.is_multiple_of(997) || i + 1 == fed as u64 {
-                    let pe = r.proc(0);
-                    assert!(pe.events().eq(model.iter().copied()), "cap {cap}, event {i}");
-                    assert_eq!((pe.len(), pe.dropped), (model.len(), dropped), "cap {cap}");
-                }
+    fn a_chunked_ring_keeps_every_event() {
+        let mut r = Recorder::new(2);
+        let (mut fed, mut bytes, mut room, mut base) = (Vec::new(), 0, 0, Base::default());
+        let mut labels = Labels::default();
+        for i in 0.. {
+            let e = varied(i);
+            if room < MAX_ENCODED {
+                (room, base) = (CHUNK_BYTES, Base::default());
             }
-            assert!(opened > 3, "cap {cap}: the ring wrapped across {opened} chunks only");
-            assert_eq!(dropped, (fed - cap) as u64);
-            assert!(r.proc(1).is_empty());
+            let n = encode(&e, None, &mut base, &mut labels).len();
+            (bytes, room) = (bytes + n, room - n);
+            r.rings.push(0, e.t, &e.kind, None);
+            fed.push(e);
+            if bytes > 10 * CHUNK_BYTES {
+                break;
+            }
         }
+        let chunks = r.rings.rings[0].chunks.len();
+        let log = r.into_log();
+        assert!(log.proc(0).events().eq(fed.iter().copied()));
+        assert_eq!((log.proc(0).len(), log.len()), (fed.len(), fed.len()));
+        assert_eq!(log.ring_bytes(), bytes);
+        assert!(chunks > 10, "{chunks} chunks");
+        assert!(chunks <= bytes.div_ceil(CHUNK_BYTES - MAX_ENCODED) + 1, "{chunks} chunks");
+        assert!(log.proc(1).is_empty());
     }
 }

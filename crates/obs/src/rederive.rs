@@ -6,10 +6,10 @@
 //! statistic with two producers in two *layers* — the engine's sends here,
 //! the transport's own count in `RunStats::messages` — so [`MsgAgg`] keeps a
 //! `crosscheck` demanding **exact** equality between them. It is streamed at
-//! record time, so ring eviction cannot lose counts. (Misses, downgrade
-//! histograms and the Figure 4 breakdown have one producer: the engine folds
-//! them into `RunStats` where it emits the event. Figure 8's direction split
-//! and resolutions come from the sharing profiler's per-block histories.)
+//! record time. (Misses, downgrade histograms and the Figure 4 breakdown
+//! have one producer: the engine folds them into `RunStats` where it emits
+//! the event. Figure 8's direction split and resolutions come from the
+//! sharing profiler's per-block histories.)
 
 use shasta_stats::{MsgClass, MsgStats};
 

@@ -9,7 +9,7 @@ use crate::event::{EventKind, Stamped};
 use crate::recorder::EventLog;
 
 impl EventLog {
-    /// Every retained protocol fact as `[{t}cy P{p}] {name}: {detail}`
+    /// Every protocol fact as `[{t}cy P{p}] {name}: {detail}`
     /// lines; see [`EventLog::render_tail`].
     pub fn render(&self) -> String {
         self.render_tail(usize::MAX)
@@ -18,17 +18,9 @@ impl EventLog {
     /// The last `n` protocol facts as `[{t}cy P{p}] {name}: {detail}`
     /// lines, ordered by `(t, proc, ring index)`: the per-processor rings
     /// merged stably by time. Kinds that only attribute time or keep books
-    /// (slices, stall beginnings, wakes, poll drains, the line-lock pair,
-    /// block states) are not rendered. Notes go first: one counting the events
-    /// the rings evicted, if any, and one counting the rendered lines cut
-    /// off above the last `n`. An empty or disabled log renders as `""`.
-    ///
-    /// The rings evict raw events, rendered or not. The last `n` lines are
-    /// those of the whole run as long as every ring that evicted still holds
-    /// its processor's last `n` rendered events; a ring filled with skipped
-    /// kinds (a processor spinning on slices, say) can lose its older
-    /// facts, and the tail then shows other processors' older lines in
-    /// their place. An `evicted` note is the sign to check.
+    /// (slices, stall beginnings, wakes, poll drains, the line-lock pair)
+    /// are not rendered. A note counting the rendered lines cut off above
+    /// the last `n` goes first. An empty or disabled log renders as `""`.
     pub fn render_tail(&self, n: usize) -> String {
         let mut facts: Vec<(u32, Stamped)> = (0..self.procs() as u32)
             .flat_map(|p| self.proc(p).events().map(move |e| (p, e)))
@@ -38,10 +30,6 @@ impl EventLog {
         // order among events with the same time and processor.
         facts.sort_by_key(|&(p, e)| (e.t, p));
         let mut out = String::new();
-        let evicted = self.dropped();
-        if evicted > 0 {
-            let _ = writeln!(out, "... {evicted} earlier events evicted ...");
-        }
         let elided = facts.len().saturating_sub(n);
         if elided > 0 {
             let _ = writeln!(out, "... {elided} earlier events elided ...");
@@ -60,7 +48,6 @@ fn skipped(kind: &EventKind) -> bool {
         EventKind::PollDrain { .. }
             | EventKind::LineLockAcquire { .. }
             | EventKind::LineLockRelease { .. }
-            | EventKind::BlockState { .. }
             | EventKind::StallBegin { .. }
             | EventKind::Slice { .. }
             | EventKind::Woken { .. }
@@ -97,7 +84,6 @@ fn line(s: &mut String, p: u32, e: &Stamped) {
         EventKind::PollDrain { .. }
         | EventKind::LineLockAcquire { .. }
         | EventKind::LineLockRelease { .. }
-        | EventKind::BlockState { .. }
         | EventKind::StallBegin { .. }
         | EventKind::Slice { .. }
         | EventKind::Woken { .. } => unreachable!("{} is not rendered", e.kind.name()),
@@ -107,10 +93,8 @@ fn line(s: &mut String, p: u32, e: &Stamped) {
 
 #[cfg(test)]
 mod tests {
-    use super::skipped;
     use crate::event::{DowngradeAction, EventKind};
     use crate::recorder::Recorder;
-    use proptest::prelude::*;
     use shasta_stats::TimeCat;
 
     fn dg_done(requester: u32) -> EventKind {
@@ -121,7 +105,7 @@ mod tests {
     /// skipped, and a receive's send stamp not shown.
     #[test]
     fn render_is_a_line_per_fact_in_key_order() {
-        let mut r = Recorder::enabled(4, 8);
+        let mut r = Recorder::new(4);
         r.record_recv(2, 3, "read-reply", 1, 0x40, 0);
         r.record(2, 3, EventKind::Woken { by: 1 });
         r.record(
@@ -144,18 +128,18 @@ mod tests {
     }
 
     #[test]
-    fn the_tail_notes_what_it_elides_and_the_rings_evicted() {
-        let mut r = Recorder::enabled(1, 8);
+    fn the_tail_notes_what_it_elides() {
+        let mut r = Recorder::new(1);
         for i in 0..10 {
             r.record(i, 0, dg_done(i as u32));
         }
         let log = r.into_log();
         let tail = "[8cy P0] downgrade-done: 0x40 read-reply to P8\n\
                     [9cy P0] downgrade-done: 0x40 read-reply to P9\n";
-        let notes = "... 2 earlier events evicted ...\n... 6 earlier events elided ...\n";
-        assert_eq!(log.render_tail(2), format!("{notes}{tail}"));
+        let note = "... 8 earlier events elided ...\n";
+        assert_eq!(log.render_tail(2), format!("{note}{tail}"));
         assert!(log.render().ends_with(tail) && !log.render().contains("elided"));
-        assert!(log.render().starts_with("... 2 earlier events evicted ...\n[2cy P0]"));
+        assert!(log.render().starts_with("[0cy P0]"));
     }
 
     /// A disabled recorder keeps nothing, so there is no detail to build.
@@ -164,56 +148,6 @@ mod tests {
         let mut off = Recorder::disabled();
         off.record(1, 0, dg_done(1));
         assert_eq!(off.into_log().render_tail(8), "");
-        assert_eq!(Recorder::enabled(2, 8).into_log().render(), "");
-    }
-
-    /// Four rendered kinds and two skipped ones, by index.
-    fn event(i: u64) -> EventKind {
-        let block = 0x40 * (i % 5);
-        match i % 6 {
-            0 => EventKind::MsgSend { msg: "read-req", peer: (i % 3) as u32, block },
-            1 => EventKind::DowngradeAck { block, remaining: (i % 7) as u32 },
-            2 => dg_done((i % 3) as u32),
-            3 => EventKind::MissMerged { block },
-            4 => EventKind::Slice { cat: TimeCat::Task, cycles: i },
-            _ => EventKind::PollDrain { handled: (i % 3) as u32 },
-        }
-    }
-
-    proptest! {
-        /// Rings that each evicted nothing or still hold their processor's
-        /// last `n` rendered events lose nothing of the last `n` lines,
-        /// however many events of either sort they evicted: the tail equals
-        /// that of an unevicted log of the same stream. Each processor's
-        /// clock only moves forward, as the engine's does for every
-        /// rendered kind.
-        #[test]
-        fn the_tail_survives_eviction(
-            stream in proptest::collection::vec((0u32..4, 0u64..3, 0u64..1000), 0..300),
-            n in 1usize..24,
-            cap in 1usize..64,
-        ) {
-            let mut evicting = Recorder::enabled(4, cap);
-            let mut whole = Recorder::enabled(4, stream.len().max(1));
-            let mut clocks = [0u64; 4];
-            for &(p, dt, i) in &stream {
-                clocks[p as usize] += dt;
-                evicting.record(clocks[p as usize], p, event(i));
-                whole.record(clocks[p as usize], p, event(i));
-            }
-            let (evicting, whole) = (evicting.into_log(), whole.into_log());
-            prop_assert_eq!(whole.dropped(), 0);
-            let holds_n = |p| {
-                let ring = evicting.proc(p);
-                ring.dropped == 0 || ring.events().filter(|e| !skipped(&e.kind)).count() >= n
-            };
-            let tail = |s: String| {
-                let lines: Vec<String> = s.lines().map(str::to_owned).collect();
-                lines[lines.len().saturating_sub(n)..].to_vec()
-            };
-            if (0..4).all(holds_n) {
-                prop_assert_eq!(tail(evicting.render_tail(n)), tail(whole.render()));
-            }
-        }
+        assert_eq!(Recorder::new(2).into_log().render(), "");
     }
 }

@@ -39,11 +39,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32 uniformly distributed bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits of uniformity.

@@ -146,42 +146,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p shasta-stats -p shasta-obs -p shasta-apps -p shasta-fgdsm \
   -p shasta-bench -p shasta-check -p shasta-transport
 
-echo "==> obs-block-state feature matrix (tier-1 on, fig4 byte-identical off vs on)"
-# Per-transition block-state events are compiled out by default; turning
-# them on must not change any aggregate-derived output (they feed only the
-# Chrome exporter), so Figure 4 must be byte-identical either way.
-cargo test -q -p shasta-core --features obs-block-state
-fig4_off="$(mktemp /tmp/shasta-ci-fig4-off.XXXXXX.txt)"
-fig4_on="$(mktemp /tmp/shasta-ci-fig4-on.XXXXXX.txt)"
-cargo run --release -p shasta-bench --bin fig4_breakdown -- \
-  --preset tiny > "$fig4_off"
-cargo run --release -p shasta-bench --features shasta-core/obs-block-state \
-  --bin fig4_breakdown -- --preset tiny > "$fig4_on"
-diff -u "$fig4_off" "$fig4_on" || { echo "fig4 diverged with obs-block-state"; exit 1; }
-rm -f "$fig4_off" "$fig4_on"
-
-echo "==> Chrome traces byte-identical to the archived digests (fig4 tiny, also with obs-block-state, and check --trace)"
-# Both exports are deterministic and read every retained ring event, so a
-# change to how the recorder stores events or the exporter prints them that
-# moves one byte shows here. The traces are ~2.5 MB and ~110 KB of JSON, so
+echo "==> Chrome traces byte-identical to the archived digests (fig4 tiny and check --trace)"
+# Both exports are deterministic and read every ring event, so a change to
+# how the recorder stores events or the exporter prints them that moves one
+# byte shows here. The traces are ~2.5 MB and ~110 KB of JSON, so
 # results/trace_digests.txt keeps their sha256 rather than the files.
 trace_fig4="$(mktemp /tmp/shasta-ci-trace.XXXXXX.json)"
-trace_bs="$(mktemp /tmp/shasta-ci-trace-bs.XXXXXX.json)"
 trace_ck="$(mktemp /tmp/shasta-ci-trace-ck.XXXXXX.json)"
 cargo run --release -p shasta-bench --bin fig4_breakdown -- \
   --preset tiny --trace "$trace_fig4" > /dev/null
-cargo run --release -p shasta-bench --features shasta-core/obs-block-state \
-  --bin fig4_breakdown -- --preset tiny --trace "$trace_bs" > /dev/null
 cargo run --release -p shasta-check --bin check -- \
   --seeds 8 -j 0 --quiet --skip-validation --trace "$trace_ck" > /dev/null
 digest() { printf '%s  %s\n' "$(sha256sum < "$1" | cut -d' ' -f1)" "$2"; }
 {
   digest "$trace_fig4" "fig4_breakdown --preset tiny --trace"
-  digest "$trace_bs" "fig4_breakdown --preset tiny --trace (obs-block-state)"
   digest "$trace_ck" "check --seeds 8 -j 0 --quiet --skip-validation --trace"
 } | diff -u results/trace_digests.txt - \
   || { echo "a Chrome trace diverged from results/trace_digests.txt"; exit 1; }
-rm -f "$trace_fig4" "$trace_bs" "$trace_ck"
+rm -f "$trace_fig4" "$trace_ck"
 
 echo "==> metrics byte-identity (figure 4 and checker output, metrics off vs on)"
 # Attaching a live metrics registry must not perturb a single simulated
@@ -265,6 +247,14 @@ test -s "$cp_tmp" || { echo "critical_path JSON is empty"; exit 1; }
 grep -v '^wrote ' "$cp_out" | diff -u results/critical_path_tiny.txt - \
   || { echo "critical_path diverged from results/critical_path_tiny.txt"; exit 1; }
 rm -f "$cp_tmp" "$cp_out"
+
+echo "==> Figure 4 critical paths at Default (every one of the 72 runs tiles exactly)"
+# A recording keeps the whole run, so every bar's path is analysed. A run
+# without a path line, or a panic on an accounting hole, shows here as a
+# short count (~4 s).
+cp_lines="$(cargo run --release -q -p shasta-bench --bin fig4_breakdown -- --critical-path \
+  | grep -c 'tiling exact$' || true)"
+test "$cp_lines" -eq 72 || { echo "fig4 --critical-path tiled $cp_lines of 72 runs"; exit 1; }
 
 echo "==> fault-sweep smoke (--quick: all fault kinds x scenarios x topologies)"
 # Exercises the fault fabric end to end: delay/dup/reorder/chaos must pass
