@@ -16,11 +16,12 @@
 //! Loss is priced in round trips. A stream resends only its oldest
 //! unacknowledged frame — whatever follows it is held at the receiver or
 //! will be reported missing by the next cumulative ACK — and does so on one
-//! of two signals: an ACK that acknowledges nothing (the receiver re-ACKs
-//! when it has to hold a frame, so the sender learns of a mid-stream loss
-//! one round trip later and resends at once), or the stream's timer, whose
-//! timeout ([`Rto`]) follows the round trips the stream has measured and
-//! counts only time somebody spent polling the wire.
+//! of two signals: an ACK that acknowledges nothing (the receiver repeats
+//! its last ACK when it has to hold a frame, settling owed deliveries
+//! first, so the sender learns of a mid-stream loss one round trip later
+//! and resends at once), or the stream's timer, whose timeout ([`Rto`])
+//! follows the round trips the stream has measured and counts only time
+//! somebody spent polling the wire.
 //!
 //! The fabric restores the ordered, exactly-once contract over a substrate
 //! that (deliberately) breaks it: the sender can be told to drop every Nth
@@ -816,8 +817,9 @@ impl Fabric {
     /// its handler — `DATA` through the delivery guard, `ACK` against the
     /// send buffer — and then settles the end's ACK debt with one
     /// cumulative `ACK` if `force_ack` asks, a duplicate or an early frame
-    /// arrived, or [`ACK_EVERY`] deliveries are owed. Returns the frames
-    /// handled.
+    /// arrived, or [`ACK_EVERY`] deliveries are owed. After a hold that
+    /// `ACK` repeats the one the hold wrote to settle earlier deliveries
+    /// (see [`Fabric::accept_data`]). Returns the frames handled.
     fn drain(&mut self, e: usize, force_ack: bool) -> usize {
         let (own, peer) = (self.ends[e].own, self.ends[e].peer);
         self.uncork(self.end_ix(peer, own));
@@ -999,7 +1001,10 @@ impl Fabric {
     /// Runs the receiver state machine on one decoded `DATA` frame read
     /// from end `e`: suppress duplicates and hold early arrivals (either
     /// way owing their sender an ACK), deliver in-order frames plus any
-    /// held successors they unblock.
+    /// held successors they unblock. A new hold first writes the
+    /// cumulative `ACK` for deliveries still owed, so the one it earns,
+    /// written at the end of the drain, acknowledges nothing new and the
+    /// sender resends the missing frame at once rather than on its timer.
     ///
     /// # Panics
     ///
@@ -1029,8 +1034,12 @@ impl Fabric {
                 } else {
                     self.probed().counts.holds += 1;
                     self.metrics.holds.inc();
-                    // The ACK this earns covers nothing new, which is how
-                    // the sender learns its head went missing.
+                    // The ACK this earns must cover nothing new, which is
+                    // how the sender learns its head went missing: settle
+                    // what is owed first, so the hold's ACK repeats it.
+                    if self.ends[e].ack_debt > 0 {
+                        self.write_ack(e);
+                    }
                     self.ends[e].ack_owed = true;
                 }
             }

@@ -55,6 +55,30 @@ fn data(seq: u64) -> Vec<u8> {
     .expect("encodes")
 }
 
+/// The bytes of position `seq` on the reverse stream, processor 1 to 0.
+fn reverse_data(seq: u64) -> Vec<u8> {
+    encode_frame(&Frame::Data(DataFrame {
+        version: VERSION,
+        src: 1,
+        dst: 0,
+        pair_seq: seq,
+        via_vnode: false,
+        trace: 0,
+        msg: msg(seq),
+    }))
+    .expect("encodes")
+}
+
+/// Writes `frame(1)`, `frame(2)`, ... on end `e` until its socket refuses
+/// the next one whole, and returns how many it took.
+fn park(f: &mut Fabric, e: usize, frame: impl Fn(u64) -> Vec<u8>) -> usize {
+    let mut parked = 0;
+    while f.write_frame(e, &frame(parked as u64 + 1), false) {
+        parked += 1;
+    }
+    parked
+}
+
 #[test]
 fn a_duplicate_is_dropped_and_answered_with_the_cumulative_ack() {
     let (mut f, tx, rx) = two_nodes();
@@ -121,14 +145,11 @@ fn an_ack_that_would_block_stays_owed_and_is_never_written_in_part() {
     let (mut f, tx, rx) = two_nodes();
     f.send_data(0, 1, false, &msg(1), 0);
     assert_eq!(f.recv(0, 1), msg(1));
-    // Fill the rx -> tx direction with ACKs that acknowledge nothing until
-    // the socket refuses the next one whole. (Collecting the first of them
-    // will also make the sender resend its head: one more duplicate.)
+    // Fill the rx -> tx direction with ACKs that acknowledge nothing.
+    // (Collecting the first of them will also make the sender resend its
+    // head: one more duplicate.)
     let noop = encode_frame(&Frame::Ack { version: VERSION, cum_seq: 0 }).expect("encodes");
-    let mut parked = 0;
-    while f.write_frame(rx, &noop, false) {
-        parked += 1;
-    }
+    let parked = park(&mut f, rx, |_| noop.clone());
     f.write_frame(tx, &data(1), true);
     f.drain(rx, false);
     assert!(f.ends[rx].ack_owed, "the re-ACK met a full socket");
@@ -177,26 +198,87 @@ fn a_loss_inside_a_corked_batch_is_resent_on_a_repeated_ack() {
         f.send_data(0, 1, false, &msg(seq), 0);
     }
     assert_eq!(f.counts().induced_drops, 1, "position 4 never reached the wire");
-    // 1..=3 are delivered and 5 is held; the ACK covers 3.
+    // 1..=3 are delivered and 5 is held. The hold settles the three owed
+    // deliveries with an ACK of 3 and then earns a second ACK of 3.
     assert_eq!(f.drain(rx, false), 4);
-    assert_eq!(f.drain(tx, false), 1);
-    assert!(f.ends[tx].unacked.iter().map(|u| u.seq).eq([4, 5]));
-    let (lost, next) = (&f.ends[tx].unacked[0], &f.ends[tx].unacked[1]);
+    assert_eq!(f.counts().acks_sent, 2);
+    let (lost, next) = (&f.ends[tx].unacked[3], &f.ends[tx].unacked[4]);
     assert_eq!(lost.first_sent, next.first_sent, "stamped with the batch it was dropped from");
-    assert_eq!(f.counts().retransmits, 0);
-
-    // The next frame is held too, and the ACK that earns repeats the last.
-    f.send_data(0, 1, false, &msg(6), 0);
-    assert_eq!(f.drain(rx, false), 1);
-    assert_eq!(f.drain(tx, false), 1);
+    // The first clears 1..=3, the second covers nothing: 4 is resent at once.
+    assert_eq!(f.drain(tx, false), 2);
+    assert!(f.ends[tx]
+        .unacked
+        .iter()
+        .map(|u| (u.seq, u.retransmitted))
+        .eq([(4, true), (5, false)]));
     assert_eq!(f.counts().retransmits, 1);
-    for seq in 1..=6 {
+    for seq in 1..=5 {
         assert_eq!(f.recv(0, 1), msg(seq));
     }
     let count = |name| reg.counter(name).get();
     assert_eq!((count("wire.retransmits.fast"), count("wire.retransmits.timeout")), (1, 0));
     let counts = f.counts();
-    assert_eq!((counts.holds, counts.resequenced, counts.dups_dropped), (2, 2, 0), "{counts:?}");
+    assert_eq!((counts.holds, counts.resequenced, counts.dups_dropped), (1, 1, 0), "{counts:?}");
+}
+
+#[test]
+fn a_hold_behind_owed_deliveries_is_resent_without_a_timer() {
+    const K: u64 = 5;
+    let (mut f, _, _) = two_nodes_dropping(K + 1);
+    let reg = Registry::enabled();
+    f.set_metrics(&reg);
+    // K < ACK_EVERY deliveries leave K ACKs owed and write none.
+    for seq in 1..=K {
+        f.send_data(0, 1, false, &msg(seq), 0);
+        assert_eq!(f.recv(0, 1), msg(seq));
+    }
+    assert_eq!(f.counts().acks_sent, 0);
+    // Position K + 1 is dropped; its one successor is held behind it.
+    for seq in K + 1..=K + 2 {
+        f.send_data(0, 1, false, &msg(seq), 0);
+    }
+    assert_eq!(f.counts().induced_drops, 1);
+    let start = Instant::now();
+    assert_eq!(f.recv(0, 1), msg(K + 1));
+    let elapsed = start.elapsed();
+    assert_eq!(f.recv(0, 1), msg(K + 2));
+    let count = |name| reg.counter(name).get();
+    assert_eq!((count("wire.retransmits.fast"), count("wire.retransmits.timeout")), (1, 0));
+    assert_eq!(f.counts().retransmits, 1);
+    assert!(elapsed < RTO_MIN, "the hold's repeated ACK recovered the loss after {elapsed:?}");
+}
+
+#[test]
+fn a_settling_ack_that_meets_a_full_socket_leaves_recovery_to_the_timer() {
+    let (mut f, tx, rx) = two_nodes_dropping(4);
+    let reg = Registry::enabled();
+    f.set_metrics(&reg);
+    // Fill the rx -> tx direction with DATA of the reverse stream: unlike
+    // parked ACKs, collecting them cannot resend anything on 0 -> 1.
+    let parked = park(&mut f, rx, reverse_data);
+    for seq in 1..=5 {
+        f.send_data(0, 1, false, &msg(seq), 0);
+    }
+    // 1..=3 are delivered, 5 is held, and neither the ACK settling 1..=3
+    // nor the hold's repeat of it can be written.
+    assert_eq!(f.drain(rx, false), 4);
+    assert!(f.ends[rx].ack_owed);
+    assert_eq!((f.ends[rx].ack_debt, f.counts().acks_sent), (3, 0));
+
+    // The owed ACK goes out once the socket drains, covering 1..=3: to the
+    // sender that is progress, not a repeat, so 4 waits for its timer.
+    for seq in 1..=5 {
+        assert_eq!(f.recv(0, 1), msg(seq));
+    }
+    let count = |name| reg.counter(name).get();
+    assert_eq!((count("wire.retransmits.fast"), count("wire.retransmits.timeout")), (0, 1));
+    assert_eq!(count("wire.retransmits.first_tx_dropped"), 1);
+    assert_eq!(f.inboxes[f.inbox_ix(1, 0)].len(), parked);
+    f.drain(rx, true);
+    f.drain(tx, false);
+    assert!(f.ends[tx].unacked.is_empty());
+    let counts = f.counts();
+    assert_eq!((counts.holds, counts.resequenced, counts.dups_dropped), (1, 1, 0), "{counts:?}");
 }
 
 const fn us(n: u64) -> Duration {

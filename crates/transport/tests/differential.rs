@@ -94,23 +94,25 @@ fn lu_over_uds_writes_fewer_times_than_it_sends_frames() {
 }
 
 /// Drop every 7th first transmission: retransmission must recover every
-/// one of them, the counters must still match exactly, and nothing else may
-/// be resent — not the frames held behind a lost one, and not a frame whose
-/// ACK is merely late.
+/// one of them, the counters must still match exactly, nothing else may be
+/// resent — not the frames held behind a lost one, and not a frame whose
+/// ACK is merely late — and most resends must not wait for a timer.
 fn induced_drops_converge(backend: Backend) {
     let label = format!("{}+drop", backend.label());
     let sim = run_sim("LU");
     let spec = registry().into_iter().find(|s| s.name == "LU").expect("app");
     let app = (spec.build)(Preset::Tiny, true);
+    let reg = Registry::enabled();
     let mut probe = None;
     let wire = run_app_with_transport(app.as_ref(), &smp_tiny(), |topo, cost| {
-        let t = LoopbackTransport::connect(
+        let mut t = LoopbackTransport::connect(
             topo.clone(),
             cost.clone(),
             backend,
             DropPlan { drop_every: 7 },
         )
         .expect("loopback fabric");
+        t.set_metrics(&reg);
         probe = Some(t.counts_probe());
         Box::new(t)
     });
@@ -127,6 +129,17 @@ fn induced_drops_converge(backend: Backend) {
         counts.holds > 0 && counts.resequenced > 0,
         "{label}: drops never forced a hold: {counts:?}"
     );
+    // A receiver that holds a frame settles its owed ACKs before repeating
+    // the last one, so a loss with a successor behind it is resent on that
+    // repeat, not on the timer. The split is 107 fast and 48 timeout on
+    // every run over either backend; a hold's ACK that also covered owed
+    // deliveries would leave 29 fast. The 48 are mostly tail losses, which
+    // only a timer finds.
+    let snap = reg.snapshot();
+    let (fast, timeout) =
+        (snap.counter("wire.retransmits.fast"), snap.counter("wire.retransmits.timeout"));
+    assert_eq!(fast + timeout, counts.retransmits, "{label}: an untriggered resend: {counts:?}");
+    assert!(fast >= 100, "{label}: {fast} fast and {timeout} timer resends of {counts:?}");
 }
 
 #[test]

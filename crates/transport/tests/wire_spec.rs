@@ -73,6 +73,9 @@ fn expected() -> Vec<(&'static str, Frame)> {
         ("ack", Frame::Ack { version: VERSION, cum_seq: 41 }),
         // One cumulative ACK covering the sixteen frames since the last.
         ("ack-coalesced", Frame::Ack { version: VERSION, cum_seq: 41 + 16 }),
+        // The ACK a hold writes first, settling the seven deliveries since
+        // a forced ACK at 50: the same bytes as the coalesced one.
+        ("ack-settled", Frame::Ack { version: VERSION, cum_seq: 41 + 16 }),
         // The same ACK again, for two frames held behind a missing third:
         // the fast-retransmit signal is a repetition, not a new frame kind.
         ("ack-repeated", Frame::Ack { version: VERSION, cum_seq: 41 + 16 }),
