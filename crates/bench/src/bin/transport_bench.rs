@@ -18,7 +18,8 @@
 //!    collected at the sender's next poll of that stream) land in the
 //!    trajectory, and every run must have sampled at least one pair. So do
 //!    its socket syscall counts (`wire.io.reads`, `wire.io.writes`,
-//!    `wire.io.would_block`), printed per `DATA` frame.
+//!    `wire.io.would_block`), printed per `DATA` frame, and the frames it
+//!    resent, which a lossless wire keeps at zero.
 //! 4. **Retransmit** — LU with every 7th first transmission dropped; the
 //!    counters must still match, the drop/retransmit/hold machinery must
 //!    all have fired, the registry's `wire.retransmits.first_tx_dropped`
@@ -26,8 +27,9 @@
 //!    independent accountings of the same loss events — and at least nine
 //!    retransmissions in ten must each have recovered a drop. The row also
 //!    reports what triggered the retransmissions (`wire.retransmits.fast` /
-//!    `.timeout`), the timeouts the timers expired with (`wire.rto_ns.*`),
-//!    and the wall time over the pure-simulator twin per drop.
+//!    `.timeout`), the timeouts the timers expired with (`wire.rto_ns.*`;
+//!    "no timer expired", and `null` in the entry, when none did), and the
+//!    wall time over the pure-simulator twin per drop.
 //!
 //! The criteria (`differential_pass`, `retransmit_pass`, `metrics_pass`) are
 //! asserted at exit so a regression aborts the binary rather than silently
@@ -209,6 +211,8 @@ struct DiffRow {
     /// not-ready returns (`wire.io.*`) it took to move them and their ACKs.
     data_frames: u64,
     io: [u64; 3],
+    /// Frames sent again; a lossless wire resends none.
+    retransmits: u64,
 }
 
 /// Extracts the sampled per-pair ACK-RTT histograms from a registry
@@ -289,21 +293,23 @@ fn main() {
             );
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             let snap = reg.snapshot();
+            let counts = probe.expect("factory ran").get();
             let row = DiffRow {
                 app: spec.name,
                 backend,
                 pass: counters_equal(&sim, &wire),
                 wall_ms,
                 ack_rtt_pairs: ack_rtt_pairs(&snap),
-                data_frames: probe.expect("factory ran").get().data_frames,
+                data_frames: counts.data_frames,
                 io: ["reads", "writes", "would_block"]
                     .map(|what| snap.counter(&format!("wire.io.{what}"))),
+                retransmits: counts.retransmits,
             };
             let [reads, writes, would_block] = row.io;
             println!(
                 "differential {:<9} {:<4} counters {} ({:.1}ms, {} ACK-RTT pair(s) sampled; \
                  {} frames: {reads} reads + {writes} writes = {:.2}/frame, {would_block} \
-                 would-block)",
+                 would-block, {} retransmits)",
                 row.app,
                 backend.label(),
                 if row.pass { "equal" } else { "DIVERGED" },
@@ -311,6 +317,7 @@ fn main() {
                 row.ack_rtt_pairs.len(),
                 row.data_frames,
                 (reads + writes) as f64 / row.data_frames.max(1) as f64,
+                row.retransmits,
             );
             rows.push(row);
         }
@@ -359,10 +366,15 @@ fn main() {
             rto_max_ns = rto_max_ns.max(max);
         }
     }
-    // (All zero if no timer expired.)
-    let [rto_mean, rto_min, rto_max] =
-        [rto_sum_ns / timeout.max(1), rto_min_ns.min(rto_max_ns), rto_max_ns]
-            .map(|ns| ns as f64 / 1e6);
+    // With no expiry there is no timeout to summarise: `null` in the entry.
+    let rto_ms = rto_sum_ns
+        .checked_div(timeout)
+        .map(|mean_ns| [mean_ns, rto_min_ns, rto_max_ns].map(|ns| ns as f64 / 1e6));
+    let rto_summary = match rto_ms {
+        Some([mean, min, max]) => format!("rto mean {mean:.2} min {min:.2} max {max:.2} ms"),
+        None => "no timer expired".to_string(),
+    };
+    let [rto_mean, rto_min, rto_max] = rto_ms.unwrap_or([f64::NAN; 3]);
     // Host time the drops cost over the pure-simulator twin, per drop.
     let wire_wall_ms = retransmit_wall_ms - sim_wall_ms;
     let ms_per_drop = (wire_wall_ms - sim_wall_ms) / counts.induced_drops.max(1) as f64;
@@ -377,8 +389,7 @@ fn main() {
         && metrics_match_drops;
     println!(
         "retransmit LU uds drop_every=7: counters {} drops={} retransmits={} (fast {fast} + \
-         timeout {timeout}, rto mean {rto_mean:.2} min {rto_min:.2} max {rto_max:.2} ms) holds={} \
-         resequenced={} metric \
+         timeout {timeout}, {rto_summary}) holds={} resequenced={} metric \
          first_tx_dropped={} ({}) ({retransmit_wall_ms:.1}ms, {ms_per_drop:.2} ms/drop)",
         if counters_equal(&sim, &wire) { "equal" } else { "DIVERGED" },
         counts.induced_drops,
@@ -454,12 +465,13 @@ fn main() {
                 .collect();
             let [reads, writes, would_block] = r.io;
             format!(
-                "{{\"app\": \"{}\", \"backend\": \"{}\", \"pass\": {}, \"wall_ms\": {:.2}, \"data_frames\": {}, \"io\": {{\"reads\": {reads}, \"writes\": {writes}, \"would_block\": {would_block}}}, \"ack_rtt_pairs\": [{}]}}",
+                "{{\"app\": \"{}\", \"backend\": \"{}\", \"pass\": {}, \"wall_ms\": {:.2}, \"data_frames\": {}, \"retransmits\": {}, \"io\": {{\"reads\": {reads}, \"writes\": {writes}, \"would_block\": {would_block}}}, \"ack_rtt_pairs\": [{}]}}",
                 r.app,
                 r.backend.label(),
                 r.pass,
                 Num(r.wall_ms),
                 r.data_frames,
+                r.retransmits,
                 pairs.join(", "),
             )
         })

@@ -35,10 +35,12 @@
 //! sending end corks its `DATA` frames until their stream is next read,
 //! then writes them with one `write`. Acknowledgements are coalesced (one
 //! cumulative `ACK` per several deliveries). Loss is recovered in round
-//! trips: a repeated `ACK` resends the stream's head at once, and
-//! otherwise a per-stream timer derived from measured round trips does,
-//! read only when that read comes back empty — see `loopback.rs` and
-//! `docs/TRANSPORT.md` §3.3.
+//! trips: an end that knows of a gap — it holds a later frame, or a
+//! receive waits on it and its read comes back empty — repeats its last
+//! `ACK`, and the sender resends the stream's head at once. A per-stream
+//! timer derived from measured round trips stays as the safety net, for
+//! the waits no receive makes (a sender at a full window) — see
+//! `loopback.rs` and `docs/TRANSPORT.md` §3.3.
 //!
 //! The substitution is what gives the differential harness teeth: a codec
 //! bug, a framing bug, a resequencing bug, or a lost frame either panics

@@ -16,12 +16,16 @@
 //! Loss is priced in round trips. A stream resends only its oldest
 //! unacknowledged frame — whatever follows it is held at the receiver or
 //! will be reported missing by the next cumulative ACK — and does so on one
-//! of two signals: an ACK that acknowledges nothing (the receiver repeats
-//! its last ACK when it has to hold a frame, settling owed deliveries
-//! first, so the sender learns of a mid-stream loss one round trip later
-//! and resends at once), or the stream's timer, whose timeout ([`Rto`])
-//! follows the round trips the stream has measured and counts only time
-//! somebody spent polling the wire.
+//! of two signals: an ACK that acknowledges nothing, or the stream's timer.
+//! A receiving end repeats its last ACK whenever it knows of a gap: when it
+//! has to hold a frame, when a repair delivers frames but leaves later ones
+//! still held behind a second gap, and once per receive that waits on it
+//! and finds nothing (the tail loss no later frame can report). Each time
+//! it settles owed deliveries first, so the repeat covers nothing and the
+//! sender resends at once. The timer, whose timeout ([`Rto`]) follows the
+//! round trips the stream has measured and counts only time somebody spent
+//! polling the wire, is left for what no receiver waits on: a sender at a
+//! full window, and a repeat that met a full socket.
 //!
 //! The fabric restores the ordered, exactly-once contract over a substrate
 //! that (deliberately) breaks it: the sender can be told to drop every Nth
@@ -401,9 +405,9 @@ struct End {
     /// Deliveries on stream `peer -> own` since this end last wrote an ACK.
     ack_debt: u32,
     /// An ACK goes out at the end of the next drain whatever the debt: a
-    /// duplicate arrived (its sender has not seen our ACK), a frame had to
-    /// be held (its sender should learn that a predecessor is missing), or
-    /// an ACK that was due met a full socket.
+    /// duplicate arrived (its sender has not seen our ACK), the end knows
+    /// of a gap (see [`Fabric::repeat_ack`]), or an ACK that was due met a
+    /// full socket.
     ack_owed: bool,
     /// `BYE` or end-of-file seen: nothing further will be read.
     closed: bool,
@@ -720,9 +724,30 @@ impl Fabric {
             }
             if self.drain(e, false) == 0 {
                 assert!(!self.ends[e].closed, "wire fabric failed: {sn}->{dn} closed early");
-                self.poll_slow(&mut waiting_since, format_args!("{src}->{dst} message"));
+                self.await_turn(e, &mut waiting_since, format_args!("{src}->{dst} message"));
             }
         }
+    }
+
+    /// One turn of a receive's wait on end `e`, whose socket yielded
+    /// nothing. The awaited frame was corked and written before this
+    /// drain, so it was lost (or, over TCP, is not readable yet) or sits
+    /// held behind a lost one, and its sender's head is the frame the end
+    /// misses. The first turn says so: it repeats the end's last ACK, which
+    /// the forced drains of [`Fabric::poll_slow`] carry to the sender and
+    /// its fast retransmit answers within the same turn. Later turns of
+    /// the wait write nothing, so a wait for a frame that never comes
+    /// sleeps on the timers and reaches the watchdog.
+    fn await_turn(
+        &mut self,
+        e: usize,
+        waiting_since: &mut Option<Instant>,
+        what: std::fmt::Arguments<'_>,
+    ) {
+        if waiting_since.is_none() {
+            self.repeat_ack(e);
+        }
+        self.poll_slow(waiting_since, what);
     }
 
     /// One turn of the slow path: what the caller waits for was not on the
@@ -741,8 +766,11 @@ impl Fabric {
     /// A turn that moved nothing sleeps until the next timer expires, in one
     /// piece. Every wake-up costs its own lateness (0.1–1 ms on a virtualised
     /// host, more in bursts), and one taken before any timer is due finds
-    /// nothing to do: the awaited frame is unacknowledged at its sender, so
-    /// whatever the wait is for, a timer covers it.
+    /// nothing to do. A receive's wait has already had its frame resent on
+    /// the ACK its first turn repeated ([`Fabric::await_turn`]), so a timer
+    /// serves the waits that repeat nothing — a sender at a full window —
+    /// and a repeat that met a full socket and merged with the ACK it
+    /// settled.
     fn poll_slow(&mut self, waiting_since: &mut Option<Instant>, what: std::fmt::Arguments<'_>) {
         let mut moved = 0;
         for _pass in 0..2 {
@@ -816,10 +844,10 @@ impl Fabric {
     /// it, reads what its socket holds, runs every complete frame through
     /// its handler — `DATA` through the delivery guard, `ACK` against the
     /// send buffer — and then settles the end's ACK debt with one
-    /// cumulative `ACK` if `force_ack` asks, a duplicate or an early frame
-    /// arrived, or [`ACK_EVERY`] deliveries are owed. After a hold that
-    /// `ACK` repeats the one the hold wrote to settle earlier deliveries
-    /// (see [`Fabric::accept_data`]). Returns the frames handled.
+    /// cumulative `ACK` if `force_ack` asks, a duplicate arrived, the end
+    /// learned of a gap, or [`ACK_EVERY`] deliveries are owed. After a gap
+    /// that `ACK` repeats the one written to settle earlier deliveries
+    /// (see [`Fabric::repeat_ack`]). Returns the frames handled.
     fn drain(&mut self, e: usize, force_ack: bool) -> usize {
         let (own, peer) = (self.ends[e].own, self.ends[e].peer);
         self.uncork(self.end_ix(peer, own));
@@ -963,9 +991,9 @@ impl Fabric {
 
     /// Clears the frames an `ACK` read from end `e` covers out of its send
     /// buffer, sampling their round trips. An `ACK` that covers none is the
-    /// receiver saying it holds a later frame or saw an old one twice: a
-    /// head that was never resent is resent now, a round trip after its
-    /// loss and ahead of its timer.
+    /// receiver saying it misses the head — it holds a later frame, waits
+    /// for one, or saw an old one twice: a head that was never resent is
+    /// resent now, a round trip after its loss and ahead of its timer.
     fn collect_ack(&mut self, e: usize, cum_seq: u64) {
         let now = Instant::now();
         let end = &mut self.ends[e];
@@ -1001,9 +1029,9 @@ impl Fabric {
     /// Runs the receiver state machine on one decoded `DATA` frame read
     /// from end `e`: suppress duplicates and hold early arrivals (either
     /// way owing their sender an ACK), deliver in-order frames plus any
-    /// held successors they unblock. A new hold first writes the
-    /// cumulative `ACK` for deliveries still owed, so the one it earns,
-    /// written at the end of the drain, acknowledges nothing new and the
+    /// held successors they unblock. A new hold, and a repair that stops
+    /// with frames of the stream still held (a second gap behind the
+    /// first), each repeat the last `ACK` ([`Fabric::repeat_ack`]), so the
     /// sender resends the missing frame at once rather than on its timer.
     ///
     /// # Panics
@@ -1034,13 +1062,7 @@ impl Fabric {
                 } else {
                     self.probed().counts.holds += 1;
                     self.metrics.holds.inc();
-                    // The ACK this earns must cover nothing new, which is
-                    // how the sender learns its head went missing: settle
-                    // what is owed first, so the hold's ACK repeats it.
-                    if self.ends[e].ack_debt > 0 {
-                        self.write_ack(e);
-                    }
-                    self.ends[e].ack_owed = true;
+                    self.repeat_ack(e);
                 }
             }
             SeqVerdict::Deliver => {
@@ -1052,9 +1074,22 @@ impl Fabric {
                     self.metrics.resequenced.inc();
                     self.deliver(next, e, sn, dn);
                 }
+                if self.held.range((stream, 0)..(stream + 1, 0)).next().is_some() {
+                    self.repeat_ack(e);
+                }
             }
         }
         self.metrics.queue_held.set(self.held.len() as u64);
+    }
+
+    /// End `e` knows its sender's head is missing: the `ACK` it owes must
+    /// cover nothing new, which is how the sender learns that. So settle
+    /// whatever is owed now, and have the end's next drain repeat it.
+    fn repeat_ack(&mut self, e: usize) {
+        if self.ends[e].ack_debt > 0 {
+            self.write_ack(e);
+        }
+        self.ends[e].ack_owed = true;
     }
 
     /// A frame the guard has seen before: its sender resent it for want of

@@ -333,30 +333,62 @@ fn the_rto_is_clamped_doubles_per_timeout_and_resets_on_progress() {
     assert_eq!(rto.smoothed, smoothed, "progress resets the backoff, not the estimate");
 }
 
-#[test]
-fn a_tail_loss_is_recovered_by_one_timeout_after_rto_min_of_polling() {
+/// Two nodes whose stream 0 -> 1 has delivered and acknowledged position 1
+/// and lost the first transmission of position 2, its tail: nothing
+/// follows it, so no hold can report it missing. Returns the fabric, its
+/// ends, and the registry recording its metrics.
+fn a_lost_tail() -> (Fabric, usize, usize, Registry) {
     let (mut f, tx, rx) = two_nodes_dropping(2);
     let reg = Registry::enabled();
     f.set_metrics(&reg);
     exchange(&mut f, tx, rx, 1..=1);
     assert_eq!(f.ends[tx].rto.current(), RTO_MIN, "a loopback round trip is far below the floor");
-    let (estimate, samples) =
-        (f.ends[tx].rto, reg.histogram("wire.ack_rtt_ns.n0.n1").load().count());
-
-    // Nothing follows the dropped frame, so no ACK can report it missing.
     f.send_data(0, 1, false, &msg(2), 0);
     assert_eq!(f.counts().induced_drops, 1);
+    (f, tx, rx, reg)
+}
+
+#[test]
+fn a_tail_loss_awaited_by_a_receive_is_resent_on_the_waits_one_repeated_ack() {
+    let (mut f, _, _, reg) = a_lost_tail();
+    let events = f.enable_wire_events();
+    let start = Instant::now();
+    assert_eq!(f.recv(0, 1), msg(2));
+    let elapsed = start.elapsed();
+    assert!(elapsed < RTO_MIN, "the wait's repeated ACK recovered the loss after {elapsed:?}");
+    let count = |name| reg.counter(name).get();
+    assert_eq!((count("wire.retransmits.fast"), count("wire.retransmits.timeout")), (1, 0));
+    assert_eq!(count("wire.retransmits.first_tx_dropped"), 1);
+    assert_eq!(f.counts().retransmits, 1);
+    // The wait wrote one ACK that covers nothing new (position 1, already
+    // acknowledged) and no more; the forced one after it covers the resend.
+    let acks: Vec<u64> =
+        events.take().iter().filter(|ev| ev.kind == "wire-ack").map(|ev| ev.seq).collect();
+    assert_eq!(acks, [1, 2]);
+    assert_eq!(f.counts().dups_dropped, 0);
+}
+
+#[test]
+fn a_wait_with_no_receive_behind_it_recovers_a_tail_loss_after_rto_min_of_polling() {
+    let (mut f, tx, rx, reg) = a_lost_tail();
+    let (estimate, samples) =
+        (f.ends[tx].rto, reg.histogram("wire.ack_rtt_ns.n0.n1").load().count());
     // Time nobody spends polling is not evidence of loss.
     std::thread::sleep(RTO_MIN);
-    let waiting_since = Instant::now();
-    assert_eq!(f.recv(0, 1), msg(2));
-    assert!(waiting_since.elapsed() >= RTO_MIN, "resent after {:?}", waiting_since.elapsed());
-    assert_eq!(f.counts().retransmits, 1);
+    // A wait that repeats no ACK — a sender's at a full window — has only
+    // the stream's timer to find the loss.
+    let mut waiting_since = None;
+    while f.counts().retransmits == 0 {
+        f.poll_slow(&mut waiting_since, format_args!("the lost tail's resend"));
+    }
+    let waited = waiting_since.expect("the wait took a turn").elapsed();
+    assert!(waited >= RTO_MIN, "resent after {waited:?}");
     let count = |name| reg.counter(name).get();
     assert_eq!((count("wire.retransmits.timeout"), count("wire.retransmits.fast")), (1, 0));
     assert_eq!(count("wire.retransmits.first_tx_dropped"), 1);
     assert_eq!(reg.histogram("wire.rto_ns.n0.n1").load().count(), 1);
     assert_eq!(f.ends[tx].rto.current(), RTO_MIN * 2, "backed off until an ACK makes progress");
+    assert_eq!(f.recv(0, 1), msg(2));
 
     // The ACK of a resent frame restarts the timer but is no RTT sample.
     f.drain(rx, true);
@@ -365,6 +397,66 @@ fn a_tail_loss_is_recovered_by_one_timeout_after_rto_min_of_polling() {
     assert_eq!(f.ends[tx].rto, estimate);
     assert_eq!(reg.histogram("wire.ack_rtt_ns.n0.n1").load().count(), samples);
     assert_eq!(f.counts().dups_dropped, 0);
+}
+
+#[test]
+fn a_second_loss_behind_a_repaired_one_is_resent_on_the_repairs_repeated_ack() {
+    let (mut f, tx, rx) = two_nodes();
+    let reg = Registry::enabled();
+    f.set_metrics(&reg);
+    exchange(&mut f, tx, rx, 1..=1);
+    // Positions 2 and 3 are lost, 4 and 5 follow them.
+    f.drops = DropPlan { drop_every: 1 };
+    for seq in 2..=3 {
+        f.send_data(0, 1, false, &msg(seq), 0);
+    }
+    f.drops = DropPlan::default();
+    for seq in 4..=5 {
+        f.send_data(0, 1, false, &msg(seq), 0);
+    }
+    assert_eq!(f.counts().induced_drops, 2);
+    // 4 and 5 are held, and their repeated ACK resends 2.
+    assert_eq!(f.drain(rx, false), 2);
+    assert_eq!(f.drain(tx, false), 1);
+    // 2 repairs one gap but leaves 4 and 5 held behind the next: the end
+    // settles 2 and repeats that ACK, and the repeat resends 3.
+    let acks = f.counts().acks_sent;
+    assert_eq!(f.drain(rx, false), 1);
+    assert_eq!(f.counts().acks_sent, acks + 2);
+    assert_eq!(f.drain(tx, false), 2);
+    assert!(f.ends[tx].unacked.iter().map(|u| (u.seq, u.retransmitted)).eq([
+        (3, true),
+        (4, false),
+        (5, false)
+    ]));
+    for seq in 2..=5 {
+        assert_eq!(f.recv(0, 1), msg(seq));
+    }
+    let count = |name| reg.counter(name).get();
+    assert_eq!((count("wire.retransmits.fast"), count("wire.retransmits.timeout")), (2, 0));
+    let counts = f.counts();
+    assert_eq!(
+        (counts.retransmits, counts.holds, counts.resequenced, counts.dups_dropped),
+        (2, 2, 2, 0),
+        "{counts:?}"
+    );
+}
+
+#[test]
+fn a_dead_wait_repeats_one_ack_and_then_sleeps() {
+    // Stream 0 -> 1 has lost its only frame, so its timer is armed; the
+    // wait is for a message 1 -> 0 that nobody sent.
+    let (mut f, tx, _) = two_nodes_dropping(1);
+    f.send_data(0, 1, false, &msg(1), 0);
+    let mut waiting_since = None;
+    f.await_turn(tx, &mut waiting_since, format_args!("a message nobody sent"));
+    assert_eq!(f.counts().acks_sent, 1, "the first turn repeats the end's last ACK");
+    let start = Instant::now();
+    f.await_turn(tx, &mut waiting_since, format_args!("a message nobody sent"));
+    assert_eq!(f.counts().acks_sent, 1, "the second turn writes nothing");
+    // With nothing to do it slept until the lost frame's timer was due.
+    assert!(start.elapsed() >= RTO_MIN, "the second turn returned after {:?}", start.elapsed());
+    assert_eq!(f.counts().retransmits, 0);
 }
 
 #[test]

@@ -79,6 +79,9 @@ fn expected() -> Vec<(&'static str, Frame)> {
         // The same ACK again, for two frames held behind a missing third:
         // the fast-retransmit signal is a repetition, not a new frame kind.
         ("ack-repeated", Frame::Ack { version: VERSION, cum_seq: 41 + 16 }),
+        // A wait's repeat after 58..=60 were delivered and acknowledged: the
+        // same signal for a tail loss.
+        ("ack-waiting", Frame::Ack { version: VERSION, cum_seq: 41 + 19 }),
         ("bye", Frame::Bye),
     ]
 }
