@@ -213,6 +213,8 @@ struct DiffRow {
     io: [u64; 3],
     /// Frames sent again; a lossless wire resends none.
     retransmits: u64,
+    /// `ACK` frames written.
+    acks: u64,
 }
 
 /// Extracts the sampled per-pair ACK-RTT histograms from a registry
@@ -304,12 +306,13 @@ fn main() {
                 io: ["reads", "writes", "would_block"]
                     .map(|what| snap.counter(&format!("wire.io.{what}"))),
                 retransmits: counts.retransmits,
+                acks: counts.acks_sent,
             };
             let [reads, writes, would_block] = row.io;
             println!(
                 "differential {:<9} {:<4} counters {} ({:.1}ms, {} ACK-RTT pair(s) sampled; \
                  {} frames: {reads} reads + {writes} writes = {:.2}/frame, {would_block} \
-                 would-block, {} retransmits)",
+                 would-block, {} retransmits, {} ACKs)",
                 row.app,
                 backend.label(),
                 if row.pass { "equal" } else { "DIVERGED" },
@@ -318,6 +321,7 @@ fn main() {
                 row.data_frames,
                 (reads + writes) as f64 / row.data_frames.max(1) as f64,
                 row.retransmits,
+                row.acks,
             );
             rows.push(row);
         }
@@ -389,13 +393,14 @@ fn main() {
         && metrics_match_drops;
     println!(
         "retransmit LU uds drop_every=7: counters {} drops={} retransmits={} (fast {fast} + \
-         timeout {timeout}, {rto_summary}) holds={} resequenced={} metric \
+         timeout {timeout}, {rto_summary}) holds={} resequenced={} acks={} metric \
          first_tx_dropped={} ({}) ({retransmit_wall_ms:.1}ms, {ms_per_drop:.2} ms/drop)",
         if counters_equal(&sim, &wire) { "equal" } else { "DIVERGED" },
         counts.induced_drops,
         counts.retransmits,
         counts.holds,
         counts.resequenced,
+        counts.acks_sent,
         first_tx_dropped,
         if metrics_match_drops { "matches drops" } else { "MISMATCH" },
     );
@@ -465,19 +470,20 @@ fn main() {
                 .collect();
             let [reads, writes, would_block] = r.io;
             format!(
-                "{{\"app\": \"{}\", \"backend\": \"{}\", \"pass\": {}, \"wall_ms\": {:.2}, \"data_frames\": {}, \"retransmits\": {}, \"io\": {{\"reads\": {reads}, \"writes\": {writes}, \"would_block\": {would_block}}}, \"ack_rtt_pairs\": [{}]}}",
+                "{{\"app\": \"{}\", \"backend\": \"{}\", \"pass\": {}, \"wall_ms\": {:.2}, \"data_frames\": {}, \"retransmits\": {}, \"acks\": {}, \"io\": {{\"reads\": {reads}, \"writes\": {writes}, \"would_block\": {would_block}}}, \"ack_rtt_pairs\": [{}]}}",
                 r.app,
                 r.backend.label(),
                 r.pass,
                 Num(r.wall_ms),
                 r.data_frames,
                 r.retransmits,
+                r.acks,
                 pairs.join(", "),
             )
         })
         .collect();
     entry.members(&format!(
-        "\"handshake\": [{}], \"round_trip\": [{}], \"differential\": [{}], \"retransmit\": {{\"induced_drops\": {}, \"retransmits\": {}, \"fast\": {fast}, \"timeout\": {timeout}, \"rto_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}}, \"holds\": {}, \"resequenced\": {}, \"first_tx_dropped_metric\": {first_tx_dropped}, \"metrics_match_drops\": {metrics_match_drops}, \"pass\": {retransmit_pass}, \"wall_ms\": {:.2}, \"ms_per_drop\": {:.3}}}",
+        "\"handshake\": [{}], \"round_trip\": [{}], \"differential\": [{}], \"retransmit\": {{\"induced_drops\": {}, \"retransmits\": {}, \"fast\": {fast}, \"timeout\": {timeout}, \"rto_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}}, \"holds\": {}, \"resequenced\": {}, \"acks\": {}, \"first_tx_dropped_metric\": {first_tx_dropped}, \"metrics_match_drops\": {metrics_match_drops}, \"pass\": {retransmit_pass}, \"wall_ms\": {:.2}, \"ms_per_drop\": {:.3}}}",
         handshake.join(", "),
         round_trip.join(", "),
         differential.join(", "),
@@ -488,6 +494,7 @@ fn main() {
         Num(rto_max),
         counts.holds,
         counts.resequenced,
+        counts.acks_sent,
         Num(retransmit_wall_ms),
         Num(ms_per_drop),
     ));

@@ -39,8 +39,8 @@
 //! receive waits on it and its read comes back empty — repeats its last
 //! `ACK`, and the sender resends the stream's head at once. A per-stream
 //! timer derived from measured round trips stays as the safety net, for
-//! the waits no receive makes (a sender at a full window) — see
-//! `loopback.rs` and `docs/TRANSPORT.md` §3.3.
+//! the waits no receive makes (a sender at a full window). These rules are
+//! `stream.rs`'s socket-free machine — see `docs/TRANSPORT.md` §3.3.
 //!
 //! The substitution is what gives the differential harness teeth: a codec
 //! bug, a framing bug, a resequencing bug, or a lost frame either panics
@@ -76,6 +76,7 @@ use shasta_core::protocol::ProtoMsg;
 use shasta_obs::Registry;
 
 mod loopback;
+mod stream;
 pub mod wire;
 
 pub use loopback::{Backend, DropPlan, WireCounts, WireCountsProbe, WireEvent, WireEventsProbe};

@@ -8,6 +8,8 @@
 use shasta_core::space::Block;
 
 use super::*;
+use crate::stream::tests::{held, rto, smoothed, unacked};
+use crate::stream::{ACK_EVERY, RTO_MIN};
 
 /// Two single-processor nodes; processor 0 sends to processor 1.
 fn two_nodes() -> (Fabric, usize, usize) {
@@ -33,7 +35,7 @@ fn exchange(f: &mut Fabric, tx: usize, rx: usize, seqs: std::ops::RangeInclusive
     }
     f.drain(rx, true);
     f.drain(tx, false);
-    assert!(f.ends[tx].unacked.is_empty());
+    assert!(unacked(&f.ends[tx].tx).is_empty());
 }
 
 fn msg(seq: u64) -> ProtoMsg {
@@ -85,7 +87,7 @@ fn a_duplicate_is_dropped_and_answered_with_the_cumulative_ack() {
     f.send_data(0, 1, false, &msg(1), 0);
     assert_eq!(f.recv(0, 1), msg(1));
     assert_eq!(f.counts().acks_sent, 0, "one delivery is below the ACK interval");
-    assert_eq!(f.ends[tx].unacked.len(), 1);
+    assert_eq!(unacked(&f.ends[tx].tx).len(), 1);
 
     f.write_frame(tx, &data(1), true);
     assert_eq!(f.drain(rx, false), 1);
@@ -95,20 +97,20 @@ fn a_duplicate_is_dropped_and_answered_with_the_cumulative_ack() {
 
     // The re-ACK is cumulative: collecting it empties the send buffer.
     assert_eq!(f.drain(tx, false), 1);
-    assert!(f.ends[tx].unacked.is_empty());
+    assert!(unacked(&f.ends[tx].tx).is_empty());
     assert_eq!(f.unacked_depth, 0);
 }
 
 #[test]
 fn a_reordered_pair_is_held_and_resequenced() {
-    let (mut f, tx, _) = two_nodes();
+    let (mut f, tx, rx) = two_nodes();
     f.write_frame(tx, &data(2), true);
     f.write_frame(tx, &data(1), true);
     assert_eq!(f.recv(0, 1), msg(1));
     assert_eq!(f.recv(0, 1), msg(2));
     let counts = f.counts();
     assert_eq!((counts.holds, counts.resequenced, counts.dups_dropped), (1, 1, 0), "{counts:?}");
-    assert!(f.held.is_empty());
+    assert_eq!(held(&f.ends[rx].rx), 0);
 }
 
 #[test]
@@ -152,17 +154,17 @@ fn an_ack_that_would_block_stays_owed_and_is_never_written_in_part() {
     let parked = park(&mut f, rx, |_| noop.clone());
     f.write_frame(tx, &data(1), true);
     f.drain(rx, false);
-    assert!(f.ends[rx].ack_owed, "the re-ACK met a full socket");
+    assert!(f.ends[rx].rx.ack_due(false), "the re-ACK met a full socket");
     assert_eq!(f.counts().acks_sent, 0);
     // Every byte the sending end reads is a whole frame, and the ACK goes
     // out with the owing end's next drain.
     assert_eq!(f.drain(tx, false), parked);
     assert_eq!(f.ends[tx].reader.buffered(), 0);
     f.drain(rx, false);
-    assert!(!f.ends[rx].ack_owed);
+    assert!(!f.ends[rx].rx.ack_due(false));
     assert_eq!(f.counts().acks_sent, 1);
     assert_eq!(f.drain(tx, false), 1);
-    assert!(f.ends[tx].unacked.is_empty());
+    assert!(unacked(&f.ends[tx].tx).is_empty());
 }
 
 #[test]
@@ -185,8 +187,8 @@ fn sends_are_corked_until_the_receiving_end_is_drained() {
         assert_eq!(f.recv(0, 1), msg(seq));
     }
     // The timers and round trips run from the write, not the send.
-    assert!(f.ends[tx].unacked.iter().all(|u| u.first_sent >= after_sends));
-    assert!(f.ends[tx].unacked.iter().all(|u| u.last_sent == u.first_sent));
+    assert!(unacked(&f.ends[tx].tx).iter().all(|u| u.first_sent >= after_sends));
+    assert!(unacked(&f.ends[tx].tx).iter().all(|u| u.last_sent == u.first_sent));
 }
 
 #[test]
@@ -202,12 +204,11 @@ fn a_loss_inside_a_corked_batch_is_resent_on_a_repeated_ack() {
     // deliveries with an ACK of 3 and then earns a second ACK of 3.
     assert_eq!(f.drain(rx, false), 4);
     assert_eq!(f.counts().acks_sent, 2);
-    let (lost, next) = (&f.ends[tx].unacked[3], &f.ends[tx].unacked[4]);
+    let (lost, next) = (&unacked(&f.ends[tx].tx)[3], &unacked(&f.ends[tx].tx)[4]);
     assert_eq!(lost.first_sent, next.first_sent, "stamped with the batch it was dropped from");
     // The first clears 1..=3, the second covers nothing: 4 is resent at once.
     assert_eq!(f.drain(tx, false), 2);
-    assert!(f.ends[tx]
-        .unacked
+    assert!(unacked(&f.ends[tx].tx)
         .iter()
         .map(|u| (u.seq, u.retransmitted))
         .eq([(4, true), (5, false)]));
@@ -262,8 +263,8 @@ fn a_settling_ack_that_meets_a_full_socket_leaves_recovery_to_the_timer() {
     // 1..=3 are delivered, 5 is held, and neither the ACK settling 1..=3
     // nor the hold's repeat of it can be written.
     assert_eq!(f.drain(rx, false), 4);
-    assert!(f.ends[rx].ack_owed);
-    assert_eq!((f.ends[rx].ack_debt, f.counts().acks_sent), (3, 0));
+    assert!(f.ends[rx].rx.ack_due(false));
+    assert_eq!((f.ends[rx].rx.cum_seq(), f.counts().acks_sent), (3, 0));
 
     // The owed ACK goes out once the socket drains, covering 1..=3: to the
     // sender that is progress, not a repeat, so 4 waits for its timer.
@@ -276,61 +277,9 @@ fn a_settling_ack_that_meets_a_full_socket_leaves_recovery_to_the_timer() {
     assert_eq!(f.inboxes[f.inbox_ix(1, 0)].len(), parked);
     f.drain(rx, true);
     f.drain(tx, false);
-    assert!(f.ends[tx].unacked.is_empty());
+    assert!(unacked(&f.ends[tx].tx).is_empty());
     let counts = f.counts();
     assert_eq!((counts.holds, counts.resequenced, counts.dups_dropped), (1, 1, 0), "{counts:?}");
-}
-
-const fn us(n: u64) -> Duration {
-    Duration::from_micros(n)
-}
-
-#[test]
-fn the_rto_follows_rfc_6298() {
-    let mut rto = Rto::default();
-    assert_eq!(rto.current(), RTO_MAX, "no sample yet");
-
-    // First sample R: SRTT = R, RTTVAR = R/2, RTO = 3R.
-    rto.sample(us(2_000));
-    assert_eq!(rto.smoothed, Some((us(2_000), us(1_000))));
-    assert_eq!(rto.current(), us(6_000));
-
-    // Then RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R| and SRTT = 7/8 SRTT + 1/8 R,
-    // the deviation taken against the old SRTT.
-    for (r, srtt, rttvar) in [
-        (us(3_600), us(2_200), us(1_150)),
-        (us(600), us(2_000), us(1_262) + Duration::from_nanos(500)),
-        (us(2_000), us(2_000), us(946) + Duration::from_nanos(875)),
-    ] {
-        rto.sample(r);
-        assert_eq!(rto.smoothed, Some((srtt, rttvar)), "after a sample of {r:?}");
-        assert_eq!(rto.current(), srtt + rttvar * 4);
-    }
-}
-
-#[test]
-fn the_rto_is_clamped_doubles_per_timeout_and_resets_on_progress() {
-    for (r, want) in [(us(5), RTO_MIN), (us(666), RTO_MIN), (us(1_500), us(4_500))] {
-        let mut rto = Rto::default();
-        rto.sample(r);
-        assert_eq!(rto.current(), want, "one sample of {r:?}");
-    }
-    let mut rto = Rto::default();
-    rto.sample(Duration::from_millis(40));
-    assert_eq!(rto.current(), RTO_MAX);
-
-    let mut rto = Rto::default();
-    rto.sample(us(100));
-    let mut seen = Vec::new();
-    for _ in 0..6 {
-        seen.push(rto.current());
-        rto.timeout();
-    }
-    assert_eq!(seen, [RTO_MIN, RTO_MIN * 2, RTO_MAX, RTO_MAX, RTO_MAX, RTO_MAX]);
-    let smoothed = rto.smoothed;
-    rto.progress();
-    assert_eq!(rto.current(), RTO_MIN);
-    assert_eq!(rto.smoothed, smoothed, "progress resets the backoff, not the estimate");
 }
 
 /// Two nodes whose stream 0 -> 1 has delivered and acknowledged position 1
@@ -342,7 +291,11 @@ fn a_lost_tail() -> (Fabric, usize, usize, Registry) {
     let reg = Registry::enabled();
     f.set_metrics(&reg);
     exchange(&mut f, tx, rx, 1..=1);
-    assert_eq!(f.ends[tx].rto.current(), RTO_MIN, "a loopback round trip is far below the floor");
+    assert_eq!(
+        rto(&f.ends[tx].tx).current(),
+        RTO_MIN,
+        "a loopback round trip is far below the floor"
+    );
     f.send_data(0, 1, false, &msg(2), 0);
     assert_eq!(f.counts().induced_drops, 1);
     (f, tx, rx, reg)
@@ -372,7 +325,7 @@ fn a_tail_loss_awaited_by_a_receive_is_resent_on_the_waits_one_repeated_ack() {
 fn a_wait_with_no_receive_behind_it_recovers_a_tail_loss_after_rto_min_of_polling() {
     let (mut f, tx, rx, reg) = a_lost_tail();
     let (estimate, samples) =
-        (f.ends[tx].rto, reg.histogram("wire.ack_rtt_ns.n0.n1").load().count());
+        (rto(&f.ends[tx].tx), reg.histogram("wire.ack_rtt_ns.n0.n1").load().count());
     // Time nobody spends polling is not evidence of loss.
     std::thread::sleep(RTO_MIN);
     // A wait that repeats no ACK — a sender's at a full window — has only
@@ -387,14 +340,18 @@ fn a_wait_with_no_receive_behind_it_recovers_a_tail_loss_after_rto_min_of_pollin
     assert_eq!((count("wire.retransmits.timeout"), count("wire.retransmits.fast")), (1, 0));
     assert_eq!(count("wire.retransmits.first_tx_dropped"), 1);
     assert_eq!(reg.histogram("wire.rto_ns.n0.n1").load().count(), 1);
-    assert_eq!(f.ends[tx].rto.current(), RTO_MIN * 2, "backed off until an ACK makes progress");
+    assert_eq!(
+        rto(&f.ends[tx].tx).current(),
+        RTO_MIN * 2,
+        "backed off until an ACK makes progress"
+    );
     assert_eq!(f.recv(0, 1), msg(2));
 
     // The ACK of a resent frame restarts the timer but is no RTT sample.
     f.drain(rx, true);
     f.drain(tx, false);
-    assert!(f.ends[tx].unacked.is_empty());
-    assert_eq!(f.ends[tx].rto, estimate);
+    assert!(unacked(&f.ends[tx].tx).is_empty());
+    assert_eq!(rto(&f.ends[tx].tx), estimate);
     assert_eq!(reg.histogram("wire.ack_rtt_ns.n0.n1").load().count(), samples);
     assert_eq!(f.counts().dups_dropped, 0);
 }
@@ -424,7 +381,7 @@ fn a_second_loss_behind_a_repaired_one_is_resent_on_the_repairs_repeated_ack() {
     assert_eq!(f.drain(rx, false), 1);
     assert_eq!(f.counts().acks_sent, acks + 2);
     assert_eq!(f.drain(tx, false), 2);
-    assert!(f.ends[tx].unacked.iter().map(|u| (u.seq, u.retransmitted)).eq([
+    assert!(unacked(&f.ends[tx].tx).iter().map(|u| (u.seq, u.retransmitted)).eq([
         (3, true),
         (4, false),
         (5, false)
@@ -465,7 +422,7 @@ fn a_mid_stream_loss_is_reported_by_a_repeated_ack_and_resent_at_once() {
     let reg = Registry::enabled();
     f.set_metrics(&reg);
     exchange(&mut f, tx, rx, 1..=2);
-    let (acks, estimate) = (f.counts().acks_sent, f.ends[tx].rto);
+    let (acks, estimate) = (f.counts().acks_sent, rto(&f.ends[tx].tx));
     for seq in 3..=5 {
         f.send_data(0, 1, false, &msg(seq), 0);
     }
@@ -479,17 +436,17 @@ fn a_mid_stream_loss_is_reported_by_a_repeated_ack_and_resent_at_once() {
     // Collecting it resends the head, and only the head, with no timer.
     assert_eq!(f.drain(tx, false), 1);
     assert_eq!(f.counts().retransmits, 1);
-    assert!(f.ends[tx].unacked.iter().map(|u| u.retransmitted).eq([true, false, false]));
+    assert!(unacked(&f.ends[tx].tx).iter().map(|u| u.retransmitted).eq([true, false, false]));
     for seq in 3..=5 {
         assert_eq!(f.recv(0, 1), msg(seq));
     }
 
     f.drain(rx, true);
     f.drain(tx, false);
-    assert!(f.ends[tx].unacked.is_empty());
+    assert!(unacked(&f.ends[tx].tx).is_empty());
     // The successors were held for the repair: the ACK that covers them
     // with the resent head times the repair, not a round trip.
-    assert_eq!(f.ends[tx].rto, estimate);
+    assert_eq!(rto(&f.ends[tx].tx), estimate);
     let counts = f.counts();
     assert_eq!(
         (counts.retransmits, counts.resequenced, counts.dups_dropped),
@@ -508,7 +465,7 @@ fn an_ack_gives_the_timer_one_sample_and_the_histogram_one_per_frame() {
     exchange(&mut f, tx, rx, 1..=3);
     assert_eq!(reg.histogram("wire.ack_rtt_ns.n0.n1").load().count(), 3);
     // A second sample would have moved RTTVAR off SRTT / 2.
-    let (srtt, rttvar) = f.ends[tx].rto.smoothed.expect("the ACK covered a never-resent frame");
+    let (srtt, rttvar) = smoothed(&f.ends[tx].tx).expect("the ACK covered a never-resent frame");
     assert_eq!(rttvar, srtt / 2);
 }
 

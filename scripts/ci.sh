@@ -14,15 +14,18 @@ echo "==> no hashed tables in the protocol, the kernels or the wire's message pa
 # scan (docs/PERFORMANCE.md, "Tables without hashing"): SipHash was 15-20 %
 # of a run there, so it must not come back unnoticed. The socket wire's
 # inboxes are direct-indexed too (docs/PERFORMANCE.md, "The wire path");
-# its test module is exempt.
+# test modules (a file's `#[cfg(test)]` tail, and `tests.rs` files) are
+# exempt.
 if git grep -nE '\bHash(Map|Set)\b' -- crates/core/src crates/apps/src; then
   echo "HashMap/HashSet in crates/core/src or crates/apps/src"
   exit 1
 fi
-if sed '/^#\[cfg(test)\]/,$d' crates/transport/src/loopback.rs | grep -nE '\bHash(Map|Set)\b'; then
-  echo "HashMap/HashSet outside the tests of crates/transport/src/loopback.rs"
-  exit 1
-fi
+for f in $(find crates/transport/src -name '*.rs' ! -name tests.rs | sort); do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\bHash(Map|Set)\b'; then
+    echo "HashMap/HashSet outside the tests of $f"
+    exit 1
+  fi
+done
 
 echo "==> no ordered or hashed maps on the recorder's per-event path"
 # The sharing profiler finds a block's history through per-allocation slot
