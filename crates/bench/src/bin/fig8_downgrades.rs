@@ -19,9 +19,11 @@ use shasta_stats::Table;
 fn row(spec: &AppSpec, preset: Preset, procs: u32) -> Vec<String> {
     let (st, log) = run_observed(spec, preset, Proto::Smp, procs, 4, false);
     let profile = log.profile().expect("the run attached the space map");
-    let (downgrades, to_inv, resolved) = profile.blocks().fold((0, 0, 0), |(n, inv, r), (_, b)| {
-        (n + b.downgrades, inv + b.downgrades_to_invalid, r + b.downgrade_resolutions)
-    });
+    let (downgrades, to_inv, resolved) =
+        profile.blocks().fold((0u64, 0u64, 0u64), |(n, inv, r), (_, b)| {
+            let (d, i, res) = (b.downgrades, b.downgrades_to_invalid, b.downgrade_resolutions);
+            (n + u64::from(d), inv + u64::from(i), r + u64::from(res))
+        });
     let h = &st.downgrades;
     let pct = |k: usize| format!("{:.1}%", h.fraction(k) * 100.0);
     vec![

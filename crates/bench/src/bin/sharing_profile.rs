@@ -18,11 +18,18 @@
 //!    hint reduces simulated cycles — are the closed-loop acceptance check,
 //!    asserted once the entry is written.
 //!
+//! The entry also records what a recorded run keeps resident, on the
+//! benchmark's recorded workload (the four Table 2 kernels LU, Barnes,
+//! Water-Nsq and Volrend under SMP-Shasta 16p/c4, at the same preset): ring
+//! bytes per event, profiler bytes per touched block and the bytes one
+//! pass's four logs hold. Nothing of it is printed; the trajectory gate
+//! (`crates/bench/tests/trajectories.rs`) bounds the last entry's.
+//!
 //! ```text
 //! sharing_profile [--preset tiny|default|large] [--out PATH]
 //! ```
 
-use shasta_apps::{registry, run_app_observed, Body, DsmApp, PlanOpts, Proto, RunConfig};
+use shasta_apps::{registry, run_app_observed, Body, DsmApp, PlanOpts, Preset, Proto, RunConfig};
 use shasta_bench::trajectory::{Entry, Num};
 use shasta_bench::{preset_from_args, run, run_observed};
 use shasta_core::protocol::SetupCtx;
@@ -129,6 +136,36 @@ fn sites_json(reports: &[SiteReport]) -> String {
     format!("[{}]", rows.join(", "))
 }
 
+/// What one pass of the benchmark's recorded workload keeps: its four logs'
+/// events, the bytes encoding them, the blocks their profilers touched, a
+/// profiler record's size, and the heap bytes the profilers and the whole
+/// logs hold.
+#[derive(Default)]
+struct Footprint {
+    events: usize,
+    ring_bytes: usize,
+    touched: usize,
+    record_bytes: usize,
+    profiler_bytes: usize,
+    log_bytes: usize,
+}
+
+fn recorded_footprint(preset: Preset) -> Footprint {
+    let mut f = Footprint::default();
+    for name in ["LU", "Barnes", "Water-Nsq", "Volrend"] {
+        let spec = registry().into_iter().find(|s| s.name == name).expect("a registered kernel");
+        let (_, log) = run_observed(&spec, preset, Proto::Smp, 16, 4, false);
+        let profile = log.profile().expect("observed runs attach the space map");
+        f.events += log.len();
+        f.ring_bytes += log.ring_bytes();
+        f.touched += profile.touched();
+        f.record_bytes = profile.record_bytes();
+        f.profiler_bytes += profile.held_bytes();
+        f.log_bytes += log.held_bytes();
+    }
+    f
+}
+
 fn delta_pct(base: u64, new: u64) -> f64 {
     (new as f64 / base as f64 - 1.0) * 100.0
 }
@@ -178,6 +215,10 @@ fn main() {
         delta_pct(synth_base, synth_hint),
     );
 
+    let foot = recorded_footprint(preset);
+    let ring_per_event = foot.ring_bytes as f64 / foot.events as f64;
+    let profiler_per_block = foot.profiler_bytes as f64 / foot.touched as f64;
+
     let mut entry = Entry::new(
         "sharing_advisor",
         &format!("\"preset\": \"{preset:?}\", \"proto\": \"Base\", \"procs\": {PROCS}"),
@@ -186,7 +227,7 @@ fn main() {
     entry.criterion("recommendation_shrinks_block", rec < region_bytes);
     entry.criterion("hint_reduces_cycles", synth_hint < synth_base);
     entry.members(&format!(
-        "\"kernel\": {{\"name\": \"{}\", \"cycles_base\": {}, \"cycles_table2_hints\": {}, \"cycle_delta_pct\": {:.2}, \"sites\": {}}}, \"synthetic\": {{\"block_bytes\": {region_bytes}, \"blocks_false_shared\": {fs_blocks}, \"recommended_bytes\": {rec}, \"cycles_base\": {synth_base}, \"cycles_with_hint\": {synth_hint}, \"cycle_delta_pct\": {:.2}, \"sites\": {}}}",
+        "\"kernel\": {{\"name\": \"{}\", \"cycles_base\": {}, \"cycles_table2_hints\": {}, \"cycle_delta_pct\": {:.2}, \"sites\": {}}}, \"synthetic\": {{\"block_bytes\": {region_bytes}, \"blocks_false_shared\": {fs_blocks}, \"recommended_bytes\": {rec}, \"cycles_base\": {synth_base}, \"cycles_with_hint\": {synth_hint}, \"cycle_delta_pct\": {:.2}, \"sites\": {}}}, \"recorded_footprint\": {{\"workload\": \"smp16c4_recorded\", \"events\": {}, \"ring_bytes\": {}, \"ring_bytes_per_event\": {:.3}, \"touched_blocks\": {}, \"profile_record_bytes\": {}, \"profiler_bytes\": {}, \"profiler_bytes_per_block\": {:.1}, \"log_bytes_per_pass\": {}}}",
         spec.name,
         kernel_base.elapsed_cycles,
         kernel_vg.elapsed_cycles,
@@ -194,6 +235,14 @@ fn main() {
         sites_json(&kernel_reports),
         Num(delta_pct(synth_base, synth_hint)),
         sites_json(&reports),
+        foot.events,
+        foot.ring_bytes,
+        Num(ring_per_event),
+        foot.touched,
+        foot.record_bytes,
+        foot.profiler_bytes,
+        Num(profiler_per_block),
+        foot.log_bytes,
     ));
     entry.append();
 }

@@ -82,9 +82,9 @@ fn profiled_downgrades_match_the_engine_count_on_table2_kernels() {
     for spec in apps_for(true, false) {
         let (stats, log) = run_observed(&spec, Preset::Tiny, Proto::Smp, 8, 4, false);
         let profile = log.profile().expect("the run attached the space map");
-        let (downgrades, resolved) = profile
-            .blocks()
-            .fold((0, 0), |(n, r), (_, b)| (n + b.downgrades, r + b.downgrade_resolutions));
+        let (downgrades, resolved) = profile.blocks().fold((0u64, 0u64), |(n, r), (_, b)| {
+            (n + u64::from(b.downgrades), r + u64::from(b.downgrade_resolutions))
+        });
         let name = spec.name;
         assert_eq!(downgrades, stats.downgrades.total(), "{name}: profiled downgrades");
         assert!(resolved <= downgrades, "{name}: {resolved} resolved of {downgrades}");
@@ -93,13 +93,13 @@ fn profiled_downgrades_match_the_engine_count_on_table2_kernels() {
 
 /// A recorded event costs a few bytes of ring, counted rather than timed:
 /// the four kernels of the benchmark's recorded workload at Tiny, SMP
-/// 16p/c4, keep every event they record at no more than 6 bytes an event
-/// (5.0 today: 546 987 bytes for 110 250 events, each receive carrying its
-/// send stamp; 4.7 without). A change that widens the encoding fails here:
-/// writing times whole rather than as steps read 6.3, and blocks whole as
-/// well 6.8.
+/// 16p/c4, keep every event they record at no more than 4.5 bytes an event
+/// (4.04 today: 445 881 bytes for 110 250 events, each receive carrying its
+/// send stamp). A change that widens the encoding fails here: writing each
+/// slice's start and each repeated block, as the encoding did before it
+/// left out what the stream predicts, read 4.96.
 #[test]
-fn a_recorded_event_takes_at_most_six_bytes_of_ring() {
+fn a_recorded_event_takes_at_most_four_and_a_half_bytes_of_ring() {
     let (mut events, mut bytes) = (0, 0);
     for name in ["LU", "Barnes", "Water-Nsq", "Volrend"] {
         let spec = registry().into_iter().find(|s| s.name == name).expect("a registered kernel");
@@ -108,7 +108,7 @@ fn a_recorded_event_takes_at_most_six_bytes_of_ring() {
         bytes += log.ring_bytes();
     }
     assert!(events > 10_000, "{events} events recorded");
-    assert!(bytes <= 6 * events, "{bytes} ring bytes for {events} events");
+    assert!(2 * bytes <= 9 * events, "{bytes} ring bytes for {events} events");
 }
 
 /// The critical path follows the edges the engine recorded under every

@@ -139,8 +139,9 @@ fn profiler_message_totals_match_the_message_aggregate() {
     let log = m.take_obs();
     log.crosscheck(&stats.messages).expect("engine and network agree");
     let profile = log.profile().expect("the run attached the space map");
-    let profiled =
-        profile.blocks().fold((0, 0), |(n, b), (_, h)| (n + h.protocol_msgs, b + h.protocol_bytes));
+    let profiled = profile
+        .blocks()
+        .fold((0, 0), |(n, b), (_, h)| (n + u64::from(h.protocol_msgs), b + h.protocol_bytes()));
     let sync = |kind: &str| kind.starts_with("lock-") || kind.starts_with("barrier-");
     let (mut known, mut all) = ((0, 0), (0, 0));
     for e in log.iter() {

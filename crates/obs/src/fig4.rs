@@ -37,6 +37,11 @@ impl Fig4Agg {
         Fig4Agg { procs: vec![ProcAgg::default(); procs] }
     }
 
+    /// Heap bytes the aggregator holds.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.procs.capacity() * std::mem::size_of::<ProcAgg>()
+    }
+
     /// Number of processors tracked.
     pub fn procs(&self) -> usize {
         self.procs.len()

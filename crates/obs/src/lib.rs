@@ -48,7 +48,8 @@
 //! A disabled recorder costs the engine one branch per event. This crate
 //! is dependency-light (only `shasta-stats`, for the counter and category
 //! types the events carry); an enabled one allocates on the record path
-//! only when a ring opens its next 32 KiB chunk.
+//! only when a ring opens its next 16 KiB chunk or the sharing profiler its
+//! next chunk of block records.
 //!
 //! See `docs/OBSERVABILITY.md` for the event schema, the ring design, and
 //! a worked example that captures the Figure 2(b) downgrade race.

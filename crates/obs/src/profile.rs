@@ -17,8 +17,11 @@
 //!
 //! Histories are found the way the engine finds a directory entry: each
 //! allocation keeps one slot per block, indexed directly by the block's
-//! offset, that points into one table of histories kept in first-touch
+//! offset, that points into one table of block records kept in first-touch
 //! order (a block outside every allocation goes on a short side list).
+//! The table grows in chunks of 128 records that are never reallocated,
+//! and a record keeps only what a block's events cannot derive: `u32`
+//! counters, `u32` extents, and no block size (its allocation has it).
 //! Reports sort that table by address when they are built, not per event.
 //!
 //! Each block history divides the block into [`SUBLINES`] equal sublines and
@@ -37,6 +40,7 @@
 //! processor → physical-node and → coherence-node mappings) when
 //! observation is enabled.
 
+use std::mem::size_of;
 use std::ops::Deref;
 
 use shasta_stats::{Hops, MissKind};
@@ -46,6 +50,47 @@ use crate::event::EventKind;
 /// Number of occupancy sublines per block history (each bitmap is one
 /// machine word).
 pub const SUBLINES: u64 = 64;
+
+/// Block records per chunk of the profiler's table. A chunk is allocated
+/// whole when the one before it fills and is never reallocated, so the
+/// table neither copies itself as it grows nor keeps a doubling `Vec`'s
+/// empty half.
+const CHUNK_RECORDS: usize = 128;
+
+/// The `site` of a block outside every allocation.
+const NO_SITE: u32 = u32::MAX;
+
+/// The `last_writer` of a block no node has write-missed on yet.
+const NO_WRITER: u32 = u32::MAX;
+
+/// Adds `by` to one of a block's counters, panicking rather than wrapping
+/// past `u32::MAX`.
+fn bump(counter: &mut u32, by: u32) {
+    *counter = counter.checked_add(by).expect("a block's profile counter passed u32::MAX");
+}
+
+/// Occupancy subline width in bytes of a `block_bytes` block.
+fn subline_bytes(block_bytes: u64) -> u64 {
+    block_bytes.div_ceil(SUBLINES).max(1)
+}
+
+/// Bitmap covering byte offsets `[lo, hi)` of a block of `subline`-byte
+/// sublines.
+fn subline_mask(subline: u64, lo: u64, hi: u64) -> u64 {
+    let first = (lo / subline).min(SUBLINES - 1) as u32;
+    let last = (hi.saturating_sub(1) / subline).min(SUBLINES - 1) as u32;
+    let width = last - first + 1;
+    if width >= 64 {
+        u64::MAX
+    } else {
+        ((1u64 << width) - 1) << first
+    }
+}
+
+/// Coherence node `node`'s bit in a node set.
+fn node_bit(node: u32) -> u64 {
+    1u64 << node.min(63)
+}
 
 /// One shared-space allocation as the profiler sees it: extent, coherence
 /// granularity, and the caller-supplied site label.
@@ -117,6 +162,18 @@ impl SpaceMap {
         let max = self.proc_coh_node.iter().chain(&self.proc_phys_node).copied().max();
         max.map_or(1, |n| n as usize + 1)
     }
+
+    /// The block size the profiler gives a block of allocation `site`
+    /// (`None`: of none, which gets the line size, at least 64 B).
+    fn block_bytes_at(&self, site: Option<usize>) -> u64 {
+        site.map_or(self.line_bytes.max(64), |s| self.allocs[s].block_bytes).max(1)
+    }
+
+    /// Heap bytes the snapshot's tables hold.
+    pub(crate) fn held_bytes(&self) -> usize {
+        (self.proc_phys_node.capacity() + self.proc_coh_node.capacity()) * size_of::<u32>()
+            + self.allocs.capacity() * size_of::<AllocSite>()
+    }
 }
 
 /// The sharing pattern a block's miss history exhibits.
@@ -168,10 +225,10 @@ impl SharingPattern {
 /// miss-faulted on plus [`SUBLINES`]-wide read/write bitmaps.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeOcc {
-    /// Lowest touched byte offset (`u64::MAX` while untouched).
-    pub lo: u64,
+    /// Lowest touched byte offset (`u32::MAX` while untouched).
+    pub lo: u32,
     /// One past the highest touched byte offset.
-    pub hi: u64,
+    pub hi: u32,
     /// Bitmap of sublines this node has read-missed on.
     pub read_bits: u64,
     /// Bitmap of sublines this node has write-missed on.
@@ -179,7 +236,7 @@ pub struct NodeOcc {
 }
 
 impl NodeOcc {
-    const UNTOUCHED: NodeOcc = NodeOcc { lo: u64::MAX, hi: 0, read_bits: 0, write_bits: 0 };
+    const UNTOUCHED: NodeOcc = NodeOcc { lo: u32::MAX, hi: 0, read_bits: 0, write_bits: 0 };
 
     /// Whether the node touched the block at all.
     pub fn touched(&self) -> bool {
@@ -193,61 +250,57 @@ impl NodeOcc {
 }
 
 /// The counters the profiler keeps about one coherence block. Its per-node
-/// occupancy lives in the profiler's table beside it; [`BlockProfile`]
-/// lends the two together.
+/// occupancy lives in the profiler's table beside it, and its size in its
+/// allocation; [`BlockProfile`] lends the three together. Each counter
+/// panics rather than wraps past `u32::MAX`.
 #[derive(Clone, Debug)]
 pub struct BlockHistory {
-    /// Index of the owning allocation in the [`SpaceMap`] (`usize::MAX` if
+    /// The block's first byte.
+    block: u64,
+    /// Index of the owning allocation in the [`SpaceMap`] ([`NO_SITE`] if
     /// the block start fell outside every known allocation).
-    pub site: usize,
-    /// Coherence-block size in bytes (subline width is `block_bytes / 64`,
-    /// rounded up).
-    pub block_bytes: u64,
+    site: u32,
     /// Load-side protocol entries (read misses) on this block.
-    pub read_misses: u64,
-    /// Store-side protocol entries (write/upgrade misses) on this block.
-    pub write_misses: u64,
+    pub read_misses: u32,
+    /// Store-side protocol entries (write/upgrade misses) on this block;
+    /// each opens a write epoch.
+    pub write_misses: u32,
     /// Figure 6 matrix for this block: counts\[kind\]\[hops\].
-    pub miss_hops: [[u64; 2]; 3],
+    pub miss_hops: [[u32; 2]; 3],
     /// Downgrades of this block (SMP-Shasta).
-    pub downgrades: u64,
+    pub downgrades: u32,
     /// Downgrades that went all the way to invalid (exclusive→invalid); the
     /// rest were exclusive→shared.
-    pub downgrades_to_invalid: u64,
+    pub downgrades_to_invalid: u32,
     /// Pending downgrades resolved (one `downgrade-done` per completed
     /// downgrade, §3.4.3).
-    pub downgrade_resolutions: u64,
+    pub downgrade_resolutions: u32,
     /// Total downgrade messages across those downgrades (fan-out).
-    pub downgrade_msgs: u64,
+    pub downgrade_msgs: u32,
     /// Protocol messages whose subject was this block (requests, replies,
     /// invalidations, downgrades — everything the engine sent over a
     /// channel).
-    pub protocol_msgs: u64,
-    /// Data-payload bytes those messages carried (replies carry a whole
-    /// block; everything else is header-only).
-    pub protocol_bytes: u64,
+    pub protocol_msgs: u32,
+    /// Data replies among those messages: each carries the whole block,
+    /// everything else is header-only ([`BlockProfile::protocol_bytes`]).
+    pub replies: u32,
     /// Misses satisfied by a private-table upgrade (block already on node).
-    pub private_upgrades: u64,
+    pub private_upgrades: u32,
     /// Misses merged into an already-pending request.
-    pub merged: u64,
+    pub merged: u32,
     /// Times a write miss came from a different node than the previous one.
-    pub writer_alternations: u64,
-    /// Write epochs observed (one per write miss).
-    pub epochs: u64,
-    subline_bytes: u64,
-    reader_nodes: u64,
-    writer_nodes: u64,
-    last_writer: Option<u32>,
+    pub writer_alternations: u32,
+    last_writer: u32,
+    epoch_reader_total: u32,
     epoch_readers: u64,
-    epoch_reader_total: u64,
 }
 
 impl BlockHistory {
-    fn new(site: usize, block_bytes: u64) -> Self {
-        let block_bytes = block_bytes.max(1);
+    fn new(site: Option<usize>, block: u64) -> Self {
+        let site = site.map_or(NO_SITE, |s| u32::try_from(s).expect("fewer than 2^32 allocations"));
         BlockHistory {
+            block,
             site,
-            block_bytes,
             read_misses: 0,
             write_misses: 0,
             miss_hops: [[0; 2]; 3],
@@ -256,97 +309,80 @@ impl BlockHistory {
             downgrade_resolutions: 0,
             downgrade_msgs: 0,
             protocol_msgs: 0,
-            protocol_bytes: 0,
+            replies: 0,
             private_upgrades: 0,
             merged: 0,
             writer_alternations: 0,
-            epochs: 0,
-            subline_bytes: block_bytes.div_ceil(SUBLINES).max(1),
-            reader_nodes: 0,
-            writer_nodes: 0,
-            last_writer: None,
-            epoch_readers: 0,
+            last_writer: NO_WRITER,
             epoch_reader_total: 0,
+            epoch_readers: 0,
         }
     }
 
-    fn bit(node: u32) -> u64 {
-        1u64 << node.min(63)
+    /// Index of the owning allocation in the [`SpaceMap`], if the block
+    /// lies in one.
+    pub fn site(&self) -> Option<usize> {
+        (self.site != NO_SITE).then_some(self.site as usize)
     }
 
-    /// Occupancy subline width in bytes.
-    pub fn subline_bytes(&self) -> u64 {
-        self.subline_bytes
-    }
-
-    /// Bitmap covering byte offsets `[lo, hi)` of the block.
-    fn mask(&self, lo: u64, hi: u64) -> u64 {
-        let first = (lo / self.subline_bytes).min(SUBLINES - 1) as u32;
-        let last = (hi.saturating_sub(1) / self.subline_bytes).min(SUBLINES - 1) as u32;
-        let width = last - first + 1;
-        if width >= 64 {
-            u64::MAX
-        } else {
-            ((1u64 << width) - 1) << first
-        }
-    }
-
-    /// Books a miss by coherence node `node` on `[off, off + len)`; `occ`
-    /// is the block's occupancy, indexed by coherence node.
-    fn note_miss(&mut self, occ: &mut [NodeOcc], node: u32, off: u64, len: u64, write: bool) {
-        let (lo, hi) = (off, off + len.max(1));
-        let bits = self.mask(lo, hi);
-        let o = &mut occ[node as usize];
-        o.lo = o.lo.min(lo);
-        o.hi = o.hi.max(hi);
+    /// Books a miss by coherence node `node` on `[off, off + len)` of a
+    /// block of `subline`-byte sublines; `occ` is that node's occupancy.
+    ///
+    /// # Panics
+    ///
+    /// If the range ends past `u32::MAX` bytes into the block.
+    fn note_miss(
+        &mut self,
+        occ: &mut NodeOcc,
+        node: u32,
+        off: u64,
+        len: u64,
+        subline: u64,
+        write: bool,
+    ) {
+        let end = off.saturating_add(len.max(1));
+        let (Ok(lo), Ok(hi)) = (u32::try_from(off), u32::try_from(end)) else {
+            panic!("a miss of {len} bytes at offset {off} ends past u32::MAX bytes into its block");
+        };
+        let bits = subline_mask(subline, off, end);
+        occ.lo = occ.lo.min(lo);
+        occ.hi = occ.hi.max(hi);
         if write {
-            o.write_bits |= bits;
-            self.write_misses += 1;
-            self.writer_nodes |= Self::bit(node);
-            if let Some(prev) = self.last_writer {
-                if prev != node {
-                    self.writer_alternations += 1;
-                }
+            occ.write_bits |= bits;
+            bump(&mut self.write_misses, 1);
+            if self.last_writer != NO_WRITER && self.last_writer != node {
+                bump(&mut self.writer_alternations, 1);
             }
-            self.last_writer = Some(node);
-            self.epochs += 1;
-            self.epoch_reader_total += u64::from(self.epoch_readers.count_ones());
+            self.last_writer = node;
+            bump(&mut self.epoch_reader_total, self.epoch_readers.count_ones());
             self.epoch_readers = 0;
         } else {
-            o.read_bits |= bits;
-            self.read_misses += 1;
-            self.reader_nodes |= Self::bit(node);
-            self.epoch_readers |= Self::bit(node);
+            occ.read_bits |= bits;
+            bump(&mut self.read_misses, 1);
+            self.epoch_readers |= node_bit(node);
         }
     }
 
-    /// Number of distinct nodes that write-missed on the block.
-    pub fn distinct_writers(&self) -> u32 {
-        self.writer_nodes.count_ones()
-    }
-
-    /// Number of distinct nodes that touched the block at all.
-    pub fn distinct_nodes(&self) -> u32 {
-        (self.reader_nodes | self.writer_nodes).count_ones()
-    }
-
-    /// Mean number of distinct reading nodes between consecutive writes.
+    /// Mean number of distinct reading nodes between consecutive writes
+    /// (each write miss opens an epoch).
     pub fn readers_per_epoch(&self) -> f64 {
-        if self.epochs == 0 {
+        if self.write_misses == 0 {
             0.0
         } else {
-            self.epoch_reader_total as f64 / self.epochs as f64
+            f64::from(self.epoch_reader_total) / f64::from(self.write_misses)
         }
     }
 }
 
 /// One touched block as the profiler holds it: its [`BlockHistory`]
-/// (reachable through `Deref`) with the per-node occupancy kept beside it.
+/// (reachable through `Deref`) with the per-node occupancy kept beside it
+/// and the block size its allocation gives it.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockProfile<'a> {
     history: &'a BlockHistory,
     /// Indexed by coherence node.
     occ: &'a [NodeOcc],
+    block_bytes: u64,
 }
 
 impl Deref for BlockProfile<'_> {
@@ -358,6 +394,46 @@ impl Deref for BlockProfile<'_> {
 }
 
 impl<'a> BlockProfile<'a> {
+    /// Coherence-block size in bytes.
+    pub fn block_bytes(&self) -> u64 {
+        self.block_bytes
+    }
+
+    /// Occupancy subline width in bytes (`block_bytes / 64`, rounded up).
+    pub fn subline_bytes(&self) -> u64 {
+        subline_bytes(self.block_bytes)
+    }
+
+    /// Data-payload bytes the block's messages carried: a whole block per
+    /// reply.
+    pub fn protocol_bytes(&self) -> u64 {
+        u64::from(self.replies) * self.block_bytes
+    }
+
+    /// The nodes that read-missed and the nodes that write-missed on the
+    /// block, as node sets (bit `n` for node `n`, node 63 and above on bit
+    /// 63).
+    fn node_sets(&self) -> (u64, u64) {
+        self.occupancy().fold((0, 0), |(readers, writers), (n, o)| {
+            let bit = node_bit(n);
+            (
+                readers | if o.read_bits != 0 { bit } else { 0 },
+                writers | if o.write_bits != 0 { bit } else { 0 },
+            )
+        })
+    }
+
+    /// Number of distinct nodes that write-missed on the block.
+    pub fn distinct_writers(&self) -> u32 {
+        self.node_sets().1.count_ones()
+    }
+
+    /// Number of distinct nodes that touched the block at all.
+    pub fn distinct_nodes(&self) -> u32 {
+        let (readers, writers) = self.node_sets();
+        (readers | writers).count_ones()
+    }
+
     /// Per-node occupancy for every node that touched the block, as
     /// `(node, occupancy)` pairs in node order.
     pub fn occupancy(&self) -> impl Iterator<Item = (u32, &'a NodeOcc)> {
@@ -368,7 +444,7 @@ impl<'a> BlockProfile<'a> {
     /// pairwise disjoint. Extents cannot see interleaving; classification
     /// uses [`occupancy_disjoint`](Self::occupancy_disjoint) instead.
     pub fn extents_disjoint(&self) -> bool {
-        let mut spans: Vec<(u64, u64)> = self.occupancy().map(|(_, o)| (o.lo, o.hi)).collect();
+        let mut spans: Vec<(u32, u32)> = self.occupancy().map(|(_, o)| (o.lo, o.hi)).collect();
         if spans.len() < 2 {
             return false;
         }
@@ -398,7 +474,7 @@ impl<'a> BlockProfile<'a> {
     /// resolution (union of all occupancy bitmaps).
     pub fn useful_bytes(&self) -> u64 {
         let union = self.occ.iter().fold(0u64, |u, o| u | o.bits());
-        (u64::from(union.count_ones()) * self.subline_bytes).min(self.block_bytes)
+        (u64::from(union.count_ones()) * self.subline_bytes()).min(self.block_bytes)
     }
 
     /// Whether splitting the block into `chunk`-byte pieces would leave
@@ -411,7 +487,7 @@ impl<'a> BlockProfile<'a> {
         let mut lo = 0u64;
         while lo < self.block_bytes {
             let hi = (lo + chunk).min(self.block_bytes);
-            let mask = self.mask(lo, hi);
+            let mask = subline_mask(self.subline_bytes(), lo, hi);
             let mut nodes = 0u32;
             for (_, o) in self.occupancy() {
                 if o.bits() & mask != 0 {
@@ -437,7 +513,7 @@ impl<'a> BlockProfile<'a> {
         if self.occupancy_disjoint() {
             return SharingPattern::FalseShared;
         }
-        if self.write_misses * 20 <= self.read_misses {
+        if u64::from(self.write_misses) * 20 <= u64::from(self.read_misses) {
             return SharingPattern::ReadMostly;
         }
         if self.distinct_writers() >= 2 && self.readers_per_epoch() <= 0.5 {
@@ -559,16 +635,17 @@ impl SiteReport {
 pub struct ProfileAgg {
     map: SpaceMap,
     /// Per allocation, one slot per block in address order: 1 + the block's
-    /// index in `hist`, or 0 while the block is untouched.
+    /// index in the table, or 0 while the block is untouched.
     slots: Vec<Vec<u32>>,
-    /// Every touched block and its history, in first-touch order.
-    hist: Vec<(u64, BlockHistory)>,
-    /// `nodes` occupancy entries per `hist` entry, in the same order.
-    occ: Vec<NodeOcc>,
+    /// The table: every touched block's history, in first-touch order, in
+    /// chunks of [`CHUNK_RECORDS`].
+    hist: Vec<Vec<BlockHistory>>,
+    /// `nodes` occupancy entries per history, in chunks that match `hist`'s.
+    occ: Vec<Vec<NodeOcc>>,
     /// Coherence nodes the map can name: the stride of `occ`.
     nodes: usize,
     /// Touched blocks no allocation's slot table holds (outside every
-    /// allocation, or off its block grid), with their `hist` index.
+    /// allocation, or off its block grid), with their table index.
     stray: Vec<(u64, u32)>,
 }
 
@@ -614,41 +691,47 @@ impl ProfileAgg {
     }
 
     /// Feeds one event from processor `p` into the per-block histories.
+    ///
+    /// # Panics
+    ///
+    /// If one of the block's counters would pass `u32::MAX`, or a miss
+    /// would end past `u32::MAX` bytes into its block.
     pub fn observe(&mut self, p: u32, kind: &EventKind) {
         match *kind {
             EventKind::CheckMiss { block, addr, len, write, .. } => {
                 let node = self.map.coh_node_of(p);
+                let site = self.map.site_index_of(block);
+                let subline = subline_bytes(self.map.block_bytes_at(site));
+                let i = self.entry(site, block);
+                let (h, occ) = self.record_mut(i);
                 let off = addr.saturating_sub(block);
-                let i = self.entry(self.map.site_index_of(block), block);
-                let occ = &mut self.occ[i * self.nodes..][..self.nodes];
-                self.hist[i].1.note_miss(occ, node, off, u64::from(len), write);
+                h.note_miss(&mut occ[node as usize], node, off, u64::from(len), subline, write);
             }
             EventKind::MissResolved { block, kind, hops } => {
                 let k = MissKind::ALL.iter().position(|&x| x == kind).expect("kind in ALL");
                 let h = Hops::ALL.iter().position(|&x| x == hops).expect("hops in ALL");
-                self.touch(block).miss_hops[k][h] += 1;
+                bump(&mut self.touch(block).miss_hops[k][h], 1);
             }
-            EventKind::PrivateUpgrade { block } => self.touch(block).private_upgrades += 1,
-            EventKind::MissMerged { block } => self.touch(block).merged += 1,
+            EventKind::PrivateUpgrade { block } => bump(&mut self.touch(block).private_upgrades, 1),
+            EventKind::MissMerged { block } => bump(&mut self.touch(block).merged, 1),
             EventKind::DowngradeStart { block, to_invalid, targets } => {
                 let h = self.touch(block);
-                h.downgrades += 1;
-                h.downgrades_to_invalid += u64::from(to_invalid);
-                h.downgrade_msgs += u64::from(targets);
+                bump(&mut h.downgrades, 1);
+                bump(&mut h.downgrades_to_invalid, u32::from(to_invalid));
+                bump(&mut h.downgrade_msgs, targets);
             }
             EventKind::DowngradeDone { block, .. } => {
-                self.touch(block).downgrade_resolutions += 1;
+                bump(&mut self.touch(block).downgrade_resolutions, 1);
             }
             EventKind::MsgSend { msg, block, .. } => {
                 // Attribute only messages about known allocations — sync
                 // traffic (locks, barriers) has no site to charge.
                 if let Some(site) = self.map.site_index_of(block) {
-                    let bb = self.map.allocs[site].block_bytes;
-                    let payload = if msg == "read-reply" || msg == "write-reply" { bb } else { 0 };
+                    let reply = msg == "read-reply" || msg == "write-reply";
                     let i = self.entry(Some(site), block);
-                    let h = &mut self.hist[i].1;
-                    h.protocol_msgs += 1;
-                    h.protocol_bytes += payload;
+                    let h = self.record_mut(i).0;
+                    bump(&mut h.protocol_msgs, 1);
+                    bump(&mut h.replies, u32::from(reply));
                 }
             }
             _ => {}
@@ -658,23 +741,25 @@ impl ProfileAgg {
     /// The history of `block`, created on first touch.
     fn touch(&mut self, block: u64) -> &mut BlockHistory {
         let i = self.entry(self.map.site_index_of(block), block);
-        &mut self.hist[i].1
+        self.record_mut(i).0
     }
 
-    /// Index in `hist` of `block`, which lies in allocation `site` (`None`:
-    /// in none), creating its history on first touch.
+    /// Table index of `block`, which lies in allocation `site` (`None`: in
+    /// none), creating its record on first touch.
     fn entry(&mut self, site: Option<usize>, block: u64) -> usize {
         let slot = self.slot_of(site, block);
         if let Some(i) = self.stored(slot, block) {
             return i as usize;
         }
-        let (site, bb) = match site {
-            Some(s) => (s, self.map.allocs[s].block_bytes),
-            None => (usize::MAX, self.map.line_bytes.max(64)),
-        };
-        let i = u32::try_from(self.hist.len()).expect("fewer than 2^32 touched blocks");
-        self.hist.push((block, BlockHistory::new(site, bb)));
-        self.occ.resize(self.occ.len() + self.nodes, NodeOcc::UNTOUCHED);
+        let i = u32::try_from(self.touched()).expect("fewer than 2^32 touched blocks");
+        if self.hist.last().is_none_or(|chunk| chunk.len() == CHUNK_RECORDS) {
+            self.hist.push(Vec::with_capacity(CHUNK_RECORDS));
+            self.occ.push(Vec::with_capacity(CHUNK_RECORDS * self.nodes));
+        }
+        let last = self.hist.len() - 1;
+        self.hist[last].push(BlockHistory::new(site, block));
+        let occ = &mut self.occ[last];
+        occ.resize(occ.len() + self.nodes, NodeOcc::UNTOUCHED);
         match slot {
             Some((s, k)) => self.slots[s][k] = i + 1,
             None => self.stray.push((block, i)),
@@ -692,7 +777,7 @@ impl ProfileAgg {
         off.is_multiple_of(bb).then(|| (s, (off / bb) as usize))
     }
 
-    /// The `hist` index kept for `block` at `slot` (or on the side list).
+    /// The table index kept for `block` at `slot` (or on the side list).
     fn stored(&self, slot: Option<(usize, usize)>, block: u64) -> Option<u32> {
         match slot {
             Some((s, k)) => self.slots[s][k].checked_sub(1),
@@ -700,10 +785,19 @@ impl ProfileAgg {
         }
     }
 
-    /// The block at `hist` index `i`, with its occupancy.
+    /// The record at table index `i`: its history and occupancy.
+    fn record_mut(&mut self, i: usize) -> (&mut BlockHistory, &mut [NodeOcc]) {
+        let (chunk, k) = (i / CHUNK_RECORDS, i % CHUNK_RECORDS);
+        (&mut self.hist[chunk][k], &mut self.occ[chunk][k * self.nodes..][..self.nodes])
+    }
+
+    /// The block at table index `i`, with its occupancy and block size.
     fn profile_at(&self, i: usize) -> (u64, BlockProfile<'_>) {
-        let (block, ref history) = self.hist[i];
-        (block, BlockProfile { history, occ: &self.occ[i * self.nodes..][..self.nodes] })
+        let (chunk, k) = (i / CHUNK_RECORDS, i % CHUNK_RECORDS);
+        let history = &self.hist[chunk][k];
+        let block_bytes = self.map.block_bytes_at(history.site());
+        let occ = &self.occ[chunk][k * self.nodes..][..self.nodes];
+        (history.block, BlockProfile { history, occ, block_bytes })
     }
 
     /// History of the block starting at `start`, if it saw any activity.
@@ -716,14 +810,33 @@ impl ProfileAgg {
     /// here, on each call).
     pub fn blocks(&self) -> impl Iterator<Item = (u64, BlockProfile<'_>)> {
         let mut order: Vec<(u64, usize)> =
-            self.hist.iter().enumerate().map(|(i, &(b, _))| (b, i)).collect();
+            self.hist.iter().flatten().enumerate().map(|(i, h)| (h.block, i)).collect();
         order.sort_unstable();
         order.into_iter().map(|(_, i)| self.profile_at(i))
     }
 
     /// Number of blocks that saw any protocol activity.
     pub fn touched(&self) -> usize {
-        self.hist.len()
+        let full = self.hist.len().saturating_sub(1) * CHUNK_RECORDS;
+        full + self.hist.last().map_or(0, Vec::len)
+    }
+
+    /// Bytes one touched block's record takes in the table: its history
+    /// and one occupancy entry per coherence node.
+    pub fn record_bytes(&self) -> usize {
+        size_of::<BlockHistory>() + self.nodes * size_of::<NodeOcc>()
+    }
+
+    /// Heap bytes the profiler holds: the space snapshot, the slot tables,
+    /// the side list and every table chunk, each counted whole.
+    pub fn held_bytes(&self) -> usize {
+        let slots: usize = self.slots.iter().map(|s| s.capacity() * size_of::<u32>()).sum();
+        let hist: usize = self.hist.iter().map(|c| c.capacity() * size_of::<BlockHistory>()).sum();
+        let occ: usize = self.occ.iter().map(|c| c.capacity() * size_of::<NodeOcc>()).sum();
+        let lists = (self.slots.capacity() + self.hist.capacity() + self.occ.capacity())
+            * size_of::<Vec<u32>>()
+            + self.stray.capacity() * size_of::<(u64, u32)>();
+        self.map.held_bytes() + slots + hist + occ + lists
     }
 
     /// Largest chunk size (a line multiple below the block size) that
@@ -777,10 +890,11 @@ impl ProfileAgg {
                 group = g;
                 (un, uw, mn, mw) = (0, 0, 0, 0);
             }
-            un |= h.reader_nodes | h.writer_nodes;
-            uw |= h.writer_nodes;
-            mn = mn.max(h.distinct_nodes());
-            mw = mw.max(h.distinct_writers());
+            let (readers, writers) = h.node_sets();
+            un |= readers | writers;
+            uw |= writers;
+            mn = mn.max((readers | writers).count_ones());
+            mw = mw.max(writers.count_ones());
         }
         group == u64::MAX || ok(un, uw, mn, mw)
     }
@@ -798,7 +912,7 @@ impl ProfileAgg {
     pub fn advise(&self) -> Vec<SiteReport> {
         let mut by_site = vec![Vec::new(); self.map.allocs.len()];
         for (b, h) in self.blocks() {
-            if let Some(blocks) = by_site.get_mut(h.site) {
+            if let Some(blocks) = h.site().and_then(|s| by_site.get_mut(s)) {
                 blocks.push((b, h));
             }
         }
@@ -830,14 +944,14 @@ impl ProfileAgg {
         };
         let mut fs_nodes = 0u32;
         for (_, h) in blocks {
-            report.read_misses += h.read_misses;
-            report.write_misses += h.write_misses;
-            report.downgrades += h.downgrades;
-            report.downgrades_to_invalid += h.downgrades_to_invalid;
-            report.downgrade_resolutions += h.downgrade_resolutions;
-            report.downgrade_msgs += h.downgrade_msgs;
-            report.protocol_msgs += h.protocol_msgs;
-            report.protocol_bytes += h.protocol_bytes;
+            report.read_misses += u64::from(h.read_misses);
+            report.write_misses += u64::from(h.write_misses);
+            report.downgrades += u64::from(h.downgrades);
+            report.downgrades_to_invalid += u64::from(h.downgrades_to_invalid);
+            report.downgrade_resolutions += u64::from(h.downgrade_resolutions);
+            report.downgrade_msgs += u64::from(h.downgrade_msgs);
+            report.protocol_msgs += u64::from(h.protocol_msgs);
+            report.protocol_bytes += h.protocol_bytes();
             report.useful_bytes += h.useful_bytes();
             let p = h.pattern();
             report.pattern_blocks[p.index()] += 1;
@@ -1095,7 +1209,7 @@ mod tests {
         agg.observe(2, &EventKind::MsgSend { msg: "read-reply", peer: 0, block: 0x1000 });
         agg.observe(0, &EventKind::MsgSend { msg: "barrier-arrive", peer: 2, block: 0 });
         let h = agg.block(0x1000).unwrap();
-        assert_eq!((h.protocol_msgs, h.protocol_bytes), (2, 256));
+        assert_eq!((h.protocol_msgs, h.protocol_bytes()), (2, 256));
         assert!(agg.block(0).is_none(), "sync traffic must not create histories");
         let r = &agg.advise()[0];
         assert_eq!((r.protocol_msgs, r.protocol_bytes), (2, 256));
@@ -1163,22 +1277,21 @@ mod tests {
 
     impl TreeModel {
         fn touch(&mut self, map: &SpaceMap, block: u64) -> &mut (BlockHistory, Vec<NodeOcc>) {
-            let (site, bb) = match map.site_index_of(block) {
-                Some(i) => (i, map.allocs[i].block_bytes),
-                None => (usize::MAX, map.line_bytes.max(64)),
-            };
-            self.blocks.entry(block).or_insert_with(|| (BlockHistory::new(site, bb), Vec::new()))
+            let site = map.site_index_of(block);
+            self.blocks.entry(block).or_insert_with(|| (BlockHistory::new(site, block), Vec::new()))
         }
 
         fn observe(&mut self, map: &SpaceMap, p: u32, kind: &EventKind) {
             match *kind {
                 EventKind::CheckMiss { block, addr, len, write, .. } => {
                     let node = map.coh_node_of(p);
+                    let subline = subline_bytes(map.block_bytes_at(map.site_index_of(block)));
                     let (h, occ) = self.touch(map, block);
                     if occ.len() <= node as usize {
                         occ.resize(node as usize + 1, NodeOcc::UNTOUCHED);
                     }
-                    h.note_miss(occ, node, addr.saturating_sub(block), u64::from(len), write);
+                    let (off, len) = (addr.saturating_sub(block), u64::from(len));
+                    h.note_miss(&mut occ[node as usize], node, off, len, subline, write);
                 }
                 EventKind::MissResolved { block, kind, hops } => {
                     let k = MissKind::ALL.iter().position(|&x| x == kind).unwrap();
@@ -1192,35 +1305,34 @@ mod tests {
                 EventKind::DowngradeStart { block, to_invalid, targets } => {
                     let h = &mut self.touch(map, block).0;
                     h.downgrades += 1;
-                    h.downgrades_to_invalid += u64::from(to_invalid);
-                    h.downgrade_msgs += u64::from(targets);
+                    h.downgrades_to_invalid += u32::from(to_invalid);
+                    h.downgrade_msgs += targets;
                 }
                 EventKind::DowngradeDone { block, .. } => {
                     self.touch(map, block).0.downgrade_resolutions += 1;
                 }
-                EventKind::MsgSend { msg, block, .. } => {
-                    if let Some(i) = map.site_index_of(block) {
-                        let bb = map.allocs[i].block_bytes;
-                        let h = &mut self.touch(map, block).0;
-                        h.protocol_msgs += 1;
-                        h.protocol_bytes +=
-                            if msg == "read-reply" || msg == "write-reply" { bb } else { 0 };
-                    }
+                EventKind::MsgSend { msg, block, .. } if map.site_index_of(block).is_some() => {
+                    let h = &mut self.touch(map, block).0;
+                    h.protocol_msgs += 1;
+                    h.replies += u32::from(msg == "read-reply" || msg == "write-reply");
                 }
                 _ => {}
             }
         }
 
-        fn view(&self, block: u64) -> Option<BlockProfile<'_>> {
-            self.blocks.get(&block).map(|(history, occ)| BlockProfile { history, occ })
+        fn view<'a>(&'a self, map: &SpaceMap, block: u64) -> Option<BlockProfile<'a>> {
+            self.blocks.get(&block).map(|(history, occ)| {
+                let block_bytes = map.block_bytes_at(history.site());
+                BlockProfile { history, occ, block_bytes }
+            })
         }
 
         /// Every site's report, from the tree's blocks in address order.
         fn advise(&self, agg: &ProfileAgg) -> Vec<SiteReport> {
             let map = agg.map();
             let site = |i| {
-                let views = self.blocks.keys().map(|&b| (b, self.view(b).unwrap()));
-                views.filter(|(_, h)| h.site == i).collect::<Vec<_>>()
+                let views = self.blocks.keys().map(|&b| (b, self.view(map, b).unwrap()));
+                views.filter(|(_, h)| h.site() == Some(i)).collect::<Vec<_>>()
             };
             map.allocs.iter().enumerate().map(|(i, a)| agg.advise_site(a, &site(i))).collect()
         }
@@ -1229,7 +1341,7 @@ mod tests {
     /// A block's history and the nodes that touched it, as text.
     fn shown(h: Option<BlockProfile<'_>>) -> String {
         h.map_or("untouched".into(), |h| {
-            format!("{:?} {:?}", *h, h.occupancy().collect::<Vec<_>>())
+            format!("{:?} {} B {:?}", *h, h.block_bytes(), h.occupancy().collect::<Vec<_>>())
         })
     }
 
@@ -1306,6 +1418,78 @@ mod tests {
         }
     }
 
+    /// Blocks past the first table chunk land in later chunks, each
+    /// allocated whole and never grown, and read back as the tree model
+    /// holds them.
+    #[test]
+    fn the_table_grows_in_whole_chunks_and_matches_the_tree_model() {
+        let map = random_map(&[(0, 0, 700), (2, 3, 40)], &[(0, 0), (1, 1), (2, 0), (3, 1)]);
+        let (mut agg, mut model) = (ProfileAgg::new(map.clone()), TreeModel::default());
+        for i in 0..3_000u64 {
+            let pick = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let kind = random_event(&map, ((i % 11) as u32, pick, i * 8, (i * 7) as u32));
+            agg.observe((i % 4) as u32, &kind);
+            model.observe(&map, (i % 4) as u32, &kind);
+        }
+        assert!(agg.touched() > 2 * CHUNK_RECORDS, "{} touched", agg.touched());
+        assert_eq!(agg.hist.len(), agg.touched().div_ceil(CHUNK_RECORDS));
+        for (hist, occ) in agg.hist.iter().zip(&agg.occ) {
+            assert_eq!(hist.capacity(), CHUNK_RECORDS);
+            let n = agg.nodes;
+            assert_eq!((occ.capacity(), occ.len()), (CHUNK_RECORDS * n, hist.len() * n));
+        }
+        let got: Vec<String> =
+            agg.blocks().map(|(b, h)| format!("{b:#x} {}", shown(Some(h)))).collect();
+        let want: Vec<String> = model
+            .blocks
+            .keys()
+            .map(|&b| format!("{b:#x} {}", shown(model.view(&map, b))))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(format!("{:?}", agg.advise()), format!("{:?}", model.advise(&agg)));
+    }
+
+    /// At four coherence nodes a touched block's record takes 192 bytes: a
+    /// 96-byte history and four 24-byte occupancy entries.
+    #[test]
+    fn a_touched_block_takes_under_200_bytes_at_four_nodes() {
+        let agg = ProfileAgg::new(random_map(&[(0, 0, 1)], &[(0, 0), (1, 1)]));
+        assert_eq!((size_of::<BlockHistory>(), size_of::<NodeOcc>()), (96, 24));
+        assert_eq!(agg.record_bytes(), 192);
+    }
+
+    /// A counter at `u32::MAX` panics at the next event rather than
+    /// wrapping to zero.
+    #[test]
+    #[should_panic(expected = "a block's profile counter passed u32::MAX")]
+    fn a_counter_at_its_maximum_panics_rather_than_wrapping() {
+        let mut agg = ProfileAgg::new(map_one_alloc(256));
+        agg.observe(0, &EventKind::MissMerged { block: 0x1000 });
+        agg.touch(0x1000).merged = u32::MAX;
+        agg.observe(0, &EventKind::MissMerged { block: 0x1000 });
+    }
+
+    /// So does a downgrade's fan-out that would carry its sum past the top.
+    #[test]
+    #[should_panic(expected = "a block's profile counter passed u32::MAX")]
+    fn a_fan_out_past_the_maximum_panics() {
+        let mut agg = ProfileAgg::new(map_one_alloc(256));
+        let start =
+            |targets| EventKind::DowngradeStart { block: 0x1000, to_invalid: true, targets };
+        agg.observe(0, &start(u32::MAX - 1));
+        agg.observe(0, &start(2));
+    }
+
+    /// A miss's extent is kept in `u32`s: one ending past `u32::MAX` bytes
+    /// into its block panics rather than truncating.
+    #[test]
+    #[should_panic(expected = "ends past u32::MAX bytes into its block")]
+    fn a_miss_past_a_u32_extent_panics() {
+        let mut agg = ProfileAgg::new(map_one_alloc(256));
+        let addr = 0x1000 + u64::from(u32::MAX) - 4;
+        agg.observe(0, &EventKind::CheckMiss { id: 0, block: 0x1000, addr, len: 8, write: true });
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 64 })]
 
@@ -1335,11 +1519,11 @@ mod tests {
             proptest::prop_assert_eq!(agg.touched(), model.blocks.len());
             let got: Vec<String> = agg.blocks().map(|(b, h)| format!("{b:#x} {}", shown(Some(h)))).collect();
             let want: Vec<String> =
-                model.blocks.keys().map(|&b| format!("{b:#x} {}", shown(model.view(b)))).collect();
+                model.blocks.keys().map(|&b| format!("{b:#x} {}", shown(model.view(&map, b)))).collect();
             proptest::prop_assert_eq!(got, want);
             let probes = events.iter().map(|&(_, pick, ..)| pick_block(&map, pick));
             for b in probes.chain((0..map.allocs.len() as u64 * 4).map(|k| pick_block(&map, k))) {
-                proptest::prop_assert_eq!(shown(agg.block(b)), shown(model.view(b)), "block {:#x}", b);
+                proptest::prop_assert_eq!(shown(agg.block(b)), shown(model.view(&map, b)), "block {:#x}", b);
             }
             proptest::prop_assert_eq!(
                 format!("{:?}", agg.advise()),

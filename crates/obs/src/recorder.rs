@@ -5,22 +5,28 @@
 //! A ring keeps every event its processor recorded, as a byte stream: each
 //! event is encoded in a few bytes when it is recorded (a tag byte, then
 //! varints, its time and block as steps from the previous event's) and
-//! decoded into a [`Stamped`] when an exporter reads it. A delivery recorded
-//! with its send stamp ([`Recorder::record_recv`]) keeps the stamp as one
-//! more varint, which only the critical path reads. The stream lives in
-//! chunks of [`CHUNK_BYTES`], allocated as the ring fills.
+//! decoded into a [`Stamped`] when an exporter reads it. What the stream
+//! already predicts is not written: a slice that starts where its
+//! processor's previous slice ended has its own tag and no time, and an
+//! event that names the previous event's block says so with a bit of its
+//! tag byte instead of a block step. A delivery
+//! recorded with its send stamp ([`Recorder::record_recv`]) keeps the stamp
+//! as one more varint, which only the critical path reads. The stream lives
+//! in chunks of [`CHUNK_BYTES`], allocated as the ring fills.
 
 use crate::event::{DowngradeAction, Event, EventKind, Stamped};
 use crate::fig4::Fig4Agg;
 use crate::profile::{ProfileAgg, SpaceMap};
 use crate::rederive::MsgAgg;
 use shasta_stats::{Hops, MissKind, MsgStats, TimeCat};
+use std::mem::size_of;
 
 /// Bytes per ring chunk. A ring allocates its next chunk when the last one
 /// has less room than [`MAX_ENCODED`], so a chunk never reallocates, a log
-/// holds what its processors recorded, and a chunk is small enough to be
-/// carved from heap memory an earlier log freed instead of fresh pages.
-const CHUNK_BYTES: usize = 32 * 1024;
+/// holds what its processors recorded (each ring's open chunk is, on
+/// average, half empty), and a chunk is small enough to be carved from heap
+/// memory an earlier log freed instead of fresh pages.
+const CHUNK_BYTES: usize = 16 * 1024;
 
 /// The longest encoding of one event: a check miss with its time, block
 /// and offset 10 varint bytes each and its id and length 5 each, after the
@@ -36,6 +42,7 @@ const TAG_BITS: u32 = 5;
 mod tag {
     pub const CHECK_MISS: u8 = 0;
     pub const FALSE_MISS: u8 = 1;
+    /// A miss resolved in two hops.
     pub const MISS_RESOLVED: u8 = 2;
     pub const PRIVATE_UPGRADE: u8 = 3;
     pub const MISS_MERGED: u8 = 4;
@@ -52,10 +59,22 @@ mod tag {
     pub const STALL_BEGIN: u8 = 15;
     pub const SLICE: u8 = 16;
     pub const WOKEN: u8 = 17;
+    /// A slice that starts where its processor's previous slice ended: its
+    /// time is that end, and is not written.
+    pub const SLICE_NEXT: u8 = 18;
+    /// A miss resolved in three hops.
+    pub const MISS_RESOLVED_3: u8 = 19;
 }
 
 /// The small bit of a [`tag::MSG_RECV`] head that says a send stamp follows.
 const STAMPED: u8 = 1;
+
+/// The small bit of a head whose event names the previous event's block,
+/// which is then not written. Every kind with a block leaves it free: the
+/// most any takes are the two below it (a resolved miss's kind, its hop
+/// count being in its tag; a queued request's kind; a finished
+/// downgrade's action).
+const SAME_BLOCK: u8 = 4;
 
 /// `d` (a wrapping difference) with its sign folded into the low bit, so a
 /// small step either way is a small varint.
@@ -70,12 +89,13 @@ fn unzigzag(z: u64) -> u64 {
 }
 
 /// What an event's time and block are encoded against: the previous
-/// event's, within one chunk. Each chunk starts from zero, so it decodes on
-/// its own.
+/// event's, and the end of the previous slice, within one chunk. Each chunk
+/// starts from zero, so it decodes on its own.
 #[derive(Clone, Copy, Default)]
 struct Base {
     t: u64,
     block: u64,
+    slice_end: u64,
 }
 
 /// Writes one event into the room at the end of a chunk: `out` is that
@@ -116,10 +136,21 @@ impl Enc<'_> {
         self.base.t = t;
     }
 
-    /// A block address as a signed step from the previous block's.
+    /// The head, then the block as a signed step from the previous
+    /// block's; or, when it is the previous block, the head alone with
+    /// [`SAME_BLOCK`] among its small bits.
+    ///
+    /// The step is written either way and then taken back when the block
+    /// repeats, so no branch depends on whether it does: as a branch, the
+    /// test cost the harness's record stream, where it goes either way, 8
+    /// to 10 ns an event.
     #[inline(always)]
-    fn block(&mut self, block: u64) {
+    fn head_block(&mut self, tag: u8, small: u8, t: u64, block: u64) {
+        let same = block == self.base.block;
+        self.head(tag, small | (u8::from(same) * SAME_BLOCK), t);
+        let at = self.n;
         self.varint(zigzag(block.wrapping_sub(self.base.block)));
+        self.n = if same { at } else { self.n };
         self.base.block = block;
     }
 
@@ -130,8 +161,9 @@ impl Enc<'_> {
     }
 
     /// Encodes `kind` at time `t`, interning its label in `labels`: the
-    /// head, then the block if the kind has one, then its other fields. A
-    /// receive with a send stamp `sent` ends with `t − sent`.
+    /// head, then the block if the kind has one and it is not the previous
+    /// event's, then its other fields. A receive with a send stamp `sent`
+    /// ends with `t − sent`.
     ///
     /// Borrows `kind` so that each arm reads only its own fields, at their
     /// own widths. A by-value kind was first copied whole, with 8-byte loads
@@ -140,37 +172,32 @@ impl Enc<'_> {
     fn event(&mut self, t: u64, kind: &EventKind, sent: Option<u64>, labels: &mut Labels) {
         match *kind {
             EventKind::CheckMiss { id, block, addr, len, write } => {
-                self.head(tag::CHECK_MISS, u8::from(write), t);
-                self.block(block);
+                self.head_block(tag::CHECK_MISS, u8::from(write), t, block);
                 self.field(id);
                 self.field(len);
                 self.varint(zigzag(addr.wrapping_sub(block)));
             }
             EventKind::FalseMiss { block } => {
-                self.head(tag::FALSE_MISS, 0, t);
-                self.block(block);
+                self.head_block(tag::FALSE_MISS, 0, t, block);
             }
             EventKind::MissResolved { block, kind, hops } => {
-                self.head(tag::MISS_RESOLVED, kind as u8 | (hops as u8) << 2, t);
-                self.block(block);
+                let tag =
+                    if hops == Hops::Three { tag::MISS_RESOLVED_3 } else { tag::MISS_RESOLVED };
+                self.head_block(tag, kind as u8, t, block);
             }
             EventKind::PrivateUpgrade { block } => {
-                self.head(tag::PRIVATE_UPGRADE, 0, t);
-                self.block(block);
+                self.head_block(tag::PRIVATE_UPGRADE, 0, t, block);
             }
             EventKind::MissMerged { block } => {
-                self.head(tag::MISS_MERGED, 0, t);
-                self.block(block);
+                self.head_block(tag::MISS_MERGED, 0, t, block);
             }
             EventKind::MsgSend { msg, peer, block } => {
-                self.head(tag::MSG_SEND, 0, t);
-                self.block(block);
+                self.head_block(tag::MSG_SEND, 0, t, block);
                 self.field(peer);
                 self.field(labels.intern(msg));
             }
             EventKind::MsgRecv { msg, peer, block } => {
-                self.head(tag::MSG_RECV, if sent.is_some() { STAMPED } else { 0 }, t);
-                self.block(block);
+                self.head_block(tag::MSG_RECV, if sent.is_some() { STAMPED } else { 0 }, t, block);
                 self.field(peer);
                 self.field(labels.intern(msg));
                 if let Some(sent) = sent {
@@ -178,23 +205,19 @@ impl Enc<'_> {
                 }
             }
             EventKind::HomeInvalidate { block, ack_to } => {
-                self.head(tag::HOME_INVALIDATE, 0, t);
-                self.block(block);
+                self.head_block(tag::HOME_INVALIDATE, 0, t, block);
                 self.field(ack_to);
             }
             EventKind::DirQueued { block, requester, kind } => {
-                self.head(tag::DIR_QUEUED, kind as u8, t);
-                self.block(block);
+                self.head_block(tag::DIR_QUEUED, kind as u8, t, block);
                 self.field(requester);
             }
             EventKind::DowngradeStart { block, to_invalid, targets } => {
-                self.head(tag::DOWNGRADE_START, u8::from(to_invalid), t);
-                self.block(block);
+                self.head_block(tag::DOWNGRADE_START, u8::from(to_invalid), t, block);
                 self.field(targets);
             }
             EventKind::DowngradeAck { block, remaining } => {
-                self.head(tag::DOWNGRADE_ACK, 0, t);
-                self.block(block);
+                self.head_block(tag::DOWNGRADE_ACK, 0, t, block);
                 self.field(remaining);
             }
             EventKind::DowngradeDone { block, action } => {
@@ -203,8 +226,7 @@ impl Enc<'_> {
                     DowngradeAction::WriteReply { requester, acks } => (1, requester, Some(acks)),
                     DowngradeAction::InvAck { ack_to } => (2, ack_to, None),
                 };
-                self.head(tag::DOWNGRADE_DONE, variant, t);
-                self.block(block);
+                self.head_block(tag::DOWNGRADE_DONE, variant, t, block);
                 self.field(lo);
                 if let Some(acks) = acks {
                     self.field(acks);
@@ -215,17 +237,21 @@ impl Enc<'_> {
                 self.field(handled);
             }
             EventKind::LineLockAcquire { block } => {
-                self.head(tag::LINE_LOCK_ACQUIRE, 0, t);
-                self.block(block);
+                self.head_block(tag::LINE_LOCK_ACQUIRE, 0, t, block);
             }
             EventKind::LineLockRelease { block } => {
-                self.head(tag::LINE_LOCK_RELEASE, 0, t);
-                self.block(block);
+                self.head_block(tag::LINE_LOCK_RELEASE, 0, t, block);
             }
             EventKind::StallBegin { cat } => self.head(tag::STALL_BEGIN, cat as u8, t),
             EventKind::Slice { cat, cycles } => {
-                self.head(tag::SLICE, cat as u8, t);
+                if t == self.base.slice_end {
+                    self.byte(tag::SLICE_NEXT | (cat as u8) << TAG_BITS);
+                    self.base.t = t;
+                } else {
+                    self.head(tag::SLICE, cat as u8, t);
+                }
                 self.field(cycles);
+                self.base.slice_end = t.wrapping_add(cycles);
             }
             EventKind::Woken { by } => {
                 self.head(tag::WOKEN, 0, t);
@@ -271,8 +297,12 @@ impl Dec<'_> {
         self.varint() as u32
     }
 
-    fn block(&mut self) -> u64 {
-        self.base.block = self.base.block.wrapping_add(unzigzag(self.varint()));
+    /// The block [`Enc::head_block`] wrote after a head with small bits
+    /// `small`.
+    fn block(&mut self, small: usize) -> u64 {
+        if small & usize::from(SAME_BLOCK) == 0 {
+            self.base.block = self.base.block.wrapping_add(unzigzag(self.varint()));
+        }
         self.base.block
     }
 
@@ -281,29 +311,32 @@ impl Dec<'_> {
     /// if it has one.
     fn event(&mut self, labels: &Labels) -> (Stamped, Option<u64>) {
         let head = self.byte();
-        let small = usize::from(head >> TAG_BITS);
-        self.base.t = self.base.t.wrapping_add(unzigzag(self.varint()));
+        let (tag, small) = (head & ((1 << TAG_BITS) - 1), usize::from(head >> TAG_BITS));
+        self.base.t = match tag {
+            tag::SLICE_NEXT => self.base.slice_end,
+            _ => self.base.t.wrapping_add(unzigzag(self.varint())),
+        };
         let mut sent = None;
-        let kind = match head & ((1 << TAG_BITS) - 1) {
+        let kind = match tag {
             tag::CHECK_MISS => {
-                let (block, id, len) = (self.block(), self.u32(), self.u32());
+                let (block, id, len) = (self.block(small), self.u32(), self.u32());
                 let addr = block.wrapping_add(unzigzag(self.varint()));
                 EventKind::CheckMiss { id, block, addr, len, write: small & 1 != 0 }
             }
-            tag::FALSE_MISS => EventKind::FalseMiss { block: self.block() },
-            tag::MISS_RESOLVED => EventKind::MissResolved {
-                block: self.block(),
+            tag::FALSE_MISS => EventKind::FalseMiss { block: self.block(small) },
+            tag::MISS_RESOLVED | tag::MISS_RESOLVED_3 => EventKind::MissResolved {
+                block: self.block(small),
                 kind: MissKind::ALL[small & 3],
-                hops: Hops::ALL[small >> 2 & 1],
+                hops: if tag == tag::MISS_RESOLVED_3 { Hops::Three } else { Hops::Two },
             },
-            tag::PRIVATE_UPGRADE => EventKind::PrivateUpgrade { block: self.block() },
-            tag::MISS_MERGED => EventKind::MissMerged { block: self.block() },
+            tag::PRIVATE_UPGRADE => EventKind::PrivateUpgrade { block: self.block(small) },
+            tag::MISS_MERGED => EventKind::MissMerged { block: self.block(small) },
             tag::MSG_SEND => {
-                let (block, peer) = (self.block(), self.u32());
+                let (block, peer) = (self.block(small), self.u32());
                 EventKind::MsgSend { msg: labels.get(self.varint()), peer, block }
             }
             tag::MSG_RECV => {
-                let (block, peer) = (self.block(), self.u32());
+                let (block, peer) = (self.block(small), self.u32());
                 let msg = labels.get(self.varint());
                 if small & usize::from(STAMPED) != 0 {
                     sent = Some(self.base.t.wrapping_sub(self.varint()));
@@ -311,24 +344,24 @@ impl Dec<'_> {
                 EventKind::MsgRecv { msg, peer, block }
             }
             tag::HOME_INVALIDATE => {
-                EventKind::HomeInvalidate { block: self.block(), ack_to: self.u32() }
+                EventKind::HomeInvalidate { block: self.block(small), ack_to: self.u32() }
             }
             tag::DIR_QUEUED => EventKind::DirQueued {
-                block: self.block(),
+                block: self.block(small),
                 requester: self.u32(),
-                kind: MissKind::ALL[small],
+                kind: MissKind::ALL[small & 3],
             },
             tag::DOWNGRADE_START => EventKind::DowngradeStart {
-                block: self.block(),
+                block: self.block(small),
                 to_invalid: small & 1 != 0,
                 targets: self.u32(),
             },
             tag::DOWNGRADE_ACK => {
-                EventKind::DowngradeAck { block: self.block(), remaining: self.u32() }
+                EventKind::DowngradeAck { block: self.block(small), remaining: self.u32() }
             }
             tag::DOWNGRADE_DONE => {
-                let (block, lo) = (self.block(), self.u32());
-                let action = match small {
+                let (block, lo) = (self.block(small), self.u32());
+                let action = match small & 3 {
                     0 => DowngradeAction::ReadReply { requester: lo },
                     1 => DowngradeAction::WriteReply { requester: lo, acks: self.u32() },
                     _ => DowngradeAction::InvAck { ack_to: lo },
@@ -336,10 +369,14 @@ impl Dec<'_> {
                 EventKind::DowngradeDone { block, action }
             }
             tag::POLL_DRAIN => EventKind::PollDrain { handled: self.u32() },
-            tag::LINE_LOCK_ACQUIRE => EventKind::LineLockAcquire { block: self.block() },
-            tag::LINE_LOCK_RELEASE => EventKind::LineLockRelease { block: self.block() },
+            tag::LINE_LOCK_ACQUIRE => EventKind::LineLockAcquire { block: self.block(small) },
+            tag::LINE_LOCK_RELEASE => EventKind::LineLockRelease { block: self.block(small) },
             tag::STALL_BEGIN => EventKind::StallBegin { cat: TimeCat::ALL[small] },
-            tag::SLICE => EventKind::Slice { cat: TimeCat::ALL[small], cycles: self.varint() },
+            tag::SLICE | tag::SLICE_NEXT => {
+                let cycles = self.varint();
+                self.base.slice_end = self.base.t.wrapping_add(cycles);
+                EventKind::Slice { cat: TimeCat::ALL[small], cycles }
+            }
             tag::WOKEN => EventKind::Woken { by: self.u32() },
             other => unreachable!("no event kind has tag {other}"),
         };
@@ -493,7 +530,7 @@ impl Recorder {
     }
 
     /// A recorder for `procs` processors that keeps every event. Reserves
-    /// nothing up front: each processor's ring grows by a 32 KiB chunk of
+    /// nothing up front: each processor's ring grows by a 16 KiB chunk of
     /// encoded events (a few bytes each) as it fills.
     pub fn new(procs: usize) -> Self {
         Recorder {
@@ -658,6 +695,21 @@ impl EventLog {
     /// Bytes of encoded events the rings hold.
     pub fn ring_bytes(&self) -> usize {
         self.rings.rings.iter().flat_map(|r| &r.chunks).map(|c| c.used).sum()
+    }
+
+    /// Heap bytes the log holds: every ring chunk, counted whole, the
+    /// rings' chunk lists and label table, and the aggregators' tables.
+    pub fn held_bytes(&self) -> usize {
+        let rings = &self.rings.rings;
+        let chunks: usize = rings
+            .iter()
+            .map(|r| r.chunks.len() * CHUNK_BYTES + r.chunks.capacity() * size_of::<Chunk>())
+            .sum();
+        let labels = self.rings.labels.0.capacity() * size_of::<&str>();
+        let aggs = self.agg.held_bytes()
+            + self.msg.as_ref().map_or(0, MsgAgg::held_bytes)
+            + self.profile.as_ref().map_or(0, ProfileAgg::held_bytes);
+        chunks + rings.len() * size_of::<Ring>() + labels + aggs
     }
 
     /// Always 0: a ring keeps every event. Kept for the benchmark harness,
@@ -835,8 +887,27 @@ mod tests {
             13 => EventKind::LineLockAcquire { block },
             14 => EventKind::LineLockRelease { block },
             15 => EventKind::StallBegin { cat },
-            16 => EventKind::Slice { cat, cycles: block },
+            16 | 18 => EventKind::Slice { cat, cycles: block },
             _ => EventKind::Woken { by: b },
+        }
+    }
+
+    /// Moves each event whose variant in `variants` is 18, a slice, to the
+    /// cycle where the previous slice of its processor (`i % procs`, from
+    /// its position `i`) ended: the start the ring does not write.
+    fn chain_slices(
+        stamped: &mut [(Stamped, Option<u64>)],
+        variants: impl Iterator<Item = u64>,
+        procs: usize,
+    ) {
+        let mut ends = vec![0u64; procs];
+        for (i, ((e, _), v)) in stamped.iter_mut().zip(variants).enumerate() {
+            if v == 18 {
+                e.t = ends[i % procs];
+            }
+            if let EventKind::Slice { cycles, .. } = e.kind {
+                ends[i % procs] = e.t.wrapping_add(cycles);
+            }
         }
     }
 
@@ -868,24 +939,26 @@ mod tests {
 
     proptest! {
         /// Every variant, with full-width fields and times, receives with
-        /// and without full-width send stamps, and the labels of two tables
-        /// interned into one, decodes to what was encoded, whatever was
-        /// encoded before it. (An encoding past [`MAX_ENCODED`] bytes would
-        /// panic.)
+        /// and without full-width send stamps, slices that start where the
+        /// previous one ended and slices that do not, and the labels of two
+        /// tables interned into one, decodes to what was encoded, whatever
+        /// was encoded before it. (An encoding past [`MAX_ENCODED`] bytes
+        /// would panic.)
         #[test]
         fn every_kind_encodes_and_decodes_to_itself(
             events in proptest::collection::vec(
-                (0u64..18, any::<u64>(), any::<u64>(), any::<u64>()),
+                (0u64..19, any::<u64>(), any::<u64>(), any::<u64>()),
                 1..80,
             ),
         ) {
-            let stamped: Vec<(Stamped, Option<u64>)> = events
+            let mut stamped: Vec<(Stamped, Option<u64>)> = events
                 .iter()
                 .map(|&(v, x, y, t)| {
                     let kind = kind_of(v, x, y);
                     (Stamped { t: t_of(t), kind }, sent_of(&kind, x ^ t))
                 })
                 .collect();
+            chain_slices(&mut stamped, events.iter().map(|e| e.0), 1);
             let (mut labels, mut base) = (Labels::default(), Base::default());
             let bytes: Vec<u8> = stamped
                 .iter()
@@ -900,16 +973,17 @@ mod tests {
 
         /// The widths the rings once refused: times at `u64::MAX`, check
         /// misses whose address lies below their block, and blocks at
-        /// `u64::MAX`, recorded into rings and read back as they were
+        /// `u64::MAX`, recorded into rings, with slices that start where
+        /// their processor's previous one ended, and read back as they were
         /// recorded.
         #[test]
         fn full_widths_round_trip_through_a_ring(
             events in proptest::collection::vec(
-                (0u64..18, any::<u64>(), any::<u64>(), any::<u64>()),
+                (0u64..19, any::<u64>(), any::<u64>(), any::<u64>()),
                 1..200,
             ),
         ) {
-            let stamped: Vec<(Stamped, Option<u64>)> = events
+            let mut stamped: Vec<(Stamped, Option<u64>)> = events
                 .iter()
                 .map(|&(v, x, y, t)| {
                     let kind = match (v, x % 3) {
@@ -926,6 +1000,7 @@ mod tests {
                     (Stamped { t, kind }, sent_of(&kind, y ^ t))
                 })
                 .collect();
+            chain_slices(&mut stamped, events.iter().map(|e| e.0), 2);
             // Straight into the rings: the tiling audit would add a slice's
             // cycles to its start.
             let mut rings = Rings::new(2);
@@ -974,7 +1049,7 @@ mod tests {
     /// receive with a full-width peer and send stamp takes fewer.
     #[test]
     fn a_full_width_check_miss_is_the_longest_encoding() {
-        let mut base = Base { t: 1 << 63, block: 1 << 63 };
+        let mut base = Base { t: 1 << 63, block: 1 << 63, slice_end: 0 };
         let kind = EventKind::CheckMiss {
             id: u32::MAX,
             block: 0,
@@ -984,7 +1059,7 @@ mod tests {
         };
         let bytes = encode(&Stamped { t: 0, kind }, None, &mut base, &mut Labels::default());
         assert_eq!(bytes.len(), MAX_ENCODED);
-        let mut base = Base { t: 1 << 63, block: 1 << 63 };
+        let mut base = Base { t: 1 << 63, block: 1 << 63, slice_end: 0 };
         let kind = EventKind::MsgRecv { msg: MSGS[0], peer: u32::MAX, block: 0 };
         let stamp = Some(1 << 63);
         let bytes = encode(&Stamped { t: 0, kind }, stamp, &mut base, &mut Labels::default());
@@ -1012,16 +1087,24 @@ mod tests {
 
     /// A ring fed more than ten chunks' worth of events keeps every one,
     /// in order; holds exactly the bytes they encode to, each chunk's
-    /// deltas starting from zero; and holds no more chunks than those
-    /// bytes need, as every chunk but the last was closed with less than
-    /// [`MAX_ENCODED`] bytes of room left.
+    /// deltas starting from zero (a slice that starts where the previous
+    /// one ended, first in its chunk, writes its time); and holds no more
+    /// chunks than those bytes need, as every chunk but the last was closed
+    /// with less than [`MAX_ENCODED`] bytes of room left.
     #[test]
     fn a_chunked_ring_keeps_every_event() {
         let mut r = Recorder::new(2);
         let (mut fed, mut bytes, mut room, mut base) = (Vec::new(), 0, 0, Base::default());
-        let mut labels = Labels::default();
+        let (mut labels, mut slice_end) = (Labels::default(), 0u64);
         for i in 0.. {
-            let e = varied(i);
+            let mut e = varied(i);
+            if i % 3 == 0 {
+                let cycles = i % 500;
+                e = Stamped { t: slice_end, kind: EventKind::Slice { cat: TimeCat::Task, cycles } };
+            }
+            if let EventKind::Slice { cycles, .. } = e.kind {
+                slice_end = e.t.wrapping_add(cycles);
+            }
             if room < MAX_ENCODED {
                 (room, base) = (CHUNK_BYTES, Base::default());
             }

@@ -37,6 +37,11 @@ impl MsgAgg {
         MsgAgg { map, stats: MsgStats::default() }
     }
 
+    /// Heap bytes the aggregator holds: its space snapshot's tables.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.map.held_bytes()
+    }
+
     /// Feeds one event recorded on processor `p`.
     pub fn observe(&mut self, p: u32, kind: &EventKind) {
         if let EventKind::MsgSend { msg, peer, block } = *kind {

@@ -568,12 +568,13 @@ impl Fabric {
         }
     }
 
-    /// Resends the head of the stream end `e` sends, after what is corked.
+    /// Resends the head of the stream end `e` sends, if it has one, after
+    /// what is corked.
     fn resend_head(&mut self, e: usize, now: Instant) {
         self.uncork(e);
         let end = &mut self.ends[e];
         let (own, peer) = (end.own, end.peer);
-        let (head, recovers_drop) = end.tx.resend_head(now);
+        let Some((head, recovers_drop)) = end.tx.resend_head(now) else { return };
         let (seq, trace, bytes) = (head.seq, head.trace, head.bytes.clone());
         let m = &self.metrics;
         let cause =

@@ -132,7 +132,7 @@ impl Sender {
         debug_assert!(!self.window_full(), "a send past the window");
         self.stamped += 1;
         let (seq, unwritten) = (self.stamped, self.progressed);
-        self.unacked.push_back(Unacked {
+        self.unacked.push_back_mut(Unacked {
             seq,
             bytes: encode(seq),
             last_sent: unwritten,
@@ -140,8 +140,7 @@ impl Sender {
             retransmitted: false,
             dropped_first,
             trace,
-        });
-        self.unacked.back().expect("just sent")
+        })
     }
 
     /// The newest `n` frames went out in one batch at `now`.
@@ -192,12 +191,13 @@ impl Sender {
     }
 
     /// Marks the head resent at `now` and returns it, with whether it
-    /// recovers a suppressed first transmission.
-    pub(crate) fn resend_head(&mut self, now: Instant) -> (&Unacked, bool) {
-        let head = self.unacked.front_mut().expect("a stream that resends has a head");
+    /// recovers a suppressed first transmission; `None` when nothing is
+    /// unacknowledged.
+    pub(crate) fn resend_head(&mut self, now: Instant) -> Option<(&Unacked, bool)> {
+        let head = self.unacked.front_mut()?;
         let recovers_drop = head.dropped_first && !head.retransmitted;
         (head.last_sent, head.retransmitted) = (now, true);
-        (head, recovers_drop)
+        Some((head, recovers_drop))
     }
 }
 

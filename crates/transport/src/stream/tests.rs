@@ -534,7 +534,7 @@ impl World {
     /// `Fabric::resend_head`.
     fn resend(&mut self, on: &str) {
         self.uncork();
-        let seq = self.tx.resend_head(self.now).0.seq;
+        let seq = self.tx.resend_head(self.now).expect("A resends only a head it has").0.seq;
         self.note(|| format!("  A resends {seq} on {on}"));
         if !self.met_full && (self.drops & bit(seq) == 0 || self.resent & bit(seq) != 0) {
             self.fail(format!("{seq} was resent, though it was not lost or already resent"));
