@@ -165,20 +165,6 @@ impl RunConfig {
         self.site_hints = Some(hints);
         self
     }
-
-    /// Loads a persisted [`shasta_obs::HintFile`] and installs its
-    /// overrides (see [`with_site_hints`](Self::with_site_hints)).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse/IO error text when the file is missing or
-    /// malformed.
-    pub fn with_hint_file(self, path: &std::path::Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let file = shasta_obs::HintFile::parse(&text)?;
-        Ok(self.with_site_hints(file.overrides()))
-    }
 }
 
 /// Runs `app` under `cfg` and returns the collected statistics.
@@ -320,7 +306,14 @@ pub fn run_app_observed_memory_home(
     (stats, machine.take_obs())
 }
 
-fn build_machine(app: &dyn DsmApp, cfg: &RunConfig) -> (Machine, Vec<Body>) {
+/// The machine and bodies every driver here runs `app` on under `cfg`, set
+/// up and not yet run: for a caller that reads the machine after its run
+/// (`Machine::host_counts`).
+///
+/// # Panics
+///
+/// Panics on invalid topology combinations.
+pub fn build_machine(app: &dyn DsmApp, cfg: &RunConfig) -> (Machine, Vec<Body>) {
     let (procs, topo, proto_cfg) = match cfg.proto {
         Proto::Base => {
             let topo = Topology::paper_placement(cfg.procs, 1).expect("topology");

@@ -20,6 +20,7 @@ const EXPERIMENTS: &[&str] = &[
     "anl_compare",
     "placement_compare",
     "ablations",
+    "host_counts",
 ];
 
 fn main() {

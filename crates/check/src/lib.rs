@@ -435,6 +435,15 @@ pub fn run_scenario(
     run_rows(s, policy, bug, oracle).0
 }
 
+/// The machine and bodies [`run_checked`] runs `s` on under `policy`
+/// (oracles on, no injected bug), set up and not yet run: for a caller that
+/// reads the machine after its run (`Machine::host_counts`).
+pub fn checked_machine(s: &Scenario, policy: SchedulePolicy) -> (Machine, Vec<Body>) {
+    let mut m = build_machine(s, policy, BugInjection::None, true, false);
+    let bodies = plan_kernel(&mut m, s);
+    (m, bodies)
+}
+
 /// [`run_scenario`], with the bits of the transition-table rows the run
 /// stepped ([`Row::bit`]).
 fn run_rows(
@@ -517,7 +526,10 @@ pub fn run_scenario_observed(
 /// slot array is homed *on the memory node* so every miss crosses to it.
 /// For every other cluster kind `workers == procs` and the arithmetic below
 /// is exactly the historical kernel.
-fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Box<dyn FnOnce(Dsm)>> {
+/// One processor's program.
+type Body = Box<dyn FnOnce(Dsm)>;
+
+fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Body> {
     let procs = s.workers();
     let iters = s.iters;
     let home = match s.cluster {

@@ -70,7 +70,7 @@ pub mod space;
 pub mod state;
 
 pub use api::Dsm;
-pub use protocol::{BugInjection, Machine, Mode, ProtocolConfig, SetupCtx};
+pub use protocol::{BugInjection, HostCounts, Machine, Mode, ProtocolConfig, SetupCtx};
 // Fault-injection and heterogeneous-topology surface, re-exported so the
 // checker and benches need no direct dependency on the fabric crates.
 pub use shasta_cluster::NetProfile;

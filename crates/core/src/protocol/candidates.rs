@@ -13,7 +13,7 @@
 //! unsigned compare rather than a tuple's two.
 
 use shasta_cluster::topology::MAX_PROCS;
-use shasta_sim::Time;
+use shasta_sim::{Scheduler, Time};
 
 /// What the scheduler decided to do next. The discriminants are the codes
 /// [`Cands`] packs, in the order a tie between them breaks.
@@ -58,7 +58,7 @@ impl Cands {
     }
 
     /// The actions, slot 0 first.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Time, Action)> + '_ {
         self.0.iter().filter(|&&x| x != NO_ACTION).map(|&x| unpack(x))
     }
@@ -129,6 +129,34 @@ pub(crate) fn key_proc(k: Key) -> u32 {
     (k & u64::from(MAX_PROCS - 1)) as u32
 }
 
+/// The seeded policies' pick, without a list of every candidate: one pass
+/// over `cache` collects into `ties` the actions at the time of `root` (the
+/// tree's root), in processor order and slot 0 first, the order a list of
+/// every candidate would hold them in, and [`Scheduler::pick_tie`] chooses
+/// among them. So it chooses what [`Scheduler::pick`] chooses over that list,
+/// with the same random draws.
+pub(crate) fn pick_seeded(
+    sched: &mut Scheduler,
+    cache: &[Cands],
+    root: Key,
+    ties: &mut Vec<(u32, Action)>,
+) -> (u32, Action) {
+    let at = root >> PROC_BITS;
+    ties.clear();
+    let mut max_proc = 0;
+    for (p, c) in cache.iter().enumerate() {
+        for &x in &c.0 {
+            if x != NO_ACTION {
+                max_proc = p as u32;
+                if x >> 2 == at {
+                    ties.push((p as u32, unpack(x).1));
+                }
+            }
+        }
+    }
+    ties[sched.pick_tie(ties, |tie| tie.0, max_proc)]
+}
+
 /// A tournament tree over one key per processor: each inner node holds the
 /// smaller of its children's keys, so the root is the minimum over all
 /// processors and an update is one walk from a leaf to the root. Keys are
@@ -182,7 +210,7 @@ impl MinTree {
 
 #[cfg(test)]
 mod tests {
-    use shasta_sim::{Scheduler, SplitMix64};
+    use shasta_sim::{SchedulePolicy, Scheduler, SplitMix64};
 
     use super::*;
 
@@ -211,8 +239,10 @@ mod tests {
 
     /// Over random candidate sets and random single-leaf updates, the root
     /// is what the deterministic `Scheduler::pick` picks from the same
-    /// candidates listed in processor order, and the runner-up of every
-    /// processor is the minimum over all the others' candidates.
+    /// candidates listed in processor order, the runner-up of every
+    /// processor is the minimum over all the others' candidates, and
+    /// [`pick_seeded`] chooses what each seeded policy's `Scheduler::pick`
+    /// chooses over that list, leaving the same random stream behind.
     #[test]
     fn root_is_the_deterministic_pick_and_runner_up_the_others_minimum() {
         let mut rng = SplitMix64::new(28);
@@ -220,6 +250,13 @@ mod tests {
             let mut cache = vec![Cands::NONE; n];
             let mut tree = MinTree::new(n);
             let mut sched = Scheduler::default();
+            let seeded = [
+                SchedulePolicy::SeededRandom { seed: n as u64 },
+                SchedulePolicy::Chains { seed: n as u64, change_interval: 3 },
+            ];
+            let mut listed = seeded.map(Scheduler::new);
+            let mut list_free = seeded.map(Scheduler::new);
+            let mut ties = Vec::new();
             for round in 0..400 {
                 // Round 0 fills every leaf; after that one leaf changes.
                 let touched: Vec<usize> =
@@ -240,6 +277,19 @@ mod tests {
                 let picked = list[sched.pick(&list, |c| (c.0, c.1))];
                 let action = cache[p as usize].first_min().expect("a keyed leaf has a candidate").1;
                 assert_eq!((t, p, action), picked, "n={n} round {round}: {list:?}");
+                let root = tree.root().expect("a root");
+                for (a, b) in listed.iter_mut().zip(&mut list_free) {
+                    let (_, q, act) = list[a.pick(&list, |c| (c.0, c.1))];
+                    let got = pick_seeded(b, &cache, root, &mut ties);
+                    assert_eq!(got, (q, act), "n={n} round {round} {:?}: {list:?}", a.policy());
+                    // The next 64 picks agree, so both left the same draws.
+                    let (mut a, mut b) = (a.clone(), b.clone());
+                    for _ in 0..64 {
+                        let (_, q, act) = list[a.pick(&list, |c| (c.0, c.1))];
+                        let got = pick_seeded(&mut b, &cache, root, &mut ties);
+                        assert_eq!(got, (q, act), "n={n} round {round} {:?}", a.policy());
+                    }
+                }
                 for q in 0..n as u32 {
                     let others = list.iter().filter(|c| c.1 != q).map(|c| (c.0, c.1)).min();
                     let got = unpack(tree.runner_up(q));

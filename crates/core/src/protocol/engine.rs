@@ -18,34 +18,40 @@
 //! marks its processor, a send its destination, a change to what a stalled
 //! processor waits for that processor), and a min-tree over every
 //! processor's earliest key yields the deterministic pick at its root (see
-//! `crate::protocol::candidates`). Seeded policies pick from a list built
-//! from the cache in processor order, the list a full rescan would build.
+//! `crate::protocol::candidates`). Seeded policies choose among the cached
+//! candidates at the root's time, listed in processor order, as a full
+//! rescan would list them.
+//!
+//! The loop is the fiber pool's [`Driver`]: `FiberPool::drive` switches to
+//! each fiber it answers. While a run-ahead lasts, the fiber's next batch is
+//! served on the fiber's own stack by the same `run_ahead`, and only a batch
+//! the run-ahead stops in switches back to the loop.
 
-use shasta_sim::{FiberPool, Stop, Time};
+use shasta_sim::{Driver, FiberPool, Stop, Time};
 use shasta_stats::{RunStats, TimeCat};
 
 use crate::api::{Dsm, Req, Resp};
 use crate::check::AccessKind;
 use crate::directory::QueuedReq;
 use crate::misstable::{MissEntry, ReqKind};
-use crate::protocol::candidates::{key, key_proc, Action, Cands, Key, MinTree};
+use crate::protocol::candidates::{self, key, key_proc, Action, Cands, Key, MinTree};
 use crate::protocol::config::Mode;
-use crate::protocol::machine::{grant, AfterRelease, Machine, Stall, StallKind};
+use crate::protocol::machine::{grant, AfterRelease, HostCounts, Machine, Stall, StallKind};
 use crate::protocol::msg::ProtoMsg;
 use crate::protocol::rows::{self, Ctx, Effect, Input, View};
 use crate::space::{Addr, Block};
 use crate::state::{LineState, PrivState, INVALID_FLAG};
 
-/// What the event loop drives: every processor's fiber and cached schedule.
+type Pool = FiberPool<Req, Resp>;
+
+/// The event loop's schedule: every processor's cached candidates.
 struct Exec {
-    pool: FiberPool<Req, Resp>,
     /// Every processor's candidates as last recomputed.
     cache: Vec<Cands>,
     /// Each processor's earliest cached key.
     tree: MinTree,
-    /// Reused candidate list for the seeded policies, which choose among
-    /// the minimal-time entries.
-    cands: Vec<(Time, u32, Action)>,
+    /// Reused list of the seeded policies' ties at the minimal time.
+    ties: Vec<(u32, Action)>,
     /// Whether the loop stopped inside an iteration, at an answer: re-entry
     /// finishes that iteration (the rest of `ahead`, the oracle sweep) first.
     open: bool,
@@ -74,19 +80,42 @@ fn data_reply(op: &mut Req, bytes: &[u8]) -> Resp {
 }
 
 impl Exec {
-    /// The loop over `pool`'s fibers. Its cache starts empty, which is
+    /// The schedule of `n` processors. Its cache starts empty, which is
     /// current because a new machine starts with every processor marked.
-    fn new(pool: FiberPool<Req, Resp>) -> Self {
-        let n = pool.len();
+    fn new(n: usize) -> Self {
         Exec {
-            pool,
             cache: vec![Cands::NONE; n],
             tree: MinTree::new(n),
-            cands: Vec::with_capacity(2 * n),
+            ties: Vec::with_capacity(2 * n),
             open: false,
             ahead: None,
             elapsed_pending: true,
         }
+    }
+}
+
+/// The machine and its schedule, driving the fiber pool.
+struct Run<'m> {
+    m: &'m mut Machine,
+    ex: Exec,
+}
+
+impl Driver<Req, Resp> for Run<'_> {
+    /// A run-ahead is what a batch can be served by, so serving is on
+    /// exactly when run-ahead is.
+    fn serves(&self) -> bool {
+        self.m.unobserved_steps()
+    }
+
+    fn next(&mut self, pool: &mut Pool) -> Stop<Resp> {
+        self.m.run_events(&mut self.ex, pool)
+    }
+
+    /// Continues the run-ahead that answered `p`, if one did.
+    #[inline]
+    fn serve(&mut self, pool: &mut Pool, p: u32) -> Option<Resp> {
+        debug_assert!(self.ex.ahead.is_none_or(|(q, _)| q == p), "P{p} served out of turn");
+        self.m.run_ahead(&mut self.ex, pool).map(|(_, resp)| resp)
     }
 }
 
@@ -107,22 +136,25 @@ impl Machine {
             // `enable_recording` came first.
             self.obs.attach_map(self.space_map());
         }
-        // One event loop over every processor, on this thread. Each answer a
-        // fiber is suspended for switches to its stack until it hands over
-        // its next batch. A panic leaves through here, and dropping `ex`
-        // unwinds the suspended fibers.
+        // One event loop over every processor, on this thread: the pool
+        // switches to each fiber the loop answers, until it hands over a
+        // batch its run-ahead does not serve. A panic leaves through here,
+        // and dropping `pool` unwinds the suspended fibers.
         let fibers = bodies.into_iter().enumerate().map(|(p, body)| {
             let p = p as u32;
             Box::new(move |api| body(Dsm::new(p, api))) as shasta_sim::FiberBody<Req, Resp>
         });
-        let mut ex = Exec::new(FiberPool::spawn_each(fibers.collect()));
-        while let Stop::Resume(p, resp) = self.run_events(&mut ex) {
-            ex.pool.resume(p, resp);
+        let mut pool = FiberPool::spawn_each(fibers.collect());
+        pool.drive(&mut Run { m: self, ex: Exec::new(n as usize) });
+        self.host = HostCounts {
+            picks: self.sched.steps(),
+            switches: pool.switches(),
+            served: pool.served(),
+        };
+        if pool.live_count() != 0 || self.net.in_flight() != 0 {
+            self.deadlock_panic(&pool);
         }
-        if ex.pool.live_count() != 0 || self.net.in_flight() != 0 {
-            self.deadlock_panic(&ex.pool);
-        }
-        ex.pool.join();
+        pool.join();
         self.stats.messages = *self.net.stats();
         // Release the wire's sockets, if a wire is tapped on.
         if let Some(wire) = &mut self.wire {
@@ -138,14 +170,13 @@ impl Machine {
     /// answers the request a suspended fiber waits on (posted requests and a
     /// finished fiber's tail never stop it), and [`Stop::Idle`] when no
     /// candidate is left (termination, or deadlock: the caller tells which).
-    /// The caller delivers the answer with `FiberPool::resume` and re-enters
-    /// it, once the fiber has handed over its next batch, and it carries on
-    /// where it stopped.
-    fn run_events(&mut self, ex: &mut Exec) -> Stop<Resp> {
+    /// The pool delivers the answer and re-enters it once the fiber has
+    /// switched back, and it carries on where it stopped.
+    fn run_events(&mut self, ex: &mut Exec, pool: &mut Pool) -> Stop<Resp> {
         loop {
             if ex.open {
-                if let Some(stop) = self.run_ahead(ex) {
-                    return stop;
+                if let Some((p, resp)) = self.run_ahead(ex, pool) {
+                    return Stop::Resume(p, resp);
                 }
                 ex.open = false;
                 // Checker-only: at quiescent moments the full invariant sweep
@@ -158,30 +189,30 @@ impl Machine {
                     self.oracle_quiescent_sweep();
                 }
             }
-            self.refresh(ex);
+            self.refresh(ex, pool);
             // Elapsed time is the clock maximum at the first instant the last
             // fiber has finished.
-            if ex.elapsed_pending && ex.pool.live_count() == 0 {
+            if ex.elapsed_pending && pool.live_count() == 0 {
                 self.stats.elapsed_cycles =
                     self.clocks.iter().map(|t| t.cycles()).max().unwrap_or(0);
                 ex.elapsed_pending = false;
             }
             let Some(root) = ex.tree.root() else { return Stop::Idle };
-            let p = key_proc(root);
             let (p, action) = if self.sched.perturbs() {
-                self.pick_seeded(ex)
+                candidates::pick_seeded(&mut self.sched, &ex.cache, root, &mut ex.ties)
             } else {
                 self.sched.count_step();
+                let p = key_proc(root);
                 (p, ex.cache[p as usize].first_min().expect("a keyed leaf has a candidate").1)
             };
             if let Some(limit) = self.step_limit {
                 if self.sched.steps() > limit {
-                    self.liveness_panic(limit, &ex.pool);
+                    self.liveness_panic(limit, pool);
                 }
             }
 
             ex.open = true;
-            let answer = self.step(ex, p, action);
+            let answer = self.step(pool, p, action);
             // Run-ahead (see `unobserved_steps`): an answered `Op` lets `p`'s
             // consecutive ops run without a pick while `p`'s next op stays
             // strictly earlier than every other processor's earliest key.
@@ -197,36 +228,23 @@ impl Machine {
         }
     }
 
-    /// The seeded policies' pick: [`Scheduler::pick`] over the cached
-    /// candidates listed in processor order — the list a rescan of every
-    /// processor would build, so a seed replays the same schedule.
-    ///
-    /// [`Scheduler::pick`]: shasta_sim::Scheduler::pick
-    fn pick_seeded(&mut self, ex: &mut Exec) -> (u32, Action) {
-        ex.cands.clear();
-        for (p, c) in ex.cache.iter().enumerate() {
-            ex.cands.extend(c.iter().map(|(t, a)| (t, p as u32, a)));
-        }
-        let (_, p, action) = ex.cands[self.sched.pick(&ex.cands, |c| (c.0, c.1))];
-        (p, action)
-    }
-
     /// Services `ex.ahead`'s processor's consecutive ops while (a) no event
     /// marked another processor, so the bound is still every other
     /// processor's earliest key, and (b) the next op is still under it.
-    /// Returns the stop at an op that answers its suspended fiber,
-    /// `ex.ahead` kept for the re-entry.
-    fn run_ahead(&mut self, ex: &mut Exec) -> Option<Stop<Resp>> {
+    /// Returns the answer to an op its suspended fiber waits on, `ex.ahead`
+    /// kept for the fiber's next batch: served on the fiber's stack
+    /// ([`Driver::serve`]) or at the loop's re-entry, whichever is reached.
+    fn run_ahead(&mut self, ex: &mut Exec, pool: &mut Pool) -> Option<(u32, Resp)> {
         while let Some((p, bound)) = ex.ahead {
-            if self.dirty.iter().any(|&q| q != p) || ex.pool.is_finished(p) {
+            if self.dirty.iter().any(|&q| q != p) || pool.is_finished(p) {
                 break;
             }
-            let Some(req) = ex.pool.peek_request(p) else { break };
+            let Some(req) = pool.peek_request(p) else { break };
             if key(self.clocks[p as usize] + req.pre_cycles(), p) >= bound {
                 break;
             }
-            if let Some(resp) = self.step(ex, p, Action::Op) {
-                return Some(Stop::Resume(p, resp));
+            if let Some(resp) = self.step(pool, p, Action::Op) {
+                return Some((p, resp));
             }
             if self.stalls[p as usize].is_some() {
                 break;
@@ -239,11 +257,11 @@ impl Machine {
     /// Executes one scheduling event. Returns the reply `p`'s fiber is
     /// suspended for, if the event answered it. Marks `p`: an event changes
     /// its own processor's clock, stall, inbox or fiber.
-    fn step(&mut self, ex: &mut Exec, p: u32, action: Action) -> Option<Resp> {
+    fn step(&mut self, pool: &mut Pool, p: u32, action: Action) -> Option<Resp> {
         self.mark(p);
         match action {
-            Action::Op => self.service_op(&mut ex.pool, p),
-            Action::Resume => self.resume_stalled(p).and_then(|resp| ex.pool.reply(p, resp)),
+            Action::Op => self.service_op(pool, p),
+            Action::Resume => self.resume_stalled(p).and_then(|resp| pool.reply(p, resp)),
             Action::Msg => {
                 self.deliver_inbound(p);
                 None
@@ -255,11 +273,11 @@ impl Machine {
     /// refresh, leaving the cache and the tree current. Debug builds then
     /// check every processor's cached candidates against a recomputation,
     /// which is what catches an event that changed a candidate unmarked.
-    fn refresh(&mut self, ex: &mut Exec) {
+    fn refresh(&mut self, ex: &mut Exec, pool: &Pool) {
         let mut dirty = std::mem::take(&mut self.dirty);
         for &p in &dirty {
             self.marked[p as usize] = false;
-            let c = self.candidates(&ex.pool, p);
+            let c = self.candidates(pool, p);
             ex.cache[p as usize] = c;
             ex.tree.set(p, c.key(p));
         }
@@ -267,7 +285,7 @@ impl Machine {
         self.dirty = dirty;
         #[cfg(debug_assertions)]
         for (p, cached) in ex.cache.iter().enumerate() {
-            let fresh = self.candidates(&ex.pool, p as u32);
+            let fresh = self.candidates(pool, p as u32);
             assert_eq!(
                 *cached, fresh,
                 "P{p}'s cached schedule candidates are stale: an event changed them without \
@@ -296,7 +314,7 @@ impl Machine {
     /// deterministic policy breaks key ties by taking the first minimal
     /// entry.
     #[inline]
-    fn candidates(&self, pool: &FiberPool<Req, Resp>, p: u32) -> Cands {
+    fn candidates(&self, pool: &Pool, p: u32) -> Cands {
         let mut cands = Cands::NONE;
         let clock = self.clocks[p as usize];
         match &self.stalls[p as usize] {
@@ -368,7 +386,7 @@ impl Machine {
     /// inline-check surrogate, poll, execute. Returns the reply `p`'s fiber
     /// is suspended for, if the op was answered and was the last it handed over
     /// (an op that stalls leaves a stall record instead).
-    pub(crate) fn service_op(&mut self, pool: &mut FiberPool<Req, Resp>, p: u32) -> Option<Resp> {
+    pub(crate) fn service_op(&mut self, pool: &mut Pool, p: u32) -> Option<Resp> {
         let req = pool.take_request(p).expect("scheduled op without request");
         self.charge(p, TimeCat::Task, req.pre_cycles());
         // Inline checks on the accesses inside compute loops.
@@ -1287,7 +1305,7 @@ impl Machine {
 
     /// The checker's liveness oracle fired: the run exceeded its scheduling
     /// step budget without completing.
-    fn liveness_panic(&self, limit: u64, pool: &FiberPool<Req, Resp>) -> ! {
+    fn liveness_panic(&self, limit: u64, pool: &Pool) -> ! {
         let mut diag = format!(
             "liveness violation: run exceeded {limit} scheduling steps without completing\n"
         );
@@ -1297,7 +1315,7 @@ impl Machine {
 
     /// Appends the state every stuck-run diagnostic opens with: one line per
     /// processor, the in-flight message count, and the fault tally.
-    fn append_proc_diag(&self, diag: &mut String, pool: &FiberPool<Req, Resp>) {
+    fn append_proc_diag(&self, diag: &mut String, pool: &Pool) {
         use std::fmt::Write as _;
         for p in 0..self.topo.procs() {
             let _ = writeln!(
@@ -1332,7 +1350,7 @@ impl Machine {
         }
     }
 
-    fn deadlock_panic(&self, pool: &FiberPool<Req, Resp>) -> ! {
+    fn deadlock_panic(&self, pool: &Pool) -> ! {
         use std::fmt::Write as _;
         let mut diag = String::from("protocol deadlock: no runnable processor\n");
         self.append_proc_diag(&mut diag, pool);

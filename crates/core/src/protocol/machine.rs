@@ -111,6 +111,23 @@ pub struct BarrierInfo {
     pub waiting: Vec<u32>,
 }
 
+/// What a run cost the host in operations the engine counts, not in time
+/// ([`Machine::host_counts`]). Deterministic for a program and
+/// configuration, and kept off [`RunStats`], which holds simulated results
+/// only.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostCounts {
+    /// Scheduling picks: events chosen among every processor's candidates.
+    /// A run-ahead op needs none.
+    pub picks: u64,
+    /// Switches from a fiber to the engine: batches handed over by a
+    /// switch, and ends of bodies.
+    pub switches: u64,
+    /// Batches the engine answered on the calling fiber's own stack, none of
+    /// which switched.
+    pub served: u64,
+}
+
 /// The complete simulated machine: topology, cost model, memories, protocol
 /// state, network, and per-processor runtime bookkeeping.
 ///
@@ -184,6 +201,8 @@ pub struct Machine {
     pub(crate) oracle: Option<Box<Oracle>>,
     /// Liveness budget: panic if a run exceeds this many scheduling steps.
     pub(crate) step_limit: Option<u64>,
+    /// What the last run cost the host ([`Machine::host_counts`]).
+    pub(crate) host: HostCounts,
     /// Barrier population override for topologies where some processors
     /// never compute (memory-only home nodes): barriers release once this
     /// many processors arrive instead of `topo.procs()`.
@@ -280,6 +299,7 @@ impl Machine {
             marked: vec![true; procs],
             oracle: None,
             step_limit: None,
+            host: HostCounts::default(),
             barrier_participants: None,
             next_miss_id: 0,
             topo,
@@ -539,6 +559,13 @@ impl Machine {
         if smp {
             self.obs_event(p, shasta_obs::EventKind::LineLockRelease { block: block.start });
         }
+    }
+
+    /// What the run cost the host, counted: scheduling picks, switches from
+    /// a fiber to the engine, and batches answered without one. All zero
+    /// before [`Machine::run`] has returned.
+    pub fn host_counts(&self) -> HostCounts {
+        self.host
     }
 
     /// The bits ([`Row::bit`](crate::protocol::Row::bit)) of every

@@ -23,6 +23,6 @@ pub mod msg;
 mod rows;
 
 pub use config::{BugInjection, Mode, ProtocolConfig};
-pub use machine::{Machine, SetupCtx};
+pub use machine::{HostCounts, Machine, SetupCtx};
 pub use msg::{DirUpdate, DowngradeTo, ProtoMsg};
 pub use rows::{DowngradeEntry, LingeringAcks, Row};

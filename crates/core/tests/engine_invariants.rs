@@ -162,3 +162,31 @@ fn determinism_across_modes() {
         assert_eq!(run(), run(), "clustering {clustering}");
     }
 }
+
+/// A processor that runs ahead alone (its peers compute far past it) has
+/// its loads answered on its own fiber's stack: a thousand loads cost a
+/// handful of switches to the engine, and each of them a pick at most.
+#[test]
+fn a_processor_running_ahead_alone_is_served_without_switches() {
+    const LOADS: u64 = 1_000;
+    let topo = Topology::new(4, 4, 4).unwrap();
+    let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20);
+    let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
+    let stats = m.run(bodies(4, move |p, dsm| {
+        if p == 0 {
+            for _ in 0..LOADS {
+                dsm.compute(10);
+                dsm.load_u64(a);
+            }
+        } else {
+            dsm.compute(1_000_000);
+            dsm.load_u64(a);
+        }
+    }));
+    assert!(stats.elapsed_cycles >= 1_000_000);
+    let host = m.host_counts();
+    assert!(host.served >= LOADS - 4, "{host:?}");
+    // Each fiber's first call and end, plus P0's first load miss: at most 16.
+    assert!(host.switches <= 16, "{host:?}");
+    assert!(host.picks <= 32, "{host:?}");
+}

@@ -2,20 +2,27 @@
 //! whose reply they read, each on a stack of its own on the engine's thread.
 //!
 //! Each simulated processor runs ordinary Rust code on a 2 MiB stack with a
-//! guard page (`stack.rs`, the crate's only `unsafe` code). Stacks are
-//! recycled per thread: a fiber that ends gives its stack back to a list of
-//! at most 64 that the thread's next fibers take from, so a thread maps
-//! stacks only for its first machine of a given size. A DSM operation
-//! is a [`FiberApi::post`] or a [`FiberApi::call`]. `post` appends the
-//! request to a fiber-local batch and returns; `call` appends and switches
-//! back to the engine with the whole batch, and returns when the engine
-//! switches in again with the reply to the last request in it. The engine
-//! holds every live fiber's *pending requests* in program order
-//! ([`FiberPool::peek_request`] is the next one), so it can always pick the
-//! globally earliest action. [`FiberPool::resume`] is "store the reply,
-//! switch to the fiber's stack, return when it hands over its next batch or
-//! ends"; no other thread is involved, so a hand-off between processors costs
-//! two stack switches and no system call.
+//! guard page (`stack.rs`). Stacks are recycled per thread: a fiber that ends
+//! gives its stack back to a list of at most 64 that the thread's next
+//! fibers take from, so a thread maps stacks only for its first machine of a
+//! given size. A DSM operation is a [`FiberApi::post`] or a
+//! [`FiberApi::call`]. `post` appends the request to a fiber-local batch and
+//! returns; `call` appends and exchanges the whole batch for the reply to
+//! its last request. The engine holds every live fiber's *pending requests*
+//! in program order ([`FiberPool::peek_request`] is the next one), so it can
+//! always pick the globally earliest action.
+//!
+//! An exchange costs two stack switches or none:
+//! * [`FiberPool::resume`] is "store the reply, switch to the fiber's stack,
+//!   return when it hands over its next batch or ends". No other thread is
+//!   involved, so a hand-off between processors costs two stack switches
+//!   and no system call.
+//! * Under [`FiberPool::drive`], which runs a [`Driver`]'s event loop, a
+//!   `call` first offers its batch to [`Driver::serve`] on the calling
+//!   fiber's own stack (`drive.rs`). A driver that already knows this fiber
+//!   runs next (the engine's run-ahead) answers it there, and the answer
+//!   costs no switch at all. A driver that declines leaves the rest of the
+//!   batch, in program order, to go over with the switch as before.
 //!
 //! A fiber is in one of four states:
 //! * *unstarted* — [`FiberPool::spawn_each`] runs the fibers to their
@@ -47,8 +54,13 @@
 //! * An engine panic unwinds out of whatever drives the pool; dropping the
 //!   pool resumes each suspended fiber with `Closed`, so it unwinds on its
 //!   own stack with a private payload that skips the panic hook, and `call`
-//!   unwinds the same way whenever it is reached again.
+//!   unwinds the same way whenever it is reached again. A panic in
+//!   [`Driver::serve`] is caught where it was raised, on the fiber's stack;
+//!   the fiber unwinds the same way, and `drive` re-raises the payload once
+//!   the fiber has switched back.
 
+#[allow(unsafe_code)]
+mod drive;
 #[allow(unsafe_code)]
 mod stack;
 
@@ -57,6 +69,7 @@ use std::mem;
 use std::panic::resume_unwind;
 use std::rc::Rc;
 
+pub use drive::Driver;
 use stack::{Fiber, Switched, Yielder};
 
 /// A boxed fiber body, used by [`FiberPool::spawn_each`].
@@ -75,7 +88,19 @@ enum Answer<Req, Resp> {
     Closed,
 }
 
-/// What a fiber of a dropped pool unwinds with.
+/// How an offer of a batch on the fiber's own stack ended.
+enum Offer<Resp> {
+    /// The driver answered the batch's last request.
+    Answered(Resp),
+    /// Nothing serves it, or the driver left the rest of it pending: the
+    /// fiber switches with the rest.
+    Declined,
+    /// The driver panicked; `drive` re-raises its payload.
+    Failed,
+}
+
+/// What a fiber of a dropped pool, or of a driver that panicked, unwinds
+/// with.
 struct Abandoned;
 
 /// Where an event loop stopped.
@@ -83,7 +108,7 @@ struct Abandoned;
 pub enum Stop<Resp> {
     /// It answered the last request fiber `p` handed over, and `p` is
     /// suspended for this reply: what [`FiberPool::reply`] returned, for
-    /// [`FiberPool::resume`] to deliver.
+    /// [`FiberPool::drive`] to deliver.
     Resume(u32, Resp),
     /// No event is left to run.
     Idle,
@@ -94,7 +119,8 @@ pub struct FiberApi<Req: 'static, Resp: 'static> {
     yielder: Yielder<Answer<Req, Resp>, Vec<Req>>,
     /// Posted and not yet exchanged, in program order.
     batch: Vec<Req>,
-    /// Whether the pool was dropped: every exchange unwinds.
+    /// Whether the pool was dropped or its driver panicked: every exchange
+    /// unwinds.
     closed: bool,
 }
 
@@ -118,16 +144,21 @@ impl<Req: 'static, Resp: 'static> FiberApi<Req, Resp> {
         self.exchange()
     }
 
-    /// Switches to the engine with the batch, and back with the reply to its
-    /// last request.
+    /// Exchanges the batch for the reply to its last request: offered to the
+    /// pool's driver on this stack first, and switched to the engine with
+    /// whatever the driver left.
     fn exchange(&mut self) -> Resp {
         if !self.closed {
-            match self.yielder.suspend(mem::take(&mut self.batch)) {
-                Answer::Reply(resp, buffer) => {
-                    self.batch = buffer;
-                    return resp;
-                }
-                Answer::Closed => self.closed = true,
+            match drive::offer(self.yielder.id(), &mut self.batch) {
+                Offer::Answered(resp) => return resp,
+                Offer::Declined => match self.yielder.suspend(mem::take(&mut self.batch)) {
+                    Answer::Reply(resp, buffer) => {
+                        self.batch = buffer;
+                        return resp;
+                    }
+                    Answer::Closed => self.closed = true,
+                },
+                Offer::Failed => self.closed = true,
             }
         }
         resume_unwind(Box::new(Abandoned))
@@ -159,14 +190,17 @@ pub enum Resumed {
 }
 
 struct Slot<Req, Resp> {
-    /// The fiber, until its body ends (returns or unwinds): from then on,
-    /// `pending` is its tail.
+    /// The fiber, while it is unstarted or suspended. A drive takes it out
+    /// while it runs, and it is gone once its body ended.
     fiber: Option<Fiber<Answer<Req, Resp>, Vec<Req>>>,
     /// Requests handed over and not yet taken, the next one last: the
     /// fiber's own batch buffer reversed, and handed back once it is empty.
     pending: Vec<Req>,
     /// Whether a request was taken and its answer is still to come.
     owed: bool,
+    /// Whether the body has returned or unwound: from then on, `pending` is
+    /// its tail.
+    ended: bool,
     /// Whether the fiber is live: false once its tail has been answered.
     live: bool,
     /// The body's panic, re-raised at the answer to its tail's last request.
@@ -176,9 +210,10 @@ struct Slot<Req, Resp> {
 /// A pool of suspended application fibers, one per simulated processor.
 ///
 /// Every live fiber has its next request pending here or is owed a reply;
-/// the engine runs a fiber only inside [`FiberPool::resume`], until it hands
-/// over its next batch. Dropping the pool unwinds every suspended fiber on
-/// its own stack (see the module docs) and drops unstarted bodies unrun.
+/// a fiber runs only inside [`FiberPool::resume`] or [`FiberPool::drive`],
+/// until it hands over its next batch. Dropping the pool unwinds every
+/// suspended fiber on its own stack (see the module docs) and drops unstarted
+/// bodies unrun.
 ///
 /// Every fiber takes its stack from the driving thread's spare list and
 /// gives it back when it ends or drops unstarted, so pools spawned one after
@@ -188,6 +223,12 @@ pub struct FiberPool<Req, Resp> {
     slots: Vec<Slot<Req, Resp>>,
     /// How many slots are live (an event loop asks after every event).
     live: usize,
+    /// Switches from a fiber back to its driver: hand-overs and ends.
+    switches: u64,
+    /// Exchanges a driver answered on the calling fiber's stack.
+    served: u64,
+    /// A driver's panic caught on a fiber's stack, re-raised by `drive`.
+    failed: Option<Box<dyn Any + Send>>,
 }
 
 impl<Req: 'static, Resp: 'static> FiberPool<Req, Resp> {
@@ -209,13 +250,20 @@ impl<Req: 'static, Resp: 'static> FiberPool<Req, Resp> {
             let fiber = Fiber::new(move |yielder| {
                 body(FiberApi { yielder, batch: Vec::new(), closed: false });
             });
-            Slot { fiber: Some(fiber), pending: Vec::new(), owed: false, live: true, panic: None }
+            Slot {
+                fiber: Some(fiber),
+                pending: Vec::new(),
+                owed: false,
+                ended: false,
+                live: true,
+                panic: None,
+            }
         };
         // The pool owns every fiber before the first one runs, so unwinding
         // out of here unwinds the started ones and drops the rest unrun.
         let slots: Vec<_> = bodies.into_iter().map(slot).collect();
         let live = slots.len();
-        let mut pool = FiberPool { slots, live };
+        let mut pool = FiberPool { slots, live, switches: 0, served: 0, failed: None };
         for p in 0..pool.slots.len() as u32 {
             let step = pool.slots[p as usize].fiber.as_mut().expect("an unstarted fiber").start();
             pool.switched(p, step);
@@ -227,12 +275,14 @@ impl<Req: 'static, Resp: 'static> FiberPool<Req, Resp> {
 impl<Req, Resp> FiberPool<Req, Resp> {
     /// Takes in what fiber `p` left the CPU with: a batch, or its end.
     fn switched(&mut self, p: u32, step: Switched<Vec<Req>>) {
+        self.switches += 1;
         match step {
             Switched::Suspended(batch) => self.hand_in(p, batch),
             Switched::Ended(tail, ended) => {
                 let slot = &mut self.slots[p as usize];
                 // Gives the stack back.
                 slot.fiber = None;
+                slot.ended = true;
                 slot.panic = ended.err();
                 self.end(p, tail.unwrap_or_default());
             }
@@ -240,9 +290,33 @@ impl<Req, Resp> FiberPool<Req, Resp> {
     }
 
     /// Queues the batch fiber `p` handed over.
+    #[inline]
     fn hand_in(&mut self, p: u32, mut batch: Vec<Req>) {
         batch.reverse();
         self.slots[p as usize].pending = batch;
+    }
+
+    /// Takes back what is left of the batch fiber `p` handed in, in program
+    /// order, for it to hand over again with its switch.
+    #[inline]
+    fn hand_back(&mut self, p: u32) -> Vec<Req> {
+        let mut rest = mem::take(&mut self.slots[p as usize].pending);
+        rest.reverse();
+        rest
+    }
+
+    /// Settles the answer fiber `p` is suspended for (panics unless it is
+    /// owed the reply to the last request it handed over), returning its
+    /// batch's buffer.
+    #[inline]
+    fn answered(&mut self, p: u32) -> Vec<Req> {
+        let slot = &mut self.slots[p as usize];
+        assert!(
+            slot.owed && slot.pending.is_empty() && !slot.ended,
+            "fiber {p} answered without waiting on its last request"
+        );
+        slot.owed = false;
+        mem::take(&mut slot.pending)
     }
 
     /// Queues the tail fiber `p` left when its body ended; the fiber stays
@@ -280,16 +354,31 @@ impl<Req, Resp> FiberPool<Req, Resp> {
     }
 
     /// Whether fiber `p` has finished.
+    #[inline]
     pub fn is_finished(&self, p: u32) -> bool {
         !self.slots[p as usize].live
     }
 
+    /// How many times a fiber has switched back to whoever runs the pool:
+    /// once per batch handed over by a switch, and once per end.
+    pub fn switches(&self) -> u64 {
+        self.switches
+    }
+
+    /// How many exchanges a [`Driver`] answered on the calling fiber's own
+    /// stack, each one a pair of switches saved.
+    pub fn served(&self) -> u64 {
+        self.served
+    }
+
     /// Fiber `p`'s next pending request, if it has one.
+    #[inline]
     pub fn peek_request(&self, p: u32) -> Option<&Req> {
         self.slots[p as usize].pending.last()
     }
 
     /// Takes fiber `p`'s next pending request, if it has one; the engine then owes it a reply.
+    #[inline]
     pub fn take_request(&mut self, p: u32) -> Option<Req> {
         let slot = &mut self.slots[p as usize];
         let req = slot.pending.pop();
@@ -301,9 +390,11 @@ impl<Req, Resp> FiberPool<Req, Resp> {
     /// there is none). Returns `resp`, the request still owed, when it was
     /// the last one `p` handed over and `p` is suspended for it:
     /// [`FiberPool::resume`] delivers it, an event loop returns it as
-    /// [`Stop::Resume`]. Otherwise `resp` is dropped — the reply to a posted
-    /// request, or to the last of a finished fiber's tail, which finishes it
-    /// (re-raising its body's panic).
+    /// [`Stop::Resume`], and [`Driver::serve`] as its answer. Otherwise
+    /// `resp` is dropped — the reply to a posted request, or to the last of
+    /// a finished fiber's tail, which finishes it (re-raising its body's
+    /// panic).
+    #[inline]
     pub fn reply(&mut self, p: u32, resp: Resp) -> Option<Resp> {
         let slot = &mut self.slots[p as usize];
         assert!(slot.live && slot.owed, "fiber {p} resumed without a taken request");
@@ -311,7 +402,7 @@ impl<Req, Resp> FiberPool<Req, Resp> {
             slot.owed = false;
             return None;
         }
-        if slot.fiber.is_some() {
+        if !slot.ended {
             return Some(resp);
         }
         slot.owed = false;
@@ -324,10 +415,8 @@ impl<Req, Resp> FiberPool<Req, Resp> {
     /// and propagates its body's panic; `resp` reaches the fiber only if it `call`ed.
     pub fn resume(&mut self, p: u32, resp: Resp) -> Resumed {
         if let Some(resp) = self.reply(p, resp) {
-            let slot = &mut self.slots[p as usize];
-            slot.owed = false;
-            let buffer = mem::take(&mut slot.pending);
-            let fiber = slot.fiber.as_mut().expect("a suspended fiber");
+            let buffer = self.answered(p);
+            let fiber = self.slots[p as usize].fiber.as_mut().expect("a suspended fiber");
             let step = fiber.resume(Answer::Reply(resp, buffer));
             self.switched(p, step);
         }
@@ -644,5 +733,156 @@ mod tests {
             let raised = run_echo(pool).unwrap_err();
             assert_eq!(raised.downcast_ref::<&str>(), Some(&"the body's own panic"), "tail {tail}");
         }
+    }
+
+    /// A driver answering each request with `req + 1`: its loop takes the
+    /// fibers round-robin, and it serves at most `per_offer` requests of each
+    /// batch offered on a fiber's stack, recording every request it takes
+    /// in `seen`. A request of [`ENGINE_PANIC`] panics where it is taken.
+    struct Echo {
+        next: u32,
+        per_offer: usize,
+        seen: Vec<u64>,
+    }
+
+    impl Echo {
+        fn new(per_offer: usize) -> Self {
+            Echo { next: 0, per_offer, seen: Vec::new() }
+        }
+
+        fn take(&mut self, pool: &mut FiberPool<u64, u64>, p: u32) -> Option<u64> {
+            let req = pool.take_request(p)?;
+            assert_ne!(req, ENGINE_PANIC, "the engine's own panic");
+            self.seen.push(req);
+            pool.reply(p, req + 1)
+        }
+    }
+
+    impl Driver<u64, u64> for Echo {
+        fn serves(&self) -> bool {
+            true
+        }
+
+        fn next(&mut self, pool: &mut FiberPool<u64, u64>) -> Stop<u64> {
+            let n = pool.len() as u32;
+            loop {
+                let mut turns = (0..n).map(|i| (self.next + i) % n);
+                let Some(p) = turns.find(|&p| pool.peek_request(p).is_some()) else {
+                    return Stop::Idle;
+                };
+                self.next = (p + 1) % n;
+                if let Some(resp) = self.take(pool, p) {
+                    return Stop::Resume(p, resp);
+                }
+            }
+        }
+
+        fn serve(&mut self, pool: &mut FiberPool<u64, u64>, p: u32) -> Option<u64> {
+            for _ in 0..self.per_offer {
+                if let Some(resp) = self.take(pool, p) {
+                    return Some(resp);
+                }
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn a_call_the_driver_answers_does_not_switch() {
+        let mut pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| {
+            for i in 0..100 {
+                assert_eq!(api.call(i), i + 1);
+            }
+        });
+        let spawned = pool.switches();
+        pool.drive(&mut Echo::new(usize::MAX));
+        // The loop answered the first call, and the fiber's stack the other 99.
+        assert_eq!(pool.served(), 99);
+        assert_eq!(pool.switches() - spawned, 1, "only the end switched back");
+        pool.join();
+    }
+
+    #[test]
+    fn a_declined_serve_hands_the_rest_back_in_program_order() {
+        let mut pool = FiberPool::<u64, u64>::spawn(2, |pid, mut api| {
+            for i in 0..10 {
+                let base = u64::from(pid) * 1_000 + i * 10;
+                (1..4).for_each(|j| api.post(base + j));
+                assert_eq!(api.call(base + 4), base + 5);
+            }
+        });
+        // Each offer of four has two taken on the fiber's stack; the loop
+        // takes the other two after the switch.
+        let mut echo = Echo::new(2);
+        let spawned = pool.switches();
+        pool.drive(&mut echo);
+        assert_eq!(pool.served(), 0);
+        assert_eq!(pool.switches() - spawned, 20, "every batch went over with a switch");
+        for pid in 0..2 {
+            let mine: Vec<u64> = echo.seen.iter().copied().filter(|r| r / 1_000 == pid).collect();
+            let program: Vec<u64> =
+                (0..10).flat_map(|i| (1..=4).map(move |j| pid * 1_000 + i * 10 + j)).collect();
+            assert_eq!(mine, program, "P{pid}'s requests out of program order");
+        }
+        pool.join();
+    }
+
+    #[test]
+    fn the_deferred_bound_still_forces_an_exchange_under_a_drive() {
+        let bound = MAX_DEFERRED as u64;
+        let mut pool = FiberPool::<u64, u64>::spawn(1, move |_, mut api| {
+            api.call(0);
+            (1..=3 * bound).for_each(|i| api.post(i));
+        });
+        let mut echo = Echo::new(usize::MAX);
+        pool.drive(&mut echo);
+        // Three forced exchanges after the loop's answer, all served, and
+        // an empty tail.
+        assert_eq!(pool.served(), 3);
+        assert_eq!(echo.seen, (0..=3 * bound).collect::<Vec<_>>());
+        pool.join();
+    }
+
+    #[test]
+    fn a_panic_while_serving_leaves_the_drive_with_its_payload() {
+        let unwound = Rc::new(Cell::new(0));
+        let witness = Rc::clone(&unwound);
+        let mut pool = FiberPool::<u64, u64>::spawn(3, move |pid, mut api| {
+            let _local = Counted(Rc::clone(&witness));
+            for i in 0..20 {
+                if (pid, i) == (1, 10) {
+                    api.post(ENGINE_PANIC);
+                }
+                api.call(i);
+            }
+        });
+        let mut echo = Echo::new(usize::MAX);
+        let raised = catch_unwind(AssertUnwindSafe(|| pool.drive(&mut echo))).unwrap_err();
+        let msg = raised.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("the engine's own panic"), "{msg}");
+        // Served on its own stack throughout, P0 ran to its end before P1.
+        assert_eq!(unwound.get(), 2, "P0 ended and the serving fiber unwound");
+        drop(pool);
+        assert_eq!(unwound.get(), 3, "dropping the pool unwinds the others");
+    }
+
+    #[test]
+    fn dropping_a_driven_pool_unwinds_every_suspended_body() {
+        let unwound = Rc::new(Cell::new(0));
+        let witness = Rc::clone(&unwound);
+        let mut pool = FiberPool::<u64, u64>::spawn(4, move |_, mut api| {
+            let _local = Counted(Rc::clone(&witness));
+            for i in 0..10 {
+                api.call(i);
+            }
+            api.call(ENGINE_PANIC);
+        });
+        // Nothing is served, so the loop panics at the first fiber's last
+        // call with every fiber suspended.
+        let mut echo = Echo::new(0);
+        assert!(catch_unwind(AssertUnwindSafe(|| pool.drive(&mut echo))).is_err());
+        assert_eq!(unwound.get(), 0);
+        drop(pool);
+        assert_eq!(unwound.get(), 4, "every suspended body's locals dropped");
     }
 }

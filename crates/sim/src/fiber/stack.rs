@@ -1,5 +1,5 @@
 //! A fiber's stack and the switch into and out of it, for x86_64 Linux
-//! (System V ABI): the only `unsafe` code in `shasta-sim`.
+//! (System V ABI): with `drive.rs`, the only `unsafe` code in `shasta-sim`.
 //!
 //! A [`Fiber`] runs on one [`Stack`]: an anonymous mapping of
 //! [`STACK_BYTES`] above a `PROT_NONE` guard page. Stacks are recycled: a
@@ -16,7 +16,8 @@
 //! as having none, so unwinding and backtraces end at the fiber.
 //!
 //! Soundness rests on four checks: a fiber runs only inside a call that
-//! holds `&mut Fiber`; `suspend` and `leave` act only on the innermost
+//! holds `&mut Fiber` (a driven pool moves the fiber out of its slot first,
+//! see `drive.rs`); `suspend` and `leave` act only on the innermost
 //! running fiber (the thread-local `CURRENT`); the stack of a suspended
 //! fiber, whose frames have not been dropped, is never unmapped nor listed;
 //! and a listed stack has one owner, the list, and no live frame, since only
@@ -236,6 +237,11 @@ impl<In, Out> Fiber<In, Out> {
         self.state == State::Suspended
     }
 
+    /// The fiber's identity, which its [`Yielder::id`] shares.
+    pub(super) fn id(&self) -> *const () {
+        Rc::as_ptr(&self.shared).cast()
+    }
+
     fn switch_in(&mut self) -> Switched<Out> {
         let shared = &*self.shared;
         let outer = CURRENT.replace(Rc::as_ptr(&self.shared).cast());
@@ -277,10 +283,15 @@ pub(super) struct Yielder<In, Out> {
 }
 
 impl<In, Out> Yielder<In, Out> {
+    /// The identity of this yielder's fiber: its [`Fiber::id`].
+    pub(super) fn id(&self) -> *const () {
+        Rc::as_ptr(&self.shared).cast()
+    }
+
     /// Whether the caller runs on this yielder's fiber, innermost. A fiber
     /// never leaves the thread that made it: `Rc` keeps it `!Send`.
     fn running_here(&self) -> bool {
-        CURRENT.get() == Rc::as_ptr(&self.shared).cast()
+        CURRENT.get() == self.id()
     }
 
     /// Switches back to the fiber's resumer with `out`, and returns what the

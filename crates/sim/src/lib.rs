@@ -18,8 +18,10 @@
 //!
 //! * [`Time`] — simulated time in processor cycles,
 //! * [`FiberPool`] — the suspend/resume rendezvous between application
-//!   fibers and the engine (x86_64 Linux only: `fiber/stack.rs`, the crate's
-//!   one module with `unsafe` code, switches the stacks),
+//!   fibers and the engine, which a [`Driver`] may answer on the calling
+//!   fiber's own stack (x86_64 Linux only: `fiber/stack.rs` switches the
+//!   stacks and `fiber/drive.rs` lends the driver to the running fiber; they
+//!   are the crate's only modules with `unsafe` code),
 //! * [`Scheduler`] — the [`SchedulePolicy`] that breaks `(time, processor)`
 //!   ties and jitters message latency, deterministically per seed,
 //! * [`SplitMix64`] — a tiny deterministic RNG for workload generation.
@@ -53,7 +55,7 @@ pub mod rng;
 pub mod sched;
 pub mod time;
 
-pub use fiber::{FiberApi, FiberBody, FiberPool, Resumed, Stop};
+pub use fiber::{Driver, FiberApi, FiberBody, FiberPool, Resumed, Stop};
 pub use rng::SplitMix64;
 pub use sched::{SchedulePolicy, Scheduler};
 pub use time::Time;

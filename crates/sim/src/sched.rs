@@ -61,6 +61,8 @@ pub struct Scheduler {
     /// Per-processor priorities (Chains only); higher value = runs first.
     priorities: Vec<u64>,
     steps: u64,
+    /// [`Scheduler::pick`]'s reused list of ties: `(proc, index)`.
+    ties: Vec<(u32, usize)>,
 }
 
 impl Default for Scheduler {
@@ -81,6 +83,7 @@ impl Scheduler {
             rng: SplitMix64::new(seed ^ 0xC0FF_EE00_5EED_0001),
             priorities: Vec::new(),
             steps: 0,
+            ties: Vec::new(),
         }
     }
 
@@ -99,44 +102,54 @@ impl Scheduler {
     /// candidate to its `(time, proc)` pair.
     ///
     /// Only candidates whose time equals the minimal candidate time are
-    /// eligible (causality); the policy chooses among those.
+    /// eligible (causality); the policy chooses among those, as
+    /// [`Scheduler::pick_tie`] does.
     ///
     /// # Panics
     ///
     /// Panics if `cands` is empty.
     pub fn pick<T>(&mut self, cands: &[T], key: impl Fn(&T) -> (Time, u32)) -> usize {
         assert!(!cands.is_empty(), "scheduling with no candidates");
+        let t_min = cands.iter().map(|c| key(c).0).min().expect("nonempty");
+        let max_proc = cands.iter().map(|c| key(c).1).max().expect("nonempty");
+        let mut ties = std::mem::take(&mut self.ties);
+        ties.clear();
+        ties.extend(cands.iter().enumerate().filter_map(|(i, c)| {
+            let (t, p) = key(c);
+            (t == t_min).then_some((p, i))
+        }));
+        let chosen = ties[self.pick_tie(&ties, |tie| tie.0, max_proc)].1;
+        self.ties = ties;
+        chosen
+    }
+
+    /// Picks among `ties`, the candidates at the minimal time in candidate
+    /// order, and returns an index into it: one scheduling step. `proc`
+    /// projects a tie to its processor, and `max_proc` is the largest
+    /// processor with any candidate at all, tied or not (`Chains` draws a
+    /// priority for every processor up to it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ties` is empty.
+    pub fn pick_tie<T>(&mut self, ties: &[T], proc: impl Fn(&T) -> u32, max_proc: u32) -> usize {
+        assert!(!ties.is_empty(), "scheduling with no candidates");
         self.steps += 1;
         match self.policy {
             SchedulePolicy::Deterministic => {
-                let mut best = 0usize;
-                let mut best_key = key(&cands[0]);
-                for (i, c) in cands.iter().enumerate().skip(1) {
-                    let k = key(c);
-                    if k < best_key {
+                // The smallest processor; the first of equals.
+                let mut best = 0;
+                for (i, tie) in ties.iter().enumerate().skip(1) {
+                    if proc(tie) < proc(&ties[best]) {
                         best = i;
-                        best_key = k;
                     }
                 }
                 best
             }
-            SchedulePolicy::SeededRandom { .. } => {
-                let t_min = cands.iter().map(|c| key(c).0).min().expect("nonempty");
-                let n_ties = cands.iter().filter(|c| key(c).0 == t_min).count() as u64;
-                let pick = self.rng.below(n_ties) as usize;
-                cands
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| key(c).0 == t_min)
-                    .nth(pick)
-                    .expect("tie index in range")
-                    .0
-            }
+            SchedulePolicy::SeededRandom { .. } => self.rng.below(ties.len() as u64) as usize,
             SchedulePolicy::Chains { change_interval, .. } => {
-                let t_min = cands.iter().map(|c| key(c).0).min().expect("nonempty");
                 // Lazily size the priority table to the processors seen.
-                let max_proc = cands.iter().map(|c| key(c).1).max().expect("nonempty") as usize;
-                while self.priorities.len() <= max_proc {
+                while self.priorities.len() <= max_proc as usize {
                     self.priorities.push(self.rng.next_u64() | 1);
                 }
                 if change_interval > 0 && self.steps.is_multiple_of(u64::from(change_interval)) {
@@ -153,18 +166,23 @@ impl Scheduler {
                         }
                     }
                 }
-                cands
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| key(c).0 == t_min)
-                    .max_by_key(|(i, c)| (self.priorities[key(c).1 as usize], usize::MAX - *i))
-                    .expect("nonempty tie set")
-                    .0
+                // The highest priority; the first of equals.
+                let priority = |tie: &T| self.priorities[proc(tie) as usize];
+                let mut best = 0;
+                let mut best_priority = priority(&ties[0]);
+                for (i, tie) in ties.iter().enumerate().skip(1) {
+                    let pr = priority(tie);
+                    if pr > best_priority {
+                        best = i;
+                        best_priority = pr;
+                    }
+                }
+                best
             }
         }
     }
 
-    /// Counts one scheduling step chosen without [`Scheduler::pick`]. A
+    /// Counts one scheduling step chosen without [`Scheduler::pick_tie`]. A
     /// caller that keeps its candidates in a structure ordered by
     /// `(time, proc)` can read the deterministic policy's choice from it
     /// directly; the step still counts toward [`Scheduler::steps`].

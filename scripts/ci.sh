@@ -84,6 +84,18 @@ if git grep -nwE 'Machine|Network|clocks' -- crates/core/src/protocol/rows.rs; t
   exit 1
 fi
 
+echo "==> unsafe code stays in shasta-sim's fiber module"
+# Fiber stacks and serving a batch on the calling fiber's stack need
+# unsafe code (crates/sim/src/fiber/stack.rs and drive.rs); nothing else
+# does. Every other crate root forbids it, and only fiber.rs may allow it.
+for root in src/lib.rs $(git ls-files 'crates/*/src/lib.rs' | grep -v '^crates/sim/'); do
+  grep -q '^#!\[forbid(unsafe_code)\]' "$root" \
+    || { echo "$root does not forbid unsafe code"; exit 1; }
+done
+allowed="$(git grep -lE 'allow\(unsafe_code\)' -- '*.rs' || true)"
+test "$allowed" = "crates/sim/src/fiber.rs" \
+  || { echo "allow(unsafe_code) outside crates/sim/src/fiber.rs: $allowed"; exit 1; }
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -110,7 +122,7 @@ echo "==> the engine's and the network's suites under debug assertions (core, ch
 cargo test -q -p shasta-core -p shasta-check -p shasta-apps -p shasta-transport \
   -p shasta-memchan
 
-echo "==> fiber hand-offs under a deadline (shasta-sim, Dsm, misuse, one-thread and engine-panic tests, as is and on one CPU)"
+echo "==> fiber hand-offs under a deadline (shasta-sim, Dsm, misuse, one-thread, engine- and serve-panic tests, as is and on one CPU)"
 # A fiber is a stack on the thread that drives its pool, and a hand-off is a
 # switch between stacks (crates/sim/src/fiber/stack.rs): a switch that saves
 # or restores the wrong context hangs or crashes rather than failing, so
@@ -119,12 +131,13 @@ echo "==> fiber hand-offs under a deadline (shasta-sim, Dsm, misuse, one-thread 
 # operation's tail and an engine panic over suspended fibers are the
 # hand-overs the shasta-sim tests reach least. `one_thread` counts the
 # process's threads and context switches across a 16-processor run (none
-# added, none slept) and `engine_panic` raises a diagnosis over suspended
-# fibers with its own panic hook; each is its own binary.
+# added, none slept), `engine_panic` raises a diagnosis over suspended
+# fibers with its own panic hook, and `serve_panic` raises one while a batch
+# is served on its fiber's own stack; each is its own binary.
 handoff_tests() {
   timeout 120 "$@" cargo test -p shasta-sim --release --offline -q
   timeout 120 "$@" cargo test -p shasta-core --release --offline -q --lib api
-  for t in misuse one_thread engine_panic; do
+  for t in misuse one_thread engine_panic serve_panic; do
     timeout 120 "$@" cargo test -p shasta-core --release --offline -q --test "$t"
   done
 }
