@@ -15,6 +15,8 @@
 //! [`Dsm::read_f64s_into`]). Its bytes travel in the processor's one read
 //! buffer, which rides the request to the engine and back in the reply, so a
 //! read allocates nothing once that buffer is as large as the largest read.
+//! The buffer is boxed so that a [`Resp`] is two words: every layer between
+//! the engine and the body returns a reply in registers.
 
 use shasta_sim::FiberApi;
 
@@ -54,10 +56,11 @@ pub enum Req {
         addr: Addr,
         /// Length in bytes.
         len: u64,
-        /// The processor's read buffer. Its contents are ignored: the engine
-        /// replaces them with the range's bytes and returns it in
-        /// [`Resp::Data`], so a read allocates only while the buffer grows.
-        buf: Vec<u8>,
+        /// The processor's read buffer, `None` before its first read. Its
+        /// contents are ignored: the engine replaces them with the range's
+        /// bytes and returns it in [`Resp::Data`], so a read allocates only
+        /// while the buffer grows.
+        buf: Option<Box<Vec<u8>>>,
         /// Compute cycles since the previous operation.
         pre_cycles: u64,
     },
@@ -144,10 +147,15 @@ pub enum Resp {
     /// Loaded scalar (little-endian, zero-extended).
     Value(u64),
     /// A `ReadRange`'s buffer, holding the range's bytes.
-    Data(Vec<u8>),
+    Data(Box<Vec<u8>>),
     /// Completion of a store, write, sync, or poll.
     Unit,
 }
+
+// Two words, returned in registers. A wider reply is copied through memory
+// at each layer between the engine's executor and the body, which made a
+// load served on its fiber's stack take nearly twice as long on x86_64.
+const _: () = assert!(std::mem::size_of::<Resp>() == 16);
 
 /// The DSM handle held by each simulated processor's application code.
 ///
@@ -166,13 +174,14 @@ pub struct Dsm {
     pending_cycles: u64,
     /// The one buffer this processor's range reads travel in (see
     /// [`Req::ReadRange`]); it is as large as the largest read so far.
-    read_buf: Vec<u8>,
+    #[allow(clippy::box_collection)] // boxed so that a `Resp` is two words
+    read_buf: Option<Box<Vec<u8>>>,
 }
 
 impl Dsm {
     /// Wraps a fiber API endpoint. Used by the engine when spawning fibers.
     pub fn new(proc_id: u32, api: FiberApi<Req, Resp>) -> Self {
-        Dsm { api, proc_id, pending_cycles: 0, read_buf: Vec::new() }
+        Dsm { api, proc_id, pending_cycles: 0, read_buf: None }
     }
 
     /// This processor's id (0-based, dense).
@@ -268,12 +277,11 @@ impl Dsm {
     fn read_bytes(&mut self, addr: Addr, len: usize) -> &[u8] {
         assert!(len > 0, "empty range read at shared address {addr:#x}");
         let pre_cycles = self.take_cycles();
-        let buf = std::mem::take(&mut self.read_buf);
+        let buf = self.read_buf.take();
         match self.api.call(Req::ReadRange { addr, len: len as u64, buf, pre_cycles }) {
-            Resp::Data(d) => self.read_buf = d,
+            Resp::Data(d) => self.read_buf.insert(d),
             other => panic!("engine returned {other:?} where data was expected"),
         }
-        &self.read_buf
     }
 
     /// Batched write of `data` at `addr`.
@@ -361,7 +369,8 @@ mod tests {
                                 .copy_from_slice(&value.to_le_bytes()[..size as usize]);
                             Resp::Unit
                         }
-                        Req::ReadRange { addr, len, mut buf, .. } => {
+                        Req::ReadRange { addr, len, buf, .. } => {
+                            let mut buf = buf.unwrap_or_default();
                             buf.clear();
                             buf.extend_from_slice(&mem[addr as usize..(addr + len) as usize]);
                             Resp::Data(buf)
@@ -435,15 +444,15 @@ mod tests {
             dsm.read_into(0, &mut out[..4]);
             assert_eq!(out[..4], [5; 4]);
         });
-        let Some(Req::ReadRange { len: 16, mut buf, .. }) = pool.take_request(0) else {
+        let Some(Req::ReadRange { len: 16, buf, .. }) = pool.take_request(0) else {
             panic!("expected the first range read");
         };
-        assert_eq!(buf.capacity(), 0, "the first read has no buffer yet");
-        buf.extend_from_slice(&[7; 16]);
+        assert!(buf.is_none(), "the first read has no buffer yet");
+        let buf = Box::new(vec![7; 16]);
         let first = buf.as_ptr();
         pool.resume(0, Resp::Data(buf));
-        let Some(Req::ReadRange { len: 4, mut buf, .. }) = pool.take_request(0) else {
-            panic!("expected the second range read");
+        let Some(Req::ReadRange { len: 4, buf: Some(mut buf), .. }) = pool.take_request(0) else {
+            panic!("expected the second range read, with the first one's buffer");
         };
         assert_eq!(buf.as_ptr(), first, "the second read reuses the first one's buffer");
         buf.clear();

@@ -73,7 +73,7 @@ fn park(op: &mut Req) -> Req {
 /// length for the oracle.
 fn data_reply(op: &mut Req, bytes: &[u8]) -> Resp {
     let Req::ReadRange { buf, .. } = op else { unreachable!("data answers a range read") };
-    let mut buf = std::mem::take(buf);
+    let mut buf = buf.take().unwrap_or_default();
     buf.clear();
     buf.extend_from_slice(bytes);
     Resp::Data(buf)
@@ -101,10 +101,10 @@ struct Run<'m> {
 }
 
 impl Driver<Req, Resp> for Run<'_> {
-    /// A run-ahead is what a batch can be served by, so serving is on
-    /// exactly when run-ahead is.
+    /// A run-ahead is what a batch can be served by, so a fiber is offered
+    /// to it only while one is open (which `unobserved_steps` gates).
     fn serves(&self) -> bool {
-        self.m.unobserved_steps()
+        self.ex.ahead.is_some()
     }
 
     fn next(&mut self, pool: &mut Pool) -> Stop<Resp> {

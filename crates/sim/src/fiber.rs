@@ -19,10 +19,11 @@
 //!   and no system call.
 //! * Under [`FiberPool::drive`], which runs a [`Driver`]'s event loop, a
 //!   `call` first offers its batch to [`Driver::serve`] on the calling
-//!   fiber's own stack (`drive.rs`). A driver that already knows this fiber
-//!   runs next (the engine's run-ahead) answers it there, and the answer
-//!   costs no switch at all. A driver that declines leaves the rest of the
-//!   batch, in program order, to go over with the switch as before.
+//!   fiber's own stack (`drive.rs`), if the driver said at the resume that
+//!   it may serve it ([`Driver::serves`]). A driver that already knows this
+//!   fiber runs next (the engine's run-ahead) answers it there, and the
+//!   answer costs no switch at all. A driver that declines leaves the rest
+//!   of the batch, in program order, to go over with the switch as before.
 //!
 //! A fiber is in one of four states:
 //! * *unstarted* — [`FiberPool::spawn_each`] runs the fibers to their

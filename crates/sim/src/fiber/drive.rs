@@ -28,9 +28,10 @@ use super::{Answer, FiberPool, Offer, Stop};
 
 /// An event loop over a [`FiberPool`], run by [`FiberPool::drive`].
 pub trait Driver<Req, Resp> {
-    /// Whether [`Driver::serve`] may answer anything during this drive: read
-    /// once, when the drive starts. When it is false, every exchange
-    /// switches to the engine, as under [`FiberPool::resume`].
+    /// Whether [`Driver::serve`] may answer the next batch of the fiber the
+    /// last [`Stop::Resume`] answered: read at each resume. When it is false,
+    /// that fiber's next exchange switches to the engine without an offer,
+    /// as under [`FiberPool::resume`].
     fn serves(&self) -> bool;
 
     /// Runs events until one answers the last request a suspended fiber
@@ -104,8 +105,8 @@ impl<Req: 'static, Resp: 'static> FiberPool<Req, Resp> {
     /// panic is re-raised as under [`FiberPool::resume`], and a panic in
     /// [`Driver::serve`] with its own payload once the fiber has unwound.
     pub fn drive<D: Driver<Req, Resp>>(&mut self, driver: &mut D) {
-        let serves = driver.serves();
         while let Stop::Resume(p, resp) = driver.next(self) {
+            let serves = driver.serves();
             // SAFETY: both pointers are fresh from this frame's exclusive
             // borrows, which it does not use again until the call returns.
             unsafe { resume_driven(self, driver, p, resp, serves) };
