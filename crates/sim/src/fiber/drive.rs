@@ -2,11 +2,12 @@
 //! fiber's own stack.
 //!
 //! [`FiberPool::drive`] runs a [`Driver`]'s event loop and switches to each
-//! fiber it answers. While a fiber runs there, its next exchange (a `call`,
-//! or `post`'s forced one) first offers the batch to [`Driver::serve`]
-//! without leaving the fiber's stack: the offer reaches the pool and the
-//! driver through the thread-local [`SERVING`], which `resume_driven` sets
-//! for exactly the span of its switch into that one fiber. A driver that
+//! fiber it answers. While a fiber runs there, and if [`Driver::serves`]
+//! said so at its resume, its next exchange (a `call`, or `post`'s forced
+//! one) first offers the batch to [`Driver::serve`] without leaving the
+//! fiber's stack: the offer reaches the pool and the driver through the
+//! thread-local [`SERVING`], which `resume_driven` sets for exactly the
+//! span of its switch into that one fiber. A driver that
 //! answers the batch's last request saves the switch to the engine and the
 //! switch back.
 //!
